@@ -90,9 +90,9 @@ class SweepConfig:
                 if np.min(np.abs(values - boundary)) <= 1e-6 * bar_eps:
                     raise ValueError(
                         f"kappa grid touches the phase boundary at {boundary}")
-                if lo <= 0:
+                if min(lo, hi) <= 0:
                     raise ValueError("kappa values must be positive")
-            elif axis in (Axis.TBAR, Axis.TA, Axis.TB) and lo <= 0:
+            elif axis in (Axis.TBAR, Axis.TA, Axis.TB) and min(lo, hi) <= 0:
                 raise ValueError("temperatures must be positive")
             elif axis is Axis.DELTA_T:
                 mean = 0.5 * (self.t_a + self.t_b)
@@ -175,8 +175,14 @@ class RegionMap:
         return sum(1 for c in self.cells if not c.positivity_ok)
 
 
-def evaluate_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
-                   x: float = 0.0, y: float = 0.0) -> GridCell:
+def run_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec):
+    """Generator, steady state, dual-route classification and transport at one point.
+
+    Returns (generator, steady result, report, transport).  A state that
+    violates positivity may fail classification; its report is then None
+    (the cell is masked).  A classification error on a positive state is
+    re-raised.
+    """
     g = build_generator(system, ra, rb)
     ss = steady_state(g)
     try:
@@ -184,31 +190,19 @@ def evaluate_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
     except ValueError:
         if ss.positivity_ok:
             raise
-        # positivity-violating cell: masked, no verdicts
-        nan = float("nan")
-        tr = transport_report(g, ss)
-        return GridCell(
-            x=x, y=y,
-            entangled=False, steer_ab=False, steer_ba=False, bell=False,
-            margin_ent=nan, margin_ab=nan, margin_ba=nan, margin_bell=nan,
-            current_b=tr.current_b, sigma=tr.sigma, positivity_ok=False,
-        )
-    tr = transport_report(g, ss)
-    return GridCell(
-        x=x,
-        y=y,
-        entangled=rep.entangled,
-        steer_ab=rep.steer_a_to_b,
-        steer_ba=rep.steer_b_to_a,
-        bell=rep.bell,
-        margin_ent=rep.margin_ent,
-        margin_ab=rep.margin_ab,
-        margin_ba=rep.margin_ba,
-        margin_bell=rep.margin_bell,
-        current_b=tr.current_b,
-        sigma=tr.sigma,
-        positivity_ok=ss.positivity_ok,
-    )
+        rep = None
+    return g, ss, rep, transport_report(g, ss)
+
+
+def evaluate_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
+                   x: float = 0.0, y: float = 0.0) -> GridCell:
+    _, ss, rep, tr = run_point(system, ra, rb)
+    if rep is None:
+        flags, margins = (False,) * 4, (float("nan"),) * 4
+    else:
+        flags = (rep.entangled, rep.steer_a_to_b, rep.steer_b_to_a, rep.bell)
+        margins = (rep.margin_ent, rep.margin_ab, rep.margin_ba, rep.margin_bell)
+    return GridCell(x, y, *flags, *margins, tr.current_b, tr.sigma, ss.positivity_ok)
 
 
 def _eval_cell(args: tuple[SweepConfig, float, float]) -> GridCell:
@@ -250,7 +244,11 @@ class ThresholdResult:
     margin_at_root: float | None
 
 
-def _criterion_margin(rep, criterion: Criterion) -> float:
+def _margin(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
+            criterion: Criterion) -> float:
+    """Criterion margin at one point through the single-route classification."""
+    g = build_generator(system, ra, rb)
+    rep = classify(steady_state(g).state_local, dual=False)
     if criterion is Criterion.A_TO_B:
         return rep.margin_ab
     if criterion is Criterion.B_TO_A:
@@ -260,6 +258,23 @@ def _criterion_margin(rep, criterion: Criterion) -> float:
     if criterion is Criterion.ENTANGLEMENT:
         return rep.margin_ent
     return rep.margin_bell
+
+
+def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, float, int]:
+    """Halve [lo, hi] around the sign change of f until it is at most tol wide.
+
+    f_lo is f(lo); returns the final (lo, hi) and the number of halvings.
+    """
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        iterations += 1
+    return lo, hi, iterations
 
 
 def threshold_kappa(
@@ -279,10 +294,7 @@ def threshold_kappa(
     """
 
     def margin(k: float) -> float:
-        system = replace(template, kappa=k)
-        g = build_generator(system, ra, rb)
-        rep = classify(steady_state(g).state_local, dual=False)
-        return _criterion_margin(rep, criterion)
+        return _margin(replace(template, kappa=k), ra, rb, criterion)
 
     bar_eps = 0.5 * (template.eps_a + template.eps_b)
     ks = np.linspace(bracket[0], bracket[1], prescan)
@@ -293,17 +305,9 @@ def threshold_kappa(
     if len(crossings) > 1:
         raise ValueError(f"margin not monotone on bracket {bracket}: "
                          f"{len(crossings)} sign changes")
-    lo, hi = float(ks[crossings[0]]), float(ks[crossings[0] + 1])
-    m_lo = ms[crossings[0]]
-    iterations = 0
-    while hi - lo > rel_tol * bar_eps:
-        mid = 0.5 * (lo + hi)
-        m_mid = margin(mid)
-        if (m_mid > 0) == (m_lo > 0):
-            lo, m_lo = mid, m_mid
-        else:
-            hi = mid
-        iterations += 1
+    i = crossings[0]
+    lo, hi, iterations = _bisect(margin, float(ks[i]), float(ks[i + 1]), ms[i],
+                                 rel_tol * bar_eps)
     root = 0.5 * (lo + hi)
     return ThresholdResult(criterion, True, root, (lo, hi), iterations, margin(root))
 
@@ -383,21 +387,6 @@ class BoundaryFit:
     spread: float | None
 
 
-def _refine_crossing_x(cfg: SweepConfig, y: float, x_lo: float, x_hi: float,
-                       margin_lo: float, tol: float) -> float:
-    """Bisect the entanglement margin in x through the full pipeline."""
-    while x_hi - x_lo > tol:
-        mid = 0.5 * (x_lo + x_hi)
-        system, ra, rb = cfg.point(mid, y)
-        g = build_generator(system, ra, rb)
-        rep = classify(steady_state(g).state_local, dual=False)
-        if (rep.margin_ent > 0) == (margin_lo > 0):
-            x_lo, margin_lo = mid, rep.margin_ent
-        else:
-            x_hi = mid
-    return 0.5 * (x_lo + x_hi)
-
-
 def entanglement_boundary_fit(m: RegionMap, band_ratio: float = 0.25) -> BoundaryFit:
     """Fit the entanglement boundary on a TA x TB map near the diagonal.
 
@@ -422,9 +411,10 @@ def entanglement_boundary_fit(m: RegionMap, band_ratio: float = 0.25) -> Boundar
             x_est = xs[ix] + frac * (xs[ix + 1] - xs[ix])
             if abs(x_est - y) > band_ratio * 0.5 * (x_est + y) + cell_w:
                 continue
-            x_cross = _refine_crossing_x(m.config, float(y), float(xs[ix]),
-                                         float(xs[ix + 1]), a.margin_ent,
-                                         refine_tol)
+            lo, hi, _ = _bisect(
+                lambda x: _margin(*m.config.point(x, float(y)), Criterion.ENTANGLEMENT),
+                float(xs[ix]), float(xs[ix + 1]), a.margin_ent, refine_tol)
+            x_cross = 0.5 * (lo + hi)
             if abs(x_cross - y) <= band_ratio * 0.5 * (x_cross + y):
                 sums.append(x_cross + y)
     if not sums:

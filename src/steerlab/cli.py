@@ -18,7 +18,6 @@ import time
 from importlib import resources
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .analysis import (
@@ -26,16 +25,15 @@ from .analysis import (
     Criterion,
     SweepConfig,
     analytic_thresholds,
+    run_point,
     sweep2d,
     threshold_kappa,
 )
-from .correlations import classify
 from .errors import ConfigurationError
 from .generator import build_generator
 from .model import Basis, DensityMatrix4, SystemParams
 from .rates import ReservoirSpec, Statistics
-from .steady import evolve, max_stable_dt, steady_state
-from .transport import transport_report
+from .steady import evolve, steady_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,7 +100,6 @@ CONFIG_SCHEMA = {
             },
         },
         "out": {"type": "string"},
-        "format": {"enum": ["json", "csv"]},
         "jobs": {"type": "integer", "minimum": 1},
     },
 }
@@ -157,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file (overrides flags)")
         sp.add_argument("--preset", help="named preset shipped with the package, e.g. fig8a")
         sp.add_argument("--out", help="output file path")
-        sp.add_argument("--format", choices=["json", "csv"])
-        sp.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("STEERLAB_JOBS", "1")))
         sp.add_argument("--eps-a", type=float, default=1.0)
         sp.add_argument("--eps-b", type=float, default=1.0)
         sp.add_argument("--kappa", type=float, default=3.0)
@@ -170,6 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mua", type=float, default=0.0)
         sp.add_argument("--mub", type=float, default=0.0)
         if mode == "sweep":
+            sp.add_argument("--jobs", type=int,
+                            help="worker processes (default: STEERLAB_JOBS or 1)")
             sp.add_argument("--axis-x", choices=_AXES)
             sp.add_argument("--x-min", type=float)
             sp.add_argument("--x-max", type=float)
@@ -194,6 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_jobs() -> int:
+    raw = os.environ.get("STEERLAB_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"STEERLAB_JOBS must be an integer, got {raw!r}") from None
+
+
 def _flags_to_config(args: argparse.Namespace) -> dict:
     cfg: dict = {
         "mode": args.mode,
@@ -205,12 +210,11 @@ def _flags_to_config(args: argparse.Namespace) -> dict:
             "statistics": args.stat, "ta": args.ta, "tb": args.tb,
             "mua": args.mua, "mub": args.mub,
         },
-        "jobs": args.jobs,
     }
+    if args.mode == "sweep":
+        cfg["jobs"] = args.jobs if args.jobs is not None else _env_jobs()
     if args.out:
         cfg["out"] = args.out
-    if args.format:
-        cfg["format"] = args.format
     if args.mode == "sweep" and args.axis_x and args.axis_y:
         cfg["sweep"] = {
             "axis_x": args.axis_x, "x_range": [args.x_min, args.x_max], "nx": args.nx,
@@ -255,6 +259,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     # flags that must win over presets when given explicitly
     if args.out:
         cfg["out"] = args.out
+    from jsonschema import Draft202012Validator  # deferred: slow to import
     errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg),
                     key=lambda e: e.json_path)
     if errors:
@@ -289,46 +294,56 @@ def _density_entries(rho: DensityMatrix4) -> list:
 
 
 def _atomic_write(path: str, text: str) -> str:
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(tmp, path)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(path: str, cfg: dict, started: float, masked: int,
-                    checksums: dict[str, str]) -> None:
+def _emit(cfg: dict, text: str, started: float, masked: int = 0,
+          default_out: str | None = None) -> str | None:
+    """Write text to the configured output and its manifest, or print it.
+
+    Returns the path written, or None when the text went to stdout.
+    """
+    out = cfg.get("out") or default_out
+    if not out:
+        sys.stdout.write(text)
+        return None
+    digest = _atomic_write(out, text)
     manifest = {
         "config": cfg,
         "version": __version__,
         "timing_seconds": time.time() - started,
         "masked_cells": masked,
-        "outputs": {name: f"sha256:{digest}" for name, digest in checksums.items()},
+        "outputs": {out: f"sha256:{digest}"},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_fixed(manifest) + "\n")
+    _atomic_write(out + ".manifest.json", dumps_fixed(manifest) + "\n")
+    return out
+
+
+def _analytic(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> dict[str, float]:
+    return analytic_thresholds(
+        bar_eps=0.5 * (system.eps_a + system.eps_b),
+        temperature=ra.temperature,
+        delta_eps=system.eps_a - system.eps_b,
+        statistics=ra.statistics,
+        mu_bar=0.5 * (ra.mu + rb.mu),
+    )
 
 
 def cmd_steady(cfg: dict) -> int:
     started = time.time()
-    system, ra, rb = _build_objects(cfg)
-    g = build_generator(system, ra, rb)
-    ss = steady_state(g)
-    try:
-        rep = classify(ss.state_local, eig=g.eig)
-        correlations = {
-            "entangled": rep.entangled, "margin_ent": rep.margin_ent,
-            "steer_a_to_b": rep.steer_a_to_b, "margin_ab": rep.margin_ab,
-            "steer_b_to_a": rep.steer_b_to_a, "margin_ba": rep.margin_ba,
-            "bell": rep.bell, "margin_bell": rep.margin_bell,
-            "method": rep.method.value,
-            "eigen_populations": list(rep.eigen_populations),
-        }
-    except ValueError:
-        if ss.positivity_ok:
-            raise
-        correlations = None   # partial report for a positivity-violating state
-    tr = transport_report(g, ss)
+    _, ss, rep, tr = run_point(*_build_objects(cfg))
+    correlations = None if rep is None else {
+        "entangled": rep.entangled, "margin_ent": rep.margin_ent,
+        "steer_a_to_b": rep.steer_a_to_b, "margin_ab": rep.margin_ab,
+        "steer_b_to_a": rep.steer_b_to_a, "margin_ba": rep.margin_ba,
+        "bell": rep.bell, "margin_bell": rep.margin_bell,
+        "method": rep.method.value,
+        "eigen_populations": list(rep.eigen_populations),
+    }
     report = {
         "state_energy_basis": _density_entries(ss.state_energy),
         "state_local_basis": _density_entries(ss.state_local),
@@ -341,13 +356,7 @@ def cmd_steady(cfg: dict) -> int:
             "sigma": tr.sigma, "observable": tr.observable.value,
         },
     }
-    text = dumps_fixed(report) + "\n"
-    if cfg.get("out"):
-        digest = _atomic_write(cfg["out"], text)
-        _write_manifest(cfg["out"] + ".manifest.json", cfg, started,
-                        0 if ss.positivity_ok else 1, {cfg["out"]: digest})
-    else:
-        sys.stdout.write(text)
+    _emit(cfg, dumps_fixed(report) + "\n", started, masked=0 if ss.positivity_ok else 1)
     return EXIT_OK if ss.positivity_ok else EXIT_POSITIVITY
 
 
@@ -372,13 +381,9 @@ def cmd_sweep(cfg: dict) -> int:
             fmt(c.margin_bell), fmt(c.current_b), fmt(c.sigma),
             str(int(c.positivity_ok)),
         ]))
-    text = "\n".join(lines) + "\n"
-    out = cfg.get("out", "sweep.csv")
-    digest = _atomic_write(out, text)
-    _write_manifest(out + ".manifest.json", cfg, started,
-                    region.masked_count(), {out: digest})
-    print(f"wrote {out}: {sweep_cfg.nx}x{sweep_cfg.ny} cells, "
-          f"{region.masked_count()} masked")
+    masked = region.masked_count()
+    out = _emit(cfg, "\n".join(lines) + "\n", started, masked, default_out="sweep.csv")
+    print(f"wrote {out}: {sweep_cfg.nx}x{sweep_cfg.ny} cells, {masked} masked")
     return EXIT_OK
 
 
@@ -388,14 +393,7 @@ def cmd_threshold(cfg: dict) -> int:
     th = cfg["threshold"]
     criterion = Criterion(th["criterion"])
     result = threshold_kappa(system, ra, rb, criterion, tuple(th["bracket"]))
-    bar_eps = 0.5 * (system.eps_a + system.eps_b)
-    analytic = analytic_thresholds(
-        bar_eps=bar_eps,
-        temperature=ra.temperature,
-        delta_eps=system.eps_a - system.eps_b,
-        statistics=ra.statistics,
-        mu_bar=0.5 * (ra.mu + rb.mu),
-    )
+    analytic = _analytic(system, ra, rb)
     report = {
         "criterion": criterion.value,
         "found": result.found,
@@ -410,33 +408,13 @@ def cmd_threshold(cfg: dict) -> int:
             key: (result.kappa_threshold - val) / val if val != 0 else float("nan")
             for key, val in analytic.items()
         }
-    text = dumps_fixed(report) + "\n"
-    if cfg.get("out"):
-        digest = _atomic_write(cfg["out"], text)
-        _write_manifest(cfg["out"] + ".manifest.json", cfg, started, 0,
-                        {cfg["out"]: digest})
-    else:
-        sys.stdout.write(text)
+    _emit(cfg, dumps_fixed(report) + "\n", started)
     return EXIT_OK
 
 
 def cmd_thresholds_table(cfg: dict) -> int:
-    system, ra, rb = _build_objects(cfg)
-    table = analytic_thresholds(
-        bar_eps=0.5 * (system.eps_a + system.eps_b),
-        temperature=ra.temperature,
-        delta_eps=system.eps_a - system.eps_b,
-        statistics=ra.statistics,
-        mu_bar=0.5 * (ra.mu + rb.mu),
-    )
-    text = dumps_fixed(table) + "\n"
-    if cfg.get("out"):
-        started = time.time()
-        digest = _atomic_write(cfg["out"], text)
-        _write_manifest(cfg["out"] + ".manifest.json", cfg, started, 0,
-                        {cfg["out"]: digest})
-    else:
-        sys.stdout.write(text)
+    started = time.time()
+    _emit(cfg, dumps_fixed(_analytic(*_build_objects(cfg))) + "\n", started)
     return EXIT_OK
 
 
@@ -462,23 +440,13 @@ def cmd_evolve(cfg: dict) -> int:
     g = build_generator(system, ra, rb)
     ev = cfg["evolve"]
     rho0 = _initial_state(ev, g)
-    try:
-        traj = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
-    except ValueError as exc:
-        if "unstable" in str(exc):
-            raise ConfigurationError(
-                f"{exc} (maximum stable dt is {max_stable_dt(g):.6g})"
-            ) from exc
-        raise
+    traj = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
     ss = steady_state(g)
     final_gap = float(np.max(np.abs(traj.vectors[-1] - ss.vector6)))
     lines = ["t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh"]
     for row in traj.csv_rows():
         lines.append(",".join(fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    out = cfg.get("out", "trajectory.csv")
-    digest = _atomic_write(out, text)
-    _write_manifest(out + ".manifest.json", cfg, started, 0, {out: digest})
+    _emit(cfg, "\n".join(lines) + "\n", started, default_out="trajectory.csv")
     summary = {
         "steps": len(traj.times) - 1,
         "trace_drift": traj.trace_drift(),

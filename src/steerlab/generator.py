@@ -210,6 +210,13 @@ def from_vector6(v: np.ndarray) -> np.ndarray:
     return m
 
 
+def hermitize_vector6(v: np.ndarray) -> np.ndarray:
+    """Real populations and a conjugate coherence pair, from their mean."""
+    coh = 0.5 * (v[4] + np.conj(v[5]))
+    return np.array([v[0].real, v[1].real, v[2].real, v[3].real, coh, np.conj(coh)],
+                    dtype=complex)
+
+
 def validate_state_vector6(v: np.ndarray, tol: float = VEC6_TOL) -> None:
     """Check the representation invariants of a physical 6-entry state."""
     v = np.asarray(v, dtype=complex)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateSteadyStateError
-from .generator import Generator, from_vector6, to_vector6
+from .generator import Generator, from_vector6, hermitize_vector6, to_vector6
 from .model import (
     Basis,
     DensityMatrix4,
@@ -63,10 +63,7 @@ def steady_state(g: Generator) -> SteadyResult:
     pop_sum = v[:4].sum()
     if abs(pop_sum) < 1e-300:
         raise DegenerateSteadyStateError("null vector has vanishing population sum")
-    v = v / pop_sum
-    coh = 0.5 * (v[4] + np.conj(v[5]))
-    v = np.array([v[0].real, v[1].real, v[2].real, v[3].real, coh, np.conj(coh)],
-                 dtype=complex)
+    v = hermitize_vector6(v / pop_sum)
     residual = float(np.max(np.abs(g.total @ v)))
     if residual > RESIDUAL_TOL:
         raise DegenerateSteadyStateError(
@@ -95,11 +92,8 @@ class Trajectory:
     generator: Generator
 
     def state(self, i: int, basis: Basis = Basis.ENERGY) -> DensityMatrix4:
-        v = self.vectors[i]
-        coh = 0.5 * (v[4] + np.conj(v[5]))
-        sym = np.array([v[0].real, v[1].real, v[2].real, v[3].real, coh, np.conj(coh)],
-                       dtype=complex)
-        rho = DensityMatrix4(entries=from_vector6(sym), basis=Basis.ENERGY)
+        rho = DensityMatrix4(entries=from_vector6(hermitize_vector6(self.vectors[i])),
+                             basis=Basis.ENERGY)
         if basis is Basis.LOCAL:
             rho = basis_change(rho, Basis.LOCAL, self.generator.eig)
         return rho
@@ -136,7 +130,7 @@ def evolve(g: Generator, rho0: DensityMatrix4, t_final: float, dt: float) -> Tra
         raise ValueError("t_final and dt must be positive")
     dt_max = max_stable_dt(g)
     if dt > dt_max:
-        raise ValueError(f"dt={dt} unstable; use dt <= {dt_max:.6g}")
+        raise ValueError(f"dt={dt} unstable: maximum stable dt is {dt_max:.6g}")
     if rho0.basis is not Basis.ENERGY:
         rho0 = basis_change(rho0, Basis.ENERGY, g.eig)
     v, leak = to_vector6(rho0.entries)

@@ -42,6 +42,12 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             small_sweep(axis_x=Axis.MUBAR)   # mu axis on a bosonic setup
 
+    def test_descending_range_reaching_nonpositive_rejected(self):
+        with pytest.raises(ValueError, match="temperatures must be positive"):
+            small_sweep(axis_x=Axis.TA, x_range=(0.5, -0.1))
+        with pytest.raises(ValueError, match="kappa values must be positive"):
+            small_sweep(axis_y=Axis.KAPPA, y_range=(3.5, -0.5))
+
     def test_point_application(self):
         cfg = small_sweep()
         system, ra, rb = cfg.point(0.3, 2.5)

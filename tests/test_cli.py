@@ -114,6 +114,70 @@ class TestSweepCommand:
         assert out1.read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+    def test_positivity_violating_cell_is_masked(self, tmp_path, capsys):
+        # the 2x2 grid's first cell is the point of test_positivity_violation_exit_code
+        point = ["--stat", "bose", "--eps-a", "1.8", "--eps-b", "0.2",
+                 "--kappa", "3", "--gamma", "0.01"]
+        out = tmp_path / "masked.csv"
+        code = run(["sweep", *point, "--ta", "0.5", "--tb", "0.5",
+                    "--axis-x", "ta", "--x-min", "0.124", "--x-max", "0.5", "--nx", "2",
+                    "--axis-y", "tb", "--y-min", "0.02", "--y-max", "0.5", "--ny", "2",
+                    "--out", str(out)])
+        assert code == 0
+        assert "1 masked" in capsys.readouterr().out
+        rows = [dict(zip(CSV_COLUMNS, line.split(",")))
+                for line in out.read_text().splitlines()[1:]]
+        assert [r["positivity_ok"] for r in rows] == ["0", "1", "1", "1"]
+        cell = rows[0]
+        assert all(math.isnan(float(cell[k]))
+                   for k in ("margin_ent", "margin_ab", "margin_ba", "margin_bell"))
+        assert run(["steady", *point, "--ta", "0.124", "--tb", "0.02"]) == 3
+        transport = json.loads(capsys.readouterr().out)["transport"]
+        assert float(cell["current_b"]) == transport["current_b"]
+        assert float(cell["sigma"]) == transport["sigma"]
+
+
+class TestJobs:
+    SWEEP = ["sweep", "--stat", "bose", "--ta", "0.5", "--tb", "0.5",
+             "--axis-x", "tbar", "--x-min", "0.3", "--x-max", "0.6", "--nx", "2",
+             "--axis-y", "kappa", "--y-min", "2.5", "--y-max", "3.0", "--ny", "2"]
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_env_jobs_rejected(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("STEERLAB_JOBS", value)
+        assert run(self.SWEEP + ["--out", str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_env_jobs_ignored_outside_sweep(self, monkeypatch, capsys):
+        monkeypatch.setenv("STEERLAB_JOBS", "abc")
+        assert run(["steady"]) == 0
+
+    def test_jobs_flag_only_on_sweep(self):
+        with pytest.raises(SystemExit):
+            run(["steady", "--jobs", "2"])
+
+
+class TestOutputs:
+    def test_write_beside_stale_tmp_directory(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        (tmp_path / "table.json.tmp").mkdir()
+        assert run(["thresholds-table", "--out", str(out)]) == 0
+        table = json.loads(out.read_text())
+        assert "kappa_ent" in table
+        manifest = json.loads((tmp_path / "table.json.manifest.json").read_text())
+        assert list(manifest) == ["config", "version", "timing_seconds",
+                                  "masked_cells", "outputs"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "table.json", "table.json.manifest.json", "table.json.tmp"]
+
+    def test_format_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": "csv"}))
+        assert run(["thresholds-table", "--config", str(cfg)]) == 2
+        assert "format" in capsys.readouterr().err
+
+
 class TestThresholdCommand:
     def test_threshold_json(self, capsys):
         code = run(["threshold", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
