@@ -53,8 +53,6 @@ from .correlations import (
 from .transport import (
     Observable,
     TransportReport,
-    currents,
-    entropy_production,
     rectification,
     transport_report,
 )

@@ -29,7 +29,13 @@ from .analysis import (
     sweep2d,
     threshold_kappa,
 )
-from .errors import ConfigurationError
+from .errors import (
+    ConfigurationError,
+    DegenerateSteadyStateError,
+    InternalConsistencyError,
+    NotXStateError,
+    RegimeError,
+)
 from .generator import build_generator
 from .model import Basis, DensityMatrix4, SystemParams
 from .rates import ReservoirSpec, Statistics
@@ -38,6 +44,7 @@ from .steady import evolve, steady_state
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_POSITIVITY = 3
+EXIT_INTERNAL = 4
 
 _NUMBER = {"type": "number"}
 _RANGE = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
@@ -56,7 +63,7 @@ CONFIG_SCHEMA = {
             "required": ["eps_a", "eps_b", "kappa", "gamma"],
             "properties": {
                 "eps_a": _NUMBER, "eps_b": _NUMBER, "kappa": _NUMBER,
-                "gamma": _NUMBER, "gamma_a": _NUMBER, "gamma_b": _NUMBER,
+                "gamma": _NUMBER,
             },
         },
         "reservoirs": {
@@ -280,7 +287,6 @@ def _build_objects(cfg: dict) -> tuple[SystemParams, ReservoirSpec, ReservoirSpe
     s = cfg["system"]
     system = SystemParams(
         eps_a=s["eps_a"], eps_b=s["eps_b"], kappa=s["kappa"], gamma=s["gamma"],
-        gamma_a=s.get("gamma_a"), gamma_b=s.get("gamma_b"),
     )
     r = cfg["reservoirs"]
     stat = Statistics(r["statistics"])
@@ -471,6 +477,12 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _DISPATCH[args.mode](cfg)
+    # defects of the computation, not of the input; the last two are
+    # ValueErrors and must be caught before the configuration errors
+    except (DegenerateSteadyStateError, InternalConsistencyError,
+            NotXStateError, RegimeError) as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ConfigurationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,8 +26,8 @@ from .model import Basis, DensityMatrix4, EigenSystem, Phase
 MARGIN_TOL = 1e-12
 # PPT negativity threshold
 PPT_TOL = 1e-10
-# default |rho14| / |rho23| bound for the standalone closed-form criterion
-RHO14_RATIO_TOL = 1e-6
+# largest non-X entry an X state may carry
+X_TOL = 1e-10
 
 _DEPOL = 1.0 / math.sqrt(3.0)
 _DEPOL_REST = (3.0 - math.sqrt(3.0)) / 3.0
@@ -85,8 +85,8 @@ def steering_factors(x: XState) -> SteeringFactors:
     return SteeringFactors(f_a=f_a, f_b=f_b)
 
 
-def extract_xstate(rho: DensityMatrix4, tol: float = 1e-10) -> XState:
-    """Read off the X entries; reject any other entry above tol."""
+def extract_xstate(rho: DensityMatrix4) -> XState:
+    """Read off the X entries; reject any other entry above X_TOL."""
     if rho.basis is not Basis.LOCAL:
         raise ValueError("X structure is defined in the local basis")
     m = rho.entries
@@ -95,8 +95,8 @@ def extract_xstate(rho: DensityMatrix4, tol: float = 1e-10) -> XState:
     x_mask[0, 3] = x_mask[3, 0] = True
     x_mask[1, 2] = x_mask[2, 1] = True
     worst = float(np.max(np.abs(m[~x_mask])))
-    if worst > tol:
-        raise NotXStateError(f"non-X entry of magnitude {worst:.3g} exceeds tol={tol}")
+    if worst > X_TOL:
+        raise NotXStateError(f"non-X entry of magnitude {worst:.3g} exceeds {X_TOL}")
     return XState(
         rho11=m[0, 0].real,
         rho22=m[1, 1].real,
@@ -107,31 +107,43 @@ def extract_xstate(rho: DensityMatrix4, tol: float = 1e-10) -> XState:
     )
 
 
-def _reduced(m: np.ndarray, keep: int) -> np.ndarray:
+def _depolarized(m: np.ndarray) -> np.ndarray:
+    """rho and its A->B and B->A partially depolarized maps, stacked as (3,4,4).
+
+    A->B gives rho/sqrt(3) + (1 - 1/sqrt(3)) (1/2 (x) rho_B); B->A mirrors the
+    construction onto qubit B's slot.  The reduced states are partial traces
+    of the (a, b, a', b') view of rho.
+    """
     t = m.reshape(2, 2, 2, 2)
-    return np.trace(t, axis1=1, axis2=3) if keep == 0 else np.trace(t, axis1=0, axis2=2)
+    half = np.eye(2) / 2
+    rest_ab = half[:, None, :, None] * np.trace(t, axis1=0, axis2=2)[None, :, None, :]
+    rest_ba = np.trace(t, axis1=1, axis2=3)[:, None, :, None] * half[None, :, None, :]
+    return np.stack([m,
+                     _DEPOL * m + _DEPOL_REST * rest_ab.reshape(4, 4),
+                     _DEPOL * m + _DEPOL_REST * rest_ba.reshape(4, 4)])
+
+
+def _general_margins(m: np.ndarray) -> np.ndarray:
+    """-(smallest partial-transpose eigenvalue) of rho, its A->B map and its B->A map."""
+    return -np.linalg.eigvalsh(partial_transpose_b(_depolarized(m)))[:, 0]
 
 
 def steering_map(rho: DensityMatrix4, direction: Direction) -> DensityMatrix4:
     """Partially depolarize the steering party's qubit.
 
-    A->B returns rho/sqrt(3) + (1 - 1/sqrt(3)) (1/2 (x) rho_B); B->A mirrors
-    the construction onto qubit B's slot.  The output is a valid state whose
-    entanglement witnesses steerability in the given direction.
+    The output is a valid state whose entanglement witnesses steerability in
+    the given direction (see _depolarized for the construction).
     """
     if rho.basis is not Basis.LOCAL:
         raise ValueError("steering_map expects the local basis")
-    half = np.eye(2) / 2
-    if direction is Direction.A_TO_B:
-        rest = np.kron(half, _reduced(rho.entries, keep=1))
-    else:
-        rest = np.kron(_reduced(rho.entries, keep=0), half)
-    m = _DEPOL * rho.entries + _DEPOL_REST * rest
+    m = _depolarized(rho.entries)[1 if direction is Direction.A_TO_B else 2]
     return DensityMatrix4(entries=m, basis=Basis.LOCAL)
 
 
 def partial_transpose_b(m: np.ndarray) -> np.ndarray:
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    """Transpose qubit B of a (..., 4, 4) array of two-qubit matrices."""
+    lead = m.shape[:-2]
+    return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
 
 
 def ppt_entangled(rho: DensityMatrix4) -> tuple[bool, float]:
@@ -144,15 +156,28 @@ def ppt_entangled(rho: DensityMatrix4) -> tuple[bool, float]:
     return min_eig < -PPT_TOL, -min_eig
 
 
-def xstate_steering(
-    x: XState, rho14_ratio_tol: float = RHO14_RATIO_TOL
-) -> tuple[tuple[bool, float], tuple[bool, float]]:
+def _rho14_inert(x: XState) -> bool:
+    """True when dropping rho14 from the closed forms cannot flip a verdict.
+
+    rho14 enters only (a) the second partial-transpose block, direct and
+    mapped, active only when |rho14|^2 approaches rho22*rho33, and (b) the
+    CHSH correlation entries at relative order |rho14|/|rho23|.  Both are
+    bounded far below any margin this model's steady states realize once
+    rho14 is small in the senses below (it is O(gamma) at most).
+    """
+    branch = abs(x.rho14) ** 2 <= 1e-3 * x.rho22 * x.rho33 + 1e-18
+    small = abs(x.rho14) <= max(0.01 * abs(x.rho23), 5e-3)
+    return branch and small
+
+
+def xstate_steering(x: XState) -> tuple[tuple[bool, float], tuple[bool, float]]:
     """Closed-form steering verdicts ((A->B flag, margin), (B->A flag, margin)).
 
-    Margins are |rho23|^2 - (f_a +/- f_b).  Valid only while rho14 is
-    negligible; outside that regime callers must use the general route.
+    Margins are |rho23|^2 - (f_a +/- f_b).  Valid only while rho14 is inert
+    (see _rho14_inert); outside that regime RegimeError sends callers to the
+    general route.
     """
-    if abs(x.rho14) > rho14_ratio_tol * max(abs(x.rho23), 1e-15):
+    if not _rho14_inert(x):
         raise RegimeError(
             f"|rho14|={abs(x.rho14):.3g} not negligible against |rho23|={abs(x.rho23):.3g}"
         )
@@ -226,60 +251,46 @@ class CorrelationReport:
             )
 
 
-def _rho14_inert(x: XState) -> bool:
-    """True when dropping rho14 from the closed forms cannot flip a verdict.
-
-    rho14 enters only (a) the second partial-transpose block, direct and
-    mapped, active only when |rho14|^2 approaches rho22*rho33, and (b) the
-    CHSH correlation entries at relative order |rho14|/|rho23|.  Both are
-    bounded far below any margin this model's steady states realize once
-    rho14 is small in the senses below (it is O(gamma) at most).
-    """
-    branch = abs(x.rho14) ** 2 <= 1e-3 * x.rho22 * x.rho33 + 1e-18
-    small = abs(x.rho14) <= max(0.01 * abs(x.rho23), 5e-3)
-    return branch and small
-
-
 def classify(
     rho: DensityMatrix4,
     eig: EigenSystem | None = None,
-    x_tol: float = 1e-10,
     dual: bool = True,
 ) -> CorrelationReport:
     """Full classification of a local-basis state.
 
     When the state is X-shaped with an inert rho14 the closed forms supply
     the margins; with dual=True (the default) the general depolarize-and-PPT
-    route runs as well and any verdict disagreement raises.  Non-X input falls
-    back to the general route alone.
+    route runs as well and any verdict disagreement raises.  Other input
+    falls back to the general route alone.
     """
     if rho.basis is not Basis.LOCAL:
         raise ValueError("classify expects the local basis")
-    x: XState | None
-    closed = None
     try:
-        x = extract_xstate(rho, tol=x_tol)
-        if _rho14_inert(x):
-            closed = xstate_steering(x, rho14_ratio_tol=float("inf"))
-    except NotXStateError:
-        x = None
+        x = extract_xstate(rho)
+        closed = xstate_steering(x)
+    except (NotXStateError, RegimeError):
+        closed = None
+    # (flag, margin) of entanglement, A->B and B->A steering on the general route
+    gen = ([(m > PPT_TOL, m) for m in _general_margins(rho.entries).tolist()]
+           if dual or closed is None else None)
 
-    pops = eigen_populations(rho, eig) if eig is not None else None
-
-    if x is not None and closed is not None:
+    if closed is None:
+        (ent_flag, ent_margin), (ab_flag, ab_margin), (ba_flag, ba_margin) = gen
+        # no general CHSH route is defined for non-X states in this package
+        bell_flag, bell_margin = False, float("nan")
+        method = Method.GENERAL_PPT
+    else:
         (ab_flag, ab_margin), (ba_flag, ba_margin) = closed
         ent_margin = abs(x.rho23) ** 2 - x.rho11 * x.rho44
         ent_flag = ent_margin > MARGIN_TOL
         bell_flag, bell_margin = chsh_bell(x)
         method = Method.X_CLOSED_FORM
         if dual:
-            ppt_flag, _ = ppt_entangled(rho)
-            gen_ab = general_steering(rho, Direction.A_TO_B)
-            gen_ba = general_steering(rho, Direction.B_TO_A)
+            (ppt_flag, _), gen_ab, gen_ba = gen
             for name, xf, xm, gf, gm in (
                 ("entanglement", ent_flag, ent_margin, ppt_flag, None),
-                ("steering A->B", ab_flag, ab_margin, gen_ab[0], gen_ab[1]),
-                ("steering B->A", ba_flag, ba_margin, gen_ba[0], gen_ba[1]),
+                ("steering A->B", ab_flag, ab_margin, *gen_ab),
+                ("steering B->A", ba_flag, ba_margin, *gen_ba),
             ):
                 if xf != gf and abs(xm) > 1e-9 and (gm is None or abs(gm) > 1e-9):
                     raise InternalConsistencyError(
@@ -287,32 +298,15 @@ def classify(
                         f"general route says {gf}"
                     )
             method = Method.BOTH
-        return CorrelationReport(
-            entangled=ent_flag,
-            margin_ent=ent_margin,
-            steer_a_to_b=ab_flag,
-            margin_ab=ab_margin,
-            steer_b_to_a=ba_flag,
-            margin_ba=ba_margin,
-            bell=bell_flag,
-            margin_bell=bell_margin,
-            method=method,
-            eigen_populations=pops,
-        )
-
-    ppt_flag, ppt_margin = ppt_entangled(rho)
-    ab_flag, ab_margin = general_steering(rho, Direction.A_TO_B)
-    ba_flag, ba_margin = general_steering(rho, Direction.B_TO_A)
-    # no general CHSH route is defined for non-X states in this package
     return CorrelationReport(
-        entangled=ppt_flag,
-        margin_ent=ppt_margin,
+        entangled=ent_flag,
+        margin_ent=ent_margin,
         steer_a_to_b=ab_flag,
         margin_ab=ab_margin,
         steer_b_to_a=ba_flag,
         margin_ba=ba_margin,
-        bell=False,
-        margin_bell=float("nan"),
-        method=Method.GENERAL_PPT,
-        eigen_populations=pops,
+        bell=bell_flag,
+        margin_bell=bell_margin,
+        method=method,
+        eigen_populations=eigen_populations(rho, eig) if eig is not None else None,
     )

@@ -127,7 +127,6 @@ def build_generator(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> Ge
             "strong-coupling fermionic setup unsupported (tunnelling is weak)"
         )
     eig = eigensystem(p)
-    sin_th = np.sin(d.theta)
     if rs.statistics is Statistics.FERMI:
         setup = Setup.WEAK_FERMI
         part_a = _weak_fermi_part(rs.p_a, rs.q_a, rs.s_a, rs.spont_plus_a, rs.spont_minus_a, -1.0)
@@ -138,14 +137,9 @@ def build_generator(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> Ge
         part_b = _weak_bose_part(rs.p_b, rs.q_b, rs.s_b, rs.t_b, rs.spont_plus_b, rs.spont_minus_b, +1.0)
     else:
         setup = Setup.STRONG_BOSE
-        part_a = _strong_bose_part(
-            rs.p_a, rs.q_a, rs.s_a, rs.t_a, rs.spont_plus_a, rs.spont_minus_a,
-            0.5 * p.res_gamma_a * sin_th,
-        )
-        part_b = _strong_bose_part(
-            rs.p_b, rs.q_b, rs.s_b, rs.t_b, rs.spont_plus_b, rs.spont_minus_b,
-            0.5 * p.res_gamma_b * sin_th,
-        )
+        u = 0.5 * p.gamma * np.sin(d.theta)
+        part_a = _strong_bose_part(rs.p_a, rs.q_a, rs.s_a, rs.t_a, rs.spont_plus_a, rs.spont_minus_a, u)
+        part_b = _strong_bose_part(rs.p_b, rs.q_b, rs.s_b, rs.t_b, rs.spont_plus_b, rs.spont_minus_b, u)
     coherent = np.zeros((6, 6), dtype=complex)
     omega_entry = 2.0 * d.omega
     coherent[4, 4] = 1j * omega_entry

@@ -42,18 +42,13 @@ class SystemParams:
 
     eps_a, eps_b : level splittings of qubits A and B (eps_a >= eps_b > 0)
     kappa        : XY exchange coupling between the qubits (> 0)
-    gamma        : constant spectral-function value shared by both reservoirs;
-                   gamma_a / gamma_b may override it per reservoir (they
-                   default to gamma, the symmetric case used everywhere in
-                   the shipped presets)
+    gamma        : constant spectral-function value shared by both reservoirs
     """
 
     eps_a: float
     eps_b: float
     kappa: float
     gamma: float
-    gamma_a: float | None = None
-    gamma_b: float | None = None
 
     def __post_init__(self):
         if not (self.eps_a >= self.eps_b > 0):
@@ -64,24 +59,12 @@ class SystemParams:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        for name in ("gamma_a", "gamma_b"):
-            g = getattr(self, name)
-            if g is not None and g <= 0:
-                raise ValueError(f"{name} must be > 0, got {g}")
-        if max(self.res_gamma_a, self.res_gamma_b) > 0.1 * self.eps_b:
+        if self.gamma > 0.1 * self.eps_b:
             warnings.warn(
                 "gamma > 0.1*eps_b: weak system-reservoir coupling assumption "
                 "is questionable",
                 stacklevel=2,
             )
-
-    @property
-    def res_gamma_a(self) -> float:
-        return self.gamma if self.gamma_a is None else self.gamma_a
-
-    @property
-    def res_gamma_b(self) -> float:
-        return self.gamma if self.gamma_b is None else self.gamma_b
 
 
 @dataclass(frozen=True)

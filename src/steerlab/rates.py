@@ -92,8 +92,7 @@ class RateSet:
     eps_minus.  s_j, t_j are the sum/difference combinations weighting the
     population<->coherence couplings.  The spont_* entries split the bare
     spontaneous-emission weight (total gamma per transition) between the
-    reservoirs with the same angular factors as p and q, so that every matrix
-    entry attributable to reservoir j vanishes when gamma_j -> 0.
+    reservoirs with the same angular factors as p and q.
     """
 
     p: float
@@ -120,7 +119,7 @@ def rate_set(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> RateSet:
         raise ConfigurationError("reservoirs must share statistics (both bose or both fermi)")
     d = derive_params(p)
     tr = transition_energies(d)
-    ga, gb = p.res_gamma_a, p.res_gamma_b
+    ga = gb = p.gamma
     c2 = math.cos(d.theta / 2) ** 2
     s2 = math.sin(d.theta / 2) ** 2
     sin_th = math.sin(d.theta)

@@ -8,7 +8,6 @@ that reservoir into the system.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -35,59 +34,35 @@ class TransportReport:
 
     current_a: float
     current_b: float
-    sigma: float | None
+    sigma: float
     observable: Observable
 
 
-def currents(g: Generator, rho_ss: SteadyResult) -> TransportReport:
-    """Steady currents I_j = Tr(D_j[rho] * H) (bosonic) or Tr(D_j[rho] * N)
-    (fermionic particle current)."""
+def transport_report(g: Generator, rho_ss: SteadyResult) -> TransportReport:
+    """Steady currents and the entropy production rate.
+
+    Reservoir j moves the populations at the rate d_j = (D_j v)[:4], which
+    carries the energy current J^E_j = d_j . E and the particle current
+    J^N_j = d_j . N.  The reported current is J^E (bosonic) or J^N
+    (fermionic).  The entropy production is
+    sigma = -sum_j (J^E_j - mu_j J^N_j) / T_j, evaluated with continuity
+    (J_a = -J_b) as J^E_B (1/T_A - 1/T_B) + J^N_B (mu_B/T_B - mu_A/T_A).
+    """
     if rho_ss.residual > CURRENT_RESIDUAL_TOL:
         raise ValueError(
             f"state residual {rho_ss.residual:.3g} too large for a steady state"
         )
-    if g.rates.statistics is Statistics.BOSE:
-        weights = g.eig.energies
-        observable = Observable.ENERGY
-    else:
-        weights = g.eig.number_eigenvalues()
-        observable = Observable.PARTICLE_NUMBER
     v = rho_ss.vector6
-    i_a = float((g.res_a_part @ v)[:4].real @ weights)
-    i_b = float((g.res_b_part @ v)[:4].real @ weights)
-    return TransportReport(
-        current_a=i_a, current_b=i_b, sigma=None, observable=observable
-    )
-
-
-def entropy_production(
-    t: TransportReport, ra: ReservoirSpec, rb: ReservoirSpec
-) -> float:
-    """sigma = I_B (1/T_A - 1/T_B) for heat, I_B (mu_B - mu_A)/T for particles.
-
-    The particle form assumes equal reservoir temperatures.
-    """
-    if ra.statistics is not rb.statistics:
-        raise ConfigurationError("reservoirs must share statistics")
-    if ra.statistics is Statistics.BOSE:
-        return t.current_b * (1.0 / ra.temperature - 1.0 / rb.temperature)
-    if not math.isclose(ra.temperature, rb.temperature, rel_tol=1e-12):
-        raise ConfigurationError(
-            "particle-current entropy production requires equal temperatures"
-        )
-    return t.current_b * (rb.mu - ra.mu) / ra.temperature
-
-
-def transport_report(g: Generator, rho_ss: SteadyResult) -> TransportReport:
-    """Currents plus the matching entropy production rate."""
-    rep = currents(g, rho_ss)
-    sigma = entropy_production(rep, g.reservoir_a, g.reservoir_b)
-    return TransportReport(
-        current_a=rep.current_a,
-        current_b=rep.current_b,
-        sigma=sigma,
-        observable=rep.observable,
-    )
+    energies, numbers = g.eig.energies, g.eig.number_eigenvalues()
+    d_a = (g.res_a_part @ v)[:4].real
+    d_b = (g.res_b_part @ v)[:4].real
+    je_b, jn_b = float(d_b @ energies), float(d_b @ numbers)
+    ra, rb = g.reservoir_a, g.reservoir_b
+    sigma = (je_b * (1.0 / ra.temperature - 1.0 / rb.temperature)
+             + jn_b * (rb.mu / rb.temperature - ra.mu / ra.temperature))
+    if g.rates.statistics is Statistics.BOSE:
+        return TransportReport(float(d_a @ energies), je_b, sigma, Observable.ENERGY)
+    return TransportReport(float(d_a @ numbers), jn_b, sigma, Observable.PARTICLE_NUMBER)
 
 
 def rectification(p: SystemParams, base: ReservoirSpec, delta: float) -> float:
@@ -112,4 +87,4 @@ def _heat_current_b(p: SystemParams, t_a: float, t_b: float) -> float:
     ra = ReservoirSpec(Statistics.BOSE, t_a)
     rb = ReservoirSpec(Statistics.BOSE, t_b)
     g = build_generator(p, ra, rb)
-    return currents(g, steady_state(g)).current_b
+    return transport_report(g, steady_state(g)).current_b

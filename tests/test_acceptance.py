@@ -10,6 +10,7 @@ import json
 import math
 import os
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,6 +524,20 @@ def test_c11_dual_path_agreement(preset_maps):
                          "every preset cell",
                      True, f"{total} cells swept dual-path, {checked} re-checked "
                            "with method=BOTH")
+
+
+@pytest.mark.parametrize("name", ["fig8b", "fig3c", "fig9b"])
+def test_preset_fingerprint(preset_maps, name):
+    # flags equal and margins, current_b and sigma within 1e-12 of the grids
+    # recorded for the benchmark gate
+    ref = np.load(Path(__file__).resolve().parents[1] / "bench" / "reference.npz")
+    cells = preset_maps[name].cells
+    flags = np.array([(c.entangled, c.steer_ab, c.steer_ba, c.bell, c.positivity_ok)
+                      for c in cells], dtype=np.uint8)
+    values = np.array([(c.margin_ent, c.margin_ab, c.margin_ba, c.margin_bell,
+                        c.current_b, c.sigma) for c in cells])
+    np.testing.assert_array_equal(flags, ref[f"grid.{name}.flags"])
+    np.testing.assert_allclose(values, ref[f"grid.{name}.values"], rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,13 @@ from jsonschema import Draft202012Validator
 
 import steerlab as sl
 from steerlab.analysis import Axis, SweepConfig
-from steerlab.cli import CONFIG_SCHEMA, CSV_COLUMNS, dumps_fixed, main
+from steerlab.cli import CONFIG_SCHEMA, CSV_COLUMNS, EXIT_INTERNAL, dumps_fixed, main
+from steerlab.errors import (
+    DegenerateSteadyStateError,
+    InternalConsistencyError,
+    NotXStateError,
+    RegimeError,
+)
 from steerlab.rates import Statistics
 
 PRESETS = [f"fig{n}" for n in
@@ -67,6 +73,21 @@ class TestSteadyCommand:
         assert run(["sweep", "--stat", "bose"]) == 2
         assert "section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target,exc", [
+        ("steady_state", DegenerateSteadyStateError),
+        ("classify", InternalConsistencyError),
+        ("classify", NotXStateError),
+        ("classify", RegimeError),
+    ])
+    def test_internal_error_exit_code(self, target, exc, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise exc("planted defect")
+        monkeypatch.setattr(f"steerlab.analysis.{target}", fail)
+        assert run(["steady"]) == EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "planted defect" in err
+        assert err.count("\n") == 1
+
 
 class TestSweepCommand:
     def test_minimal_grid_csv(self, tmp_path, capsys):
@@ -88,6 +109,18 @@ class TestSweepCommand:
         assert manifest["masked_cells"] == 0
         assert manifest["version"] == sl.__version__
         assert f"sha256:" in list(manifest["outputs"].values())[0]
+
+    def test_fermionic_temperature_axis(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = run(["sweep", "--stat", "fermi", "--axis-x", "ta", "--x-min", "0.1",
+                    "--x-max", "0.3", "--nx", "2", "--axis-y", "kappa", "--y-min", "0.5",
+                    "--y-max", "0.6", "--ny", "2"])
+        assert code == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 5
+        sigma = np.array([float(ln.split(",")[CSV_COLUMNS.index("sigma")])
+                          for ln in lines[1:]])
+        assert np.all(np.isfinite(sigma)) and np.all(sigma >= -1e-12)
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
@@ -176,6 +209,12 @@ class TestOutputs:
         cfg.write_text(json.dumps({"format": "csv"}))
         assert run(["thresholds-table", "--config", str(cfg)]) == 2
         assert "format" in capsys.readouterr().err
+
+    def test_per_reservoir_gamma_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {"gamma_a": 0.02}}))
+        assert run(["thresholds-table", "--config", str(cfg)]) == 2
+        assert "gamma_a" in capsys.readouterr().err
 
 
 class TestThresholdCommand:

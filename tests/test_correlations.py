@@ -254,6 +254,41 @@ class TestClassify:
         rep = sl.classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
         assert rep.method is Method.GENERAL_PPT
 
+    def test_general_margins_match_explicit_construction(self, rng):
+        half = np.eye(2) / 2
+        depol = 1 / SQ3
+        for _ in range(50):
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = a @ a.conj().T
+            m /= m.trace().real
+            rho_a = np.array([[m[2 * i, 2 * j] + m[2 * i + 1, 2 * j + 1] for j in range(2)]
+                              for i in range(2)])
+            rho_b = np.array([[m[i, j] + m[2 + i, 2 + j] for j in range(2)] for i in range(2)])
+            expected = []
+            for s in (m, depol * m + (1 - depol) * np.kron(half, rho_b),
+                      depol * m + (1 - depol) * np.kron(rho_a, half)):
+                pt = np.empty((4, 4), dtype=complex)
+                for i, j, k, l in np.ndindex(2, 2, 2, 2):
+                    pt[2 * i + j, 2 * k + l] = s[2 * i + l, 2 * k + j]
+                expected.append(-np.linalg.eigvalsh(pt)[0])
+            rep = sl.classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+            assert rep.method is Method.GENERAL_PPT
+            got = (rep.margin_ent, rep.margin_ab, rep.margin_ba)
+            assert np.max(np.abs(np.subtract(got, expected))) < 1e-14
+
+    def test_small_rho14_keeps_closed_form(self):
+        # |rho14| at 1% of |rho23| cannot flip a verdict: closed form, cross-checked
+        m = np.diag([0.1, 0.4, 0.4, 0.1]).astype(complex)
+        m[1, 2] = m[2, 1] = 0.35
+        m[0, 3] = m[3, 0] = 0.0035
+        rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
+        (ab, m_ab), (ba, m_ba) = sl.xstate_steering(sl.extract_xstate(rho))
+        rep = sl.classify(rho)
+        assert rep.method is Method.BOTH
+        assert ab and ba
+        assert (rep.steer_a_to_b, rep.margin_ab) == (ab, m_ab)
+        assert (rep.steer_b_to_a, rep.margin_ba) == (ba, m_ba)
+
     def test_dual_disabled_keeps_closed_form(self):
         rep = sl.classify(werner_state(0.9), dual=False)
         assert rep.method is Method.X_CLOSED_FORM

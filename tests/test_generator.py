@@ -89,7 +89,7 @@ def redfield_dissipator_6x6(p: sl.SystemParams, r: sl.ReservoirSpec, which: str,
     matrices and the per-reservoir split."""
     s_local = np.kron(SX, I2) if which == "A" else np.kron(I2, SX)
     s = eig.vectors.conj().T @ s_local @ eig.vectors
-    gam = p.res_gamma_a if which == "A" else p.res_gamma_b
+    gam = p.gamma
     freqs: dict[float, np.ndarray] = {}
     for i in range(4):
         for j in range(4):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steerlab as sl
 from steerlab.errors import ConfigurationError
@@ -64,7 +66,7 @@ class TestCurrents:
         import dataclasses
         bad = dataclasses.replace(ss, residual=1e-6)
         with pytest.raises(ValueError):
-            sl.currents(g, bad)
+            transport_report(g, bad)
 
 
 class TestEntropyProduction:
@@ -92,13 +94,22 @@ class TestEntropyProduction:
         ss_tot = np.sum((currents - currents.mean()) ** 2)
         assert 1 - np.sum(resid**2) / ss_tot > 0.999
 
-    def test_fermionic_requires_equal_temperatures(self):
-        p = sl.SystemParams(1.0, 1.0, 0.6, 0.01)
-        g, ss, _ = pipeline(p, 0.15, 0.15, FERMI, 0.8, 1.2)
-        rep = sl.currents(g, ss)
-        with pytest.raises(ConfigurationError):
-            sl.entropy_production(rep, sl.ReservoirSpec(FERMI, 0.15, 0.8),
-                                  sl.ReservoirSpec(FERMI, 0.3, 1.2))
+    @settings(max_examples=60, deadline=None)
+    @given(system=st.sampled_from([(1.0, 1.0, 0.6), (1.3, 0.7, 0.9)]),
+           ta=st.floats(0.05, 1.5), tb=st.floats(0.05, 1.5),
+           mua=st.floats(-0.5, 2.5), mub=st.floats(-0.5, 2.5),
+           equal_t=st.booleans())
+    def test_fermionic_sigma_any_bias(self, system, ta, tb, mua, mub, equal_t):
+        # thermoelectric bias: unequal temperatures and chemical potentials
+        if equal_t:
+            tb = ta
+        p = sl.SystemParams(*system, 0.01)
+        _, _, tr = pipeline(p, ta, tb, FERMI, mua, mub)
+        assert tr.sigma >= -1e-12
+        assert abs(tr.current_a + tr.current_b) < 1e-12
+        if equal_t:
+            # the particle-current form sigma = I_B (mu_B - mu_A) / T
+            assert abs(tr.sigma - tr.current_b * (mub - mua) / ta) < 1e-12
 
     def test_fermionic_sigma_value(self):
         p = sl.SystemParams(1.0, 1.0, 0.6, 0.01)
