@@ -1,25 +1,27 @@
 """Phase-diagram sweeps, threshold root-finding, and closed-form thresholds.
 
-Every sweep cell runs the full pipeline (generator -> steady state ->
-classification -> transport); cells are independent work items, so grids can
-be evaluated by a process pool with results merged by index, deterministic
-for any worker count.
+Every cell runs the same pipeline (generator -> steady state ->
+classification -> transport) through array kernels over a leading cell axis.
+A sweep evaluates its grid one row of fixed y at a time and a threshold
+search a few couplings at a time; a single point (`run_point`, `steerlab
+steady`) runs the same kernels through the single-point functions.
 """
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from .correlations import classify
-from .generator import build_generator
+from .correlations import XSTATE_FAULTS, classify, classify_arrays
+from .errors import InternalConsistencyError
+from .generator import build_generator, generator_arrays
 from .model import SystemParams
-from .rates import ReservoirSpec, Statistics
-from .steady import steady_state
-from .transport import transport_report
+from .rates import Cells, ReservoirSpec, Statistics
+from .steady import steady_arrays, steady_state
+from .transport import transport_arrays, transport_report
 
 SQRT3 = math.sqrt(3.0)
 # closed-form threshold constants
@@ -70,6 +72,9 @@ class SweepConfig:
     mu_b: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.x_range, *self.y_range, self.t_a, self.t_b,
+                                       self.mu_a, self.mu_b))):
+            raise ValueError("sweep ranges and reservoir values must be finite")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid sizes must be >= 2")
         if self.axis_x is self.axis_y:
@@ -194,9 +199,8 @@ def run_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec):
     return g, ss, rep, transport_report(g, ss)
 
 
-def evaluate_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
-                   x: float = 0.0, y: float = 0.0) -> GridCell:
-    _, ss, rep, tr = run_point(system, ra, rb)
+def _grid_cell(x: float, y: float, ss, rep, tr) -> GridCell:
+    """The grid cell of a run_point result at (x, y)."""
     if rep is None:
         flags, margins = (False,) * 4, (float("nan"),) * 4
     else:
@@ -205,23 +209,43 @@ def evaluate_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
     return GridCell(x, y, *flags, *margins, tr.current_b, tr.sigma, ss.positivity_ok)
 
 
-def _eval_cell(args: tuple[SweepConfig, float, float]) -> GridCell:
-    config, x, y = args
-    system, ra, rb = config.point(x, y)
-    return evaluate_point(system, ra, rb, x=x, y=y)
+def _states(points: list[tuple[SystemParams, ReservoirSpec, ReservoirSpec]]):
+    """Generators and steady states of N points through the array kernels."""
+    g = generator_arrays(Cells.of(points))
+    return g, steady_arrays(g.total, g.vectors)
 
 
-def sweep2d(config: SweepConfig, jobs: int = 1) -> RegionMap:
-    """Evaluate the grid; row-major in (y, x); deterministic for any jobs."""
-    tasks = [(config, float(x), float(y))
-             for y in config.y_values() for x in config.x_values()]
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = tuple(pool.map(_eval_cell, tasks, chunksize=chunk))
-    else:
-        cells = tuple(_eval_cell(t) for t in tasks)
-    return RegionMap(config=config, cells=cells)
+def _row(config: SweepConfig, y: float) -> list[GridCell]:
+    """The cells of one grid row of fixed y, evaluated as one batch.
+
+    The masking rule of run_point applies per cell: a state that fails
+    classification is masked if it violates positivity, and raises if not.
+    """
+    xs = config.x_values().tolist()
+    g, st = _states([config.point(x, y) for x in xs])
+    c = classify_arrays(st.local)
+    fault = c.fault >= 0
+    if (fault & st.positive).any():
+        raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(fault & st.positive)]])
+    _, current_b, sigma = transport_arrays(g.parts, g.energies, g.numbers, g.cells,
+                                           st.vector6, st.residual)
+    columns = (c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent,
+               c.margin_ab, c.margin_ba, c.margin_bell, current_b, sigma, st.positive)
+    return [GridCell(*cell) for cell in zip(xs, repeat(y), *(a.tolist() for a in columns))]
+
+
+def sweep2d(config: SweepConfig) -> RegionMap:
+    """Evaluate the grid one row at a time; row-major in (y, x)."""
+    cells = [cell for y in config.y_values().tolist() for cell in _row(config, y)]
+    # `steerlab steady` at a grid point runs the same kernels through the
+    # single-point functions; the first cell of every sweep confirms that
+    # both give the same bits
+    first = cells[0]
+    point = _grid_cell(first.x, first.y, *run_point(*config.point(first.x, first.y))[1:])
+    if not np.array_equal(astuple(point), astuple(first), equal_nan=True):
+        raise InternalConsistencyError(
+            f"single-point pipeline gives {point}, the sweep row gives {first}")
+    return RegionMap(config=config, cells=tuple(cells))
 
 
 class Criterion(enum.Enum):
@@ -244,31 +268,57 @@ class ThresholdResult:
     margin_at_root: float | None
 
 
-def _margin(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
-            criterion: Criterion) -> float:
-    """Criterion margin at one point through the single-route classification."""
-    g = build_generator(system, ra, rb)
-    rep = classify(steady_state(g).state_local, dual=False)
+def _criterion_margin(rep, criterion: Criterion):
+    """The margin of a criterion from a report or a classification batch."""
     if criterion is Criterion.A_TO_B:
         return rep.margin_ab
     if criterion is Criterion.B_TO_A:
         return rep.margin_ba
     if criterion is Criterion.TWO_WAY:
-        return min(rep.margin_ab, rep.margin_ba)
+        return np.minimum(rep.margin_ab, rep.margin_ba)
     if criterion is Criterion.ENTANGLEMENT:
         return rep.margin_ent
     return rep.margin_bell
 
 
+def _margin(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
+            criterion: Criterion) -> float:
+    """Criterion margin at one point, through the single-point functions and
+    the single-route classification."""
+    g = build_generator(system, ra, rb)
+    rep = classify(steady_state(g).state_local, dual=False)
+    return float(_criterion_margin(rep, criterion))
+
+
+def _margins(points, criterion: Criterion) -> list[float]:
+    """Criterion margins of N points as one batch, single-route like _margin."""
+    _, st = _states(points)
+    c = classify_arrays(st.local, dual=False)
+    fault = c.fault >= 0
+    if np.count_nonzero(fault):
+        raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(fault)]])
+    return _criterion_margin(c, criterion).tolist()
+
+
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, float, int]:
     """Halve [lo, hi] around the sign change of f until it is at most tol wide.
 
-    f_lo is f(lo); returns the final (lo, hi) and the number of halvings.
+    f maps a list of points to their values.  While two more halvings are
+    due, one call evaluates the midpoint together with the midpoints of both
+    halves, one of which is the next midpoint; the brackets are exactly those
+    of halving one point at a time.  f_lo is f(lo); returns the final
+    (lo, hi) and the number of halvings.
     """
     iterations = 0
+    known: dict[float, float] = {}
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
+        if mid not in known:
+            points = [mid]
+            if 0.5 * (hi - lo) > tol:
+                points += [0.5 * (lo + mid), 0.5 * (mid + hi)]
+            known = dict(zip(points, f(points)))
+        f_mid = known[mid]
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
@@ -288,17 +338,17 @@ def threshold_kappa(
 ) -> ThresholdResult:
     """Bisect the classification margin over kappa inside the bracket.
 
-    An 8-point pre-scan locates the sign change and rejects non-monotone
-    margins (more than one crossing).  No sign change is a result, not an
-    error.
+    An 8-point pre-scan, evaluated as one batch, locates the sign change and
+    rejects non-monotone margins (more than one crossing).  No sign change is
+    a result, not an error.
     """
 
-    def margin(k: float) -> float:
-        return _margin(replace(template, kappa=k), ra, rb, criterion)
+    def margins(ks: list[float]) -> list[float]:
+        return _margins([(replace(template, kappa=k), ra, rb) for k in ks], criterion)
 
     bar_eps = 0.5 * (template.eps_a + template.eps_b)
-    ks = np.linspace(bracket[0], bracket[1], prescan)
-    ms = [margin(float(k)) for k in ks]
+    ks = np.linspace(bracket[0], bracket[1], prescan).tolist()
+    ms = margins(ks)
     crossings = [i for i in range(len(ks) - 1) if (ms[i] > 0) != (ms[i + 1] > 0)]
     if not crossings:
         return ThresholdResult(criterion, False, None, bracket, 0, None)
@@ -306,10 +356,10 @@ def threshold_kappa(
         raise ValueError(f"margin not monotone on bracket {bracket}: "
                          f"{len(crossings)} sign changes")
     i = crossings[0]
-    lo, hi, iterations = _bisect(margin, float(ks[i]), float(ks[i + 1]), ms[i],
-                                 rel_tol * bar_eps)
+    lo, hi, iterations = _bisect(margins, ks[i], ks[i + 1], ms[i], rel_tol * bar_eps)
     root = 0.5 * (lo + hi)
-    return ThresholdResult(criterion, True, root, (lo, hi), iterations, margin(root))
+    return ThresholdResult(criterion, True, root, (lo, hi), iterations,
+                           _margin(replace(template, kappa=root), ra, rb, criterion))
 
 
 def analytic_thresholds(
@@ -332,7 +382,7 @@ def analytic_thresholds(
     if statistics is Statistics.BOSE:
         sym = 2.0 * bar_eps + LN43 * t
         out["kappa_low_two_way"] = sym
-        out["kappa_high_two_way"] = KAPPA_HIGH_SLOPE * t + KAPPA_HIGH_CURV * bar_eps**2 / t
+        out["kappa_high_two_way"] = KAPPA_HIGH_SLOPE * t + KAPPA_HIGH_CURV * bar_eps * bar_eps / t
         out["kappa_bell_low"] = 2.0 * bar_eps + BELL_SLOPE * t
         out["kappa_low_a_to_b"] = sym + 2.0 * delta_eps * t / sym
         out["kappa_low_b_to_a"] = sym - 2.0 * delta_eps * t / sym
@@ -412,7 +462,8 @@ def entanglement_boundary_fit(m: RegionMap, band_ratio: float = 0.25) -> Boundar
             if abs(x_est - y) > band_ratio * 0.5 * (x_est + y) + cell_w:
                 continue
             lo, hi, _ = _bisect(
-                lambda x: _margin(*m.config.point(x, float(y)), Criterion.ENTANGLEMENT),
+                lambda points: _margins([m.config.point(x, float(y)) for x in points],
+                                        Criterion.ENTANGLEMENT),
                 float(xs[ix]), float(xs[ix + 1]), a.margin_ent, refine_tol)
             x_cross = 0.5 * (lo + hi)
             if abs(x_cross - y) <= band_ratio * 0.5 * (x_cross + y):

@@ -107,7 +107,6 @@ CONFIG_SCHEMA = {
             },
         },
         "out": {"type": "string"},
-        "jobs": {"type": "integer", "minimum": 1},
     },
 }
 
@@ -143,8 +142,8 @@ def dumps_fixed(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return '"nan"'
+        if not math.isfinite(obj):
+            return json.dumps(str(obj))
         return fmt(obj)
     return json.dumps(obj)
 
@@ -171,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mua", type=float, default=0.0)
         sp.add_argument("--mub", type=float, default=0.0)
         if mode == "sweep":
-            sp.add_argument("--jobs", type=int,
-                            help="worker processes (default: STEERLAB_JOBS or 1)")
             sp.add_argument("--axis-x", choices=_AXES)
             sp.add_argument("--x-min", type=float)
             sp.add_argument("--x-max", type=float)
@@ -197,15 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_jobs() -> int:
-    raw = os.environ.get("STEERLAB_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"STEERLAB_JOBS must be an integer, got {raw!r}") from None
-
-
 def _flags_to_config(args: argparse.Namespace) -> dict:
     cfg: dict = {
         "mode": args.mode,
@@ -218,8 +206,6 @@ def _flags_to_config(args: argparse.Namespace) -> dict:
             "mua": args.mua, "mub": args.mub,
         },
     }
-    if args.mode == "sweep":
-        cfg["jobs"] = args.jobs if args.jobs is not None else _env_jobs()
     if args.out:
         cfg["out"] = args.out
     if args.mode == "sweep" and args.axis_x and args.axis_y:
@@ -329,7 +315,11 @@ def _emit(cfg: dict, text: str, started: float, masked: int = 0,
     return out
 
 
-def _analytic(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> dict[str, float]:
+def _analytic(system: SystemParams, ra: ReservoirSpec,
+              rb: ReservoirSpec) -> dict[str, float] | None:
+    """Closed-form thresholds, defined for equal reservoir temperatures only (else None)."""
+    if ra.temperature != rb.temperature:
+        return None
     return analytic_thresholds(
         bar_eps=0.5 * (system.eps_a + system.eps_b),
         temperature=ra.temperature,
@@ -376,7 +366,7 @@ def cmd_sweep(cfg: dict) -> int:
         system=system, statistics=ra.statistics,
         t_a=ra.temperature, t_b=rb.temperature, mu_a=ra.mu, mu_b=rb.mu,
     )
-    region = sweep2d(sweep_cfg, jobs=cfg.get("jobs", 1))
+    region = sweep2d(sweep_cfg)
     lines = [",".join(CSV_COLUMNS)]
     for c in region.cells:
         lines.append(",".join([
@@ -409,7 +399,7 @@ def cmd_threshold(cfg: dict) -> int:
         "margin_at_root": result.margin_at_root,
         "analytic": analytic,
     }
-    if result.found:
+    if result.found and analytic is not None:
         report["relative_deviation"] = {
             key: (result.kappa_threshold - val) / val if val != 0 else float("nan")
             for key, val in analytic.items()
@@ -420,7 +410,13 @@ def cmd_threshold(cfg: dict) -> int:
 
 def cmd_thresholds_table(cfg: dict) -> int:
     started = time.time()
-    _emit(cfg, dumps_fixed(_analytic(*_build_objects(cfg))) + "\n", started)
+    system, ra, rb = _build_objects(cfg)
+    table = _analytic(system, ra, rb)
+    if table is None:
+        raise ConfigurationError(
+            f"closed-form thresholds need equal temperatures, got T_A={ra.temperature}, "
+            f"T_B={rb.temperature}")
+    _emit(cfg, dumps_fixed(table) + "\n", started)
     return EXIT_OK
 
 

@@ -10,12 +10,16 @@ Two routes are implemented and cross-checked:
 For an X state with rho14 = 0 the two routes are algebraically identical
 (the closed-form threshold equals 3*rho'11*rho'44 of the mapped state), so
 any disagreement is a defect and raises, never a warning.
+
+`classify_arrays` classifies N states at once over a leading cell axis;
+`classify` runs it at a single cell.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +48,51 @@ class Method(enum.Enum):
     BOTH = "both"
 
 
+# method codes of classify_arrays index this tuple
+METHODS = (Method.X_CLOSED_FORM, Method.GENERAL_PPT, Method.BOTH)
+
+# entries an X state may carry: the diagonal and the anti-diagonal
+_X_ENTRIES = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+# validity conditions of an X state, in the order they are tested
+XSTATE_FAULTS = (
+    "negative population beyond tolerance",
+    "populations must sum to 1",
+    "|rho23|^2 exceeds rho22*rho33: block not positive",
+    "|rho14|^2 exceeds rho11*rho44: block not positive",
+)
+
+
+def xstate_fault(x) -> np.ndarray:
+    """Index into XSTATE_FAULTS of the first violated condition, or -1, per cell.
+
+    x carries the X entries rho11..rho14 as scalars or arrays over cells.
+    """
+    r23, r14 = abs(x.rho23), abs(x.rho14)
+    failed = (
+        (x.rho11 < -1e-9) | (x.rho22 < -1e-9) | (x.rho33 < -1e-9) | (x.rho44 < -1e-9),
+        abs(x.rho11 + x.rho22 + x.rho33 + x.rho44 - 1.0) > 1e-12,
+        r23 * r23 > x.rho22 * x.rho33 + 1e-9,
+        r14 * r14 > x.rho11 * x.rho44 + 1e-9,
+    )
+    fault = np.full(np.shape(failed[0]), -1)
+    if np.count_nonzero(failed[0] | failed[1] | failed[2] | failed[3]):
+        for code in reversed(range(len(failed))):
+            fault = np.where(failed[code], code, fault)
+    return fault
+
+
 @dataclass(frozen=True)
 class XState:
-    """Entries of an X-shaped two-qubit state in the local basis."""
+    """Entries of X-shaped two-qubit states in the local basis: scalars, or
+    arrays over leading cell axes.
+
+    The closed forms use rho23 and rho14 only through abs(), so the array
+    kernels store the moduli there, as hypot(Re, Im): the value abs() gives a
+    Python complex, where numpy's complex absolute value on arrays may differ
+    in the last place.  Squares are products for the same reason (a scalar
+    ** 2 calls pow).
+    """
 
     rho11: float
     rho22: float
@@ -55,16 +101,18 @@ class XState:
     rho23: complex
     rho14: complex
 
-    def __post_init__(self):
-        pops = (self.rho11, self.rho22, self.rho33, self.rho44)
-        if min(pops) < -1e-9:
-            raise ValueError(f"negative population beyond tolerance: {pops}")
-        if abs(sum(pops) - 1.0) > 1e-12:
-            raise ValueError(f"populations must sum to 1, got {sum(pops)}")
-        if abs(self.rho23) ** 2 > self.rho22 * self.rho33 + 1e-9:
-            raise ValueError("|rho23|^2 exceeds rho22*rho33: block not positive")
-        if abs(self.rho14) ** 2 > self.rho11 * self.rho44 + 1e-9:
-            raise ValueError("|rho14|^2 exceeds rho11*rho44: block not positive")
+
+def _x_entries(m: np.ndarray) -> XState:
+    # [()] turns the entries of a single (4, 4) state into numpy scalars
+    rho23, rho14 = m[..., 1, 2], m[..., 0, 3]
+    return XState(m[..., 0, 0].real[()], m[..., 1, 1].real[()], m[..., 2, 2].real[()],
+                  m[..., 3, 3].real[()], np.hypot(rho23.real, rho23.imag)[()],
+                  np.hypot(rho14.real, rho14.imag)[()])
+
+
+def _non_x(m: np.ndarray) -> np.ndarray:
+    """Largest entry outside the X pattern, per (..., 4, 4) matrix."""
+    return np.abs(m[..., ~_X_ENTRIES]).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -86,46 +134,47 @@ def steering_factors(x: XState) -> SteeringFactors:
 
 
 def extract_xstate(rho: DensityMatrix4) -> XState:
-    """Read off the X entries; reject any other entry above X_TOL."""
+    """Read off the X entries; reject any other entry above X_TOL and an X
+    state that violates XSTATE_FAULTS (ValueError)."""
     if rho.basis is not Basis.LOCAL:
         raise ValueError("X structure is defined in the local basis")
     m = rho.entries
-    x_mask = np.zeros((4, 4), dtype=bool)
-    x_mask[np.diag_indices(4)] = True
-    x_mask[0, 3] = x_mask[3, 0] = True
-    x_mask[1, 2] = x_mask[2, 1] = True
-    worst = float(np.max(np.abs(m[~x_mask])))
+    worst = float(_non_x(m))
     if worst > X_TOL:
         raise NotXStateError(f"non-X entry of magnitude {worst:.3g} exceeds {X_TOL}")
-    return XState(
-        rho11=m[0, 0].real,
-        rho22=m[1, 1].real,
-        rho33=m[2, 2].real,
-        rho44=m[3, 3].real,
-        rho23=complex(m[1, 2]),
-        rho14=complex(m[0, 3]),
-    )
+    x = XState(float(m[0, 0].real), float(m[1, 1].real), float(m[2, 2].real),
+               float(m[3, 3].real), complex(m[1, 2]), complex(m[0, 3]))
+    fault = int(xstate_fault(x))
+    if fault >= 0:
+        raise ValueError(f"{XSTATE_FAULTS[fault]}: {x}")
+    return x
 
 
 def _depolarized(m: np.ndarray) -> np.ndarray:
-    """rho and its A->B and B->A partially depolarized maps, stacked as (3,4,4).
+    """rho and its A->B and B->A partially depolarized maps, stacked as (..., 3, 4, 4).
 
     A->B gives rho/sqrt(3) + (1 - 1/sqrt(3)) (1/2 (x) rho_B); B->A mirrors the
-    construction onto qubit B's slot.  The reduced states are partial traces
-    of the (a, b, a', b') view of rho.
+    construction onto qubit B's slot.  In the (a, b, a', b') view of rho the
+    reduced states are the partial traces, and 1/2 (x) rho_B adds rho_B/2 to
+    the blocks a = a' (rho_A (x) 1/2 adds rho_A/2 where b = b').
     """
-    t = m.reshape(2, 2, 2, 2)
-    half = np.eye(2) / 2
-    rest_ab = half[:, None, :, None] * np.trace(t, axis1=0, axis2=2)[None, :, None, :]
-    rest_ba = np.trace(t, axis1=1, axis2=3)[:, None, :, None] * half[None, :, None, :]
-    return np.stack([m,
-                     _DEPOL * m + _DEPOL_REST * rest_ab.reshape(4, 4),
-                     _DEPOL * m + _DEPOL_REST * rest_ba.reshape(4, 4)])
+    lead = m.shape[:-2]
+    t = m.reshape(lead + (2, 2, 2, 2))
+    rest_b = _DEPOL_REST * (0.5 * (t[..., 0, :, 0, :] + t[..., 1, :, 1, :]))
+    rest_a = _DEPOL_REST * (0.5 * (t[..., :, 0, :, 0] + t[..., :, 1, :, 1]))
+    out = np.empty(lead + (3, 2, 2, 2, 2), dtype=complex)
+    out[..., 0, :, :, :, :] = t
+    out[..., 1:, :, :, :, :] = _DEPOL * t[..., None, :, :, :, :]
+    for k in range(2):
+        out[..., 1, k, :, k, :] += rest_b
+        out[..., 2, :, k, :, k] += rest_a
+    return out.reshape(lead + (3, 4, 4))
 
 
 def _general_margins(m: np.ndarray) -> np.ndarray:
-    """-(smallest partial-transpose eigenvalue) of rho, its A->B map and its B->A map."""
-    return -np.linalg.eigvalsh(partial_transpose_b(_depolarized(m)))[:, 0]
+    """-(smallest partial-transpose eigenvalue) of rho, its A->B map and its
+    B->A map, as (..., 3)."""
+    return -np.linalg.eigvalsh(partial_transpose_b(_depolarized(m)))[..., 0]
 
 
 def steering_map(rho: DensityMatrix4, direction: Direction) -> DensityMatrix4:
@@ -156,18 +205,36 @@ def ppt_entangled(rho: DensityMatrix4) -> tuple[bool, float]:
     return min_eig < -PPT_TOL, -min_eig
 
 
-def _rho14_inert(x: XState) -> bool:
+def _rho14_inert(x: XState):
     """True when dropping rho14 from the closed forms cannot flip a verdict.
 
     rho14 enters only (a) the second partial-transpose block, direct and
     mapped, active only when |rho14|^2 approaches rho22*rho33, and (b) the
     CHSH correlation entries at relative order |rho14|/|rho23|.  Both are
     bounded far below any margin this model's steady states realize once
-    rho14 is small in the senses below (it is O(gamma) at most).
+    rho14 is small in the senses below (it is O(gamma) at most).  Elementwise
+    over cells.
     """
-    branch = abs(x.rho14) ** 2 <= 1e-3 * x.rho22 * x.rho33 + 1e-18
-    small = abs(x.rho14) <= max(0.01 * abs(x.rho23), 5e-3)
-    return branch and small
+    r14 = abs(x.rho14)
+    branch = r14 * r14 <= 1e-3 * x.rho22 * x.rho33 + 1e-18
+    small = r14 <= np.maximum(0.01 * abs(x.rho23), 5e-3)
+    return branch & small
+
+
+def _closed_margins(x: XState):
+    """Closed-form (entanglement, A->B, B->A, CHSH) margins, elementwise over cells.
+
+    Steering margins are |rho23|^2 - (f_a +/- f_b).  CHSH combines two
+    sufficient branches with OR: |rho23|^2 > 1/8, or
+    |rho23|^2 > 1/4 - (1/4)(2(rho22+rho33)-1)^2; its margin is the larger
+    branch slack.
+    """
+    r23 = abs(x.rho23)
+    coh2 = r23 * r23
+    f = steering_factors(x)
+    u = 2.0 * (x.rho22 + x.rho33) - 1.0
+    bell = np.maximum(coh2 - 0.125, coh2 - (0.25 - 0.25 * u * u))
+    return coh2 - x.rho11 * x.rho44, coh2 - (f.f_a + f.f_b), coh2 - (f.f_a - f.f_b), bell
 
 
 def xstate_steering(x: XState) -> tuple[tuple[bool, float], tuple[bool, float]]:
@@ -181,10 +248,7 @@ def xstate_steering(x: XState) -> tuple[tuple[bool, float], tuple[bool, float]]:
         raise RegimeError(
             f"|rho14|={abs(x.rho14):.3g} not negligible against |rho23|={abs(x.rho23):.3g}"
         )
-    f = steering_factors(x)
-    coh2 = abs(x.rho23) ** 2
-    m_ab = coh2 - (f.f_a + f.f_b)
-    m_ba = coh2 - (f.f_a - f.f_b)
+    _, m_ab, m_ba, _ = _closed_margins(x)
     return (m_ab > MARGIN_TOL, m_ab), (m_ba > MARGIN_TOL, m_ba)
 
 
@@ -194,17 +258,9 @@ def general_steering(rho: DensityMatrix4, direction: Direction) -> tuple[bool, f
 
 
 def chsh_bell(x: XState) -> tuple[bool, float]:
-    """CHSH violation criterion for X states with negligible rho14.
-
-    Two sufficient branches, combined with OR:
-    |rho23|^2 > 1/8, or |rho23|^2 > 1/4 - (1/4)(2(rho22+rho33)-1)^2.
-    The margin is the larger branch slack.
-    """
-    coh2 = abs(x.rho23) ** 2
-    branch1 = coh2 - 0.125
-    u = 2.0 * (x.rho22 + x.rho33) - 1.0
-    branch2 = coh2 - (0.25 - 0.25 * u * u)
-    margin = max(branch1, branch2)
+    """CHSH violation criterion for X states with negligible rho14 (see
+    _closed_margins for the two branches)."""
+    margin = float(_closed_margins(x)[3])
     return margin > MARGIN_TOL, margin
 
 
@@ -217,6 +273,19 @@ def eigen_populations(
     if eig.phase is Phase.WEAK:
         return pops[0], pops[3], pops[1], pops[2]
     return pops[1], pops[2], pops[0], pops[3]
+
+
+def check_hierarchy(entangled, steer_a_to_b, steer_b_to_a, bell) -> None:
+    """Bell => two-way steerable => entangled, elementwise over booleans or
+    boolean arrays; a violation raises."""
+    if np.count_nonzero(bell > (steer_a_to_b & steer_b_to_a)):
+        raise InternalConsistencyError(
+            "hierarchy violated: Bell nonlocal but not two-way steerable"
+        )
+    if np.count_nonzero((steer_a_to_b | steer_b_to_a) > entangled):
+        raise InternalConsistencyError(
+            "hierarchy violated: steerable but not entangled"
+        )
 
 
 @dataclass(frozen=True)
@@ -241,13 +310,80 @@ class CorrelationReport:
     eigen_populations: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        if self.bell and not (self.steer_a_to_b and self.steer_b_to_a):
+        check_hierarchy(self.entangled, self.steer_a_to_b, self.steer_b_to_a, self.bell)
+
+
+class Classification(NamedTuple):
+    """Verdicts, margins and method codes of states over leading cell axes.
+
+    fault >= 0 marks a state whose X entries violate XSTATE_FAULTS[fault];
+    such a cell carries no verdict (flags False, margins nan).
+    """
+
+    entangled: np.ndarray
+    margin_ent: np.ndarray
+    steer_a_to_b: np.ndarray
+    margin_ab: np.ndarray
+    steer_b_to_a: np.ndarray
+    margin_ba: np.ndarray
+    bell: np.ndarray
+    margin_bell: np.ndarray
+    method: np.ndarray
+    fault: np.ndarray
+
+
+def classify_arrays(m: np.ndarray, dual: bool = True) -> Classification:
+    """Classify local-basis states (..., 4, 4).
+
+    Where a state is X-shaped with an inert rho14 the closed forms supply the
+    margins; with dual=True the general depolarize-and-PPT route runs as well
+    and any verdict disagreement raises.  Other states fall back to the
+    general route alone (no CHSH verdict: bell False, margin nan).
+    """
+    x = _x_entries(m)
+    is_x = _non_x(m) <= X_TOL
+    fault = np.where(is_x, xstate_fault(x), -1)
+    closed = (fault < 0) & is_x & _rho14_inert(x)
+    margins = list(_closed_margins(x))
+    flags = [c > MARGIN_TOL for c in margins]
+    general = _general_margins(m) if dual else None
+    if np.count_nonzero(~closed):
+        # the general route where the closed form does not apply; a faulty
+        # state gets no verdict
+        run = (fault < 0) & ~closed
+        if general is None:
+            general = np.zeros(np.shape(closed) + (3,))
+            if np.count_nonzero(run):
+                general[run] = _general_margins(m[run])
+        for k in range(3):
+            g = np.where(run, general[..., k], np.nan)
+            flags[k] = np.where(closed, flags[k], g > PPT_TOL)
+            margins[k] = np.where(closed, margins[k], g)
+        flags[3] = closed & flags[3]
+        margins[3] = np.where(closed, margins[3], np.nan)
+    if dual:
+        _cross_check(closed, margins, general)
+    check_hierarchy(*flags)
+    method = np.where(closed, 2 if dual else 0, 1)
+    return Classification(flags[0], margins[0], flags[1], margins[1], flags[2], margins[2],
+                          flags[3], margins[3], method, fault)
+
+
+def _cross_check(closed: np.ndarray, closed_margins, general: np.ndarray) -> None:
+    """Raise where, on a closed-form cell, the two routes disagree on a verdict
+    that neither places within 1e-9 of its threshold."""
+    for k, name in enumerate(("entanglement", "steering A->B", "steering B->A")):
+        c, g = closed_margins[k], general[..., k][()]
+        # the entanglement margins are on different scales; only the
+        # closed-form one is tested against the 1e-9 band
+        sure = abs(c) > 1e-9 if k == 0 else (abs(c) > 1e-9) & (abs(g) > 1e-9)
+        bad = closed & ((c > MARGIN_TOL) != (g > PPT_TOL)) & sure
+        if np.count_nonzero(bad):
+            i = np.argmax(np.reshape(bad, -1))
+            c, g = np.reshape(c, -1)[i], np.reshape(g, -1)[i]
             raise InternalConsistencyError(
-                "hierarchy violated: Bell nonlocal but not two-way steerable"
-            )
-        if (self.steer_a_to_b or self.steer_b_to_a) and not self.entangled:
-            raise InternalConsistencyError(
-                "hierarchy violated: steerable but not entangled"
+                f"{name}: closed form says {bool(c > MARGIN_TOL)} (margin {c:.3g}), "
+                f"general route says {bool(g > PPT_TOL)}"
             )
 
 
@@ -256,57 +392,24 @@ def classify(
     eig: EigenSystem | None = None,
     dual: bool = True,
 ) -> CorrelationReport:
-    """Full classification of a local-basis state.
+    """Full classification of a local-basis state: classify_arrays at a single cell.
 
-    When the state is X-shaped with an inert rho14 the closed forms supply
-    the margins; with dual=True (the default) the general depolarize-and-PPT
-    route runs as well and any verdict disagreement raises.  Other input
-    falls back to the general route alone.
+    An X state whose entries violate the X-state conditions raises ValueError.
     """
     if rho.basis is not Basis.LOCAL:
         raise ValueError("classify expects the local basis")
-    try:
-        x = extract_xstate(rho)
-        closed = xstate_steering(x)
-    except (NotXStateError, RegimeError):
-        closed = None
-    # (flag, margin) of entanglement, A->B and B->A steering on the general route
-    gen = ([(m > PPT_TOL, m) for m in _general_margins(rho.entries).tolist()]
-           if dual or closed is None else None)
-
-    if closed is None:
-        (ent_flag, ent_margin), (ab_flag, ab_margin), (ba_flag, ba_margin) = gen
-        # no general CHSH route is defined for non-X states in this package
-        bell_flag, bell_margin = False, float("nan")
-        method = Method.GENERAL_PPT
-    else:
-        (ab_flag, ab_margin), (ba_flag, ba_margin) = closed
-        ent_margin = abs(x.rho23) ** 2 - x.rho11 * x.rho44
-        ent_flag = ent_margin > MARGIN_TOL
-        bell_flag, bell_margin = chsh_bell(x)
-        method = Method.X_CLOSED_FORM
-        if dual:
-            (ppt_flag, _), gen_ab, gen_ba = gen
-            for name, xf, xm, gf, gm in (
-                ("entanglement", ent_flag, ent_margin, ppt_flag, None),
-                ("steering A->B", ab_flag, ab_margin, *gen_ab),
-                ("steering B->A", ba_flag, ba_margin, *gen_ba),
-            ):
-                if xf != gf and abs(xm) > 1e-9 and (gm is None or abs(gm) > 1e-9):
-                    raise InternalConsistencyError(
-                        f"{name}: closed form says {xf} (margin {xm:.3g}), "
-                        f"general route says {gf}"
-                    )
-            method = Method.BOTH
+    c = classify_arrays(rho.entries, dual)
+    if c.fault >= 0:
+        raise ValueError(XSTATE_FAULTS[c.fault])
     return CorrelationReport(
-        entangled=ent_flag,
-        margin_ent=ent_margin,
-        steer_a_to_b=ab_flag,
-        margin_ab=ab_margin,
-        steer_b_to_a=ba_flag,
-        margin_ba=ba_margin,
-        bell=bell_flag,
-        margin_bell=bell_margin,
-        method=method,
+        entangled=bool(c.entangled),
+        margin_ent=float(c.margin_ent),
+        steer_a_to_b=bool(c.steer_a_to_b),
+        margin_ab=float(c.margin_ab),
+        steer_b_to_a=bool(c.steer_b_to_a),
+        margin_ba=float(c.margin_ba),
+        bell=bool(c.bell),
+        margin_bell=float(c.margin_bell),
+        method=METHODS[c.method],
         eigen_populations=eigen_populations(rho, eig) if eig is not None else None,
     )

@@ -10,17 +10,32 @@ from the rate parameters.  Summed over the two reservoirs the parts reproduce
 the printed weak-bosonic, weak-fermionic and strong-bosonic matrices; the
 split itself assigns the spontaneous weights with the same angular factors as
 the stimulated rates (see rates.RateSet).
+
+Each part is linear in its reservoir's rate coefficients, so it is evaluated
+once, on unit coefficients, into constant templates; a generator is then the
+coefficient-weighted sum of its setup's templates.  `generator_arrays` builds
+N generators at once over a leading cell axis; `build_generator` runs the
+same kernels at a single cell.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import DerivedParams, EigenSystem, Phase, SystemParams, derive_params, eigensystem
-from .rates import RateSet, ReservoirSpec, Statistics, rate_set
+from .model import (
+    DerivedParams,
+    EigenSystem,
+    Phase,
+    SystemParams,
+    derive_params,
+    eigen_arrays,
+    eigensystem,
+)
+from .rates import COEFFICIENTS, Cells, RateSet, ReservoirSpec, Statistics, rate_arrays, rate_set
 
 VEC6_TOL = 1e-12
 
@@ -50,7 +65,7 @@ class Generator:
 
 def _weak_bose_part(pj, qj, sj, tj, wp, wm, sign):
     gj = wp + wm
-    m = np.zeros((6, 6), dtype=complex)
+    m = np.zeros((6, 6))
     m[0, 0] = -2 * (pj + qj)
     m[0, 1] = 2 * (wm + qj)
     m[0, 2] = 2 * (wp + pj)
@@ -77,7 +92,7 @@ def _weak_bose_part(pj, qj, sj, tj, wp, wm, sign):
 
 def _weak_fermi_part(pj, qj, sj, wp, wm, sign):
     gj = wp + wm
-    m = np.zeros((6, 6), dtype=complex)
+    m = np.zeros((6, 6))
     m[0, 0] = -2 * (pj + qj)
     m[0, 1] = 2 * (wm - qj)
     m[0, 2] = 2 * (wp - pj)
@@ -115,44 +130,90 @@ def _strong_bose_part(pj, qj, sj, tj, wp, wm, theta_sin_half_gj):
     return m
 
 
+# setup codes index this tuple and the first axis of _TEMPLATES
+SETUPS = (Setup.WEAK_BOSE, Setup.WEAK_FERMI, Setup.STRONG_BOSE)
+
+
+def _templates() -> np.ndarray:
+    """(setup, reservoir, coefficient, 6, 6): each part on unit coefficients.
+
+    Coefficients follow rates.COEFFICIENTS; reservoir A carries sign -1 and
+    B sign +1 in the weak-phase couplings.
+    """
+    out = np.zeros((len(SETUPS), 2, len(COEFFICIENTS), 6, 6))
+    for k, (pj, qj, sj, tj, wp, wm, uj) in enumerate(np.eye(len(COEFFICIENTS))):
+        for j, sign in enumerate((-1.0, 1.0)):
+            out[0, j, k] = _weak_bose_part(pj, qj, sj, tj, wp, wm, sign)
+            out[1, j, k] = _weak_fermi_part(pj, qj, sj, wp, wm, sign)
+            out[2, j, k] = _strong_bose_part(pj, qj, sj, tj, wp, wm, uj)
+    out.setflags(write=False)
+    return out
+
+
+_TEMPLATES = _templates()
+
+
+def setup_codes(strong: np.ndarray, statistics: Statistics) -> np.ndarray:
+    """Index into SETUPS per cell; the strong-coupling fermionic setup is rejected."""
+    if statistics is Statistics.FERMI:
+        if np.count_nonzero(strong):
+            raise ConfigurationError(
+                "strong-coupling fermionic setup unsupported (tunnelling is weak)"
+            )
+        return np.ones(np.shape(strong), dtype=int)
+    return np.where(strong, 2, 0)
+
+
+def _assemble(setup: np.ndarray, coefficients: np.ndarray, omega: np.ndarray):
+    """(coherent part, reservoir parts (..., 2, 6, 6), total) over the cell axes."""
+    parts = (coefficients[..., None, None] * _TEMPLATES[setup]).sum(axis=-3)
+    coherent = np.zeros(np.shape(omega) + (6, 6), dtype=complex)
+    omega_entry = 2.0 * omega
+    coherent[..., 4, 4] = 1j * omega_entry
+    coherent[..., 5, 5] = -1j * omega_entry
+    return coherent, parts, coherent + parts[..., 0, :, :] + parts[..., 1, :, :]
+
+
+class GeneratorArrays(NamedTuple):
+    """N generators over the leading cell axis, with what later stages need."""
+
+    total: np.ndarray      # (N, 6, 6)
+    parts: np.ndarray      # (N, 2, 6, 6): reservoir A, reservoir B
+    energies: np.ndarray   # (N, 4)
+    vectors: np.ndarray    # (N, 4, 4)
+    numbers: np.ndarray    # (N, 4) excitation numbers
+    cells: Cells
+
+
+def generator_arrays(cells: Cells) -> GeneratorArrays:
+    """Build the evolution matrices of N cells for the setup of each cell."""
+    setup = setup_codes(cells.strong, cells.statistics)
+    rs = rate_arrays(cells)
+    energies, vectors, numbers = eigen_arrays(cells.bar_eps, cells.omega, cells.theta,
+                                              cells.strong)
+    _, parts, total = _assemble(setup, rs.coefficients, cells.omega)
+    return GeneratorArrays(total, parts, energies, vectors, numbers, cells)
+
+
 def build_generator(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> Generator:
     """Build the evolution matrix for the setup selected by (phase, statistics).
 
-    The strong-coupling fermionic combination is not supported.
+    The kernels of generator_arrays at a single cell.  The strong-coupling
+    fermionic combination is not supported.
     """
     d = derive_params(p)
     rs = rate_set(p, ra, rb)
-    if d.phase is Phase.STRONG and rs.statistics is Statistics.FERMI:
-        raise ConfigurationError(
-            "strong-coupling fermionic setup unsupported (tunnelling is weak)"
-        )
+    setup = setup_codes(np.bool_(d.phase is Phase.STRONG), rs.statistics)
     eig = eigensystem(p)
-    if rs.statistics is Statistics.FERMI:
-        setup = Setup.WEAK_FERMI
-        part_a = _weak_fermi_part(rs.p_a, rs.q_a, rs.s_a, rs.spont_plus_a, rs.spont_minus_a, -1.0)
-        part_b = _weak_fermi_part(rs.p_b, rs.q_b, rs.s_b, rs.spont_plus_b, rs.spont_minus_b, +1.0)
-    elif d.phase is Phase.WEAK:
-        setup = Setup.WEAK_BOSE
-        part_a = _weak_bose_part(rs.p_a, rs.q_a, rs.s_a, rs.t_a, rs.spont_plus_a, rs.spont_minus_a, -1.0)
-        part_b = _weak_bose_part(rs.p_b, rs.q_b, rs.s_b, rs.t_b, rs.spont_plus_b, rs.spont_minus_b, +1.0)
-    else:
-        setup = Setup.STRONG_BOSE
-        u = 0.5 * p.gamma * np.sin(d.theta)
-        part_a = _strong_bose_part(rs.p_a, rs.q_a, rs.s_a, rs.t_a, rs.spont_plus_a, rs.spont_minus_a, u)
-        part_b = _strong_bose_part(rs.p_b, rs.q_b, rs.s_b, rs.t_b, rs.spont_plus_b, rs.spont_minus_b, u)
-    coherent = np.zeros((6, 6), dtype=complex)
-    omega_entry = 2.0 * d.omega
-    coherent[4, 4] = 1j * omega_entry
-    coherent[5, 5] = -1j * omega_entry
-    total = coherent + part_a + part_b
-    for m in (total, coherent, part_a, part_b):
+    coherent, parts, total = _assemble(setup, rs.coefficients, np.float64(d.omega))
+    for m in (total, coherent, parts):
         m.setflags(write=False)
     return Generator(
         total=total,
         coherent_part=coherent,
-        res_a_part=part_a,
-        res_b_part=part_b,
-        setup=setup,
+        res_a_part=parts[0],
+        res_b_part=parts[1],
+        setup=SETUPS[setup],
         params=p,
         derived=d,
         eig=eig,
@@ -180,35 +241,35 @@ def reservoir_part(g: Generator, which: str) -> np.ndarray:
     raise ValueError(f"reservoir must be 'A' or 'B', got {which!r}")
 
 
+# flat (4x4) positions of the six entries
+_VEC6_FLAT = [0, 5, 10, 15, 6, 9]
+
+
 def to_vector6(rho_energy: np.ndarray) -> tuple[np.ndarray, float]:
     """Project an energy-basis 4x4 matrix onto the 6-entry representation.
 
     Returns the vector and the largest magnitude among the discarded entries
     (g<->e and e<->e3 coherences, which the dynamics never populates).
     """
-    m = np.asarray(rho_energy, dtype=complex)
-    v = np.array([m[0, 0], m[1, 1], m[2, 2], m[3, 3], m[1, 2], m[2, 1]])
-    mask = np.ones((4, 4), dtype=bool)
-    mask[np.diag_indices(4)] = False
-    mask[1, 2] = mask[2, 1] = False
-    leak = float(np.max(np.abs(m[mask])))
-    return v, leak
+    m = np.asarray(rho_energy, dtype=complex).reshape(16)
+    return m[_VEC6_FLAT], float(np.max(np.abs(np.delete(m, _VEC6_FLAT))))
 
 
 def from_vector6(v: np.ndarray) -> np.ndarray:
-    """Embed a 6-entry vector into the energy-basis 4x4 matrix."""
+    """Embed 6-entry vectors (..., 6) into energy-basis 4x4 matrices (..., 4, 4)."""
     v = np.asarray(v, dtype=complex)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = v[0], v[1], v[2], v[3]
-    m[1, 2], m[2, 1] = v[4], v[5]
-    return m
+    m = np.zeros(v.shape[:-1] + (16,), dtype=complex)
+    m[..., _VEC6_FLAT] = v
+    return m.reshape(v.shape[:-1] + (4, 4))
+
+
+# entry order of the Hermitian conjugate of a 6-entry vector
+_VEC6_ADJOINT = [0, 1, 2, 3, 5, 4]
 
 
 def hermitize_vector6(v: np.ndarray) -> np.ndarray:
-    """Real populations and a conjugate coherence pair, from their mean."""
-    coh = 0.5 * (v[4] + np.conj(v[5]))
-    return np.array([v[0].real, v[1].real, v[2].real, v[3].real, coh, np.conj(coh)],
-                    dtype=complex)
+    """Real populations and a conjugate coherence pair, from their mean; (..., 6)."""
+    return 0.5 * (v + v[..., _VEC6_ADJOINT].conj())
 
 
 def validate_state_vector6(v: np.ndarray, tol: float = VEC6_TOL) -> None:

@@ -51,6 +51,9 @@ class SystemParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("eps_a", "eps_b", "kappa", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.eps_a >= self.eps_b > 0):
             raise ValueError(
                 f"require eps_a >= eps_b > 0, got eps_a={self.eps_a}, eps_b={self.eps_b}"
@@ -136,15 +139,38 @@ class EigenSystem:
     def number_eigenvalues(self) -> np.ndarray:
         """Total-excitation eigenvalues in the (g, e1, e2, e3) order.
 
-        The eigenvectors never mix excitation sectors, so the local
-        diag(0, 1, 1, 2) operator stays diagonal in the energy basis.
+        The eigenvectors never mix excitation sectors, so the numbers are
+        fixed by the phase's level ordering.
         """
-        n_local = np.array([0.0, 1.0, 1.0, 2.0])
-        return np.einsum("ik,i,ik->k", self.vectors.conj(), n_local, self.vectors).real
+        return EXCITATIONS[int(self.phase is Phase.STRONG)]
 
 
-def eigensystem(p: SystemParams) -> EigenSystem:
-    """Analytic eigensystem with the fixed phase/ordering conventions.
+# excitation numbers in the (g, e1, e2, e3) order of the weak (row 0) and the
+# strong (row 1) phase
+EXCITATIONS = np.array([[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 2.0, 1.0]])
+
+
+def _eigen_templates() -> tuple[np.ndarray, np.ndarray]:
+    """Per phase, energies = bar_eps * E[0] + omega * E[1] and eigenvector
+    columns = V[0] + cos(theta/2) V[1] + sin(theta/2) V[2]; returns (E, V)."""
+    energy = np.array([[[-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]],
+                       [[0.0, -1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]])
+    vectors = np.zeros((2, 3, 4, 4), dtype=complex)
+    # columns of |00>, psi-, psi+ and |11> in each phase's ordering
+    for phase, (g, m, p, e) in enumerate([(0, 1, 2, 3), (1, 0, 3, 2)]):
+        vectors[phase, 0, 0, g] = vectors[phase, 0, 3, e] = 1.0
+        vectors[phase, 1, 1, m] = vectors[phase, 1, 2, p] = 1.0
+        vectors[phase, 2, 2, m], vectors[phase, 2, 1, p] = -1.0, 1.0
+    return energy, vectors
+
+
+_ENERGY, _VECTORS = _eigen_templates()
+
+
+def eigen_arrays(bar_eps: np.ndarray, omega: np.ndarray, theta: np.ndarray,
+                 strong: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energies (..., 4), eigenvector columns (..., 4, 4) and excitation numbers
+    (..., 4) over leading cell axes.
 
     The entangled pair is
         psi_minus = cos(theta/2)|01> - sin(theta/2)|10>   (energy -omega)
@@ -152,19 +178,20 @@ def eigensystem(p: SystemParams) -> EigenSystem:
     with |00> at -bar_eps and |11> at +bar_eps.  Weak-phase ordering is
     (|00>, psi-, psi+, |11>); strong-phase ordering (psi-, |00>, |11>, psi+).
     """
+    phase = strong.astype(int)
+    energy, vectors = _ENERGY[phase], _VECTORS[phase]
+    half = 0.5 * theta
+    c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+    return (bar_eps[..., None] * energy[..., 0, :] + omega[..., None] * energy[..., 1, :],
+            vectors[..., 0, :, :] + c * vectors[..., 1, :, :] + s * vectors[..., 2, :, :],
+            EXCITATIONS[phase])
+
+
+def eigensystem(p: SystemParams) -> EigenSystem:
+    """Analytic eigensystem of one system: eigen_arrays at a single cell."""
     d = derive_params(p)
-    c, s = math.cos(d.theta / 2), math.sin(d.theta / 2)
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket11 = np.array([0, 0, 0, 1], dtype=complex)
-    psi_minus = np.array([0, c, -s, 0], dtype=complex)
-    psi_plus = np.array([0, s, c, 0], dtype=complex)
-    if d.phase is Phase.WEAK:
-        energies = np.array([-d.bar_eps, -d.omega, d.omega, d.bar_eps])
-        columns = [ket00, psi_minus, psi_plus, ket11]
-    else:
-        energies = np.array([-d.omega, -d.bar_eps, d.bar_eps, d.omega])
-        columns = [psi_minus, ket00, ket11, psi_plus]
-    vectors = np.column_stack(columns)
+    energies, vectors, _ = eigen_arrays(np.float64(d.bar_eps), np.float64(d.omega),
+                                        np.float64(d.theta), np.bool_(d.phase is Phase.STRONG))
     vectors.setflags(write=False)
     energies.setflags(write=False)
     return EigenSystem(energies=energies, vectors=vectors, phase=d.phase)
@@ -188,7 +215,8 @@ class DensityMatrix4:
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise ValueError("density matrix not Hermitian within 1e-12")
-        if abs(m.trace().real - 1.0) > HERM_TOL or abs(m.trace().imag) > HERM_TOL:
+        trace = m.trace()
+        if abs(trace.real - 1.0) > HERM_TOL or abs(trace.imag) > HERM_TOL:
             raise ValueError("density matrix trace must be 1 within 1e-12")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -200,6 +228,13 @@ class DensityMatrix4:
         return self.min_eigenvalue() >= -tol
 
 
+def conjugate(m: np.ndarray, v: np.ndarray, to_local: bool) -> np.ndarray:
+    """V m V^dagger (to_local) or V^dagger m V, Hermitized, over leading axes."""
+    vh = v.conj().swapaxes(-1, -2)
+    out = v @ m @ vh if to_local else vh @ m @ v
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+
 def basis_change(rho: DensityMatrix4, target: Basis, eig: EigenSystem) -> DensityMatrix4:
     """Unitary conjugation between the local and energy bases.
 
@@ -207,10 +242,5 @@ def basis_change(rho: DensityMatrix4, target: Basis, eig: EigenSystem) -> Densit
     """
     if rho.basis is target:
         return rho
-    v = eig.vectors
-    if target is Basis.LOCAL:
-        m = v @ rho.entries @ v.conj().T
-    else:
-        m = v.conj().T @ rho.entries @ v
-    m = 0.5 * (m + m.conj().T)
+    m = conjugate(rho.entries, eig.vectors, to_local=target is Basis.LOCAL)
     return DensityMatrix4(entries=m, basis=target)

@@ -5,12 +5,19 @@ basis drives only two transition energies eps_minus and eps_plus.  All
 dissipative matrix entries are built from the stimulated rates (p, q, s, t)
 plus spontaneous weights; each carries a per-reservoir split so downstream
 code can attribute currents to a single reservoir.
+
+Rates are evaluated for N cells at once, as arrays over a leading cell axis
+(`rate_arrays`); `rate_set` and `occupation` run the same code at a single
+cell.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .model import DerivedParams, Phase, SystemParams, derive_params
@@ -36,33 +43,41 @@ class ReservoirSpec:
     mu: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.temperature) and math.isfinite(self.mu)):
+            raise ValueError(f"temperature and mu must be finite, got "
+                             f"{self.temperature} and {self.mu}")
         if self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.statistics is Statistics.BOSE and self.mu != 0.0:
             raise ValueError("bosonic reservoirs must have mu = 0")
 
 
-def occupation(r: ReservoirSpec, eps: float) -> float:
-    """Mean occupation of a reservoir mode at energy eps.
+def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
+                eps: np.ndarray) -> np.ndarray:
+    """Mean occupations of reservoir modes at energies eps, elementwise.
 
     Bose: 1/(exp((eps-mu)/T) - 1), requires eps > 0 and rejects eps below
     1e-9*T where the occupation diverges.  Fermi: 1/(exp((eps-mu)/T) + 1),
     valid for any eps.
     """
-    x = (eps - r.mu) / r.temperature
-    if r.statistics is Statistics.BOSE:
-        if eps <= BOSE_EPS_FLOOR * r.temperature:
+    x = (eps - mu) / temperature
+    if statistics is Statistics.BOSE:
+        low = eps <= BOSE_EPS_FLOOR * temperature
+        if np.count_nonzero(low):
             raise ValueError(
-                f"bosonic occupation diverges: eps={eps} <= {BOSE_EPS_FLOOR}*T"
+                f"bosonic occupation diverges: eps={np.broadcast_to(eps, low.shape)[low][0]}"
+                f" <= {BOSE_EPS_FLOOR}*T"
             )
-        if x > 700.0:
-            return math.exp(-x)
-        return 1.0 / math.expm1(x)
+        return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
     # logistic form keeps the Fermi tails accurate down to underflow
-    if x >= 0:
-        e = math.exp(-min(x, 745.0))
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(max(x, -745.0)))
+    e = np.exp(-np.minimum(np.abs(x), 745.0))
+    return np.where(x >= 0, e, 1.0) / (1.0 + e)
+
+
+def occupation(r: ReservoirSpec, eps: float) -> float:
+    """Mean occupation of one reservoir mode at energy eps (see occupations)."""
+    return occupations(r.statistics, *np.array([[r.temperature], [r.mu], [eps]],
+                                                dtype=float)).item()
 
 
 @dataclass(frozen=True)
@@ -73,79 +88,133 @@ class TransitionEnergies:
     eps_plus: float
 
 
+def _transition(bar_eps, omega):
+    """(eps_minus, eps_plus): the lower one is bar_eps - omega in the weak phase
+    and omega - bar_eps in the strong phase, i.e. |bar_eps - omega|."""
+    return abs(bar_eps - omega), bar_eps + omega
+
+
 def transition_energies(d: DerivedParams) -> TransitionEnergies:
-    """Weak phase: (bar_eps - omega, bar_eps + omega); strong phase the lower
-    one becomes omega - bar_eps."""
-    eps_plus = d.bar_eps + d.omega
-    if d.phase is Phase.WEAK:
-        eps_minus = d.bar_eps - d.omega
-    else:
-        eps_minus = d.omega - d.bar_eps
+    """The two transition energies of one system (see _transition)."""
+    eps_minus, eps_plus = _transition(d.bar_eps, d.omega)
     return TransitionEnergies(eps_minus=eps_minus, eps_plus=eps_plus)
+
+
+# columns of RateSet.coefficients, one row per reservoir
+COEFFICIENTS = ("p", "q", "s", "t", "spont_plus", "spont_minus", "spont_coh")
 
 
 @dataclass(frozen=True)
 class RateSet:
     """Rate parameters entering the evolution matrices, with per-reservoir split.
 
-    p = p_a + p_b and q = q_a + q_b are the stimulated rates at eps_plus and
-    eps_minus.  s_j, t_j are the sum/difference combinations weighting the
-    population<->coherence couplings.  The spont_* entries split the bare
-    spontaneous-emission weight (total gamma per transition) between the
-    reservoirs with the same angular factors as p and q.
+    coefficients[..., j, :] holds reservoir j's (p_j, q_j, s_j, t_j,
+    spont_plus_j, spont_minus_j, spont_coh_j) in the order of COEFFICIENTS;
+    the leading axes, if any, run over cells.  p = p_a + p_b and
+    q = q_a + q_b are the stimulated rates at eps_plus and eps_minus.  s_j,
+    t_j are the sum/difference combinations weighting the
+    population<->coherence couplings.  The spontaneous weights split the bare
+    weight (total gamma per transition) between the reservoirs with the same
+    angular factors as p and q; spont_coh_j = (gamma/2) sin(theta) is the
+    spontaneous coherence weight of the strong phase.
     """
 
-    p: float
-    q: float
-    s_a: float
-    s_b: float
-    t_a: float
-    t_b: float
-    p_a: float
-    p_b: float
-    q_a: float
-    q_b: float
-    spont_plus_a: float
-    spont_plus_b: float
-    spont_minus_a: float
-    spont_minus_b: float
+    coefficients: np.ndarray
     theta: float
     statistics: Statistics
 
+    def _get(self, j: int, name: str):
+        return self.coefficients[..., j, COEFFICIENTS.index(name)]
+
+    p_a = property(lambda self: self._get(0, "p"))
+    p_b = property(lambda self: self._get(1, "p"))
+    q_a = property(lambda self: self._get(0, "q"))
+    q_b = property(lambda self: self._get(1, "q"))
+    s_a = property(lambda self: self._get(0, "s"))
+    s_b = property(lambda self: self._get(1, "s"))
+    t_a = property(lambda self: self._get(0, "t"))
+    t_b = property(lambda self: self._get(1, "t"))
+    spont_plus_a = property(lambda self: self._get(0, "spont_plus"))
+    spont_plus_b = property(lambda self: self._get(1, "spont_plus"))
+    spont_minus_a = property(lambda self: self._get(0, "spont_minus"))
+    spont_minus_b = property(lambda self: self._get(1, "spont_minus"))
+    p = property(lambda self: self.p_a + self.p_b)
+    q = property(lambda self: self.q_a + self.q_b)
+
+
+@dataclass(frozen=True)
+class Cells:
+    """Per-cell inputs of the array kernels, over leading cell axes.
+
+    The derived parameters of each cell's system (model.derive_params) come
+    with its coupling constant gamma and its reservoirs' temperature and mu,
+    the latter two as (..., 2) arrays: reservoir A, reservoir B.  All cells
+    share one statistics.  `of` stacks N cells along one axis; `at` holds a
+    single cell with no cell axis, which is how the single-point functions
+    call the kernels.
+    """
+
+    bar_eps: np.ndarray
+    omega: np.ndarray
+    theta: np.ndarray
+    strong: np.ndarray
+    gamma: np.ndarray
+    temperature: np.ndarray
+    mu: np.ndarray
+    statistics: Statistics
+
+    @staticmethod
+    def _row(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec, stat: Statistics):
+        if ra.statistics is not stat or rb.statistics is not stat:
+            raise ConfigurationError(
+                "reservoirs must share statistics (both bose or both fermi)")
+        d = derive_params(p)
+        return (d.bar_eps, d.omega, d.theta, d.phase is Phase.STRONG, p.gamma,
+                ra.temperature, rb.temperature, ra.mu, rb.mu)
+
+    @classmethod
+    def of(cls, points: Sequence[tuple[SystemParams, ReservoirSpec, ReservoirSpec]]) -> Cells:
+        stat = points[0][1].statistics
+        # one contiguous row per parameter
+        columns = np.array([cls._row(*pt, stat) for pt in points], dtype=float).T.copy()
+        return cls(*columns[:3], columns[3] > 0, columns[4], columns[5:7].T.copy(),
+                   columns[7:9].T.copy(), stat)
+
+    @classmethod
+    def at(cls, p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> Cells:
+        bar_eps, omega, theta, strong, gamma, t_a, t_b, mu_a, mu_b = cls._row(
+            p, ra, rb, ra.statistics)
+        return cls(np.float64(bar_eps), np.float64(omega), np.float64(theta),
+                   np.bool_(strong), np.float64(gamma), np.array([t_a, t_b], dtype=float),
+                   np.array([mu_a, mu_b], dtype=float), ra.statistics)
+
+
+def rate_arrays(c: Cells) -> RateSet:
+    """Rate parameters of cells, as a RateSet over their cell axes."""
+    eps = np.empty(c.theta.shape + (2,))
+    eps[..., 1], eps[..., 0] = _transition(c.bar_eps, c.omega)
+    # n[..., j, k]: reservoir j's occupation at eps_plus (k=0) and eps_minus (k=1)
+    n = occupations(c.statistics, c.temperature[..., None], c.mu[..., None], eps[..., None, :])
+    half = 0.5 * c.theta
+    cos, sin = np.cos(half), np.sin(half)
+    cos2, sin2 = cos * cos, sin * sin
+    # spontaneous weights gamma * (angular factor) of (eps_plus, eps_minus);
+    # reservoir A couples with (cos^2, sin^2), reservoir B with (sin^2, cos^2)
+    spont = np.empty(c.theta.shape + (2, 2))
+    spont[..., 0, 0] = spont[..., 1, 1] = c.gamma * cos2
+    spont[..., 0, 1] = spont[..., 1, 0] = c.gamma * sin2
+    half_sin = (0.5 * c.gamma * np.sin(c.theta))[..., None]
+    coefficients = np.empty(c.theta.shape + (2, len(COEFFICIENTS)))
+    coefficients[..., 0:2] = spont * n
+    coefficients[..., 2] = half_sin * (n[..., 0] + n[..., 1])
+    coefficients[..., 3] = half_sin * (n[..., 0] - n[..., 1])
+    coefficients[..., 4:6] = spont
+    coefficients[..., 6] = half_sin
+    return RateSet(coefficients, c.theta, c.statistics)
+
 
 def rate_set(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> RateSet:
-    """Evaluate all rate parameters for a reservoir pair of equal statistics."""
-    if ra.statistics is not rb.statistics:
-        raise ConfigurationError("reservoirs must share statistics (both bose or both fermi)")
-    d = derive_params(p)
-    tr = transition_energies(d)
-    ga = gb = p.gamma
-    c2 = math.cos(d.theta / 2) ** 2
-    s2 = math.sin(d.theta / 2) ** 2
-    sin_th = math.sin(d.theta)
-    na_plus = occupation(ra, tr.eps_plus)
-    na_minus = occupation(ra, tr.eps_minus)
-    nb_plus = occupation(rb, tr.eps_plus)
-    nb_minus = occupation(rb, tr.eps_minus)
-    p_a = ga * c2 * na_plus
-    p_b = gb * s2 * nb_plus
-    q_a = ga * s2 * na_minus
-    q_b = gb * c2 * nb_minus
-    return RateSet(
-        p=p_a + p_b,
-        q=q_a + q_b,
-        s_a=0.5 * ga * sin_th * (na_plus + na_minus),
-        s_b=0.5 * gb * sin_th * (nb_plus + nb_minus),
-        t_a=0.5 * ga * sin_th * (na_plus - na_minus),
-        t_b=0.5 * gb * sin_th * (nb_plus - nb_minus),
-        p_a=p_a,
-        p_b=p_b,
-        q_a=q_a,
-        q_b=q_b,
-        spont_plus_a=ga * c2,
-        spont_plus_b=gb * s2,
-        spont_minus_a=ga * s2,
-        spont_minus_b=gb * c2,
-        theta=d.theta,
-        statistics=ra.statistics,
-    )
+    """Rate parameters of one reservoir pair of equal statistics: rate_arrays
+    at a single cell."""
+    rs = rate_arrays(Cells.at(p, ra, rb))
+    return RateSet(rs.coefficients, float(rs.theta), rs.statistics)

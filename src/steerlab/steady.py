@@ -2,13 +2,15 @@
 
 The steady state is the null vector of the 6x6 evolution matrix, normalized to
 unit population sum and symmetrized.  Positivity of the resulting density
-matrix is reported, never silently repaired.
+matrix is reported, never silently repaired.  `steady_arrays` solves N
+generators at once over a leading cell axis; `steady_state` is the N=1 case.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .model import (
     POSITIVITY_TOL,
     SystemParams,
     basis_change,
+    conjugate,
     derive_params,
     eigensystem,
 )
@@ -43,43 +46,70 @@ class SteadyResult:
     positivity_ok: bool
 
 
-def steady_state(g: Generator) -> SteadyResult:
-    """Solve M|rho> = 0 by full eigendecomposition of the 6x6 matrix.
+class SteadyArrays(NamedTuple):
+    """Steady states of N cells over the leading cell axis."""
 
-    The eigenvalue of smallest magnitude is taken as the null direction; its
-    vector is normalized to unit population sum and Hermitized.  A second
-    eigenvalue within 10x of the smallest magnitude flags a degenerate null
-    space.
+    vector6: np.ndarray    # (N, 6)
+    residual: np.ndarray   # (N,)
+    energy: np.ndarray     # (N, 4, 4) energy basis
+    local: np.ndarray      # (N, 4, 4) local basis
+    min_eigenvalue: np.ndarray
+    positive: np.ndarray
+
+
+def _first(bad: np.ndarray) -> int | None:
+    return int(np.argmax(bad)) if np.count_nonzero(bad) else None
+
+
+def steady_arrays(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
+    """Solve M|rho> = 0 for N matrices (N,6,6) by full eigendecomposition.
+
+    vectors (N,4,4) are the eigenvector columns that carry each state to the
+    local basis.  The eigenvalue of smallest magnitude is taken as the null
+    direction; its vector is normalized to unit population sum and
+    Hermitized.  A second eigenvalue within 10x of the smallest magnitude
+    flags a degenerate null space.
     """
-    eigvals, eigvecs = np.linalg.eig(g.total)
-    order = np.argsort(np.abs(eigvals))
-    smallest, second = np.abs(eigvals[order[0]]), np.abs(eigvals[order[1]])
-    if second < 10.0 * smallest:
+    eigvals, eigvecs = np.linalg.eig(total)
+    mags = np.abs(eigvals)
+    order = np.argsort(mags, axis=-1)
+    cells = np.arange(len(total))
+    smallest, second = mags[cells[:, None], order[:, :2]].T
+    i = _first(second < 10.0 * smallest)
+    if i is not None:
         raise DegenerateSteadyStateError(
-            f"null space ill-conditioned: |lambda_0|={smallest:.3g}, "
-            f"|lambda_1|={second:.3g}"
+            f"null space ill-conditioned: |lambda_0|={smallest[i]:.3g}, "
+            f"|lambda_1|={second[i]:.3g}"
         )
-    v = eigvecs[:, order[0]]
-    pop_sum = v[:4].sum()
-    if abs(pop_sum) < 1e-300:
+    v = eigvecs[cells, :, order[:, 0]]
+    pop_sum = v[:, :4].sum(axis=-1)
+    if _first(np.abs(pop_sum) < 1e-300) is not None:
         raise DegenerateSteadyStateError("null vector has vanishing population sum")
-    v = hermitize_vector6(v / pop_sum)
-    residual = float(np.max(np.abs(g.total @ v)))
-    if residual > RESIDUAL_TOL:
+    v = hermitize_vector6(v / pop_sum[:, None])
+    residual = np.abs(total @ v[..., None]).max(axis=(-2, -1))
+    i = _first(residual > RESIDUAL_TOL)
+    if i is not None:
         raise DegenerateSteadyStateError(
-            f"steady-state residual {residual:.3g} exceeds {RESIDUAL_TOL}"
+            f"steady-state residual {residual[i]:.3g} exceeds {RESIDUAL_TOL}"
         )
-    state_energy = DensityMatrix4(entries=from_vector6(v), basis=Basis.ENERGY)
-    state_local = basis_change(state_energy, Basis.LOCAL, g.eig)
-    min_eig = state_energy.min_eigenvalue()
+    energy = from_vector6(v)
+    min_eig = np.linalg.eigvalsh(energy)[:, 0]
+    return SteadyArrays(v, residual, energy, conjugate(energy, vectors, to_local=True),
+                        min_eig, min_eig >= -POSITIVITY_TOL)
+
+
+def steady_state(g: Generator) -> SteadyResult:
+    """Steady state of one generator: the N=1 case of steady_arrays."""
+    s = steady_arrays(g.total[None], g.eig.vectors[None])
+    v = s.vector6[0]
     v.setflags(write=False)
     return SteadyResult(
-        state_energy=state_energy,
-        state_local=state_local,
+        state_energy=DensityMatrix4(entries=s.energy[0], basis=Basis.ENERGY),
+        state_local=DensityMatrix4(entries=s.local[0], basis=Basis.LOCAL),
         vector6=v,
-        residual=residual,
-        min_eigenvalue=min_eig,
-        positivity_ok=bool(min_eig >= -POSITIVITY_TOL),
+        residual=s.residual.item(),
+        min_eigenvalue=s.min_eigenvalue.item(),
+        positivity_ok=s.positive.item(),
     )
 
 
@@ -126,8 +156,8 @@ def evolve(g: Generator, rho0: DensityMatrix4, t_final: float, dt: float) -> Tra
     beyond 1e-12 are dropped with a warning.  Steps larger than the stability
     bound 0.1/||M||_inf are rejected.
     """
-    if t_final <= 0 or dt <= 0:
-        raise ValueError("t_final and dt must be positive")
+    if not (0 < t_final < math.inf and 0 < dt < math.inf):
+        raise ValueError("t_final and dt must be positive and finite")
     dt_max = max_stable_dt(g)
     if dt > dt_max:
         raise ValueError(f"dt={dt} unstable: maximum stable dt is {dt_max:.6g}")

@@ -3,17 +3,20 @@
 Currents are evaluated in the energy basis, where both the Hamiltonian and
 the excitation-number operator are diagonal, by tracing the per-reservoir
 dissipator action against the observable.  Positive current means flow from
-that reservoir into the system.
+that reservoir into the system.  `transport_arrays` evaluates N cells at once
+over a leading cell axis; `transport_report` runs it at a single cell.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .generator import Generator, build_generator
 from .model import SystemParams
-from .rates import ReservoirSpec, Statistics
+from .rates import Cells, ReservoirSpec, Statistics
 from .steady import SteadyResult, steady_state
 
 CURRENT_RESIDUAL_TOL = 1e-8
@@ -38,8 +41,13 @@ class TransportReport:
     observable: Observable
 
 
-def transport_report(g: Generator, rho_ss: SteadyResult) -> TransportReport:
-    """Steady currents and the entropy production rate.
+def transport_arrays(parts: np.ndarray, energies: np.ndarray, numbers: np.ndarray,
+                     cells: Cells, vector6: np.ndarray, residual: np.ndarray):
+    """(current_a, current_b, sigma) of steady states over leading cell axes.
+
+    parts (..., 2, 6, 6) are the dissipative parts of reservoirs A and B;
+    energies and numbers (..., 4) the energy-basis eigenvalues of H and of
+    the excitation number.
 
     Reservoir j moves the populations at the rate d_j = (D_j v)[:4], which
     carries the energy current J^E_j = d_j . E and the particle current
@@ -48,21 +56,32 @@ def transport_report(g: Generator, rho_ss: SteadyResult) -> TransportReport:
     sigma = -sum_j (J^E_j - mu_j J^N_j) / T_j, evaluated with continuity
     (J_a = -J_b) as J^E_B (1/T_A - 1/T_B) + J^N_B (mu_B/T_B - mu_A/T_A).
     """
-    if rho_ss.residual > CURRENT_RESIDUAL_TOL:
+    bad = residual > CURRENT_RESIDUAL_TOL
+    if np.count_nonzero(bad):
         raise ValueError(
-            f"state residual {rho_ss.residual:.3g} too large for a steady state"
+            f"state residual {np.max(residual):.3g} too large for a steady state"
         )
-    v = rho_ss.vector6
-    energies, numbers = g.eig.energies, g.eig.number_eigenvalues()
-    d_a = (g.res_a_part @ v)[:4].real
-    d_b = (g.res_b_part @ v)[:4].real
-    je_b, jn_b = float(d_b @ energies), float(d_b @ numbers)
-    ra, rb = g.reservoir_a, g.reservoir_b
-    sigma = (je_b * (1.0 / ra.temperature - 1.0 / rb.temperature)
-             + jn_b * (rb.mu / rb.temperature - ra.mu / ra.temperature))
-    if g.rates.statistics is Statistics.BOSE:
-        return TransportReport(float(d_a @ energies), je_b, sigma, Observable.ENERGY)
-    return TransportReport(float(d_a @ numbers), jn_b, sigma, Observable.PARTICLE_NUMBER)
+    # the parts are real, so Re(D_j v) = D_j Re(v)
+    d = (parts[..., :4, :] @ vector6.real[..., None, :, None])[..., 0]
+    je = (d * energies[..., None, :]).sum(axis=-1)
+    jn = (d * numbers[..., None, :]).sum(axis=-1)
+    t, mu = cells.temperature, cells.mu
+    sigma = (je[..., 1] * (1.0 / t[..., 0] - 1.0 / t[..., 1])
+             + jn[..., 1] * (mu[..., 1] / t[..., 1] - mu[..., 0] / t[..., 0]))
+    current = je if cells.statistics is Statistics.BOSE else jn
+    return current[..., 0], current[..., 1], sigma
+
+
+def transport_report(g: Generator, rho_ss: SteadyResult) -> TransportReport:
+    """Steady currents and the entropy production rate of one generator:
+    transport_arrays at a single cell."""
+    current_a, current_b, sigma = transport_arrays(
+        np.stack([g.res_a_part, g.res_b_part]), g.eig.energies, g.eig.number_eigenvalues(),
+        Cells.at(g.params, g.reservoir_a, g.reservoir_b), rho_ss.vector6,
+        np.float64(rho_ss.residual))
+    observable = (Observable.ENERGY if g.rates.statistics is Statistics.BOSE
+                  else Observable.PARTICLE_NUMBER)
+    return TransportReport(float(current_a), float(current_b), float(sigma), observable)
 
 
 def rectification(p: SystemParams, base: ReservoirSpec, delta: float) -> float:

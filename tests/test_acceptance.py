@@ -44,8 +44,6 @@ PRESET_NAMES = ["fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5a", "fig5b",
                 "fig5c", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "fig7c",
                 "fig8a", "fig8b", "fig9a", "fig9b"]
 
-JOBS = min(int(os.environ.get("STEERLAB_JOBS", "2")), os.cpu_count() or 1)
-
 
 def load_preset_config(name: str) -> SweepConfig:
     ref = resources.files("steerlab.presets").joinpath(name + ".json")
@@ -64,7 +62,7 @@ def load_preset_config(name: str) -> SweepConfig:
 def preset_maps():
     """All preset grids, evaluated once; classification runs dual-path in
     every cell and raises on any closed-form/general disagreement."""
-    return {name: sweep2d(load_preset_config(name), jobs=JOBS)
+    return {name: sweep2d(load_preset_config(name))
             for name in PRESET_NAMES}
 
 

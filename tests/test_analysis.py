@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import steerlab as sl
@@ -13,6 +14,7 @@ from steerlab.analysis import (
     analytic_thresholds,
     entanglement_boundary_fit,
     hierarchy_check,
+    run_point,
     sweep2d,
     threshold_kappa,
 )
@@ -84,12 +86,21 @@ class TestSweep2d:
         assert m.cells[4].x == xs[0] and m.cells[4].y == ys[1]
         assert m.cell(2, 1).x == xs[2] and m.cell(2, 1).y == ys[1]
 
-    def test_deterministic_under_workers(self):
+    def test_point_matches_row(self):
+        # a row is one batch of the array kernels; run_point runs them at one cell
         cfg = small_sweep(nx=4, ny=3)
-        m1 = sweep2d(cfg, jobs=1)
-        m2 = sweep2d(cfg, jobs=2)
-        for c1, c2 in zip(m1.cells, m2.cells):
-            assert c1 == c2
+        m = sweep2d(cfg)
+        for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
+            cell = m.cell(ix, iy)
+            _, ss, rep, tr = run_point(*cfg.point(cell.x, cell.y))
+            assert (rep.entangled, rep.steer_a_to_b, rep.steer_b_to_a, rep.bell,
+                    ss.positivity_ok) == (cell.entangled, cell.steer_ab, cell.steer_ba,
+                                          cell.bell, cell.positivity_ok)
+            got = (rep.margin_ent, rep.margin_ab, rep.margin_ba, rep.margin_bell,
+                   tr.current_b, tr.sigma)
+            want = (cell.margin_ent, cell.margin_ab, cell.margin_ba, cell.margin_bell,
+                    cell.current_b, cell.sigma)
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
     def test_hierarchy_on_real_grid(self):
         m = sweep2d(small_sweep())

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import steerlab as sl
@@ -56,6 +59,14 @@ class TestSteadyCommand:
 
     def test_config_error_exit_code(self, capsys):
         assert run(["steady", "--kappa", "-1"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--kappa=nan", "--gamma=inf", "--ta=inf"])
+    def test_non_finite_parameter_rejected(self, flag, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy could warn
+            assert run(["steady", flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
 
     def test_positivity_violation_exit_code(self, capsys):
         # a low-temperature strongly detuned point with a slightly negative
@@ -170,25 +181,20 @@ class TestSweepCommand:
         assert float(cell["sigma"]) == transport["sigma"]
 
 
-class TestJobs:
-    SWEEP = ["sweep", "--stat", "bose", "--ta", "0.5", "--tb", "0.5",
-             "--axis-x", "tbar", "--x-min", "0.3", "--x-max", "0.6", "--nx", "2",
-             "--axis-y", "kappa", "--y-min", "2.5", "--y-max", "3.0", "--ny", "2"]
+class TestNoWorkerOptions:
+    @pytest.mark.parametrize("mode", ["steady", "sweep", "threshold", "evolve",
+                                      "thresholds-table"])
+    def test_jobs_flag_rejected(self, mode, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([mode, "--jobs", "2"])
+        assert exc.value.code == 2
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_env_jobs_rejected(self, value, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("STEERLAB_JOBS", value)
-        assert run(self.SWEEP + ["--out", str(tmp_path / "g.csv")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (tmp_path / "g.csv").exists()
-
-    def test_env_jobs_ignored_outside_sweep(self, monkeypatch, capsys):
-        monkeypatch.setenv("STEERLAB_JOBS", "abc")
-        assert run(["steady"]) == 0
-
-    def test_jobs_flag_only_on_sweep(self):
-        with pytest.raises(SystemExit):
-            run(["steady", "--jobs", "2"])
+    def test_jobs_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        assert run(["steady", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "jobs" in err and err.count("\n") == 1
 
 
 class TestOutputs:
@@ -217,6 +223,18 @@ class TestOutputs:
         assert "gamma_a" in capsys.readouterr().err
 
 
+class TestNonFiniteSweep:
+    def test_nan_range_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "axis_x": "tbar", "x_range": [float("nan"), 0.6], "nx": 2,
+            "axis_y": "kappa", "y_range": [2.5, 3.0], "ny": 2}}))
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "g.csv").exists()
+
+
 class TestThresholdCommand:
     def test_threshold_json(self, capsys):
         code = run(["threshold", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
@@ -229,6 +247,16 @@ class TestThresholdCommand:
         expected = 2 + math.log(4 / 3) * 0.05
         assert abs(rep["kappa_threshold"] - expected) / expected < 1e-6
         assert abs(rep["relative_deviation"]["kappa_low_two_way"]) < 1e-6
+
+    def test_unequal_temperatures_have_no_closed_form(self, capsys):
+        code = run(["threshold", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
+                    "--gamma", "0.01", "--ta", "0.05", "--tb", "0.06",
+                    "--criterion", "two-way", "--bracket-lo", "2.003",
+                    "--bracket-hi", "2.3"])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["found"] is True
+        assert rep["analytic"] is None and "relative_deviation" not in rep
 
     def test_empty_bracket_result(self, capsys):
         code = run(["threshold", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
@@ -248,6 +276,12 @@ class TestThresholdsTable:
         assert code == 0
         table = json.loads(capsys.readouterr().out)
         assert table["kappa_resonant_two_way"] == pytest.approx(0.15606446, rel=1e-6)
+
+    def test_unequal_temperatures_rejected(self, capsys):
+        assert run(["thresholds-table", "--ta", "0.1", "--tb", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestEvolveCommand:
@@ -310,7 +344,7 @@ class TestPresets:
 
     def test_preset_runs_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"
-        code = run(["sweep", "--preset", "fig2", "--jobs", "2", "--out", str(out)])
+        code = run(["sweep", "--preset", "fig2", "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
@@ -325,3 +359,48 @@ class TestFixedFormat:
         assert "0.33333333333333331" in text
         assert '"nan"' in text
         assert json.loads(text.replace('"nan"', "0"))
+
+
+# numeric values the fuzz test draws for every flag, including the invalid ones
+FUZZ_VALUES = st.sampled_from([0.0, -1.0, 0.01, 0.5, 1.0, 2.0, 3.0, 1e300,
+                               float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for one subcommand with every numeric flag drawn."""
+    mode = draw(st.sampled_from(["steady", "sweep", "threshold", "evolve",
+                                 "thresholds-table"]))
+    argv = [mode, f"--stat={draw(st.sampled_from(['bose', 'fermi']))}"]
+    values = {flag: draw(FUZZ_VALUES)
+              for flag in ("eps-a", "eps-b", "kappa", "gamma", "ta", "mua", "mub")}
+    # equal temperatures half of the time, so that the closed forms are reached
+    values["tb"] = draw(st.one_of(st.just(values["ta"]), FUZZ_VALUES))
+    argv += [f"--{flag}={value!r}" for flag, value in values.items()]
+    if mode == "sweep":
+        argv += [f"--axis-x={draw(st.sampled_from(['tbar', 'kappa', 'delta_t']))}",
+                 f"--axis-y={draw(st.sampled_from(['ta', 'kappa', 'mubar']))}",
+                 f"--nx={draw(st.integers(-1, 3))}", f"--ny={draw(st.integers(-1, 3))}"]
+        for flag in ("x-min", "x-max", "y-min", "y-max"):
+            argv.append(f"--{flag}={draw(FUZZ_VALUES)!r}")
+    elif mode == "threshold":
+        argv += [f"--criterion={draw(st.sampled_from(['two-way', 'entanglement', 'bell']))}",
+                 f"--bracket-lo={draw(FUZZ_VALUES)!r}", f"--bracket-hi={draw(FUZZ_VALUES)!r}"]
+    elif mode == "evolve":
+        # at most 200 steps: t_final from {0.5, 2}, dt from {0.01, 0.05, ...}
+        argv += [f"--t-final={draw(st.sampled_from([0.0, -1.0, 0.5, 2.0, float('nan'), float('inf')]))!r}",
+                 f"--dt={draw(st.sampled_from([0.0, -1.0, 0.01, 0.05, float('nan'), float('inf')]))!r}"]
+    return argv
+
+
+class TestMainFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=cli_argv())
+    # bar_eps**2 in the closed-form table overflowed a Python float
+    @example(argv=["thresholds-table", "--eps-a=1e300", "--eps-b=1.0"])
+    def test_main_returns_an_exit_code(self, argv, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fuzz") / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv + [f"--out={out}"])
+        assert code in (0, 2, 3, 4)
