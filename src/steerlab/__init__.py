@@ -25,9 +25,7 @@ from .rates import (
 from .generator import (
     Generator,
     Setup,
-    apply_generator,
     build_generator,
-    reservoir_part,
 )
 from .steady import (
     EquilibriumState,
@@ -42,13 +40,8 @@ from .correlations import (
     Direction,
     Method,
     XState,
-    chsh_bell,
     classify,
     extract_xstate,
-    general_steering,
-    ppt_entangled,
-    steering_map,
-    xstate_steering,
 )
 from .transport import (
     Observable,

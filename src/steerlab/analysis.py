@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass, replace
-from itertools import repeat
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -112,16 +111,19 @@ class SweepConfig:
     def y_values(self) -> np.ndarray:
         return np.linspace(self.y_range[0], self.y_range[1], self.ny)
 
-    def point(self, x: float, y: float) -> tuple[SystemParams, ReservoirSpec, ReservoirSpec]:
-        system = self.system
+    def _compose(self, x, y):
+        """(kappa, t_a, t_b, mu_a, mu_b) at x and y, elementwise over arrays.
+
+        Level-setting axes apply first and difference axes second, so that
+        e.g. a MUBAR x DELTA_MU grid composes as mean and difference.
+        """
+        kappa = self.system.kappa
         t_a, t_b, mu_a, mu_b = self.t_a, self.t_b, self.mu_a, self.mu_b
-        pairs = [(self.axis_x, x), (self.axis_y, y)]
-        # level-setting axes first, difference axes second, so that e.g. a
-        # MUBAR x DELTA_MU grid composes as mean and difference
-        pairs.sort(key=lambda p: p[0] in (Axis.DELTA_T, Axis.DELTA_MU))
+        pairs = sorted([(self.axis_x, x), (self.axis_y, y)],
+                       key=lambda p: p[0] in (Axis.DELTA_T, Axis.DELTA_MU))
         for axis, v in pairs:
             if axis is Axis.KAPPA:
-                system = replace(system, kappa=v)
+                kappa = v
             elif axis is Axis.TBAR:
                 t_a = t_b = v
             elif axis is Axis.DELTA_T:
@@ -142,9 +144,31 @@ class SweepConfig:
                 mu_b = v
         if self.statistics is Statistics.BOSE:
             mu_a = mu_b = 0.0
-        ra = ReservoirSpec(self.statistics, t_a, mu_a)
-        rb = ReservoirSpec(self.statistics, t_b, mu_b)
-        return system, ra, rb
+        return kappa, t_a, t_b, mu_a, mu_b
+
+    def point(self, x: float, y: float) -> tuple[SystemParams, ReservoirSpec, ReservoirSpec]:
+        kappa, t_a, t_b, mu_a, mu_b = self._compose(x, y)
+        system = self.system
+        if Axis.KAPPA in (self.axis_x, self.axis_y):
+            system = replace(system, kappa=kappa)
+        return (system, ReservoirSpec(self.statistics, t_a, mu_a),
+                ReservoirSpec(self.statistics, t_b, mu_b))
+
+    def row_cells(self, y: float) -> Cells:
+        """The cells of the grid row at y, built from the x vector.
+
+        A cell that point() would reject (only a temperature can fail, as a
+        level axis may drive a difference axis' temperature non-positive) is
+        rejected by point() itself: the first one raises its own error.
+        """
+        x, s = self.x_values(), self.system
+        eps_a, eps_b, gamma, kappa, t_a, t_b, mu_a, mu_b = np.array(np.broadcast_arrays(
+            x, s.eps_a, s.eps_b, s.gamma, *self._compose(x, y))[1:], dtype=float)
+        ok = (t_a > 0) & (t_b > 0) & np.isfinite([t_a, t_b, mu_a, mu_b]).all(axis=0)
+        if not ok.all():
+            self.point(float(x[np.argmin(ok)]), y)
+        return Cells.build(eps_a, eps_b, kappa, gamma, np.stack([t_a, t_b], axis=-1),
+                           np.stack([mu_a, mu_b], axis=-1), self.statistics)
 
 
 @dataclass(frozen=True)
@@ -166,18 +190,31 @@ class GridCell:
     positivity_ok: bool
 
 
+# GridCell fields, in the order of the CSV columns
+FIELDS = tuple(f.name for f in fields(GridCell))
+
+
 @dataclass(frozen=True)
 class RegionMap:
-    """Row-major grid of cells: y is the outer loop, x the inner one."""
+    """Row-major grid of cells (y outer, x inner) as one (ny*nx,) array per
+    GridCell field, which `cell` and `cells` view as GridCells; diagnostics
+    holds the worst steady-state solver values over the grid (see sweep2d)."""
 
     config: SweepConfig
-    cells: tuple[GridCell, ...]
+    columns: dict[str, np.ndarray]
+    diagnostics: dict[str, float] = field(default_factory=dict)
 
     def cell(self, ix: int, iy: int) -> GridCell:
-        return self.cells[iy * self.config.nx + ix]
+        i = iy * self.config.nx + ix
+        return GridCell(*(col[i].item() for col in self.columns.values()))
+
+    @property
+    def cells(self) -> tuple[GridCell, ...]:
+        """Every cell in row-major order, one GridCell each."""
+        return tuple(GridCell(*row) for row in zip(*(c.tolist() for c in self.columns.values())))
 
     def masked_count(self) -> int:
-        return sum(1 for c in self.cells if not c.positivity_ok)
+        return int(np.count_nonzero(~self.columns["positivity_ok"]))
 
 
 def run_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec):
@@ -215,37 +252,50 @@ def _states(points: list[tuple[SystemParams, ReservoirSpec, ReservoirSpec]]):
     return g, steady_arrays(g.total, g.vectors)
 
 
-def _row(config: SweepConfig, y: float) -> list[GridCell]:
-    """The cells of one grid row of fixed y, evaluated as one batch.
+def _row(config: SweepConfig, y: float):
+    """The columns of one grid row of fixed y, evaluated as one batch, and
+    the row's (largest residual, smallest eigenvalue, smallest null-space ratio).
 
     The masking rule of run_point applies per cell: a state that fails
     classification is masked if it violates positivity, and raises if not.
     """
-    xs = config.x_values().tolist()
-    g, st = _states([config.point(x, y) for x in xs])
+    g = generator_arrays(config.row_cells(y))
+    st = steady_arrays(g.total, g.vectors)
     c = classify_arrays(st.local)
     fault = c.fault >= 0
     if (fault & st.positive).any():
         raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(fault & st.positive)]])
     _, current_b, sigma = transport_arrays(g.parts, g.energies, g.numbers, g.cells,
                                            st.vector6, st.residual)
-    columns = (c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent,
-               c.margin_ab, c.margin_ba, c.margin_bell, current_b, sigma, st.positive)
-    return [GridCell(*cell) for cell in zip(xs, repeat(y), *(a.tolist() for a in columns))]
+    columns = (config.x_values(), np.full(config.nx, y), c.entangled, c.steer_a_to_b,
+               c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab, c.margin_ba,
+               c.margin_bell, current_b, sigma, st.positive)
+    return columns, (st.residual.max(), st.min_eigenvalue.min(), st.null_ratio.min())
 
 
 def sweep2d(config: SweepConfig) -> RegionMap:
-    """Evaluate the grid one row at a time; row-major in (y, x)."""
-    cells = [cell for y in config.y_values().tolist() for cell in _row(config, y)]
+    """Evaluate the grid one row at a time; row-major in (y, x).
+
+    The map's diagnostics are the largest steady-state residual, the most
+    negative minimum eigenvalue and the smallest null-space ratio s_1/s_0
+    over all cells, masked ones included.
+    """
+    rows, worst = zip(*(_row(config, y) for y in config.y_values().tolist()))
+    worst = np.array(worst)
+    m = RegionMap(config, dict(zip(FIELDS, map(np.concatenate, zip(*rows)))), {
+        "max_residual": float(worst[:, 0].max()),
+        "min_eigenvalue": float(worst[:, 1].min()),
+        "min_null_space_ratio": float(worst[:, 2].min()),
+    })
     # `steerlab steady` at a grid point runs the same kernels through the
     # single-point functions; the first cell of every sweep confirms that
     # both give the same bits
-    first = cells[0]
+    first = m.cell(0, 0)
     point = _grid_cell(first.x, first.y, *run_point(*config.point(first.x, first.y))[1:])
     if not np.array_equal(astuple(point), astuple(first), equal_nan=True):
         raise InternalConsistencyError(
             f"single-point pipeline gives {point}, the sweep row gives {first}")
-    return RegionMap(config=config, cells=tuple(cells))
+    return m
 
 
 class Criterion(enum.Enum):
@@ -412,16 +462,16 @@ def hierarchy_check(m: RegionMap) -> list[HierarchyViolation]:
     Positivity-masked cells are skipped (they are excluded from region
     statistics); the masked count is reported separately.
     """
+    c = m.columns
+    bell = c["positivity_ok"] & c["bell"] & ~(c["steer_ab"] & c["steer_ba"])
+    unentangled = c["positivity_ok"] & (c["steer_ab"] | c["steer_ba"]) & ~c["entangled"]
     violations = []
-    for iy in range(m.config.ny):
-        for ix in range(m.config.nx):
-            c = m.cell(ix, iy)
-            if not c.positivity_ok:
-                continue
-            if c.bell and not (c.steer_ab and c.steer_ba):
-                violations.append(HierarchyViolation(ix, iy, "bell without two-way steering"))
-            if (c.steer_ab or c.steer_ba) and not c.entangled:
-                violations.append(HierarchyViolation(ix, iy, "steerable but not entangled"))
+    for i in np.flatnonzero(bell | unentangled).tolist():
+        iy, ix = divmod(i, m.config.nx)
+        if bell[i]:
+            violations.append(HierarchyViolation(ix, iy, "bell without two-way steering"))
+        if unentangled[i]:
+            violations.append(HierarchyViolation(ix, iy, "steerable but not entangled"))
     return violations
 
 
@@ -451,20 +501,21 @@ def entanglement_boundary_fit(m: RegionMap, band_ratio: float = 0.25) -> Boundar
     xs = m.config.x_values()
     cell_w = xs[1] - xs[0]
     refine_tol = 1e-4 * (m.config.x_range[1] - m.config.x_range[0])
+    margins = m.columns["margin_ent"].reshape(m.config.ny, m.config.nx).tolist()
     sums = []
-    for iy, y in enumerate(m.config.y_values()):
+    for y, row in zip(m.config.y_values(), margins):
         for ix in range(m.config.nx - 1):
-            a, b = m.cell(ix, iy), m.cell(ix + 1, iy)
-            if (a.margin_ent > 0) == (b.margin_ent > 0):
+            a, b = row[ix], row[ix + 1]
+            if (a > 0) == (b > 0):
                 continue
-            frac = a.margin_ent / (a.margin_ent - b.margin_ent)
+            frac = a / (a - b)
             x_est = xs[ix] + frac * (xs[ix + 1] - xs[ix])
             if abs(x_est - y) > band_ratio * 0.5 * (x_est + y) + cell_w:
                 continue
             lo, hi, _ = _bisect(
                 lambda points: _margins([m.config.point(x, float(y)) for x in points],
                                         Criterion.ENTANGLEMENT),
-                float(xs[ix]), float(xs[ix + 1]), a.margin_ent, refine_tol)
+                float(xs[ix]), float(xs[ix + 1]), a, refine_tol)
             x_cross = 0.5 * (lo + hi)
             if abs(x_cross - y) <= band_ratio * 0.5 * (x_cross + y):
                 sums.append(x_cross + y)

@@ -115,6 +115,8 @@ CSV_COLUMNS = [
     "margin_ent", "margin_ab", "margin_ba", "margin_bell",
     "current_b", "sigma", "positivity_ok",
 ]
+# one grid cell: %.17g floats, 0/1 flags
+CSV_ROW = "%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 
 def fmt(v: float) -> str:
@@ -294,9 +296,10 @@ def _atomic_write(path: str, text: str) -> str:
 
 
 def _emit(cfg: dict, text: str, started: float, masked: int = 0,
-          default_out: str | None = None) -> str | None:
+          default_out: str | None = None, diagnostics: dict | None = None) -> str | None:
     """Write text to the configured output and its manifest, or print it.
 
+    diagnostics, if given, goes into the manifest after the outputs.
     Returns the path written, or None when the text went to stdout.
     """
     out = cfg.get("out") or default_out
@@ -311,6 +314,8 @@ def _emit(cfg: dict, text: str, started: float, masked: int = 0,
         "masked_cells": masked,
         "outputs": {out: f"sha256:{digest}"},
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     _atomic_write(out + ".manifest.json", dumps_fixed(manifest) + "\n")
     return out
 
@@ -367,18 +372,11 @@ def cmd_sweep(cfg: dict) -> int:
         t_a=ra.temperature, t_b=rb.temperature, mu_a=ra.mu, mu_b=rb.mu,
     )
     region = sweep2d(sweep_cfg)
-    lines = [",".join(CSV_COLUMNS)]
-    for c in region.cells:
-        lines.append(",".join([
-            fmt(c.x), fmt(c.y),
-            str(int(c.entangled)), str(int(c.steer_ab)),
-            str(int(c.steer_ba)), str(int(c.bell)),
-            fmt(c.margin_ent), fmt(c.margin_ab), fmt(c.margin_ba),
-            fmt(c.margin_bell), fmt(c.current_b), fmt(c.sigma),
-            str(int(c.positivity_ok)),
-        ]))
+    rows = zip(*(col.tolist() for col in region.columns.values()))
+    text = "".join([",".join(CSV_COLUMNS) + "\n"] + [CSV_ROW % row for row in rows])
     masked = region.masked_count()
-    out = _emit(cfg, "\n".join(lines) + "\n", started, masked, default_out="sweep.csv")
+    out = _emit(cfg, text, started, masked, default_out="sweep.csv",
+                diagnostics=region.diagnostics)
     print(f"wrote {out}: {sweep_cfg.nx}x{sweep_cfg.ny} cells, {masked} masked")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NotXStateError, RegimeError
+from .errors import InternalConsistencyError, NotXStateError
 from .model import Basis, DensityMatrix4, EigenSystem, Phase
 
 # strict-greater slack at criterion boundaries
@@ -177,32 +177,10 @@ def _general_margins(m: np.ndarray) -> np.ndarray:
     return -np.linalg.eigvalsh(partial_transpose_b(_depolarized(m)))[..., 0]
 
 
-def steering_map(rho: DensityMatrix4, direction: Direction) -> DensityMatrix4:
-    """Partially depolarize the steering party's qubit.
-
-    The output is a valid state whose entanglement witnesses steerability in
-    the given direction (see _depolarized for the construction).
-    """
-    if rho.basis is not Basis.LOCAL:
-        raise ValueError("steering_map expects the local basis")
-    m = _depolarized(rho.entries)[1 if direction is Direction.A_TO_B else 2]
-    return DensityMatrix4(entries=m, basis=Basis.LOCAL)
-
-
 def partial_transpose_b(m: np.ndarray) -> np.ndarray:
     """Transpose qubit B of a (..., 4, 4) array of two-qubit matrices."""
     lead = m.shape[:-2]
     return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
-
-
-def ppt_entangled(rho: DensityMatrix4) -> tuple[bool, float]:
-    """Entanglement via the partial transpose on qubit B.
-
-    Returns (flag, margin) with margin = -(smallest transpose eigenvalue);
-    the flag requires the eigenvalue below -1e-10.
-    """
-    min_eig = float(np.linalg.eigvalsh(partial_transpose_b(rho.entries))[0])
-    return min_eig < -PPT_TOL, -min_eig
 
 
 def _rho14_inert(x: XState):
@@ -235,33 +213,6 @@ def _closed_margins(x: XState):
     u = 2.0 * (x.rho22 + x.rho33) - 1.0
     bell = np.maximum(coh2 - 0.125, coh2 - (0.25 - 0.25 * u * u))
     return coh2 - x.rho11 * x.rho44, coh2 - (f.f_a + f.f_b), coh2 - (f.f_a - f.f_b), bell
-
-
-def xstate_steering(x: XState) -> tuple[tuple[bool, float], tuple[bool, float]]:
-    """Closed-form steering verdicts ((A->B flag, margin), (B->A flag, margin)).
-
-    Margins are |rho23|^2 - (f_a +/- f_b).  Valid only while rho14 is inert
-    (see _rho14_inert); outside that regime RegimeError sends callers to the
-    general route.
-    """
-    if not _rho14_inert(x):
-        raise RegimeError(
-            f"|rho14|={abs(x.rho14):.3g} not negligible against |rho23|={abs(x.rho23):.3g}"
-        )
-    _, m_ab, m_ba, _ = _closed_margins(x)
-    return (m_ab > MARGIN_TOL, m_ab), (m_ba > MARGIN_TOL, m_ba)
-
-
-def general_steering(rho: DensityMatrix4, direction: Direction) -> tuple[bool, float]:
-    """Steerability via entanglement of the depolarized state (ground truth)."""
-    return ppt_entangled(steering_map(rho, direction))
-
-
-def chsh_bell(x: XState) -> tuple[bool, float]:
-    """CHSH violation criterion for X states with negligible rho14 (see
-    _closed_margins for the two branches)."""
-    margin = float(_closed_margins(x)[3])
-    return margin > MARGIN_TOL, margin
 
 
 def eigen_populations(

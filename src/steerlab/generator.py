@@ -37,9 +37,6 @@ from .model import (
 )
 from .rates import COEFFICIENTS, Cells, RateSet, ReservoirSpec, Statistics, rate_arrays, rate_set
 
-VEC6_TOL = 1e-12
-
-
 class Setup(enum.Enum):
     WEAK_BOSE = "weak-bose"
     WEAK_FERMI = "weak-fermi"
@@ -223,24 +220,6 @@ def build_generator(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> Ge
     )
 
 
-def apply_generator(g: Generator, v: np.ndarray) -> np.ndarray:
-    """Time derivative of a 6-entry state vector: total @ v."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (6,):
-        raise ValueError(f"state vector must have shape (6,), got {v.shape}")
-    return g.total @ v
-
-
-def reservoir_part(g: Generator, which: str) -> np.ndarray:
-    """Dissipative part attributed to reservoir 'A' or 'B'."""
-    key = which.upper()
-    if key == "A":
-        return g.res_a_part
-    if key == "B":
-        return g.res_b_part
-    raise ValueError(f"reservoir must be 'A' or 'B', got {which!r}")
-
-
 # flat (4x4) positions of the six entries
 _VEC6_FLAT = [0, 5, 10, 15, 6, 9]
 
@@ -270,15 +249,3 @@ _VEC6_ADJOINT = [0, 1, 2, 3, 5, 4]
 def hermitize_vector6(v: np.ndarray) -> np.ndarray:
     """Real populations and a conjugate coherence pair, from their mean; (..., 6)."""
     return 0.5 * (v + v[..., _VEC6_ADJOINT].conj())
-
-
-def validate_state_vector6(v: np.ndarray, tol: float = VEC6_TOL) -> None:
-    """Check the representation invariants of a physical 6-entry state."""
-    v = np.asarray(v, dtype=complex)
-    pops = v[:4]
-    if np.max(np.abs(pops.imag)) > tol:
-        raise ValueError("population entries must be real within 1e-12")
-    if abs(pops.real.sum() - 1.0) > tol:
-        raise ValueError("population entries must sum to 1 within 1e-12")
-    if abs(v[5] - np.conj(v[4])) > tol:
-        raise ValueError("entry 6 must equal conj(entry 5) within 1e-12")

@@ -86,24 +86,35 @@ class DerivedParams:
     phase: Phase
 
 
-def derive_params(p: SystemParams) -> DerivedParams:
-    """Compute derived parameters; reject couplings at the phase boundary.
+def derive_arrays(eps_a, eps_b, kappa):
+    """(bar_eps, delta_eps, omega, theta, strong) elementwise over cell arrays.
 
-    Strong phase iff kappa > 2*sqrt(eps_a*eps_b), equivalently omega > bar_eps.
-    atan2 makes theta = pi/2 exact for degenerate qubits.
+    Strong phase iff kappa > 2*sqrt(eps_a*eps_b), equivalently omega > bar_eps;
+    theta = atan2(kappa, delta_eps), pi/2 exactly for degenerate qubits.  The
+    first coupling at the phase boundary is rejected.  Single points and grid
+    rows go through these same numpy operations, so both give the same bits.
     """
-    bar_eps = 0.5 * (p.eps_a + p.eps_b)
-    delta_eps = p.eps_a - p.eps_b
-    boundary = 2.0 * math.sqrt(p.eps_a * p.eps_b)
-    if abs(p.kappa - boundary) <= BOUNDARY_REL_TOL * bar_eps:
+    bar_eps = 0.5 * (eps_a + eps_b)
+    delta_eps = eps_a - eps_b
+    boundary = 2.0 * np.sqrt(eps_a * eps_b)
+    near = np.abs(kappa - boundary) <= BOUNDARY_REL_TOL * bar_eps
+    if np.count_nonzero(near):
+        kappa, bar_eps, boundary = np.broadcast_arrays(kappa, bar_eps, boundary)
+        i = np.unravel_index(np.argmax(near), near.shape)
         raise PhaseBoundaryError(
-            f"kappa={p.kappa} within {BOUNDARY_REL_TOL * bar_eps:.3g} of the "
-            f"level crossing at {boundary}; lower transition energy vanishes there"
+            f"kappa={kappa[i]} within {BOUNDARY_REL_TOL * bar_eps[i]:.3g} of the "
+            f"level crossing at {boundary[i]}; lower transition energy vanishes there"
         )
-    omega = 0.5 * math.hypot(delta_eps, p.kappa)
-    theta = math.pi / 2 if delta_eps == 0 else math.atan2(p.kappa, delta_eps)
-    phase = Phase.STRONG if p.kappa > boundary else Phase.WEAK
-    return DerivedParams(bar_eps, delta_eps, omega, theta, phase)
+    omega = 0.5 * np.hypot(delta_eps, kappa)
+    return bar_eps, delta_eps, omega, np.arctan2(kappa, delta_eps), kappa > boundary
+
+
+def derive_params(p: SystemParams) -> DerivedParams:
+    """Derived parameters of one system: derive_arrays at a single cell."""
+    bar_eps, delta_eps, omega, theta, strong = derive_arrays(
+        np.float64(p.eps_a), np.float64(p.eps_b), np.float64(p.kappa))
+    return DerivedParams(float(bar_eps), float(delta_eps), float(omega), float(theta),
+                         Phase.STRONG if strong else Phase.WEAK)
 
 
 def hamiltonian_matrix(p: SystemParams) -> np.ndarray:
@@ -201,9 +212,9 @@ def eigensystem(p: SystemParams) -> EigenSystem:
 class DensityMatrix4:
     """4x4 density matrix with an explicit basis tag.
 
-    Hermiticity and unit trace are enforced at construction; positivity is
-    queried separately because Bloch-Redfield states may (slightly) violate it
-    and that must be reported, not rejected.
+    Finite entries, Hermiticity and unit trace are enforced at construction;
+    positivity is queried separately because Bloch-Redfield states may
+    (slightly) violate it and that must be reported, not rejected.
     """
 
     entries: np.ndarray
@@ -213,6 +224,9 @@ class DensityMatrix4:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"density matrix must be 4x4, got {m.shape}")
+        # nan fails every tolerance comparison below, so it is rejected here
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise ValueError("density matrix not Hermitian within 1e-12")
         trace = m.trace()
@@ -220,12 +234,6 @@ class DensityMatrix4:
             raise ValueError("density matrix trace must be 1 within 1e-12")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def is_positive(self, tol: float = POSITIVITY_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol
 
 
 def conjugate(m: np.ndarray, v: np.ndarray, to_local: bool) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import DerivedParams, Phase, SystemParams, derive_params
+from .model import DerivedParams, SystemParams, derive_arrays
 
 # Bose occupation rejected below this multiple of T (divergence guard)
 BOSE_EPS_FLOOR = 1e-9
@@ -146,12 +146,13 @@ class RateSet:
 class Cells:
     """Per-cell inputs of the array kernels, over leading cell axes.
 
-    The derived parameters of each cell's system (model.derive_params) come
+    The derived parameters of each cell's system (model.derive_arrays) come
     with its coupling constant gamma and its reservoirs' temperature and mu,
     the latter two as (..., 2) arrays: reservoir A, reservoir B.  All cells
-    share one statistics.  `of` stacks N cells along one axis; `at` holds a
-    single cell with no cell axis, which is how the single-point functions
-    call the kernels.
+    share one statistics.  `build` takes parameter arrays (a sweep row builds
+    them from its axis vectors), `of` stacks N points along one axis, and
+    `at` holds a single cell with no cell axis, which is how the
+    single-point functions call the kernels.
     """
 
     bar_eps: np.ndarray
@@ -163,30 +164,32 @@ class Cells:
     mu: np.ndarray
     statistics: Statistics
 
-    @staticmethod
-    def _row(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec, stat: Statistics):
-        if ra.statistics is not stat or rb.statistics is not stat:
-            raise ConfigurationError(
-                "reservoirs must share statistics (both bose or both fermi)")
-        d = derive_params(p)
-        return (d.bar_eps, d.omega, d.theta, d.phase is Phase.STRONG, p.gamma,
-                ra.temperature, rb.temperature, ra.mu, rb.mu)
+    @classmethod
+    def build(cls, eps_a, eps_b, kappa, gamma, temperature: np.ndarray, mu: np.ndarray,
+              statistics: Statistics) -> Cells:
+        """Cells from system parameters of equal shape and (..., 2) reservoir
+        temperatures and mu, derived by model.derive_arrays like every cell."""
+        bar_eps, _, omega, theta, strong = derive_arrays(eps_a, eps_b, kappa)
+        return cls(bar_eps, omega, theta, strong, gamma, temperature, mu, statistics)
 
     @classmethod
     def of(cls, points: Sequence[tuple[SystemParams, ReservoirSpec, ReservoirSpec]]) -> Cells:
         stat = points[0][1].statistics
+        if any(r.statistics is not stat for _, ra, rb in points for r in (ra, rb)):
+            raise ConfigurationError("reservoirs must share statistics (both bose or both fermi)")
         # one contiguous row per parameter
-        columns = np.array([cls._row(*pt, stat) for pt in points], dtype=float).T.copy()
-        return cls(*columns[:3], columns[3] > 0, columns[4], columns[5:7].T.copy(),
-                   columns[7:9].T.copy(), stat)
+        columns = np.array([(p.eps_a, p.eps_b, p.kappa, p.gamma, ra.temperature,
+                             rb.temperature, ra.mu, rb.mu) for p, ra, rb in points],
+                           dtype=float).T.copy()
+        return cls.build(*columns[:4], columns[4:6].T.copy(), columns[6:8].T.copy(), stat)
 
     @classmethod
     def at(cls, p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> Cells:
-        bar_eps, omega, theta, strong, gamma, t_a, t_b, mu_a, mu_b = cls._row(
-            p, ra, rb, ra.statistics)
-        return cls(np.float64(bar_eps), np.float64(omega), np.float64(theta),
-                   np.bool_(strong), np.float64(gamma), np.array([t_a, t_b], dtype=float),
-                   np.array([mu_a, mu_b], dtype=float), ra.statistics)
+        if ra.statistics is not rb.statistics:
+            raise ConfigurationError("reservoirs must share statistics (both bose or both fermi)")
+        return cls.build(np.float64(p.eps_a), np.float64(p.eps_b), np.float64(p.kappa),
+                         np.float64(p.gamma), np.array([ra.temperature, rb.temperature], float),
+                         np.array([ra.mu, rb.mu], float), ra.statistics)
 
 
 def rate_arrays(c: Cells) -> RateSet:

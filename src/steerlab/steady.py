@@ -30,6 +30,7 @@ from .model import (
 from .rates import ReservoirSpec, Statistics, occupation, transition_energies
 
 RESIDUAL_TOL = 1e-10
+EPS = np.finfo(float).eps
 # stability bound on the fixed RK4 step: dt <= DT_SAFETY / ||M||_inf
 DT_SAFETY = 0.1
 
@@ -55,47 +56,70 @@ class SteadyArrays(NamedTuple):
     local: np.ndarray      # (N, 4, 4) local basis
     min_eigenvalue: np.ndarray
     positive: np.ndarray
+    null_ratio: np.ndarray  # (N,) s_1/s_0, the two smallest singular values of M
 
 
 def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if np.count_nonzero(bad) else None
 
 
-def steady_arrays(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
-    """Solve M|rho> = 0 for N matrices (N,6,6) by full eigendecomposition.
+# the trace row (unit population sum) that replaces row 0 of each M
+_TRACE_ROW = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
-    vectors (N,4,4) are the eigenvector columns that carry each state to the
-    local basis.  The eigenvalue of smallest magnitude is taken as the null
-    direction; its vector is normalized to unit population sum and
-    Hermitized.  A second eigenvalue within 10x of the smallest magnitude
-    flags a degenerate null space.
+
+def min_eigenvalue_energy(v: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the energy-basis states of Hermitian 6-entry
+    vectors (..., 6): the populations p_g, p_e3 and the lower eigenvalue
+    (a+b)/2 - hypot((a-b)/2, |c|) of the e1-e2 block [[a, c], [c*, b]]."""
+    p = v[..., :4].real
+    a, b = p[..., 1], p[..., 2]
+    block = 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(v[..., 4].real, v[..., 4].imag))
+    return np.minimum(np.minimum(p[..., 0], p[..., 3]), block)
+
+
+def steady_arrays(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
+    """Solve M|rho> = 0 for N matrices (N,6,6) by a bordered linear solve.
+
+    vectors (N,4,4) carry each state to the local basis.  Trace preservation
+    makes row 0 of M minus the sum of rows 1-3, so replacing it by the trace
+    row (1,1,1,1,0,0) and solving for e_0 gives the null vector with unit
+    population sum; it is then Hermitized.  The null space must be
+    one-dimensional: the two smallest singular values s_0 <= s_1 of M must
+    satisfy s_1 >= 10 s_0 (the 10x rule once applied to the two smallest
+    eigenvalue magnitudes) and s_1 > 6 eps s_max (above rounding), else
+    DegenerateSteadyStateError is raised, as it is for a singular bordered
+    matrix (a null vector without population).  null_ratio reports s_1/s_0.
     """
-    eigvals, eigvecs = np.linalg.eig(total)
-    mags = np.abs(eigvals)
-    order = np.argsort(mags, axis=-1)
-    cells = np.arange(len(total))
-    smallest, second = mags[cells[:, None], order[:, :2]].T
-    i = _first(second < 10.0 * smallest)
-    if i is not None:
+    bordered = total.copy()
+    bordered[:, 0, :] = _TRACE_ROW
+    try:
+        sv = np.linalg.svd(total, compute_uv=False)
+        smallest, second = sv[:, -1], sv[:, -2]
+        # a nan fails too, and so does an s_1 at the rounding level of M,
+        # where the ratio of two rounding errors says nothing
+        i = _first(~(second >= 10.0 * smallest) | (second <= 6 * EPS * sv[:, 0]))
+        if i is not None:
+            raise DegenerateSteadyStateError(
+                f"null space ill-conditioned: singular values s_0={smallest[i]:.3g}, "
+                f"s_1={second[i]:.3g}")
+        v = np.linalg.solve(bordered, np.broadcast_to(np.eye(6, 1), (len(total), 6, 1)))[..., 0]
+    except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
-            f"null space ill-conditioned: |lambda_0|={smallest[i]:.3g}, "
-            f"|lambda_1|={second[i]:.3g}"
-        )
-    v = eigvecs[cells, :, order[:, 0]]
-    pop_sum = v[:, :4].sum(axis=-1)
-    if _first(np.abs(pop_sum) < 1e-300) is not None:
-        raise DegenerateSteadyStateError("null vector has vanishing population sum")
-    v = hermitize_vector6(v / pop_sum[:, None])
+            f"steady-state solve failed ({exc}): a non-finite generator, or a null "
+            "vector with vanishing population sum") from None
+    v = hermitize_vector6(v)
     residual = np.abs(total @ v[..., None]).max(axis=(-2, -1))
-    i = _first(residual > RESIDUAL_TOL)
+    i = _first(~(residual <= RESIDUAL_TOL))
     if i is not None:
         raise DegenerateSteadyStateError(
             f"steady-state residual {residual[i]:.3g} exceeds {RESIDUAL_TOL}"
         )
     energy = from_vector6(v)
-    min_eig = np.linalg.eigvalsh(energy)[:, 0]
+    min_eig = min_eigenvalue_energy(v)
+    with np.errstate(divide="ignore"):
+        ratio = second / smallest
     return SteadyArrays(v, residual, energy, conjugate(energy, vectors, to_local=True),
-                        min_eig, min_eig >= -POSITIVITY_TOL)
+                        min_eig, min_eig >= -POSITIVITY_TOL, ratio)
 
 
 def steady_state(g: Generator) -> SteadyResult:
@@ -259,9 +283,7 @@ def equilibrium_analytic(
         ]
         rho23 = sin_th * (np_ - nq) / 2
     energy = DensityMatrix4(entries=np.diag(diag.astype(complex)), basis=Basis.ENERGY)
-    m_local = np.zeros((4, 4), dtype=complex)
-    for i, val in enumerate(local_diag):
-        m_local[i, i] = val
+    m_local = np.diag(np.array(local_diag, dtype=complex))
     m_local[1, 2] = rho23
     m_local[2, 1] = np.conj(rho23)
     local = DensityMatrix4(entries=m_local, basis=Basis.LOCAL)

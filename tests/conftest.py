@@ -6,10 +6,15 @@ dual route.
 """
 from __future__ import annotations
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
 import steerlab as sl
+from steerlab.analysis import Axis, SweepConfig
+from steerlab.rates import Statistics
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
 
@@ -73,3 +78,21 @@ def random_system(rng: np.random.Generator, phase: sl.Phase,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+PRESET_NAMES = ["fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5a", "fig5b",
+                "fig5c", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "fig7c",
+                "fig8a", "fig8b", "fig9a", "fig9b"]
+
+
+def load_preset_config(name: str) -> SweepConfig:
+    ref = resources.files("steerlab.presets").joinpath(name + ".json")
+    cfg = json.loads(ref.read_text())
+    s, r, sw = cfg["system"], cfg["reservoirs"], cfg["sweep"]
+    return SweepConfig(
+        axis_x=Axis(sw["axis_x"]), x_range=tuple(sw["x_range"]), nx=sw["nx"],
+        axis_y=Axis(sw["axis_y"]), y_range=tuple(sw["y_range"]), ny=sw["ny"],
+        system=sl.SystemParams(s["eps_a"], s["eps_b"], s["kappa"], s["gamma"]),
+        statistics=Statistics(r["statistics"]),
+        t_a=r["ta"], t_b=r["tb"], mu_a=r.get("mua", 0.0), mu_b=r.get("mub", 0.0),
+    )

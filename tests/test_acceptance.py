@@ -9,7 +9,6 @@ fails honestly rather than being inverted to pass.
 import json
 import math
 import os
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +16,7 @@ import pytest
 
 import steerlab as sl
 from steerlab.analysis import (
-    Axis,
     Criterion,
-    SweepConfig,
     analytic_thresholds,
     entanglement_boundary_fit,
     hierarchy_check,
@@ -33,30 +30,19 @@ from steerlab.rates import Statistics
 from steerlab.steady import max_stable_dt
 from steerlab.transport import transport_report
 
-from conftest import gibbs_local, random_system, record_criterion, werner_state
+from conftest import (
+    PRESET_NAMES,
+    gibbs_local,
+    load_preset_config,
+    random_system,
+    record_criterion,
+    werner_state,
+)
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
-
-PRESET_NAMES = ["fig2", "fig3a", "fig3b", "fig3c", "fig4", "fig5a", "fig5b",
-                "fig5c", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b", "fig7c",
-                "fig8a", "fig8b", "fig9a", "fig9b"]
-
-
-def load_preset_config(name: str) -> SweepConfig:
-    ref = resources.files("steerlab.presets").joinpath(name + ".json")
-    cfg = json.loads(ref.read_text())
-    s, r, sw = cfg["system"], cfg["reservoirs"], cfg["sweep"]
-    return SweepConfig(
-        axis_x=Axis(sw["axis_x"]), x_range=tuple(sw["x_range"]), nx=sw["nx"],
-        axis_y=Axis(sw["axis_y"]), y_range=tuple(sw["y_range"]), ny=sw["ny"],
-        system=sl.SystemParams(s["eps_a"], s["eps_b"], s["kappa"], s["gamma"]),
-        statistics=Statistics(r["statistics"]),
-        t_a=r["ta"], t_b=r["tb"], mu_a=r.get("mua", 0.0), mu_b=r.get("mub", 0.0),
-    )
-
 
 @pytest.fixture(scope="module")
 def preset_maps():

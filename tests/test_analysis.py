@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import steerlab as sl
 from steerlab.analysis import (
+    FIELDS,
     Axis,
     BoundaryFit,
     Criterion,
@@ -18,7 +20,10 @@ from steerlab.analysis import (
     sweep2d,
     threshold_kappa,
 )
-from steerlab.rates import Statistics
+from steerlab.errors import PhaseBoundaryError
+from steerlab.rates import Cells, Statistics
+
+from conftest import PRESET_NAMES, load_preset_config
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -74,6 +79,50 @@ class TestSweepConfig:
         assert rb.mu == pytest.approx(1.05)
 
 
+class TestRowCells:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_rows_equal_stacked_points(self, name):
+        # a row is built from the x vector; the points are built one at a time
+        cfg = load_preset_config(name)
+        ys = cfg.y_values().tolist()
+        for y in (ys[0], ys[len(ys) // 2], ys[-1]):
+            got = cfg.row_cells(y)
+            want = Cells.of([cfg.point(x, y) for x in cfg.x_values().tolist()])
+            for f in fields(Cells):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "statistics":
+                    assert a is b
+                else:
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert np.array_equal(a, b), (name, y, f.name)
+
+    def test_rejections_match_point(self):
+        # a level axis can drive a difference axis' temperature non-positive,
+        # which only shows cell by cell
+        cfg = small_sweep(axis_x=Axis.DELTA_T, x_range=(-0.4, 0.4), nx=5,
+                          axis_y=Axis.TBAR, y_range=(0.1, 0.8))
+        xs = cfg.x_values().tolist()
+        with pytest.raises(ValueError) as from_point:
+            for x in xs:
+                cfg.point(x, 0.1)
+        with pytest.raises(ValueError) as from_row:
+            cfg.row_cells(0.1)
+        assert str(from_row.value) == str(from_point.value)
+        assert "temperature must be > 0" in str(from_row.value)
+        with pytest.raises(ValueError, match="temperature must be > 0"):
+            sweep2d(cfg)
+
+    def test_phase_boundary_rejected(self):
+        # kappa = 2 sqrt(eps_a eps_b) fixed, over a temperature grid
+        cfg = small_sweep(axis_x=Axis.TA, x_range=(0.2, 0.4), axis_y=Axis.TB,
+                          y_range=(0.2, 0.4), system=sl.SystemParams(1.0, 1.0, 2.0, 0.01))
+        with pytest.raises(PhaseBoundaryError) as from_point:
+            Cells.of([cfg.point(x, 0.3) for x in cfg.x_values().tolist()])
+        with pytest.raises(PhaseBoundaryError) as from_row:
+            cfg.row_cells(0.3)
+        assert str(from_row.value) == str(from_point.value)
+
+
 class TestSweep2d:
     def test_grid_complete_and_row_major(self):
         cfg = small_sweep(nx=4, ny=3)
@@ -116,11 +165,14 @@ class TestHierarchyCheck:
         base.update(kw)
         return GridCell(**base)
 
+    def _map(self, cfg, cells):
+        return RegionMap(cfg, {f: np.array([getattr(c, f) for c in cells]) for f in FIELDS})
+
     def test_planted_violation_found(self):
         cfg = small_sweep(nx=2, ny=2)
         cells = [self._cell() for _ in range(4)]
         cells[2] = self._cell(bell=True, steer_ab=False)
-        m = RegionMap(config=cfg, cells=tuple(cells))
+        m = self._map(cfg, cells)
         violations = hierarchy_check(m)
         assert len(violations) == 1
         assert (violations[0].ix, violations[0].iy) == (0, 1)
@@ -129,14 +181,14 @@ class TestHierarchyCheck:
         cfg = small_sweep(nx=2, ny=2)
         cells = [self._cell() for _ in range(4)]
         cells[1] = self._cell(entangled=False, steer_ab=True, steer_ba=False)
-        m = RegionMap(config=cfg, cells=tuple(cells))
+        m = self._map(cfg, cells)
         assert len(hierarchy_check(m)) == 1
 
     def test_masked_cells_skipped(self):
         cfg = small_sweep(nx=2, ny=2)
         cells = [self._cell() for _ in range(4)]
         cells[0] = self._cell(bell=True, steer_ab=False, positivity_ok=False)
-        m = RegionMap(config=cfg, cells=tuple(cells))
+        m = self._map(cfg, cells)
         assert hierarchy_check(m) == []
         assert m.masked_count() == 1
 

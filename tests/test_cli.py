@@ -119,6 +119,13 @@ class TestSweepCommand:
         manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
         assert manifest["masked_cells"] == 0
         assert manifest["version"] == sl.__version__
+        # solver diagnostics of the sweep follow the outputs
+        assert list(manifest)[-2:] == ["outputs", "diagnostics"]
+        diag = manifest["diagnostics"]
+        assert list(diag) == ["max_residual", "min_eigenvalue", "min_null_space_ratio"]
+        assert 0 <= diag["max_residual"] <= 1e-10
+        assert diag["min_eigenvalue"] >= -1e-9
+        assert float(diag["min_null_space_ratio"]) >= 10
         assert f"sha256:" in list(manifest["outputs"].values())[0]
 
     def test_fermionic_temperature_axis(self, tmp_path, monkeypatch, capsys):
@@ -319,6 +326,22 @@ class TestEvolveCommand:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["converged_1e8"] is True
+
+    def test_nan_matrix_rejected(self, tmp_path, capsys):
+        # nan fails every tolerance comparison, so it once passed as a state
+        mat = {"matrix": [[float("nan"), 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
+                          [0, 0, 0, 0]]}
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(mat))
+        code = run(["evolve", "--kappa", "1", "--gamma", "0.05",
+                    "--initial", "custom", "--initial-matrix", str(mpath),
+                    "--t-final", "1", "--dt", "0.01", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestPresets:

@@ -7,17 +7,49 @@ from hypothesis import strategies as st
 
 import steerlab as sl
 from steerlab.correlations import (
+    MARGIN_TOL,
+    PPT_TOL,
     Direction,
     Method,
+    _closed_margins,
+    _depolarized,
+    _general_margins,
+    _rho14_inert,
     steering_factors,
 )
-from steerlab.errors import NotXStateError, RegimeError
+from steerlab.errors import NotXStateError
 from steerlab.model import Basis, Phase
 from steerlab.rates import Statistics
 
 from conftest import random_system, werner_state
 
 SQ3 = math.sqrt(3)
+
+
+def steering_map(rho, direction):
+    """The partially depolarized state whose entanglement witnesses steering."""
+    return _depolarized(rho.entries)[1 if direction is Direction.A_TO_B else 2]
+
+
+def ppt(m):
+    """(entangled, margin) of a (4, 4) state by the partial transpose."""
+    margin = _general_margins(m)[0]
+    return margin > PPT_TOL, margin
+
+
+def general_steering(rho, direction):
+    return ppt(steering_map(rho, direction))
+
+
+def closed_steering(x):
+    """((A->B flag, margin), (B->A flag, margin)) from the closed forms."""
+    _, m_ab, m_ba, _ = _closed_margins(x)
+    return (m_ab > MARGIN_TOL, m_ab), (m_ba > MARGIN_TOL, m_ba)
+
+
+def closed_bell(x):
+    margin = _closed_margins(x)[3]
+    return margin > MARGIN_TOL, margin
 
 
 def xstate_strategy():
@@ -70,53 +102,53 @@ class TestSteeringMap:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
         rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
-        out = sl.steering_map(rho, Direction.A_TO_B)
+        out = steering_map(rho, Direction.A_TO_B)
         c = (3 - SQ3) / 3
         expected = np.diag([1 / SQ3 + c / 2, 0, c / 2, 0])
-        assert np.allclose(out.entries, expected, atol=1e-14)
-        flag, _ = sl.ppt_entangled(out)
+        assert np.allclose(out, expected, atol=1e-14)
+        flag, _ = ppt(out)
         assert not flag
 
     def test_identity_fixed_point(self):
         rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
-        out = sl.steering_map(rho, Direction.B_TO_A)
-        assert np.allclose(out.entries, np.eye(4) / 4, atol=1e-15)
+        out = steering_map(rho, Direction.B_TO_A)
+        assert np.allclose(out, np.eye(4) / 4, atol=1e-15)
 
     def test_werner_rescaling(self):
         w = 0.8
-        out = sl.steering_map(werner_state(w), Direction.A_TO_B)
-        assert np.allclose(out.entries, werner_state(w / SQ3).entries, atol=1e-14)
+        out = steering_map(werner_state(w), Direction.A_TO_B)
+        assert np.allclose(out, werner_state(w / SQ3).entries, atol=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(xstate_strategy(), st.sampled_from(list(Direction)))
     def test_output_is_valid_state(self, rho, direction):
-        out = sl.steering_map(rho, direction)
-        assert abs(out.entries.trace() - 1) < 1e-12
-        assert np.linalg.eigvalsh(out.entries)[0] > -1e-12
+        out = steering_map(rho, direction)
+        assert abs(out.trace() - 1) < 1e-12
+        assert np.linalg.eigvalsh(out)[0] > -1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(xstate_strategy(), st.sampled_from(list(Direction)))
     def test_double_application_weakens_margins(self, rho, direction):
-        once = sl.steering_map(rho, direction)
-        twice = sl.steering_map(once, direction)
-        _, m1 = sl.ppt_entangled(once)
-        _, m2 = sl.ppt_entangled(twice)
+        once = steering_map(rho, direction)
+        twice = steering_map(sl.DensityMatrix4(entries=once, basis=Basis.LOCAL), direction)
+        _, m1 = ppt(once)
+        _, m2 = ppt(twice)
         assert m2 <= m1 + 1e-12
 
 
 class TestPPT:
     def test_bell_state(self):
-        flag, margin = sl.ppt_entangled(werner_state(1.0))
+        flag, margin = ppt(werner_state(1.0).entries)
         assert flag and margin == pytest.approx(0.5, abs=1e-12)
 
     def test_product_states_not_entangled(self, rng):
         probs = rng.dirichlet(np.ones(4))
         rho = sl.DensityMatrix4(entries=np.diag(probs.astype(complex)), basis=Basis.LOCAL)
-        flag, _ = sl.ppt_entangled(rho)
+        flag, _ = ppt(rho.entries)
         assert not flag
 
     def test_werner_boundary(self):
-        _, margin = sl.ppt_entangled(werner_state(1 / 3))
+        _, margin = ppt(werner_state(1 / 3).entries)
         assert margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -126,7 +158,7 @@ class TestClosedForms:
         f = steering_factors(x)
         assert f.f_a == pytest.approx((2 - SQ3) / 8, abs=1e-14)
         assert f.f_b == pytest.approx(0.0, abs=1e-15)
-        (ab, m_ab), (ba, m_ba) = sl.xstate_steering(x)
+        (ab, m_ab), (ba, m_ba) = closed_steering(x)
         assert ab and ba
         assert m_ab == pytest.approx(0.25 - (2 - SQ3) / 8, abs=1e-14)
         assert m_ab == m_ba
@@ -135,64 +167,65 @@ class TestClosedForms:
         m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
         m[1, 2] = m[2, 1] = 0.2
         x = sl.extract_xstate(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
-        (_, m_ab), (_, m_ba) = sl.xstate_steering(x)
+        (_, m_ab), (_, m_ba) = closed_steering(x)
         assert m_ab == pytest.approx(m_ba, abs=1e-15)
 
     def test_regime_guard(self):
         m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
         m[1, 2] = m[2, 1] = 0.1
         m[0, 3] = m[3, 0] = 0.05
-        x = sl.extract_xstate(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
-        with pytest.raises(RegimeError):
-            sl.xstate_steering(x)
+        rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
+        # rho14 not negligible: classify leaves the closed forms for the general route
+        assert not _rho14_inert(sl.extract_xstate(rho))
+        assert sl.classify(rho).method is Method.GENERAL_PPT
 
     def test_werner_steering_threshold(self):
         w_threshold = 1 / SQ3
         for w, expect in ((w_threshold - 1e-6, False), (w_threshold + 1e-6, True)):
             x = sl.extract_xstate(werner_state(w))
-            (ab, _), (ba, _) = sl.xstate_steering(x)
+            (ab, _), (ba, _) = closed_steering(x)
             assert ab == expect and ba == expect
 
     def test_werner_bell_threshold(self):
         for w, expect in ((1 / math.sqrt(2) - 1e-6, False), (1 / math.sqrt(2) + 1e-6, True)):
             x = sl.extract_xstate(werner_state(w))
-            flag, _ = sl.chsh_bell(x)
+            flag, _ = closed_bell(x)
             assert flag == expect
 
     def test_bell_state_is_nonlocal(self):
         x = sl.extract_xstate(werner_state(1.0))
-        flag, margin = sl.chsh_bell(x)
+        flag, margin = closed_bell(x)
         # both branches fire; the second one (populations fully inside the
         # coherent block) carries the larger slack 1/4
         assert flag and margin == pytest.approx(0.25, abs=1e-14)
 
     def test_identity_not_nonlocal(self):
         rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
-        flag, _ = sl.chsh_bell(sl.extract_xstate(rho))
+        flag, _ = closed_bell(sl.extract_xstate(rho))
         assert not flag
 
 
 class TestGeneralSteering:
     def test_werner_thresholds(self):
-        assert sl.general_steering(werner_state(0.6), Direction.A_TO_B)[0]
-        assert sl.general_steering(werner_state(0.6), Direction.B_TO_A)[0]
-        assert not sl.general_steering(werner_state(0.5), Direction.A_TO_B)[0]
-        assert sl.ppt_entangled(werner_state(0.5))[0]   # entangled yet unsteerable
+        assert general_steering(werner_state(0.6), Direction.A_TO_B)[0]
+        assert general_steering(werner_state(0.6), Direction.B_TO_A)[0]
+        assert not general_steering(werner_state(0.5), Direction.A_TO_B)[0]
+        assert ppt(werner_state(0.5).entries)[0]   # entangled yet unsteerable
 
     def test_separable_diagonal_not_steerable(self, rng):
         probs = rng.dirichlet(np.ones(4))
         rho = sl.DensityMatrix4(entries=np.diag(probs.astype(complex)), basis=Basis.LOCAL)
-        assert not sl.general_steering(rho, Direction.A_TO_B)[0]
-        assert not sl.general_steering(rho, Direction.B_TO_A)[0]
+        assert not general_steering(rho, Direction.A_TO_B)[0]
+        assert not general_steering(rho, Direction.B_TO_A)[0]
 
     @settings(max_examples=50, deadline=None)
     @given(xstate_strategy())
     def test_closed_form_agrees_with_general(self, rho):
         x = sl.extract_xstate(rho)
-        (ab, m_ab), (ba, m_ba) = sl.xstate_steering(x)
+        (ab, m_ab), (ba, m_ba) = closed_steering(x)
         for direction, flag, margin in ((Direction.A_TO_B, ab, m_ab),
                                         (Direction.B_TO_A, ba, m_ba)):
-            gflag, gmargin = sl.general_steering(rho, direction)
+            gflag, gmargin = general_steering(rho, direction)
             if abs(margin) > 1e-9 and abs(gmargin) > 1e-9:
                 assert flag == gflag
 
@@ -282,7 +315,7 @@ class TestClassify:
         m[1, 2] = m[2, 1] = 0.35
         m[0, 3] = m[3, 0] = 0.0035
         rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
-        (ab, m_ab), (ba, m_ba) = sl.xstate_steering(sl.extract_xstate(rho))
+        (ab, m_ab), (ba, m_ba) = closed_steering(sl.extract_xstate(rho))
         rep = sl.classify(rho)
         assert rep.method is Method.BOTH
         assert ab and ba

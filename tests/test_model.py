@@ -149,9 +149,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             sl.DensityMatrix4(entries=np.eye(4, dtype=complex), basis=Basis.LOCAL)
 
-    def test_positivity_query(self):
-        rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
-        assert rho.is_positive() and rho.min_eigenvalue() == pytest.approx(0.25)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.25, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[3, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
 
 
 class TestBasisChange:

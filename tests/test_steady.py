@@ -1,15 +1,19 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import steerlab as sl
-from steerlab.errors import ConfigurationError
-from steerlab.generator import from_vector6
+from steerlab.cli import EXIT_INTERNAL, main
+from steerlab.errors import ConfigurationError, DegenerateSteadyStateError
+from steerlab.generator import from_vector6, hermitize_vector6
 from steerlab.model import Basis, Phase
 from steerlab.rates import Statistics
-from steerlab.steady import max_stable_dt
+from steerlab.steady import max_stable_dt, min_eigenvalue_energy, steady_arrays
 
 from conftest import gibbs_local, random_system
 
@@ -89,6 +93,79 @@ class TestSteadyState:
             g, ss = make(p, t, t, stat, mu, mu)
             oracle = gibbs_local(p, 1.0 / t, mu)
             assert np.max(np.abs(ss.state_local.entries - oracle)) < 1e-10
+
+
+def eig_null_vector(total: np.ndarray) -> np.ndarray:
+    """The former solver, kept as the oracle: the eigenvector of the
+    eigenvalue of smallest magnitude, at unit population sum, Hermitized."""
+    w, v = np.linalg.eig(total)
+    k = np.argmin(np.abs(w))
+    return hermitize_vector6(v[:, k] / v[:4, k].sum())
+
+
+@st.composite
+def generators(draw):
+    """Generators of all three setups over the ranges the presets use and beyond."""
+    setup = draw(st.sampled_from(["weak-bose", "weak-fermi", "strong-bose"]))
+    eps_b = draw(st.floats(0.3, 1.5))
+    eps_a = eps_b * draw(st.floats(1.0, 3.0))
+    boundary = 2.0 * math.sqrt(eps_a * eps_b)
+    ratio = draw(st.floats(1.1, 2.5) if setup == "strong-bose" else st.floats(0.1, 0.9))
+    gamma = draw(st.floats(5e-3, 0.05))
+    stat = FERMI if setup == "weak-fermi" else BOSE
+    ta, tb = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 2.0))
+    mua, mub = (draw(st.floats(-0.5, 2.0)), draw(st.floats(-0.5, 2.0))) if stat is FERMI \
+        else (0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # gamma > 0.1*eps_b is allowed here
+        p = sl.SystemParams(eps_a, eps_b, ratio * boundary, gamma)
+    return sl.build_generator(p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))
+
+
+class TestBorderedSolve:
+    @settings(max_examples=150, deadline=None)
+    @given(g=generators())
+    def test_matches_eig_selection(self, g):
+        s = steady_arrays(g.total[None], g.eig.vectors[None])
+        assert np.max(np.abs(s.vector6[0] - eig_null_vector(g.total))) <= 1e-13
+        assert s.null_ratio[0] >= 10
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=generators())
+    def test_closed_form_min_eigenvalue(self, g):
+        s = steady_arrays(g.total[None], g.eig.vectors[None])
+        assert abs(s.min_eigenvalue[0] - np.linalg.eigvalsh(s.energy)[0, 0]) <= 1e-14
+
+    def test_closed_form_min_eigenvalue_of_non_positive_states(self, rng):
+        v = rng.normal(size=(200, 6)) + 1j * rng.normal(size=(200, 6))
+        v = hermitize_vector6(v)
+        expected = np.linalg.eigvalsh(from_vector6(v))[:, 0]
+        assert np.max(np.abs(min_eigenvalue_energy(v) - expected)) <= 1e-14
+        assert (expected < 0).any()
+
+    def test_two_dimensional_null_space_rejected(self):
+        g, _ = make(sl.SystemParams(1.2, 0.8, 1.0, 0.01), 0.4, 0.6)
+        # two decoupled trace-preserving blocks: populations {g, e1} and {e2, e3}
+        m = np.zeros((6, 6), dtype=complex)
+        m[:2, :2] = [[-1.0, 2.0], [1.0, -2.0]]
+        m[2:4, 2:4] = [[-3.0, 1.0], [3.0, -1.0]]
+        m[4, 4] = m[5, 5] = -1.0
+        with pytest.raises(DegenerateSteadyStateError, match="null space"):
+            steady_arrays(m[None], g.eig.vectors[None])
+
+    def test_singular_bordered_matrix_exits_internal(self, monkeypatch, capsys):
+        # a one-dimensional null space along the coherence, which carries no
+        # population: the bordered matrix is exactly singular
+        real = sl.build_generator
+
+        def planted(*args):
+            g = real(*args)
+            return dataclasses.replace(g, total=np.diag([-1, -1, -1, -1, -1, 0]).astype(complex))
+        monkeypatch.setattr("steerlab.analysis.build_generator", planted)
+        assert main(["steady"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal:") and captured.err.count("\n") == 1
 
 
 class TestEvolve:
