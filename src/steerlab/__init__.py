@@ -4,8 +4,6 @@ entanglement / steering / Bell-nonlocality phase diagrams."""
 from .model import (
     Basis,
     DensityMatrix4,
-    DerivedParams,
-    EigenSystem,
     Phase,
     SystemParams,
     basis_change,
@@ -14,38 +12,34 @@ from .model import (
     hamiltonian_matrix,
 )
 from .rates import (
-    RateSet,
+    Cells,
     ReservoirSpec,
     Statistics,
-    TransitionEnergies,
     occupation,
     rate_set,
     transition_energies,
 )
 from .generator import (
-    Generator,
+    GeneratorArrays,
     Setup,
     build_generator,
 )
 from .steady import (
     EquilibriumState,
-    SteadyResult,
+    SteadyArrays,
     Trajectory,
     equilibrium_analytic,
     evolve,
     steady_state,
 )
 from .correlations import (
-    CorrelationReport,
+    Classification,
     Direction,
     Method,
     XState,
     classify,
-    extract_xstate,
 )
 from .transport import (
-    Observable,
-    TransportReport,
     rectification,
     transport_report,
 )

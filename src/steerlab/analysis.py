@@ -4,7 +4,7 @@ Every cell runs the same pipeline (generator -> steady state ->
 classification -> transport) through array kernels over a leading cell axis.
 A sweep evaluates its grid one row of fixed y at a time and a threshold
 search a few couplings at a time; a single point (`run_point`, `steerlab
-steady`) runs the same kernels through the single-point functions.
+steady`) is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -14,13 +14,13 @@ from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
-from .correlations import XSTATE_FAULTS, classify, classify_arrays
+from .correlations import XSTATE_FAULTS, classify
 from .errors import InternalConsistencyError
-from .generator import build_generator, generator_arrays
+from .generator import build_generator
 from .model import SystemParams
 from .rates import Cells, ReservoirSpec, Statistics
-from .steady import steady_arrays, steady_state
-from .transport import transport_arrays, transport_report
+from .steady import steady_state
+from .transport import transport_report
 
 SQRT3 = math.sqrt(3.0)
 # closed-form threshold constants
@@ -217,60 +217,44 @@ class RegionMap:
         return int(np.count_nonzero(~self.columns["positivity_ok"]))
 
 
-def run_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec):
-    """Generator, steady state, dual-route classification and transport at one point.
+def _pipeline(cells: Cells):
+    """Generator, steady state, dual-route classification and transport of
+    cells as one batch: (generator, steady state, classification,
+    (current_a, current_b, sigma)).
 
-    Returns (generator, steady result, report, transport).  A state that
-    violates positivity may fail classification; its report is then None
-    (the cell is masked).  A classification error on a positive state is
-    re-raised.
+    A state that violates positivity may fail classification; its cell is
+    then masked (flags False, margins nan).  A classification fault on a
+    positive state raises.
     """
-    g = build_generator(system, ra, rb)
-    ss = steady_state(g)
-    try:
-        rep = classify(ss.state_local, eig=g.eig)
-    except ValueError:
-        if ss.positivity_ok:
-            raise
-        rep = None
-    return g, ss, rep, transport_report(g, ss)
+    g = build_generator(cells)
+    st = steady_state(g.total, g.vectors)
+    c = classify(st.local)
+    bad = (c.fault >= 0) & st.positive
+    if np.count_nonzero(bad):
+        raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(bad)]])
+    return g, st, c, transport_report(g, st)
 
 
-def _grid_cell(x: float, y: float, ss, rep, tr) -> GridCell:
-    """The grid cell of a run_point result at (x, y)."""
-    if rep is None:
-        flags, margins = (False,) * 4, (float("nan"),) * 4
-    else:
-        flags = (rep.entangled, rep.steer_a_to_b, rep.steer_b_to_a, rep.bell)
-        margins = (rep.margin_ent, rep.margin_ab, rep.margin_ba, rep.margin_bell)
-    return GridCell(x, y, *flags, *margins, tr.current_b, tr.sigma, ss.positivity_ok)
+def run_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec):
+    """The pipeline of _pipeline at one point, as the one-cell batch
+    Cells.of([(system, ra, rb)]); callers read row 0 of each result."""
+    return _pipeline(Cells.of([(system, ra, rb)]))
 
 
-def _states(points: list[tuple[SystemParams, ReservoirSpec, ReservoirSpec]]):
-    """Generators and steady states of N points through the array kernels."""
-    g = generator_arrays(Cells.of(points))
-    return g, steady_arrays(g.total, g.vectors)
+def _columns(x: np.ndarray, y: float, st, c, transport) -> tuple:
+    """The GridCell columns, in FIELDS order, of a pipeline result at the x
+    values x and one y."""
+    return (x, np.full(len(x), y), c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell,
+            c.margin_ent, c.margin_ab, c.margin_ba, c.margin_bell, *transport[1:],
+            st.positive)
 
 
 def _row(config: SweepConfig, y: float):
     """The columns of one grid row of fixed y, evaluated as one batch, and
-    the row's (largest residual, smallest eigenvalue, smallest null-space ratio).
-
-    The masking rule of run_point applies per cell: a state that fails
-    classification is masked if it violates positivity, and raises if not.
-    """
-    g = generator_arrays(config.row_cells(y))
-    st = steady_arrays(g.total, g.vectors)
-    c = classify_arrays(st.local)
-    fault = c.fault >= 0
-    if (fault & st.positive).any():
-        raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(fault & st.positive)]])
-    _, current_b, sigma = transport_arrays(g.parts, g.energies, g.numbers, g.cells,
-                                           st.vector6, st.residual)
-    columns = (config.x_values(), np.full(config.nx, y), c.entangled, c.steer_a_to_b,
-               c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab, c.margin_ba,
-               c.margin_bell, current_b, sigma, st.positive)
-    return columns, (st.residual.max(), st.min_eigenvalue.min(), st.null_ratio.min())
+    the row's (largest residual, smallest eigenvalue, smallest null-space ratio)."""
+    _, st, c, transport = _pipeline(config.row_cells(y))
+    return (_columns(config.x_values(), y, st, c, transport),
+            (st.residual.max(), st.min_eigenvalue.min(), st.null_ratio.min()))
 
 
 def sweep2d(config: SweepConfig) -> RegionMap:
@@ -287,11 +271,12 @@ def sweep2d(config: SweepConfig) -> RegionMap:
         "min_eigenvalue": float(worst[:, 1].min()),
         "min_null_space_ratio": float(worst[:, 2].min()),
     })
-    # `steerlab steady` at a grid point runs the same kernels through the
-    # single-point functions; the first cell of every sweep confirms that
-    # both give the same bits
+    # `steerlab steady` at a grid point runs the same kernels on a one-cell
+    # batch; the first cell of every sweep confirms that a batch of one and
+    # a row give the same bits
     first = m.cell(0, 0)
-    point = _grid_cell(first.x, first.y, *run_point(*config.point(first.x, first.y))[1:])
+    point = GridCell(*(col[0].item() for col in _columns(
+        np.array([first.x]), first.y, *run_point(*config.point(first.x, first.y))[1:])))
     if not np.array_equal(astuple(point), astuple(first), equal_nan=True):
         raise InternalConsistencyError(
             f"single-point pipeline gives {point}, the sweep row gives {first}")
@@ -319,7 +304,7 @@ class ThresholdResult:
 
 
 def _criterion_margin(rep, criterion: Criterion):
-    """The margin of a criterion from a report or a classification batch."""
+    """The margin of a criterion from a classification."""
     if criterion is Criterion.A_TO_B:
         return rep.margin_ab
     if criterion is Criterion.B_TO_A:
@@ -331,23 +316,21 @@ def _criterion_margin(rep, criterion: Criterion):
     return rep.margin_bell
 
 
-def _margin(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
-            criterion: Criterion) -> float:
-    """Criterion margin at one point, through the single-point functions and
-    the single-route classification."""
-    g = build_generator(system, ra, rb)
-    rep = classify(steady_state(g).state_local, dual=False)
-    return float(_criterion_margin(rep, criterion))
-
-
 def _margins(points, criterion: Criterion) -> list[float]:
-    """Criterion margins of N points as one batch, single-route like _margin."""
-    _, st = _states(points)
-    c = classify_arrays(st.local, dual=False)
+    """Criterion margins of N points as one batch, through the single-route
+    classification; a state that fails classification raises."""
+    g = build_generator(Cells.of(points))
+    c = classify(steady_state(g.total, g.vectors).local, dual=False)
     fault = c.fault >= 0
     if np.count_nonzero(fault):
         raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(fault)]])
     return _criterion_margin(c, criterion).tolist()
+
+
+def _margin(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
+            criterion: Criterion) -> float:
+    """Criterion margin at one point: _margins of the one-cell batch."""
+    return _margins([(system, ra, rb)], criterion)[0]
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, float, int]:

@@ -9,6 +9,7 @@ identical configs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -29,16 +30,10 @@ from .analysis import (
     sweep2d,
     threshold_kappa,
 )
-from .errors import (
-    ConfigurationError,
-    DegenerateSteadyStateError,
-    InternalConsistencyError,
-    NotXStateError,
-    RegimeError,
-)
+from .errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
 from .generator import build_generator
-from .model import Basis, DensityMatrix4, SystemParams
-from .rates import ReservoirSpec, Statistics
+from .model import STATE_POSITIONS, Basis, DensityMatrix4, SystemParams
+from .rates import Cells, ReservoirSpec, Statistics
 from .steady import evolve, steady_state
 
 EXIT_OK = 0
@@ -48,6 +43,9 @@ EXIT_INTERNAL = 4
 
 _NUMBER = {"type": "number"}
 _RANGE = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+# four rows of four entries, each a number or a [re, im] pair
+_ROW = {"type": "array", "items": {"anyOf": [_NUMBER, _RANGE]}, "minItems": 4, "maxItems": 4}
+_MATRIX = {"type": "array", "items": _ROW, "minItems": 4, "maxItems": 4}
 _AXES = [a.value for a in Axis]
 
 CONFIG_SCHEMA = {
@@ -101,7 +99,7 @@ CONFIG_SCHEMA = {
             "required": ["initial", "t_final", "dt"],
             "properties": {
                 "initial": {"enum": ["ground-local", "maximally-mixed", "custom"]},
-                "matrix": {"type": "array"},
+                "matrix": _MATRIX,
                 "basis": {"enum": ["local", "energy"]},
                 "t_final": _NUMBER, "dt": _NUMBER,
             },
@@ -150,7 +148,10 @@ def dumps_fixed(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: argparse makes a help
+    formatter for every argument, which costs milliseconds per build."""
     parser = argparse.ArgumentParser(
         prog="steerlab",
         description="Steady states of two dissipatively coupled qubits: "
@@ -225,7 +226,11 @@ def _flags_to_config(args: argparse.Namespace) -> dict:
               "basis": args.initial_basis}
         if args.initial_matrix:
             with open(args.initial_matrix) as fh:
-                ev["matrix"] = json.load(fh)["matrix"]
+                doc = json.load(fh)
+            if not isinstance(doc, dict) or "matrix" not in doc:
+                raise ConfigurationError(
+                    f"{args.initial_matrix}: expected a JSON object with a 'matrix' key")
+            ev["matrix"] = doc["matrix"]
         cfg["evolve"] = ev
     return cfg
 
@@ -283,8 +288,8 @@ def _build_objects(cfg: dict) -> tuple[SystemParams, ReservoirSpec, ReservoirSpe
     return system, ReservoirSpec(stat, r["ta"], mua), ReservoirSpec(stat, r["tb"], mub)
 
 
-def _density_entries(rho: DensityMatrix4) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in rho.entries]
+def _density_entries(m: np.ndarray) -> list:
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def _atomic_write(path: str, text: str) -> str:
@@ -336,29 +341,33 @@ def _analytic(system: SystemParams, ra: ReservoirSpec,
 
 def cmd_steady(cfg: dict) -> int:
     started = time.time()
-    _, ss, rep, tr = run_point(*_build_objects(cfg))
-    correlations = None if rep is None else {
-        "entangled": rep.entangled, "margin_ent": rep.margin_ent,
-        "steer_a_to_b": rep.steer_a_to_b, "margin_ab": rep.margin_ab,
-        "steer_b_to_a": rep.steer_b_to_a, "margin_ba": rep.margin_ba,
-        "bell": rep.bell, "margin_bell": rep.margin_bell,
-        "method": rep.method.value,
-        "eigen_populations": list(rep.eigen_populations),
+    g, st, c, (current_a, current_b, sigma) = run_point(*_build_objects(cfg))
+    positive = bool(st.positive[0])
+    # positions of |00>, |11>, psi-, psi+ among the energy-basis populations
+    eigen_order = STATE_POSITIONS[int(g.cells.strong[0])][[0, 3, 1, 2]]
+    correlations = None if c.fault[0] >= 0 else {
+        "entangled": c.entangled[0], "margin_ent": c.margin_ent[0],
+        "steer_a_to_b": c.steer_a_to_b[0], "margin_ab": c.margin_ab[0],
+        "steer_b_to_a": c.steer_b_to_a[0], "margin_ba": c.margin_ba[0],
+        "bell": c.bell[0], "margin_bell": c.margin_bell[0],
+        "method": c.method.value,
+        "eigen_populations": st.vector6[0, eigen_order].real.tolist(),
     }
+    bose = g.cells.statistics is Statistics.BOSE
     report = {
-        "state_energy_basis": _density_entries(ss.state_energy),
-        "state_local_basis": _density_entries(ss.state_local),
-        "residual": ss.residual,
-        "min_eigenvalue": ss.min_eigenvalue,
-        "positivity_ok": ss.positivity_ok,
+        "state_energy_basis": _density_entries(st.energy[0]),
+        "state_local_basis": _density_entries(st.local[0]),
+        "residual": st.residual[0],
+        "min_eigenvalue": st.min_eigenvalue[0],
+        "positivity_ok": positive,
         "correlations": correlations,
         "transport": {
-            "current_a": tr.current_a, "current_b": tr.current_b,
-            "sigma": tr.sigma, "observable": tr.observable.value,
+            "current_a": current_a[0], "current_b": current_b[0], "sigma": sigma[0],
+            "observable": "energy" if bose else "particle-number",
         },
     }
-    _emit(cfg, dumps_fixed(report) + "\n", started, masked=0 if ss.positivity_ok else 1)
-    return EXIT_OK if ss.positivity_ok else EXIT_POSITIVITY
+    _emit(cfg, dumps_fixed(report) + "\n", started, masked=0 if positive else 1)
+    return EXIT_OK if positive else EXIT_POSITIVITY
 
 
 def cmd_sweep(cfg: dict) -> int:
@@ -418,7 +427,7 @@ def cmd_thresholds_table(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _initial_state(cfg_ev: dict, g) -> DensityMatrix4:
+def _initial_state(cfg_ev: dict) -> DensityMatrix4:
     kind = cfg_ev["initial"]
     if kind == "ground-local":
         m = np.zeros((4, 4), dtype=complex)
@@ -436,13 +445,12 @@ def _initial_state(cfg_ev: dict, g) -> DensityMatrix4:
 
 def cmd_evolve(cfg: dict) -> int:
     started = time.time()
-    system, ra, rb = _build_objects(cfg)
-    g = build_generator(system, ra, rb)
+    g = build_generator(Cells.of([_build_objects(cfg)]))
     ev = cfg["evolve"]
-    rho0 = _initial_state(ev, g)
+    rho0 = _initial_state(ev)
     traj = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
-    ss = steady_state(g)
-    final_gap = float(np.max(np.abs(traj.vectors[-1] - ss.vector6)))
+    st = steady_state(g.total, g.vectors)
+    final_gap = float(np.max(np.abs(traj.vectors[-1] - st.vector6[0])))
     lines = ["t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh"]
     for row in traj.csv_rows():
         lines.append(",".join(fmt(v) for v in row))
@@ -471,10 +479,8 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _DISPATCH[args.mode](cfg)
-    # defects of the computation, not of the input; the last two are
-    # ValueErrors and must be caught before the configuration errors
-    except (DegenerateSteadyStateError, InternalConsistencyError,
-            NotXStateError, RegimeError) as exc:
+    # defects of the computation, not of the input
+    except (DegenerateSteadyStateError, InternalConsistencyError) as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ConfigurationError, ValueError, OSError) as exc:

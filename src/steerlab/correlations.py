@@ -11,8 +11,8 @@ For an X state with rho14 = 0 the two routes are algebraically identical
 (the closed-form threshold equals 3*rho'11*rho'44 of the mapped state), so
 any disagreement is a defect and raises, never a warning.
 
-`classify_arrays` classifies N states at once over a leading cell axis;
-`classify` runs it at a single cell.
+`classify` classifies N states at once over a leading cell axis; a single
+point is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError, NotXStateError
-from .model import Basis, DensityMatrix4, EigenSystem, Phase
+from .errors import InternalConsistencyError
 
 # strict-greater slack at criterion boundaries
 MARGIN_TOL = 1e-12
@@ -47,9 +46,6 @@ class Method(enum.Enum):
     GENERAL_PPT = "general-ppt"
     BOTH = "both"
 
-
-# method codes of classify_arrays index this tuple
-METHODS = (Method.X_CLOSED_FORM, Method.GENERAL_PPT, Method.BOTH)
 
 # entries an X state may carry: the diagonal and the anti-diagonal
 _X_ENTRIES = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
@@ -84,14 +80,11 @@ def xstate_fault(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class XState:
-    """Entries of X-shaped two-qubit states in the local basis: scalars, or
-    arrays over leading cell axes.
+    """Entries of X-shaped two-qubit states in the local basis, as arrays over
+    leading cell axes (or scalars).
 
-    The closed forms use rho23 and rho14 only through abs(), so the array
-    kernels store the moduli there, as hypot(Re, Im): the value abs() gives a
-    Python complex, where numpy's complex absolute value on arrays may differ
-    in the last place.  Squares are products for the same reason (a scalar
-    ** 2 calls pow).
+    The closed forms use rho23 and rho14 only through abs(), so _x_entries
+    stores the moduli there, as hypot(Re, Im).
     """
 
     rho11: float
@@ -113,41 +106,6 @@ def _x_entries(m: np.ndarray) -> XState:
 def _non_x(m: np.ndarray) -> np.ndarray:
     """Largest entry outside the X pattern, per (..., 4, 4) matrix."""
     return np.abs(m[..., ~_X_ENTRIES]).max(axis=-1)
-
-
-@dataclass(frozen=True)
-class SteeringFactors:
-    """Population functionals entering the closed-form steering inequalities."""
-
-    f_a: float
-    f_b: float
-
-
-def steering_factors(x: XState) -> SteeringFactors:
-    f_a = (
-        (2 + math.sqrt(3)) / 2 * x.rho11 * x.rho44
-        + (2 - math.sqrt(3)) / 2 * x.rho22 * x.rho33
-        + 0.25 * (x.rho11 + x.rho44) * (x.rho22 + x.rho33)
-    )
-    f_b = 0.25 * (x.rho11 - x.rho44) * (x.rho22 - x.rho33)
-    return SteeringFactors(f_a=f_a, f_b=f_b)
-
-
-def extract_xstate(rho: DensityMatrix4) -> XState:
-    """Read off the X entries; reject any other entry above X_TOL and an X
-    state that violates XSTATE_FAULTS (ValueError)."""
-    if rho.basis is not Basis.LOCAL:
-        raise ValueError("X structure is defined in the local basis")
-    m = rho.entries
-    worst = float(_non_x(m))
-    if worst > X_TOL:
-        raise NotXStateError(f"non-X entry of magnitude {worst:.3g} exceeds {X_TOL}")
-    x = XState(float(m[0, 0].real), float(m[1, 1].real), float(m[2, 2].real),
-               float(m[3, 3].real), complex(m[1, 2]), complex(m[0, 3]))
-    fault = int(xstate_fault(x))
-    if fault >= 0:
-        raise ValueError(f"{XSTATE_FAULTS[fault]}: {x}")
-    return x
 
 
 def _depolarized(m: np.ndarray) -> np.ndarray:
@@ -202,28 +160,24 @@ def _rho14_inert(x: XState):
 def _closed_margins(x: XState):
     """Closed-form (entanglement, A->B, B->A, CHSH) margins, elementwise over cells.
 
-    Steering margins are |rho23|^2 - (f_a +/- f_b).  CHSH combines two
+    Steering margins are |rho23|^2 - (f_a +/- f_b), where f_b =
+    (1/4)(rho11 - rho44)(rho22 - rho33) sets the asymmetry.  CHSH combines two
     sufficient branches with OR: |rho23|^2 > 1/8, or
     |rho23|^2 > 1/4 - (1/4)(2(rho22+rho33)-1)^2; its margin is the larger
     branch slack.
     """
     r23 = abs(x.rho23)
     coh2 = r23 * r23
-    f = steering_factors(x)
+    # population functionals of the steering inequalities
+    f_a = (
+        (2 + math.sqrt(3)) / 2 * x.rho11 * x.rho44
+        + (2 - math.sqrt(3)) / 2 * x.rho22 * x.rho33
+        + 0.25 * (x.rho11 + x.rho44) * (x.rho22 + x.rho33)
+    )
+    f_b = 0.25 * (x.rho11 - x.rho44) * (x.rho22 - x.rho33)
     u = 2.0 * (x.rho22 + x.rho33) - 1.0
     bell = np.maximum(coh2 - 0.125, coh2 - (0.25 - 0.25 * u * u))
-    return coh2 - x.rho11 * x.rho44, coh2 - (f.f_a + f.f_b), coh2 - (f.f_a - f.f_b), bell
-
-
-def eigen_populations(
-    rho_local: DensityMatrix4, eig: EigenSystem
-) -> tuple[float, float, float, float]:
-    """(p00, p11, p_minus, p_plus): weights on |00>, |11>, psi-, psi+."""
-    v = eig.vectors
-    pops = np.einsum("ik,ij,jk->k", v.conj(), rho_local.entries, v).real
-    if eig.phase is Phase.WEAK:
-        return pops[0], pops[3], pops[1], pops[2]
-    return pops[1], pops[2], pops[0], pops[3]
+    return coh2 - x.rho11 * x.rho44, coh2 - (f_a + f_b), coh2 - (f_a - f_b), bell
 
 
 def check_hierarchy(entangled, steer_a_to_b, steer_b_to_a, bell) -> None:
@@ -239,36 +193,16 @@ def check_hierarchy(entangled, steer_a_to_b, steer_b_to_a, bell) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Classification verdicts with raw inequality margins.
+class Classification(NamedTuple):
+    """Verdicts and margins of states over leading cell axes, and the route.
 
     Margins are left-minus-right values of the respective inequalities
     (probability-squared units on the closed-form route, eigenvalue units on
-    the PPT route).  The chain bell => two-way steerable => entangled is
-    asserted at construction.
-    """
-
-    entangled: bool
-    margin_ent: float
-    steer_a_to_b: bool
-    margin_ab: float
-    steer_b_to_a: bool
-    margin_ba: float
-    bell: bool
-    margin_bell: float
-    method: Method
-    eigen_populations: tuple[float, float, float, float] | None = None
-
-    def __post_init__(self):
-        check_hierarchy(self.entangled, self.steer_a_to_b, self.steer_b_to_a, self.bell)
-
-
-class Classification(NamedTuple):
-    """Verdicts, margins and method codes of states over leading cell axes.
-
-    fault >= 0 marks a state whose X entries violate XSTATE_FAULTS[fault];
-    such a cell carries no verdict (flags False, margins nan).
+    the PPT route).  fault >= 0 marks a state whose X entries violate
+    XSTATE_FAULTS[fault]; such a cell carries no verdict (flags False,
+    margins nan).  method is the route of the batch: GENERAL_PPT if any
+    cell with a verdict needed the general route, else the closed form
+    (X_CLOSED_FORM, or BOTH when cross-checked).
     """
 
     entangled: np.ndarray
@@ -279,11 +213,11 @@ class Classification(NamedTuple):
     margin_ba: np.ndarray
     bell: np.ndarray
     margin_bell: np.ndarray
-    method: np.ndarray
+    method: Method
     fault: np.ndarray
 
 
-def classify_arrays(m: np.ndarray, dual: bool = True) -> Classification:
+def classify(m: np.ndarray, dual: bool = True) -> Classification:
     """Classify local-basis states (..., 4, 4).
 
     Where a state is X-shaped with an inert rho14 the closed forms supply the
@@ -295,13 +229,13 @@ def classify_arrays(m: np.ndarray, dual: bool = True) -> Classification:
     is_x = _non_x(m) <= X_TOL
     fault = np.where(is_x, xstate_fault(x), -1)
     closed = (fault < 0) & is_x & _rho14_inert(x)
+    # the general route where the closed form does not apply; a faulty state
+    # gets no verdict
+    run = (fault < 0) & ~closed
     margins = list(_closed_margins(x))
     flags = [c > MARGIN_TOL for c in margins]
     general = _general_margins(m) if dual else None
     if np.count_nonzero(~closed):
-        # the general route where the closed form does not apply; a faulty
-        # state gets no verdict
-        run = (fault < 0) & ~closed
         if general is None:
             general = np.zeros(np.shape(closed) + (3,))
             if np.count_nonzero(run):
@@ -315,7 +249,10 @@ def classify_arrays(m: np.ndarray, dual: bool = True) -> Classification:
     if dual:
         _cross_check(closed, margins, general)
     check_hierarchy(*flags)
-    method = np.where(closed, 2 if dual else 0, 1)
+    if np.count_nonzero(run):
+        method = Method.GENERAL_PPT
+    else:
+        method = Method.BOTH if dual else Method.X_CLOSED_FORM
     return Classification(flags[0], margins[0], flags[1], margins[1], flags[2], margins[2],
                           flags[3], margins[3], method, fault)
 
@@ -336,31 +273,3 @@ def _cross_check(closed: np.ndarray, closed_margins, general: np.ndarray) -> Non
                 f"{name}: closed form says {bool(c > MARGIN_TOL)} (margin {c:.3g}), "
                 f"general route says {bool(g > PPT_TOL)}"
             )
-
-
-def classify(
-    rho: DensityMatrix4,
-    eig: EigenSystem | None = None,
-    dual: bool = True,
-) -> CorrelationReport:
-    """Full classification of a local-basis state: classify_arrays at a single cell.
-
-    An X state whose entries violate the X-state conditions raises ValueError.
-    """
-    if rho.basis is not Basis.LOCAL:
-        raise ValueError("classify expects the local basis")
-    c = classify_arrays(rho.entries, dual)
-    if c.fault >= 0:
-        raise ValueError(XSTATE_FAULTS[c.fault])
-    return CorrelationReport(
-        entangled=bool(c.entangled),
-        margin_ent=float(c.margin_ent),
-        steer_a_to_b=bool(c.steer_a_to_b),
-        margin_ab=float(c.margin_ab),
-        steer_b_to_a=bool(c.steer_b_to_a),
-        margin_ba=float(c.margin_ba),
-        bell=bool(c.bell),
-        margin_bell=float(c.margin_bell),
-        method=METHODS[c.method],
-        eigen_populations=eigen_populations(rho, eig) if eig is not None else None,
-    )

@@ -10,14 +10,6 @@ class PhaseBoundaryError(ConfigurationError):
     kappa = 2*sqrt(eps_a*eps_b), where the lower transition energy vanishes."""
 
 
-class RegimeError(ValueError):
-    """Closed-form criterion called outside its validity regime."""
-
-
-class NotXStateError(ValueError):
-    """Density matrix has entries outside the X pattern above tolerance."""
-
-
 class DegenerateSteadyStateError(RuntimeError):
     """Null space of the evolution matrix is not numerically one-dimensional."""
 

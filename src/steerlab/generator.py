@@ -9,55 +9,30 @@ Omega = 2*omega) and one dissipative part per reservoir, built entry by entry
 from the rate parameters.  Summed over the two reservoirs the parts reproduce
 the printed weak-bosonic, weak-fermionic and strong-bosonic matrices; the
 split itself assigns the spontaneous weights with the same angular factors as
-the stimulated rates (see rates.RateSet).
+the stimulated rates (see rates.rate_set).
 
 Each part is linear in its reservoir's rate coefficients, so it is evaluated
 once, on unit coefficients, into constant templates; a generator is then the
-coefficient-weighted sum of its setup's templates.  `generator_arrays` builds
-N generators at once over a leading cell axis; `build_generator` runs the
-same kernels at a single cell.
+coefficient-weighted sum of its setup's templates.  `build_generator` builds
+N generators at once over a leading cell axis; a single point is the
+one-cell batch.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import (
-    DerivedParams,
-    EigenSystem,
-    Phase,
-    SystemParams,
-    derive_params,
-    eigen_arrays,
-    eigensystem,
-)
-from .rates import COEFFICIENTS, Cells, RateSet, ReservoirSpec, Statistics, rate_arrays, rate_set
+from .model import eigensystem
+from .rates import COEFFICIENTS, Cells, Statistics, rate_set
+
 
 class Setup(enum.Enum):
     WEAK_BOSE = "weak-bose"
     WEAK_FERMI = "weak-fermi"
     STRONG_BOSE = "strong-bose"
-
-
-@dataclass(frozen=True)
-class Generator:
-    """Evolution matrix with its additive decomposition and build context."""
-
-    total: np.ndarray
-    coherent_part: np.ndarray
-    res_a_part: np.ndarray
-    res_b_part: np.ndarray
-    setup: Setup
-    params: SystemParams
-    derived: DerivedParams
-    eig: EigenSystem
-    rates: RateSet
-    reservoir_a: ReservoirSpec
-    reservoir_b: ReservoirSpec
 
 
 def _weak_bose_part(pj, qj, sj, tj, wp, wm, sign):
@@ -161,18 +136,12 @@ def setup_codes(strong: np.ndarray, statistics: Statistics) -> np.ndarray:
     return np.where(strong, 2, 0)
 
 
-def _assemble(setup: np.ndarray, coefficients: np.ndarray, omega: np.ndarray):
-    """(coherent part, reservoir parts (..., 2, 6, 6), total) over the cell axes."""
-    parts = (coefficients[..., None, None] * _TEMPLATES[setup]).sum(axis=-3)
-    coherent = np.zeros(np.shape(omega) + (6, 6), dtype=complex)
-    omega_entry = 2.0 * omega
-    coherent[..., 4, 4] = 1j * omega_entry
-    coherent[..., 5, 5] = -1j * omega_entry
-    return coherent, parts, coherent + parts[..., 0, :, :] + parts[..., 1, :, :]
-
-
 class GeneratorArrays(NamedTuple):
-    """N generators over the leading cell axis, with what later stages need."""
+    """N generators over the leading cell axis, with what later stages need.
+
+    total = coherent part + parts[:, 0] + parts[:, 1], where the coherent
+    part holds only the +/- i*Omega entries of the coherence pair.
+    """
 
     total: np.ndarray      # (N, 6, 6)
     parts: np.ndarray      # (N, 2, 6, 6): reservoir A, reservoir B
@@ -182,42 +151,20 @@ class GeneratorArrays(NamedTuple):
     cells: Cells
 
 
-def generator_arrays(cells: Cells) -> GeneratorArrays:
-    """Build the evolution matrices of N cells for the setup of each cell."""
-    setup = setup_codes(cells.strong, cells.statistics)
-    rs = rate_arrays(cells)
-    energies, vectors, numbers = eigen_arrays(cells.bar_eps, cells.omega, cells.theta,
-                                              cells.strong)
-    _, parts, total = _assemble(setup, rs.coefficients, cells.omega)
-    return GeneratorArrays(total, parts, energies, vectors, numbers, cells)
+def build_generator(cells: Cells) -> GeneratorArrays:
+    """Build the evolution matrices of N cells for the setup of each cell.
 
-
-def build_generator(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> Generator:
-    """Build the evolution matrix for the setup selected by (phase, statistics).
-
-    The kernels of generator_arrays at a single cell.  The strong-coupling
-    fermionic combination is not supported.
+    The strong-coupling fermionic combination is not supported.
     """
-    d = derive_params(p)
-    rs = rate_set(p, ra, rb)
-    setup = setup_codes(np.bool_(d.phase is Phase.STRONG), rs.statistics)
-    eig = eigensystem(p)
-    coherent, parts, total = _assemble(setup, rs.coefficients, np.float64(d.omega))
-    for m in (total, coherent, parts):
-        m.setflags(write=False)
-    return Generator(
-        total=total,
-        coherent_part=coherent,
-        res_a_part=parts[0],
-        res_b_part=parts[1],
-        setup=SETUPS[setup],
-        params=p,
-        derived=d,
-        eig=eig,
-        rates=rs,
-        reservoir_a=ra,
-        reservoir_b=rb,
-    )
+    setup = setup_codes(cells.strong, cells.statistics)
+    energies, vectors, numbers = eigensystem(cells.bar_eps, cells.omega, cells.theta,
+                                             cells.strong)
+    parts = (rate_set(cells)[..., None, None] * _TEMPLATES[setup]).sum(axis=-3)
+    total = parts[..., 0, :, :] + parts[..., 1, :, :] + 0j
+    omega_entry = 2.0 * cells.omega
+    total[..., 4, 4] += 1j * omega_entry
+    total[..., 5, 5] -= 1j * omega_entry
+    return GeneratorArrays(total, parts, energies, vectors, numbers, cells)
 
 
 # flat (4x4) positions of the six entries

@@ -70,51 +70,27 @@ class SystemParams:
             )
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities derived from SystemParams.
-
-    bar_eps = (eps_a+eps_b)/2, delta_eps = eps_a-eps_b,
-    omega = sqrt(delta_eps^2 + kappa^2)/2 (half the gap of the entangled pair),
-    theta = arctan(kappa/delta_eps) in [0, pi/2], and the coupling phase.
-    """
-
-    bar_eps: float
-    delta_eps: float
-    omega: float
-    theta: float
-    phase: Phase
-
-
-def derive_arrays(eps_a, eps_b, kappa):
+def derive_params(eps_a, eps_b, kappa):
     """(bar_eps, delta_eps, omega, theta, strong) elementwise over cell arrays.
 
-    Strong phase iff kappa > 2*sqrt(eps_a*eps_b), equivalently omega > bar_eps;
+    bar_eps = (eps_a+eps_b)/2, delta_eps = eps_a-eps_b, omega =
+    hypot(delta_eps, kappa)/2 (half the gap of the entangled pair).  Strong
+    phase iff kappa > 2*sqrt(eps_a*eps_b), equivalently omega > bar_eps;
     theta = atan2(kappa, delta_eps), pi/2 exactly for degenerate qubits.  The
-    first coupling at the phase boundary is rejected.  Single points and grid
-    rows go through these same numpy operations, so both give the same bits.
+    first coupling at the phase boundary is rejected.
     """
     bar_eps = 0.5 * (eps_a + eps_b)
     delta_eps = eps_a - eps_b
     boundary = 2.0 * np.sqrt(eps_a * eps_b)
     near = np.abs(kappa - boundary) <= BOUNDARY_REL_TOL * bar_eps
     if np.count_nonzero(near):
-        kappa, bar_eps, boundary = np.broadcast_arrays(kappa, bar_eps, boundary)
-        i = np.unravel_index(np.argmax(near), near.shape)
+        k, b, c = list(np.broadcast(kappa, bar_eps, boundary))[np.argmax(near)]
         raise PhaseBoundaryError(
-            f"kappa={kappa[i]} within {BOUNDARY_REL_TOL * bar_eps[i]:.3g} of the "
-            f"level crossing at {boundary[i]}; lower transition energy vanishes there"
+            f"kappa={k} within {BOUNDARY_REL_TOL * b:.3g} of the "
+            f"level crossing at {c}; lower transition energy vanishes there"
         )
     omega = 0.5 * np.hypot(delta_eps, kappa)
     return bar_eps, delta_eps, omega, np.arctan2(kappa, delta_eps), kappa > boundary
-
-
-def derive_params(p: SystemParams) -> DerivedParams:
-    """Derived parameters of one system: derive_arrays at a single cell."""
-    bar_eps, delta_eps, omega, theta, strong = derive_arrays(
-        np.float64(p.eps_a), np.float64(p.eps_b), np.float64(p.kappa))
-    return DerivedParams(float(bar_eps), float(delta_eps), float(omega), float(theta),
-                         Phase.STRONG if strong else Phase.WEAK)
 
 
 def hamiltonian_matrix(p: SystemParams) -> np.ndarray:
@@ -134,31 +110,14 @@ def hamiltonian_matrix(p: SystemParams) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigen-decomposition of the two-qubit Hamiltonian.
-
-    energies : ascending eigenvalues, labeled (g, e1, e2, e3)
-    vectors  : matching orthonormal columns expressed in the local basis
-    """
-
-    energies: np.ndarray
-    vectors: np.ndarray
-    labels: tuple[str, str, str, str] = ("g", "e1", "e2", "e3")
-    phase: Phase = Phase.WEAK
-
-    def number_eigenvalues(self) -> np.ndarray:
-        """Total-excitation eigenvalues in the (g, e1, e2, e3) order.
-
-        The eigenvectors never mix excitation sectors, so the numbers are
-        fixed by the phase's level ordering.
-        """
-        return EXCITATIONS[int(self.phase is Phase.STRONG)]
-
-
 # excitation numbers in the (g, e1, e2, e3) order of the weak (row 0) and the
 # strong (row 1) phase
 EXCITATIONS = np.array([[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 2.0, 1.0]])
+
+
+# positions of |00>, psi-, psi+ and |11> in the (g, e1, e2, e3) order of the
+# weak (row 0) and the strong (row 1) phase
+STATE_POSITIONS = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
 
 
 def _eigen_templates() -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +126,7 @@ def _eigen_templates() -> tuple[np.ndarray, np.ndarray]:
     energy = np.array([[[-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]],
                        [[0.0, -1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]])
     vectors = np.zeros((2, 3, 4, 4), dtype=complex)
-    # columns of |00>, psi-, psi+ and |11> in each phase's ordering
-    for phase, (g, m, p, e) in enumerate([(0, 1, 2, 3), (1, 0, 3, 2)]):
+    for phase, (g, m, p, e) in enumerate(STATE_POSITIONS):
         vectors[phase, 0, 0, g] = vectors[phase, 0, 3, e] = 1.0
         vectors[phase, 1, 1, m] = vectors[phase, 1, 2, p] = 1.0
         vectors[phase, 2, 2, m], vectors[phase, 2, 1, p] = -1.0, 1.0
@@ -178,8 +136,8 @@ def _eigen_templates() -> tuple[np.ndarray, np.ndarray]:
 _ENERGY, _VECTORS = _eigen_templates()
 
 
-def eigen_arrays(bar_eps: np.ndarray, omega: np.ndarray, theta: np.ndarray,
-                 strong: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eigensystem(bar_eps: np.ndarray, omega: np.ndarray, theta: np.ndarray,
+                strong: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energies (..., 4), eigenvector columns (..., 4, 4) and excitation numbers
     (..., 4) over leading cell axes.
 
@@ -196,16 +154,6 @@ def eigen_arrays(bar_eps: np.ndarray, omega: np.ndarray, theta: np.ndarray,
     return (bar_eps[..., None] * energy[..., 0, :] + omega[..., None] * energy[..., 1, :],
             vectors[..., 0, :, :] + c * vectors[..., 1, :, :] + s * vectors[..., 2, :, :],
             EXCITATIONS[phase])
-
-
-def eigensystem(p: SystemParams) -> EigenSystem:
-    """Analytic eigensystem of one system: eigen_arrays at a single cell."""
-    d = derive_params(p)
-    energies, vectors, _ = eigen_arrays(np.float64(d.bar_eps), np.float64(d.omega),
-                                        np.float64(d.theta), np.bool_(d.phase is Phase.STRONG))
-    vectors.setflags(write=False)
-    energies.setflags(write=False)
-    return EigenSystem(energies=energies, vectors=vectors, phase=d.phase)
 
 
 @dataclass(frozen=True)
@@ -243,12 +191,12 @@ def conjugate(m: np.ndarray, v: np.ndarray, to_local: bool) -> np.ndarray:
     return 0.5 * (out + out.conj().swapaxes(-1, -2))
 
 
-def basis_change(rho: DensityMatrix4, target: Basis, eig: EigenSystem) -> DensityMatrix4:
+def basis_change(rho: DensityMatrix4, target: Basis, vectors: np.ndarray) -> DensityMatrix4:
     """Unitary conjugation between the local and energy bases.
 
-    With V the eigenvector columns, rho_local = V rho_energy V^dagger.
+    With V the (4, 4) eigenvector columns, rho_local = V rho_energy V^dagger.
     """
     if rho.basis is target:
         return rho
-    m = conjugate(rho.entries, eig.vectors, to_local=target is Basis.LOCAL)
+    m = conjugate(rho.entries, vectors, to_local=target is Basis.LOCAL)
     return DensityMatrix4(entries=m, basis=target)

@@ -6,9 +6,8 @@ dissipative matrix entries are built from the stimulated rates (p, q, s, t)
 plus spontaneous weights; each carries a per-reservoir split so downstream
 code can attribute currents to a single reservoir.
 
-Rates are evaluated for N cells at once, as arrays over a leading cell axis
-(`rate_arrays`); `rate_set` and `occupation` run the same code at a single
-cell.
+Rates are evaluated for N cells at once, over a leading cell axis
+(`rate_set`); a single point is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import DerivedParams, SystemParams, derive_arrays
+from .model import SystemParams, derive_params
 
 # Bose occupation rejected below this multiple of T (divergence guard)
 BOSE_EPS_FLOOR = 1e-9
@@ -80,79 +79,28 @@ def occupation(r: ReservoirSpec, eps: float) -> float:
                                                 dtype=float)).item()
 
 
-@dataclass(frozen=True)
-class TransitionEnergies:
-    """The two sigma_x-driven transition energies, both strictly positive."""
-
-    eps_minus: float
-    eps_plus: float
-
-
-def _transition(bar_eps, omega):
-    """(eps_minus, eps_plus): the lower one is bar_eps - omega in the weak phase
-    and omega - bar_eps in the strong phase, i.e. |bar_eps - omega|."""
+def transition_energies(bar_eps, omega):
+    """(eps_minus, eps_plus), the two sigma_x-driven transition energies,
+    elementwise: the lower one is bar_eps - omega in the weak phase and
+    omega - bar_eps in the strong phase, i.e. |bar_eps - omega|."""
     return abs(bar_eps - omega), bar_eps + omega
 
 
-def transition_energies(d: DerivedParams) -> TransitionEnergies:
-    """The two transition energies of one system (see _transition)."""
-    eps_minus, eps_plus = _transition(d.bar_eps, d.omega)
-    return TransitionEnergies(eps_minus=eps_minus, eps_plus=eps_plus)
-
-
-# columns of RateSet.coefficients, one row per reservoir
+# rate coefficients of one reservoir, in the order of rate_set's last axis
 COEFFICIENTS = ("p", "q", "s", "t", "spont_plus", "spont_minus", "spont_coh")
 
 
-@dataclass(frozen=True)
-class RateSet:
-    """Rate parameters entering the evolution matrices, with per-reservoir split.
-
-    coefficients[..., j, :] holds reservoir j's (p_j, q_j, s_j, t_j,
-    spont_plus_j, spont_minus_j, spont_coh_j) in the order of COEFFICIENTS;
-    the leading axes, if any, run over cells.  p = p_a + p_b and
-    q = q_a + q_b are the stimulated rates at eps_plus and eps_minus.  s_j,
-    t_j are the sum/difference combinations weighting the
-    population<->coherence couplings.  The spontaneous weights split the bare
-    weight (total gamma per transition) between the reservoirs with the same
-    angular factors as p and q; spont_coh_j = (gamma/2) sin(theta) is the
-    spontaneous coherence weight of the strong phase.
-    """
-
-    coefficients: np.ndarray
-    theta: float
-    statistics: Statistics
-
-    def _get(self, j: int, name: str):
-        return self.coefficients[..., j, COEFFICIENTS.index(name)]
-
-    p_a = property(lambda self: self._get(0, "p"))
-    p_b = property(lambda self: self._get(1, "p"))
-    q_a = property(lambda self: self._get(0, "q"))
-    q_b = property(lambda self: self._get(1, "q"))
-    s_a = property(lambda self: self._get(0, "s"))
-    s_b = property(lambda self: self._get(1, "s"))
-    t_a = property(lambda self: self._get(0, "t"))
-    t_b = property(lambda self: self._get(1, "t"))
-    spont_plus_a = property(lambda self: self._get(0, "spont_plus"))
-    spont_plus_b = property(lambda self: self._get(1, "spont_plus"))
-    spont_minus_a = property(lambda self: self._get(0, "spont_minus"))
-    spont_minus_b = property(lambda self: self._get(1, "spont_minus"))
-    p = property(lambda self: self.p_a + self.p_b)
-    q = property(lambda self: self.q_a + self.q_b)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cells:
     """Per-cell inputs of the array kernels, over leading cell axes.
 
-    The derived parameters of each cell's system (model.derive_arrays) come
+    The derived parameters of each cell's system (model.derive_params) come
     with its coupling constant gamma and its reservoirs' temperature and mu,
     the latter two as (..., 2) arrays: reservoir A, reservoir B.  All cells
     share one statistics.  `build` takes parameter arrays (a sweep row builds
-    them from its axis vectors), `of` stacks N points along one axis, and
-    `at` holds a single cell with no cell axis, which is how the
-    single-point functions call the kernels.
+    them from its axis vectors) and `of` stacks N points along one axis; a
+    single point is `Cells.of([(p, ra, rb)])`, and its callers read row 0 of
+    every stage.  Cells compare and hash by identity.
     """
 
     bar_eps: np.ndarray
@@ -168,8 +116,8 @@ class Cells:
     def build(cls, eps_a, eps_b, kappa, gamma, temperature: np.ndarray, mu: np.ndarray,
               statistics: Statistics) -> Cells:
         """Cells from system parameters of equal shape and (..., 2) reservoir
-        temperatures and mu, derived by model.derive_arrays like every cell."""
-        bar_eps, _, omega, theta, strong = derive_arrays(eps_a, eps_b, kappa)
+        temperatures and mu, derived by model.derive_params like every cell."""
+        bar_eps, _, omega, theta, strong = derive_params(eps_a, eps_b, kappa)
         return cls(bar_eps, omega, theta, strong, gamma, temperature, mu, statistics)
 
     @classmethod
@@ -183,19 +131,21 @@ class Cells:
                            dtype=float).T.copy()
         return cls.build(*columns[:4], columns[4:6].T.copy(), columns[6:8].T.copy(), stat)
 
-    @classmethod
-    def at(cls, p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> Cells:
-        if ra.statistics is not rb.statistics:
-            raise ConfigurationError("reservoirs must share statistics (both bose or both fermi)")
-        return cls.build(np.float64(p.eps_a), np.float64(p.eps_b), np.float64(p.kappa),
-                         np.float64(p.gamma), np.array([ra.temperature, rb.temperature], float),
-                         np.array([ra.mu, rb.mu], float), ra.statistics)
 
+def rate_set(c: Cells) -> np.ndarray:
+    """Rate coefficients of cells, (..., 2, len(COEFFICIENTS)) over their cell axes.
 
-def rate_arrays(c: Cells) -> RateSet:
-    """Rate parameters of cells, as a RateSet over their cell axes."""
+    [..., j, :] holds reservoir j's (p_j, q_j, s_j, t_j, spont_plus_j,
+    spont_minus_j, spont_coh_j) in the order of COEFFICIENTS; j = 0 is
+    reservoir A.  p = p_a + p_b and q = q_a + q_b are the stimulated rates at
+    eps_plus and eps_minus.  s_j, t_j are the sum/difference combinations
+    weighting the population<->coherence couplings.  The spontaneous weights
+    split the bare weight (total gamma per transition) between the reservoirs
+    with the same angular factors as p and q; spont_coh_j = (gamma/2)
+    sin(theta) is the spontaneous coherence weight of the strong phase.
+    """
     eps = np.empty(c.theta.shape + (2,))
-    eps[..., 1], eps[..., 0] = _transition(c.bar_eps, c.omega)
+    eps[..., 1], eps[..., 0] = transition_energies(c.bar_eps, c.omega)
     # n[..., j, k]: reservoir j's occupation at eps_plus (k=0) and eps_minus (k=1)
     n = occupations(c.statistics, c.temperature[..., None], c.mu[..., None], eps[..., None, :])
     half = 0.5 * c.theta
@@ -213,11 +163,4 @@ def rate_arrays(c: Cells) -> RateSet:
     coefficients[..., 3] = half_sin * (n[..., 0] - n[..., 1])
     coefficients[..., 4:6] = spont
     coefficients[..., 6] = half_sin
-    return RateSet(coefficients, c.theta, c.statistics)
-
-
-def rate_set(p: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec) -> RateSet:
-    """Rate parameters of one reservoir pair of equal statistics: rate_arrays
-    at a single cell."""
-    rs = rate_arrays(Cells.at(p, ra, rb))
-    return RateSet(rs.coefficients, float(rs.theta), rs.statistics)
+    return coefficients

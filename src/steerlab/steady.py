@@ -2,8 +2,9 @@
 
 The steady state is the null vector of the 6x6 evolution matrix, normalized to
 unit population sum and symmetrized.  Positivity of the resulting density
-matrix is reported, never silently repaired.  `steady_arrays` solves N
-generators at once over a leading cell axis; `steady_state` is the N=1 case.
+matrix is reported, never silently repaired.  `steady_state` solves N
+generators at once over a leading cell axis; a single point is the one-cell
+batch.
 """
 from __future__ import annotations
 
@@ -15,36 +16,22 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateSteadyStateError
-from .generator import Generator, from_vector6, hermitize_vector6, to_vector6
+from .generator import GeneratorArrays, from_vector6, hermitize_vector6, to_vector6
 from .model import (
     Basis,
     DensityMatrix4,
-    Phase,
     POSITIVITY_TOL,
     SystemParams,
     basis_change,
     conjugate,
-    derive_params,
     eigensystem,
 )
-from .rates import ReservoirSpec, Statistics, occupation, transition_energies
+from .rates import Cells, ReservoirSpec, Statistics, occupation, transition_energies
 
 RESIDUAL_TOL = 1e-10
 EPS = np.finfo(float).eps
 # stability bound on the fixed RK4 step: dt <= DT_SAFETY / ||M||_inf
 DT_SAFETY = 0.1
-
-
-@dataclass(frozen=True)
-class SteadyResult:
-    """Steady state in both bases plus solver diagnostics."""
-
-    state_energy: DensityMatrix4
-    state_local: DensityMatrix4
-    vector6: np.ndarray
-    residual: float
-    min_eigenvalue: float
-    positivity_ok: bool
 
 
 class SteadyArrays(NamedTuple):
@@ -77,7 +64,7 @@ def min_eigenvalue_energy(v: np.ndarray) -> np.ndarray:
     return np.minimum(np.minimum(p[..., 0], p[..., 3]), block)
 
 
-def steady_arrays(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
+def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
     """Solve M|rho> = 0 for N matrices (N,6,6) by a bordered linear solve.
 
     vectors (N,4,4) carry each state to the local basis.  Trace preservation
@@ -122,34 +109,19 @@ def steady_arrays(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
                         min_eig, min_eig >= -POSITIVITY_TOL, ratio)
 
 
-def steady_state(g: Generator) -> SteadyResult:
-    """Steady state of one generator: the N=1 case of steady_arrays."""
-    s = steady_arrays(g.total[None], g.eig.vectors[None])
-    v = s.vector6[0]
-    v.setflags(write=False)
-    return SteadyResult(
-        state_energy=DensityMatrix4(entries=s.energy[0], basis=Basis.ENERGY),
-        state_local=DensityMatrix4(entries=s.local[0], basis=Basis.LOCAL),
-        vector6=v,
-        residual=s.residual.item(),
-        min_eigenvalue=s.min_eigenvalue.item(),
-        positivity_ok=s.positive.item(),
-    )
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step trajectory of the 6-entry state vector."""
+    """Fixed-step trajectory of the 6-entry state vector of a one-cell generator."""
 
     times: np.ndarray
     vectors: np.ndarray
-    generator: Generator
+    generator: GeneratorArrays
 
     def state(self, i: int, basis: Basis = Basis.ENERGY) -> DensityMatrix4:
         rho = DensityMatrix4(entries=from_vector6(hermitize_vector6(self.vectors[i])),
                              basis=Basis.ENERGY)
         if basis is Basis.LOCAL:
-            rho = basis_change(rho, Basis.LOCAL, self.generator.eig)
+            rho = basis_change(rho, Basis.LOCAL, self.generator.vectors[0])
         return rho
 
     def final_state(self, basis: Basis = Basis.ENERGY) -> DensityMatrix4:
@@ -168,17 +140,20 @@ class Trajectory:
             )
 
 
-def max_stable_dt(g: Generator) -> float:
-    norm_inf = float(np.max(np.abs(g.total).sum(axis=1)))
+def max_stable_dt(g: GeneratorArrays) -> float:
+    """The stability bound 0.1/||M||_inf of the one-cell generator g."""
+    norm_inf = float(np.max(np.abs(g.total[0]).sum(axis=1)))
     return DT_SAFETY / norm_inf
 
 
-def evolve(g: Generator, rho0: DensityMatrix4, t_final: float, dt: float) -> Trajectory:
-    """Classic fixed-step 4th-order integration of dv/dt = M v.
+def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float, dt: float) -> Trajectory:
+    """Classic fixed-step 4th-order integration of dv/dt = M v, for the
+    one-cell generator g.
 
     The initial state must live in the 6-entry subspace; entries outside it
     beyond 1e-12 are dropped with a warning.  Steps larger than the stability
-    bound 0.1/||M||_inf are rejected.
+    bound 0.1/||M||_inf are rejected, and so is a trajectory too long to
+    allocate.
     """
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise ValueError("t_final and dt must be positive and finite")
@@ -186,7 +161,7 @@ def evolve(g: Generator, rho0: DensityMatrix4, t_final: float, dt: float) -> Tra
     if dt > dt_max:
         raise ValueError(f"dt={dt} unstable: maximum stable dt is {dt_max:.6g}")
     if rho0.basis is not Basis.ENERGY:
-        rho0 = basis_change(rho0, Basis.ENERGY, g.eig)
+        rho0 = basis_change(rho0, Basis.ENERGY, g.vectors[0])
     v, leak = to_vector6(rho0.entries)
     if leak > 1e-12:
         warnings.warn(
@@ -194,10 +169,14 @@ def evolve(g: Generator, rho0: DensityMatrix4, t_final: float, dt: float) -> Tra
             "projecting onto the 6-entry subspace",
             stacklevel=2,
         )
-    m = g.total
-    n_steps = int(math.ceil(t_final / dt - 1e-12))
-    times = np.empty(n_steps + 1)
-    vectors = np.empty((n_steps + 1, 6), dtype=complex)
+    m = g.total[0]
+    n_steps = t_final / dt
+    try:
+        n_steps = int(math.ceil(n_steps - 1e-12))
+        times = np.empty(n_steps + 1)
+        vectors = np.empty((n_steps + 1, 6), dtype=complex)
+    except (OverflowError, MemoryError, ValueError):
+        raise ValueError(f"a trajectory of {n_steps:.6g} steps cannot be allocated") from None
     times[0] = 0.0
     vectors[0] = v
     t = 0.0
@@ -244,18 +223,19 @@ def equilibrium_analytic(
     """
     if rb is not None and not _same_reservoir(r, rb):
         raise ConfigurationError("equilibrium_analytic requires identical reservoirs")
-    d = derive_params(p)
-    eig = eigensystem(p)
-    tr = transition_energies(d)
-    np_, nq = occupation(r, tr.eps_plus), occupation(r, tr.eps_minus)
-    c2 = math.cos(d.theta / 2) ** 2
-    s2 = math.sin(d.theta / 2) ** 2
-    sin_th = math.sin(d.theta)
+    c = Cells.of([(p, r, r)])
+    _, vectors, _ = eigensystem(c.bar_eps, c.omega, c.theta, c.strong)
+    theta = c.theta.item()
+    eps_minus, eps_plus = transition_energies(c.bar_eps.item(), c.omega.item())
+    np_, nq = occupation(r, eps_plus), occupation(r, eps_minus)
+    c2 = math.cos(theta / 2) ** 2
+    s2 = math.sin(theta / 2) ** 2
+    sin_th = math.sin(theta)
     if r.statistics is Statistics.BOSE:
         norm = (1 + 2 * np_) * (1 + 2 * nq)
         diag = np.array([(1 + np_) * (1 + nq), (1 + np_) * nq, (1 + nq) * np_, np_ * nq])
         diag /= norm
-        if d.phase is Phase.WEAK:
+        if not c.strong[0]:
             local_diag = [
                 diag[0],
                 (s2 * np_ + c2 * nq + np_ * nq) / norm,
@@ -272,7 +252,7 @@ def equilibrium_analytic(
             ]
             rho23 = -sin_th * (1 + np_ + nq) / (2 * norm)
     else:
-        if d.phase is not Phase.WEAK:
+        if c.strong[0]:
             raise ConfigurationError("fermionic setup supports the weak phase only")
         diag = np.array([(1 - np_) * (1 - nq), (1 - np_) * nq, (1 - nq) * np_, np_ * nq])
         local_diag = [
@@ -288,7 +268,8 @@ def equilibrium_analytic(
     m_local[2, 1] = np.conj(rho23)
     local = DensityMatrix4(entries=m_local, basis=Basis.LOCAL)
     # cross-route sanity: the two closed forms must be basis changes of each other
-    mismatch = np.max(np.abs(basis_change(energy, Basis.LOCAL, eig).entries - local.entries))
+    back = basis_change(energy, Basis.LOCAL, vectors[0]).entries
+    mismatch = np.max(np.abs(back - local.entries))
     if mismatch > 1e-12:
         raise AssertionError(f"analytic equilibrium bases disagree by {mismatch:.3g}")
     return EquilibriumState(energy=energy, local=local)

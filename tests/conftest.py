@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import steerlab as sl
 from steerlab.analysis import Axis, SweepConfig
-from steerlab.rates import Statistics
+from steerlab.rates import COEFFICIENTS, Statistics
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
 
@@ -73,6 +74,35 @@ def random_system(rng: np.random.Generator, phase: sl.Phase,
         kappa = boundary * rng.uniform(1.1, 2.5)
     gamma = rng.uniform(*gamma_range)
     return sl.SystemParams(eps_a=eps_a, eps_b=eps_b, kappa=kappa, gamma=gamma)
+
+
+def one_cell(p: sl.SystemParams, ra: sl.ReservoirSpec, rb: sl.ReservoirSpec):
+    """Generator and steady state of one point, as the one-cell batch."""
+    g = sl.build_generator(sl.Cells.of([(p, ra, rb)]))
+    return g, sl.steady_state(g.total, g.vectors)
+
+
+def rates(p, ra, rb) -> SimpleNamespace:
+    """The rate coefficients of one point by name, with suffix _a or _b for
+    the reservoir, plus the totals p and q."""
+    rs = sl.rate_set(sl.Cells.of([(p, ra, rb)]))[0]
+    out = {f"{name}_{j}": rs[k, i] for k, j in enumerate("ab")
+           for i, name in enumerate(COEFFICIENTS)}
+    return SimpleNamespace(**out, p=out["p_a"] + out["p_b"], q=out["q_a"] + out["q_b"])
+
+
+def row0(batch):
+    """A batch result (a NamedTuple) with each array field read at row 0."""
+    return batch._replace(**{k: v[0] for k, v in batch._asdict().items()
+                             if isinstance(v, np.ndarray)})
+
+
+def eigen_populations(local: np.ndarray, vectors: np.ndarray, strong: bool) -> np.ndarray:
+    """Oracle: weights of a local-basis state on (|00>, |11>, psi-, psi+), by
+    projecting onto the eigenvector columns (in the phase's (g, e1, e2, e3)
+    order)."""
+    pops = np.einsum("ik,ij,jk->k", vectors.conj(), local, vectors).real
+    return pops[[1, 2, 0, 3]] if strong else pops[[0, 3, 1, 2]]
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from steerlab.analysis import (
     analytic_thresholds,
     entanglement_boundary_fit,
     hierarchy_check,
+    run_point,
     sweep2d,
 )
 from steerlab.analysis import threshold_kappa as bisect_kappa
@@ -28,14 +29,15 @@ from steerlab.generator import from_vector6
 from steerlab.model import Basis, Phase
 from steerlab.rates import Statistics
 from steerlab.steady import max_stable_dt
-from steerlab.transport import transport_report
 
 from conftest import (
     PRESET_NAMES,
     gibbs_local,
     load_preset_config,
+    one_cell,
     random_system,
     record_criterion,
+    row0,
     werner_state,
 )
 
@@ -53,10 +55,16 @@ def preset_maps():
 
 
 def steady_report(p, ta, tb, stat=BOSE, mua=0.0, mub=0.0):
-    g = sl.build_generator(p, sl.ReservoirSpec(stat, ta, mua),
-                           sl.ReservoirSpec(stat, tb, mub))
-    ss = sl.steady_state(g)
-    return g, ss, sl.classify(ss.state_local, eig=g.eig)
+    """Row 0 of the steady state and the classification of one point, and
+    its (current_a, current_b, sigma)."""
+    _, ss, rep, (current_a, current_b, sigma) = run_point(
+        p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))
+    return row0(ss), row0(rep), (current_a[0], current_b[0], sigma[0])
+
+
+def classify(rho, dual=True):
+    """Row 0 of the classification of rho as the one-cell batch."""
+    return row0(sl.classify(rho.entries[None], dual=dual))
 
 
 # --------------------------------------------------------------------------
@@ -101,9 +109,9 @@ def _werner_pipeline_threshold(margin_of, lo=0.02, hi=0.98):
 def test_c01_werner_thresholds():
     analytic = {"ent": 1 / 3, "steer": 1 / SQ3, "bell": 1 / SQ2}
     pipeline = {
-        "ent": _werner_pipeline_threshold(lambda w: sl.classify(werner_state(w)).margin_ent),
-        "steer": _werner_pipeline_threshold(lambda w: sl.classify(werner_state(w)).margin_ab),
-        "bell": _werner_pipeline_threshold(lambda w: sl.classify(werner_state(w)).margin_bell),
+        "ent": _werner_pipeline_threshold(lambda w: classify(werner_state(w)).margin_ent),
+        "steer": _werner_pipeline_threshold(lambda w: classify(werner_state(w)).margin_ab),
+        "bell": _werner_pipeline_threshold(lambda w: classify(werner_state(w)).margin_bell),
     }
     brute = _werner_brute_force_thresholds()
     ok = all(abs(pipeline[k] - analytic[k]) < 1e-6 for k in analytic) and \
@@ -130,15 +138,14 @@ def test_c02_equilibrium_oracles():
             t = rng.uniform(0.15, 2.0)
             mu = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
             r = sl.ReservoirSpec(stat, t, mu)
-            g = sl.build_generator(p, r, r)
-            ss = sl.steady_state(g)
+            _, ss = one_cell(p, r, r)
             ana = sl.equilibrium_analytic(p, r)
             oracle = gibbs_local(p, 1.0 / t, mu)
             worst = max(
                 worst,
-                float(np.max(np.abs(ss.state_local.entries - ana.local.entries))),
-                float(np.max(np.abs(ss.state_energy.entries - ana.energy.entries))),
-                float(np.max(np.abs(ss.state_local.entries - oracle))),
+                float(np.max(np.abs(ss.local[0] - ana.local.entries))),
+                float(np.max(np.abs(ss.energy[0] - ana.energy.entries))),
+                float(np.max(np.abs(ss.local[0] - oracle))),
             )
     ok = worst < 1e-10
     record_criterion(2, "equilibrium = closed form = Gibbs for 200 sets/setup "
@@ -230,7 +237,7 @@ def _max_weak_phase_ba_margin(delta_eps):
     for kfrac in (0.98, 0.995, 0.999):
         p = sl.SystemParams(ea, eb, kfrac * boundary, 0.01)
         for t in np.geomspace(0.005, 0.35, 25):
-            _, _, rep = steady_report(p, t, t)
+            _, rep, _ = steady_report(p, t, t)
             if rep.margin_ba > best:
                 best, best_ab = rep.margin_ba, rep.margin_ab
     return best, best_ab
@@ -263,15 +270,13 @@ def test_c06_transport_continuity_and_entropy():
         tb = t if stat is FERMI else rng.uniform(0.1, 1.0)
         mua = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
         mub = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
-        g, ss, _ = steady_report(p, t, tb, stat, mua, mub)
-        tr = transport_report(g, ss)
-        worst_cont = max(worst_cont, abs(tr.current_a + tr.current_b))
-        worst_sigma = min(worst_sigma, tr.sigma)
+        _, _, (current_a, current_b, sigma) = steady_report(p, t, tb, stat, mua, mub)
+        worst_cont = max(worst_cont, abs(current_a + current_b))
+        worst_sigma = min(worst_sigma, sigma)
 
     p_eq = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
-    g, ss, _ = steady_report(p_eq, 0.5, 0.5)
-    tr_eq = transport_report(g, ss)
-    eq_ok = max(abs(tr_eq.current_a), abs(tr_eq.current_b), abs(tr_eq.sigma)) < 1e-12
+    _, _, transport_eq = steady_report(p_eq, 0.5, 0.5)
+    eq_ok = max(map(abs, transport_eq)) < 1e-12
 
     ratio = sl.rectification(p_eq, sl.ReservoirSpec(BOSE, 0.5), 0.4)
     ratio_ok = abs(ratio - 1.0) > 1e-3
@@ -398,8 +403,7 @@ def test_c08_trend_tables(preset_maps):
 
 def test_c09_dynamics_convergence():
     p = sl.SystemParams(1.0, 1.0, 3.0, 0.01)
-    g = sl.build_generator(p, sl.ReservoirSpec(BOSE, 0.4), sl.ReservoirSpec(BOSE, 0.6))
-    ss = sl.steady_state(g)
+    g, ss = one_cell(p, sl.ReservoirSpec(BOSE, 0.4), sl.ReservoirSpec(BOSE, 0.6))
     dt = 0.9 * max_stable_dt(g)
 
     ground = np.zeros((4, 4), dtype=complex)
@@ -413,7 +417,7 @@ def test_c09_dynamics_convergence():
     gaps, drifts = [], []
     for rho0 in initial_states:
         traj = sl.evolve(g, rho0, t_final=20 / p.gamma, dt=dt)
-        gaps.append(float(np.max(np.abs(traj.vectors[-1] - ss.vector6))))
+        gaps.append(float(np.max(np.abs(traj.vectors[-1] - ss.vector6[0]))))
         drifts.append(traj.trace_drift())
     ok = max(gaps) < 1e-8 and max(drifts) < 1e-10
     record_criterion(9, "three initial states converge to the null-space state "
@@ -434,7 +438,7 @@ def test_c10_coherence_behavior():
         (sl.SystemParams(1.8, 0.2, 3.0, 0.01), BOSE, 0.0),
         (sl.SystemParams(1.2, 0.8, 0.6, 0.01), FERMI, 0.8),
     ):
-        g, ss, _ = steady_report(p, 0.4, 0.4, stat, mu, mu)
+        ss, _, _ = steady_report(p, 0.4, 0.4, stat, mu, mu)
         eq_worst = max(eq_worst, abs(ss.vector6[4]))
 
     # nonequilibrium coherence is nonzero and vanishes continuously
@@ -442,7 +446,7 @@ def test_c10_coherence_behavior():
     dts = [0.2, 0.1, 0.05, 0.025]
     cohs = []
     for dt in dts:
-        g, ss, _ = steady_report(p, 0.5 - dt / 2, 0.5 + dt / 2)
+        ss, _, _ = steady_report(p, 0.5 - dt / 2, 0.5 + dt / 2)
         cohs.append(abs(ss.vector6[4]))
     noneq_ok = all(c > 1e-9 for c in cohs) and all(
         a > b for a, b in zip(cohs, cohs[1:]))
@@ -460,7 +464,7 @@ def test_c10_coherence_behavior():
         values = []
         for gamma in gammas:
             p_g = sl.SystemParams(*params, gamma)
-            g, ss, _ = steady_report(p_g, *reservoirs)
+            ss, _, _ = steady_report(p_g, *reservoirs)
             values.append(abs(ss.vector6[4]))
         fits[label] = float(np.polyfit(np.log(gammas), np.log(values), 1)[0])
     os.makedirs("reports", exist_ok=True)
@@ -495,9 +499,8 @@ def test_c11_dual_path_agreement(preset_maps):
             if not cell.positivity_ok:
                 continue
             system, ra, rb = cfg.point(cell.x, cell.y)
-            g = sl.build_generator(system, ra, rb)
-            ss = sl.steady_state(g)
-            rep = sl.classify(ss.state_local, eig=g.eig)
+            _, rep, _ = steady_report(system, ra.temperature, rb.temperature, ra.statistics,
+                                      ra.mu, rb.mu)
             assert rep.method is Method.BOTH, (name, cell.x, cell.y)
             assert rep.entangled == cell.entangled
             assert rep.steer_a_to_b == cell.steer_ab
@@ -540,7 +543,7 @@ def test_symmetric_weak_phase_never_steers():
     for kappa in (0.3, 0.8, 1.2, 1.6, 1.9, 1.99):
         p = sl.SystemParams(1.0, 1.0, kappa, 0.01)
         for t in np.geomspace(0.005, 3.0, 12):
-            _, _, rep = steady_report(p, t, t)
+            _, rep, _ = steady_report(p, t, t)
             assert rep.margin_ab <= 1e-12 and rep.margin_ba <= 1e-12, (kappa, t)
 
 
@@ -564,8 +567,7 @@ def test_fermionic_equilibrium_needs_least_coupling(preset_maps):
 def test_fermionic_resonance_suppresses_asymmetry():
     # at mu_bar = bar_eps the f_b factor vanishes along the whole dmu axis
     p = sl.SystemParams(1.5, 0.5, 0.6, 0.01)
-    from steerlab.correlations import steering_factors
     for dmu in np.linspace(-2.0, 2.0, 11):
-        g, ss, _ = steady_report(p, 0.15, 0.15, FERMI, 1 - dmu / 2, 1 + dmu / 2)
-        x = sl.extract_xstate(ss.state_local)
-        assert abs(steering_factors(x).f_b) < 1e-10
+        _, rep, _ = steady_report(p, 0.15, 0.15, FERMI, 1 - dmu / 2, 1 + dmu / 2)
+        # the steering margins differ by 2 f_b
+        assert abs(rep.margin_ba - rep.margin_ab) < 2e-10

@@ -136,17 +136,17 @@ class TestSweep2d:
         assert m.cell(2, 1).x == xs[2] and m.cell(2, 1).y == ys[1]
 
     def test_point_matches_row(self):
-        # a row is one batch of the array kernels; run_point runs them at one cell
+        # a row is one batch of the array kernels; run_point is a batch of one
         cfg = small_sweep(nx=4, ny=3)
         m = sweep2d(cfg)
         for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
             cell = m.cell(ix, iy)
-            _, ss, rep, tr = run_point(*cfg.point(cell.x, cell.y))
-            assert (rep.entangled, rep.steer_a_to_b, rep.steer_b_to_a, rep.bell,
-                    ss.positivity_ok) == (cell.entangled, cell.steer_ab, cell.steer_ba,
-                                          cell.bell, cell.positivity_ok)
-            got = (rep.margin_ent, rep.margin_ab, rep.margin_ba, rep.margin_bell,
-                   tr.current_b, tr.sigma)
+            _, ss, c, (_, current_b, sigma) = run_point(*cfg.point(cell.x, cell.y))
+            assert (c.entangled[0], c.steer_a_to_b[0], c.steer_b_to_a[0], c.bell[0],
+                    ss.positive[0]) == (cell.entangled, cell.steer_ab, cell.steer_ba,
+                                        cell.bell, cell.positivity_ok)
+            got = (c.margin_ent[0], c.margin_ab[0], c.margin_ba[0], c.margin_bell[0],
+                   current_b[0], sigma[0])
             want = (cell.margin_ent, cell.margin_ab, cell.margin_ba, cell.margin_bell,
                     cell.current_b, cell.sigma)
             assert np.max(np.abs(np.subtract(got, want))) <= 1e-12

@@ -13,13 +13,10 @@ from jsonschema import Draft202012Validator
 import steerlab as sl
 from steerlab.analysis import Axis, SweepConfig
 from steerlab.cli import CONFIG_SCHEMA, CSV_COLUMNS, EXIT_INTERNAL, dumps_fixed, main
-from steerlab.errors import (
-    DegenerateSteadyStateError,
-    InternalConsistencyError,
-    NotXStateError,
-    RegimeError,
-)
+from steerlab.errors import DegenerateSteadyStateError, InternalConsistencyError
 from steerlab.rates import Statistics
+
+from conftest import eigen_populations
 
 PRESETS = [f"fig{n}" for n in
            ["2", "3a", "3b", "3c", "4", "5a", "5b", "5c",
@@ -38,6 +35,7 @@ class TestSteadyCommand:
         rep = json.loads(capsys.readouterr().out)
         assert abs(rep["transport"]["current_b"]) < 1e-12
         assert abs(rep["transport"]["sigma"]) < 1e-12
+        assert rep["transport"]["observable"] == "energy"
         assert rep["positivity_ok"] is True
 
     def test_nonequilibrium_point(self, capsys):
@@ -56,6 +54,30 @@ class TestSteadyCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["correlations"]["steer_a_to_b"] is True
         assert rep["correlations"]["steer_b_to_a"] is True
+        assert rep["transport"]["observable"] == "particle-number"
+
+    @pytest.mark.parametrize("params,stat,a,b", [
+        ((1.0, 1.0, 3.0), "bose", (0.4, 0.0), (0.6, 0.0)),
+        ((1.3, 0.7, 1.0), "bose", (0.45, 0.0), (0.65, 0.0)),
+        ((1.2, 0.8, 0.6), "fermi", (0.15, 0.8), (0.15, 1.2)),
+    ])
+    def test_eigen_populations_match_projection(self, params, stat, a, b, capsys):
+        # strong-bose, weak-bose and weak-fermi: the reported weights on
+        # (|00>, |11>, psi-, psi+) against projections of the local state
+        eps_a, eps_b, kappa = params
+        code = run(["steady", f"--stat={stat}", f"--eps-a={eps_a}", f"--eps-b={eps_b}",
+                    f"--kappa={kappa}", f"--ta={a[0]}", f"--mua={a[1]}",
+                    f"--tb={b[0]}", f"--mub={b[1]}"])
+        assert code == 0
+        rep = json.loads(capsys.readouterr().out)
+        local = np.array(rep["state_local_basis"]) @ [1, 1j]
+        statistics = Statistics(stat)
+        g = sl.build_generator(sl.Cells.of([(sl.SystemParams(*params, 0.01),
+                                             sl.ReservoirSpec(statistics, *a),
+                                             sl.ReservoirSpec(statistics, *b))]))
+        oracle = eigen_populations(local, g.vectors[0], g.cells.strong[0])
+        got = rep["correlations"]["eigen_populations"]
+        assert np.max(np.abs(np.subtract(got, oracle))) <= 1e-15
 
     def test_config_error_exit_code(self, capsys):
         assert run(["steady", "--kappa", "-1"]) == 2
@@ -87,8 +109,6 @@ class TestSteadyCommand:
     @pytest.mark.parametrize("target,exc", [
         ("steady_state", DegenerateSteadyStateError),
         ("classify", InternalConsistencyError),
-        ("classify", NotXStateError),
-        ("classify", RegimeError),
     ])
     def test_internal_error_exit_code(self, target, exc, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -340,6 +360,36 @@ class TestEvolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"rows": [[1, 0, 0, 0]]}, "'matrix' key"),
+        ({"matrix": [1, 2]}, "matrix"),
+        ({"matrix": [[{"re": 1}, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+         "matrix"),
+    ])
+    def test_malformed_matrix_file_rejected(self, doc, message, tmp_path, capsys):
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(doc))
+        code = run(["evolve", "--kappa", "1", "--gamma", "0.05",
+                    "--initial", "custom", "--initial-matrix", str(mpath),
+                    "--t-final", "1", "--dt", "0.01", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_unallocatable_trajectory_rejected(self, tmp_path, capsys):
+        # the 1e14 step times alone need 728 TiB, more than a 128 TiB address
+        # space, so the allocation fails at once and never touches memory
+        code = run(["evolve", "--kappa", "1", "--gamma", "0.05", "--initial", "ground-local",
+                    "--t-final", "1e12", "--dt", "0.01", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "1e+14 steps" in captured.err
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "t.csv").exists()
 

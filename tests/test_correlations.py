@@ -9,21 +9,43 @@ import steerlab as sl
 from steerlab.correlations import (
     MARGIN_TOL,
     PPT_TOL,
+    X_TOL,
     Direction,
     Method,
     _closed_margins,
     _depolarized,
     _general_margins,
+    _non_x,
     _rho14_inert,
-    steering_factors,
+    _x_entries,
+    check_hierarchy,
+    xstate_fault,
 )
-from steerlab.errors import NotXStateError
+from steerlab.errors import InternalConsistencyError
 from steerlab.model import Basis, Phase
 from steerlab.rates import Statistics
 
-from conftest import random_system, werner_state
+from conftest import eigen_populations, one_cell, random_system, row0, werner_state
 
 SQ3 = math.sqrt(3)
+
+
+def xstate(rho):
+    """The X entries of one local-basis state."""
+    return _x_entries(rho.entries)
+
+
+def classify(rho, dual=True):
+    """Row 0 of the classification of rho as the one-cell batch."""
+    return row0(sl.classify(rho.entries[None], dual=dual))
+
+
+def factors(x):
+    """(f_a, f_b) of the steering inequalities, read back from the closed-form
+    margins |rho23|^2 - (f_a +/- f_b)."""
+    _, m_ab, m_ba, _ = _closed_margins(x)
+    coh2 = x.rho23 * x.rho23
+    return coh2 - 0.5 * (m_ab + m_ba), 0.5 * (m_ba - m_ab)
 
 
 def steering_map(rho, direction):
@@ -71,7 +93,7 @@ def xstate_strategy():
 class TestExtractXState:
     def test_identity_over_four(self):
         rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
-        x = sl.extract_xstate(rho)
+        x = xstate(rho)
         assert x.rho11 == x.rho22 == x.rho33 == x.rho44 == 0.25
         assert x.rho23 == 0 and x.rho14 == 0
 
@@ -79,22 +101,9 @@ class TestExtractXState:
         for phase in (Phase.WEAK, Phase.STRONG):
             p = random_system(rng, phase)
             r = sl.ReservoirSpec(Statistics.BOSE, 0.5)
-            g = sl.build_generator(p, r, sl.ReservoirSpec(Statistics.BOSE, 0.7))
-            ss = sl.steady_state(g)
-            sl.extract_xstate(ss.state_local)   # must not raise
-
-    def test_dense_state_rejected(self, rng):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        m = a @ a.conj().T
-        m /= m.trace().real
-        rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
-        with pytest.raises(NotXStateError):
-            sl.extract_xstate(rho)
-
-    def test_energy_basis_rejected(self):
-        rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.ENERGY)
-        with pytest.raises(ValueError):
-            sl.extract_xstate(rho)
+            _, ss = one_cell(p, r, sl.ReservoirSpec(Statistics.BOSE, 0.7))
+            assert _non_x(ss.local)[0] <= X_TOL
+            assert xstate_fault(_x_entries(ss.local))[0] == -1
 
 
 class TestSteeringMap:
@@ -154,10 +163,10 @@ class TestPPT:
 
 class TestClosedForms:
     def test_bell_state_factors_and_margins(self):
-        x = sl.extract_xstate(werner_state(1.0))
-        f = steering_factors(x)
-        assert f.f_a == pytest.approx((2 - SQ3) / 8, abs=1e-14)
-        assert f.f_b == pytest.approx(0.0, abs=1e-15)
+        x = xstate(werner_state(1.0))
+        f_a, f_b = factors(x)
+        assert f_a == pytest.approx((2 - SQ3) / 8, abs=1e-14)
+        assert f_b == pytest.approx(0.0, abs=1e-15)
         (ab, m_ab), (ba, m_ba) = closed_steering(x)
         assert ab and ba
         assert m_ab == pytest.approx(0.25 - (2 - SQ3) / 8, abs=1e-14)
@@ -166,7 +175,7 @@ class TestClosedForms:
     def test_symmetric_populations_give_symmetric_verdicts(self):
         m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
         m[1, 2] = m[2, 1] = 0.2
-        x = sl.extract_xstate(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+        x = xstate(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
         (_, m_ab), (_, m_ba) = closed_steering(x)
         assert m_ab == pytest.approx(m_ba, abs=1e-15)
 
@@ -176,24 +185,24 @@ class TestClosedForms:
         m[0, 3] = m[3, 0] = 0.05
         rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
         # rho14 not negligible: classify leaves the closed forms for the general route
-        assert not _rho14_inert(sl.extract_xstate(rho))
-        assert sl.classify(rho).method is Method.GENERAL_PPT
+        assert not _rho14_inert(xstate(rho))
+        assert classify(rho).method is Method.GENERAL_PPT
 
     def test_werner_steering_threshold(self):
         w_threshold = 1 / SQ3
         for w, expect in ((w_threshold - 1e-6, False), (w_threshold + 1e-6, True)):
-            x = sl.extract_xstate(werner_state(w))
+            x = xstate(werner_state(w))
             (ab, _), (ba, _) = closed_steering(x)
             assert ab == expect and ba == expect
 
     def test_werner_bell_threshold(self):
         for w, expect in ((1 / math.sqrt(2) - 1e-6, False), (1 / math.sqrt(2) + 1e-6, True)):
-            x = sl.extract_xstate(werner_state(w))
+            x = xstate(werner_state(w))
             flag, _ = closed_bell(x)
             assert flag == expect
 
     def test_bell_state_is_nonlocal(self):
-        x = sl.extract_xstate(werner_state(1.0))
+        x = xstate(werner_state(1.0))
         flag, margin = closed_bell(x)
         # both branches fire; the second one (populations fully inside the
         # coherent block) carries the larger slack 1/4
@@ -201,7 +210,7 @@ class TestClosedForms:
 
     def test_identity_not_nonlocal(self):
         rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
-        flag, _ = closed_bell(sl.extract_xstate(rho))
+        flag, _ = closed_bell(xstate(rho))
         assert not flag
 
 
@@ -221,7 +230,7 @@ class TestGeneralSteering:
     @settings(max_examples=50, deadline=None)
     @given(xstate_strategy())
     def test_closed_form_agrees_with_general(self, rho):
-        x = sl.extract_xstate(rho)
+        x = xstate(rho)
         (ab, m_ab), (ba, m_ba) = closed_steering(x)
         for direction, flag, margin in ((Direction.A_TO_B, ab, m_ab),
                                         (Direction.B_TO_A, ba, m_ba)):
@@ -238,14 +247,14 @@ class TestClassify:
         (0.75, True, True, True),
     ])
     def test_werner_ladder(self, w, ent, steer, bell):
-        rep = sl.classify(werner_state(w))
+        rep = classify(werner_state(w))
         assert rep.entangled == ent
         assert rep.steer_a_to_b == steer and rep.steer_b_to_a == steer
         assert rep.bell == bell
         assert rep.method is Method.BOTH
 
     def test_margin_signs_match_flags(self):
-        rep = sl.classify(werner_state(0.65))
+        rep = classify(werner_state(0.65))
         assert (rep.margin_ent > 0) == rep.entangled
         assert (rep.margin_ab > 0) == rep.steer_a_to_b
         assert (rep.margin_bell > 0) == rep.bell
@@ -254,37 +263,32 @@ class TestClassify:
         # f_b = (1/4)(p00 - p11)(p- - p+) cos(theta) in the strong phase
         p = sl.SystemParams(1.3, 0.7, 3.0, 0.01)
         r = sl.ReservoirSpec(Statistics.BOSE, 0.4)
-        g = sl.build_generator(p, r, r)
-        ss = sl.steady_state(g)
-        rep = sl.classify(ss.state_local, eig=g.eig)
-        p00, p11, pm, pp = rep.eigen_populations
-        x = sl.extract_xstate(ss.state_local)
-        f = steering_factors(x)
-        law = 0.25 * (p00 - p11) * (pm - pp) * math.cos(g.derived.theta)
-        assert f.f_b == pytest.approx(law, abs=1e-10)
-        assert f.f_b > 0   # eps_a > eps_b favors steering B -> A
+        g, ss = one_cell(p, r, r)
+        rep = row0(sl.classify(ss.local))
+        p00, p11, pm, pp = eigen_populations(ss.local[0], g.vectors[0], g.cells.strong[0])
+        _, f_b = factors(_x_entries(ss.local[0]))
+        law = 0.25 * (p00 - p11) * (pm - pp) * math.cos(g.cells.theta[0])
+        assert f_b == pytest.approx(law, abs=1e-10)
+        assert f_b > 0   # eps_a > eps_b favors steering B -> A
         assert rep.margin_ba > rep.margin_ab
 
     def test_sign_law_with_coherence_correction_weak(self):
         # weak phase out of equilibrium needs the Re(coherence) term
         p = sl.SystemParams(1.3, 0.7, 1.0, 0.01)
-        g = sl.build_generator(p, sl.ReservoirSpec(Statistics.BOSE, 0.45),
-                               sl.ReservoirSpec(Statistics.BOSE, 0.65))
-        ss = sl.steady_state(g)
-        rep = sl.classify(ss.state_local, eig=g.eig)
-        p00, p11, pm, pp = rep.eigen_populations
-        x = sl.extract_xstate(ss.state_local)
-        f = steering_factors(x)
-        theta = g.derived.theta
-        correction = 2 * math.sin(theta) * ss.vector6[4].real
+        g, ss = one_cell(p, sl.ReservoirSpec(Statistics.BOSE, 0.45),
+                         sl.ReservoirSpec(Statistics.BOSE, 0.65))
+        p00, p11, pm, pp = eigen_populations(ss.local[0], g.vectors[0], g.cells.strong[0])
+        _, f_b = factors(_x_entries(ss.local[0]))
+        theta = g.cells.theta[0]
+        correction = 2 * math.sin(theta) * ss.vector6[0, 4].real
         law = 0.25 * (p00 - p11) * ((pm - pp) * math.cos(theta) + correction)
-        assert f.f_b == pytest.approx(law, abs=1e-10)
+        assert f_b == pytest.approx(law, abs=1e-10)
 
     def test_dense_state_uses_general_route(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = a @ a.conj().T
         m /= m.trace().real
-        rep = sl.classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+        rep = classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
         assert rep.method is Method.GENERAL_PPT
 
     def test_general_margins_match_explicit_construction(self, rng):
@@ -304,7 +308,7 @@ class TestClassify:
                 for i, j, k, l in np.ndindex(2, 2, 2, 2):
                     pt[2 * i + j, 2 * k + l] = s[2 * i + l, 2 * k + j]
                 expected.append(-np.linalg.eigvalsh(pt)[0])
-            rep = sl.classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+            rep = classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
             assert rep.method is Method.GENERAL_PPT
             got = (rep.margin_ent, rep.margin_ab, rep.margin_ba)
             assert np.max(np.abs(np.subtract(got, expected))) < 1e-14
@@ -315,29 +319,25 @@ class TestClassify:
         m[1, 2] = m[2, 1] = 0.35
         m[0, 3] = m[3, 0] = 0.0035
         rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
-        (ab, m_ab), (ba, m_ba) = closed_steering(sl.extract_xstate(rho))
-        rep = sl.classify(rho)
+        (ab, m_ab), (ba, m_ba) = closed_steering(xstate(rho))
+        rep = classify(rho)
         assert rep.method is Method.BOTH
         assert ab and ba
         assert (rep.steer_a_to_b, rep.margin_ab) == (ab, m_ab)
         assert (rep.steer_b_to_a, rep.margin_ba) == (ba, m_ba)
 
     def test_dual_disabled_keeps_closed_form(self):
-        rep = sl.classify(werner_state(0.9), dual=False)
+        rep = classify(werner_state(0.9), dual=False)
         assert rep.method is Method.X_CLOSED_FORM
         assert rep.bell
 
     def test_hierarchy_assert_fires_on_inconsistent_report(self):
-        from steerlab.correlations import CorrelationReport
-        from steerlab.errors import InternalConsistencyError
-        with pytest.raises(InternalConsistencyError):
-            CorrelationReport(
-                entangled=False, margin_ent=-0.1,
-                steer_a_to_b=True, margin_ab=0.1,
-                steer_b_to_a=False, margin_ba=-0.1,
-                bell=False, margin_bell=-0.1,
-                method=Method.BOTH,
-            )
+        # steerable A->B but not entangled; Bell without two-way steering
+        with pytest.raises(InternalConsistencyError, match="steerable but not entangled"):
+            check_hierarchy(False, True, False, False)
+        with pytest.raises(InternalConsistencyError, match="Bell nonlocal"):
+            check_hierarchy(np.array([True, True]), np.array([True, True]),
+                            np.array([True, False]), np.array([False, True]))
 
     def test_model_states_hierarchy(self, rng):
         # full pipeline states across both phases keep the strict hierarchy
@@ -348,11 +348,10 @@ class TestClassify:
             mu = rng.uniform(0.0, 2.0) if stat is Statistics.FERMI else 0.0
             ra = sl.ReservoirSpec(stat, rng.uniform(0.1, 1.5), mu)
             rb = sl.ReservoirSpec(stat, rng.uniform(0.1, 1.5), mu)
-            g = sl.build_generator(p, ra, rb)
-            ss = sl.steady_state(g)
-            if not ss.positivity_ok:
+            _, ss = one_cell(p, ra, rb)
+            if not ss.positive[0]:
                 continue
-            rep = sl.classify(ss.state_local, eig=g.eig)   # raises on violation
+            rep = row0(sl.classify(ss.local))   # raises on violation
             if rep.bell:
                 assert rep.steer_a_to_b and rep.steer_b_to_a
             if rep.steer_a_to_b or rep.steer_b_to_a:

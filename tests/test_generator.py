@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 import steerlab as sl
 from steerlab.errors import ConfigurationError
 from steerlab.generator import (
+    SETUPS,
     Setup,
     from_vector6,
+    setup_codes,
     to_vector6,
 )
 from steerlab.model import Phase
 from steerlab.rates import Statistics
 
-from conftest import random_system
+from conftest import one_cell, random_system, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -23,16 +25,29 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 
-def printed_matrix(g: sl.Generator) -> np.ndarray:
+def generator(p, ra, rb):
+    """The generator of one point, as the one-cell batch."""
+    return sl.build_generator(sl.Cells.of([(p, ra, rb)]))
+
+
+def coherent_part(g) -> np.ndarray:
+    """The +/- i*Omega entries of a one-cell generator, Omega = 2*omega."""
+    omega = 2 * g.cells.omega[0]
+    return np.diag([0, 0, 0, 0, 1j * omega, -1j * omega])
+
+
+def printed_matrix(params, ra, rb, setup: Setup) -> np.ndarray:
     """The evolution matrix transcribed directly from its printed form,
     independent of the per-reservoir assembly in the package."""
-    rs, d = g.rates, g.derived
-    gam = g.params.gamma
+    rs = rates(params, ra, rb)
+    gam = params.gamma
     p, q = rs.p, rs.q
     sa, sb, ta, tb = rs.s_a, rs.s_b, rs.t_a, rs.t_b
-    omega = 2 * d.omega
+    _, _, half_omega, theta, _ = sl.derive_params(
+        *np.array([params.eps_a, params.eps_b, params.kappa]))
+    omega = 2 * half_omega
     m = np.zeros((6, 6), dtype=complex)
-    if g.setup is Setup.WEAK_BOSE:
+    if setup is Setup.WEAK_BOSE:
         m[:4, :4] = [
             [-2 * (p + q), 2 * (gam + q), 2 * (gam + p), 0],
             [2 * q, -2 * (gam + p + q), 0, 2 * (gam + p)],
@@ -45,7 +60,7 @@ def printed_matrix(g: sl.Generator) -> np.ndarray:
             m[row, 0], m[row, 1], m[row, 2], m[row, 3] = sb - sa, tb - ta, ta - tb, sa - sb
         m[4, 4] = 1j * omega - 2 * (gam + p + q)
         m[5, 5] = -1j * omega - 2 * (gam + p + q)
-    elif g.setup is Setup.WEAK_FERMI:
+    elif setup is Setup.WEAK_FERMI:
         m[:4, :4] = [
             [-2 * (p + q), 2 * (gam - q), 2 * (gam - p), 0],
             [2 * q, -2 * (gam + p - q), 0, 2 * (gam - p)],
@@ -59,7 +74,7 @@ def printed_matrix(g: sl.Generator) -> np.ndarray:
         m[4, 4] = 1j * omega - 2 * gam
         m[5, 5] = -1j * omega - 2 * gam
     else:
-        sin_th = math.sin(d.theta)
+        sin_th = math.sin(theta)
         m[:4, :4] = [
             [-2 * (p + q), 2 * (gam + q), 2 * (gam + p), 0],
             [2 * q, -2 * (gam + p + q), 0, 2 * (gam + p)],
@@ -82,19 +97,21 @@ def printed_matrix(g: sl.Generator) -> np.ndarray:
 
 
 def redfield_dissipator_6x6(p: sl.SystemParams, r: sl.ReservoirSpec, which: str,
-                            eig: sl.EigenSystem) -> np.ndarray:
+                            g: sl.GeneratorArrays) -> np.ndarray:
     """Textbook non-secular dissipator for one reservoir, projected onto the
-    6-entry representation.  Independent route used to validate the printed
-    matrices and the per-reservoir split."""
+    6-entry representation, in the eigenbasis of the one-cell generator g.
+    Independent route used to validate the printed matrices and the
+    per-reservoir split."""
+    energies, vectors = g.energies[0], g.vectors[0]
     s_local = np.kron(SX, I2) if which == "A" else np.kron(I2, SX)
-    s = eig.vectors.conj().T @ s_local @ eig.vectors
+    s = vectors.conj().T @ s_local @ vectors
     gam = p.gamma
     freqs: dict[float, np.ndarray] = {}
     for i in range(4):
         for j in range(4):
             if i == j or abs(s[i, j]) < 1e-14:
                 continue
-            w = round(float(eig.energies[j] - eig.energies[i]), 12)
+            w = round(float(energies[j] - energies[i]), 12)
             a = np.zeros((4, 4), dtype=complex)
             a[i, j] = s[i, j]
             freqs[w] = freqs.get(w, 0) + a
@@ -134,82 +151,87 @@ CASES = [
 class TestBuildGenerator:
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_matches_printed_form(self, p, stat, a, b, setup):
-        g = sl.build_generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))
-        assert g.setup is setup
-        assert np.max(np.abs(g.total - printed_matrix(g))) < 1e-15
+        ra, rb = sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b)
+        g = generator(p, ra, rb)
+        assert SETUPS[setup_codes(g.cells.strong, stat)[0]] is setup
+        assert np.max(np.abs(g.total[0] - printed_matrix(p, ra, rb, setup))) < 1e-15
 
     def test_strong_fermi_rejected(self):
         p = sl.SystemParams(1, 1, 3, 0.01)
         r = sl.ReservoirSpec(FERMI, 0.2, 1.0)
         with pytest.raises(ConfigurationError):
-            sl.build_generator(p, r, r)
+            generator(p, r, r)
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_decomposition_sums_to_total(self, p, stat, a, b, setup):
-        g = sl.build_generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))
-        resum = g.coherent_part + g.res_a_part + g.res_b_part
-        assert np.max(np.abs(resum - g.total)) < 1e-14
+        g = generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))
+        resum = coherent_part(g) + g.parts[0, 0] + g.parts[0, 1]
+        assert np.max(np.abs(resum - g.total[0])) < 1e-14
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_trace_preservation(self, p, stat, a, b, setup):
-        g = sl.build_generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))
-        col_sums = g.total[:4, :].sum(axis=0)
+        g = generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))
+        col_sums = g.total[0, :4, :].sum(axis=0)
         assert np.max(np.abs(col_sums)) < 1e-12
 
     def test_coherent_part_content(self):
+        # the total minus both reservoir parts holds only +/- i*Omega
         p = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.5)
-        g = sl.build_generator(p, r, r)
+        g = generator(p, r, r)
         expected = np.zeros((6, 6), dtype=complex)
-        expected[4, 4] = 2j * g.derived.omega
-        expected[5, 5] = -2j * g.derived.omega
-        assert np.array_equal(g.coherent_part, expected)
+        # Omega = 2 omega = hypot(eps_a - eps_b, kappa)
+        expected[4, 4] = 1j * math.sqrt(2)
+        expected[5, 5] = -1j * math.sqrt(2)
+        coherent = g.total[0] - g.parts[0, 0] - g.parts[0, 1]
+        assert np.max(np.abs(coherent - expected)) < 1e-15
 
     def test_equilibrium_weak_block_decoupling(self):
         for stat in (BOSE, FERMI):
             p = sl.SystemParams(1.4, 0.6, 1.0, 0.01)
             r = sl.ReservoirSpec(stat, 0.5, 0.8 if stat is FERMI else 0.0)
-            g = sl.build_generator(p, r, r)
-            assert np.max(np.abs(g.total[:4, 4:])) == 0.0
-            assert np.max(np.abs(g.total[4:, :4])) == 0.0
+            g = generator(p, r, r)
+            assert np.max(np.abs(g.total[0, :4, 4:])) == 0.0
+            assert np.max(np.abs(g.total[0, 4:, :4])) == 0.0
 
     def test_strong_bose_spontaneous_coupling_terms(self):
         p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.4)
-        g = sl.build_generator(p, r, r)
-        rs, sin_th = g.rates, math.sin(g.derived.theta)
-        assert g.total[0, 4] == pytest.approx(-rs.s_a - rs.s_b - 2 * 0.01 * sin_th, rel=1e-13)
-        assert g.total[1, 4] == pytest.approx(rs.t_a + rs.t_b + 0.01 * sin_th, rel=1e-13)
-        assert g.total[4, 3] == pytest.approx(rs.s_a + rs.s_b + 2 * 0.01 * sin_th, rel=1e-13)
+        m = generator(p, r, r).total[0]
+        # theta = atan2(kappa, eps_a - eps_b)
+        rs, sin_th = rates(p, r, r), math.sin(math.atan2(3.0, 1.6))
+        assert m[0, 4] == pytest.approx(-rs.s_a - rs.s_b - 2 * 0.01 * sin_th, rel=1e-13)
+        assert m[1, 4] == pytest.approx(rs.t_a + rs.t_b + 0.01 * sin_th, rel=1e-13)
+        assert m[4, 3] == pytest.approx(rs.s_a + rs.s_b + 2 * 0.01 * sin_th, rel=1e-13)
 
     def test_reservoir_part_independence(self):
         # the A part must not change when only T_B moves
         p = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
         ra = sl.ReservoirSpec(BOSE, 0.5)
-        g1 = sl.build_generator(p, ra, sl.ReservoirSpec(BOSE, 0.3))
-        g2 = sl.build_generator(p, ra, sl.ReservoirSpec(BOSE, 0.9))
-        assert np.array_equal(g1.res_a_part, g2.res_a_part)
-        assert not np.array_equal(g1.res_b_part, g2.res_b_part)
+        g1 = generator(p, ra, sl.ReservoirSpec(BOSE, 0.3))
+        g2 = generator(p, ra, sl.ReservoirSpec(BOSE, 0.9))
+        assert np.array_equal(g1.parts[0, 0], g2.parts[0, 0])
+        assert not np.array_equal(g1.parts[0, 1], g2.parts[0, 1])
 
     def test_strong_bose_parts_match_textbook_redfield(self):
         # the independent eigenoperator construction reproduces the printed
         # strong-phase matrix including its per-reservoir decomposition
         p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
         ra, rb = sl.ReservoirSpec(BOSE, 0.3), sl.ReservoirSpec(BOSE, 0.7)
-        g = sl.build_generator(p, ra, rb)
-        assert np.max(np.abs(redfield_dissipator_6x6(p, ra, "A", g.eig) - g.res_a_part)) < 1e-14
-        assert np.max(np.abs(redfield_dissipator_6x6(p, rb, "B", g.eig) - g.res_b_part)) < 1e-14
+        g = generator(p, ra, rb)
+        assert np.max(np.abs(redfield_dissipator_6x6(p, ra, "A", g) - g.parts[0, 0])) < 1e-14
+        assert np.max(np.abs(redfield_dissipator_6x6(p, rb, "B", g) - g.parts[0, 1])) < 1e-14
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_population_blocks_match_textbook_redfield(self, p, stat, a, b, setup):
         # population sector agrees with the independent construction in every
         # setup (the printed weak-phase coupling blocks intentionally differ)
         ra, rb = sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b)
-        g = sl.build_generator(p, ra, rb)
-        da = redfield_dissipator_6x6(p, ra, "A", g.eig)
-        db = redfield_dissipator_6x6(p, rb, "B", g.eig)
-        assert np.max(np.abs(da[:4, :4] - g.res_a_part[:4, :4])) < 1e-13
-        assert np.max(np.abs(db[:4, :4] - g.res_b_part[:4, :4])) < 1e-13
+        g = generator(p, ra, rb)
+        da = redfield_dissipator_6x6(p, ra, "A", g)
+        db = redfield_dissipator_6x6(p, rb, "B", g)
+        assert np.max(np.abs(da[:4, :4] - g.parts[0, 0, :4, :4])) < 1e-13
+        assert np.max(np.abs(db[:4, :4] - g.parts[0, 1, :4, :4])) < 1e-13
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -221,9 +243,9 @@ class TestBuildGenerator:
         mu = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
         ra = sl.ReservoirSpec(stat, rng.uniform(0.1, 2.0), mu)
         rb = sl.ReservoirSpec(stat, rng.uniform(0.1, 2.0), mu)
-        g = sl.build_generator(p, ra, rb)
-        eigvals = np.sort(np.abs(np.linalg.eigvals(g.total)))
-        assert eigvals[0] < 1e-12 * max(1.0, np.abs(g.total).max())
+        m = generator(p, ra, rb).total[0]
+        eigvals = np.sort(np.abs(np.linalg.eigvals(m)))
+        assert eigvals[0] < 1e-12 * max(1.0, np.abs(m).max())
         assert eigvals[1] > 100 * eigvals[0]
 
 
@@ -231,10 +253,8 @@ class TestApplyAndVectors:
     def test_steady_vector_annihilated(self):
         p = sl.SystemParams(1.3, 0.7, 1.0, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.5)
-        g = sl.build_generator(p, r, r)
-        from steerlab.steady import steady_state
-        v = steady_state(g).vector6
-        assert np.max(np.abs(g.total @ v)) < 1e-12
+        g, st = one_cell(p, r, r)
+        assert np.max(np.abs(g.total[0] @ st.vector6[0])) < 1e-12
 
     @pytest.mark.parametrize("p,stat,t,mu", [
         (sl.SystemParams(1.5, 0.5, 1.0, 0.01), BOSE, 0.5, 0.0),
@@ -245,31 +265,31 @@ class TestApplyAndVectors:
         # the closed-form equilibrium state is annihilated independently of
         # the numerical solver
         r = sl.ReservoirSpec(stat, t, mu)
-        g = sl.build_generator(p, r, r)
+        m = generator(p, r, r).total[0]
         ana = sl.equilibrium_analytic(p, r)
         v, leak = to_vector6(ana.energy.entries)
         assert leak == 0.0
-        assert np.max(np.abs(g.total @ v)) < 1e-12
+        assert np.max(np.abs(m @ v)) < 1e-12
 
     def test_coherent_block_action(self):
         p = sl.SystemParams(1.3, 0.7, 1.0, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.5)
-        g = sl.build_generator(p, r, r)
+        g = generator(p, r, r)
         c = 0.3 + 0.1j
         v = np.array([0, 0, 0, 0, c, np.conj(c)])
-        out = g.coherent_part @ v
-        omega = 2 * g.derived.omega
+        out = (g.total[0] - g.parts[0, 0] - g.parts[0, 1]) @ v
+        omega = 2 * g.cells.omega[0]
         assert out[4] == pytest.approx(1j * omega * c)
         assert out[5] == pytest.approx(-1j * omega * np.conj(c))
 
     def test_population_sum_conserved(self, rng):
         p = random_system(rng, Phase.WEAK)
         r = sl.ReservoirSpec(BOSE, 0.5)
-        g = sl.build_generator(p, r, r)
+        m = generator(p, r, r).total[0]
         pops = rng.dirichlet(np.ones(4))
         c = rng.normal() * 0.05 + 1j * rng.normal() * 0.05
         v = np.array([*pops, c, np.conj(c)])
-        dv = g.total @ v
+        dv = m @ v
         assert abs(dv[:4].sum()) < 1e-12
         # hermiticity propagates: entry 6 stays conj of entry 5
         assert abs(dv[5] - np.conj(dv[4])) < 1e-13

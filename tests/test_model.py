@@ -24,27 +24,38 @@ def system_strategy():
     )
 
 
+def derive(p: sl.SystemParams):
+    """(bar_eps, delta_eps, omega, theta, strong) of one system."""
+    return sl.derive_params(*np.array([p.eps_a, p.eps_b, p.kappa]))
+
+
+def eigen(p: sl.SystemParams):
+    """(energies, eigenvector columns, excitation numbers) of one system."""
+    bar_eps, _, omega, theta, strong = derive(p)
+    return sl.eigensystem(bar_eps, omega, theta, strong)
+
+
 class TestDeriveParams:
     def test_symmetric_case(self):
-        d = sl.derive_params(sl.SystemParams(1, 1, 1, 0.01))
-        assert d.bar_eps == 1 and d.delta_eps == 0
-        assert d.omega == pytest.approx(0.5, abs=1e-15)
-        assert d.theta == pytest.approx(math.pi / 2, abs=1e-15)
-        assert d.phase is Phase.WEAK
+        bar_eps, delta_eps, omega, theta, strong = derive(sl.SystemParams(1, 1, 1, 0.01))
+        assert bar_eps == 1 and delta_eps == 0
+        assert omega == pytest.approx(0.5, abs=1e-15)
+        assert theta == pytest.approx(math.pi / 2, abs=1e-15)
+        assert not strong
 
     def test_detuned_case(self):
-        d = sl.derive_params(sl.SystemParams(1.5, 0.5, 1.0, 0.01))
-        assert d.bar_eps == 1 and d.delta_eps == 1
-        assert d.omega == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-        assert d.theta == pytest.approx(math.pi / 4, abs=1e-12)
-        assert d.phase is Phase.WEAK  # 1 < 2*sqrt(0.75) = 1.73205
+        bar_eps, delta_eps, omega, theta, strong = derive(sl.SystemParams(1.5, 0.5, 1.0, 0.01))
+        assert bar_eps == 1 and delta_eps == 1
+        assert omega == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
+        assert theta == pytest.approx(math.pi / 4, abs=1e-12)
+        assert not strong  # 1 < 2*sqrt(0.75) = 1.73205
 
     def test_strong_phase(self):
-        assert sl.derive_params(sl.SystemParams(1, 1, 3, 0.01)).phase is Phase.STRONG
+        assert derive(sl.SystemParams(1, 1, 3, 0.01))[4]
 
     def test_boundary_rejected(self):
         with pytest.raises(PhaseBoundaryError):
-            sl.derive_params(sl.SystemParams(1, 1, 2.0 + 1e-8, 0.01))
+            derive(sl.SystemParams(1, 1, 2.0 + 1e-8, 0.01))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -63,7 +74,7 @@ class TestDeriveParams:
         thetas = []
         for delta in (0.0, 0.2, 0.5, 1.0, 1.5):
             p = sl.SystemParams(1 + delta / 2, 1 - delta / 2, kappa, 0.01)
-            thetas.append(sl.derive_params(p).theta)
+            thetas.append(derive(p)[3])
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
 
 
@@ -90,52 +101,52 @@ class TestHamiltonian:
 
 class TestEigensystem:
     def test_maximally_entangled_at_symmetric(self):
-        eig = sl.eigensystem(sl.SystemParams(1, 1, 1, 0.01))
-        psi_minus = eig.vectors[:, 1]
+        _, vectors, _ = eigen(sl.SystemParams(1, 1, 1, 0.01))
+        psi_minus = vectors[:, 1]
         assert np.allclose(psi_minus, [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0],
                            atol=1e-12)
 
     def test_small_kappa_limit(self):
-        eig = sl.eigensystem(sl.SystemParams(1.5, 0.5, 1e-6, 0.01))
+        _, vectors, _ = eigen(sl.SystemParams(1.5, 0.5, 1e-6, 0.01))
         # psi- -> |01> as the coupling vanishes
-        assert abs(eig.vectors[1, 1]) == pytest.approx(1.0, abs=1e-6)
+        assert abs(vectors[1, 1]) == pytest.approx(1.0, abs=1e-6)
 
     def test_detuned_amplitudes(self):
-        eig = sl.eigensystem(sl.SystemParams(1.5, 0.5, 1.0, 0.01))
-        psi_minus = eig.vectors[:, 1]
+        _, vectors, _ = eigen(sl.SystemParams(1.5, 0.5, 1.0, 0.01))
+        psi_minus = vectors[:, 1]
         assert psi_minus[1].real == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
         assert psi_minus[2].real == pytest.approx(-math.sin(math.pi / 8), abs=1e-12)
 
     def test_orderings(self):
-        weak = sl.eigensystem(sl.SystemParams(1, 1, 1, 0.01))
-        assert np.allclose(weak.energies, [-1, -0.5, 0.5, 1], atol=1e-14)
-        strong = sl.eigensystem(sl.SystemParams(1, 1, 3, 0.01))
-        assert np.allclose(strong.energies, [-1.5, -1, 1, 1.5], atol=1e-14)
+        weak, _, _ = eigen(sl.SystemParams(1, 1, 1, 0.01))
+        assert np.allclose(weak, [-1, -0.5, 0.5, 1], atol=1e-14)
+        strong, vectors, _ = eigen(sl.SystemParams(1, 1, 3, 0.01))
+        assert np.allclose(strong, [-1.5, -1, 1, 1.5], atol=1e-14)
         # strong-phase ground state is the singlet
-        assert abs(strong.vectors[1, 0]) > 0.7 and abs(strong.vectors[0, 0]) < 1e-14
+        assert abs(vectors[1, 0]) > 0.7 and abs(vectors[0, 0]) < 1e-14
 
     def test_number_eigenvalues(self):
-        weak = sl.eigensystem(sl.SystemParams(1.3, 0.7, 1.0, 0.01))
-        assert np.allclose(weak.number_eigenvalues(), [0, 1, 1, 2], atol=1e-14)
-        strong = sl.eigensystem(sl.SystemParams(1.3, 0.7, 3.0, 0.01))
-        assert np.allclose(strong.number_eigenvalues(), [1, 0, 2, 1], atol=1e-14)
+        _, _, weak = eigen(sl.SystemParams(1.3, 0.7, 1.0, 0.01))
+        assert np.allclose(weak, [0, 1, 1, 2], atol=1e-14)
+        _, _, strong = eigen(sl.SystemParams(1.3, 0.7, 3.0, 0.01))
+        assert np.allclose(strong, [1, 0, 2, 1], atol=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(system_strategy())
     def test_eigen_relation(self, p):
         h = sl.hamiltonian_matrix(p)
-        eig = sl.eigensystem(p)
+        energies, vectors, _ = eigen(p)
         for k in range(4):
-            v = eig.vectors[:, k]
-            assert np.max(np.abs(h @ v - eig.energies[k] * v)) < 1e-11
+            v = vectors[:, k]
+            assert np.max(np.abs(h @ v - energies[k] * v)) < 1e-11
 
     @settings(max_examples=60, deadline=None)
     @given(system_strategy())
     def test_phase_matches_ground_state(self, p):
-        eig = sl.eigensystem(p)
-        d = sl.derive_params(p)
-        singlet_first = abs(eig.energies[0] + d.omega) < 1e-12
-        assert singlet_first == (d.phase is Phase.STRONG)
+        energies, _, _ = eigen(p)
+        _, _, omega, _, strong = derive(p)
+        singlet_first = abs(energies[0] + omega) < 1e-12
+        assert singlet_first == strong
 
 
 class TestDensityMatrix:
@@ -160,18 +171,18 @@ class TestDensityMatrix:
 class TestBasisChange:
     def test_maximally_mixed_invariant(self, rng):
         p = random_system(rng, Phase.WEAK)
-        eig = sl.eigensystem(p)
+        _, vectors, _ = eigen(p)
         rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
-        out = sl.basis_change(rho, Basis.ENERGY, eig)
+        out = sl.basis_change(rho, Basis.ENERGY, vectors)
         assert np.allclose(out.entries, np.eye(4) / 4, atol=1e-14)
 
     def test_ground_state_weak_phase(self):
         p = sl.SystemParams(1.2, 0.8, 1.0, 0.01)
-        eig = sl.eigensystem(p)
+        _, vectors, _ = eigen(p)
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
         rho_g = sl.DensityMatrix4(entries=m, basis=Basis.ENERGY)
-        local = sl.basis_change(rho_g, Basis.LOCAL, eig)
+        local = sl.basis_change(rho_g, Basis.LOCAL, vectors)
         assert local.entries[0, 0].real == pytest.approx(1.0, abs=1e-14)
 
     @settings(max_examples=40, deadline=None)
@@ -182,9 +193,9 @@ class TestBasisChange:
         rho = a @ a.conj().T
         rho /= rho.trace().real
         rho = sl.DensityMatrix4(entries=rho, basis=Basis.LOCAL)
-        eig = sl.eigensystem(p)
-        there = sl.basis_change(rho, Basis.ENERGY, eig)
-        back = sl.basis_change(there, Basis.LOCAL, eig)
+        _, vectors, _ = eigen(p)
+        there = sl.basis_change(rho, Basis.ENERGY, vectors)
+        back = sl.basis_change(there, Basis.LOCAL, vectors)
         assert np.max(np.abs(back.entries - rho.entries)) < 1e-13
         assert np.linalg.norm(there.entries) == pytest.approx(
             np.linalg.norm(rho.entries), abs=1e-13)

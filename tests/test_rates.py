@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,16 @@ import steerlab as sl
 from steerlab.errors import ConfigurationError
 from steerlab.rates import Statistics
 
+from conftest import rates
+
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
+
+
+def transitions(p):
+    """(eps_minus, eps_plus) of one system."""
+    bar_eps, _, omega, _, _ = sl.derive_params(*np.array([p.eps_a, p.eps_b, p.kappa]))
+    return sl.transition_energies(bar_eps, omega)
 
 
 class TestOccupation:
@@ -58,42 +67,39 @@ class TestOccupation:
 
 class TestTransitionEnergies:
     def test_weak_symmetric(self):
-        d = sl.derive_params(sl.SystemParams(1, 1, 1, 0.01))
-        tr = sl.transition_energies(d)
-        assert (tr.eps_minus, tr.eps_plus) == pytest.approx((0.5, 1.5), abs=1e-14)
+        assert transitions(sl.SystemParams(1, 1, 1, 0.01)) == pytest.approx((0.5, 1.5),
+                                                                            abs=1e-14)
 
     def test_strong_symmetric(self):
-        d = sl.derive_params(sl.SystemParams(1, 1, 3, 0.01))
-        tr = sl.transition_energies(d)
-        assert (tr.eps_minus, tr.eps_plus) == pytest.approx((0.5, 2.5), abs=1e-14)
+        assert transitions(sl.SystemParams(1, 1, 3, 0.01)) == pytest.approx((0.5, 2.5),
+                                                                            abs=1e-14)
 
     def test_small_kappa_limit(self):
-        d = sl.derive_params(sl.SystemParams(1, 1, 1e-5, 0.01))
-        tr = sl.transition_energies(d)
-        assert tr.eps_minus == pytest.approx(1.0, abs=1e-5)
-        assert tr.eps_plus == pytest.approx(1.0, abs=1e-5)
+        eps_minus, eps_plus = transitions(sl.SystemParams(1, 1, 1e-5, 0.01))
+        assert eps_minus == pytest.approx(1.0, abs=1e-5)
+        assert eps_plus == pytest.approx(1.0, abs=1e-5)
 
 
 class TestRateSet:
     def test_mixed_statistics_rejected(self):
         p = sl.SystemParams(1, 1, 1, 0.01)
         with pytest.raises(ConfigurationError):
-            sl.rate_set(p, sl.ReservoirSpec(BOSE, 1.0), sl.ReservoirSpec(FERMI, 1.0))
+            rates(p, sl.ReservoirSpec(BOSE, 1.0), sl.ReservoirSpec(FERMI, 1.0))
 
     def test_equilibrium_symmetry(self):
         p = sl.SystemParams(1.4, 0.6, 1.0, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.7)
-        rs = sl.rate_set(p, r, r)
+        rs = rates(p, r, r)
         assert rs.s_a == pytest.approx(rs.s_b, abs=1e-15)
         assert rs.t_a == pytest.approx(rs.t_b, abs=1e-15)
 
     def test_symmetric_qubit_rates(self):
         p = sl.SystemParams(1, 1, 1, 0.01)
         ra, rb = sl.ReservoirSpec(BOSE, 0.5), sl.ReservoirSpec(BOSE, 0.8)
-        rs = sl.rate_set(p, ra, rb)
-        tr = sl.transition_energies(sl.derive_params(p))
-        expected_p = 0.01 * (sl.occupation(ra, tr.eps_plus) + sl.occupation(rb, tr.eps_plus)) / 2
-        expected_q = 0.01 * (sl.occupation(ra, tr.eps_minus) + sl.occupation(rb, tr.eps_minus)) / 2
+        rs = rates(p, ra, rb)
+        eps_minus, eps_plus = transitions(p)
+        expected_p = 0.01 * (sl.occupation(ra, eps_plus) + sl.occupation(rb, eps_plus)) / 2
+        expected_q = 0.01 * (sl.occupation(ra, eps_minus) + sl.occupation(rb, eps_minus)) / 2
         assert rs.p == pytest.approx(expected_p, rel=1e-14)
         assert rs.q == pytest.approx(expected_q, rel=1e-14)
 
@@ -102,7 +108,7 @@ class TestRateSet:
         # defining formulas, independent of the implementation internals
         p = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
         ra, rb = sl.ReservoirSpec(BOSE, 0.5), sl.ReservoirSpec(BOSE, 0.3)
-        rs = sl.rate_set(p, ra, rb)
+        rs = rates(p, ra, rb)
         w = math.sqrt(2) / 2
         ep, em = 1 + w, 1 - w
         nap = 1 / math.expm1(ep / 0.5)
@@ -120,7 +126,7 @@ class TestRateSet:
 
     def test_split_sums(self):
         p = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
-        rs = sl.rate_set(p, sl.ReservoirSpec(FERMI, 0.2, 0.5), sl.ReservoirSpec(FERMI, 0.4, 1.1))
+        rs = rates(p, sl.ReservoirSpec(FERMI, 0.2, 0.5), sl.ReservoirSpec(FERMI, 0.4, 1.1))
         assert rs.p == pytest.approx(rs.p_a + rs.p_b, rel=1e-15)
         assert rs.q == pytest.approx(rs.q_a + rs.q_b, rel=1e-15)
         assert rs.spont_plus_a + rs.spont_plus_b == pytest.approx(0.01, rel=1e-15)
@@ -132,7 +138,7 @@ class TestRateSet:
     def test_t_bounded_by_s(self, ta, tb, kappa, fermi):
         p = sl.SystemParams(1.2, 0.8, kappa, 0.01)
         stat = FERMI if fermi else BOSE
-        rs = sl.rate_set(p, sl.ReservoirSpec(stat, ta), sl.ReservoirSpec(stat, tb))
+        rs = rates(p, sl.ReservoirSpec(stat, ta), sl.ReservoirSpec(stat, tb))
         assert rs.t_a <= rs.s_a + 1e-15 and rs.t_b <= rs.s_b + 1e-15
         assert rs.p >= 0 and rs.q >= 0
         assert rs.s_a >= 0 and rs.s_b >= 0
@@ -141,7 +147,7 @@ class TestRateSet:
         r = sl.ReservoirSpec(BOSE, 0.5)
         s_values = []
         for kappa in (0.5, 0.1, 0.01):
-            rs = sl.rate_set(sl.SystemParams(1.5, 0.5, kappa, 0.005), r, r)
+            rs = rates(sl.SystemParams(1.5, 0.5, kappa, 0.005), r, r)
             s_values.append(rs.s_a)
         assert s_values[0] > s_values[1] > s_values[2]
         assert s_values[2] < 1e-4

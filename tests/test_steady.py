@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -13,32 +12,37 @@ from steerlab.errors import ConfigurationError, DegenerateSteadyStateError
 from steerlab.generator import from_vector6, hermitize_vector6
 from steerlab.model import Basis, Phase
 from steerlab.rates import Statistics
-from steerlab.steady import max_stable_dt, min_eigenvalue_energy, steady_arrays
+from steerlab.steady import max_stable_dt, min_eigenvalue_energy, steady_state
 
-from conftest import gibbs_local, random_system
+from conftest import gibbs_local, one_cell, random_system, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
 
 
 def make(p, ta, tb, stat=BOSE, mua=0.0, mub=0.0):
-    g = sl.build_generator(p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))
-    return g, sl.steady_state(g)
+    """One-cell generator and steady state."""
+    return one_cell(p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))
+
+
+def energy_state(ss) -> sl.DensityMatrix4:
+    """The energy-basis state of a one-cell steady state."""
+    return sl.DensityMatrix4(entries=ss.energy[0], basis=Basis.ENERGY)
 
 
 class TestSteadyState:
     def test_equilibrium_matches_analytic_weak_bose(self):
         p = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
         g, ss = make(p, 0.5, 0.5)
-        ana = sl.equilibrium_analytic(p, g.reservoir_a)
-        assert np.max(np.abs(ss.state_local.entries - ana.local.entries)) < 1e-10
-        assert np.max(np.abs(ss.state_energy.entries - ana.energy.entries)) < 1e-10
-        assert ss.residual < 1e-10 and ss.positivity_ok
+        ana = sl.equilibrium_analytic(p, sl.ReservoirSpec(BOSE, 0.5))
+        assert np.max(np.abs(ss.local[0] - ana.local.entries)) < 1e-10
+        assert np.max(np.abs(ss.energy[0] - ana.energy.entries)) < 1e-10
+        assert ss.residual[0] < 1e-10 and ss.positive[0]
 
     def test_symmetric_equilibrium_population_symmetry(self):
         p = sl.SystemParams(1.0, 1.0, 1.0, 0.01)
         _, ss = make(p, 0.5, 0.5)
-        m = ss.state_local.entries
+        m = ss.local[0]
         assert m[1, 1].real == pytest.approx(m[2, 2].real, abs=1e-14)
 
     def test_nonequilibrium_coherence_grows_from_zero(self):
@@ -46,7 +50,7 @@ class TestSteadyState:
         cohs = []
         for dt in (0.0, 0.05, 0.1, 0.2):
             _, ss = make(p, 0.5 - dt / 2, 0.5 + dt / 2)
-            cohs.append(abs(ss.vector6[4]))
+            cohs.append(abs(ss.vector6[0, 4]))
         assert cohs[0] < 1e-12
         assert all(a < b for a, b in zip(cohs, cohs[1:]))
 
@@ -57,7 +61,7 @@ class TestSteadyState:
         for gamma in (0.01, 0.001):
             p = sl.SystemParams(**base, gamma=gamma)
             _, ss = make(p, 0.5, 0.5)
-            pops.append(ss.vector6[:4].real)
+            pops.append(ss.vector6[0, :4].real)
         assert np.max(np.abs(pops[0] - pops[1])) < 1e-10
 
     def test_population_gamma_dependence_is_second_order(self):
@@ -68,7 +72,7 @@ class TestSteadyState:
         for gamma in (0.01, 0.001, 0.0001):
             p = sl.SystemParams(**base, gamma=gamma)
             _, ss = make(p, 0.4, 0.7)
-            pops[gamma] = ss.vector6[:4].real
+            pops[gamma] = ss.vector6[0, :4].real
         d1 = np.max(np.abs(pops[0.01] - pops[0.001]))
         d2 = np.max(np.abs(pops[0.001] - pops[0.0001]))
         assert d1 < 1e-4
@@ -80,10 +84,10 @@ class TestSteadyState:
         # the coherence row couples to the unit population sum only
         p = sl.SystemParams(1.2, 0.8, 0.6, 0.01)
         g, ss = make(p, 0.15, 0.15, FERMI, mua=0.4, mub=1.3)
-        rs = g.rates
-        omega = 2 * g.derived.omega
+        rs = rates(p, sl.ReservoirSpec(FERMI, 0.15, 0.4), sl.ReservoirSpec(FERMI, 0.15, 1.3))
+        omega = 2 * g.cells.omega[0]
         expected = (rs.s_b - rs.s_a) / (2 * p.gamma - 1j * omega)
-        assert ss.vector6[4] == pytest.approx(expected, rel=1e-10)
+        assert ss.vector6[0, 4] == pytest.approx(expected, rel=1e-10)
 
     def test_all_setups_match_gibbs(self, rng):
         for phase, stat in ((Phase.WEAK, BOSE), (Phase.STRONG, BOSE), (Phase.WEAK, FERMI)):
@@ -92,7 +96,7 @@ class TestSteadyState:
             mu = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
             g, ss = make(p, t, t, stat, mu, mu)
             oracle = gibbs_local(p, 1.0 / t, mu)
-            assert np.max(np.abs(ss.state_local.entries - oracle)) < 1e-10
+            assert np.max(np.abs(ss.local[0] - oracle)) < 1e-10
 
 
 def eig_null_vector(total: np.ndarray) -> np.ndarray:
@@ -119,21 +123,22 @@ def generators(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # gamma > 0.1*eps_b is allowed here
         p = sl.SystemParams(eps_a, eps_b, ratio * boundary, gamma)
-    return sl.build_generator(p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))
+    return sl.build_generator(sl.Cells.of([
+        (p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))]))
 
 
 class TestBorderedSolve:
     @settings(max_examples=150, deadline=None)
     @given(g=generators())
     def test_matches_eig_selection(self, g):
-        s = steady_arrays(g.total[None], g.eig.vectors[None])
-        assert np.max(np.abs(s.vector6[0] - eig_null_vector(g.total))) <= 1e-13
+        s = steady_state(g.total, g.vectors)
+        assert np.max(np.abs(s.vector6[0] - eig_null_vector(g.total[0]))) <= 1e-13
         assert s.null_ratio[0] >= 10
 
     @settings(max_examples=150, deadline=None)
     @given(g=generators())
     def test_closed_form_min_eigenvalue(self, g):
-        s = steady_arrays(g.total[None], g.eig.vectors[None])
+        s = steady_state(g.total, g.vectors)
         assert abs(s.min_eigenvalue[0] - np.linalg.eigvalsh(s.energy)[0, 0]) <= 1e-14
 
     def test_closed_form_min_eigenvalue_of_non_positive_states(self, rng):
@@ -151,7 +156,7 @@ class TestBorderedSolve:
         m[2:4, 2:4] = [[-3.0, 1.0], [3.0, -1.0]]
         m[4, 4] = m[5, 5] = -1.0
         with pytest.raises(DegenerateSteadyStateError, match="null space"):
-            steady_arrays(m[None], g.eig.vectors[None])
+            steady_state(m[None], g.vectors)
 
     def test_singular_bordered_matrix_exits_internal(self, monkeypatch, capsys):
         # a one-dimensional null space along the coherence, which carries no
@@ -160,7 +165,7 @@ class TestBorderedSolve:
 
         def planted(*args):
             g = real(*args)
-            return dataclasses.replace(g, total=np.diag([-1, -1, -1, -1, -1, 0]).astype(complex))
+            return g._replace(total=np.diag([-1, -1, -1, -1, -1, 0]).astype(complex)[None])
         monkeypatch.setattr("steerlab.analysis.build_generator", planted)
         assert main(["steady"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
@@ -172,8 +177,8 @@ class TestEvolve:
     def test_steady_state_is_fixed_point(self):
         p = sl.SystemParams(1.0, 1.0, 3.0, 0.01)
         g, ss = make(p, 0.4, 0.6)
-        traj = sl.evolve(g, ss.state_energy, t_final=50.0, dt=0.02)
-        assert np.max(np.abs(traj.vectors - ss.vector6)) < 1e-10
+        traj = sl.evolve(g, energy_state(ss), t_final=50.0, dt=0.02)
+        assert np.max(np.abs(traj.vectors - ss.vector6[0])) < 1e-10
 
     def test_ground_state_converges_to_gibbs(self):
         p = sl.SystemParams(1.0, 1.0, 1.0, 0.05)
@@ -198,14 +203,14 @@ class TestEvolve:
         # zeroed dissipators: coherence rotates at Omega with constant modulus
         p = sl.SystemParams(1.3, 0.7, 1.0, 0.01)
         g, _ = make(p, 0.5, 0.5)
-        zero = np.zeros((6, 6), dtype=complex)
-        g0 = dataclasses.replace(g, total=g.coherent_part, res_a_part=zero, res_b_part=zero)
+        omega = 2 * g.cells.omega[0]
+        coherent = np.diag([0, 0, 0, 0, 1j * omega, -1j * omega])
+        g0 = g._replace(total=coherent[None], parts=np.zeros_like(g.parts))
         v0 = np.array([0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.05j])
         rho0 = sl.DensityMatrix4(entries=from_vector6(v0), basis=Basis.ENERGY)
         traj = sl.evolve(g0, rho0, t_final=5.0, dt=0.01)
         mags = np.abs(traj.vectors[:, 4])
         assert np.max(np.abs(mags - abs(v0[4]))) < 1e-9
-        omega = 2 * g.derived.omega
         expected = v0[4] * np.exp(1j * omega * traj.times[-1])
         assert traj.vectors[-1, 4] == pytest.approx(expected, rel=1e-7)
 
@@ -222,7 +227,7 @@ class TestEvolve:
     def test_csv_rows_schema(self):
         p = sl.SystemParams(1.0, 1.0, 1.0, 0.01)
         g, ss = make(p, 0.5, 0.5)
-        traj = sl.evolve(g, ss.state_energy, t_final=0.1, dt=0.05)
+        traj = sl.evolve(g, energy_state(ss), t_final=0.1, dt=0.05)
         rows = list(traj.csv_rows())
         assert len(rows) == len(traj.times)
         assert all(len(r) == 7 for r in rows)
@@ -235,12 +240,12 @@ class TestEquilibriumAnalytic:
         assert ana.local.entries[0, 0].real == pytest.approx(1.0, abs=1e-10)
 
         p_strong = sl.SystemParams(1.5, 0.5, 3.0, 0.01)
-        d = sl.derive_params(p_strong)
+        theta = math.atan2(p_strong.kappa, p_strong.eps_a - p_strong.eps_b)
         ana = sl.equilibrium_analytic(p_strong, sl.ReservoirSpec(BOSE, 0.02))
         m = ana.local.entries
-        assert m[1, 2].real == pytest.approx(-math.sin(d.theta) / 2, abs=1e-9)
-        assert m[1, 1].real == pytest.approx(math.cos(d.theta / 2) ** 2, abs=1e-9)
-        assert m[2, 2].real == pytest.approx(math.sin(d.theta / 2) ** 2, abs=1e-9)
+        assert m[1, 2].real == pytest.approx(-math.sin(theta) / 2, abs=1e-9)
+        assert m[1, 1].real == pytest.approx(math.cos(theta / 2) ** 2, abs=1e-9)
+        assert m[2, 2].real == pytest.approx(math.sin(theta / 2) ** 2, abs=1e-9)
 
     def test_gibbs_oracle_all_setups(self, rng):
         for phase, stat, mu in ((Phase.WEAK, BOSE, 0.0), (Phase.STRONG, BOSE, 0.0),
@@ -267,4 +272,4 @@ def test_long_time_evolution_matches_null_space(rng):
     rho0 = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
     dt = 0.9 * max_stable_dt(g)
     traj = sl.evolve(g, rho0, t_final=20 / p.gamma, dt=dt)
-    assert np.max(np.abs(traj.vectors[-1] - ss.vector6)) < 1e-8
+    assert np.max(np.abs(traj.vectors[-1] - ss.vector6[0])) < 1e-8
