@@ -3,22 +3,21 @@
 Every cell runs the same pipeline (generator -> steady state ->
 classification -> transport) through array kernels over a leading cell axis.
 A sweep evaluates its grid one row of fixed y at a time and a threshold
-search a few couplings at a time; a single point (`run_point`, `steerlab
-steady`) is the one-cell batch.
+search a few couplings at a time; a single point (`steerlab steady`) is the
+one-cell batch.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .correlations import XSTATE_FAULTS, classify
-from .errors import InternalConsistencyError
-from .generator import build_generator
+from .generator import build_generator, setup_codes
 from .model import SystemParams
-from .rates import Cells, ReservoirSpec, Statistics
+from .rates import Cells, ReservoirSpec, Statistics, cell_occupations
 from .steady import steady_state
 from .transport import transport_report
 
@@ -55,6 +54,8 @@ class SweepConfig:
 
     t_a/t_b (and mu_a/mu_b for fermionic setups) provide the non-swept
     reservoir values; DELTA_T / DELTA_MU axes keep the configured mean fixed.
+    Construction composes and validates the whole grid once: `grid` holds its
+    Cells over (ny, nx) axes, and `grid[iy]` is row iy.
     """
 
     axis_x: Axis
@@ -82,28 +83,28 @@ class SweepConfig:
             for ax in (self.axis_x, self.axis_y):
                 if ax in _MU_AXES:
                     raise ValueError(f"axis {ax} requires a fermionic setup")
-        self._validate_ranges()
-
-    def _validate_ranges(self):
-        bar_eps = 0.5 * (self.system.eps_a + self.system.eps_b)
-        boundary = 2.0 * math.sqrt(self.system.eps_a * self.system.eps_b)
-        for axis, (lo, hi), n in ((self.axis_x, self.x_range, self.nx),
-                                  (self.axis_y, self.y_range, self.ny)):
-            if axis is Axis.KAPPA:
-                values = np.linspace(lo, hi, n)
-                if np.min(np.abs(values - boundary)) <= 1e-6 * bar_eps:
-                    raise ValueError(
-                        f"kappa grid touches the phase boundary at {boundary}")
-                if min(lo, hi) <= 0:
-                    raise ValueError("kappa values must be positive")
-            elif axis in (Axis.TBAR, Axis.TA, Axis.TB) and min(lo, hi) <= 0:
-                raise ValueError("temperatures must be positive")
-            elif axis is Axis.DELTA_T:
-                mean = 0.5 * (self.t_a + self.t_b)
-                if mean - 0.5 * max(abs(lo), abs(hi)) <= 0:
-                    raise ValueError(
-                        "temperature-difference range drives a temperature "
-                        "non-positive")
+        # the whole (ny, nx) grid, validated by the checks every cell meets: the
+        # first cell whose kappa or temperatures point() rejects raises point()'s
+        # error, then the phase boundary, strong-coupling fermions and the
+        # Bose occupation floor raise their own
+        s = self.system
+        try:
+            x, y = self.x_values(), self.y_values()[:, None]
+            eps_a, eps_b, gamma, kappa, t_a, t_b, mu_a, mu_b = np.array(np.broadcast_arrays(
+                x, y, s.eps_a, s.eps_b, s.gamma, *self._compose(x, y))[2:], dtype=float)
+        except MemoryError:
+            raise ValueError(
+                f"a grid of {self.nx}x{self.ny} cells cannot be allocated") from None
+        ok = (kappa > 0) & (t_a > 0) & (t_b > 0) & np.isfinite(
+            [kappa, t_a, t_b, mu_a, mu_b]).all(axis=0)
+        if not ok.all():
+            iy, ix = divmod(int(np.argmin(ok)), self.nx)
+            self.point(float(x[ix]), float(y[iy, 0]))
+        grid = Cells.build(eps_a, eps_b, kappa, gamma, np.stack([t_a, t_b], axis=-1),
+                           np.stack([mu_a, mu_b], axis=-1), self.statistics)
+        setup_codes(grid.strong, grid.statistics)
+        cell_occupations(grid)
+        object.__setattr__(self, "grid", grid)
 
     def x_values(self) -> np.ndarray:
         return np.linspace(self.x_range[0], self.x_range[1], self.nx)
@@ -153,22 +154,6 @@ class SweepConfig:
             system = replace(system, kappa=kappa)
         return (system, ReservoirSpec(self.statistics, t_a, mu_a),
                 ReservoirSpec(self.statistics, t_b, mu_b))
-
-    def row_cells(self, y: float) -> Cells:
-        """The cells of the grid row at y, built from the x vector.
-
-        A cell that point() would reject (only a temperature can fail, as a
-        level axis may drive a difference axis' temperature non-positive) is
-        rejected by point() itself: the first one raises its own error.
-        """
-        x, s = self.x_values(), self.system
-        eps_a, eps_b, gamma, kappa, t_a, t_b, mu_a, mu_b = np.array(np.broadcast_arrays(
-            x, s.eps_a, s.eps_b, s.gamma, *self._compose(x, y))[1:], dtype=float)
-        ok = (t_a > 0) & (t_b > 0) & np.isfinite([t_a, t_b, mu_a, mu_b]).all(axis=0)
-        if not ok.all():
-            self.point(float(x[np.argmin(ok)]), y)
-        return Cells.build(eps_a, eps_b, kappa, gamma, np.stack([t_a, t_b], axis=-1),
-                           np.stack([mu_a, mu_b], axis=-1), self.statistics)
 
 
 @dataclass(frozen=True)
@@ -241,19 +226,14 @@ def run_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec):
     return _pipeline(Cells.of([(system, ra, rb)]))
 
 
-def _columns(x: np.ndarray, y: float, st, c, transport) -> tuple:
-    """The GridCell columns, in FIELDS order, of a pipeline result at the x
-    values x and one y."""
-    return (x, np.full(len(x), y), c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell,
-            c.margin_ent, c.margin_ab, c.margin_ba, c.margin_bell, *transport[1:],
-            st.positive)
-
-
-def _row(config: SweepConfig, y: float):
-    """The columns of one grid row of fixed y, evaluated as one batch, and
-    the row's (largest residual, smallest eigenvalue, smallest null-space ratio)."""
-    _, st, c, transport = _pipeline(config.row_cells(y))
-    return (_columns(config.x_values(), y, st, c, transport),
+def _row(config: SweepConfig, iy: int):
+    """The GridCell columns, in FIELDS order, of grid row iy evaluated as one
+    batch, and the row's (largest residual, smallest eigenvalue, smallest
+    null-space ratio)."""
+    _, st, c, transport = _pipeline(config.grid[iy])
+    return ((config.x_values(), np.full(config.nx, config.y_values()[iy]), c.entangled,
+             c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab, c.margin_ba,
+             c.margin_bell, *transport[1:], st.positive),
             (st.residual.max(), st.min_eigenvalue.min(), st.null_ratio.min()))
 
 
@@ -264,23 +244,13 @@ def sweep2d(config: SweepConfig) -> RegionMap:
     negative minimum eigenvalue and the smallest null-space ratio s_1/s_0
     over all cells, masked ones included.
     """
-    rows, worst = zip(*(_row(config, y) for y in config.y_values().tolist()))
+    rows, worst = zip(*(_row(config, iy) for iy in range(config.ny)))
     worst = np.array(worst)
-    m = RegionMap(config, dict(zip(FIELDS, map(np.concatenate, zip(*rows)))), {
+    return RegionMap(config, dict(zip(FIELDS, map(np.concatenate, zip(*rows)))), {
         "max_residual": float(worst[:, 0].max()),
         "min_eigenvalue": float(worst[:, 1].min()),
         "min_null_space_ratio": float(worst[:, 2].min()),
     })
-    # `steerlab steady` at a grid point runs the same kernels on a one-cell
-    # batch; the first cell of every sweep confirms that a batch of one and
-    # a row give the same bits
-    first = m.cell(0, 0)
-    point = GridCell(*(col[0].item() for col in _columns(
-        np.array([first.x]), first.y, *run_point(*config.point(first.x, first.y))[1:])))
-    if not np.array_equal(astuple(point), astuple(first), equal_nan=True):
-        raise InternalConsistencyError(
-            f"single-point pipeline gives {point}, the sweep row gives {first}")
-    return m
 
 
 class Criterion(enum.Enum):

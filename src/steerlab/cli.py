@@ -221,7 +221,7 @@ def _flags_to_config(args: argparse.Namespace) -> dict:
             "criterion": args.criterion,
             "bracket": [args.bracket_lo, args.bracket_hi],
         }
-    if args.mode == "evolve" and args.t_final and args.dt:
+    if args.mode == "evolve" and args.t_final is not None and args.dt is not None:
         ev = {"initial": args.initial, "t_final": args.t_final, "dt": args.dt,
               "basis": args.initial_basis}
         if args.initial_matrix:

@@ -97,10 +97,11 @@ class Cells:
     The derived parameters of each cell's system (model.derive_params) come
     with its coupling constant gamma and its reservoirs' temperature and mu,
     the latter two as (..., 2) arrays: reservoir A, reservoir B.  All cells
-    share one statistics.  `build` takes parameter arrays (a sweep row builds
-    them from its axis vectors) and `of` stacks N points along one axis; a
-    single point is `Cells.of([(p, ra, rb)])`, and its callers read row 0 of
-    every stage.  Cells compare and hash by identity.
+    share one statistics.  `build` takes parameter arrays (a sweep builds its
+    (ny, nx) grid from its axis vectors, and indexing it gives a row) and
+    `of` stacks N points along one axis; a single point is
+    `Cells.of([(p, ra, rb)])`, and its callers read row 0 of every stage.
+    Cells compare and hash by identity.
     """
 
     bar_eps: np.ndarray
@@ -131,6 +132,20 @@ class Cells:
                            dtype=float).T.copy()
         return cls.build(*columns[:4], columns[4:6].T.copy(), columns[6:8].T.copy(), stat)
 
+    def __getitem__(self, index) -> Cells:
+        """The cells at index of the leading cell axes, e.g. one row of a grid."""
+        return Cells(self.bar_eps[index], self.omega[index], self.theta[index],
+                     self.strong[index], self.gamma[index], self.temperature[index],
+                     self.mu[index], self.statistics)
+
+
+def cell_occupations(c: Cells) -> np.ndarray:
+    """Occupations (..., 2, 2) of cells: [..., j, k] is reservoir j's at
+    eps_plus (k=0) and eps_minus (k=1); see occupations."""
+    eps = np.empty(c.theta.shape + (2,))
+    eps[..., 1], eps[..., 0] = transition_energies(c.bar_eps, c.omega)
+    return occupations(c.statistics, c.temperature[..., None], c.mu[..., None], eps[..., None, :])
+
 
 def rate_set(c: Cells) -> np.ndarray:
     """Rate coefficients of cells, (..., 2, len(COEFFICIENTS)) over their cell axes.
@@ -144,10 +159,7 @@ def rate_set(c: Cells) -> np.ndarray:
     with the same angular factors as p and q; spont_coh_j = (gamma/2)
     sin(theta) is the spontaneous coherence weight of the strong phase.
     """
-    eps = np.empty(c.theta.shape + (2,))
-    eps[..., 1], eps[..., 0] = transition_energies(c.bar_eps, c.omega)
-    # n[..., j, k]: reservoir j's occupation at eps_plus (k=0) and eps_minus (k=1)
-    n = occupations(c.statistics, c.temperature[..., None], c.mu[..., None], eps[..., None, :])
+    n = cell_occupations(c)
     half = 0.5 * c.theta
     cos, sin = np.cos(half), np.sin(half)
     cos2, sin2 = cos * cos, sin * sin

@@ -7,6 +7,7 @@ dual route.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from importlib import resources
 from types import SimpleNamespace
 
@@ -126,3 +127,18 @@ def load_preset_config(name: str) -> SweepConfig:
         statistics=Statistics(r["statistics"]),
         t_a=r["ta"], t_b=r["tb"], mu_a=r.get("mua", 0.0), mu_b=r.get("mub", 0.0),
     )
+
+
+def assert_rows_equal_points(cfg: SweepConfig, rows) -> None:
+    """Grid row iy of cfg, for each iy in rows, equals the Cells.of of its
+    points in the dtype, shape and bits of every field."""
+    xs, ys = cfg.x_values().tolist(), cfg.y_values().tolist()
+    for iy in rows:
+        got, want = cfg.grid[iy], sl.Cells.of([cfg.point(x, ys[iy]) for x in xs])
+        for f in fields(sl.Cells):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "statistics":
+                assert a is b
+            else:
+                assert a.dtype == b.dtype and a.shape == b.shape, (iy, f.name)
+                assert np.array_equal(a, b), (iy, f.name)

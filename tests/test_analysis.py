@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from steerlab.analysis import (
 from steerlab.errors import PhaseBoundaryError
 from steerlab.rates import Cells, Statistics
 
-from conftest import PRESET_NAMES, load_preset_config
+from conftest import PRESET_NAMES, assert_rows_equal_points, load_preset_config
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -50,9 +49,10 @@ class TestSweepConfig:
             small_sweep(axis_x=Axis.MUBAR)   # mu axis on a bosonic setup
 
     def test_descending_range_reaching_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="temperatures must be positive"):
+        # the first such cell raises point()'s own error
+        with pytest.raises(ValueError, match="temperature must be > 0"):
             small_sweep(axis_x=Axis.TA, x_range=(0.5, -0.1))
-        with pytest.raises(ValueError, match="kappa values must be positive"):
+        with pytest.raises(ValueError, match="kappa must be > 0"):
             small_sweep(axis_y=Axis.KAPPA, y_range=(3.5, -0.5))
 
     def test_point_application(self):
@@ -82,45 +82,33 @@ class TestSweepConfig:
 class TestRowCells:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_rows_equal_stacked_points(self, name):
-        # a row is built from the x vector; the points are built one at a time
+        # the grid is built from the axis vectors; the points one at a time
         cfg = load_preset_config(name)
-        ys = cfg.y_values().tolist()
-        for y in (ys[0], ys[len(ys) // 2], ys[-1]):
-            got = cfg.row_cells(y)
-            want = Cells.of([cfg.point(x, y) for x in cfg.x_values().tolist()])
-            for f in fields(Cells):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                if f.name == "statistics":
-                    assert a is b
-                else:
-                    assert a.dtype == b.dtype and a.shape == b.shape
-                    assert np.array_equal(a, b), (name, y, f.name)
+        assert cfg.grid.theta.shape == (cfg.ny, cfg.nx)
+        assert_rows_equal_points(cfg, (0, cfg.ny // 2, cfg.ny - 1))
 
     def test_rejections_match_point(self):
         # a level axis can drive a difference axis' temperature non-positive,
         # which only shows cell by cell
-        cfg = small_sweep(axis_x=Axis.DELTA_T, x_range=(-0.4, 0.4), nx=5,
-                          axis_y=Axis.TBAR, y_range=(0.1, 0.8))
-        xs = cfg.x_values().tolist()
+        kwargs = dict(axis_x=Axis.DELTA_T, x_range=(-0.4, 0.4), nx=5, axis_y=Axis.TBAR)
+        valid = small_sweep(**kwargs, y_range=(0.3, 0.8))
         with pytest.raises(ValueError) as from_point:
-            for x in xs:
-                cfg.point(x, 0.1)
-        with pytest.raises(ValueError) as from_row:
-            cfg.row_cells(0.1)
-        assert str(from_row.value) == str(from_point.value)
-        assert "temperature must be > 0" in str(from_row.value)
-        with pytest.raises(ValueError, match="temperature must be > 0"):
-            sweep2d(cfg)
+            for x in valid.x_values().tolist():
+                valid.point(x, 0.1)
+        with pytest.raises(ValueError) as from_config:
+            small_sweep(**kwargs, y_range=(0.1, 0.8))
+        assert str(from_config.value) == str(from_point.value)
+        assert "temperature must be > 0" in str(from_config.value)
 
     def test_phase_boundary_rejected(self):
         # kappa = 2 sqrt(eps_a eps_b) fixed, over a temperature grid
-        cfg = small_sweep(axis_x=Axis.TA, x_range=(0.2, 0.4), axis_y=Axis.TB,
-                          y_range=(0.2, 0.4), system=sl.SystemParams(1.0, 1.0, 2.0, 0.01))
+        system, r = sl.SystemParams(1.0, 1.0, 2.0, 0.01), sl.ReservoirSpec(BOSE, 0.2)
         with pytest.raises(PhaseBoundaryError) as from_point:
-            Cells.of([cfg.point(x, 0.3) for x in cfg.x_values().tolist()])
-        with pytest.raises(PhaseBoundaryError) as from_row:
-            cfg.row_cells(0.3)
-        assert str(from_row.value) == str(from_point.value)
+            Cells.of([(system, r, r)])
+        with pytest.raises(PhaseBoundaryError) as from_config:
+            small_sweep(axis_x=Axis.TA, x_range=(0.2, 0.4), axis_y=Axis.TB,
+                        y_range=(0.2, 0.4), system=system)
+        assert str(from_config.value) == str(from_point.value)
 
 
 class TestSweep2d:
@@ -136,20 +124,28 @@ class TestSweep2d:
         assert m.cell(2, 1).x == xs[2] and m.cell(2, 1).y == ys[1]
 
     def test_point_matches_row(self):
-        # a row is one batch of the array kernels; run_point is a batch of one
-        cfg = small_sweep(nx=4, ny=3)
-        m = sweep2d(cfg)
-        for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
-            cell = m.cell(ix, iy)
-            _, ss, c, (_, current_b, sigma) = run_point(*cfg.point(cell.x, cell.y))
-            assert (c.entangled[0], c.steer_a_to_b[0], c.steer_b_to_a[0], c.bell[0],
-                    ss.positive[0]) == (cell.entangled, cell.steer_ab, cell.steer_ba,
-                                        cell.bell, cell.positivity_ok)
-            got = (c.margin_ent[0], c.margin_ab[0], c.margin_ba[0], c.margin_bell[0],
-                   current_b[0], sigma[0])
-            want = (cell.margin_ent, cell.margin_ab, cell.margin_ba, cell.margin_bell,
-                    cell.current_b, cell.sigma)
-            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+        # a row is one batch of the array kernels; run_point is a batch of one,
+        # and both give the same bits on strong-bose, weak-bose and weak-fermi grids
+        grids = [
+            small_sweep(nx=4, ny=3),
+            small_sweep(nx=4, ny=3, system=sl.SystemParams(1.3, 0.7, 1.0, 0.01),
+                        y_range=(0.5, 1.5)),
+            small_sweep(nx=4, ny=3, axis_x=Axis.MUBAR, x_range=(0.0, 2.0),
+                        axis_y=Axis.DELTA_MU, y_range=(-1.0, 1.0), statistics=FERMI,
+                        t_a=0.15, t_b=0.15, system=sl.SystemParams(1.5, 0.5, 0.6, 0.01)),
+        ]
+        for cfg in grids:
+            m = sweep2d(cfg)
+            for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
+                cell = m.cell(ix, iy)
+                _, ss, c, (_, current_b, sigma) = run_point(*cfg.point(cell.x, cell.y))
+                got = (c.entangled[0], c.steer_a_to_b[0], c.steer_b_to_a[0], c.bell[0],
+                       ss.positive[0], c.margin_ent[0], c.margin_ab[0], c.margin_ba[0],
+                       c.margin_bell[0], current_b[0], sigma[0])
+                want = (cell.entangled, cell.steer_ab, cell.steer_ba, cell.bell,
+                        cell.positivity_ok, cell.margin_ent, cell.margin_ab, cell.margin_ba,
+                        cell.margin_bell, cell.current_b, cell.sigma)
+                assert np.array_equal(got, want, equal_nan=True), (cfg.statistics, ix, iy)
 
     def test_hierarchy_on_real_grid(self):
         m = sweep2d(small_sweep())

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import steerlab as sl
+import steerlab.analysis
 from steerlab.analysis import Axis, SweepConfig
 from steerlab.cli import CONFIG_SCHEMA, CSV_COLUMNS, EXIT_INTERNAL, dumps_fixed, main
 from steerlab.errors import DegenerateSteadyStateError, InternalConsistencyError
 from steerlab.rates import Statistics
 
-from conftest import eigen_populations
+from conftest import assert_rows_equal_points, eigen_populations
 
 PRESETS = [f"fig{n}" for n in
            ["2", "3a", "3b", "3c", "4", "5a", "5b", "5c",
@@ -262,6 +263,63 @@ class TestNonFiniteSweep:
         assert not (tmp_path / "g.csv").exists()
 
 
+# sweeps whose first offending cell lies on a later row, and a grid too large
+# to allocate: each is rejected before any row is solved
+REJECTED_SWEEPS = {
+    "strong-fermi": (["--stat=fermi", "--mua=1", "--mub=1", "--axis-x=tbar", "--x-min=0.1",
+                      "--x-max=0.5", "--axis-y=kappa", "--y-min=0.02", "--y-max=2.5"],
+                     "strong-coupling fermionic setup unsupported"),
+    "negative-temperature": (["--ta=2", "--tb=2", "--axis-x=delta_t", "--x-min=-1",
+                              "--x-max=1", "--axis-y=tbar", "--y-min=2", "--y-max=0.2"],
+                             "temperature must be > 0"),
+    "bose-floor": (["--axis-x=kappa", "--x-min=2.5", "--x-max=3", "--axis-y=ta",
+                    "--y-min=0.5", "--y-max=1e10"], "bosonic occupation diverges"),
+    # 1e15 x values alone need 7 PiB, more than a 128 TiB address space, so
+    # the allocation fails at once and never touches memory
+    "unallocatable": (["--axis-x=tbar", "--x-min=0.3", "--x-max=0.6",
+                       "--nx=1000000000000000", "--axis-y=kappa", "--y-min=2.5",
+                       "--y-max=3", "--ny=2"],
+                      "a grid of 1000000000000000x2 cells cannot be allocated"),
+}
+
+
+class TestSweepValidation:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The steady-state solves of the sweep pipeline, counted."""
+        calls = []
+        solve = steerlab.analysis.steady_state
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr("steerlab.analysis.steady_state", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", REJECTED_SWEEPS)
+    def test_rejected_before_any_computation(self, name, solves, tmp_path, capsys):
+        flags, message = REJECTED_SWEEPS[name]
+        out = tmp_path / "g.csv"
+        assert run(["sweep", *flags, f"--out={out}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists() and solves == []
+
+    def test_difference_axis_over_level_axis_accepted(self, solves, tmp_path, capsys):
+        # T = tbar -/+ delta_t/2 >= 0.5 on every cell, whatever --ta and --tb are
+        out = tmp_path / "g.csv"
+        assert run(["sweep", "--axis-x=tbar", "--x-min=1", "--x-max=2", "--nx=3",
+                    "--axis-y=delta_t", "--y-min=-1", "--y-max=1", "--ny=3",
+                    f"--out={out}"]) == 0
+        assert len(out.read_text().splitlines()) == 10 and len(solves) == 3
+        cfg = SweepConfig(axis_x=Axis.TBAR, x_range=(1.0, 2.0), nx=3, axis_y=Axis.DELTA_T,
+                          y_range=(-1.0, 1.0), ny=3, system=sl.SystemParams(1.0, 1.0, 3.0, 0.01),
+                          statistics=Statistics.BOSE, t_a=0.5, t_b=0.5)
+        assert_rows_equal_points(cfg, range(3))
+
+
 class TestThresholdCommand:
     def test_threshold_json(self, capsys):
         code = run(["threshold", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
@@ -380,6 +438,16 @@ class TestEvolveCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and message in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--t-final=0", "--dt=0"])
+    def test_zero_time_rejected(self, flag, tmp_path, capsys):
+        code = run(["evolve", "--t-final=1", "--dt=0.01", flag,
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "t_final and dt must be positive and finite" in captured.err
 
     def test_unallocatable_trajectory_rejected(self, tmp_path, capsys):
         # the 1e14 step times alone need 728 TiB, more than a 128 TiB address
