@@ -3,8 +3,8 @@
 Every cell runs the same pipeline (generator -> steady state ->
 classification -> transport) through array kernels over a leading cell axis.
 A sweep evaluates its grid one row of fixed y at a time and a threshold
-search a few couplings at a time; a single point (`steerlab steady`) is the
-one-cell batch.
+search a tree of bisection midpoints at a time; a single point (`steerlab
+steady`) is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from .correlations import XSTATE_FAULTS, classify
 from .generator import build_generator, setup_codes
 from .model import SystemParams
-from .rates import Cells, ReservoirSpec, Statistics, cell_occupations
+from .rates import Cells, ReservoirSpec, Statistics, cell_occupations, shared_statistics
 from .steady import steady_state
 from .transport import transport_report
 
@@ -46,6 +46,19 @@ class Axis(enum.Enum):
 
 
 _MU_AXES = {Axis.MUBAR, Axis.DELTA_MU, Axis.MUA, Axis.MUB}
+
+
+def _cells(system: SystemParams, statistics: Statistics, kappa: np.ndarray,
+           t_a, t_b, mu_a, mu_b) -> Cells:
+    """Cells of system's levels and gamma at the couplings kappa between
+    reservoirs (t_a, mu_a) and (t_b, mu_b), each a scalar or an array of
+    kappa's shape, derived by Cells.build like every cell."""
+    shape = kappa.shape
+    temperature, mu = np.empty(shape + (2,)), np.empty(shape + (2,))
+    temperature[..., 0], temperature[..., 1], mu[..., 0], mu[..., 1] = t_a, t_b, mu_a, mu_b
+    eps_a, eps_b, gamma, kappa = (np.full(shape, v, dtype=float) for v in (
+        system.eps_a, system.eps_b, system.gamma, kappa))
+    return Cells.build(eps_a, eps_b, kappa, gamma, temperature, mu, statistics)
 
 
 @dataclass(frozen=True)
@@ -83,28 +96,32 @@ class SweepConfig:
             for ax in (self.axis_x, self.axis_y):
                 if ax in _MU_AXES:
                     raise ValueError(f"axis {ax} requires a fermionic setup")
-        # the whole (ny, nx) grid, validated by the checks every cell meets: the
-        # first cell whose kappa or temperatures point() rejects raises point()'s
-        # error, then the phase boundary, strong-coupling fermions and the
-        # Bose occupation floor raise their own
-        s = self.system
+        # the whole (ny, nx) grid, validated by the checks every cell meets:
+        # those of cells(), then strong-coupling fermions and the Bose
+        # occupation floor
         try:
-            x, y = self.x_values(), self.y_values()[:, None]
-            eps_a, eps_b, gamma, kappa, t_a, t_b, mu_a, mu_b = np.array(np.broadcast_arrays(
-                x, y, s.eps_a, s.eps_b, s.gamma, *self._compose(x, y))[2:], dtype=float)
+            grid = self.cells(self.x_values(), self.y_values()[:, None])
         except MemoryError:
             raise ValueError(
                 f"a grid of {self.nx}x{self.ny} cells cannot be allocated") from None
-        ok = (kappa > 0) & (t_a > 0) & (t_b > 0) & np.isfinite(
-            [kappa, t_a, t_b, mu_a, mu_b]).all(axis=0)
-        if not ok.all():
-            iy, ix = divmod(int(np.argmin(ok)), self.nx)
-            self.point(float(x[ix]), float(y[iy, 0]))
-        grid = Cells.build(eps_a, eps_b, kappa, gamma, np.stack([t_a, t_b], axis=-1),
-                           np.stack([mu_a, mu_b], axis=-1), self.statistics)
         setup_codes(grid.strong, grid.statistics)
         cell_occupations(grid)
         object.__setattr__(self, "grid", grid)
+
+    def cells(self, x, y) -> Cells:
+        """Cells at x and y, elementwise over their broadcast shape.
+
+        The first cell (in C order) whose kappa or temperatures point()
+        rejects raises point()'s error; model.derive_params rejects the phase
+        boundary.
+        """
+        x, y, *values = np.array(np.broadcast_arrays(x, y, *self._compose(x, y)), dtype=float)
+        kappa, t_a, t_b = values[:3]
+        ok = (kappa > 0) & (t_a > 0) & (t_b > 0) & np.isfinite(values).all(axis=0)
+        if not ok.all():
+            i = np.unravel_index(np.argmin(ok), ok.shape)
+            self.point(float(x[i]), float(y[i]))
+        return _cells(self.system, self.statistics, *values)
 
     def x_values(self) -> np.ndarray:
         return np.linspace(self.x_range[0], self.x_range[1], self.nx)
@@ -286,10 +303,10 @@ def _criterion_margin(rep, criterion: Criterion):
     return rep.margin_bell
 
 
-def _margins(points, criterion: Criterion) -> list[float]:
-    """Criterion margins of N points as one batch, through the single-route
+def _margins(cells: Cells, criterion: Criterion) -> list[float]:
+    """Criterion margins of cells as one batch, through the single-route
     classification; a state that fails classification raises."""
-    g = build_generator(Cells.of(points))
+    g = build_generator(cells)
     c = classify(steady_state(g.total, g.vectors).local, dual=False)
     fault = c.fault >= 0
     if np.count_nonzero(fault):
@@ -297,37 +314,47 @@ def _margins(points, criterion: Criterion) -> list[float]:
     return _criterion_margin(c, criterion).tolist()
 
 
-def _margin(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec,
-            criterion: Criterion) -> float:
-    """Criterion margin at one point: _margins of the one-cell batch."""
-    return _margins([(system, ra, rb)], criterion)[0]
+# levels of the dyadic midpoint tree that one bisection batch evaluates
+BISECT_DEPTH = 4
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, tol: float) -> tuple[float, float, int]:
+def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
+    """Midpoints of [lo, hi] and, while an interval is wider than tol, of its
+    halves, depth levels deep, in preorder."""
+    mid = 0.5 * (lo + hi)
+    if depth == 1 or not hi - lo > tol:
+        return [mid]
+    return [mid, *_midpoints(lo, mid, tol, depth - 1), *_midpoints(mid, hi, tol, depth - 1)]
+
+
+def _bisect(f, lo: float, hi: float, f_lo: float,
+            tol: float) -> tuple[float, float, int, float]:
     """Halve [lo, hi] around the sign change of f until it is at most tol wide.
 
-    f maps a list of points to their values.  While two more halvings are
-    due, one call evaluates the midpoint together with the midpoints of both
-    halves, one of which is the next midpoint; the brackets are exactly those
-    of halving one point at a time.  f_lo is f(lo); returns the final
-    (lo, hi) and the number of halvings.
+    f maps a list of points to their values, and f_lo is f(lo).  One call of
+    f evaluates the tree of midpoints BISECT_DEPTH levels below the current
+    bracket (2**BISECT_DEPTH - 1 points), pruned below intervals at most tol
+    wide, so it serves BISECT_DEPTH halvings.  The points are the same
+    0.5*(a+b) halvings, so the brackets are exactly those of halving one
+    point at a time, and the last tree also holds the root 0.5*(lo+hi) of
+    the final bracket.  Returns the final (lo, hi), the number of halvings
+    and f at the root.
     """
     iterations = 0
     known: dict[float, float] = {}
-    while hi - lo > tol:
+    while True:
         mid = 0.5 * (lo + hi)
         if mid not in known:
-            points = [mid]
-            if 0.5 * (hi - lo) > tol:
-                points += [0.5 * (lo + mid), 0.5 * (mid + hi)]
+            points = _midpoints(lo, hi, tol, BISECT_DEPTH)
             known = dict(zip(points, f(points)))
         f_mid = known[mid]
+        if not hi - lo > tol:
+            return lo, hi, iterations, f_mid
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
         iterations += 1
-    return lo, hi, iterations
 
 
 def threshold_kappa(
@@ -341,13 +368,21 @@ def threshold_kappa(
 ) -> ThresholdResult:
     """Bisect the classification margin over kappa inside the bracket.
 
-    An 8-point pre-scan, evaluated as one batch, locates the sign change and
-    rejects non-monotone margins (more than one crossing).  No sign change is
-    a result, not an error.
+    The bracket must satisfy 0 < lo < hi < inf, checked before any solve, so
+    every coupling evaluated is positive and finite.  An 8-point pre-scan,
+    evaluated as one batch, locates the sign change and rejects non-monotone
+    margins (more than one crossing).  _bisect then takes
+    ceil((iterations + 1) / BISECT_DEPTH) batches, the last of which holds
+    the root and gives margin_at_root.  Each batch is one Cells.build over
+    the vector of its couplings.  No sign change is a result, not an error.
     """
+    if not 0 < bracket[0] < bracket[1] < math.inf:
+        raise ValueError(f"threshold bracket must satisfy 0 < lo < hi < inf, got {bracket}")
+    stat = shared_statistics((ra, rb))
 
     def margins(ks: list[float]) -> list[float]:
-        return _margins([(replace(template, kappa=k), ra, rb) for k in ks], criterion)
+        return _margins(_cells(template, stat, np.array(ks), ra.temperature, rb.temperature,
+                               ra.mu, rb.mu), criterion)
 
     bar_eps = 0.5 * (template.eps_a + template.eps_b)
     ks = np.linspace(bracket[0], bracket[1], prescan).tolist()
@@ -359,10 +394,8 @@ def threshold_kappa(
         raise ValueError(f"margin not monotone on bracket {bracket}: "
                          f"{len(crossings)} sign changes")
     i = crossings[0]
-    lo, hi, iterations = _bisect(margins, ks[i], ks[i + 1], ms[i], rel_tol * bar_eps)
-    root = 0.5 * (lo + hi)
-    return ThresholdResult(criterion, True, root, (lo, hi), iterations,
-                           _margin(replace(template, kappa=root), ra, rb, criterion))
+    lo, hi, iterations, margin = _bisect(margins, ks[i], ks[i + 1], ms[i], rel_tol * bar_eps)
+    return ThresholdResult(criterion, True, 0.5 * (lo + hi), (lo, hi), iterations, margin)
 
 
 def analytic_thresholds(
@@ -465,8 +498,8 @@ def entanglement_boundary_fit(m: RegionMap, band_ratio: float = 0.25) -> Boundar
             x_est = xs[ix] + frac * (xs[ix + 1] - xs[ix])
             if abs(x_est - y) > band_ratio * 0.5 * (x_est + y) + cell_w:
                 continue
-            lo, hi, _ = _bisect(
-                lambda points: _margins([m.config.point(x, float(y)) for x in points],
+            lo, hi, _, _ = _bisect(
+                lambda points: _margins(m.config.cells(np.array(points), y),
                                         Criterion.ENTANGLEMENT),
                 float(xs[ix]), float(xs[ix + 1]), a, refine_tol)
             x_cross = 0.5 * (lo + hi)

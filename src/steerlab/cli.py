@@ -123,28 +123,30 @@ def fmt(v: float) -> str:
 
 def dumps_fixed(obj, indent: int = 0) -> str:
     """JSON text with %.17g floats, for byte-reproducible outputs."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = " " * indent
+        items = ",\n".join(f'{pad}  {json.dumps(str(k))}: {dumps_fixed(v, indent + 2)}'
+                           for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        # a flat list of finite Python floats is one join; "n" marks nan or inf
+        if all(type(v) is float for v in obj):
+            items = ", ".join(["%.17g" % v for v in obj])
+            if "n" not in items:
+                return "[" + items + "]"
+        return "[" + ", ".join([dumps_fixed(v, indent) for v in obj]) + "]"
     if isinstance(obj, np.bool_):
         obj = bool(obj)
     elif isinstance(obj, np.integer):
         obj = int(obj)
     elif isinstance(obj, np.floating):
         obj = float(obj)
-    pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps_fixed(v, indent + 2)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}" if obj else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = ", ".join(dumps_fixed(v, indent) for v in obj)
-        return "[" + items + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return json.dumps(str(obj))
-        return fmt(obj)
+        return fmt(obj) if math.isfinite(obj) else json.dumps(str(obj))
     return json.dumps(obj)
 
 

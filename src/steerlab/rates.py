@@ -86,6 +86,14 @@ def transition_energies(bar_eps, omega):
     return abs(bar_eps - omega), bar_eps + omega
 
 
+def shared_statistics(reservoirs: Sequence[ReservoirSpec]) -> Statistics:
+    """The statistics of reservoirs, which must all share it."""
+    stat = reservoirs[0].statistics
+    if any(r.statistics is not stat for r in reservoirs):
+        raise ConfigurationError("reservoirs must share statistics (both bose or both fermi)")
+    return stat
+
+
 # rate coefficients of one reservoir, in the order of rate_set's last axis
 COEFFICIENTS = ("p", "q", "s", "t", "spont_plus", "spont_minus", "spont_coh")
 
@@ -123,9 +131,7 @@ class Cells:
 
     @classmethod
     def of(cls, points: Sequence[tuple[SystemParams, ReservoirSpec, ReservoirSpec]]) -> Cells:
-        stat = points[0][1].statistics
-        if any(r.statistics is not stat for _, ra, rb in points for r in (ra, rb)):
-            raise ConfigurationError("reservoirs must share statistics (both bose or both fermi)")
+        stat = shared_statistics([r for _, ra, rb in points for r in (ra, rb)])
         # one contiguous row per parameter
         columns = np.array([(p.eps_a, p.eps_b, p.kappa, p.gamma, ra.temperature,
                              rb.temperature, ra.mu, rb.mu) for p, ra, rb in points],

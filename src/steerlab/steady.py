@@ -76,6 +76,8 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
     eigenvalue magnitudes) and s_1 > 6 eps s_max (above rounding), else
     DegenerateSteadyStateError is raised, as it is for a singular bordered
     matrix (a null vector without population).  null_ratio reports s_1/s_0.
+    The residual max|M v| must be at most RESIDUAL_TOL * max(1, max|M|), else
+    DegenerateSteadyStateError is raised too; the reported residual is absolute.
     """
     bordered = total.copy()
     bordered[:, 0, :] = _TRACE_ROW
@@ -96,11 +98,17 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
             "vector with vanishing population sum") from None
     v = hermitize_vector6(v)
     residual = np.abs(total @ v[..., None]).max(axis=(-2, -1))
-    i = _first(~(residual <= RESIDUAL_TOL))
-    if i is not None:
-        raise DegenerateSteadyStateError(
-            f"steady-state residual {residual[i]:.3g} exceeds {RESIDUAL_TOL}"
-        )
+    over = ~(residual <= RESIDUAL_TOL)
+    if np.count_nonzero(over):
+        # rounding in M v grows with the entries of M (hot Bose reservoirs);
+        # the scale is computed only for cells over the absolute tolerance
+        cells = np.flatnonzero(over)
+        tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(total[cells]).max(axis=(-2, -1)))
+        i = _first(~(residual[cells] <= tol))
+        if i is not None:
+            raise DegenerateSteadyStateError(
+                f"steady-state residual {residual[cells[i]]:.3g} exceeds "
+                f"{RESIDUAL_TOL} * max(1, max|M|) = {tol[i]:.3g}")
     energy = from_vector6(v)
     min_eig = min_eigenvalue_energy(v)
     with np.errstate(divide="ignore"):

@@ -129,16 +129,20 @@ def load_preset_config(name: str) -> SweepConfig:
     )
 
 
+def assert_cells_equal(got: sl.Cells, want: sl.Cells) -> None:
+    """got and want agree in the dtype, shape and bits of every field."""
+    for f in fields(sl.Cells):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "statistics":
+            assert a is b
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert np.array_equal(a, b), f.name
+
+
 def assert_rows_equal_points(cfg: SweepConfig, rows) -> None:
     """Grid row iy of cfg, for each iy in rows, equals the Cells.of of its
     points in the dtype, shape and bits of every field."""
     xs, ys = cfg.x_values().tolist(), cfg.y_values().tolist()
     for iy in rows:
-        got, want = cfg.grid[iy], sl.Cells.of([cfg.point(x, ys[iy]) for x in xs])
-        for f in fields(sl.Cells):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            if f.name == "statistics":
-                assert a is b
-            else:
-                assert a.dtype == b.dtype and a.shape == b.shape, (iy, f.name)
-                assert np.array_equal(a, b), (iy, f.name)
+        assert_cells_equal(cfg.grid[iy], sl.Cells.of([cfg.point(x, ys[iy]) for x in xs]))

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import steerlab as sl
+from steerlab import analysis
 from steerlab.analysis import (
     FIELDS,
     Axis,
@@ -12,6 +14,7 @@ from steerlab.analysis import (
     GridCell,
     RegionMap,
     SweepConfig,
+    ThresholdResult,
     analytic_thresholds,
     entanglement_boundary_fit,
     hierarchy_check,
@@ -19,10 +22,15 @@ from steerlab.analysis import (
     sweep2d,
     threshold_kappa,
 )
-from steerlab.errors import PhaseBoundaryError
+from steerlab.errors import ConfigurationError, PhaseBoundaryError
 from steerlab.rates import Cells, Statistics
 
-from conftest import PRESET_NAMES, assert_rows_equal_points, load_preset_config
+from conftest import (
+    PRESET_NAMES,
+    assert_cells_equal,
+    assert_rows_equal_points,
+    load_preset_config,
+)
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -99,6 +107,14 @@ class TestRowCells:
             small_sweep(**kwargs, y_range=(0.1, 0.8))
         assert str(from_config.value) == str(from_point.value)
         assert "temperature must be > 0" in str(from_config.value)
+
+    def test_cells_off_the_grid_equal_points(self):
+        # the boundary fit's bisection points: an x vector between grid cells at one y
+        cfg = small_sweep(axis_x=Axis.TA, x_range=(0.8, 2.6), axis_y=Axis.TB,
+                          y_range=(0.8, 2.6))
+        xs, y = [0.81, 1.3333333333333333, 2.599999], cfg.y_values()[2]
+        assert_cells_equal(cfg.cells(np.array(xs), y),
+                           Cells.of([cfg.point(x, float(y)) for x in xs]))
 
     def test_phase_boundary_rejected(self):
         # kappa = 2 sqrt(eps_a eps_b) fixed, over a temperature grid
@@ -206,12 +222,134 @@ class TestThresholdKappa:
         res = threshold_kappa(p, r, r, Criterion.ENTANGLEMENT, (0.5, 1.0))
         assert not res.found and res.kappa_threshold is None
 
+    @pytest.mark.parametrize("bracket", [(3.0, 0.5), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                         (0.5, math.inf), (math.nan, 1.0)])
+    def test_bad_bracket_rejected(self, bracket):
+        p, r = sl.SystemParams(1.0, 1.0, 1.0, 0.01), sl.ReservoirSpec(BOSE, 0.5)
+        with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+            threshold_kappa(p, r, r, Criterion.ENTANGLEMENT, bracket)
+
+    def test_mixed_statistics_rejected(self):
+        p = sl.SystemParams(1.0, 1.0, 1.0, 0.01)
+        with pytest.raises(ConfigurationError, match="share statistics"):
+            threshold_kappa(p, sl.ReservoirSpec(BOSE, 0.5), sl.ReservoirSpec(FERMI, 0.5),
+                            Criterion.ENTANGLEMENT, (0.4, 1.4))
+
     def test_two_way_uses_weaker_direction(self):
         p = sl.SystemParams(1.05, 0.95, 2.1, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.05)
         res_two = threshold_kappa(p, r, r, Criterion.TWO_WAY, (1.999, 2.2))
         res_ab = threshold_kappa(p, r, r, Criterion.A_TO_B, (1.999, 2.2))
         assert res_two.kappa_threshold == pytest.approx(res_ab.kappa_threshold, abs=1e-8)
+
+
+def halving(f, lo, hi, f_lo, tol):
+    """Bisection halving one point at a time, one call of f per point, and f
+    at the root of the final bracket: the oracle of analysis._bisect."""
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f([mid])[0]
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        iterations += 1
+    return lo, hi, iterations, f([0.5 * (lo + hi)])[0]
+
+
+def halving_threshold(template, ra, rb, criterion, bracket, rel_tol=1e-10, prescan=8):
+    """threshold_kappa with every margin the one-cell batch of
+    replace(template, kappa=k), halving one point at a time."""
+    def margins(ks):
+        return [analysis._margins(Cells.of([(replace(template, kappa=k), ra, rb)]),
+                                  criterion)[0] for k in ks]
+
+    ks = np.linspace(bracket[0], bracket[1], prescan).tolist()
+    ms = margins(ks)
+    crossings = [i for i in range(len(ks) - 1) if (ms[i] > 0) != (ms[i + 1] > 0)]
+    if not crossings:
+        return ThresholdResult(criterion, False, None, bracket, 0, None)
+    i = crossings[0]
+    tol = rel_tol * 0.5 * (template.eps_a + template.eps_b)
+    lo, hi, iterations, margin = halving(margins, ks[i], ks[i + 1], ms[i], tol)
+    return ThresholdResult(criterion, True, 0.5 * (lo + hi), (lo, hi), iterations, margin)
+
+
+# (eps_a, eps_b, statistics, T, mu, bracket) per setup and criterion, and
+# whether the criterion has a threshold there
+_DETUNED_WEAK = (1.25, 0.75, BOSE, 0.05, 0.0, (1.6, 1.936))
+THRESHOLD_CASES = {
+    ("strong-bose", Criterion.TWO_WAY): ((1.0, 1.0, BOSE, 0.05, 0.0, (2.003, 2.3)), True),
+    ("strong-bose", Criterion.A_TO_B): ((1.05, 0.95, BOSE, 0.05, 0.0, (1.999, 2.2)), True),
+    ("strong-bose", Criterion.B_TO_A): ((1.05, 0.95, BOSE, 0.05, 0.0, (1.999, 2.2)), True),
+    ("strong-bose", Criterion.ENTANGLEMENT): ((1.0, 1.0, BOSE, 2.0, 0.0, (2.05, 6.0)), True),
+    ("strong-bose", Criterion.BELL): ((1.0, 1.0, BOSE, 0.05, 0.0, (2.003, 2.3)), True),
+    ("weak-bose", Criterion.TWO_WAY): (_DETUNED_WEAK, False),
+    ("weak-bose", Criterion.A_TO_B): (_DETUNED_WEAK, False),
+    ("weak-bose", Criterion.B_TO_A): (_DETUNED_WEAK, True),
+    ("weak-bose", Criterion.ENTANGLEMENT): ((1.0, 1.0, BOSE, 0.5, 0.0, (0.4, 1.4)), True),
+    ("weak-bose", Criterion.BELL): (_DETUNED_WEAK, False),
+    ("weak-fermi", Criterion.TWO_WAY): ((1.0, 1.0, FERMI, 0.03, 1.0, (0.02, 0.3)), True),
+    ("weak-fermi", Criterion.A_TO_B): ((1.1, 0.9, FERMI, 0.03, 0.5, (0.02, 1.9)), True),
+    ("weak-fermi", Criterion.B_TO_A): ((1.1, 0.9, FERMI, 0.03, 0.5, (0.02, 1.9)), True),
+    ("weak-fermi", Criterion.ENTANGLEMENT): ((1.0, 1.0, FERMI, 0.03, 1.0, (0.02, 0.3)), True),
+    ("weak-fermi", Criterion.BELL): ((1.0, 1.0, FERMI, 0.03, 1.0, (0.02, 0.3)), True),
+}
+
+
+class TestDyadicBisection:
+    @pytest.mark.parametrize("lo,hi,root,tol", [
+        (0.0, 1.0, 0.3, 1e-10), (1.0, 2.0, 1.7, 0.25), (1.0, 2.0, 1.2, 0.2),
+        (-3.0, 5.0, 0.0, 1e-3), (2.003, 2.3, 2.0143, 2.0e-10), (0.0, 1.0, 0.5, 2.0),
+    ])
+    def test_matches_halving_one_point_at_a_time(self, lo, hi, root, tol):
+        calls = []
+
+        def f(points):
+            calls.append(len(points))
+            return [x - root for x in points]
+        got = analysis._bisect(f, lo, hi, lo - root, tol)
+        want = halving(f, lo, hi, lo - root, tol)
+        assert got == want
+        iterations = got[2]
+        trees = calls[:-(iterations + 1)]
+        depth = analysis.BISECT_DEPTH
+        assert len(trees) == math.ceil((iterations + 1) / depth)
+        assert max(trees) <= 2 ** depth - 1
+
+    @pytest.mark.parametrize("case", THRESHOLD_CASES,
+                             ids=[f"{setup}-{c.value}" for setup, c in THRESHOLD_CASES])
+    def test_threshold_matches_halving(self, case, monkeypatch):
+        (eps_a, eps_b, stat, t, mu, bracket), found = THRESHOLD_CASES[case]
+        p, r = sl.SystemParams(eps_a, eps_b, 1.0, 0.01), sl.ReservoirSpec(stat, t, mu)
+        want = halving_threshold(p, r, r, case[1], bracket)
+        batches = []
+        build = analysis.build_generator
+
+        def counting(cells):
+            batches.append(cells.theta.shape[0])
+            return build(cells)
+        monkeypatch.setattr(analysis, "build_generator", counting)
+        got = threshold_kappa(p, r, r, case[1], bracket)
+        assert got == want and got.found is found
+        # the pre-scan, then one tree per BISECT_DEPTH halvings; the last
+        # tree holds the root, so there is no one-cell root batch
+        assert batches[0] == 8
+        assert len(batches) <= 1 + math.ceil((got.iterations + 1) / analysis.BISECT_DEPTH)
+        if found:
+            assert len(batches) >= 2 and got.iterations > 20
+
+    def test_boundary_fit_matches_halving(self, monkeypatch):
+        cfg = SweepConfig(
+            axis_x=Axis.TA, x_range=(0.8, 2.6), nx=13, axis_y=Axis.TB, y_range=(0.8, 2.6),
+            ny=13, system=sl.SystemParams(1.0, 1.0, 3.0, 0.01), statistics=BOSE,
+            t_a=0.5, t_b=0.5)
+        m = sweep2d(cfg)
+        got = entanglement_boundary_fit(m)
+        monkeypatch.setattr(analysis, "_bisect", halving)
+        want = entanglement_boundary_fit(m)
+        assert got.found and got.n_points >= 3 and got == want
 
 
 class TestAnalyticThresholds:

@@ -28,6 +28,19 @@ def run(args):
     return main(args)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The steady-state solves of the sweep and threshold pipelines, counted."""
+    calls = []
+    solve = steerlab.analysis.steady_state
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr("steerlab.analysis.steady_state", counting)
+    return calls
+
+
 class TestSteadyCommand:
     def test_equilibrium_point(self, capsys):
         code = run(["steady", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
@@ -284,18 +297,6 @@ REJECTED_SWEEPS = {
 
 
 class TestSweepValidation:
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """The steady-state solves of the sweep pipeline, counted."""
-        calls = []
-        solve = steerlab.analysis.steady_state
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-        monkeypatch.setattr("steerlab.analysis.steady_state", counting)
-        return calls
-
     @pytest.mark.parametrize("name", REJECTED_SWEEPS)
     def test_rejected_before_any_computation(self, name, solves, tmp_path, capsys):
         flags, message = REJECTED_SWEEPS[name]
@@ -351,6 +352,18 @@ class TestThresholdCommand:
         assert code == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["found"] is False and rep["kappa_threshold"] is None
+
+
+    @pytest.mark.parametrize("lo,hi", [("3", "0.5"), ("1", "1"), ("0.5", "inf"),
+                                       ("nan", "1"), ("0", "1")])
+    def test_bad_bracket_rejected_before_any_solve(self, lo, hi, solves, capsys):
+        code = run(["threshold", "--criterion=two-way", f"--bracket-lo={lo}",
+                    f"--bracket-hi={hi}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: threshold bracket must satisfy 0 < lo < hi < inf")
+        assert solves == []
 
 
 class TestThresholdsTable:
@@ -494,12 +507,85 @@ class TestPresets:
         assert manifest["masked_cells"] == 0
 
 
+def dumps_fixed_oracle(obj, indent: int = 0) -> str:
+    """The former dumps_fixed, one call per value, kept as the oracle."""
+    if isinstance(obj, np.bool_):
+        obj = bool(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.floating):
+        obj = float(obj)
+    pad = " " * indent
+    if isinstance(obj, dict):
+        items = ",\n".join(
+            f'{pad}  {json.dumps(str(k))}: {dumps_fixed_oracle(v, indent + 2)}'
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}" if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = ", ".join(dumps_fixed_oracle(v, indent) for v in obj)
+        return "[" + items + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return json.dumps(str(obj))
+        return "%.17g" % obj
+    return json.dumps(obj)
+
+
 class TestFixedFormat:
     def test_dumps_fixed_floats(self):
         text = dumps_fixed({"a": 1.0 / 3.0, "b": [True, None, "s"], "c": float("nan")})
         assert "0.33333333333333331" in text
         assert '"nan"' in text
         assert json.loads(text.replace('"nan"', "0"))
+
+    @pytest.mark.parametrize("argv", [
+        ["steady"],
+        ["steady", "--stat=fermi", "--mua=1", "--mub=1.2", "--kappa=0.6", "--ta=0.15"],
+        ["steady", "--kappa=2.2", "--ta=0.05", "--tb=0.7"],
+        ["threshold", "--ta=0.05", "--tb=0.05", "--criterion=two-way",
+         "--bracket-lo=2.003", "--bracket-hi=2.3"],
+        ["threshold", "--criterion=two-way", "--bracket-lo=0.3", "--bracket-hi=0.9"],
+        ["thresholds-table"],
+        ["sweep", "--axis-x=tbar", "--x-min=0.3", "--x-max=0.6", "--nx=3",
+         "--axis-y=kappa", "--y-min=2.5", "--y-max=3", "--ny=3"],
+    ])
+    def test_documents_match_oracle(self, argv, tmp_path, monkeypatch, capsys):
+        # every document a command renders (report and manifest), rendered by both
+        documents = []
+        render = dumps_fixed
+
+        def spy(obj, indent=0):
+            if indent == 0:
+                documents.append(obj)
+            return render(obj, indent)
+        monkeypatch.setattr("steerlab.cli.dumps_fixed", spy)
+        assert run([*argv, f"--out={tmp_path / 'out'}"]) == 0
+        # the report and its manifest; a sweep's CSV is not JSON
+        assert len(documents) == (1 if argv[0] == "sweep" else 2)
+        for doc in documents:
+            assert render(doc) == dumps_fixed_oracle(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        [],
+        {"empty": {}, "list": [], "nested": {"deeper": {"x": []}}},
+        [float("nan"), 1.0, float("inf"), -float("inf")],
+        [[1.0, float("nan")], [0.1, -0.0], [5e-324, 1.7976931348623157e308]],
+        [np.float64(0.1), np.float32(0.1), np.int64(-3), np.bool_(True), np.bool_(False),
+         np.float64("nan")],
+        {"b": True, "f": False, "n": None, "s": "text \"q\"", "i": 10 ** 20, "neg": -7},
+        (1.0, 2.0, (3.0, [4.0, True])),
+        [1.0, 2, 3.0],
+        [True, 1.0],
+        {"m": [[[0.25, -0.0], [1e-300, 3.0]], [[np.float64(2.0), 1.0]]],
+         1: np.float64("-inf"), "x": np.array(0.5)[()]},
+    ])
+    def test_values_match_oracle(self, doc):
+        assert dumps_fixed(doc) == dumps_fixed_oracle(doc)
+        assert dumps_fixed(doc, 4) == dumps_fixed_oracle(doc, 4)
 
 
 # numeric values the fuzz test draws for every flag, including the invalid ones

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -171,6 +172,36 @@ class TestBorderedSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal:") and captured.err.count("\n") == 1
+
+
+class TestResidualTolerance:
+    # rounding in M v grows with the entries of M, about gamma * T / eps here
+    HOT = ["--kappa=2.5", "--ta=1e8"]
+
+    def test_hot_reservoir_accepted(self, capsys):
+        assert main(["steady", *self.HOT]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert 1e-10 < rep["residual"] < 1e-8   # reported as it is, absolute
+
+    def test_hot_sweep_accepted(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert main(["sweep", "--axis-x=kappa", "--x-min=2.5", "--x-max=3", "--nx=3",
+                     "--axis-y=ta", "--y-min=0.5", "--y-max=2e8", "--ny=3",
+                     f"--out={out}"]) == 0
+        assert len(out.read_text().splitlines()) == 10
+
+    @pytest.mark.parametrize("flags", [[], HOT], ids=["cold", "hot"])
+    def test_wrong_solve_exits_internal(self, flags, monkeypatch, capsys):
+        solve = np.linalg.solve
+
+        def off_by_1e6(a, b):
+            # the solve with its first population 1e-6 off, no longer a null vector
+            return solve(a, b) + 1e-6 * np.eye(6, 1)
+        monkeypatch.setattr(np.linalg, "solve", off_by_1e6)
+        assert main(["steady", *flags]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: steady-state residual")
 
 
 class TestEvolve:
