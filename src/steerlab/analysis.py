@@ -336,16 +336,20 @@ def _bisect(f, lo: float, hi: float, f_lo: float,
     bracket (2**BISECT_DEPTH - 1 points), pruned below intervals at most tol
     wide, so it serves BISECT_DEPTH halvings.  The points are the same
     0.5*(a+b) halvings, so the brackets are exactly those of halving one
-    point at a time, and the last tree also holds the root 0.5*(lo+hi) of
-    the final bracket.  Returns the final (lo, hi), the number of halvings
-    and f at the root.
+    point at a time.  The last tree also holds the root 0.5*(lo+hi) of the
+    final bracket, one level deeper when the root lies just below
+    BISECT_DEPTH levels, so the halvings take max(1, ceil(iterations /
+    BISECT_DEPTH)) calls.  Returns the final (lo, hi), the number of
+    halvings and f at the root.
     """
     iterations = 0
     known: dict[float, float] = {}
     while True:
         mid = 0.5 * (lo + hi)
         if mid not in known:
-            points = _midpoints(lo, hi, tol, BISECT_DEPTH)
+            # a root one level below the tree joins it: no batch for the root alone
+            depth = BISECT_DEPTH + (math.ldexp(hi - lo, -BISECT_DEPTH) <= tol)
+            points = _midpoints(lo, hi, tol, depth)
             known = dict(zip(points, f(points)))
         f_mid = known[mid]
         if not hi - lo > tol:
@@ -372,7 +376,7 @@ def threshold_kappa(
     every coupling evaluated is positive and finite.  An 8-point pre-scan,
     evaluated as one batch, locates the sign change and rejects non-monotone
     margins (more than one crossing).  _bisect then takes
-    ceil((iterations + 1) / BISECT_DEPTH) batches, the last of which holds
+    max(1, ceil(iterations / BISECT_DEPTH)) batches, the last of which holds
     the root and gives margin_at_root.  Each batch is one Cells.build over
     the vector of its couplings.  No sign change is a result, not an error.
     """

@@ -302,6 +302,8 @@ class TestDyadicBisection:
     @pytest.mark.parametrize("lo,hi,root,tol", [
         (0.0, 1.0, 0.3, 1e-10), (1.0, 2.0, 1.7, 0.25), (1.0, 2.0, 1.2, 0.2),
         (-3.0, 5.0, 0.0, 1e-3), (2.003, 2.3, 2.0143, 2.0e-10), (0.0, 1.0, 0.5, 2.0),
+        # 8 and 28 halvings: the root lies one level below a full tree
+        (0.0, 1.0, 0.123, 0.005), (0.0, 1.0, 0.61, 5e-9),
     ])
     def test_matches_halving_one_point_at_a_time(self, lo, hi, root, tol):
         calls = []
@@ -315,8 +317,9 @@ class TestDyadicBisection:
         iterations = got[2]
         trees = calls[:-(iterations + 1)]
         depth = analysis.BISECT_DEPTH
-        assert len(trees) == math.ceil((iterations + 1) / depth)
-        assert max(trees) <= 2 ** depth - 1
+        assert len(trees) == max(1, math.ceil(iterations / depth))
+        assert max(trees) <= 2 ** (depth + 1) - 1
+        assert len(trees) == 1 or trees[-1] > 1   # never a batch for the root alone
 
     @pytest.mark.parametrize("case", THRESHOLD_CASES,
                              ids=[f"{setup}-{c.value}" for setup, c in THRESHOLD_CASES])
@@ -336,7 +339,8 @@ class TestDyadicBisection:
         # the pre-scan, then one tree per BISECT_DEPTH halvings; the last
         # tree holds the root, so there is no one-cell root batch
         assert batches[0] == 8
-        assert len(batches) <= 1 + math.ceil((got.iterations + 1) / analysis.BISECT_DEPTH)
+        assert len(batches) <= 1 + max(1, math.ceil(got.iterations / analysis.BISECT_DEPTH))
+        assert len(batches) <= 2 or batches[-1] > 1
         if found:
             assert len(batches) >= 2 and got.iterations > 20
 
