@@ -15,7 +15,6 @@ from .rates import (
     Cells,
     ReservoirSpec,
     Statistics,
-    occupation,
     rate_set,
     transition_energies,
 )
@@ -27,7 +26,6 @@ from .generator import (
 from .steady import (
     EquilibriumState,
     SteadyArrays,
-    Trajectory,
     equilibrium_analytic,
     evolve,
     steady_state,

@@ -48,19 +48,6 @@ class Axis(enum.Enum):
 _MU_AXES = {Axis.MUBAR, Axis.DELTA_MU, Axis.MUA, Axis.MUB}
 
 
-def _cells(system: SystemParams, statistics: Statistics, kappa: np.ndarray,
-           t_a, t_b, mu_a, mu_b) -> Cells:
-    """Cells of system's levels and gamma at the couplings kappa between
-    reservoirs (t_a, mu_a) and (t_b, mu_b), each a scalar or an array of
-    kappa's shape, derived by Cells.build like every cell."""
-    shape = kappa.shape
-    temperature, mu = np.empty(shape + (2,)), np.empty(shape + (2,))
-    temperature[..., 0], temperature[..., 1], mu[..., 0], mu[..., 1] = t_a, t_b, mu_a, mu_b
-    eps_a, eps_b, gamma, kappa = (np.full(shape, v, dtype=float) for v in (
-        system.eps_a, system.eps_b, system.gamma, kappa))
-    return Cells.build(eps_a, eps_b, kappa, gamma, temperature, mu, statistics)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """A 2D grid over two axes with everything else held fixed.
@@ -121,7 +108,8 @@ class SweepConfig:
         if not ok.all():
             i = np.unravel_index(np.argmin(ok), ok.shape)
             self.point(float(x[i]), float(y[i]))
-        return _cells(self.system, self.statistics, *values)
+        return Cells.build(self.system.eps_a, self.system.eps_b, kappa, self.system.gamma,
+                           *values[1:], self.statistics)
 
     def x_values(self) -> np.ndarray:
         return np.linspace(self.x_range[0], self.x_range[1], self.nx)
@@ -385,8 +373,9 @@ def threshold_kappa(
     stat = shared_statistics((ra, rb))
 
     def margins(ks: list[float]) -> list[float]:
-        return _margins(_cells(template, stat, np.array(ks), ra.temperature, rb.temperature,
-                               ra.mu, rb.mu), criterion)
+        return _margins(Cells.build(template.eps_a, template.eps_b, np.array(ks), template.gamma,
+                                    ra.temperature, rb.temperature, ra.mu, rb.mu, stat),
+                        criterion)
 
     bar_eps = 0.5 * (template.eps_a + template.eps_b)
     ks = np.linspace(bracket[0], bracket[1], prescan).tolist()
@@ -437,32 +426,6 @@ def analytic_thresholds(
         out["kappa_low_a_to_b"] = sym + sgn * 2.0 * delta_eps * t / sym
         out["kappa_low_b_to_a"] = sym - sgn * 2.0 * delta_eps * t / sym
     return out
-
-
-@dataclass(frozen=True)
-class HierarchyViolation:
-    ix: int
-    iy: int
-    reason: str
-
-
-def hierarchy_check(m: RegionMap) -> list[HierarchyViolation]:
-    """Bell cells must be two-way steerable; steerable cells entangled.
-
-    Positivity-masked cells are skipped (they are excluded from region
-    statistics); the masked count is reported separately.
-    """
-    c = m.columns
-    bell = c["positivity_ok"] & c["bell"] & ~(c["steer_ab"] & c["steer_ba"])
-    unentangled = c["positivity_ok"] & (c["steer_ab"] | c["steer_ba"]) & ~c["entangled"]
-    violations = []
-    for i in np.flatnonzero(bell | unentangled).tolist():
-        iy, ix = divmod(i, m.config.nx)
-        if bell[i]:
-            violations.append(HierarchyViolation(ix, iy, "bell without two-way steering"))
-        if unentangled[i]:
-            violations.append(HierarchyViolation(ix, iy, "steerable but not entangled"))
-    return violations
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,8 @@ CSV_COLUMNS = [
 ]
 # one grid cell: %.17g floats, 0/1 flags
 CSV_ROW = "%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
-
-
-def fmt(v: float) -> str:
-    return "%.17g" % v
+# one trajectory step: t, the four populations, the e1-e2 coherence's re and im
+TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
 def dumps_fixed(obj, indent: int = 0) -> str:
@@ -146,7 +144,7 @@ def dumps_fixed(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        return fmt(obj) if math.isfinite(obj) else json.dumps(str(obj))
+        return "%.17g" % obj if math.isfinite(obj) else json.dumps(str(obj))
     return json.dumps(obj)
 
 
@@ -242,21 +240,25 @@ def resolve_config(args: argparse.Namespace) -> dict:
     cfg = _flags_to_config(args)
     if args.config and args.preset:
         raise ConfigurationError("--config and --preset are mutually exclusive")
-    overlay = None
+    overlay = {}
     if args.config:
         with open(args.config) as fh:
             overlay = json.load(fh)
+        if not isinstance(overlay, dict):
+            raise ConfigurationError(f"{args.config}: a config must be a JSON object")
     elif args.preset:
-        ref = resources.files("steerlab.presets").joinpath(args.preset + ".json")
-        if not ref.is_file():
+        # only the name of a shipped preset, never a path
+        presets = {ref.name: ref for ref in resources.files("steerlab.presets").iterdir()}
+        ref = presets.get(args.preset + ".json")
+        if ref is None:
             raise ConfigurationError(f"unknown preset {args.preset!r}")
         overlay = json.loads(ref.read_text())
-    if overlay:
-        for key, val in overlay.items():
-            if isinstance(val, dict):
-                cfg.setdefault(key, {}).update(val)
-            else:
-                cfg[key] = val
+    for key, val in overlay.items():
+        # a section merges into the flags' section; anything else replaces
+        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+            cfg[key].update(val)
+        else:
+            cfg[key] = val
     cfg["mode"] = args.mode
     # flags that must win over presets when given explicitly
     if args.out:
@@ -450,16 +452,16 @@ def cmd_evolve(cfg: dict) -> int:
     g = build_generator(Cells.of([_build_objects(cfg)]))
     ev = cfg["evolve"]
     rho0 = _initial_state(ev)
-    traj = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
+    times, vectors = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
     st = steady_state(g.total, g.vectors)
-    final_gap = float(np.max(np.abs(traj.vectors[-1] - st.vector6[0])))
-    lines = ["t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh"]
-    for row in traj.csv_rows():
-        lines.append(",".join(fmt(v) for v in row))
-    _emit(cfg, "\n".join(lines) + "\n", started, default_out="trajectory.csv")
+    final_gap = float(np.max(np.abs(vectors[-1] - st.vector6[0])))
+    rows = np.column_stack([times, vectors[:, :4].real, vectors[:, 4].real, vectors[:, 4].imag])
+    text = "t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh\n" + "".join(
+        [TRAJECTORY_ROW % tuple(row) for row in rows.tolist()])
+    _emit(cfg, text, started, default_out="trajectory.csv")
     summary = {
-        "steps": len(traj.times) - 1,
-        "trace_drift": traj.trace_drift(),
+        "steps": len(times) - 1,
+        "trace_drift": float(np.max(np.abs(vectors[:, :4].real.sum(axis=1) - 1.0))),
         "final_distance_to_steady": final_gap,
         "converged_1e8": final_gap < 1e-8,
     }
@@ -485,7 +487,8 @@ def main(argv=None) -> int:
     except (DegenerateSteadyStateError, InternalConsistencyError) as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ConfigurationError, ValueError, OSError) as exc:
+    # OverflowError: a JSON integer too large for a float
+    except (ConfigurationError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -73,12 +73,6 @@ def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
     return np.where(x >= 0, e, 1.0) / (1.0 + e)
 
 
-def occupation(r: ReservoirSpec, eps: float) -> float:
-    """Mean occupation of one reservoir mode at energy eps (see occupations)."""
-    return occupations(r.statistics, *np.array([[r.temperature], [r.mu], [eps]],
-                                                dtype=float)).item()
-
-
 def transition_energies(bar_eps, omega):
     """(eps_minus, eps_plus), the two sigma_x-driven transition energies,
     elementwise: the lower one is bar_eps - omega in the weak phase and
@@ -105,10 +99,11 @@ class Cells:
     The derived parameters of each cell's system (model.derive_params) come
     with its coupling constant gamma and its reservoirs' temperature and mu,
     the latter two as (..., 2) arrays: reservoir A, reservoir B.  All cells
-    share one statistics.  `build` takes parameter arrays (a sweep builds its
-    (ny, nx) grid from its axis vectors, and indexing it gives a row) and
-    `of` stacks N points along one axis; a single point is
-    `Cells.of([(p, ra, rb)])`, and its callers read row 0 of every stage.
+    share one statistics.  `build` takes parameters that broadcast together
+    (a sweep builds its (ny, nx) grid from its axis vectors, and indexing it
+    gives a row; a threshold batch is a kappa vector) and `of` stacks N
+    points along one axis; a single point is `Cells.of([(p, ra, rb)])`, and
+    its callers read row 0 of every stage.
     Cells compare and hash by identity.
     """
 
@@ -122,21 +117,27 @@ class Cells:
     statistics: Statistics
 
     @classmethod
-    def build(cls, eps_a, eps_b, kappa, gamma, temperature: np.ndarray, mu: np.ndarray,
+    def build(cls, eps_a, eps_b, kappa, gamma, t_a, t_b, mu_a, mu_b,
               statistics: Statistics) -> Cells:
-        """Cells from system parameters of equal shape and (..., 2) reservoir
-        temperatures and mu, derived by model.derive_params like every cell."""
-        bar_eps, _, omega, theta, strong = derive_params(eps_a, eps_b, kappa)
-        return cls(bar_eps, omega, theta, strong, gamma, temperature, mu, statistics)
+        """Cells of the parameters, each a scalar or an array, over their
+        broadcast shape, derived by model.derive_params like every cell."""
+        values = (eps_a, eps_b, kappa, gamma, t_a, t_b, mu_a, mu_b)
+        # one buffer, one parameter per entry of its last axis
+        columns = np.empty(np.broadcast(*values).shape + (len(values),))
+        for i, v in enumerate(values):
+            columns[..., i] = v
+        bar_eps, _, omega, theta, strong = derive_params(columns[..., 0], columns[..., 1],
+                                                      columns[..., 2])
+        return cls(bar_eps, omega, theta, strong, columns[..., 3], columns[..., 4:6],
+                   columns[..., 6:8], statistics)
 
     @classmethod
     def of(cls, points: Sequence[tuple[SystemParams, ReservoirSpec, ReservoirSpec]]) -> Cells:
+        """Cells of N points along one axis."""
         stat = shared_statistics([r for _, ra, rb in points for r in (ra, rb)])
-        # one contiguous row per parameter
         columns = np.array([(p.eps_a, p.eps_b, p.kappa, p.gamma, ra.temperature,
-                             rb.temperature, ra.mu, rb.mu) for p, ra, rb in points],
-                           dtype=float).T.copy()
-        return cls.build(*columns[:4], columns[4:6].T.copy(), columns[6:8].T.copy(), stat)
+                             rb.temperature, ra.mu, rb.mu) for p, ra, rb in points], dtype=float)
+        return cls.build(*columns.T, stat)
 
     def __getitem__(self, index) -> Cells:
         """The cells at index of the leading cell axes, e.g. one row of a grid."""

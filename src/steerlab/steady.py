@@ -26,7 +26,7 @@ from .model import (
     conjugate,
     eigensystem,
 )
-from .rates import Cells, ReservoirSpec, Statistics, occupation, transition_energies
+from .rates import Cells, ReservoirSpec, Statistics, cell_occupations
 
 RESIDUAL_TOL = 1e-10
 EPS = np.finfo(float).eps
@@ -117,46 +117,17 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
                         min_eig, min_eig >= -POSITIVITY_TOL, ratio)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Fixed-step trajectory of the 6-entry state vector of a one-cell generator."""
-
-    times: np.ndarray
-    vectors: np.ndarray
-    generator: GeneratorArrays
-
-    def state(self, i: int, basis: Basis = Basis.ENERGY) -> DensityMatrix4:
-        rho = DensityMatrix4(entries=from_vector6(hermitize_vector6(self.vectors[i])),
-                             basis=Basis.ENERGY)
-        if basis is Basis.LOCAL:
-            rho = basis_change(rho, Basis.LOCAL, self.generator.vectors[0])
-        return rho
-
-    def final_state(self, basis: Basis = Basis.ENERGY) -> DensityMatrix4:
-        return self.state(len(self.times) - 1, basis)
-
-    def trace_drift(self) -> float:
-        return float(np.max(np.abs(self.vectors[:, :4].real.sum(axis=1) - 1.0)))
-
-    def csv_rows(self):
-        """Rows (t, rho_gg, rho_e1e1, rho_e2e2, rho_e3e3, re_coh, im_coh)."""
-        for t, v in zip(self.times, self.vectors):
-            yield (
-                float(t),
-                v[0].real, v[1].real, v[2].real, v[3].real,
-                v[4].real, v[4].imag,
-            )
-
-
 def max_stable_dt(g: GeneratorArrays) -> float:
     """The stability bound 0.1/||M||_inf of the one-cell generator g."""
     norm_inf = float(np.max(np.abs(g.total[0]).sum(axis=1)))
     return DT_SAFETY / norm_inf
 
 
-def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float, dt: float) -> Trajectory:
+def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float,
+           dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Classic fixed-step 4th-order integration of dv/dt = M v, for the
-    one-cell generator g.
+    one-cell generator g: the read-only times (n+1,) and 6-entry state
+    vectors (n+1, 6) of the energy basis, starting at rho0.
 
     The initial state must live in the 6-entry subspace; entries outside it
     beyond 1e-12 are dropped with a warning.  Steps larger than the stability
@@ -200,7 +171,7 @@ def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float, dt: float) 
         vectors[i + 1] = v
     times.setflags(write=False)
     vectors.setflags(write=False)
-    return Trajectory(times=times, vectors=vectors, generator=g)
+    return times, vectors
 
 
 @dataclass(frozen=True)
@@ -211,31 +182,18 @@ class EquilibriumState:
     local: DensityMatrix4
 
 
-def _same_reservoir(ra: ReservoirSpec, rb: ReservoirSpec) -> bool:
-    return (
-        ra.statistics is rb.statistics
-        and math.isclose(ra.temperature, rb.temperature, rel_tol=1e-12, abs_tol=0.0)
-        and math.isclose(ra.mu, rb.mu, rel_tol=1e-12, abs_tol=1e-300)
-    )
-
-
-def equilibrium_analytic(
-    p: SystemParams, r: ReservoirSpec, rb: ReservoirSpec | None = None
-) -> EquilibriumState:
-    """Analytic equilibrium solution from the closed-form populations.
+def equilibrium_analytic(p: SystemParams, r: ReservoirSpec) -> EquilibriumState:
+    """Analytic equilibrium solution of p with both qubits at reservoir r,
+    from the closed-form populations.
 
     Bosonic phases carry the normalization R = (1+2p)(1+2q) with p, q the
     occupations at eps_plus, eps_minus; the fermionic (weak phase only)
-    populations are the grand-canonical products.  A second reservoir, if
-    given, must match the first exactly.
+    populations are the grand-canonical products.
     """
-    if rb is not None and not _same_reservoir(r, rb):
-        raise ConfigurationError("equilibrium_analytic requires identical reservoirs")
     c = Cells.of([(p, r, r)])
     _, vectors, _ = eigensystem(c.bar_eps, c.omega, c.theta, c.strong)
     theta = c.theta.item()
-    eps_minus, eps_plus = transition_energies(c.bar_eps.item(), c.omega.item())
-    np_, nq = occupation(r, eps_plus), occupation(r, eps_minus)
+    np_, nq = cell_occupations(c)[0, 0].tolist()
     c2 = math.cos(theta / 2) ** 2
     s2 = math.sin(theta / 2) ** 2
     sin_th = math.sin(theta)

@@ -16,7 +16,7 @@ import pytest
 
 import steerlab as sl
 from steerlab.analysis import Axis, SweepConfig
-from steerlab.rates import COEFFICIENTS, Statistics
+from steerlab.rates import COEFFICIENTS, Statistics, occupations
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
 
@@ -90,6 +90,13 @@ def rates(p, ra, rb) -> SimpleNamespace:
     out = {f"{name}_{j}": rs[k, i] for k, j in enumerate("ab")
            for i, name in enumerate(COEFFICIENTS)}
     return SimpleNamespace(**out, p=out["p_a"] + out["p_b"], q=out["q_a"] + out["q_b"])
+
+
+def occupation(r: sl.ReservoirSpec, eps: float) -> float:
+    """The occupation of reservoir r's mode at energy eps, from the kernel
+    rates.occupations on one-element arrays."""
+    return occupations(r.statistics, np.array([r.temperature]), np.array([r.mu]),
+                       np.array([float(eps)])).item()
 
 
 def row0(batch):

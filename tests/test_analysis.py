@@ -7,22 +7,19 @@ import pytest
 import steerlab as sl
 from steerlab import analysis
 from steerlab.analysis import (
-    FIELDS,
     Axis,
     BoundaryFit,
     Criterion,
-    GridCell,
-    RegionMap,
     SweepConfig,
     ThresholdResult,
     analytic_thresholds,
     entanglement_boundary_fit,
-    hierarchy_check,
     run_point,
     sweep2d,
     threshold_kappa,
 )
-from steerlab.errors import ConfigurationError, PhaseBoundaryError
+from steerlab.correlations import check_hierarchy
+from steerlab.errors import ConfigurationError, InternalConsistencyError, PhaseBoundaryError
 from steerlab.rates import Cells, Statistics
 
 from conftest import (
@@ -127,6 +124,35 @@ class TestRowCells:
         assert str(from_config.value) == str(from_point.value)
 
 
+class TestCellsBuild:
+    """Cells.build over the broadcast shape of scalar and array parameters
+    gives the bits of Cells.of over the same points."""
+
+    bose = (sl.ReservoirSpec(BOSE, 0.4), sl.ReservoirSpec(BOSE, 0.6))
+
+    def test_kappa_vector(self):
+        # a threshold batch: couplings on both sides of the level crossing
+        system, ra, rb = sl.SystemParams(1.3, 0.7, 1.0, 0.01), *self.bose
+        ks = np.linspace(0.2, 3.0, 15)
+        assert_cells_equal(Cells.build(1.3, 0.7, ks, 0.01, 0.4, 0.6, 0.0, 0.0, BOSE),
+                           Cells.of([(replace(system, kappa=k), ra, rb) for k in ks.tolist()]))
+
+    def test_grid(self):
+        # an (ny, nx) grid from an x row and a y column, fermionic
+        ta, mua = np.linspace(0.1, 0.5, 4), np.linspace(0.5, 1.5, 3)[:, None]
+        cells = Cells.build(1.5, 0.5, 0.6, 0.01, ta, 0.3, mua, 0.8, FERMI)
+        assert cells.theta.shape == (3, 4) and cells.temperature.shape == (3, 4, 2)
+        system, rb = sl.SystemParams(1.5, 0.5, 0.6, 0.01), sl.ReservoirSpec(FERMI, 0.3, 0.8)
+        for iy, mu in enumerate(mua[:, 0].tolist()):
+            assert_cells_equal(cells[iy], Cells.of([(system, sl.ReservoirSpec(FERMI, t, mu), rb)
+                                                    for t in ta.tolist()]))
+
+    def test_one_point(self):
+        system, ra, rb = sl.SystemParams(1.0, 1.0, 3.0, 0.01), *self.bose
+        assert_cells_equal(Cells.build(1.0, 1.0, np.array([3.0]), 0.01, 0.4, 0.6, 0.0, 0.0, BOSE),
+                           Cells.of([(system, ra, rb)]))
+
+
 class TestSweep2d:
     def test_grid_complete_and_row_major(self):
         cfg = small_sweep(nx=4, ny=3)
@@ -165,44 +191,30 @@ class TestSweep2d:
 
     def test_hierarchy_on_real_grid(self):
         m = sweep2d(small_sweep())
-        assert hierarchy_check(m) == []
+        check_hierarchy(*(m.columns[k] for k in ("entangled", "steer_ab", "steer_ba", "bell")))
         assert m.masked_count() == 0
 
 
 class TestHierarchyCheck:
-    def _cell(self, **kw):
-        base = dict(x=0.0, y=0.0, entangled=True, steer_ab=True, steer_ba=True,
-                    bell=False, margin_ent=0.1, margin_ab=0.1, margin_ba=0.1,
-                    margin_bell=-0.1, current_b=0.0, sigma=0.0, positivity_ok=True)
-        base.update(kw)
-        return GridCell(**base)
+    """check_hierarchy, the one hierarchy rule, on flag columns: classify runs
+    it on every cell of every batch, so no map that sweep2d returns breaks it."""
 
-    def _map(self, cfg, cells):
-        return RegionMap(cfg, {f: np.array([getattr(c, f) for c in cells]) for f in FIELDS})
+    def _flags(self, **planted):
+        # four cells that meet the hierarchy, with the planted flags on cell 2
+        columns = {"entangled": np.full(4, True), "steer_ab": np.full(4, True),
+                   "steer_ba": np.full(4, True), "bell": np.full(4, False)}
+        for name, value in planted.items():
+            columns[name][2] = value
+        return columns.values()
 
     def test_planted_violation_found(self):
-        cfg = small_sweep(nx=2, ny=2)
-        cells = [self._cell() for _ in range(4)]
-        cells[2] = self._cell(bell=True, steer_ab=False)
-        m = self._map(cfg, cells)
-        violations = hierarchy_check(m)
-        assert len(violations) == 1
-        assert (violations[0].ix, violations[0].iy) == (0, 1)
+        check_hierarchy(*self._flags())
+        with pytest.raises(InternalConsistencyError, match="Bell nonlocal but not two-way"):
+            check_hierarchy(*self._flags(bell=True, steer_ab=False))
 
     def test_steerable_unentangled_found(self):
-        cfg = small_sweep(nx=2, ny=2)
-        cells = [self._cell() for _ in range(4)]
-        cells[1] = self._cell(entangled=False, steer_ab=True, steer_ba=False)
-        m = self._map(cfg, cells)
-        assert len(hierarchy_check(m)) == 1
-
-    def test_masked_cells_skipped(self):
-        cfg = small_sweep(nx=2, ny=2)
-        cells = [self._cell() for _ in range(4)]
-        cells[0] = self._cell(bell=True, steer_ab=False, positivity_ok=False)
-        m = self._map(cfg, cells)
-        assert hierarchy_check(m) == []
-        assert m.masked_count() == 1
+        with pytest.raises(InternalConsistencyError, match="steerable but not entangled"):
+            check_hierarchy(*self._flags(entangled=False, steer_ab=True, steer_ba=False))
 
 
 class TestThresholdKappa:

@@ -13,7 +13,17 @@ from jsonschema import Draft202012Validator
 import steerlab as sl
 import steerlab.analysis
 from steerlab.analysis import Axis, SweepConfig
-from steerlab.cli import CONFIG_SCHEMA, CSV_COLUMNS, EXIT_INTERNAL, dumps_fixed, main
+from steerlab.cli import (
+    CONFIG_SCHEMA,
+    CSV_COLUMNS,
+    EXIT_INTERNAL,
+    _build_objects,
+    _initial_state,
+    build_parser,
+    dumps_fixed,
+    main,
+    resolve_config,
+)
 from steerlab.errors import DegenerateSteadyStateError, InternalConsistencyError
 from steerlab.rates import Statistics
 
@@ -238,6 +248,25 @@ class TestNoWorkerOptions:
         assert err.startswith("error:") and "jobs" in err and err.count("\n") == 1
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("doc", ["[1, 2]", "3", '"x"', "[]", "null", "0", '""', "false"])
+    def test_non_object_rejected(self, doc, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc)
+        assert run(["steady", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}: a config must be a JSON object\n"
+
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"system": {"kappa": 1%s}}' % ("0" * 400))
+        assert run(["steady", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 class TestOutputs:
     def test_write_beside_stale_tmp_directory(self, tmp_path, capsys):
         out = tmp_path / "table.json"
@@ -382,6 +411,17 @@ class TestThresholdsTable:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def trajectory_csv_oracle(times, vectors) -> str:
+    """The former trajectory writer, one "%.17g" per value, kept as the oracle."""
+    def fmt(v):
+        return "%.17g" % v
+    lines = ["t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh"]
+    for t, v in zip(times, vectors):
+        row = (float(t), v[0].real, v[1].real, v[2].real, v[3].real, v[4].real, v[4].imag)
+        lines.append(",".join(fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestEvolveCommand:
     def test_ground_state_convergence(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -395,6 +435,24 @@ class TestEvolveCommand:
         assert summary["trace_drift"] < 1e-10
         header = out.read_text().splitlines()[0]
         assert header == "t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh"
+
+    @pytest.mark.parametrize("flags", [
+        ["--stat=bose", "--kappa=1", "--gamma=0.05", "--ta=0.5", "--tb=0.7",
+         "--t-final=3.73", "--dt=0.05"],
+        ["--stat=bose", "--kappa=3", "--ta=0.4", "--tb=0.6", "--initial=maximally-mixed",
+         "--t-final=1.2345", "--dt=0.02"],
+        ["--stat=fermi", "--eps-a=1.5", "--eps-b=0.5", "--kappa=0.6", "--gamma=0.02",
+         "--ta=0.15", "--tb=0.3", "--mua=1", "--mub=0.8", "--t-final=2.01", "--dt=0.03"],
+    ], ids=["weak-bose", "strong-bose", "weak-fermi"])
+    def test_csv_matches_per_value_writer(self, flags, tmp_path, capsys):
+        # t_final is not a multiple of dt, so the last step is a shortened one
+        out = tmp_path / "t.csv"
+        assert run(["evolve", *flags, f"--out={out}"]) == 0
+        cfg = resolve_config(build_parser().parse_args(["evolve", *flags]))
+        g = sl.build_generator(sl.Cells.of([_build_objects(cfg)]))
+        times, vectors = sl.evolve(g, _initial_state(cfg["evolve"]),
+                                   cfg["evolve"]["t_final"], cfg["evolve"]["dt"])
+        assert out.read_bytes() == trajectory_csv_oracle(times, vectors).encode()
 
     def test_unstable_dt_rejected_with_suggestion(self, tmp_path, capsys):
         code = run(["evolve", "--stat", "bose", "--kappa", "3",
@@ -495,6 +553,19 @@ class TestPresets:
 
     def test_unknown_preset_rejected(self, capsys):
         assert run(["sweep", "--preset", "fig99"]) == 2
+
+    @pytest.mark.parametrize("kind", ["shipped-through-path", "traversal", "absolute"])
+    def test_preset_path_rejected(self, kind, tmp_path, capsys):
+        # a config outside the package that would run, named as a preset
+        (tmp_path / "evil.json").write_text("{}")
+        presets = os.path.join(os.path.dirname(sl.__file__), "presets")
+        name = {"shipped-through-path": "../presets/fig8b",
+                "traversal": os.path.relpath(tmp_path / "evil", presets),
+                "absolute": os.fspath(tmp_path / "evil")}[kind]
+        assert run(["steady", "--preset", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown preset {name!r}\n"
 
     def test_preset_runs_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"
@@ -630,4 +701,42 @@ class TestMainFuzz:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(argv + [f"--out={out}"])
+        assert code in (0, 2, 3, 4)
+
+
+# JSON leaves for the config fuzz: every JSON type, and the statistics names
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+               | st.sampled_from(["bose", "fermi"]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                           max_leaves=6)
+# the keys of each section of the config schema
+SECTION_KEYS = {name: list(spec.get("properties", {}))
+                for name, spec in CONFIG_SCHEMA["properties"].items()}
+
+
+@st.composite
+def config_document(draw):
+    """Any JSON value, or an object over up to two of the schema's sections
+    whose values are arbitrary or, more often, objects over the section's keys
+    with arbitrary values, numbers the most often."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(JSON_VALUES)
+    doc = {}
+    for name in draw(st.lists(st.sampled_from(list(SECTION_KEYS)), unique=True, max_size=2)):
+        keys = SECTION_KEYS[name]
+        doc[name] = draw(st.dictionaries(st.sampled_from(keys), st.floats() | JSON_VALUES)
+                         if keys and draw(st.integers(0, 3)) else JSON_VALUES)
+    return doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(mode=st.sampled_from(["steady", "thresholds-table"]), doc=config_document())
+    def test_main_returns_an_exit_code(self, mode, doc, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("fuzz")
+        (folder / "c.json").write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([mode, f"--config={folder / 'c.json'}", f"--out={folder / 'out'}"])
         assert code in (0, 2, 3, 4)

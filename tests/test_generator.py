@@ -17,7 +17,7 @@ from steerlab.generator import (
 from steerlab.model import Phase
 from steerlab.rates import Statistics
 
-from conftest import one_cell, random_system, rates
+from conftest import occupation, one_cell, random_system, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -117,7 +117,7 @@ def redfield_dissipator_6x6(p: sl.SystemParams, r: sl.ReservoirSpec, which: str,
             freqs[w] = freqs.get(w, 0) + a
 
     def half_rate(w):
-        n = sl.occupation(r, abs(w))
+        n = occupation(r, abs(w))
         if r.statistics is BOSE:
             return gam * (1 + n) if w > 0 else gam * n
         return gam * (1 - n) if w > 0 else gam * n

@@ -9,7 +9,7 @@ import steerlab as sl
 from steerlab.errors import ConfigurationError
 from steerlab.rates import Statistics
 
-from conftest import rates
+from conftest import occupation, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -24,32 +24,32 @@ def transitions(p):
 class TestOccupation:
     def test_fermi_at_mu(self):
         r = sl.ReservoirSpec(FERMI, 0.3, mu=1.2)
-        assert sl.occupation(r, 1.2) == pytest.approx(0.5, abs=1e-15)
+        assert occupation(r, 1.2) == pytest.approx(0.5, abs=1e-15)
 
     def test_bose_values(self):
         r = sl.ReservoirSpec(BOSE, 1.0)
-        assert sl.occupation(r, 1.0) == pytest.approx(1 / (math.e - 1), rel=1e-12)
+        assert occupation(r, 1.0) == pytest.approx(1 / (math.e - 1), rel=1e-12)
         r = sl.ReservoirSpec(BOSE, 0.5)
-        assert sl.occupation(r, 1.0) == pytest.approx(1 / (math.e**2 - 1), rel=1e-12)
+        assert occupation(r, 1.0) == pytest.approx(1 / (math.e**2 - 1), rel=1e-12)
 
     def test_bose_guard(self):
         r = sl.ReservoirSpec(BOSE, 1.0)
         with pytest.raises(ValueError):
-            sl.occupation(r, 1e-10)
+            occupation(r, 1e-10)
         with pytest.raises(ValueError):
-            sl.occupation(r, -0.5)
+            occupation(r, -0.5)
 
     def test_bose_small_energy_asymptote(self):
         # n ~ T/eps within 1% for eps < 0.01 T
         r = sl.ReservoirSpec(BOSE, 2.0)
         for eps in (0.02, 0.005, 0.001):
-            n = sl.occupation(r, eps)
+            n = occupation(r, eps)
             assert abs(n - r.temperature / eps) / (r.temperature / eps) < 0.01
 
     def test_no_overflow_at_extreme_ratio(self):
-        assert sl.occupation(sl.ReservoirSpec(BOSE, 1e-3), 1.0) == 0.0
-        assert 0.0 <= sl.occupation(sl.ReservoirSpec(FERMI, 1e-3, mu=0.0), 1.0) < 1e-300
-        assert sl.occupation(sl.ReservoirSpec(FERMI, 1e-3, mu=2.0), 1.0) == pytest.approx(1.0)
+        assert occupation(sl.ReservoirSpec(BOSE, 1e-3), 1.0) == 0.0
+        assert 0.0 <= occupation(sl.ReservoirSpec(FERMI, 1e-3, mu=0.0), 1.0) < 1e-300
+        assert occupation(sl.ReservoirSpec(FERMI, 1e-3, mu=2.0), 1.0) == pytest.approx(1.0)
 
     def test_reservoir_validation(self):
         with pytest.raises(ValueError):
@@ -60,8 +60,8 @@ class TestOccupation:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.05, 5.0), st.floats(0.01, 10.0))
     def test_ranges(self, t, eps):
-        assert sl.occupation(sl.ReservoirSpec(BOSE, t), eps) > 0
-        f = sl.occupation(sl.ReservoirSpec(FERMI, t, mu=1.0), eps)
+        assert occupation(sl.ReservoirSpec(BOSE, t), eps) > 0
+        f = occupation(sl.ReservoirSpec(FERMI, t, mu=1.0), eps)
         assert 0.0 < f < 1.0
 
 
@@ -98,8 +98,8 @@ class TestRateSet:
         ra, rb = sl.ReservoirSpec(BOSE, 0.5), sl.ReservoirSpec(BOSE, 0.8)
         rs = rates(p, ra, rb)
         eps_minus, eps_plus = transitions(p)
-        expected_p = 0.01 * (sl.occupation(ra, eps_plus) + sl.occupation(rb, eps_plus)) / 2
-        expected_q = 0.01 * (sl.occupation(ra, eps_minus) + sl.occupation(rb, eps_minus)) / 2
+        expected_p = 0.01 * (occupation(ra, eps_plus) + occupation(rb, eps_plus)) / 2
+        expected_q = 0.01 * (occupation(ra, eps_minus) + occupation(rb, eps_minus)) / 2
         assert rs.p == pytest.approx(expected_p, rel=1e-14)
         assert rs.q == pytest.approx(expected_q, rel=1e-14)
 

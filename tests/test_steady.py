@@ -208,8 +208,8 @@ class TestEvolve:
     def test_steady_state_is_fixed_point(self):
         p = sl.SystemParams(1.0, 1.0, 3.0, 0.01)
         g, ss = make(p, 0.4, 0.6)
-        traj = sl.evolve(g, energy_state(ss), t_final=50.0, dt=0.02)
-        assert np.max(np.abs(traj.vectors - ss.vector6[0])) < 1e-10
+        _, vectors = sl.evolve(g, energy_state(ss), t_final=50.0, dt=0.02)
+        assert np.max(np.abs(vectors - ss.vector6[0])) < 1e-10
 
     def test_ground_state_converges_to_gibbs(self):
         p = sl.SystemParams(1.0, 1.0, 1.0, 0.05)
@@ -217,10 +217,12 @@ class TestEvolve:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
         rho0 = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
-        traj = sl.evolve(g, rho0, t_final=20 / 0.05, dt=0.02)
-        final = traj.final_state(Basis.LOCAL)
+        _, vectors = sl.evolve(g, rho0, t_final=20 / 0.05, dt=0.02)
+        final = sl.basis_change(
+            sl.DensityMatrix4(entries=from_vector6(hermitize_vector6(vectors[-1])),
+                              basis=Basis.ENERGY), Basis.LOCAL, g.vectors[0])
         assert np.max(np.abs(final.entries - gibbs_local(p, 2.0))) < 1e-8
-        assert traj.trace_drift() < 1e-10
+        assert np.max(np.abs(vectors[:, :4].real.sum(axis=1) - 1.0)) < 1e-10
 
     def test_unstable_dt_rejected(self):
         p = sl.SystemParams(1.0, 1.0, 3.0, 0.01)
@@ -239,11 +241,11 @@ class TestEvolve:
         g0 = g._replace(total=coherent[None], parts=np.zeros_like(g.parts))
         v0 = np.array([0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.05j])
         rho0 = sl.DensityMatrix4(entries=from_vector6(v0), basis=Basis.ENERGY)
-        traj = sl.evolve(g0, rho0, t_final=5.0, dt=0.01)
-        mags = np.abs(traj.vectors[:, 4])
+        times, vectors = sl.evolve(g0, rho0, t_final=5.0, dt=0.01)
+        mags = np.abs(vectors[:, 4])
         assert np.max(np.abs(mags - abs(v0[4]))) < 1e-9
-        expected = v0[4] * np.exp(1j * omega * traj.times[-1])
-        assert traj.vectors[-1, 4] == pytest.approx(expected, rel=1e-7)
+        expected = v0[4] * np.exp(1j * omega * times[-1])
+        assert vectors[-1, 4] == pytest.approx(expected, rel=1e-7)
 
     def test_projection_warns_on_unrepresentable_state(self):
         # |01><01| in the strong phase needs g<->e3 coherence
@@ -255,13 +257,14 @@ class TestEvolve:
         with pytest.warns(UserWarning, match="projecting"):
             sl.evolve(g, rho0, t_final=1.0, dt=0.01)
 
-    def test_csv_rows_schema(self):
+    def test_array_result_schema(self):
+        # t_final not a multiple of dt: the last step is shortened to land on it
         p = sl.SystemParams(1.0, 1.0, 1.0, 0.01)
         g, ss = make(p, 0.5, 0.5)
-        traj = sl.evolve(g, energy_state(ss), t_final=0.1, dt=0.05)
-        rows = list(traj.csv_rows())
-        assert len(rows) == len(traj.times)
-        assert all(len(r) == 7 for r in rows)
+        times, vectors = sl.evolve(g, energy_state(ss), t_final=0.12, dt=0.05)
+        assert times.shape == (4,) and vectors.shape == (4, 6) and vectors.dtype == complex
+        assert times.tolist() == [0.0, 0.05, 0.1, 0.1 + (0.12 - 0.1)]
+        assert not times.flags.writeable and not vectors.flags.writeable
 
 
 class TestEquilibriumAnalytic:
@@ -286,11 +289,6 @@ class TestEquilibriumAnalytic:
             ana = sl.equilibrium_analytic(p, sl.ReservoirSpec(stat, t, mu))
             assert np.max(np.abs(ana.local.entries - gibbs_local(p, 1 / t, mu))) < 1e-10
 
-    def test_nonequilibrium_rejected(self):
-        p = sl.SystemParams(1, 1, 1, 0.01)
-        with pytest.raises(ConfigurationError):
-            sl.equilibrium_analytic(p, sl.ReservoirSpec(BOSE, 0.5), sl.ReservoirSpec(BOSE, 0.6))
-
     def test_strong_fermi_rejected(self):
         p = sl.SystemParams(1, 1, 3, 0.01)
         with pytest.raises(ConfigurationError):
@@ -302,5 +300,5 @@ def test_long_time_evolution_matches_null_space(rng):
     g, ss = make(p, 0.45, 0.65)
     rho0 = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
     dt = 0.9 * max_stable_dt(g)
-    traj = sl.evolve(g, rho0, t_final=20 / p.gamma, dt=dt)
-    assert np.max(np.abs(traj.vectors[-1] - ss.vector6[0])) < 1e-8
+    _, vectors = sl.evolve(g, rho0, t_final=20 / p.gamma, dt=dt)
+    assert np.max(np.abs(vectors[-1] - ss.vector6[0])) < 1e-8
