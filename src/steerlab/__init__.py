@@ -4,12 +4,10 @@ entanglement / steering / Bell-nonlocality phase diagrams."""
 from .model import (
     Basis,
     DensityMatrix4,
-    Phase,
     SystemParams,
     basis_change,
     derive_params,
     eigensystem,
-    hamiltonian_matrix,
 )
 from .rates import (
     Cells,
@@ -32,7 +30,6 @@ from .steady import (
 )
 from .correlations import (
     Classification,
-    Direction,
     Method,
     XState,
     classify,

@@ -1,6 +1,6 @@
 """Command-line front end: single-point reports, sweeps, thresholds, dynamics.
 
-Configs are JSON (schema-validated before any computation); grids and
+Configs are JSON (checked against CONFIG_KEYS before any computation); grids and
 trajectories are CSV.  Every file output is written via write-then-rename and
 accompanied by a manifest carrying the resolved config echo, version, timing,
 masked-cell count and output checksums.  Floats are rendered with %.17g so
@@ -9,6 +9,7 @@ identical configs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import json
@@ -41,72 +42,59 @@ EXIT_CONFIG = 2
 EXIT_POSITIVITY = 3
 EXIT_INTERNAL = 4
 
-_NUMBER = {"type": "number"}
-_RANGE = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
-# four rows of four entries, each a number or a [re, im] pair
-_ROW = {"type": "array", "items": {"anyOf": [_NUMBER, _RANGE]}, "minItems": 4, "maxItems": 4}
-_MATRIX = {"type": "array", "items": _ROW, "minItems": 4, "maxItems": 4}
-_AXES = [a.value for a in Axis]
+MODES = ("steady", "sweep", "threshold", "evolve", "thresholds-table")
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["mode", "system", "reservoirs"],
-    "properties": {
-        "mode": {"enum": ["steady", "sweep", "threshold", "evolve", "thresholds-table"]},
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["eps_a", "eps_b", "kappa", "gamma"],
-            "properties": {
-                "eps_a": _NUMBER, "eps_b": _NUMBER, "kappa": _NUMBER,
-                "gamma": _NUMBER,
-            },
-        },
-        "reservoirs": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["statistics", "ta", "tb"],
-            "properties": {
-                "statistics": {"enum": ["bose", "fermi"]},
-                "ta": _NUMBER, "tb": _NUMBER, "mua": _NUMBER, "mub": _NUMBER,
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["axis_x", "x_range", "nx", "axis_y", "y_range", "ny"],
-            "properties": {
-                "axis_x": {"enum": _AXES}, "x_range": _RANGE,
-                "nx": {"type": "integer", "minimum": 2},
-                "axis_y": {"enum": _AXES}, "y_range": _RANGE,
-                "ny": {"type": "integer", "minimum": 2},
-            },
-        },
-        "threshold": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["criterion", "bracket"],
-            "properties": {
-                "criterion": {"enum": [c.value for c in Criterion]},
-                "bracket": _RANGE,
-            },
-        },
-        "evolve": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["initial", "t_final", "dt"],
-            "properties": {
-                "initial": {"enum": ["ground-local", "maximally-mixed", "custom"]},
-                "matrix": _MATRIX,
-                "basis": {"enum": ["local", "energy"]},
-                "t_final": _NUMBER, "dt": _NUMBER,
-            },
-        },
-        "out": {"type": "string"},
-    },
-}
+# The kinds of config value, each named by what it accepts; a tuple of
+# strings is a choice among them.  Types are strict: a bool is no number, and
+# an integer is an int, never an integral float.
+NUMBER = "a number"
+COUNT = "an integer >= 2"
+RANGE = "two numbers"
+MATRIX = "four rows of four numbers or [re, im] pairs"
+STRING = "a string"
+
+Key = collections.namedtuple("Key", "section name kind required flag default", defaults=[None])
+# Every config key, in the order the flags' config lists them.  Keys of
+# section "" sit at the top level, and a section named after a mode is that
+# mode's own: only it has the section's flags, and it needs the section.  A
+# RANGE has two flags, for its low and its high end; a MATRIX flag names a
+# JSON file whose "matrix" key holds it.
+CONFIG_KEYS = (
+    Key("", "mode", MODES, True, None),
+    Key("system", "eps_a", NUMBER, True, "--eps-a", 1.0),
+    Key("system", "eps_b", NUMBER, True, "--eps-b", 1.0),
+    Key("system", "kappa", NUMBER, True, "--kappa", 3.0),
+    Key("system", "gamma", NUMBER, True, "--gamma", 0.01),
+    Key("reservoirs", "statistics", tuple(s.value for s in Statistics), True, "--stat", "bose"),
+    Key("reservoirs", "ta", NUMBER, True, "--ta", 0.5),
+    Key("reservoirs", "tb", NUMBER, True, "--tb", 0.5),
+    Key("reservoirs", "mua", NUMBER, False, "--mua", 0.0),
+    Key("reservoirs", "mub", NUMBER, False, "--mub", 0.0),
+    Key("", "out", STRING, False, "--out"),
+    Key("sweep", "axis_x", tuple(a.value for a in Axis), True, "--axis-x"),
+    Key("sweep", "x_range", RANGE, True, ("--x-min", "--x-max")),
+    Key("sweep", "nx", COUNT, True, "--nx", 101),
+    Key("sweep", "axis_y", tuple(a.value for a in Axis), True, "--axis-y"),
+    Key("sweep", "y_range", RANGE, True, ("--y-min", "--y-max")),
+    Key("sweep", "ny", COUNT, True, "--ny", 101),
+    Key("threshold", "criterion", tuple(c.value for c in Criterion), True, "--criterion"),
+    Key("threshold", "bracket", RANGE, True, ("--bracket-lo", "--bracket-hi")),
+    Key("evolve", "initial", ("ground-local", "maximally-mixed", "custom"), True, "--initial",
+        "ground-local"),
+    Key("evolve", "t_final", NUMBER, True, "--t-final"),
+    Key("evolve", "dt", NUMBER, True, "--dt"),
+    Key("evolve", "basis", tuple(b.value for b in Basis), False, "--initial-basis", "local"),
+    Key("evolve", "matrix", MATRIX, False, "--initial-matrix"),
+)
+# the keys of each section, "" (the top level) first
+SECTIONS = {section: {k.name: k for k in CONFIG_KEYS if k.section == section}
+            for section in dict.fromkeys(k.section for k in CONFIG_KEYS)}
+# the keys of the top level: its own and the sections
+_TOP_KEYS = {*SECTIONS[""], *SECTIONS} - {""}
+# the keys each mode has flags for
+_MODE_FLAGS = {mode: [k for k in CONFIG_KEYS
+                      if k.flag and (k.section == mode or k.section not in MODES)]
+               for mode in MODES}
 
 CSV_COLUMNS = [
     "x", "y", "entangled", "steer_ab", "steer_ba", "bell",
@@ -158,85 +146,97 @@ def build_parser() -> argparse.ArgumentParser:
                     "correlations, transport, and phase diagrams.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("steady", "sweep", "threshold", "evolve", "thresholds-table"):
+    for mode in MODES:
         sp = sub.add_parser(mode)
         sp.add_argument("--config", help="JSON config file (overrides flags)")
         sp.add_argument("--preset", help="named preset shipped with the package, e.g. fig8a")
-        sp.add_argument("--out", help="output file path")
-        sp.add_argument("--eps-a", type=float, default=1.0)
-        sp.add_argument("--eps-b", type=float, default=1.0)
-        sp.add_argument("--kappa", type=float, default=3.0)
-        sp.add_argument("--gamma", type=float, default=0.01)
-        sp.add_argument("--stat", choices=["bose", "fermi"], default="bose")
-        sp.add_argument("--ta", type=float, default=0.5)
-        sp.add_argument("--tb", type=float, default=0.5)
-        sp.add_argument("--mua", type=float, default=0.0)
-        sp.add_argument("--mub", type=float, default=0.0)
-        if mode == "sweep":
-            sp.add_argument("--axis-x", choices=_AXES)
-            sp.add_argument("--x-min", type=float)
-            sp.add_argument("--x-max", type=float)
-            sp.add_argument("--nx", type=int, default=101)
-            sp.add_argument("--axis-y", choices=_AXES)
-            sp.add_argument("--y-min", type=float)
-            sp.add_argument("--y-max", type=float)
-            sp.add_argument("--ny", type=int, default=101)
-        if mode == "threshold":
-            sp.add_argument("--criterion", choices=[c.value for c in Criterion])
-            sp.add_argument("--bracket-lo", type=float)
-            sp.add_argument("--bracket-hi", type=float)
-        if mode == "evolve":
-            sp.add_argument("--initial",
-                            choices=["ground-local", "maximally-mixed", "custom"],
-                            default="ground-local")
-            sp.add_argument("--initial-matrix", help="JSON file with a 4x4 matrix")
-            sp.add_argument("--initial-basis", choices=["local", "energy"],
-                            default="local")
-            sp.add_argument("--t-final", type=float)
-            sp.add_argument("--dt", type=float)
+        for k in _MODE_FLAGS[mode]:
+            choices = k.kind if isinstance(k.kind, tuple) else None
+            convert = float if k.kind in (NUMBER, RANGE) else int if k.kind == COUNT else None
+            for flag in k.flag if k.kind == RANGE else (k.flag,):
+                sp.add_argument(flag, type=convert, choices=choices, default=k.default)
     return parser
 
 
+def _flag(args: argparse.Namespace, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def _flags_to_config(args: argparse.Namespace) -> dict:
-    cfg: dict = {
-        "mode": args.mode,
-        "system": {
-            "eps_a": args.eps_a, "eps_b": args.eps_b,
-            "kappa": args.kappa, "gamma": args.gamma,
-        },
-        "reservoirs": {
-            "statistics": args.stat, "ta": args.ta, "tb": args.tb,
-            "mua": args.mua, "mub": args.mub,
-        },
-    }
-    if args.out:
-        cfg["out"] = args.out
-    if args.mode == "sweep" and args.axis_x and args.axis_y:
-        cfg["sweep"] = {
-            "axis_x": args.axis_x, "x_range": [args.x_min, args.x_max], "nx": args.nx,
-            "axis_y": args.axis_y, "y_range": [args.y_min, args.y_max], "ny": args.ny,
-        }
-    if args.mode == "threshold" and args.criterion:
-        cfg["threshold"] = {
-            "criterion": args.criterion,
-            "bracket": [args.bracket_lo, args.bracket_hi],
-        }
-    if args.mode == "evolve" and args.t_final is not None and args.dt is not None:
-        ev = {"initial": args.initial, "t_final": args.t_final, "dt": args.dt,
-              "basis": args.initial_basis}
-        if args.initial_matrix:
-            with open(args.initial_matrix) as fh:
+    """The config the flags give, in the order of CONFIG_KEYS.  The mode's
+    own section is left out, for a config file to supply, unless the flags
+    give each of its required keys that has neither a default nor two flags."""
+    cfg: dict = {"mode": args.mode}
+    keys = _MODE_FLAGS[args.mode]
+    if any(k.section == args.mode and k.required and k.default is None and k.kind != RANGE
+           and _flag(args, k.flag) is None for k in keys):
+        keys = [k for k in keys if k.section != args.mode]
+    for k in keys:
+        value = ([_flag(args, f) for f in k.flag] if k.kind == RANGE
+                 else _flag(args, k.flag))
+        if value is None:
+            continue
+        if k.kind == MATRIX:
+            with open(value) as fh:
                 doc = json.load(fh)
             if not isinstance(doc, dict) or "matrix" not in doc:
-                raise ConfigurationError(
-                    f"{args.initial_matrix}: expected a JSON object with a 'matrix' key")
-            ev["matrix"] = doc["matrix"]
-        cfg["evolve"] = ev
+                raise ConfigurationError(f"{value}: expected a JSON object with a 'matrix' key")
+            value = doc["matrix"]
+        (cfg.setdefault(k.section, {}) if k.section else cfg)[k.name] = value
     return cfg
 
 
+def _is_kind(value, kind) -> bool:
+    """Whether a JSON value is of a config kind."""
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind == NUMBER:
+        return type(value) is float or type(value) is int
+    if kind == COUNT:
+        return type(value) is int and value >= 2
+    if kind == RANGE:
+        return type(value) is list and len(value) == 2 and all(
+            _is_kind(v, NUMBER) for v in value)
+    if kind == MATRIX:
+        return type(value) is list and len(value) == 4 and all(
+            type(row) is list and len(row) == 4
+            and all(_is_kind(v, NUMBER) or _is_kind(v, RANGE) for v in row) for row in value)
+    return type(value) is str
+
+
+def check_config(cfg: dict) -> None:
+    """Check a config against CONFIG_KEYS: raise one ConfigurationError that
+    names every unknown key, missing key, value not of its key's kind, and a
+    missing section of the mode."""
+    errors = []
+    for section, keys in SECTIONS.items():
+        doc, path = cfg, "$"
+        if section:
+            if section not in cfg:
+                if section == cfg["mode"] or section not in MODES:
+                    errors.append(f"mode {cfg['mode']!r} needs a {section!r} section "
+                                  "(from flags or the config file)")
+                continue
+            doc, path = cfg[section], f"$.{section}"
+            if type(doc) is not dict:
+                errors.append(f"{path}: expected an object, got {doc!r}")
+                continue
+        errors += [f"{path}.{name}: unknown key" for name in doc
+                   if name not in (keys if section else _TOP_KEYS)]
+        for name, k in keys.items():
+            if name not in doc:
+                if k.required:
+                    errors.append(f"{path}.{name}: missing")
+            elif not _is_kind(doc[name], k.kind):
+                expected = k.kind if isinstance(k.kind, str) else "one of " + ", ".join(k.kind)
+                errors.append(f"{path}.{name}: expected {expected}, got {doc[name]!r}")
+    if errors:
+        raise ConfigurationError("; ".join(errors))
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge flag-level config with a config file or preset (file wins)."""
+    """Merge flag-level config with a config file or preset (file wins), then
+    check the result."""
     cfg = _flags_to_config(args)
     if args.config and args.preset:
         raise ConfigurationError("--config and --preset are mutually exclusive")
@@ -263,20 +263,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     # flags that must win over presets when given explicitly
     if args.out:
         cfg["out"] = args.out
-    from jsonschema import Draft202012Validator  # deferred: slow to import
-    errors = sorted(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg),
-                    key=lambda e: e.json_path)
-    if errors:
-        raise ConfigurationError(
-            "; ".join(f"{e.json_path}: {e.message}" for e in errors)
-        )
-    section = {"sweep": "sweep", "threshold": "threshold", "evolve": "evolve"}
-    needed = section.get(cfg["mode"])
-    if needed and needed not in cfg:
-        raise ConfigurationError(
-            f"mode {cfg['mode']!r} needs a {needed!r} section "
-            "(from flags or the config file)"
-        )
+    check_config(cfg)
     return cfg
 
 

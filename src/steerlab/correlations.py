@@ -36,11 +36,6 @@ _DEPOL = 1.0 / math.sqrt(3.0)
 _DEPOL_REST = (3.0 - math.sqrt(3.0)) / 3.0
 
 
-class Direction(enum.Enum):
-    A_TO_B = "a->b"
-    B_TO_A = "b->a"
-
-
 class Method(enum.Enum):
     X_CLOSED_FORM = "x-closed-form"
     GENERAL_PPT = "general-ppt"

@@ -26,11 +26,6 @@ POSITIVITY_TOL = 1e-9
 BOUNDARY_REL_TOL = 1e-6
 
 
-class Phase(enum.Enum):
-    WEAK = "weak"
-    STRONG = "strong"
-
-
 class Basis(enum.Enum):
     LOCAL = "local"
     ENERGY = "energy"
@@ -91,23 +86,6 @@ def derive_params(eps_a, eps_b, kappa):
         )
     omega = 0.5 * np.hypot(delta_eps, kappa)
     return bar_eps, delta_eps, omega, np.arctan2(kappa, delta_eps), kappa > boundary
-
-
-def hamiltonian_matrix(p: SystemParams) -> np.ndarray:
-    """4x4 Hamiltonian in the local basis (|00>, |01>, |10>, |11>).
-
-    Diagonal (-bar_eps, -delta_eps/2, +delta_eps/2, +bar_eps), with the
-    exchange kappa/2 connecting |01> and |10>.
-    """
-    bar_eps = 0.5 * (p.eps_a + p.eps_b)
-    delta_eps = p.eps_a - p.eps_b
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = -bar_eps
-    h[1, 1] = -0.5 * delta_eps
-    h[2, 2] = +0.5 * delta_eps
-    h[3, 3] = +bar_eps
-    h[1, 2] = h[2, 1] = 0.5 * p.kappa
-    return h
 
 
 # excitation numbers in the (g, e1, e2, e3) order of the weak (row 0) and the

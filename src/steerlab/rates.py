@@ -57,9 +57,16 @@ def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
 
     Bose: 1/(exp((eps-mu)/T) - 1), requires eps > 0 and rejects eps below
     1e-9*T where the occupation diverges.  Fermi: 1/(exp((eps-mu)/T) + 1),
-    valid for any eps.
+    valid for any eps.  Both reject a temperature so small that 1/T or
+    (eps-mu)/T overflows, since the transport's 1/T would then be inf.
     """
-    x = (eps - mu) / temperature
+    with np.errstate(over="ignore"):
+        x = (eps - mu) / temperature
+        overflow = ~(np.isfinite(x) & np.isfinite(1.0 / temperature))
+    if np.count_nonzero(overflow):
+        raise ValueError(
+            f"temperature too small: T={np.broadcast_to(temperature, overflow.shape)[overflow][0]}"
+            " makes 1/T or (eps-mu)/T overflow")
     if statistics is Statistics.BOSE:
         low = eps <= BOSE_EPS_FLOOR * temperature
         if np.count_nonzero(low):

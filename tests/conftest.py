@@ -6,6 +6,7 @@ dual route.
 """
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import fields
 from importlib import resources
@@ -37,9 +38,39 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+class Phase(enum.Enum):
+    WEAK = "weak"
+    STRONG = "strong"
+
+
+class Direction(enum.Enum):
+    """The steering direction: which party steers which."""
+
+    A_TO_B = "a->b"
+    B_TO_A = "b->a"
+
+
+def hamiltonian_matrix(p: sl.SystemParams) -> np.ndarray:
+    """4x4 Hamiltonian in the local basis (|00>, |01>, |10>, |11>), the
+    oracle of the closed-form eigensystem.
+
+    Diagonal (-bar_eps, -delta_eps/2, +delta_eps/2, +bar_eps), with the
+    exchange kappa/2 connecting |01> and |10>.
+    """
+    bar_eps = 0.5 * (p.eps_a + p.eps_b)
+    delta_eps = p.eps_a - p.eps_b
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0] = -bar_eps
+    h[1, 1] = -0.5 * delta_eps
+    h[2, 2] = +0.5 * delta_eps
+    h[3, 3] = +bar_eps
+    h[1, 2] = h[2, 1] = 0.5 * p.kappa
+    return h
+
+
 def gibbs_local(p: sl.SystemParams, beta: float, mu: float = 0.0) -> np.ndarray:
     """exp(-beta (H - mu N)) / Z via direct diagonalization, local basis."""
-    h = sl.hamiltonian_matrix(p)
+    h = hamiltonian_matrix(p)
     n = np.diag([0.0, 1.0, 1.0, 2.0])
     w, v = np.linalg.eigh(h - mu * n)
     weights = np.exp(-beta * (w - w.min()))
@@ -63,13 +94,13 @@ def werner_state(w: float) -> sl.DensityMatrix4:
     return sl.DensityMatrix4(entries=werner_matrix(w), basis=sl.Basis.LOCAL)
 
 
-def random_system(rng: np.random.Generator, phase: sl.Phase,
+def random_system(rng: np.random.Generator, phase: Phase,
                   gamma_range=(1e-3, 0.05)) -> sl.SystemParams:
     """Random valid parameters safely inside the requested phase."""
     eps_b = rng.uniform(0.3, 1.5)
     eps_a = eps_b * rng.uniform(1.0, 3.0)
     boundary = 2.0 * np.sqrt(eps_a * eps_b)
-    if phase is sl.Phase.WEAK:
+    if phase is Phase.WEAK:
         kappa = boundary * rng.uniform(0.1, 0.9)
     else:
         kappa = boundary * rng.uniform(1.1, 2.5)

@@ -26,12 +26,13 @@ from steerlab.analysis import threshold_kappa as bisect_kappa
 from steerlab.correlations import Method, check_hierarchy
 from steerlab.errors import InternalConsistencyError
 from steerlab.generator import from_vector6
-from steerlab.model import Basis, Phase
+from steerlab.model import Basis
 from steerlab.rates import Statistics
 from steerlab.steady import max_stable_dt
 
 from conftest import (
     PRESET_NAMES,
+    Phase,
     gibbs_local,
     load_preset_config,
     one_cell,

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
 
@@ -8,23 +10,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from jsonschema import Draft202012Validator
 
 import steerlab as sl
 import steerlab.analysis
-from steerlab.analysis import Axis, SweepConfig
+from steerlab.analysis import Axis, Criterion, SweepConfig
 from steerlab.cli import (
-    CONFIG_SCHEMA,
+    COUNT,
     CSV_COLUMNS,
     EXIT_INTERNAL,
+    MATRIX,
+    NUMBER,
+    RANGE,
+    SECTIONS,
     _build_objects,
     _initial_state,
     build_parser,
+    check_config,
     dumps_fixed,
     main,
     resolve_config,
 )
-from steerlab.errors import DegenerateSteadyStateError, InternalConsistencyError
+from steerlab.errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
+from steerlab.model import Basis
 from steerlab.rates import Statistics
 
 from conftest import assert_rows_equal_points, eigen_populations
@@ -113,6 +120,18 @@ class TestSteadyCommand:
             assert run(["steady", flag]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--stat=bose"],
+                                       ["--stat=fermi", "--kappa=1", "--mua=1", "--mub=1"]])
+    def test_subnormal_temperature_rejected(self, flags, capsys):
+        # 1/T overflows: sigma once came out nan, after three RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["steady", *flags, "--ta=1e-320", "--tb=1e-320"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: temperature too small: T=1e-320 makes 1/T or " \
+                               "(eps-mu)/T overflow\n"
 
     def test_positivity_violation_exit_code(self, capsys):
         # a low-temperature strongly detuned point with a slightly negative
@@ -266,6 +285,33 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("nx", ["2.0", "true"])
+    def test_grid_size_must_be_an_integer(self, nx, tmp_path, capsys):
+        # an integral float once passed and np.linspace raised a TypeError
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"sweep": {"axis_x": "tbar", "x_range": [0.3, 0.6], "nx": %s, '
+                       '"axis_y": "kappa", "y_range": [2.5, 3.0], "ny": 2}}' % nx)
+        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "g.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: $.sweep.nx: expected an integer >= 2, got " \
+                               f"{json.loads(nx)!r}\n"
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_no_schema_library_imported(self, tmp_path):
+        # a flag-only request and a config-file request, in a fresh interpreter
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"system": {"kappa": 2.5}}')
+        code = ("import sys; from steerlab.cli import main; "
+                f"main(['steady', '--out', {str(tmp_path / 'a.json')!r}]); "
+                f"main(['steady', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'b.json')!r}]); "
+                "print('jsonschema' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sl.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0 and done.stdout == "False\n", done.stderr
+        assert (tmp_path / "a.json").exists() and (tmp_path / "b.json").exists()
+
 
 class TestOutputs:
     def test_write_beside_stale_tmp_directory(self, tmp_path, capsys):
@@ -316,6 +362,11 @@ REJECTED_SWEEPS = {
                              "temperature must be > 0"),
     "bose-floor": (["--axis-x=kappa", "--x-min=2.5", "--x-max=3", "--axis-y=ta",
                     "--y-min=0.5", "--y-max=1e10"], "bosonic occupation diverges"),
+    # every T is positive, and T_A = tbar - delta_t/2 = 1.66e-316 on row 1
+    "subnormal-temperature": (["--axis-x=tbar", "--x-min=1e-300", "--x-max=1",
+                               "--axis-y=delta_t", "--y-min=0",
+                               "--y-max=1.9999999999999997e-300"],
+                              "temperature too small: T=1.6578092e-316"),
     # 1e15 x values alone need 7 PiB, more than a 128 TiB address space, so
     # the allocation fails at once and never touches memory
     "unallocatable": (["--axis-x=tbar", "--x-min=0.3", "--x-max=0.6",
@@ -538,7 +589,8 @@ class TestPresets:
     def test_preset_is_schema_valid(self, name):
         ref = resources.files("steerlab.presets").joinpath(name + ".json")
         cfg = json.loads(ref.read_text())
-        Draft202012Validator(CONFIG_SCHEMA).validate(cfg)
+        check_config(cfg)
+        assert_well_typed(cfg)
         # the sweep config must construct cleanly
         s = cfg["system"]
         system = sl.SystemParams(s["eps_a"], s["eps_b"], s["kappa"], s["gamma"])
@@ -710,24 +762,101 @@ JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text
 JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
                            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
                            max_leaves=6)
-# the keys of each section of the config schema
-SECTION_KEYS = {name: list(spec.get("properties", {}))
-                for name, spec in CONFIG_SCHEMA["properties"].items()}
+# the keys of each section of the config, and the top-level keys with none
+SECTION_KEYS = {name: list(SECTIONS.get(name, []))
+                for name in [*SECTIONS[""], *SECTIONS] if name}
+# values of each kind of config key, and near misses of it: bools, integral
+# floats, counts below 2, pairs of the wrong length and ragged matrices
+NUMBERS = st.floats() | st.integers()
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+VALID = {
+    NUMBER: NUMBERS,
+    COUNT: st.integers(2, 5),
+    RANGE: PAIRS,
+    MATRIX: st.lists(st.lists(NUMBERS | PAIRS, min_size=4, max_size=4), min_size=4, max_size=4),
+}
+NEAR_MISSES = {
+    NUMBER: st.booleans() | st.text(max_size=2),
+    COUNT: st.integers(max_value=1) | st.integers(2, 5).map(float) | st.booleans(),
+    RANGE: st.lists(NUMBERS | st.booleans(), max_size=3),
+    MATRIX: st.lists(st.lists(NUMBERS | st.lists(NUMBERS | st.booleans(), max_size=3),
+                              min_size=3, max_size=5), min_size=3, max_size=5),
+}
+
+
+def key_values(section, name):
+    """Values for a config key: seven in eight of its kind, the rest near
+    misses or any JSON value."""
+    kind = SECTIONS[section][name].kind
+    valid = st.sampled_from(kind) if isinstance(kind, tuple) else VALID[kind]
+    invalid = NEAR_MISSES.get(kind, st.nothing()) | JSON_VALUES
+    return st.integers(0, 7).flatmap(lambda i: valid if i else invalid)
 
 
 @st.composite
 def config_document(draw):
-    """Any JSON value, or an object over up to two of the schema's sections
-    whose values are arbitrary or, more often, objects over the section's keys
-    with arbitrary values, numbers the most often."""
+    """Any JSON value, or an object over up to two of the config's sections
+    whose values are arbitrary or, more often, objects over all or some of
+    the section's keys, with values from key_values."""
     if draw(st.integers(0, 3)) == 0:
         return draw(JSON_VALUES)
     doc = {}
     for name in draw(st.lists(st.sampled_from(list(SECTION_KEYS)), unique=True, max_size=2)):
         keys = SECTION_KEYS[name]
-        doc[name] = draw(st.dictionaries(st.sampled_from(keys), st.floats() | JSON_VALUES)
-                         if keys and draw(st.integers(0, 3)) else JSON_VALUES)
+        if not keys or draw(st.integers(0, 3)) == 0:
+            doc[name] = draw(JSON_VALUES)
+            continue
+        if draw(st.integers(0, 3)) == 0:
+            keys = draw(st.lists(st.sampled_from(keys), unique=True))
+        doc[name] = {key: draw(key_values(name, key)) for key in keys}
     return doc
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_pair(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(is_number, v))
+
+
+def assert_well_typed(cfg: dict) -> None:
+    """An accepted config has the shape the commands read, checked here apart
+    from the table that the checker walks."""
+    mode = cfg["mode"]
+    assert set(cfg) <= {"mode", "out", "system", "reservoirs", "sweep", "threshold", "evolve"}
+    assert mode in cfg or mode in ("steady", "thresholds-table")
+    assert isinstance(cfg.get("out", ""), str)
+    system, res = cfg["system"], cfg["reservoirs"]
+    assert sorted(system) == ["eps_a", "eps_b", "gamma", "kappa"]
+    assert all(map(is_number, system.values()))
+    assert res["statistics"] in [s.value for s in Statistics]
+    assert {"ta", "tb"} <= set(res) <= {"statistics", "ta", "tb", "mua", "mub"}
+    assert all(is_number(v) for k, v in res.items() if k != "statistics")
+    if "sweep" in cfg:
+        sw = cfg["sweep"]
+        assert sorted(sw) == ["axis_x", "axis_y", "nx", "ny", "x_range", "y_range"]
+        axes = [a.value for a in Axis]
+        assert sw["axis_x"] in axes and sw["axis_y"] in axes
+        assert type(sw["nx"]) is int and type(sw["ny"]) is int
+        assert sw["nx"] >= 2 and sw["ny"] >= 2
+        assert is_pair(sw["x_range"]) and is_pair(sw["y_range"])
+    if "threshold" in cfg:
+        th = cfg["threshold"]
+        assert sorted(th) == ["bracket", "criterion"]
+        assert th["criterion"] in [c.value for c in Criterion] and is_pair(th["bracket"])
+    if "evolve" in cfg:
+        ev = cfg["evolve"]
+        assert {"initial", "t_final", "dt"} <= set(ev) <= {"initial", "t_final", "dt", "basis",
+                                                           "matrix"}
+        assert ev["initial"] in ("ground-local", "maximally-mixed", "custom")
+        assert is_number(ev["t_final"]) and is_number(ev["dt"])
+        assert ev.get("basis", "local") in [b.value for b in Basis]
+        matrix = ev.get("matrix", [[0] * 4] * 4)
+        assert isinstance(matrix, list) and len(matrix) == 4
+        for row in matrix:
+            assert isinstance(row, list) and len(row) == 4
+            assert all(is_number(v) or is_pair(v) for v in row)
 
 
 class TestConfigFuzz:
@@ -740,3 +869,14 @@ class TestConfigFuzz:
             warnings.simplefilter("ignore")
             code = main([mode, f"--config={folder / 'c.json'}", f"--out={folder / 'out'}"])
         assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(["sweep", "threshold", "evolve"]), doc=config_document())
+    def test_accepted_configs_are_well_typed(self, mode, doc, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "checked.json"
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = resolve_config(build_parser().parse_args([mode, f"--config={path}"]))
+        except ConfigurationError:
+            return
+        assert_well_typed(cfg)

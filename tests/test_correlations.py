@@ -10,7 +10,6 @@ from steerlab.correlations import (
     MARGIN_TOL,
     PPT_TOL,
     X_TOL,
-    Direction,
     Method,
     _closed_margins,
     _depolarized,
@@ -22,10 +21,18 @@ from steerlab.correlations import (
     xstate_fault,
 )
 from steerlab.errors import InternalConsistencyError
-from steerlab.model import Basis, Phase
+from steerlab.model import Basis
 from steerlab.rates import Statistics
 
-from conftest import eigen_populations, one_cell, random_system, row0, werner_state
+from conftest import (
+    Direction,
+    Phase,
+    eigen_populations,
+    one_cell,
+    random_system,
+    row0,
+    werner_state,
+)
 
 SQ3 = math.sqrt(3)
 

@@ -14,10 +14,9 @@ from steerlab.generator import (
     setup_codes,
     to_vector6,
 )
-from steerlab.model import Phase
 from steerlab.rates import Statistics
 
-from conftest import occupation, one_cell, random_system, rates
+from conftest import Phase, occupation, one_cell, random_system, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI

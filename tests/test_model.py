@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import steerlab as sl
 from steerlab.errors import PhaseBoundaryError
-from steerlab.model import Basis, Phase
+from steerlab.model import Basis
 
-from conftest import random_system
+from conftest import Phase, hamiltonian_matrix, random_system
 
 
 def system_strategy():
@@ -80,22 +80,22 @@ class TestDeriveParams:
 
 class TestHamiltonian:
     def test_uncoupled_limit(self):
-        h = sl.hamiltonian_matrix(sl.SystemParams(1, 1, 1e-13, 0.01))
+        h = hamiltonian_matrix(sl.SystemParams(1, 1, 1e-13, 0.01))
         assert np.allclose(h, np.diag([-1, 0, 0, 1]), atol=1e-12)
 
     def test_detuned_spectrum(self):
-        h = sl.hamiltonian_matrix(sl.SystemParams(1.5, 0.5, 1.0, 0.01))
+        h = hamiltonian_matrix(sl.SystemParams(1.5, 0.5, 1.0, 0.01))
         vals = np.linalg.eigvalsh(h)
         expected = [-1, -math.sqrt(2) / 2, math.sqrt(2) / 2, 1]
         assert np.allclose(vals, expected, atol=1e-12)
 
     def test_central_block_eigenvalues(self):
-        h = sl.hamiltonian_matrix(sl.SystemParams(1, 1, 1, 0.01))
+        h = hamiltonian_matrix(sl.SystemParams(1, 1, 1, 0.01))
         block = h[1:3, 1:3]
         assert np.allclose(np.linalg.eigvalsh(block), [-0.5, 0.5], atol=1e-14)
 
     def test_hermitian_exactly(self):
-        h = sl.hamiltonian_matrix(sl.SystemParams(1.2, 0.7, 0.9, 0.01))
+        h = hamiltonian_matrix(sl.SystemParams(1.2, 0.7, 0.9, 0.01))
         assert np.array_equal(h, h.conj().T)
 
 
@@ -134,7 +134,7 @@ class TestEigensystem:
     @settings(max_examples=60, deadline=None)
     @given(system_strategy())
     def test_eigen_relation(self, p):
-        h = sl.hamiltonian_matrix(p)
+        h = hamiltonian_matrix(p)
         energies, vectors, _ = eigen(p)
         for k in range(4):
             v = vectors[:, k]

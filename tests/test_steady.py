@@ -11,11 +11,11 @@ import steerlab as sl
 from steerlab.cli import EXIT_INTERNAL, main
 from steerlab.errors import ConfigurationError, DegenerateSteadyStateError
 from steerlab.generator import from_vector6, hermitize_vector6
-from steerlab.model import Basis, Phase
+from steerlab.model import Basis
 from steerlab.rates import Statistics
 from steerlab.steady import max_stable_dt, min_eigenvalue_energy, steady_state
 
-from conftest import gibbs_local, one_cell, random_system, rates
+from conftest import Phase, gibbs_local, one_cell, random_system, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI

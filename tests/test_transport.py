@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import steerlab as sl
 from steerlab.errors import ConfigurationError
-from steerlab.model import Phase
 from steerlab.rates import Statistics
 from steerlab.transport import transport_report
 
-from conftest import one_cell, random_system
+from conftest import Phase, one_cell, random_system
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
