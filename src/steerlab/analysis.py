@@ -246,8 +246,8 @@ def sweep2d(config: SweepConfig) -> RegionMap:
     """Evaluate the grid one row at a time; row-major in (y, x).
 
     The map's diagnostics are the largest steady-state residual, the most
-    negative minimum eigenvalue and the smallest null-space ratio s_1/s_0
-    over all cells, masked ones included.
+    negative minimum eigenvalue and the smallest null-space ratio (see
+    steady.steady_state) over all cells, masked ones included.
     """
     rows, worst = zip(*(_row(config, iy) for iy in range(config.ny)))
     worst = np.array(worst)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    FIELDS,
     Axis,
     Criterion,
     SweepConfig,
@@ -96,12 +97,7 @@ _MODE_FLAGS = {mode: [k for k in CONFIG_KEYS
                       if k.flag and (k.section == mode or k.section not in MODES)]
                for mode in MODES}
 
-CSV_COLUMNS = [
-    "x", "y", "entangled", "steer_ab", "steer_ba", "bell",
-    "margin_ent", "margin_ab", "margin_ba", "margin_bell",
-    "current_b", "sigma", "positivity_ok",
-]
-# one grid cell: %.17g floats, 0/1 flags
+# one grid cell in the FIELDS columns: %.17g floats, 0/1 flags
 CSV_ROW = "%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
 # one trajectory step: t, the four populations, the e1-e2 coherence's re and im
 TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
@@ -373,7 +369,7 @@ def cmd_sweep(cfg: dict) -> int:
     )
     region = sweep2d(sweep_cfg)
     rows = zip(*(col.tolist() for col in region.columns.values()))
-    text = "".join([",".join(CSV_COLUMNS) + "\n"] + [CSV_ROW % row for row in rows])
+    text = "".join([",".join(FIELDS) + "\n"] + [CSV_ROW % row for row in rows])
     masked = region.masked_count()
     out = _emit(cfg, text, started, masked, default_out="sweep.csv",
                 diagnostics=region.diagnostics)

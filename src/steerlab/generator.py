@@ -110,7 +110,9 @@ def _templates() -> np.ndarray:
     """(setup, reservoir, coefficient, 6, 6): each part on unit coefficients.
 
     Coefficients follow rates.COEFFICIENTS; reservoir A carries sign -1 and
-    B sign +1 in the weak-phase couplings.
+    B sign +1 in the weak-phase couplings.  Rows 4 and 5 share one row, and
+    columns 4 and 5 one column, off the diagonal: steady.steady_state relies
+    on this shape.
     """
     out = np.zeros((len(SETUPS), 2, len(COEFFICIENTS), 6, 6))
     for k, (pj, qj, sj, tj, wp, wm, uj) in enumerate(np.eye(len(COEFFICIENTS))):
@@ -187,12 +189,3 @@ def from_vector6(v: np.ndarray) -> np.ndarray:
     m = np.zeros(v.shape[:-1] + (16,), dtype=complex)
     m[..., _VEC6_FLAT] = v
     return m.reshape(v.shape[:-1] + (4, 4))
-
-
-# entry order of the Hermitian conjugate of a 6-entry vector
-_VEC6_ADJOINT = [0, 1, 2, 3, 5, 4]
-
-
-def hermitize_vector6(v: np.ndarray) -> np.ndarray:
-    """Real populations and a conjugate coherence pair, from their mean; (..., 6)."""
-    return 0.5 * (v + v[..., _VEC6_ADJOINT].conj())

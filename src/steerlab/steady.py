@@ -1,10 +1,11 @@
 """Steady-state solve, time evolution, and the analytic equilibrium solution.
 
 The steady state is the null vector of the 6x6 evolution matrix, normalized to
-unit population sum and symmetrized.  Positivity of the resulting density
-matrix is reported, never silently repaired.  `steady_state` solves N
-generators at once over a leading cell axis; a single point is the one-cell
-batch.
+unit population sum.  Eliminating the coherence pair leaves one real 4x4 solve
+for the populations, and the state is Hermitian by construction.  Positivity
+of the resulting density matrix is reported, never silently repaired.
+`steady_state` solves N generators at once over a leading cell axis; a single
+point is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateSteadyStateError
-from .generator import GeneratorArrays, from_vector6, hermitize_vector6, to_vector6
+from .generator import GeneratorArrays, from_vector6, to_vector6
 from .model import (
     Basis,
     DensityMatrix4,
@@ -29,7 +30,9 @@ from .model import (
 from .rates import Cells, ReservoirSpec, Statistics, cell_occupations
 
 RESIDUAL_TOL = 1e-10
-EPS = np.finfo(float).eps
+# floor of the null-space certificate: |det| over the Hadamard bound of the
+# bordered population matrix (see steady_state)
+NULL_TOL = 8 * np.finfo(float).eps
 # stability bound on the fixed RK4 step: dt <= DT_SAFETY / ||M||_inf
 DT_SAFETY = 0.1
 
@@ -43,15 +46,11 @@ class SteadyArrays(NamedTuple):
     local: np.ndarray      # (N, 4, 4) local basis
     min_eigenvalue: np.ndarray
     positive: np.ndarray
-    null_ratio: np.ndarray  # (N,) s_1/s_0, the two smallest singular values of M
+    null_ratio: np.ndarray  # (N,) |det| / Hadamard bound of the bordered matrix
 
 
 def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if np.count_nonzero(bad) else None
-
-
-# the trace row (unit population sum) that replaces row 0 of each M
-_TRACE_ROW = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def min_eigenvalue_energy(v: np.ndarray) -> np.ndarray:
@@ -65,38 +64,42 @@ def min_eigenvalue_energy(v: np.ndarray) -> np.ndarray:
 
 
 def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
-    """Solve M|rho> = 0 for N matrices (N,6,6) by a bordered linear solve.
+    """Solve M|rho> = 0 for N matrices (N,6,6) by one real 4x4 solve each.
 
-    vectors (N,4,4) carry each state to the local basis.  Trace preservation
-    makes row 0 of M minus the sum of rows 1-3, so replacing it by the trace
-    row (1,1,1,1,0,0) and solving for e_0 gives the null vector with unit
-    population sum; it is then Hermitized.  The null space must be
-    one-dimensional: the two smallest singular values s_0 <= s_1 of M must
-    satisfy s_1 >= 10 s_0 (the 10x rule once applied to the two smallest
-    eigenvalue magnitudes) and s_1 > 6 eps s_max (above rounding), else
-    DegenerateSteadyStateError is raised, as it is for a singular bordered
-    matrix (a null vector without population).  null_ratio reports s_1/s_0.
-    The residual max|M v| must be at most RESIDUAL_TOL * max(1, max|M|), else
-    DegenerateSteadyStateError is raised too; the reported residual is absolute.
+    vectors (N,4,4) carry each state to the local basis.  In every template the
+    coherence pair couples to the populations p through one real column B
+    (M[:4,4] = M[:4,5]) and one real row C (M[4,:4] = M[5,:4]), with diagonal
+    -z, -z*, z = G - iW.  So c = (C.p)/z, and p spans the null space of the real
+    A = P + 2 Re(1/z) B C^T.  Trace preservation makes row 0 of A redundant:
+    replaced by ones and solved for e_0 it gives p at unit sum, and v = (p, c, c*)
+    is Hermitian.  The null space must be one-dimensional: null_ratio, |det| of
+    the bordered matrix over its Hadamard bound (the product of its row norms,
+    so invariant under row scaling), must exceed NULL_TOL, and the bound must be
+    finite and nonzero, else DegenerateSteadyStateError is raised.  So it is for
+    a residual max|M v| above RESIDUAL_TOL * max(1, max|M|), which also catches
+    a generator outside the template shape; the reported residual is absolute.
     """
-    bordered = total.copy()
-    bordered[:, 0, :] = _TRACE_ROW
-    try:
-        sv = np.linalg.svd(total, compute_uv=False)
-        smallest, second = sv[:, -1], sv[:, -2]
-        # a nan fails too, and so does an s_1 at the rounding level of M,
-        # where the ratio of two rounding errors says nothing
-        i = _first(~(second >= 10.0 * smallest) | (second <= 6 * EPS * sv[:, 0]))
-        if i is not None:
-            raise DegenerateSteadyStateError(
-                f"null space ill-conditioned: singular values s_0={smallest[i]:.3g}, "
-                f"s_1={second[i]:.3g}")
-        v = np.linalg.solve(bordered, np.broadcast_to(np.eye(6, 1), (len(total), 6, 1)))[..., 0]
-    except np.linalg.LinAlgError as exc:
+    z, row = -total[:, 4, 4], total[:, 4, :4].real
+    # 2 Re(1/z) B: the populations' feedback through the eliminated pair
+    column = (2.0 * (1.0 / z).real)[:, None] * total[:, :4, 4].real
+    bordered = total[:, :4, :4].real + column[:, :, None] * row[:, None, :]
+    bordered[:, 0] = 1.0
+    bound = np.linalg.norm(bordered, axis=-1).prod(axis=-1)
+    # an underflowed bound (gamma far below rounding) or a non-finite one
+    i = _first(~((bound > 0.0) & (bound < math.inf)))
+    if i is not None:
         raise DegenerateSteadyStateError(
-            f"steady-state solve failed ({exc}): a non-finite generator, or a null "
-            "vector with vanishing population sum") from None
-    v = hermitize_vector6(v)
+            f"steady-state generator out of range: the Hadamard bound of its bordered "
+            f"population matrix is {bound[i]:.3g}")
+    ratio = np.abs(np.linalg.det(bordered)) / bound
+    i = _first(~(ratio > NULL_TOL))
+    if i is not None:
+        raise DegenerateSteadyStateError(
+            f"null space ill-conditioned: |det| of the bordered population matrix is "
+            f"{ratio[i]:.3g} of its Hadamard bound, at most {NULL_TOL:.3g}")
+    p = np.linalg.solve(bordered, np.broadcast_to(np.eye(4, 1), (len(total), 4, 1)))[..., 0]
+    c = np.einsum("ni,ni->n", row, p) / z
+    v = np.concatenate([p, c[:, None], c.conj()[:, None]], axis=1)
     residual = np.abs(total @ v[..., None]).max(axis=(-2, -1))
     over = ~(residual <= RESIDUAL_TOL)
     if np.count_nonzero(over):
@@ -111,8 +114,6 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
                 f"{RESIDUAL_TOL} * max(1, max|M|) = {tol[i]:.3g}")
     energy = from_vector6(v)
     min_eig = min_eigenvalue_energy(v)
-    with np.errstate(divide="ignore"):
-        ratio = second / smallest
     return SteadyArrays(v, residual, energy, conjugate(energy, vectors, to_local=True),
                         min_eig, min_eig >= -POSITIVITY_TOL, ratio)
 

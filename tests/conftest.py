@@ -114,6 +114,15 @@ def one_cell(p: sl.SystemParams, ra: sl.ReservoirSpec, rb: sl.ReservoirSpec):
     return g, sl.steady_state(g.total, g.vectors)
 
 
+# entry order of the Hermitian conjugate of a 6-entry vector
+VEC6_ADJOINT = [0, 1, 2, 3, 5, 4]
+
+
+def hermitize_vector6(v: np.ndarray) -> np.ndarray:
+    """Real populations and a conjugate coherence pair, from their mean; (..., 6)."""
+    return 0.5 * (v + v[..., VEC6_ADJOINT].conj())
+
+
 def rates(p, ra, rb) -> SimpleNamespace:
     """The rate coefficients of one point by name, with suffix _a or _b for
     the reservoir, plus the totals p and q."""

@@ -155,6 +155,15 @@ class TestBuildGenerator:
         assert SETUPS[setup_codes(g.cells.strong, stat)[0]] is setup
         assert np.max(np.abs(g.total[0] - printed_matrix(p, ra, rb, setup))) < 1e-15
 
+    @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
+    def test_coherence_pair_shape(self, p, stat, a, b, setup):
+        # the shape steady_state eliminates the coherence pair by: one real row
+        # and one real column shared by the pair, and a diagonal -z, -z*
+        m = generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b)).total[0]
+        assert np.array_equal(m[4, :4], m[5, :4]) and np.array_equal(m[:4, 4], m[:4, 5])
+        assert not np.any(m[:4].imag) and not np.any(m[4:, :4].imag)
+        assert m[4, 5] == m[5, 4] == 0 and m[5, 5] == np.conj(m[4, 4])
+
     def test_strong_fermi_rejected(self):
         p = sl.SystemParams(1, 1, 3, 0.01)
         r = sl.ReservoirSpec(FERMI, 0.2, 1.0)

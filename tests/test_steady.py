@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import steerlab as sl
 from steerlab.cli import EXIT_INTERNAL, main
 from steerlab.errors import ConfigurationError, DegenerateSteadyStateError
-from steerlab.generator import from_vector6, hermitize_vector6
+from steerlab.generator import from_vector6
 from steerlab.model import Basis
 from steerlab.rates import Statistics
-from steerlab.steady import max_stable_dt, min_eigenvalue_energy, steady_state
+from steerlab.steady import NULL_TOL, max_stable_dt, min_eigenvalue_energy, steady_state
 
-from conftest import Phase, gibbs_local, one_cell, random_system, rates
+from conftest import Phase, gibbs_local, hermitize_vector6, one_cell, random_system, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -134,7 +134,10 @@ class TestBorderedSolve:
     def test_matches_eig_selection(self, g):
         s = steady_state(g.total, g.vectors)
         assert np.max(np.abs(s.vector6[0] - eig_null_vector(g.total[0]))) <= 1e-13
-        assert s.null_ratio[0] >= 10
+        # |det| over the Hadamard bound: 3.6e-4 at its smallest over these ranges,
+        # at the corner eps_a = eps_b = 0.3, kappa 1.1 times the crossing,
+        # gamma = 0.05 and T = 2, where one transition is 20 times faster
+        assert s.null_ratio[0] >= 1e-4
 
     @settings(max_examples=150, deadline=None)
     @given(g=generators())
@@ -161,7 +164,8 @@ class TestBorderedSolve:
 
     def test_singular_bordered_matrix_exits_internal(self, monkeypatch, capsys):
         # a one-dimensional null space along the coherence, which carries no
-        # population: the bordered matrix is exactly singular
+        # population: M[5,5] = 0 is not the conjugate of M[4,4], so the state
+        # built for the template shape, |g><g|, fails the residual rule
         real = sl.build_generator
 
         def planted(*args):
@@ -196,12 +200,55 @@ class TestResidualTolerance:
 
         def off_by_1e6(a, b):
             # the solve with its first population 1e-6 off, no longer a null vector
-            return solve(a, b) + 1e-6 * np.eye(6, 1)
+            return solve(a, b) + 1e-6 * np.eye(4, 1)
         monkeypatch.setattr(np.linalg, "solve", off_by_1e6)
         assert main(["steady", *flags]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal: steady-state residual")
+
+
+def exact_null_vector(total: np.ndarray) -> np.ndarray:
+    """The bordered 6x6 solve of one generator in 700-digit arithmetic: row 0
+    replaced by the trace row (1,1,1,1,0,0), solved for e_0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(700):
+        m = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in total])
+        for j in range(6):
+            m[0, j] = 1 if j < 4 else 0
+        v = mpmath.lu_solve(m, mpmath.matrix([1, 0, 0, 0, 0, 0]))
+        return np.array([complex(x) for x in v])
+
+
+class TestExtremeScales:
+    # entries of M far from 1: rates near gamma = 1e-100, a coherence
+    # frequency near 2 kappa = 2e300
+    @pytest.mark.parametrize("flags", [["--gamma=1e-100"], ["--kappa=1e300"]],
+                             ids=["tiny-gamma", "huge-kappa"])
+    def test_matches_exact_solve(self, flags, monkeypatch, capsys):
+        solved = []
+
+        def recording(total, vectors):
+            solved.append((total, steady_state(total, vectors)))
+            return solved[-1][1]
+        monkeypatch.setattr("steerlab.analysis.steady_state", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["steady", *flags]) == 0
+        [(total, s)] = solved
+        assert np.max(np.abs(s.vector6[0] - exact_null_vector(total[0]))) <= 1e-15
+        assert s.null_ratio[0] > NULL_TOL
+
+    def test_underflowed_generator_exits_internal(self, capsys):
+        # gamma = 1e-300: the product of the bordered row norms underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["steady", "--gamma=1e-300"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal: steady-state generator out of range: the Hadamard bound "
+            "of its bordered population matrix is 0\n")
 
 
 class TestEvolve:
