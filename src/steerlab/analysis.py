@@ -17,7 +17,8 @@ import numpy as np
 from .correlations import XSTATE_FAULTS, classify
 from .generator import build_generator, setup_codes
 from .model import SystemParams
-from .rates import Cells, ReservoirSpec, Statistics, cell_occupations, shared_statistics
+from .rates import (BOSE_MU_ERROR, Cells, ReservoirSpec, Statistics, cell_occupations,
+                    shared_statistics)
 from .steady import steady_state
 from .transport import transport_report
 
@@ -52,8 +53,9 @@ _MU_AXES = {Axis.MUBAR, Axis.DELTA_MU, Axis.MUA, Axis.MUB}
 class SweepConfig:
     """A 2D grid over two axes with everything else held fixed.
 
-    t_a/t_b (and mu_a/mu_b for fermionic setups) provide the non-swept
-    reservoir values; DELTA_T / DELTA_MU axes keep the configured mean fixed.
+    t_a/t_b and mu_a/mu_b provide the non-swept reservoir values (a bosonic
+    setup rejects a nonzero mu, as ReservoirSpec does); DELTA_T / DELTA_MU
+    axes keep the configured mean fixed.
     Construction composes and validates the whole grid once: `grid` holds its
     Cells over (ny, nx) axes, and `grid[iy]` is row iy.
     """
@@ -80,6 +82,8 @@ class SweepConfig:
         if self.axis_x is self.axis_y:
             raise ValueError("sweep axes must differ")
         if self.statistics is Statistics.BOSE:
+            if self.mu_a != 0.0 or self.mu_b != 0.0:
+                raise ValueError(BOSE_MU_ERROR)
             for ax in (self.axis_x, self.axis_y):
                 if ax in _MU_AXES:
                     raise ValueError(f"axis {ax} requires a fermionic setup")
@@ -148,8 +152,6 @@ class SweepConfig:
                 mu_a = v
             else:
                 mu_b = v
-        if self.statistics is Statistics.BOSE:
-            mu_a = mu_b = 0.0
         return kappa, t_a, t_b, mu_a, mu_b
 
     def point(self, x: float, y: float) -> tuple[SystemParams, ReservoirSpec, ReservoirSpec]:
@@ -304,6 +306,13 @@ def _margins(cells: Cells, criterion: Criterion) -> list[float]:
 
 # levels of the dyadic midpoint tree that one bisection batch evaluates
 BISECT_DEPTH = 4
+# threshold_kappa: bracket width at which bisection stops, relative to
+# bar_eps, and the points of the pre-scan that locates the sign change
+THRESHOLD_REL_TOL = 1e-10
+PRESCAN_POINTS = 8
+# entanglement_boundary_fit: largest |T_A - T_B| of a fitted point, relative
+# to the mean temperature
+BOUNDARY_BAND = 0.25
 
 
 def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
@@ -355,15 +364,14 @@ def threshold_kappa(
     rb: ReservoirSpec,
     criterion: Criterion,
     bracket: tuple[float, float],
-    rel_tol: float = 1e-10,
-    prescan: int = 8,
 ) -> ThresholdResult:
     """Bisect the classification margin over kappa inside the bracket.
 
     The bracket must satisfy 0 < lo < hi < inf, checked before any solve, so
-    every coupling evaluated is positive and finite.  An 8-point pre-scan,
-    evaluated as one batch, locates the sign change and rejects non-monotone
-    margins (more than one crossing).  _bisect then takes
+    every coupling evaluated is positive and finite.  A pre-scan of
+    PRESCAN_POINTS points, evaluated as one batch, locates the sign change and
+    rejects non-monotone margins (more than one crossing).  _bisect then
+    halves the bracket down to THRESHOLD_REL_TOL * bar_eps in
     max(1, ceil(iterations / BISECT_DEPTH)) batches, the last of which holds
     the root and gives margin_at_root.  Each batch is one Cells.build over
     the vector of its couplings.  No sign change is a result, not an error.
@@ -377,8 +385,8 @@ def threshold_kappa(
                                     ra.temperature, rb.temperature, ra.mu, rb.mu, stat),
                         criterion)
 
-    bar_eps = 0.5 * (template.eps_a + template.eps_b)
-    ks = np.linspace(bracket[0], bracket[1], prescan).tolist()
+    tol = THRESHOLD_REL_TOL * 0.5 * (template.eps_a + template.eps_b)
+    ks = np.linspace(bracket[0], bracket[1], PRESCAN_POINTS).tolist()
     ms = margins(ks)
     crossings = [i for i in range(len(ks) - 1) if (ms[i] > 0) != (ms[i + 1] > 0)]
     if not crossings:
@@ -387,7 +395,7 @@ def threshold_kappa(
         raise ValueError(f"margin not monotone on bracket {bracket}: "
                          f"{len(crossings)} sign changes")
     i = crossings[0]
-    lo, hi, iterations, margin = _bisect(margins, ks[i], ks[i + 1], ms[i], rel_tol * bar_eps)
+    lo, hi, iterations, margin = _bisect(margins, ks[i], ks[i + 1], ms[i], tol)
     return ThresholdResult(criterion, True, 0.5 * (lo + hi), (lo, hi), iterations, margin)
 
 
@@ -440,12 +448,12 @@ class BoundaryFit:
     spread: float | None
 
 
-def entanglement_boundary_fit(m: RegionMap, band_ratio: float = 0.25) -> BoundaryFit:
+def entanglement_boundary_fit(m: RegionMap) -> BoundaryFit:
     """Fit the entanglement boundary on a TA x TB map near the diagonal.
 
     Boundary points are margin_ent sign changes between adjacent cells,
     refined by bisection in T_A to 1e-4 of the axis range; only points with
-    |T_A - T_B| below band_ratio times the mean enter the fit.  The
+    |T_A - T_B| below BOUNDARY_BAND times the mean enter the fit.  The
     prediction is kappa / ln(1+sqrt(2)).
     """
     if not (m.config.axis_x is Axis.TA and m.config.axis_y is Axis.TB):
@@ -463,14 +471,14 @@ def entanglement_boundary_fit(m: RegionMap, band_ratio: float = 0.25) -> Boundar
                 continue
             frac = a / (a - b)
             x_est = xs[ix] + frac * (xs[ix + 1] - xs[ix])
-            if abs(x_est - y) > band_ratio * 0.5 * (x_est + y) + cell_w:
+            if abs(x_est - y) > BOUNDARY_BAND * 0.5 * (x_est + y) + cell_w:
                 continue
             lo, hi, _, _ = _bisect(
                 lambda points: _margins(m.config.cells(np.array(points), y),
                                         Criterion.ENTANGLEMENT),
                 float(xs[ix]), float(xs[ix + 1]), a, refine_tol)
             x_cross = 0.5 * (lo + hi)
-            if abs(x_cross - y) <= band_ratio * 0.5 * (x_cross + y):
+            if abs(x_cross - y) <= BOUNDARY_BAND * 0.5 * (x_cross + y):
                 sums.append(x_cross + y)
     if not sums:
         return BoundaryFit(False, None, c_pred, None, 0, None)

@@ -270,9 +270,7 @@ def _build_objects(cfg: dict) -> tuple[SystemParams, ReservoirSpec, ReservoirSpe
     )
     r = cfg["reservoirs"]
     stat = Statistics(r["statistics"])
-    mua = r.get("mua", 0.0) if stat is Statistics.FERMI else 0.0
-    mub = r.get("mub", 0.0) if stat is Statistics.FERMI else 0.0
-    return system, ReservoirSpec(stat, r["ta"], mua), ReservoirSpec(stat, r["tb"], mub)
+    return system, ReservoirSpec(stat, r["ta"], r["mua"]), ReservoirSpec(stat, r["tb"], r["mub"])
 
 
 def _density_entries(m: np.ndarray) -> list:

@@ -86,8 +86,8 @@ class XState:
     rho22: float
     rho33: float
     rho44: float
-    rho23: complex
-    rho14: complex
+    rho23: float
+    rho14: float
 
 
 def _x_entries(m: np.ndarray) -> XState:

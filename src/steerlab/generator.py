@@ -5,8 +5,10 @@ In the energy basis the reduced state keeps only six entries, ordered
     (rho_gg, rho_e1e1, rho_e2e2, rho_e3e3, rho_e1e2, rho_e2e1).
 
 The generator splits additively into a coherent part (the +/- i*Omega entries,
-Omega = 2*omega) and one dissipative part per reservoir, built entry by entry
-from the rate parameters.  Summed over the two reservoirs the parts reproduce
+Omega = 2*omega) and one dissipative part per reservoir.  One rule builds every
+part: a population block shared by all setups, in which fermions flip the sign
+of the stimulated terms, plus the coherence pair's coupling column and row
+from a per-setup table.  Summed over the two reservoirs the parts reproduce
 the printed weak-bosonic, weak-fermionic and strong-bosonic matrices; the
 split itself assigns the spontaneous weights with the same angular factors as
 the stimulated rates (see rates.rate_set).
@@ -35,91 +37,43 @@ class Setup(enum.Enum):
     STRONG_BOSE = "strong-bose"
 
 
-def _weak_bose_part(pj, qj, sj, tj, wp, wm, sign):
-    gj = wp + wm
-    m = np.zeros((6, 6))
-    m[0, 0] = -2 * (pj + qj)
-    m[0, 1] = 2 * (wm + qj)
-    m[0, 2] = 2 * (wp + pj)
-    m[1, 0] = 2 * qj
-    m[1, 1] = -2 * (wm + qj + pj)
-    m[1, 3] = 2 * (wp + pj)
-    m[2, 0] = 2 * pj
-    m[2, 2] = -2 * (wp + pj + qj)
-    m[2, 3] = 2 * (wm + qj)
-    m[3, 1] = 2 * pj
-    m[3, 2] = 2 * qj
-    m[3, 3] = -2 * (gj + pj + qj)
-    m[0, 4] = m[0, 5] = sign * sj
-    m[1, 4] = m[1, 5] = -sign * tj
-    m[2, 4] = m[2, 5] = sign * tj
-    m[3, 4] = m[3, 5] = -sign * sj
-    m[4, 0] = m[5, 0] = sign * sj
-    m[4, 1] = m[5, 1] = sign * tj
-    m[4, 2] = m[5, 2] = -sign * tj
-    m[4, 3] = m[5, 3] = -sign * sj
-    m[4, 4] = m[5, 5] = -(gj + 2 * pj + 2 * qj)
-    return m
-
-
-def _weak_fermi_part(pj, qj, sj, wp, wm, sign):
-    gj = wp + wm
-    m = np.zeros((6, 6))
-    m[0, 0] = -2 * (pj + qj)
-    m[0, 1] = 2 * (wm - qj)
-    m[0, 2] = 2 * (wp - pj)
-    m[1, 0] = 2 * qj
-    m[1, 1] = -2 * (wm - qj + pj)
-    m[1, 3] = 2 * (wp - pj)
-    m[2, 0] = 2 * pj
-    m[2, 2] = -2 * (wp - pj + qj)
-    m[2, 3] = 2 * (wm - qj)
-    m[3, 1] = 2 * pj
-    m[3, 2] = 2 * qj
-    m[3, 3] = -2 * (gj - pj - qj)
-    m[0, 4] = m[0, 5] = -sign * sj
-    m[1, 4] = m[1, 5] = sign * sj
-    m[2, 4] = m[2, 5] = sign * sj
-    m[3, 4] = m[3, 5] = -sign * sj
-    m[4, :4] = m[5, :4] = sign * sj
-    m[4, 4] = m[5, 5] = -gj
-    return m
-
-
-def _strong_bose_part(pj, qj, sj, tj, wp, wm, theta_sin_half_gj):
-    # population block identical to the weak bosonic one; the couplings become
-    # sums augmented by spontaneous sin(theta) weights
-    m = _weak_bose_part(pj, qj, sj, tj, wp, wm, sign=0.0)
-    uj = theta_sin_half_gj  # (gamma_j/2) sin(theta)
-    m[0, 4] = m[0, 5] = -(sj + 2 * uj)
-    m[1, 4] = m[1, 5] = tj + uj
-    m[2, 4] = m[2, 5] = -tj + uj
-    m[3, 4] = m[3, 5] = sj
-    m[4, 0] = m[5, 0] = -sj
-    m[4, 1] = m[5, 1] = -tj + uj
-    m[4, 2] = m[5, 2] = tj + uj
-    m[4, 3] = m[5, 3] = sj + 2 * uj
-    return m
-
-
 # setup codes index this tuple and the first axis of _TEMPLATES
 SETUPS = (Setup.WEAK_BOSE, Setup.WEAK_FERMI, Setup.STRONG_BOSE)
 
 
-def _templates() -> np.ndarray:
-    """(setup, reservoir, coefficient, 6, 6): each part on unit coefficients.
+def _part(setup, sign, p, q, s, t, wp, wm, u):
+    """One reservoir's dissipative part of setup's generator, linear in the
+    rate coefficients p, q, s, t, wp, wm and u (rates.COEFFICIENTS).
 
-    Coefficients follow rates.COEFFICIENTS; reservoir A carries sign -1 and
-    B sign +1 in the weak-phase couplings.  Rows 4 and 5 share one row, and
-    columns 4 and 5 one column, off the diagonal: steady.steady_state relies
-    on this shape.
+    sign is -1 for reservoir A and +1 for B in the weak-phase couplings; u is
+    the strong phase's spontaneous coherence weight (gamma_j/2) sin(theta).
     """
-    out = np.zeros((len(SETUPS), 2, len(COEFFICIENTS), 6, 6))
-    for k, (pj, qj, sj, tj, wp, wm, uj) in enumerate(np.eye(len(COEFFICIENTS))):
-        for j, sign in enumerate((-1.0, 1.0)):
-            out[0, j, k] = _weak_bose_part(pj, qj, sj, tj, wp, wm, sign)
-            out[1, j, k] = _weak_fermi_part(pj, qj, sj, wp, wm, sign)
-            out[2, j, k] = _strong_bose_part(pj, qj, sj, tj, wp, wm, uj)
+    z = -1.0 if setup is Setup.WEAK_FERMI else 1.0
+    g = wp + wm
+    m = np.zeros((6, 6))
+    m[:4, :4] = [[-2 * (p + q), 2 * (wm + z * q), 2 * (wp + z * p), 0],
+                 [2 * q, -2 * (wm + z * q + p), 0, 2 * (wp + z * p)],
+                 [2 * p, 0, -2 * (wp + z * p + q), 2 * (wm + z * q)],
+                 [0, 2 * p, 2 * q, -2 * (g + z * (p + q))]]
+    m[4, 4] = m[5, 5] = -(g + (1 + z) * (p + q))
+    # (column, row) of the coupling table; only the weak-phase ones carry sign
+    column, row = (1.0 if setup is Setup.STRONG_BOSE else sign) * np.array({
+        Setup.WEAK_BOSE: ((s, -t, t, -s), (s, t, -t, -s)),
+        Setup.WEAK_FERMI: ((-s, s, s, -s), (s, s, s, s)),
+        Setup.STRONG_BOSE: ((-(s + 2 * u), t + u, -t + u, s), (-s, -t + u, t + u, s + 2 * u)),
+    }[setup])
+    # rows 4 and 5 share one row, and columns 4 and 5 one column, off the
+    # diagonal: steady.steady_state relies on this shape
+    m[:4, 4] = m[:4, 5] = column
+    m[4, :4] = m[5, :4] = row
+    return m
+
+
+def _templates() -> np.ndarray:
+    """(setup, reservoir, coefficient, 6, 6): each part on unit coefficients,
+    which follow rates.COEFFICIENTS."""
+    out = np.array([[[_part(setup, sign, *unit) for unit in np.eye(len(COEFFICIENTS)).tolist()]
+                     for sign in (-1.0, 1.0)] for setup in SETUPS])
     out.setflags(write=False)
     return out
 

@@ -23,6 +23,8 @@ from .model import SystemParams, derive_params
 
 # Bose occupation rejected below this multiple of T (divergence guard)
 BOSE_EPS_FLOOR = 1e-9
+# the rejection of a bosonic mu != 0, by ReservoirSpec and analysis.SweepConfig
+BOSE_MU_ERROR = "bosonic reservoirs must have mu = 0"
 
 
 class Statistics(enum.Enum):
@@ -48,7 +50,7 @@ class ReservoirSpec:
         if self.temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.statistics is Statistics.BOSE and self.mu != 0.0:
-            raise ValueError("bosonic reservoirs must have mu = 0")
+            raise ValueError(BOSE_MU_ERROR)
 
 
 def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,

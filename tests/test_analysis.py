@@ -52,6 +52,11 @@ class TestSweepConfig:
             small_sweep(axis_x=Axis.KAPPA)
         with pytest.raises(ValueError):
             small_sweep(axis_x=Axis.MUBAR)   # mu axis on a bosonic setup
+        # a bosonic mu is rejected, not swept at mu = 0 in its place
+        with pytest.raises(ValueError, match="bosonic reservoirs must have mu = 0"):
+            small_sweep(mu_a=0.3)
+        with pytest.raises(ValueError, match="bosonic reservoirs must have mu = 0"):
+            small_sweep(mu_b=-0.3)
 
     def test_descending_range_reaching_nonpositive_rejected(self):
         # the first such cell raises point()'s own error

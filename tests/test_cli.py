@@ -148,6 +148,13 @@ class TestSteadyCommand:
         assert run(["sweep", "--stat", "bose"]) == 2
         assert "section" in capsys.readouterr().err
 
+    def test_bosonic_mu_rejected(self, solves, capsys):
+        # a nonzero bosonic mu is an error, not silently set to 0
+        assert run(["steady", "--stat", "bose", "--mua", "0.5", "--mub", "-0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and solves == []
+        assert captured.err == "error: bosonic reservoirs must have mu = 0\n"
+
     @pytest.mark.parametrize("target,exc", [
         ("steady_state", DegenerateSteadyStateError),
         ("classify", InternalConsistencyError),
@@ -378,6 +385,18 @@ REJECTED_SWEEPS = {
 
 
 class TestSweepValidation:
+    def test_bosonic_mu_in_config_rejected(self, solves, tmp_path, capsys):
+        cfg, out = tmp_path / "c.json", tmp_path / "g.csv"
+        cfg.write_text(json.dumps({
+            "reservoirs": {"statistics": "bose", "ta": 0.5, "tb": 0.5, "mua": 0.5},
+            "sweep": {"axis_x": "tbar", "x_range": [0.3, 0.6], "nx": 2,
+                      "axis_y": "kappa", "y_range": [2.5, 3.0], "ny": 2}}))
+        assert run(["sweep", "--config", str(cfg), f"--out={out}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bosonic reservoirs must have mu = 0\n"
+        assert not out.exists() and solves == []
+
     @pytest.mark.parametrize("name", REJECTED_SWEEPS)
     def test_rejected_before_any_computation(self, name, solves, tmp_path, capsys):
         flags, message = REJECTED_SWEEPS[name]
