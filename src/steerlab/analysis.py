@@ -2,9 +2,9 @@
 
 Every cell runs the same pipeline (generator -> steady state ->
 classification -> transport) through array kernels over a leading cell axis.
-A sweep evaluates its grid one row of fixed y at a time and a threshold
-search a tree of bisection midpoints at a time; a single point (`steerlab
-steady`) is the one-cell batch.
+A sweep evaluates its grid in blocks of whole rows, about BLOCK_CELLS cells
+per batch, and a threshold search a tree of bisection midpoints at a time; a
+single point (`steerlab steady`) is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ class SweepConfig:
     setup rejects a nonzero mu, as ReservoirSpec does); DELTA_T / DELTA_MU
     axes keep the configured mean fixed.
     Construction composes and validates the whole grid once: `grid` holds its
-    Cells over (ny, nx) axes, and `grid[iy]` is row iy.
+    Cells over (ny, nx) axes, `grid[iy]` is row iy, and `grid[iy, ix]` a block.
     """
 
     axis_x: Axis
@@ -233,30 +233,31 @@ def run_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec):
     return _pipeline(Cells.of([(system, ra, rb)]))
 
 
-def _row(config: SweepConfig, iy: int):
-    """The GridCell columns, in FIELDS order, of grid row iy evaluated as one
-    batch, and the row's (largest residual, smallest eigenvalue, smallest
-    null-space ratio)."""
-    _, st, c, transport = _pipeline(config.grid[iy])
-    return ((config.x_values(), np.full(config.nx, config.y_values()[iy]), c.entangled,
-             c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab, c.margin_ba,
-             c.margin_bell, *transport[1:], st.positive),
-            (st.residual.max(), st.min_eigenvalue.min(), st.null_ratio.min()))
+# cells per sweep batch, in whole rows; larger batches raise peak RSS (README.md)
+BLOCK_CELLS = 2048
 
 
 def sweep2d(config: SweepConfig) -> RegionMap:
-    """Evaluate the grid one row at a time; row-major in (y, x).
+    """Evaluate the grid in blocks of whole rows, one batch each; row-major in (y, x).
 
     The map's diagnostics are the largest steady-state residual, the most
     negative minimum eigenvalue and the smallest null-space ratio (see
     steady.steady_state) over all cells, masked ones included.
     """
-    rows, worst = zip(*(_row(config, iy) for iy in range(config.ny)))
-    worst = np.array(worst)
-    return RegionMap(config, dict(zip(FIELDS, map(np.concatenate, zip(*rows)))), {
-        "max_residual": float(worst[:, 0].max()),
-        "min_eigenvalue": float(worst[:, 1].min()),
-        "min_null_space_ratio": float(worst[:, 2].min()),
+    iy, ix = np.divmod(np.arange(config.nx * config.ny), config.nx)
+    step = max(1, BLOCK_CELLS // config.nx) * config.nx
+    blocks = []
+    for b in range(0, len(iy), step):
+        _, st, c, transport = _pipeline(config.grid[iy[b:b + step], ix[b:b + step]])
+        blocks.append((c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent,
+                       c.margin_ab, c.margin_ba, c.margin_bell, *transport[1:], st.positive,
+                       st.residual, st.min_eigenvalue, st.null_ratio))
+    *columns, residual, eigenvalue, ratio = map(np.concatenate, zip(*blocks))
+    columns = dict(zip(FIELDS, (config.x_values()[ix], config.y_values()[iy], *columns)))
+    return RegionMap(config, columns, {
+        "max_residual": float(residual.max()),
+        "min_eigenvalue": float(eigenvalue.min()),
+        "min_null_space_ratio": float(ratio.min()),
     })
 
 

@@ -300,7 +300,7 @@ def _emit(cfg: dict, text: str, started: float, masked: int = 0,
     manifest = {
         "config": cfg,
         "version": __version__,
-        "timing_seconds": time.time() - started,
+        "timing_seconds": time.perf_counter() - started,
         "masked_cells": masked,
         "outputs": {out: f"sha256:{digest}"},
     }
@@ -325,7 +325,7 @@ def _analytic(system: SystemParams, ra: ReservoirSpec,
 
 
 def cmd_steady(cfg: dict) -> int:
-    started = time.time()
+    started = time.perf_counter()
     g, st, c, (current_a, current_b, sigma) = run_point(*_build_objects(cfg))
     positive = bool(st.positive[0])
     # positions of |00>, |11>, psi-, psi+ among the energy-basis populations
@@ -356,7 +356,7 @@ def cmd_steady(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    started = time.time()
+    started = time.perf_counter()
     system, ra, rb = _build_objects(cfg)
     sw = cfg["sweep"]
     sweep_cfg = SweepConfig(
@@ -376,7 +376,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_threshold(cfg: dict) -> int:
-    started = time.time()
+    started = time.perf_counter()
     system, ra, rb = _build_objects(cfg)
     th = cfg["threshold"]
     criterion = Criterion(th["criterion"])
@@ -401,7 +401,7 @@ def cmd_threshold(cfg: dict) -> int:
 
 
 def cmd_thresholds_table(cfg: dict) -> int:
-    started = time.time()
+    started = time.perf_counter()
     system, ra, rb = _build_objects(cfg)
     table = _analytic(system, ra, rb)
     if table is None:
@@ -429,7 +429,7 @@ def _initial_state(cfg_ev: dict) -> DensityMatrix4:
 
 
 def cmd_evolve(cfg: dict) -> int:
-    started = time.time()
+    started = time.perf_counter()
     g = build_generator(Cells.of([_build_objects(cfg)]))
     ev = cfg["evolve"]
     rho0 = _initial_state(ev)

@@ -15,9 +15,9 @@ the stimulated rates (see rates.rate_set).
 
 Each part is linear in its reservoir's rate coefficients, so it is evaluated
 once, on unit coefficients, into constant templates; a generator is then the
-coefficient-weighted sum of its setup's templates.  `build_generator` builds
-N generators at once over a leading cell axis; a single point is the
-one-cell batch.
+coefficient-weighted sum of its setup's templates, one einsum that adds them
+in order (a BLAS matmul may not).  `build_generator` builds N generators at
+once over a leading cell axis; a single point is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -115,11 +115,10 @@ def build_generator(cells: Cells) -> GeneratorArrays:
     setup = setup_codes(cells.strong, cells.statistics)
     energies, vectors, numbers = eigensystem(cells.bar_eps, cells.omega, cells.theta,
                                              cells.strong)
-    parts = (rate_set(cells)[..., None, None] * _TEMPLATES[setup]).sum(axis=-3)
+    parts = np.einsum("...rk,...rkij->...rij", rate_set(cells), _TEMPLATES[setup])
     total = parts[..., 0, :, :] + parts[..., 1, :, :] + 0j
-    omega_entry = 2.0 * cells.omega
-    total[..., 4, 4] += 1j * omega_entry
-    total[..., 5, 5] -= 1j * omega_entry
+    total[..., 4, 4] += 2j * cells.omega
+    total[..., 5, 5] -= 2j * cells.omega
     return GeneratorArrays(total, parts, energies, vectors, numbers, cells)
 
 

@@ -7,6 +7,7 @@ import pytest
 import steerlab as sl
 from steerlab import analysis
 from steerlab.analysis import (
+    FIELDS,
     Axis,
     BoundaryFit,
     Criterion,
@@ -170,9 +171,12 @@ class TestSweep2d:
         assert m.cells[4].x == xs[0] and m.cells[4].y == ys[1]
         assert m.cell(2, 1).x == xs[2] and m.cell(2, 1).y == ys[1]
 
-    def test_point_matches_row(self):
-        # a row is one batch of the array kernels; run_point is a batch of one,
-        # and both give the same bits on strong-bose, weak-bose and weak-fermi grids
+    def test_point_matches_row(self, monkeypatch):
+        # a block of rows is one batch of the array kernels, a row is another
+        # and run_point a batch of one; all give the same bits on strong-bose,
+        # weak-bose and weak-fermi grids, whatever the block size: one block,
+        # a ragged last block (8: rows 0-1, then row 2) and a row wider than a
+        # block (3: one row per block)
         grids = [
             small_sweep(nx=4, ny=3),
             small_sweep(nx=4, ny=3, system=sl.SystemParams(1.3, 0.7, 1.0, 0.01),
@@ -181,18 +185,45 @@ class TestSweep2d:
                         axis_y=Axis.DELTA_MU, y_range=(-1.0, 1.0), statistics=FERMI,
                         t_a=0.15, t_b=0.15, system=sl.SystemParams(1.5, 0.5, 0.6, 0.01)),
         ]
-        for cfg in grids:
-            m = sweep2d(cfg)
-            for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
-                cell = m.cell(ix, iy)
-                _, ss, c, (_, current_b, sigma) = run_point(*cfg.point(cell.x, cell.y))
-                got = (c.entangled[0], c.steer_a_to_b[0], c.steer_b_to_a[0], c.bell[0],
-                       ss.positive[0], c.margin_ent[0], c.margin_ab[0], c.margin_ba[0],
-                       c.margin_bell[0], current_b[0], sigma[0])
-                want = (cell.entangled, cell.steer_ab, cell.steer_ba, cell.bell,
-                        cell.positivity_ok, cell.margin_ent, cell.margin_ab, cell.margin_ba,
-                        cell.margin_bell, cell.current_b, cell.sigma)
-                assert np.array_equal(got, want, equal_nan=True), (cfg.statistics, ix, iy)
+        pipeline, batches = analysis._pipeline, []
+
+        def counting(cells):
+            batches.append(cells.theta.shape)
+            return pipeline(cells)
+        monkeypatch.setattr(analysis, "_pipeline", counting)
+        for block, sizes in ((analysis.BLOCK_CELLS, [(12,)]), (8, [(8,), (4,)]),
+                             (3, [(4,), (4,), (4,)])):
+            monkeypatch.setattr(analysis, "BLOCK_CELLS", block)
+            for cfg in grids:
+                batches.clear()
+                m = sweep2d(cfg)
+                assert batches == sizes, (block, cfg.statistics)
+                worst = []
+                for iy in range(cfg.ny):
+                    _, ss, c, (_, current_b, sigma) = pipeline(cfg.grid[iy])
+                    worst.append((ss.residual.max(), ss.min_eigenvalue.min(),
+                                  ss.null_ratio.min()))
+                    row = (cfg.x_values(), np.full(cfg.nx, cfg.y_values()[iy]), c.entangled,
+                           c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab,
+                           c.margin_ba, c.margin_bell, current_b, sigma, ss.positive)
+                    for name, want in zip(FIELDS, row):
+                        got = m.columns[name][iy * cfg.nx:(iy + 1) * cfg.nx]
+                        assert got.dtype == want.dtype, name
+                        assert np.array_equal(got, want, equal_nan=True), (block, name, iy)
+                residual, eigenvalue, ratio = zip(*worst)
+                assert m.diagnostics == {"max_residual": max(residual),
+                                         "min_eigenvalue": min(eigenvalue),
+                                         "min_null_space_ratio": min(ratio)}
+                for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
+                    cell = m.cell(ix, iy)
+                    _, ss, c, (_, current_b, sigma) = run_point(*cfg.point(cell.x, cell.y))
+                    got = (c.entangled[0], c.steer_a_to_b[0], c.steer_b_to_a[0], c.bell[0],
+                           ss.positive[0], c.margin_ent[0], c.margin_ab[0], c.margin_ba[0],
+                           c.margin_bell[0], current_b[0], sigma[0])
+                    want = (cell.entangled, cell.steer_ab, cell.steer_ba, cell.bell,
+                            cell.positivity_ok, cell.margin_ent, cell.margin_ab,
+                            cell.margin_ba, cell.margin_bell, cell.current_b, cell.sigma)
+                    assert np.array_equal(got, want, equal_nan=True), (block, ix, iy)
 
     def test_hierarchy_on_real_grid(self):
         m = sweep2d(small_sweep())

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from importlib import resources
 
@@ -334,6 +335,18 @@ class TestOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "table.json", "table.json.manifest.json", "table.json.tmp"]
 
+    @pytest.mark.parametrize("argv", [["steady"], ["sweep", "--preset=fig2", "--nx=2", "--ny=2"],
+                                      ["thresholds-table"]])
+    def test_timing_ignores_wall_clock_steps(self, argv, tmp_path, monkeypatch, capsys):
+        # a wall clock stepped back an hour at every read leaves the manifest's
+        # timing a small positive duration
+        steps = iter(range(1000))
+        monkeypatch.setattr(time, "time", lambda: 1e9 - 3600.0 * next(steps))
+        out = tmp_path / "out"
+        assert run(argv + [f"--out={out}"]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert 0 <= manifest["timing_seconds"] < 60
+
     def test_format_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"format": "csv"}))
@@ -414,7 +427,8 @@ class TestSweepValidation:
         assert run(["sweep", "--axis-x=tbar", "--x-min=1", "--x-max=2", "--nx=3",
                     "--axis-y=delta_t", "--y-min=-1", "--y-max=1", "--ny=3",
                     f"--out={out}"]) == 0
-        assert len(out.read_text().splitlines()) == 10 and len(solves) == 3
+        # the 3x3 grid is one block of whole rows: one solve
+        assert len(out.read_text().splitlines()) == 10 and len(solves) == 1
         cfg = SweepConfig(axis_x=Axis.TBAR, x_range=(1.0, 2.0), nx=3, axis_y=Axis.DELTA_T,
                           y_range=(-1.0, 1.0), ny=3, system=sl.SystemParams(1.0, 1.0, 3.0, 0.01),
                           statistics=Statistics.BOSE, t_a=0.5, t_b=0.5)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 import steerlab as sl
 from steerlab.errors import ConfigurationError
 from steerlab.generator import (
+    _TEMPLATES,
     SETUPS,
     Setup,
     from_vector6,
     setup_codes,
     to_vector6,
 )
-from steerlab.rates import Statistics
+from steerlab.rates import Statistics, rate_set
 
 from conftest import Phase, occupation, one_cell, random_system, rates
 
@@ -175,6 +176,32 @@ class TestBuildGenerator:
         g = generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))
         resum = coherent_part(g) + g.parts[0, 0] + g.parts[0, 1]
         assert np.max(np.abs(resum - g.total[0])) < 1e-14
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 4)])
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_parts_match_product_sum(self, setup, shape):
+        # the einsum assembly against the broadcast product-sum of the rate
+        # coefficients and the 6x6 templates: the same bits, signs of zeros
+        # included, at N = 1 and on a 2-D batch; temperatures from 2e-3
+        # (occupations underflow to 0) up to 3
+        rng = np.random.default_rng(14)
+        t_a, t_b = np.exp(rng.uniform(math.log(2e-3), math.log(3.0), (2,) + shape))
+        if setup is Setup.WEAK_FERMI:
+            mu_a, mu_b = rng.uniform(-1.0, 3.0, (2,) + shape)
+            cells = sl.Cells.build(1.5, 0.5, rng.uniform(0.1, 1.4, shape), 0.01, t_a, t_b,
+                                   mu_a, mu_b, FERMI)
+        else:
+            kappa = rng.uniform(*((2.5, 5.0) if setup is Setup.STRONG_BOSE else (0.1, 1.5)),
+                                shape)
+            cells = sl.Cells.build(1.0, rng.uniform(0.6, 1.4, shape), kappa, 0.01, t_a, t_b,
+                                   0.0, 0.0, BOSE)
+        codes = setup_codes(cells.strong, cells.statistics)
+        assert np.all(codes == SETUPS.index(setup))
+        want = (rate_set(cells)[..., None, None] * _TEMPLATES[codes]).sum(axis=-3)
+        got = sl.build_generator(cells).parts
+        assert got.shape == shape + (2, 6, 6)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_trace_preservation(self, p, stat, a, b, setup):
