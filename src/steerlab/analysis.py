@@ -246,19 +246,19 @@ def sweep2d(config: SweepConfig) -> RegionMap:
     """
     iy, ix = np.divmod(np.arange(config.nx * config.ny), config.nx)
     step = max(1, BLOCK_CELLS // config.nx) * config.nx
-    blocks = []
-    for b in range(0, len(iy), step):
+
+    def block(b: int) -> tuple:
+        # a function, so that a block's arrays are freed before the next is built
         _, st, c, transport = _pipeline(config.grid[iy[b:b + step], ix[b:b + step]])
-        blocks.append((c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent,
-                       c.margin_ab, c.margin_ba, c.margin_bell, *transport[1:], st.positive,
-                       st.residual, st.min_eigenvalue, st.null_ratio))
+        return (c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab,
+                c.margin_ba, c.margin_bell, *transport[1:], st.positive, st.residual,
+                st.min_eigenvalue, st.null_ratio)
+    blocks = [block(b) for b in range(0, len(iy), step)]
     *columns, residual, eigenvalue, ratio = map(np.concatenate, zip(*blocks))
     columns = dict(zip(FIELDS, (config.x_values()[ix], config.y_values()[iy], *columns)))
-    return RegionMap(config, columns, {
-        "max_residual": float(residual.max()),
-        "min_eigenvalue": float(eigenvalue.min()),
-        "min_null_space_ratio": float(ratio.min()),
-    })
+    return RegionMap(config, columns, {"max_residual": float(residual.max()),
+                                       "min_eigenvalue": float(eigenvalue.min()),
+                                       "min_null_space_ratio": float(ratio.min())})
 
 
 class Criterion(enum.Enum):
