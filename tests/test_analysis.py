@@ -291,7 +291,7 @@ class TestThresholdKappa:
         assert res_two.kappa_threshold == pytest.approx(res_ab.kappa_threshold, abs=1e-8)
 
 
-def halving(f, lo, hi, f_lo, tol):
+def halving(f, lo, hi, f_lo, f_hi, tol):
     """Bisection halving one point at a time, one call of f per point, and f
     at the root of the final bracket: the oracle of analysis._bisect."""
     iterations = 0
@@ -320,7 +320,7 @@ def halving_threshold(template, ra, rb, criterion, bracket, rel_tol=1e-10, presc
         return ThresholdResult(criterion, False, None, bracket, 0, None)
     i = crossings[0]
     tol = rel_tol * 0.5 * (template.eps_a + template.eps_b)
-    lo, hi, iterations, margin = halving(margins, ks[i], ks[i + 1], ms[i], tol)
+    lo, hi, iterations, margin = halving(margins, ks[i], ks[i + 1], ms[i], ms[i + 1], tol)
     return ThresholdResult(criterion, True, 0.5 * (lo + hi), (lo, hi), iterations, margin)
 
 
@@ -346,28 +346,63 @@ THRESHOLD_CASES = {
 }
 
 
-class TestDyadicBisection:
-    @pytest.mark.parametrize("lo,hi,root,tol", [
-        (0.0, 1.0, 0.3, 1e-10), (1.0, 2.0, 1.7, 0.25), (1.0, 2.0, 1.2, 0.2),
-        (-3.0, 5.0, 0.0, 1e-3), (2.003, 2.3, 2.0143, 2.0e-10), (0.0, 1.0, 0.5, 2.0),
-        # 8 and 28 halvings: the root lies one level below a full tree
-        (0.0, 1.0, 0.123, 0.005), (0.0, 1.0, 0.61, 5e-9),
-    ])
-    def test_matches_halving_one_point_at_a_time(self, lo, hi, root, tol):
-        calls = []
+# f(x, lo, hi, root) with a sign change at root, for a good and for poor
+# estimates of the root
+def _linear(x, lo, hi, root):
+    return x - root
 
-        def f(points):
-            calls.append(len(points))
-            return [x - root for x in points]
-        got = analysis._bisect(f, lo, hi, lo - root, tol)
-        want = halving(f, lo, hi, lo - root, tol)
-        assert got == want
-        iterations = got[2]
-        trees = calls[:-(iterations + 1)]
-        depth = analysis.BISECT_DEPTH
-        assert len(trees) == max(1, math.ceil(iterations / depth))
-        assert max(trees) <= 2 ** (depth + 1) - 1
-        assert len(trees) == 1 or trees[-1] > 1   # never a batch for the root alone
+
+def _kink(x, lo, hi, root):
+    # min of two lines, kinked just above the root, like the two-way criterion
+    return min(x - root, 0.1 * (x - root) + 1e-3 * (hi - lo))
+
+
+def _step(x, lo, hi, root):
+    return -1.0 if x < root else 1.0
+
+
+def _tent(x, lo, hi, root):
+    # f(lo) == f(hi): sign changes 0.3 (hi - lo) either side of the middle
+    return 0.3 * (hi - lo) - abs(x - 0.5 * (lo + hi))
+
+
+BISECT_CASES = [
+    (0.0, 1.0, 0.3, 1e-10), (1.0, 2.0, 1.7, 0.25), (1.0, 2.0, 1.2, 0.2),
+    (-3.0, 5.0, 0.0, 1e-3), (2.003, 2.3, 2.0143, 2.0e-10), (0.0, 1.0, 0.5, 2.0),
+    # 8 and 28 halvings: the root lies one level below a full tree
+    (0.0, 1.0, 0.123, 0.005), (0.0, 1.0, 0.61, 5e-9),
+]
+
+
+def bisection_batches(shape, lo, hi, root, tol) -> list[int]:
+    """The sizes of _bisect's calls of f on shape, whose result must equal
+    the halving oracle's, within the bounds every f meets."""
+    f_lo, f_hi = shape(lo, lo, hi, root), shape(hi, lo, hi, root)
+    calls = []
+
+    def f(points):
+        calls.append(len(points))
+        return [shape(x, lo, hi, root) for x in points]
+    got = analysis._bisect(f, lo, hi, f_lo, f_hi, tol)
+    want = halving(f, lo, hi, f_lo, f_hi, tol)
+    assert got == want
+    iterations = got[2]
+    batches = calls[:-(iterations + 1)]
+    assert len(batches) <= max(1, math.ceil(iterations / analysis.BISECT_DEPTH))
+    assert len(batches) == 1 or batches[-1] > 1   # never a batch for the root alone
+    return batches
+
+
+class TestDyadicBisection:
+    @pytest.mark.parametrize("lo,hi,root,tol", BISECT_CASES)
+    def test_matches_halving_one_point_at_a_time(self, lo, hi, root, tol):
+        # a linear f: the first estimate is the root, so one batch reaches it
+        assert len(bisection_batches(_linear, lo, hi, root, tol)) == 1
+
+    @pytest.mark.parametrize("shape", [_kink, _step, _tent])
+    @pytest.mark.parametrize("lo,hi,root,tol", BISECT_CASES)
+    def test_poor_estimate_matches_halving(self, lo, hi, root, tol, shape):
+        bisection_batches(shape, lo, hi, root, tol)
 
     @pytest.mark.parametrize("case", THRESHOLD_CASES,
                              ids=[f"{setup}-{c.value}" for setup, c in THRESHOLD_CASES])
@@ -384,13 +419,15 @@ class TestDyadicBisection:
         monkeypatch.setattr(analysis, "build_generator", counting)
         got = threshold_kappa(p, r, r, case[1], bracket)
         assert got == want and got.found is found
-        # the pre-scan, then one tree per BISECT_DEPTH halvings; the last
-        # tree holds the root, so there is no one-cell root batch
+        # the pre-scan, then bisection batches that each serve BISECT_DEPTH
+        # halvings or more; the last one holds the root with other points
+        bisection = batches[1:]
         assert batches[0] == 8
-        assert len(batches) <= 1 + max(1, math.ceil(got.iterations / analysis.BISECT_DEPTH))
-        assert len(batches) <= 2 or batches[-1] > 1
+        assert len(bisection) <= max(1, math.ceil(got.iterations / analysis.BISECT_DEPTH))
+        assert len(bisection) <= 4
+        assert not bisection or bisection[-1] > 1
         if found:
-            assert len(batches) >= 2 and got.iterations > 20
+            assert bisection and got.iterations > 20
 
     def test_boundary_fit_matches_halving(self, monkeypatch):
         cfg = SweepConfig(

@@ -162,6 +162,16 @@ class TestBorderedSolve:
         with pytest.raises(DegenerateSteadyStateError, match="null space"):
             steady_state(m[None], g.vectors)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (20, 101)])
+    def test_batch_of_other_shape_rejected(self, shape):
+        # build_generator takes any leading cell axes; steady_state one
+        kappa = np.linspace(0.5, 0.8, math.prod(shape)).reshape(shape)
+        g = sl.build_generator(sl.Cells.build(1.0, 1.0, kappa, 0.01, 0.5, 0.5, 0.0, 0.0, BOSE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"got \({shape[0]}, {shape[1]}, 6, 6\)"):
+                steady_state(g.total, g.vectors)
+
     def test_singular_bordered_matrix_exits_internal(self, monkeypatch, capsys):
         # a one-dimensional null space along the coherence, which carries no
         # population: M[5,5] = 0 is not the conjugate of M[4,4], so the state
