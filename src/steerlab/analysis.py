@@ -323,7 +323,7 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int, x: float | None,
     itself the upper one if rising, as _bisect takes when f(lo) <= 0 = f(x)),
     and the root of every half at most tol wide."""
     mid = 0.5 * (lo + hi)
-    if not hi - lo > tol:
+    if not (hi - lo > tol and lo < mid < hi):
         return [mid]
     up = None if x is None else (mid <= x if rising else mid < x)
     points = [mid]
@@ -335,7 +335,8 @@ def _midpoints(lo: float, hi: float, tol: float, depth: int, x: float | None,
 
 def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,
             tol: float) -> tuple[float, float, int, float]:
-    """Halve [lo, hi] around the sign change of f until it is at most tol wide.
+    """Halve [lo, hi] around the sign change of f until it is at most tol wide
+    or no float lies inside.
 
     f maps a list of points to their values; f_lo and f_hi are f(lo) and f(hi).
     One call of f evaluates the _midpoints of the bracket BISECT_DEPTH levels
@@ -345,10 +346,9 @@ def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,
     the bracket.  The points are the same 0.5*(a+b) halvings, so the brackets
     are exactly those of halving one point at a time; x only chooses which are
     evaluated.  The full levels bound the calls by max(1, ceil(iterations /
-    BISECT_DEPTH)), and the roots of final halves make every call reach the
-    root 0.5*(lo+hi) of the final bracket where it can, so none is for the root
-    alone; a correct x needs one call.  Returns the final (lo, hi), the number
-    of halvings and f at the root.
+    BISECT_DEPTH)); as every interval brings the roots of its final halves, no
+    call holds the root r = 0.5*(lo+hi) of the final bracket alone, and a right
+    x needs one call.  Returns the final (lo, hi), the halving count and f(r).
     """
     iterations = 0
     known = {lo: f_lo, hi: f_hi}
@@ -364,7 +364,7 @@ def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float,
                                 not f_lo > 0)
             known.update(zip(points, f(points)))
         f_mid = known[mid]
-        if not hi - lo > tol:
+        if not (hi - lo > tol and lo < mid < hi):
             return lo, hi, iterations, f_mid
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid

@@ -283,6 +283,16 @@ class TestThresholdKappa:
             threshold_kappa(p, sl.ReservoirSpec(BOSE, 0.5), sl.ReservoirSpec(FERMI, 0.5),
                             Criterion.ENTANGLEMENT, (0.4, 1.4))
 
+    def test_tolerance_below_float_spacing_ends(self):
+        # 1e-10 * bar_eps = 1e-14 is below the float spacing near kappa = 1763,
+        # so the bracket stops at adjacent floats
+        p, r = sl.SystemParams(1e-4, 1e-4, 1.0, 1e-6), sl.ReservoirSpec(BOSE, 1000.0)
+        res = threshold_kappa(p, r, r, Criterion.ENTANGLEMENT, (10.0, 10000.0))
+        lo, hi = res.bracket
+        assert res.found and hi == math.nextafter(lo, math.inf)
+        assert res.kappa_threshold == pytest.approx(2 * math.log(1 + math.sqrt(2)) * 1000.0,
+                                                    rel=1e-6)
+
     def test_two_way_uses_weaker_direction(self):
         p = sl.SystemParams(1.05, 0.95, 2.1, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.05)
@@ -403,6 +413,11 @@ class TestDyadicBisection:
     @pytest.mark.parametrize("lo,hi,root,tol", BISECT_CASES)
     def test_poor_estimate_matches_halving(self, lo, hi, root, tol, shape):
         bisection_batches(shape, lo, hi, root, tol)
+
+    def test_stops_when_no_float_lies_inside(self):
+        lo, hi, _, _ = analysis._bisect(lambda points: [x - 1.3 for x in points],
+                                        1.0, 2.0, -0.3, 0.7, 1e-300)
+        assert hi == math.nextafter(lo, math.inf) and lo <= 1.3 <= hi
 
     @pytest.mark.parametrize("case", THRESHOLD_CASES,
                              ids=[f"{setup}-{c.value}" for setup, c in THRESHOLD_CASES])
