@@ -1,11 +1,15 @@
 """Entanglement, directional steerability, and Bell-nonlocality classification.
 
-Two routes are implemented and cross-checked:
+Every state classified here is an X state (only the diagonal and the
+anti-diagonal are nonzero; any other input raises ValueError).  Two routes
+are implemented and cross-checked:
 
-* closed-form inequalities on the X-shaped density matrix (valid while the
-  outer coherence rho14 is negligible against rho23), and
-* the general route: partially depolarize the steering party's qubit and test
-  the mapped state for entanglement via the partial transpose.
+* closed-form inequalities on the X entries (valid while the outer coherence
+  rho14 is negligible against rho23), and
+* the exact X-state block test: partially depolarize the steering party's
+  qubit, which keeps the X shape, and test the mapped state by the two 2x2
+  blocks of its partial transpose.  It alone classifies X states whose
+  rho14 is not negligible (then with no CHSH verdict).
 
 For an X state with rho14 = 0 the two routes are algebraically identical
 (the closed-form threshold equals 3*rho'11*rho'44 of the mapped state), so
@@ -24,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalConsistencyError
+from .model import lower_eigenvalue
 
 # strict-greater slack at criterion boundaries
 MARGIN_TOL = 1e-12
@@ -33,7 +38,13 @@ PPT_TOL = 1e-10
 X_TOL = 1e-10
 
 _DEPOL = 1.0 / math.sqrt(3.0)
-_DEPOL_REST = (3.0 - math.sqrt(3.0)) / 3.0
+# populations @ _MAP_DIAGONALS: the diagonals of rho and of its A->B map
+# rho/sqrt(3) + (1 - 1/sqrt(3)) (1/2 (x) rho_B) and B->A map (rho_A (x) 1/2),
+# (12,).  Both maps scale the coherences by 1/sqrt(3).
+_MAP_DIAGONALS = np.hstack([np.eye(4)] + [
+    _DEPOL * np.eye(4) + 0.5 * (3.0 - math.sqrt(3.0)) / 3.0 * np.kron(*pair)
+    for pair in ((np.ones((2, 2)), np.eye(2)), (np.eye(2), np.ones((2, 2))))])
+_COHERENCE_SCALE = np.array([1.0, _DEPOL, _DEPOL])
 
 
 class Method(enum.Enum):
@@ -103,37 +114,20 @@ def _non_x(m: np.ndarray) -> np.ndarray:
     return np.abs(m[..., ~_X_ENTRIES]).max(axis=-1)
 
 
-def _depolarized(m: np.ndarray) -> np.ndarray:
-    """rho and its A->B and B->A partially depolarized maps, stacked as (..., 3, 4, 4).
-
-    A->B gives rho/sqrt(3) + (1 - 1/sqrt(3)) (1/2 (x) rho_B); B->A mirrors the
-    construction onto qubit B's slot.  In the (a, b, a', b') view of rho the
-    reduced states are the partial traces, and 1/2 (x) rho_B adds rho_B/2 to
-    the blocks a = a' (rho_A (x) 1/2 adds rho_A/2 where b = b').
-    """
-    lead = m.shape[:-2]
-    t = m.reshape(lead + (2, 2, 2, 2))
-    rest_b = _DEPOL_REST * (0.5 * (t[..., 0, :, 0, :] + t[..., 1, :, 1, :]))
-    rest_a = _DEPOL_REST * (0.5 * (t[..., :, 0, :, 0] + t[..., :, 1, :, 1]))
-    out = np.empty(lead + (3, 2, 2, 2, 2), dtype=complex)
-    out[..., 0, :, :, :, :] = t
-    out[..., 1:, :, :, :, :] = _DEPOL * t[..., None, :, :, :, :]
-    for k in range(2):
-        out[..., 1, k, :, k, :] += rest_b
-        out[..., 2, :, k, :, k] += rest_a
-    return out.reshape(lead + (3, 4, 4))
-
-
-def _general_margins(m: np.ndarray) -> np.ndarray:
+def _ppt_margins(x: XState) -> np.ndarray:
     """-(smallest partial-transpose eigenvalue) of rho, its A->B map and its
-    B->A map, as (..., 3)."""
-    return -np.linalg.eigvalsh(partial_transpose_b(_depolarized(m)))[..., 0]
+    B->A map, as (..., 3), elementwise over cells.
 
-
-def partial_transpose_b(m: np.ndarray) -> np.ndarray:
-    """Transpose qubit B of a (..., 4, 4) array of two-qubit matrices."""
-    lead = m.shape[:-2]
-    return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
+    Each map is again an X state, and the partial transpose of an X state
+    splits into the blocks [[rho11, rho23], [rho23*, rho44]] and
+    [[rho22, rho14], [rho14*, rho33]] (Peres 1996).
+    """
+    pops = np.stack([x.rho11, x.rho22, x.rho33, x.rho44], axis=-1)
+    d = (pops @ _MAP_DIAGONALS).reshape(pops.shape[:-1] + (3, 4))
+    r23 = np.multiply.outer(abs(x.rho23), _COHERENCE_SCALE)
+    r14 = np.multiply.outer(abs(x.rho14), _COHERENCE_SCALE)
+    return -np.minimum(lower_eigenvalue(d[..., 0], d[..., 3], r23),
+                       lower_eigenvalue(d[..., 1], d[..., 2], r14))
 
 
 def _rho14_inert(x: XState):
@@ -193,11 +187,11 @@ class Classification(NamedTuple):
 
     Margins are left-minus-right values of the respective inequalities
     (probability-squared units on the closed-form route, eigenvalue units on
-    the PPT route).  fault >= 0 marks a state whose X entries violate
-    XSTATE_FAULTS[fault]; such a cell carries no verdict (flags False,
-    margins nan).  method is the route of the batch: GENERAL_PPT if any
-    cell with a verdict needed the general route, else the closed form
-    (X_CLOSED_FORM, or BOTH when cross-checked).
+    the X-state block test).  fault >= 0 marks a state whose X entries
+    violate XSTATE_FAULTS[fault]; such a cell carries no verdict (flags
+    False, margins nan).  method is the route of the batch: GENERAL_PPT if
+    any cell with a verdict needed the block test alone (a large rho14),
+    else the closed form (X_CLOSED_FORM, or BOTH when cross-checked).
     """
 
     entangled: np.ndarray
@@ -213,28 +207,26 @@ class Classification(NamedTuple):
 
 
 def classify(m: np.ndarray, dual: bool = True) -> Classification:
-    """Classify local-basis states (..., 4, 4).
+    """Classify local-basis X states (..., 4, 4).
 
-    Where a state is X-shaped with an inert rho14 the closed forms supply the
-    margins; with dual=True the general depolarize-and-PPT route runs as well
-    and any verdict disagreement raises.  Other states fall back to the
-    general route alone (no CHSH verdict: bell False, margin nan).
+    Where rho14 is inert the closed forms supply the margins; with dual=True
+    the exact X-state block test runs as well and any verdict disagreement
+    raises.  Other X states fall back to the block test alone (bell False,
+    margin nan).  A non-X entry above X_TOL raises ValueError first.
     """
+    non_x = _non_x(m)
+    if np.count_nonzero(non_x > X_TOL):
+        raise ValueError(f"classify takes X states only; a non-X entry reads {np.max(non_x):.3g}")
     x = _x_entries(m)
-    is_x = _non_x(m) <= X_TOL
-    fault = np.where(is_x, xstate_fault(x), -1)
-    closed = (fault < 0) & is_x & _rho14_inert(x)
-    # the general route where the closed form does not apply; a faulty state
-    # gets no verdict
+    fault = xstate_fault(x)
+    closed = (fault < 0) & _rho14_inert(x)
+    # the block test alone where the closed form does not apply; a faulty
+    # state gets no verdict
     run = (fault < 0) & ~closed
     margins = list(_closed_margins(x))
     flags = [c > MARGIN_TOL for c in margins]
-    general = _general_margins(m) if dual else None
+    general = _ppt_margins(x) if dual or np.count_nonzero(~closed) else None
     if np.count_nonzero(~closed):
-        if general is None:
-            general = np.zeros(np.shape(closed) + (3,))
-            if np.count_nonzero(run):
-                general[run] = _general_margins(m[run])
         for k in range(3):
             g = np.where(run, general[..., k], np.nan)
             flags[k] = np.where(closed, flags[k], g > PPT_TOL)

@@ -162,6 +162,12 @@ class DensityMatrix4:
         object.__setattr__(self, "entries", m)
 
 
+def lower_eigenvalue(a, b, c_abs):
+    """(a+b)/2 - hypot((a-b)/2, |c|), the lower eigenvalue of the Hermitian
+    blocks [[a, c], [c*, b]], elementwise."""
+    return 0.5 * (a + b) - np.hypot(0.5 * (a - b), c_abs)
+
+
 def conjugate(m: np.ndarray, v: np.ndarray, to_local: bool) -> np.ndarray:
     """V m V^dagger (to_local) or V^dagger m V, Hermitized, over leading axes."""
     vh = v.conj().swapaxes(-1, -2)

@@ -26,6 +26,7 @@ from .model import (
     basis_change,
     conjugate,
     eigensystem,
+    lower_eigenvalue,
 )
 from .rates import Cells, ReservoirSpec, Statistics, cell_occupations
 
@@ -55,11 +56,10 @@ def _first(bad: np.ndarray) -> int | None:
 
 def min_eigenvalue_energy(v: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the energy-basis states of Hermitian 6-entry
-    vectors (..., 6): the populations p_g, p_e3 and the lower eigenvalue
-    (a+b)/2 - hypot((a-b)/2, |c|) of the e1-e2 block [[a, c], [c*, b]]."""
+    vectors (..., 6): the populations p_g, p_e3 and the lower eigenvalue of
+    the e1-e2 block [[a, c], [c*, b]]."""
     p = v[..., :4].real
-    a, b = p[..., 1], p[..., 2]
-    block = 0.5 * (a + b) - np.hypot(0.5 * (a - b), np.hypot(v[..., 4].real, v[..., 4].imag))
+    block = lower_eigenvalue(p[..., 1], p[..., 2], np.hypot(v[..., 4].real, v[..., 4].imag))
     return np.minimum(np.minimum(p[..., 0], p[..., 3]), block)
 
 

@@ -94,6 +94,46 @@ def werner_state(w: float) -> sl.DensityMatrix4:
     return sl.DensityMatrix4(entries=werner_matrix(w), basis=sl.Basis.LOCAL)
 
 
+# weight of rho in the partially depolarizing map, and of the reduced state
+DEPOL = 1 / np.sqrt(3)
+DEPOL_REST = (3 - np.sqrt(3)) / 3
+
+
+def depolarized(m: np.ndarray) -> np.ndarray:
+    """Oracle: rho and its A->B and B->A partially depolarized maps, stacked
+    as dense (..., 3, 4, 4).
+
+    A->B gives rho/sqrt(3) + (1 - 1/sqrt(3)) (1/2 (x) rho_B); B->A mirrors the
+    construction onto qubit B's slot.  In the (a, b, a', b') view of rho the
+    reduced states are the partial traces, and 1/2 (x) rho_B adds rho_B/2 to
+    the blocks a = a' (rho_A (x) 1/2 adds rho_A/2 where b = b').
+    """
+    lead = m.shape[:-2]
+    t = m.reshape(lead + (2, 2, 2, 2))
+    rest_b = DEPOL_REST * (0.5 * (t[..., 0, :, 0, :] + t[..., 1, :, 1, :]))
+    rest_a = DEPOL_REST * (0.5 * (t[..., :, 0, :, 0] + t[..., :, 1, :, 1]))
+    out = np.empty(lead + (3, 2, 2, 2, 2), dtype=complex)
+    out[..., 0, :, :, :, :] = t
+    out[..., 1:, :, :, :, :] = DEPOL * t[..., None, :, :, :, :]
+    for k in range(2):
+        out[..., 1, k, :, k, :] += rest_b
+        out[..., 2, :, k, :, k] += rest_a
+    return out.reshape(lead + (3, 4, 4))
+
+
+def partial_transpose_b(m: np.ndarray) -> np.ndarray:
+    """Transpose qubit B of a (..., 4, 4) array of two-qubit matrices."""
+    lead = m.shape[:-2]
+    return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-3, -1).reshape(*lead, 4, 4)
+
+
+def ppt_margins(m: np.ndarray) -> np.ndarray:
+    """Oracle of the X-state block test, for any (..., 4, 4) state:
+    -(smallest partial-transpose eigenvalue) of rho, its A->B map and its
+    B->A map, by dense eigvalsh, as (..., 3)."""
+    return -np.linalg.eigvalsh(partial_transpose_b(depolarized(m)))[..., 0]
+
+
 def random_system(rng: np.random.Generator, phase: Phase,
                   gamma_range=(1e-3, 0.05)) -> sl.SystemParams:
     """Random valid parameters safely inside the requested phase."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from steerlab.correlations import (
     X_TOL,
     Method,
     _closed_margins,
-    _depolarized,
-    _general_margins,
     _non_x,
+    _ppt_margins,
     _rho14_inert,
     _x_entries,
     check_hierarchy,
@@ -27,8 +27,10 @@ from steerlab.rates import Statistics
 from conftest import (
     Direction,
     Phase,
+    depolarized,
     eigen_populations,
     one_cell,
+    ppt_margins,
     random_system,
     row0,
     werner_state,
@@ -57,12 +59,12 @@ def factors(x):
 
 def steering_map(rho, direction):
     """The partially depolarized state whose entanglement witnesses steering."""
-    return _depolarized(rho.entries)[1 if direction is Direction.A_TO_B else 2]
+    return depolarized(rho.entries)[1 if direction is Direction.A_TO_B else 2]
 
 
 def ppt(m):
     """(entangled, margin) of a (4, 4) state by the partial transpose."""
-    margin = _general_margins(m)[0]
+    margin = ppt_margins(m)[0]
     return margin > PPT_TOL, margin
 
 
@@ -81,18 +83,28 @@ def closed_bell(x):
     return margin > MARGIN_TOL, margin
 
 
-def xstate_strategy():
-    """Random valid X states (rho14 = 0) with a consistent coherence."""
-    def build(pops, coh_frac, phase):
+def x_matrix(pops, rho23=0.0, rho14=0.0):
+    """The local-basis X state with populations pops and coherences rho23, rho14."""
+    m = np.diag(np.asarray(pops, dtype=complex))
+    m[1, 2], m[2, 1] = rho23, np.conj(rho23)
+    m[0, 3], m[3, 0] = rho14, np.conj(rho14)
+    return m
+
+
+def xstate_strategy(with_rho14=False):
+    """Random valid X states with a consistent coherence rho23, and rho14 = 0
+    unless with_rho14, which draws |rho14| up to sqrt(rho11 rho44)."""
+    def build(pops, coh_frac, phase, outer_frac, outer_phase):
         pops = np.array(pops) / sum(pops)
         coh = coh_frac * math.sqrt(pops[1] * pops[2]) * np.exp(1j * phase)
-        m = np.diag(pops.astype(complex))
-        m[1, 2], m[2, 1] = coh, np.conj(coh)
-        return sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
+        outer = outer_frac * math.sqrt(pops[0] * pops[3]) * np.exp(1j * outer_phase)
+        return sl.DensityMatrix4(entries=x_matrix(pops, coh, outer), basis=Basis.LOCAL)
     return st.builds(
         build,
         st.tuples(*[st.floats(0.01, 1.0) for _ in range(4)]),
         st.floats(0.0, 0.999),
+        st.floats(0.0, 2 * math.pi),
+        st.floats(0.0, 1.0) if with_rho14 else st.just(0.0),
         st.floats(0.0, 2 * math.pi),
     )
 
@@ -166,6 +178,47 @@ class TestPPT:
     def test_werner_boundary(self):
         _, margin = ppt(werner_state(1 / 3).entries)
         assert margin == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBlockTest:
+    """The exact X-state block test against the dense eigvalsh oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(xstate_strategy(with_rho14=True))
+    def test_matches_oracle(self, rho):
+        got = _ppt_margins(xstate(rho))
+        assert np.max(np.abs(got - ppt_margins(rho.entries))) < 1e-13
+
+    def test_matches_oracle_over_a_batch(self, rng):
+        pops = rng.dirichlet(np.ones(4), size=64)
+        phases = np.exp(2j * np.pi * rng.random((2, 64)))
+        rho23 = rng.random(64) * np.sqrt(pops[:, 1] * pops[:, 2]) * phases[0]
+        rho14 = rng.random(64) * np.sqrt(pops[:, 0] * pops[:, 3]) * phases[1]
+        m = np.array([x_matrix(*args) for args in zip(pops, rho23, rho14)])
+        got = _ppt_margins(_x_entries(m))
+        assert got.shape == (64, 3)
+        assert np.max(np.abs(got - ppt_margins(m))) < 1e-13
+
+    def test_phi_plus_falls_back_to_block_test(self):
+        # |Phi+> = (|00> + |11>)/sqrt(2): all coherence in rho14
+        m = x_matrix([0.5, 0, 0, 0.5], rho14=0.5)
+        rep = classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+        assert rep.method is Method.GENERAL_PPT
+        assert rep.entangled and rep.steer_a_to_b and rep.steer_b_to_a
+        assert rep.margin_ent == pytest.approx(0.5, abs=1e-15)
+        got = (rep.margin_ent, rep.margin_ab, rep.margin_ba)
+        assert np.max(np.abs(np.subtract(got, ppt_margins(m)))) < 1e-15
+        assert not rep.bell and math.isnan(rep.margin_bell)
+
+    def test_rotated_bell_state_is_rejected(self):
+        # a Hadamard on qubit A takes |psi-> out of the X pattern
+        h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        u = np.kron(h, np.eye(2))
+        m = u @ werner_state(1.0).entries @ u.conj().T
+        assert ppt_margins(m)[0] == pytest.approx(0.5, abs=1e-12)
+        for dual in (True, False):
+            with pytest.raises(ValueError, match="X states only"):
+                classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL), dual=dual)
 
 
 class TestClosedForms:
@@ -291,20 +344,25 @@ class TestClassify:
         law = 0.25 * (p00 - p11) * ((pm - pp) * math.cos(theta) + correction)
         assert f_b == pytest.approx(law, abs=1e-10)
 
-    def test_dense_state_uses_general_route(self, rng):
+    def test_dense_state_raises(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = a @ a.conj().T
         m /= m.trace().real
-        rep = classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
-        assert rep.method is Method.GENERAL_PPT
+        with pytest.raises(ValueError, match="X states only"):
+            classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
 
     def test_general_margins_match_explicit_construction(self, rng):
         half = np.eye(2) / 2
         depol = 1 / SQ3
         for _ in range(50):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = a @ a.conj().T
-            m /= m.trace().real
+            # populations of at least 0.025 and |rho14| of at least half its
+            # bound keep rho14 non-inert, so the block test alone classifies
+            pops = rng.uniform(0.1, 1.0, 4)
+            pops /= pops.sum()
+            phases = np.exp(2j * np.pi * rng.random(2))
+            m = x_matrix(pops,
+                         rng.uniform(0.0, 1.0) * math.sqrt(pops[1] * pops[2]) * phases[0],
+                         rng.uniform(0.5, 1.0) * math.sqrt(pops[0] * pops[3]) * phases[1])
             rho_a = np.array([[m[2 * i, 2 * j] + m[2 * i + 1, 2 * j + 1] for j in range(2)]
                               for i in range(2)])
             rho_b = np.array([[m[i, j] + m[2 + i, 2 + j] for j in range(2)] for i in range(2)])
@@ -337,6 +395,28 @@ class TestClassify:
         rep = classify(werner_state(0.9), dual=False)
         assert rep.method is Method.X_CLOSED_FORM
         assert rep.bell
+
+    @pytest.mark.parametrize("code,m", [
+        (0, x_matrix([0.6, 0.5, -0.1, 0.0])),
+        (1, x_matrix([0.3, 0.3, 0.3, 0.3])),
+        (2, x_matrix([0.25] * 4, rho23=0.3)),
+        (3, x_matrix([0.25] * 4, rho14=0.3j)),
+    ])
+    def test_dual_disabled_masks_a_faulty_cell(self, code, m):
+        # the faulty cell is the only one the closed form leaves out, and no
+        # cell runs the block test alone
+        good = werner_state(0.9).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sl.classify(np.array([good, m]), dual=False)
+        assert rep.fault.tolist() == [-1, code]
+        assert rep.method is Method.X_CLOSED_FORM
+        alone = sl.classify(good[None], dual=False)
+        for flag, margin in ((rep.entangled, rep.margin_ent), (rep.steer_a_to_b, rep.margin_ab),
+                             (rep.steer_b_to_a, rep.margin_ba), (rep.bell, rep.margin_bell)):
+            assert not flag[1] and math.isnan(margin[1])
+        for k in range(8):
+            assert rep[k][0] == alone[k][0]
 
     def test_hierarchy_assert_fires_on_inconsistent_report(self):
         # steerable A->B but not entangled; Bell without two-way steering
