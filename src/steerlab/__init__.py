@@ -22,9 +22,7 @@ from .generator import (
     build_generator,
 )
 from .steady import (
-    EquilibriumState,
     SteadyArrays,
-    equilibrium_analytic,
     evolve,
     steady_state,
 )

@@ -189,16 +189,12 @@ FIELDS = tuple(f.name for f in fields(GridCell))
 @dataclass(frozen=True)
 class RegionMap:
     """Row-major grid of cells (y outer, x inner) as one (ny*nx,) array per
-    GridCell field, which `cell` and `cells` view as GridCells; diagnostics
+    GridCell field, which `cells` views as GridCells; diagnostics
     holds the worst steady-state solver values over the grid (see sweep2d)."""
 
     config: SweepConfig
     columns: dict[str, np.ndarray]
     diagnostics: dict[str, float] = field(default_factory=dict)
-
-    def cell(self, ix: int, iy: int) -> GridCell:
-        i = iy * self.config.nx + ix
-        return GridCell(*(col[i].item() for col in self.columns.values()))
 
     @property
     def cells(self) -> tuple[GridCell, ...]:
@@ -220,7 +216,7 @@ def _pipeline(cells: Cells):
     """
     g = build_generator(cells)
     st = steady_state(g.total, g.vectors)
-    c = classify(st.local)
+    c = classify(st.local_x)
     bad = (c.fault >= 0) & st.positive
     if np.count_nonzero(bad):
         raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(bad)]])
@@ -298,7 +294,7 @@ def _margins(cells: Cells, criterion: Criterion) -> list[float]:
     """Criterion margins of cells as one batch, through the single-route
     classification; a state that fails classification raises."""
     g = build_generator(cells)
-    c = classify(steady_state(g.total, g.vectors).local, dual=False)
+    c = classify(steady_state(g.total, g.vectors).local_x, dual=False)
     fault = c.fault >= 0
     if np.count_nonzero(fault):
         raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(fault)]])

@@ -33,7 +33,7 @@ from .analysis import (
     threshold_kappa,
 )
 from .errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
-from .generator import build_generator
+from .generator import build_generator, from_vector6
 from .model import STATE_POSITIONS, Basis, DensityMatrix4, SystemParams
 from .rates import Cells, ReservoirSpec, Statistics
 from .steady import evolve, steady_state
@@ -277,6 +277,14 @@ def _density_entries(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def _x_matrix(x: np.ndarray) -> np.ndarray:
+    """The local-basis 4x4 state of the X entries x (6,): rho11, rho22, rho33,
+    rho44, rho23 and rho14."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[[1, 0], [2, 3]] = x[4:]
+    return m + m.conj().T + np.diag(x[:4].real)
+
+
 def _atomic_write(path: str, text: str) -> str:
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -340,8 +348,8 @@ def cmd_steady(cfg: dict) -> int:
     }
     bose = g.cells.statistics is Statistics.BOSE
     report = {
-        "state_energy_basis": _density_entries(st.energy[0]),
-        "state_local_basis": _density_entries(st.local[0]),
+        "state_energy_basis": _density_entries(from_vector6(st.vector6[0])),
+        "state_local_basis": _density_entries(_x_matrix(st.local_x[0])),
         "residual": st.residual[0],
         "min_eigenvalue": st.min_eigenvalue[0],
         "positivity_ok": positive,

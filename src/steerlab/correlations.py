@@ -1,8 +1,10 @@
 """Entanglement, directional steerability, and Bell-nonlocality classification.
 
-Every state classified here is an X state (only the diagonal and the
-anti-diagonal are nonzero; any other input raises ValueError).  Two routes
-are implemented and cross-checked:
+Every state classified here is an X state: only the diagonal and the
+anti-diagonal are nonzero, so `classify` takes the six X entries (rho11,
+rho22, rho33, rho44, rho23, rho14) of each state, as steady.steady_state
+returns them, and no other state can be passed.  Two routes are implemented
+and cross-checked:
 
 * closed-form inequalities on the X entries (valid while the outer coherence
   rho14 is negligible against rho23), and
@@ -34,8 +36,6 @@ from .model import lower_eigenvalue
 MARGIN_TOL = 1e-12
 # PPT negativity threshold
 PPT_TOL = 1e-10
-# largest non-X entry an X state may carry
-X_TOL = 1e-10
 
 _DEPOL = 1.0 / math.sqrt(3.0)
 # populations @ _MAP_DIAGONALS: the diagonals of rho and of its A->B map
@@ -52,9 +52,6 @@ class Method(enum.Enum):
     GENERAL_PPT = "general-ppt"
     BOTH = "both"
 
-
-# entries an X state may carry: the diagonal and the anti-diagonal
-_X_ENTRIES = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 # validity conditions of an X state, in the order they are tested
 XSTATE_FAULTS = (
@@ -101,17 +98,11 @@ class XState:
     rho14: float
 
 
-def _x_entries(m: np.ndarray) -> XState:
-    # [()] turns the entries of a single (4, 4) state into numpy scalars
-    rho23, rho14 = m[..., 1, 2], m[..., 0, 3]
-    return XState(m[..., 0, 0].real[()], m[..., 1, 1].real[()], m[..., 2, 2].real[()],
-                  m[..., 3, 3].real[()], np.hypot(rho23.real, rho23.imag)[()],
-                  np.hypot(rho14.real, rho14.imag)[()])
-
-
-def _non_x(m: np.ndarray) -> np.ndarray:
-    """Largest entry outside the X pattern, per (..., 4, 4) matrix."""
-    return np.abs(m[..., ~_X_ENTRIES]).max(axis=-1)
+def _x_entries(x: np.ndarray) -> XState:
+    # [()] turns the entries of a single (6,) vector into numpy scalars
+    pops, rho23, rho14 = x[..., :4].real, x[..., 4], x[..., 5]
+    return XState(pops[..., 0][()], pops[..., 1][()], pops[..., 2][()], pops[..., 3][()],
+                  np.hypot(rho23.real, rho23.imag)[()], np.hypot(rho14.real, rho14.imag)[()])
 
 
 def _ppt_margins(x: XState) -> np.ndarray:
@@ -183,7 +174,9 @@ def check_hierarchy(entangled, steer_a_to_b, steer_b_to_a, bell) -> None:
 
 
 class Classification(NamedTuple):
-    """Verdicts and margins of states over leading cell axes, and the route.
+    """Verdicts and margins of the X states passed to classify, over their
+    leading cell axes (all but the last axis of the (..., 6) input), and the
+    route.
 
     Margins are left-minus-right values of the respective inequalities
     (probability-squared units on the closed-form route, eigenvalue units on
@@ -206,18 +199,16 @@ class Classification(NamedTuple):
     fault: np.ndarray
 
 
-def classify(m: np.ndarray, dual: bool = True) -> Classification:
-    """Classify local-basis X states (..., 4, 4).
+def classify(x: np.ndarray, dual: bool = True) -> Classification:
+    """Classify local-basis X states given by their X entries (..., 6):
+    rho11, rho22, rho33, rho44, rho23 and rho14 (SteadyArrays.local_x).
 
     Where rho14 is inert the closed forms supply the margins; with dual=True
     the exact X-state block test runs as well and any verdict disagreement
     raises.  Other X states fall back to the block test alone (bell False,
-    margin nan).  A non-X entry above X_TOL raises ValueError first.
+    margin nan).
     """
-    non_x = _non_x(m)
-    if np.count_nonzero(non_x > X_TOL):
-        raise ValueError(f"classify takes X states only; a non-X entry reads {np.max(non_x):.3g}")
-    x = _x_entries(m)
+    x = _x_entries(x)
     fault = xstate_fault(x)
     closed = (fault < 0) & _rho14_inert(x)
     # the block test alone where the closed form does not apply; a faulty

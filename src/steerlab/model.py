@@ -168,19 +168,13 @@ def lower_eigenvalue(a, b, c_abs):
     return 0.5 * (a + b) - np.hypot(0.5 * (a - b), c_abs)
 
 
-def conjugate(m: np.ndarray, v: np.ndarray, to_local: bool) -> np.ndarray:
-    """V m V^dagger (to_local) or V^dagger m V, Hermitized, over leading axes."""
-    vh = v.conj().swapaxes(-1, -2)
-    out = v @ m @ vh if to_local else vh @ m @ v
-    return 0.5 * (out + out.conj().swapaxes(-1, -2))
-
-
 def basis_change(rho: DensityMatrix4, target: Basis, vectors: np.ndarray) -> DensityMatrix4:
-    """Unitary conjugation between the local and energy bases.
+    """Unitary conjugation between the local and energy bases, Hermitized.
 
     With V the (4, 4) eigenvector columns, rho_local = V rho_energy V^dagger.
     """
     if rho.basis is target:
         return rho
-    m = conjugate(rho.entries, vectors, to_local=target is Basis.LOCAL)
-    return DensityMatrix4(entries=m, basis=target)
+    v = vectors if target is Basis.LOCAL else vectors.conj().T
+    m = v @ rho.entries @ v.conj().T
+    return DensityMatrix4(entries=0.5 * (m + m.conj().T), basis=target)

@@ -1,34 +1,25 @@
-"""Steady-state solve, time evolution, and the analytic equilibrium solution.
+"""Steady-state solve and time evolution.
 
 The steady state is the null vector of the 6x6 evolution matrix, normalized to
 unit population sum.  Eliminating the coherence pair leaves one real 4x4 solve
-for the populations, and the state is Hermitian by construction.  Positivity
-of the resulting density matrix is reported, never silently repaired.
-`steady_state` solves N generators at once over a leading cell axis; a single
-point is the one-cell batch.
+for the populations, and the state is Hermitian by construction.  Its six
+energy-basis entries map onto the six X entries of the local basis, so the
+state stays a 6-entry vector in both bases.  Positivity of the resulting
+density matrix is reported, never silently repaired.  `steady_state` solves N
+generators at once over a leading cell axis; a single point is the one-cell
+batch.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateSteadyStateError
-from .generator import GeneratorArrays, from_vector6, to_vector6
-from .model import (
-    Basis,
-    DensityMatrix4,
-    POSITIVITY_TOL,
-    SystemParams,
-    basis_change,
-    conjugate,
-    eigensystem,
-    lower_eigenvalue,
-)
-from .rates import Cells, ReservoirSpec, Statistics, cell_occupations
+from .errors import DegenerateSteadyStateError
+from .generator import GeneratorArrays, to_vector6
+from .model import Basis, DensityMatrix4, POSITIVITY_TOL, basis_change, lower_eigenvalue
 
 RESIDUAL_TOL = 1e-10
 # floor of the null-space certificate: |det| over the Hadamard bound of the
@@ -36,15 +27,25 @@ RESIDUAL_TOL = 1e-10
 NULL_TOL = 8 * np.finfo(float).eps
 # stability bound on the fixed RK4 step: dt <= DT_SAFETY / ||M||_inf
 DT_SAFETY = 0.1
+# rows and columns of the local-basis X entries rho11, rho22, rho33, rho44,
+# rho23 and rho14 (down), and of the six energy-basis entries of vector6
+# (across): the (6, 6) index grids of the map from vector6 to local_x
+_X_ROWS, _X_COLUMNS = np.array([[0, 1, 2, 3, 1, 0], [0, 1, 2, 3, 2, 3]])[..., None]
+_V6_ROWS, _V6_COLUMNS = np.array([[0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]])
 
 
 class SteadyArrays(NamedTuple):
-    """Steady states of N cells over the leading cell axis."""
+    """Steady states of N cells over the leading cell axis.
 
-    vector6: np.ndarray    # (N, 6)
+    Each state has six independent entries in either basis: vector6 holds
+    them in the energy basis (generator order), local_x the X entries of the
+    local basis (the diagonal, rho23 and rho14; rho32 and rho41 are their
+    conjugates, and every other entry is 0).
+    """
+
+    vector6: np.ndarray    # (N, 6) energy basis
     residual: np.ndarray   # (N,)
-    energy: np.ndarray     # (N, 4, 4) energy basis
-    local: np.ndarray      # (N, 4, 4) local basis
+    local_x: np.ndarray    # (N, 6) local basis: rho11, rho22, rho33, rho44, rho23, rho14
     min_eigenvalue: np.ndarray
     positive: np.ndarray
     null_ratio: np.ndarray  # (N,) |det| / Hadamard bound of the bordered matrix
@@ -66,7 +67,9 @@ def min_eigenvalue_energy(v: np.ndarray) -> np.ndarray:
 def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
     """Solve M|rho> = 0 for N matrices (N,6,6) by one real 4x4 solve each.
 
-    vectors (N,4,4) carry each state to the local basis.  In every template the
+    vectors (N,4,4), the real eigenvector columns V, carry each state to the
+    local basis: local_x entry (i, j) is the sum over the six entries v_ab of
+    vector6 of V[i,a] V[j,b] v_ab, one real linear map.  In every template the
     coherence pair couples to the populations p through one real column B
     (M[:4,4] = M[:4,5]) and one real row C (M[4,:4] = M[5,:4]), with diagonal
     -z, -z*, z = G - iW.  So c = (C.p)/z, and p spans the null space of the real
@@ -116,10 +119,11 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
             raise DegenerateSteadyStateError(
                 f"steady-state residual {residual[cells[i]]:.3g} exceeds "
                 f"{RESIDUAL_TOL} * max(1, max|M|) = {tol[i]:.3g}")
-    energy = from_vector6(v)
+    real = vectors.real
+    local_x = np.einsum("nka,nka,na->nk", real[:, _X_ROWS, _V6_ROWS],
+                        real[:, _X_COLUMNS, _V6_COLUMNS], v)
     min_eig = min_eigenvalue_energy(v)
-    return SteadyArrays(v, residual, energy, conjugate(energy, vectors, to_local=True),
-                        min_eig, min_eig >= -POSITIVITY_TOL, ratio)
+    return SteadyArrays(v, residual, local_x, min_eig, min_eig >= -POSITIVITY_TOL, ratio)
 
 
 def max_stable_dt(g: GeneratorArrays) -> float:
@@ -177,70 +181,3 @@ def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float,
     times.setflags(write=False)
     vectors.setflags(write=False)
     return times, vectors
-
-
-@dataclass(frozen=True)
-class EquilibriumState:
-    """Closed-form equilibrium steady state in both bases."""
-
-    energy: DensityMatrix4
-    local: DensityMatrix4
-
-
-def equilibrium_analytic(p: SystemParams, r: ReservoirSpec) -> EquilibriumState:
-    """Analytic equilibrium solution of p with both qubits at reservoir r,
-    from the closed-form populations.
-
-    Bosonic phases carry the normalization R = (1+2p)(1+2q) with p, q the
-    occupations at eps_plus, eps_minus; the fermionic (weak phase only)
-    populations are the grand-canonical products.
-    """
-    c = Cells.of([(p, r, r)])
-    _, vectors, _ = eigensystem(c.bar_eps, c.omega, c.theta, c.strong)
-    theta = c.theta.item()
-    np_, nq = cell_occupations(c)[0, 0].tolist()
-    c2 = math.cos(theta / 2) ** 2
-    s2 = math.sin(theta / 2) ** 2
-    sin_th = math.sin(theta)
-    if r.statistics is Statistics.BOSE:
-        norm = (1 + 2 * np_) * (1 + 2 * nq)
-        diag = np.array([(1 + np_) * (1 + nq), (1 + np_) * nq, (1 + nq) * np_, np_ * nq])
-        diag /= norm
-        if not c.strong[0]:
-            local_diag = [
-                diag[0],
-                (s2 * np_ + c2 * nq + np_ * nq) / norm,
-                (c2 * np_ + s2 * nq + np_ * nq) / norm,
-                diag[3],
-            ]
-            rho23 = sin_th * (np_ - nq) / (2 * norm)
-        else:
-            local_diag = [
-                diag[1],
-                (c2 * (1 + np_ + nq) + np_ * nq) / norm,
-                (s2 * (1 + np_ + nq) + np_ * nq) / norm,
-                diag[2],
-            ]
-            rho23 = -sin_th * (1 + np_ + nq) / (2 * norm)
-    else:
-        if c.strong[0]:
-            raise ConfigurationError("fermionic setup supports the weak phase only")
-        diag = np.array([(1 - np_) * (1 - nq), (1 - np_) * nq, (1 - nq) * np_, np_ * nq])
-        local_diag = [
-            diag[0],
-            s2 * np_ + c2 * nq - np_ * nq,
-            c2 * np_ + s2 * nq - np_ * nq,
-            diag[3],
-        ]
-        rho23 = sin_th * (np_ - nq) / 2
-    energy = DensityMatrix4(entries=np.diag(diag.astype(complex)), basis=Basis.ENERGY)
-    m_local = np.diag(np.array(local_diag, dtype=complex))
-    m_local[1, 2] = rho23
-    m_local[2, 1] = np.conj(rho23)
-    local = DensityMatrix4(entries=m_local, basis=Basis.LOCAL)
-    # cross-route sanity: the two closed forms must be basis changes of each other
-    back = basis_change(energy, Basis.LOCAL, vectors[0]).entries
-    mismatch = np.max(np.abs(back - local.entries))
-    if mismatch > 1e-12:
-        raise AssertionError(f"analytic equilibrium bases disagree by {mismatch:.3g}")
-    return EquilibriumState(energy=energy, local=local)

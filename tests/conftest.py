@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import fields
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
 from types import SimpleNamespace
 
@@ -17,7 +18,9 @@ import pytest
 
 import steerlab as sl
 from steerlab.analysis import Axis, SweepConfig
-from steerlab.rates import COEFFICIENTS, Statistics, occupations
+from steerlab.errors import ConfigurationError
+from steerlab.generator import from_vector6
+from steerlab.rates import COEFFICIENTS, Statistics, cell_occupations, occupations
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
 
@@ -134,6 +137,29 @@ def ppt_margins(m: np.ndarray) -> np.ndarray:
     return -np.linalg.eigvalsh(partial_transpose_b(depolarized(m)))[..., 0]
 
 
+# rows and columns of the X entries rho11, rho22, rho33, rho44, rho23, rho14
+X_ROWS, X_COLUMNS = [0, 1, 2, 3, 1, 0], [0, 1, 2, 3, 2, 3]
+# entries an X state may carry: the diagonal and the anti-diagonal
+X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
+def x_vector(m: np.ndarray) -> np.ndarray:
+    """The X entries (..., 6) that classify takes, of dense local-basis X
+    states (..., 4, 4); a non-X entry above 1e-10 raises ValueError."""
+    m = np.asarray(m, dtype=complex)
+    non_x = np.abs(m[..., ~X_PATTERN]).max()
+    if non_x > 1e-10:
+        raise ValueError(f"classify takes X states only; a non-X entry reads {non_x:.3g}")
+    return m[..., X_ROWS, X_COLUMNS]
+
+
+def dense_local(v: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Oracle of SteadyArrays.local_x: the dense local-basis states
+    V from_vector6(v) V^dagger (..., 4, 4) of 6-entry vectors v (..., 6), by
+    matmul over the eigenvector columns V (..., 4, 4)."""
+    return vectors @ from_vector6(v) @ vectors.conj().swapaxes(-1, -2)
+
+
 def random_system(rng: np.random.Generator, phase: Phase,
                   gamma_range=(1e-3, 0.05)) -> sl.SystemParams:
     """Random valid parameters safely inside the requested phase."""
@@ -191,6 +217,73 @@ def eigen_populations(local: np.ndarray, vectors: np.ndarray, strong: bool) -> n
     order)."""
     pops = np.einsum("ik,ij,jk->k", vectors.conj(), local, vectors).real
     return pops[[1, 2, 0, 3]] if strong else pops[[0, 3, 1, 2]]
+
+
+@dataclass(frozen=True)
+class EquilibriumState:
+    """Closed-form equilibrium steady state in both bases (the c02 oracle)."""
+
+    energy: sl.DensityMatrix4
+    local: sl.DensityMatrix4
+
+
+def equilibrium_analytic(p: sl.SystemParams, r: sl.ReservoirSpec) -> EquilibriumState:
+    """Oracle: the analytic equilibrium solution of p with both qubits at
+    reservoir r, from the closed-form populations.
+
+    Bosonic phases carry the normalization R = (1+2p)(1+2q) with p, q the
+    occupations at eps_plus, eps_minus; the fermionic (weak phase only)
+    populations are the grand-canonical products.
+    """
+    c = sl.Cells.of([(p, r, r)])
+    _, vectors, _ = sl.eigensystem(c.bar_eps, c.omega, c.theta, c.strong)
+    theta = c.theta.item()
+    np_, nq = cell_occupations(c)[0, 0].tolist()
+    c2 = math.cos(theta / 2) ** 2
+    s2 = math.sin(theta / 2) ** 2
+    sin_th = math.sin(theta)
+    if r.statistics is Statistics.BOSE:
+        norm = (1 + 2 * np_) * (1 + 2 * nq)
+        diag = np.array([(1 + np_) * (1 + nq), (1 + np_) * nq, (1 + nq) * np_, np_ * nq])
+        diag /= norm
+        if not c.strong[0]:
+            local_diag = [
+                diag[0],
+                (s2 * np_ + c2 * nq + np_ * nq) / norm,
+                (c2 * np_ + s2 * nq + np_ * nq) / norm,
+                diag[3],
+            ]
+            rho23 = sin_th * (np_ - nq) / (2 * norm)
+        else:
+            local_diag = [
+                diag[1],
+                (c2 * (1 + np_ + nq) + np_ * nq) / norm,
+                (s2 * (1 + np_ + nq) + np_ * nq) / norm,
+                diag[2],
+            ]
+            rho23 = -sin_th * (1 + np_ + nq) / (2 * norm)
+    else:
+        if c.strong[0]:
+            raise ConfigurationError("fermionic setup supports the weak phase only")
+        diag = np.array([(1 - np_) * (1 - nq), (1 - np_) * nq, (1 - nq) * np_, np_ * nq])
+        local_diag = [
+            diag[0],
+            s2 * np_ + c2 * nq - np_ * nq,
+            c2 * np_ + s2 * nq - np_ * nq,
+            diag[3],
+        ]
+        rho23 = sin_th * (np_ - nq) / 2
+    energy = sl.DensityMatrix4(entries=np.diag(diag.astype(complex)), basis=sl.Basis.ENERGY)
+    m_local = np.diag(np.array(local_diag, dtype=complex))
+    m_local[1, 2] = rho23
+    m_local[2, 1] = np.conj(rho23)
+    local = sl.DensityMatrix4(entries=m_local, basis=sl.Basis.LOCAL)
+    # cross-route sanity: the two closed forms must be basis changes of each other
+    back = sl.basis_change(energy, sl.Basis.LOCAL, vectors[0]).entries
+    mismatch = np.max(np.abs(back - local.entries))
+    if mismatch > 1e-12:
+        raise AssertionError(f"analytic equilibrium bases disagree by {mismatch:.3g}")
+    return EquilibriumState(energy=energy, local=local)
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from steerlab.steady import max_stable_dt
 from conftest import (
     PRESET_NAMES,
     Phase,
+    equilibrium_analytic,
     gibbs_local,
     load_preset_config,
     one_cell,
@@ -40,6 +41,7 @@ from conftest import (
     record_criterion,
     row0,
     werner_state,
+    x_vector,
 )
 
 BOSE = Statistics.BOSE
@@ -65,7 +67,7 @@ def steady_report(p, ta, tb, stat=BOSE, mua=0.0, mub=0.0):
 
 def classify(rho, dual=True):
     """Row 0 of the classification of rho as the one-cell batch."""
-    return row0(sl.classify(rho.entries[None], dual=dual))
+    return row0(sl.classify(x_vector(rho.entries[None]), dual=dual))
 
 
 # --------------------------------------------------------------------------
@@ -140,13 +142,14 @@ def test_c02_equilibrium_oracles():
             mu = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
             r = sl.ReservoirSpec(stat, t, mu)
             _, ss = one_cell(p, r, r)
-            ana = sl.equilibrium_analytic(p, r)
+            ana = equilibrium_analytic(p, r)
             oracle = gibbs_local(p, 1.0 / t, mu)
+            # x_vector raises on a non-X entry of the oracles above 1e-10
             worst = max(
                 worst,
-                float(np.max(np.abs(ss.local[0] - ana.local.entries))),
-                float(np.max(np.abs(ss.energy[0] - ana.energy.entries))),
-                float(np.max(np.abs(ss.local[0] - oracle))),
+                float(np.max(np.abs(ss.local_x[0] - x_vector(ana.local.entries)))),
+                float(np.max(np.abs(from_vector6(ss.vector6[0]) - ana.energy.entries))),
+                float(np.max(np.abs(ss.local_x[0] - x_vector(oracle)))),
             )
     ok = worst < 1e-10
     record_criterion(2, "equilibrium = closed form = Gibbs for 200 sets/setup "
@@ -350,9 +353,9 @@ def test_c08_trend_tables(preset_maps):
     xs = m6a.config.x_values()
     zero_ix = int(np.argmin(np.abs(xs)))
     sym_ok = True
+    two_way = (m6a.columns["steer_ab"] & m6a.columns["steer_ba"]).reshape(m6a.config.ny, -1)
     for iy in range(m6a.config.ny):
-        row = [m6a.cell(ix, iy) for ix in range(m6a.config.nx)]
-        steer = [c.steer_ab and c.steer_ba for c in row]
+        steer = two_way[iy].tolist()
         if any(steer):
             sym_ok &= steer[zero_ix]
             on = np.where(steer)[0]
@@ -368,8 +371,9 @@ def test_c08_trend_tables(preset_maps):
     neg_cells = sum(1 for c in m6b.cells if c.steer_ba and c.x < 0)
     asym_ok = pos_cells > neg_cells
     bounded_rows = strict_rows = 0
+    steer_ba = m6b.columns["steer_ba"].reshape(m6b.config.ny, -1)
     for iy in range(m6b.config.ny):
-        on = [ix for ix in range(m6b.config.nx) if m6b.cell(ix, iy).steer_ba]
+        on = np.flatnonzero(steer_ba[iy]).tolist()
         if not on or on[0] == 0 or on[-1] == m6b.config.nx - 1:
             continue
         bounded_rows += 1
@@ -558,10 +562,10 @@ def test_fermionic_equilibrium_needs_least_coupling(preset_maps):
     # zero chemical-potential bias
     m = preset_maps["fig7a"]
     ys = m.config.y_values()
+    two_way = (m.columns["steer_ab"] & m.columns["steer_ba"]).reshape(m.config.ny, -1)
     min_kappa = {}
     for ix in range(m.config.nx):
-        on = [iy for iy in range(m.config.ny)
-              if m.cell(ix, iy).steer_ab and m.cell(ix, iy).steer_ba]
+        on = np.flatnonzero(two_way[:, ix]).tolist()
         if on:
             min_kappa[float(m.config.x_values()[ix])] = ys[min(on)]
     assert min_kappa

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,7 +170,8 @@ class TestSweep2d:
         assert m.cells[0].x == xs[0] and m.cells[0].y == ys[0]
         assert m.cells[3].x == xs[3] and m.cells[3].y == ys[0]
         assert m.cells[4].x == xs[0] and m.cells[4].y == ys[1]
-        assert m.cell(2, 1).x == xs[2] and m.cell(2, 1).y == ys[1]
+        # cell (ix, iy) = (2, 1) is row-major entry 1 * 4 + 2
+        assert m.columns["x"][6] == xs[2] and m.columns["y"][6] == ys[1]
 
     def test_point_matches_row(self, monkeypatch):
         # a block of rows is one batch of the array kernels, a row is another
@@ -215,7 +217,8 @@ class TestSweep2d:
                                          "min_eigenvalue": min(eigenvalue),
                                          "min_null_space_ratio": min(ratio)}
                 for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
-                    cell = m.cell(ix, iy)
+                    cell = SimpleNamespace(**{k: c[iy * cfg.nx + ix].item()
+                                              for k, c in m.columns.items()})
                     _, ss, c, (_, current_b, sigma) = run_point(*cfg.point(cell.x, cell.y))
                     got = (c.entangled[0], c.steer_a_to_b[0], c.steer_b_to_a[0], c.bell[0],
                            ss.positive[0], c.margin_ent[0], c.margin_ab[0], c.margin_ba[0],

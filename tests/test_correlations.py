@@ -10,10 +10,8 @@ import steerlab as sl
 from steerlab.correlations import (
     MARGIN_TOL,
     PPT_TOL,
-    X_TOL,
     Method,
     _closed_margins,
-    _non_x,
     _ppt_margins,
     _rho14_inert,
     _x_entries,
@@ -27,6 +25,7 @@ from steerlab.rates import Statistics
 from conftest import (
     Direction,
     Phase,
+    dense_local,
     depolarized,
     eigen_populations,
     one_cell,
@@ -34,6 +33,7 @@ from conftest import (
     random_system,
     row0,
     werner_state,
+    x_vector,
 )
 
 SQ3 = math.sqrt(3)
@@ -41,12 +41,12 @@ SQ3 = math.sqrt(3)
 
 def xstate(rho):
     """The X entries of one local-basis state."""
-    return _x_entries(rho.entries)
+    return _x_entries(x_vector(rho.entries))
 
 
 def classify(rho, dual=True):
     """Row 0 of the classification of rho as the one-cell batch."""
-    return row0(sl.classify(rho.entries[None], dual=dual))
+    return row0(sl.classify(x_vector(rho.entries[None]), dual=dual))
 
 
 def factors(x):
@@ -120,9 +120,9 @@ class TestExtractXState:
         for phase in (Phase.WEAK, Phase.STRONG):
             p = random_system(rng, phase)
             r = sl.ReservoirSpec(Statistics.BOSE, 0.5)
-            _, ss = one_cell(p, r, sl.ReservoirSpec(Statistics.BOSE, 0.7))
-            assert _non_x(ss.local)[0] <= X_TOL
-            assert xstate_fault(_x_entries(ss.local))[0] == -1
+            g, ss = one_cell(p, r, sl.ReservoirSpec(Statistics.BOSE, 0.7))
+            x_vector(dense_local(ss.vector6, g.vectors))   # raises on a non-X entry
+            assert xstate_fault(_x_entries(ss.local_x))[0] == -1
 
 
 class TestSteeringMap:
@@ -195,7 +195,7 @@ class TestBlockTest:
         rho23 = rng.random(64) * np.sqrt(pops[:, 1] * pops[:, 2]) * phases[0]
         rho14 = rng.random(64) * np.sqrt(pops[:, 0] * pops[:, 3]) * phases[1]
         m = np.array([x_matrix(*args) for args in zip(pops, rho23, rho14)])
-        got = _ppt_margins(_x_entries(m))
+        got = _ppt_margins(_x_entries(x_vector(m)))
         assert got.shape == (64, 3)
         assert np.max(np.abs(got - ppt_margins(m))) < 1e-13
 
@@ -211,14 +211,14 @@ class TestBlockTest:
         assert not rep.bell and math.isnan(rep.margin_bell)
 
     def test_rotated_bell_state_is_rejected(self):
-        # a Hadamard on qubit A takes |psi-> out of the X pattern
+        # a Hadamard on qubit A takes |psi-> out of the X pattern; classify
+        # takes X entries only, so x_vector, which builds them, rejects it
         h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         u = np.kron(h, np.eye(2))
         m = u @ werner_state(1.0).entries @ u.conj().T
         assert ppt_margins(m)[0] == pytest.approx(0.5, abs=1e-12)
-        for dual in (True, False):
-            with pytest.raises(ValueError, match="X states only"):
-                classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL), dual=dual)
+        with pytest.raises(ValueError, match="X states only"):
+            x_vector(m)
 
 
 class TestClosedForms:
@@ -324,9 +324,10 @@ class TestClassify:
         p = sl.SystemParams(1.3, 0.7, 3.0, 0.01)
         r = sl.ReservoirSpec(Statistics.BOSE, 0.4)
         g, ss = one_cell(p, r, r)
-        rep = row0(sl.classify(ss.local))
-        p00, p11, pm, pp = eigen_populations(ss.local[0], g.vectors[0], g.cells.strong[0])
-        _, f_b = factors(_x_entries(ss.local[0]))
+        rep = row0(sl.classify(ss.local_x))
+        local = dense_local(ss.vector6[0], g.vectors[0])
+        p00, p11, pm, pp = eigen_populations(local, g.vectors[0], g.cells.strong[0])
+        _, f_b = factors(_x_entries(ss.local_x[0]))
         law = 0.25 * (p00 - p11) * (pm - pp) * math.cos(g.cells.theta[0])
         assert f_b == pytest.approx(law, abs=1e-10)
         assert f_b > 0   # eps_a > eps_b favors steering B -> A
@@ -337,8 +338,9 @@ class TestClassify:
         p = sl.SystemParams(1.3, 0.7, 1.0, 0.01)
         g, ss = one_cell(p, sl.ReservoirSpec(Statistics.BOSE, 0.45),
                          sl.ReservoirSpec(Statistics.BOSE, 0.65))
-        p00, p11, pm, pp = eigen_populations(ss.local[0], g.vectors[0], g.cells.strong[0])
-        _, f_b = factors(_x_entries(ss.local[0]))
+        local = dense_local(ss.vector6[0], g.vectors[0])
+        p00, p11, pm, pp = eigen_populations(local, g.vectors[0], g.cells.strong[0])
+        _, f_b = factors(_x_entries(ss.local_x[0]))
         theta = g.cells.theta[0]
         correction = 2 * math.sin(theta) * ss.vector6[0, 4].real
         law = 0.25 * (p00 - p11) * ((pm - pp) * math.cos(theta) + correction)
@@ -348,8 +350,9 @@ class TestClassify:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m = a @ a.conj().T
         m /= m.trace().real
+        # classify takes X entries only; x_vector, which builds them, rejects m
         with pytest.raises(ValueError, match="X states only"):
-            classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+            x_vector(m)
 
     def test_general_margins_match_explicit_construction(self, rng):
         half = np.eye(2) / 2
@@ -408,10 +411,10 @@ class TestClassify:
         good = werner_state(0.9).entries
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = sl.classify(np.array([good, m]), dual=False)
+            rep = sl.classify(x_vector(np.array([good, m])), dual=False)
         assert rep.fault.tolist() == [-1, code]
         assert rep.method is Method.X_CLOSED_FORM
-        alone = sl.classify(good[None], dual=False)
+        alone = sl.classify(x_vector(good[None]), dual=False)
         for flag, margin in ((rep.entangled, rep.margin_ent), (rep.steer_a_to_b, rep.margin_ab),
                              (rep.steer_b_to_a, rep.margin_ba), (rep.bell, rep.margin_bell)):
             assert not flag[1] and math.isnan(margin[1])
@@ -438,7 +441,7 @@ class TestClassify:
             _, ss = one_cell(p, ra, rb)
             if not ss.positive[0]:
                 continue
-            rep = row0(sl.classify(ss.local))   # raises on violation
+            rep = row0(sl.classify(ss.local_x))   # raises on violation
             if rep.bell:
                 assert rep.steer_a_to_b and rep.steer_b_to_a
             if rep.steer_a_to_b or rep.steer_b_to_a:

@@ -17,7 +17,7 @@ from steerlab.generator import (
 )
 from steerlab.rates import Statistics, rate_set
 
-from conftest import Phase, occupation, one_cell, random_system, rates
+from conftest import Phase, equilibrium_analytic, occupation, one_cell, random_system, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -301,7 +301,7 @@ class TestApplyAndVectors:
         # the numerical solver
         r = sl.ReservoirSpec(stat, t, mu)
         m = generator(p, r, r).total[0]
-        ana = sl.equilibrium_analytic(p, r)
+        ana = equilibrium_analytic(p, r)
         v, leak = to_vector6(ana.energy.entries)
         assert leak == 0.0
         assert np.max(np.abs(m @ v)) < 1e-12

@@ -15,7 +15,18 @@ from steerlab.model import Basis
 from steerlab.rates import Statistics
 from steerlab.steady import NULL_TOL, max_stable_dt, min_eigenvalue_energy, steady_state
 
-from conftest import Phase, gibbs_local, hermitize_vector6, one_cell, random_system, rates
+from conftest import (
+    X_PATTERN,
+    Phase,
+    dense_local,
+    equilibrium_analytic,
+    gibbs_local,
+    hermitize_vector6,
+    one_cell,
+    random_system,
+    rates,
+    x_vector,
+)
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -28,23 +39,23 @@ def make(p, ta, tb, stat=BOSE, mua=0.0, mub=0.0):
 
 def energy_state(ss) -> sl.DensityMatrix4:
     """The energy-basis state of a one-cell steady state."""
-    return sl.DensityMatrix4(entries=ss.energy[0], basis=Basis.ENERGY)
+    return sl.DensityMatrix4(entries=from_vector6(ss.vector6[0]), basis=Basis.ENERGY)
 
 
 class TestSteadyState:
     def test_equilibrium_matches_analytic_weak_bose(self):
         p = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
         g, ss = make(p, 0.5, 0.5)
-        ana = sl.equilibrium_analytic(p, sl.ReservoirSpec(BOSE, 0.5))
-        assert np.max(np.abs(ss.local[0] - ana.local.entries)) < 1e-10
-        assert np.max(np.abs(ss.energy[0] - ana.energy.entries)) < 1e-10
+        ana = equilibrium_analytic(p, sl.ReservoirSpec(BOSE, 0.5))
+        assert np.max(np.abs(ss.local_x[0] - x_vector(ana.local.entries))) < 1e-10
+        assert np.max(np.abs(from_vector6(ss.vector6[0]) - ana.energy.entries)) < 1e-10
         assert ss.residual[0] < 1e-10 and ss.positive[0]
 
     def test_symmetric_equilibrium_population_symmetry(self):
         p = sl.SystemParams(1.0, 1.0, 1.0, 0.01)
         _, ss = make(p, 0.5, 0.5)
-        m = ss.local[0]
-        assert m[1, 1].real == pytest.approx(m[2, 2].real, abs=1e-14)
+        x = ss.local_x[0]
+        assert x[1].real == pytest.approx(x[2].real, abs=1e-14)
 
     def test_nonequilibrium_coherence_grows_from_zero(self):
         p = sl.SystemParams(1.1, 0.9, 1.0, 0.01)
@@ -97,7 +108,60 @@ class TestSteadyState:
             mu = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
             g, ss = make(p, t, t, stat, mu, mu)
             oracle = gibbs_local(p, 1.0 / t, mu)
-            assert np.max(np.abs(ss.local[0] - oracle)) < 1e-10
+            assert np.max(np.abs(ss.local_x[0] - x_vector(oracle))) < 1e-10
+
+
+@st.composite
+def batches(draw):
+    """Generators of up to 16 cells of one statistics: bosonic batches mix the
+    weak and the strong phase, fermionic ones are weak (the only phase the
+    fermionic setup supports)."""
+    stat = draw(st.sampled_from([BOSE, FERMI]))
+    n = draw(st.integers(1, 16))
+
+    def column(*ranges):
+        return np.array(draw(st.lists(st.one_of(*(st.floats(*r) for r in ranges)),
+                                      min_size=n, max_size=n)))
+    eps_b = column((0.3, 1.5))
+    eps_a = eps_b * column((1.0, 3.0))
+    ratio = column((0.1, 0.9), (1.1, 2.5)) if stat is BOSE else column((0.1, 0.9))
+    mu_a, mu_b = (column((-0.5, 2.0)), column((-0.5, 2.0))) if stat is FERMI else (0.0, 0.0)
+    return sl.build_generator(sl.Cells.build(
+        eps_a, eps_b, ratio * 2.0 * np.sqrt(eps_a * eps_b), column((5e-3, 0.05)),
+        column((0.05, 2.0)), column((0.05, 2.0)), mu_a, mu_b, stat))
+
+
+class TestLocalX:
+    """local_x, the real linear map of vector6, against the dense oracle
+    V from_vector6(v) V^dagger."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=batches())
+    def test_matches_dense_oracle(self, g):
+        s = steady_state(g.total, g.vectors)
+        dense = dense_local(s.vector6, g.vectors)
+        assert np.count_nonzero(dense[:, ~X_PATTERN]) == 0
+        assert np.max(np.abs(s.local_x - x_vector(dense))) <= 1e-15
+
+    @pytest.mark.parametrize("params,stat,a,b", [
+        ((1.0, 1.0, 3.0), BOSE, (0.4, 0.0), (0.6, 0.0)),
+        ((1.3, 0.7, 1.0), BOSE, (0.45, 0.0), (0.65, 0.0)),
+        ((1.2, 0.8, 0.6), FERMI, (0.15, 0.4), (0.15, 1.3)),
+    ], ids=["strong-bose", "weak-bose", "weak-fermi"])
+    def test_report_local_state(self, params, stat, a, b, capsys):
+        # the steady report builds the only dense states of the program
+        eps_a, eps_b, kappa = params
+        assert main(["steady", f"--stat={stat.value}", f"--eps-a={eps_a}", f"--eps-b={eps_b}",
+                     f"--kappa={kappa}", "--gamma=0.01", f"--ta={a[0]}", f"--mua={a[1]}",
+                     f"--tb={b[0]}", f"--mub={b[1]}"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        local = np.array(rep["state_local_basis"]) @ [1, 1j]
+        g, ss = make(sl.SystemParams(*params, 0.01), a[0], b[0], stat, a[1], b[1])
+        energy = np.array(rep["state_energy_basis"]) @ [1, 1j]
+        assert np.array_equal(energy, from_vector6(ss.vector6[0]))
+        assert np.array_equal(local, local.conj().T)
+        assert np.count_nonzero(local[~X_PATTERN]) == 0
+        assert np.max(np.abs(local - dense_local(ss.vector6[0], g.vectors[0]))) <= 1e-15
 
 
 def eig_null_vector(total: np.ndarray) -> np.ndarray:
@@ -143,7 +207,7 @@ class TestBorderedSolve:
     @given(g=generators())
     def test_closed_form_min_eigenvalue(self, g):
         s = steady_state(g.total, g.vectors)
-        assert abs(s.min_eigenvalue[0] - np.linalg.eigvalsh(s.energy)[0, 0]) <= 1e-14
+        assert abs(s.min_eigenvalue[0] - np.linalg.eigvalsh(from_vector6(s.vector6))[0, 0]) <= 1e-14
 
     def test_closed_form_min_eigenvalue_of_non_positive_states(self, rng):
         v = rng.normal(size=(200, 6)) + 1j * rng.normal(size=(200, 6))
@@ -327,12 +391,12 @@ class TestEvolve:
 class TestEquilibriumAnalytic:
     def test_zero_temperature_limits(self):
         p_weak = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
-        ana = sl.equilibrium_analytic(p_weak, sl.ReservoirSpec(BOSE, 0.01))
+        ana = equilibrium_analytic(p_weak, sl.ReservoirSpec(BOSE, 0.01))
         assert ana.local.entries[0, 0].real == pytest.approx(1.0, abs=1e-10)
 
         p_strong = sl.SystemParams(1.5, 0.5, 3.0, 0.01)
         theta = math.atan2(p_strong.kappa, p_strong.eps_a - p_strong.eps_b)
-        ana = sl.equilibrium_analytic(p_strong, sl.ReservoirSpec(BOSE, 0.02))
+        ana = equilibrium_analytic(p_strong, sl.ReservoirSpec(BOSE, 0.02))
         m = ana.local.entries
         assert m[1, 2].real == pytest.approx(-math.sin(theta) / 2, abs=1e-9)
         assert m[1, 1].real == pytest.approx(math.cos(theta / 2) ** 2, abs=1e-9)
@@ -343,13 +407,13 @@ class TestEquilibriumAnalytic:
                                 (Phase.WEAK, FERMI, 0.9)):
             p = random_system(rng, phase)
             t = rng.uniform(0.2, 1.5)
-            ana = sl.equilibrium_analytic(p, sl.ReservoirSpec(stat, t, mu))
+            ana = equilibrium_analytic(p, sl.ReservoirSpec(stat, t, mu))
             assert np.max(np.abs(ana.local.entries - gibbs_local(p, 1 / t, mu))) < 1e-10
 
     def test_strong_fermi_rejected(self):
         p = sl.SystemParams(1, 1, 3, 0.01)
         with pytest.raises(ConfigurationError):
-            sl.equilibrium_analytic(p, sl.ReservoirSpec(FERMI, 0.2, 1.0))
+            equilibrium_analytic(p, sl.ReservoirSpec(FERMI, 0.2, 1.0))
 
 
 def test_long_time_evolution_matches_null_space(rng):
