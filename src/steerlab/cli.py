@@ -97,8 +97,13 @@ _MODE_FLAGS = {mode: [k for k in CONFIG_KEYS
                       if k.flag and (k.section == mode or k.section not in MODES)]
                for mode in MODES}
 
-# one grid cell in the FIELDS columns: %.17g floats, 0/1 flags
-CSV_ROW = "%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+# one grid cell in the FIELDS columns: the x and y text, the four verdict
+# flags' text, the six %.17g values and the positivity flag's text
+CSV_ROW = "%s%s%s%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
+# the text of the four verdict flags, "1,0,1,0," and so on, at 8 entangled +
+# 4 steer_ab + 2 steer_ba + bell; of positivity_ok, at positivity_ok
+FLAG_TEXT = tuple("%d,%d,%d,%d," % (k >> 3, k >> 2 & 1, k >> 1 & 1, k & 1) for k in range(16))
+POSITIVITY_TEXT = ("0\n", "1\n")
 # one trajectory step: t, the four populations, the e1-e2 coherence's re and im
 TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
@@ -285,6 +290,22 @@ def _x_matrix(x: np.ndarray) -> np.ndarray:
     return m + m.conj().T + np.diag(x[:4].real)
 
 
+def csv_text(columns: dict[str, np.ndarray], nx: int) -> str:
+    """The sweep CSV of a row-major grid's FIELDS columns, nx cells per row.
+
+    Only the six values go through %.17g per cell: each x and y value is
+    formatted once, and the flags are read from FLAG_TEXT and POSITIVITY_TEXT.
+    """
+    xs = ["%.17g," % v for v in columns["x"][:nx].tolist()]
+    ys = ["%.17g," % v for v in columns["y"][::nx].tolist()]
+    flags = (8 * columns["entangled"] + 4 * columns["steer_ab"] + 2 * columns["steer_ba"]
+             + columns["bell"]).tolist()
+    rows = zip(xs * len(ys), [y for y in ys for _ in xs], map(FLAG_TEXT.__getitem__, flags),
+               *(columns[name].tolist() for name in FIELDS[6:12]),
+               map(POSITIVITY_TEXT.__getitem__, columns["positivity_ok"].tolist()))
+    return "".join([",".join(FIELDS) + "\n"] + [CSV_ROW % row for row in rows])
+
+
 def _atomic_write(path: str, text: str) -> str:
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -294,9 +315,12 @@ def _atomic_write(path: str, text: str) -> str:
 
 
 def _emit(cfg: dict, text: str, started: float, masked: int = 0,
-          default_out: str | None = None, diagnostics: dict | None = None) -> str | None:
+          default_out: str | None = None, diagnostics: dict | None = None,
+          stages: dict | None = None) -> str | None:
     """Write text to the configured output and its manifest, or print it.
 
+    stages, if given, maps the stages run so far to their seconds; the
+    manifest's stage_seconds adds "write", the seconds of writing the output.
     diagnostics, if given, goes into the manifest after the outputs.
     Returns the path written, or None when the text went to stdout.
     """
@@ -304,14 +328,18 @@ def _emit(cfg: dict, text: str, started: float, masked: int = 0,
     if not out:
         sys.stdout.write(text)
         return None
+    writing = time.perf_counter()
     digest = _atomic_write(out, text)
+    done = time.perf_counter()
     manifest = {
         "config": cfg,
         "version": __version__,
-        "timing_seconds": time.perf_counter() - started,
-        "masked_cells": masked,
-        "outputs": {out: f"sha256:{digest}"},
+        "timing_seconds": done - started,
     }
+    if stages is not None:
+        manifest["stage_seconds"] = {**stages, "write": done - writing}
+    manifest["masked_cells"] = masked
+    manifest["outputs"] = {out: f"sha256:{digest}"}
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
     _atomic_write(out + ".manifest.json", dumps_fixed(manifest) + "\n")
@@ -373,12 +401,14 @@ def cmd_sweep(cfg: dict) -> int:
         system=system, statistics=ra.statistics,
         t_a=ra.temperature, t_b=rb.temperature, mu_a=ra.mu, mu_b=rb.mu,
     )
+    sweeping = time.perf_counter()
     region = sweep2d(sweep_cfg)
-    rows = zip(*(col.tolist() for col in region.columns.values()))
-    text = "".join([",".join(FIELDS) + "\n"] + [CSV_ROW % row for row in rows])
+    rendering = time.perf_counter()
+    text = csv_text(region.columns, sweep_cfg.nx)
+    stages = {"sweep2d": rendering - sweeping, "render": time.perf_counter() - rendering}
     masked = region.masked_count()
     out = _emit(cfg, text, started, masked, default_out="sweep.csv",
-                diagnostics=region.diagnostics)
+                diagnostics=region.diagnostics, stages=stages)
     print(f"wrote {out}: {sweep_cfg.nx}x{sweep_cfg.ny} cells, {masked} masked")
     return EXIT_OK
 

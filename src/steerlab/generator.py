@@ -15,9 +15,10 @@ the stimulated rates (see rates.rate_set).
 
 Each part is linear in its reservoir's rate coefficients, so it is evaluated
 once, on unit coefficients, into constant templates; a generator is then the
-coefficient-weighted sum of its setup's templates, one einsum that adds them
-in order (a BLAS matmul may not).  `build_generator` builds N generators at
-once over a leading cell axis; a single point is the one-cell batch.
+coefficient-weighted sum of its setup's templates, one einsum per setup in a
+batch that adds them in order (a BLAS matmul may not).  `build_generator`
+builds N generators at once over a leading cell axis; a single point is the
+one-cell batch.
 """
 from __future__ import annotations
 
@@ -102,7 +103,7 @@ class GeneratorArrays(NamedTuple):
     total: np.ndarray      # (N, 6, 6)
     parts: np.ndarray      # (N, 2, 6, 6): reservoir A, reservoir B
     energies: np.ndarray   # (N, 4)
-    vectors: np.ndarray    # (N, 4, 4)
+    vectors: np.ndarray    # (N, 4, 4) real eigenvector columns
     numbers: np.ndarray    # (N, 4) excitation numbers
     cells: Cells
 
@@ -115,7 +116,17 @@ def build_generator(cells: Cells) -> GeneratorArrays:
     setup = setup_codes(cells.strong, cells.statistics)
     energies, vectors, numbers = eigensystem(cells.bar_eps, cells.omega, cells.theta,
                                              cells.strong)
-    parts = np.einsum("...rk,...rkij->...rij", rate_set(cells), _TEMPLATES[setup])
+    rates = rate_set(cells)
+    # one contraction per setup in the batch, with that setup's templates; a
+    # batch of one setup (every preset grid) skips the gather and scatter
+    codes = np.unique(setup).tolist()
+    if len(codes) == 1:
+        parts = np.einsum("...rk,rkij->...rij", rates, _TEMPLATES[codes[0]])
+    else:
+        parts = np.empty(rates.shape[:-1] + (6, 6))
+        for code in codes:
+            at = setup == code
+            parts[at] = np.einsum("nrk,rkij->nrij", rates[at], _TEMPLATES[code])
     total = parts[..., 0, :, :] + parts[..., 1, :, :] + 0j
     total[..., 4, 4] += 2j * cells.omega
     total[..., 5, 5] -= 2j * cells.omega

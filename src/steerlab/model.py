@@ -103,7 +103,7 @@ def _eigen_templates() -> tuple[np.ndarray, np.ndarray]:
     columns = V[0] + cos(theta/2) V[1] + sin(theta/2) V[2]; returns (E, V)."""
     energy = np.array([[[-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]],
                        [[0.0, -1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]])
-    vectors = np.zeros((2, 3, 4, 4), dtype=complex)
+    vectors = np.zeros((2, 3, 4, 4))
     for phase, (g, m, p, e) in enumerate(STATE_POSITIONS):
         vectors[phase, 0, 0, g] = vectors[phase, 0, 3, e] = 1.0
         vectors[phase, 1, 1, m] = vectors[phase, 1, 2, p] = 1.0
@@ -116,8 +116,8 @@ _ENERGY, _VECTORS = _eigen_templates()
 
 def eigensystem(bar_eps: np.ndarray, omega: np.ndarray, theta: np.ndarray,
                 strong: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energies (..., 4), eigenvector columns (..., 4, 4) and excitation numbers
-    (..., 4) over leading cell axes.
+    """Energies (..., 4), real eigenvector columns (..., 4, 4) and excitation
+    numbers (..., 4) over leading cell axes.
 
     The entangled pair is
         psi_minus = cos(theta/2)|01> - sin(theta/2)|10>   (energy -omega)
@@ -169,12 +169,12 @@ def lower_eigenvalue(a, b, c_abs):
 
 
 def basis_change(rho: DensityMatrix4, target: Basis, vectors: np.ndarray) -> DensityMatrix4:
-    """Unitary conjugation between the local and energy bases, Hermitized.
+    """Orthogonal conjugation between the local and energy bases, Hermitized.
 
-    With V the (4, 4) eigenvector columns, rho_local = V rho_energy V^dagger.
+    With V the real (4, 4) eigenvector columns, rho_local = V rho_energy V^T.
     """
     if rho.basis is target:
         return rho
-    v = vectors if target is Basis.LOCAL else vectors.conj().T
-    m = v @ rho.entries @ v.conj().T
+    v = vectors if target is Basis.LOCAL else vectors.T
+    m = v @ rho.entries @ v.T
     return DensityMatrix4(entries=0.5 * (m + m.conj().T), basis=target)

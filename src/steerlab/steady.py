@@ -119,9 +119,8 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
             raise DegenerateSteadyStateError(
                 f"steady-state residual {residual[cells[i]]:.3g} exceeds "
                 f"{RESIDUAL_TOL} * max(1, max|M|) = {tol[i]:.3g}")
-    real = vectors.real
-    local_x = np.einsum("nka,nka,na->nk", real[:, _X_ROWS, _V6_ROWS],
-                        real[:, _X_COLUMNS, _V6_COLUMNS], v)
+    local_x = np.einsum("nka,nka,na->nk", vectors[:, _X_ROWS, _V6_ROWS],
+                        vectors[:, _X_COLUMNS, _V6_COLUMNS], v)
     min_eig = min_eigenvalue_energy(v)
     return SteadyArrays(v, residual, local_x, min_eig, min_eig >= -POSITIVITY_TOL, ratio)
 

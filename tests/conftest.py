@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import steerlab as sl
-from steerlab.analysis import Axis, SweepConfig
+from steerlab.analysis import FIELDS, Axis, SweepConfig
 from steerlab.errors import ConfigurationError
 from steerlab.generator import from_vector6
 from steerlab.rates import COEFFICIENTS, Statistics, cell_occupations, occupations
@@ -326,3 +326,13 @@ def assert_rows_equal_points(cfg: SweepConfig, rows) -> None:
     xs, ys = cfg.x_values().tolist(), cfg.y_values().tolist()
     for iy in rows:
         assert_cells_equal(cfg.grid[iy], sl.Cells.of([cfg.point(x, ys[iy]) for x in xs]))
+
+
+# one grid cell in the FIELDS columns: %.17g floats, 0/1 flags
+CSV_ROW = "%.17g,%.17g,%d,%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+
+
+def csv_text_oracle(columns: dict[str, np.ndarray]) -> str:
+    """The former sweep CSV writer, one %-format of all 13 fields per row."""
+    rows = zip(*(col.tolist() for col in columns.values()))
+    return "".join([",".join(FIELDS) + "\n"] + [CSV_ROW % row for row in rows])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import steerlab as sl
 import steerlab.analysis
-from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig
+from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig, sweep2d
 from steerlab.cli import (
     COUNT,
     EXIT_INTERNAL,
@@ -23,6 +23,7 @@ from steerlab.cli import (
     RANGE,
     SECTIONS,
     _build_objects,
+    csv_text,
     _initial_state,
     build_parser,
     check_config,
@@ -34,7 +35,8 @@ from steerlab.errors import ConfigurationError, DegenerateSteadyStateError, Inte
 from steerlab.model import Basis
 from steerlab.rates import Statistics
 
-from conftest import assert_rows_equal_points, eigen_populations
+from conftest import (assert_rows_equal_points, csv_text_oracle, eigen_populations,
+                      load_preset_config)
 
 PRESETS = [f"fig{n}" for n in
            ["2", "3a", "3b", "3c", "4", "5a", "5b", "5c",
@@ -258,6 +260,72 @@ class TestSweepCommand:
         transport = json.loads(capsys.readouterr().out)["transport"]
         assert float(cell["current_b"]) == transport["current_b"]
         assert float(cell["sigma"]) == transport["sigma"]
+
+
+    def test_stage_timings(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run(["sweep", "--preset=fig2", "--nx=3", "--ny=2", f"--out={out}"]) == 0
+        manifest = json.loads((tmp_path / "grid.csv.manifest.json").read_text())
+        assert list(manifest) == ["config", "version", "timing_seconds", "stage_seconds",
+                                  "masked_cells", "outputs", "diagnostics"]
+        stages = manifest["stage_seconds"]
+        assert list(stages) == ["sweep2d", "render", "write"]
+        assert all(v >= 0 for v in stages.values())
+        assert sum(stages.values()) <= manifest["timing_seconds"]
+
+
+def synthetic_columns(nx: int, ny: int) -> dict[str, np.ndarray]:
+    """Row-major FIELDS columns of an nx x ny grid: every pattern of the four
+    verdict flags with both positivity values, masked cells (nan margins),
+    +-inf, signed zeros, subnormals and values over the whole float range."""
+    rng = np.random.default_rng(nx * 100 + ny)
+    n = nx * ny
+    code = rng.permutation(np.arange(n) % 32)
+    values = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-300, 300, (6, n))
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+               2.2250738585072014e-308, 1 / 3, 1e16, 123456789.0]
+    for row in values:
+        row[rng.choice(n, len(special), replace=False)] = special
+    values[:4, code == 0] = math.nan   # masked: no verdicts, no margins
+    xs = np.linspace(0.1, 2.3, nx) / 3
+    ys = np.linspace(-1.0, 1.0, ny) * math.pi
+    ys[0] = -0.0
+    flags = [(code >> bit & 1).astype(bool) for bit in (4, 3, 2, 1)]
+    return dict(zip(FIELDS, (np.tile(xs, ny), np.repeat(ys, nx), *flags, *values,
+                             (code & 1).astype(bool))))
+
+
+class TestCsvText:
+    """cli.csv_text against the former writer, conftest.csv_text_oracle."""
+
+    @pytest.mark.parametrize("nx,ny", [(8, 5), (3, 11)])
+    def test_synthetic_columns(self, nx, ny):
+        columns = synthetic_columns(nx, ny)
+        codes = sum(columns[name].astype(int) << bit for bit, name in
+                    enumerate(["positivity_ok", "bell", "steer_ba", "steer_ab", "entangled"]))
+        assert sorted(set(codes.tolist())) == list(range(32))
+        assert csv_text(columns, nx) == csv_text_oracle(columns)
+
+    @pytest.mark.parametrize("name", ["fig8b", "fig3c", "fig9b"])
+    def test_presets(self, name, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert run(["sweep", f"--preset={name}", f"--out={out}"]) == 0
+        region = sweep2d(load_preset_config(name))
+        assert out.read_bytes() == csv_text_oracle(region.columns).encode()
+
+    def test_masked_sweep(self, tmp_path, capsys):
+        # the grid of TestSweepCommand.test_positivity_violating_cell_is_masked
+        out = tmp_path / "masked.csv"
+        assert run(["sweep", "--stat=bose", "--eps-a=1.8", "--eps-b=0.2", "--kappa=3",
+                    "--gamma=0.01", "--axis-x=ta", "--x-min=0.124", "--x-max=0.5", "--nx=2",
+                    "--axis-y=tb", "--y-min=0.02", "--y-max=0.5", "--ny=2",
+                    f"--out={out}"]) == 0
+        region = sweep2d(SweepConfig(
+            axis_x=Axis.TA, x_range=(0.124, 0.5), nx=2, axis_y=Axis.TB, y_range=(0.02, 0.5),
+            ny=2, system=sl.SystemParams(1.8, 0.2, 3.0, 0.01), statistics=Statistics.BOSE,
+            t_a=0.5, t_b=0.5))
+        assert region.masked_count() == 1
+        assert out.read_bytes() == csv_text_oracle(region.columns).encode()
 
 
 class TestNoWorkerOptions:

@@ -177,12 +177,17 @@ class TestBuildGenerator:
         resum = coherent_part(g) + g.parts[0, 0] + g.parts[0, 1]
         assert np.max(np.abs(resum - g.total[0])) < 1e-14
 
-    @pytest.mark.parametrize("shape", [(1,), (3, 4)])
-    @pytest.mark.parametrize("setup", SETUPS)
+    @pytest.mark.parametrize("setup,shape", [
+        *[pytest.param(setup, shape, id=f"{setup}-shape{i}")
+          for setup in SETUPS for i, shape in enumerate([(1,), (3, 4)])],
+        pytest.param("mixed-bose", (12,), id="mixed-bose-shape0"),
+        pytest.param("mixed-bose", (3, 4), id="mixed-bose-shape1"),
+    ])
     def test_parts_match_product_sum(self, setup, shape):
         # the einsum assembly against the broadcast product-sum of the rate
         # coefficients and the 6x6 templates: the same bits, signs of zeros
-        # included, at N = 1 and on a 2-D batch; temperatures from 2e-3
+        # included, at N = 1 and on a 2-D batch, and on batches that
+        # interleave weak-bose and strong-bose cells; temperatures from 2e-3
         # (occupations underflow to 0) up to 3
         rng = np.random.default_rng(14)
         t_a, t_b = np.exp(rng.uniform(math.log(2e-3), math.log(3.0), (2,) + shape))
@@ -191,12 +196,17 @@ class TestBuildGenerator:
             cells = sl.Cells.build(1.5, 0.5, rng.uniform(0.1, 1.4, shape), 0.01, t_a, t_b,
                                    mu_a, mu_b, FERMI)
         else:
-            kappa = rng.uniform(*((2.5, 5.0) if setup is Setup.STRONG_BOSE else (0.1, 1.5)),
-                                shape)
+            strong = (setup is Setup.STRONG_BOSE if setup != "mixed-bose" else
+                      rng.permutation(np.arange(math.prod(shape)) % 2).reshape(shape) == 1)
+            kappa = np.where(strong, rng.uniform(2.5, 5.0, shape), rng.uniform(0.1, 1.5, shape))
             cells = sl.Cells.build(1.0, rng.uniform(0.6, 1.4, shape), kappa, 0.01, t_a, t_b,
                                    0.0, 0.0, BOSE)
         codes = setup_codes(cells.strong, cells.statistics)
-        assert np.all(codes == SETUPS.index(setup))
+        if setup == "mixed-bose":
+            assert np.array_equal(codes, np.where(strong, 2, 0))
+            assert set(codes.ravel().tolist()) == {0, 2}
+        else:
+            assert np.all(codes == SETUPS.index(setup))
         want = (rate_set(cells)[..., None, None] * _TEMPLATES[codes]).sum(axis=-3)
         got = sl.build_generator(cells).parts
         assert got.shape == shape + (2, 6, 6)

@@ -142,6 +142,26 @@ class TestEigensystem:
 
     @settings(max_examples=60, deadline=None)
     @given(system_strategy())
+    def test_real_orthonormal_columns(self, p):
+        _, vectors, _ = eigen(p)
+        assert vectors.dtype == np.float64
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(4))) <= 1e-15
+
+    def test_real_orthonormal_columns_batched(self):
+        # both phases in one (3, 4) batch
+        rng = np.random.default_rng(18)
+        kappa = np.where(np.arange(12).reshape(3, 4) % 2 == 1, rng.uniform(2.5, 5.0, (3, 4)),
+                         rng.uniform(0.05, 1.5, (3, 4)))
+        bar_eps, _, omega, theta, strong = sl.derive_params(1.0, rng.uniform(0.6, 1.0, (3, 4)),
+                                                           kappa)
+        assert np.count_nonzero(strong) == 6
+        _, vectors, _ = sl.eigensystem(bar_eps, omega, theta, strong)
+        assert vectors.dtype == np.float64 and vectors.shape == (3, 4, 4, 4)
+        gram = np.swapaxes(vectors, -1, -2) @ vectors
+        assert np.max(np.abs(gram - np.eye(4))) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(system_strategy())
     def test_phase_matches_ground_state(self, p):
         energies, _, _ = eigen(p)
         _, _, omega, _, strong = derive(p)
