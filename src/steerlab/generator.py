@@ -119,9 +119,9 @@ def build_generator(cells: Cells) -> GeneratorArrays:
     rates = rate_set(cells)
     # one contraction per setup in the batch, with that setup's templates; a
     # batch of one setup (every preset grid) skips the gather and scatter
-    codes = np.unique(setup).tolist()
+    codes = set(setup.ravel().tolist())
     if len(codes) == 1:
-        parts = np.einsum("...rk,rkij->...rij", rates, _TEMPLATES[codes[0]])
+        parts = np.einsum("...rk,rkij->...rij", rates, _TEMPLATES[codes.pop()])
     else:
         parts = np.empty(rates.shape[:-1] + (6, 6))
         for code in codes:

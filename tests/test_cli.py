@@ -261,7 +261,6 @@ class TestSweepCommand:
         assert float(cell["current_b"]) == transport["current_b"]
         assert float(cell["sigma"]) == transport["sigma"]
 
-
     def test_stage_timings(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run(["sweep", "--preset=fig2", "--nx=3", "--ny=2", f"--out={out}"]) == 0
