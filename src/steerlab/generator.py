@@ -117,16 +117,11 @@ def build_generator(cells: Cells) -> GeneratorArrays:
     energies, vectors, numbers = eigensystem(cells.bar_eps, cells.omega, cells.theta,
                                              cells.strong)
     rates = rate_set(cells)
-    # one contraction per setup in the batch, with that setup's templates; a
-    # batch of one setup (every preset grid) skips the gather and scatter
-    codes = set(setup.ravel().tolist())
-    if len(codes) == 1:
-        parts = np.einsum("...rk,rkij->...rij", rates, _TEMPLATES[codes.pop()])
-    else:
-        parts = np.empty(rates.shape[:-1] + (6, 6))
-        for code in codes:
-            at = setup == code
-            parts[at] = np.einsum("nrk,rkij->nrij", rates[at], _TEMPLATES[code])
+    # one contraction per setup in the batch, with that setup's templates
+    parts = np.empty(rates.shape[:-1] + (6, 6))
+    for code in set(setup.ravel().tolist()):
+        at = setup == code
+        parts[at] = np.einsum("nrk,rkij->nrij", rates[at], _TEMPLATES[code])
     total = parts[..., 0, :, :] + parts[..., 1, :, :] + 0j
     total[..., 4, 4] += 2j * cells.omega
     total[..., 5, 5] -= 2j * cells.omega
