@@ -117,9 +117,12 @@ def build_generator(cells: Cells) -> GeneratorArrays:
     energies, vectors, numbers = eigensystem(cells.bar_eps, cells.omega, cells.theta,
                                              cells.strong)
     rates = rate_set(cells)
-    # one contraction per setup in the batch, with that setup's templates
-    parts = np.empty(rates.shape[:-1] + (6, 6))
-    for code in set(setup.ravel().tolist()):
+    # one contraction per setup in the batch, with that setup's templates: one
+    # setup's covers every cell, and each further setup redoes its own cells,
+    # so a one-setup batch (every preset grid) pays for no mask
+    codes = set(setup.ravel().tolist())
+    parts = np.einsum("...rk,rkij->...rij", rates, _TEMPLATES[codes.pop()])
+    for code in codes:
         at = setup == code
         parts[at] = np.einsum("nrk,rkij->nrij", rates[at], _TEMPLATES[code])
     total = parts[..., 0, :, :] + parts[..., 1, :, :] + 0j
