@@ -17,7 +17,7 @@ import numpy as np
 from .correlations import XSTATE_FAULTS, classify
 from .generator import build_generator, setup_codes
 from .model import SystemParams
-from .rates import (BOSE_MU_ERROR, Cells, ReservoirSpec, Statistics, cell_occupations,
+from .rates import (BOSE_MU_ERROR, Cells, ReservoirSpec, Statistics, check_cells,
                     shared_statistics)
 from .steady import steady_state
 from .transport import transport_report
@@ -96,7 +96,7 @@ class SweepConfig:
             raise ValueError(
                 f"a grid of {self.nx}x{self.ny} cells cannot be allocated") from None
         setup_codes(grid.strong, grid.statistics)
-        cell_occupations(grid)
+        check_cells(grid)
         object.__setattr__(self, "grid", grid)
 
     def cells(self, x, y) -> Cells:

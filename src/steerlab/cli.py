@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
 import hashlib
 import json
@@ -18,6 +19,7 @@ import os
 import sys
 import time
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -108,39 +110,79 @@ POSITIVITY_TEXT = ("0\n", "1\n")
 TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
+def _float_text(v) -> str:
+    return "%.17g" % v if math.isfinite(v) else '"%s"' % v
+
+
+def _bool_text(v) -> str:
+    return "true" if v else "false"
+
+
+# the JSON text of each scalar type; numpy scalars of other types render as
+# the Python values they stand for
+_SCALAR_TEXT = {
+    float: _float_text, np.float64: _float_text, bool: _bool_text, np.bool_: _bool_text,
+    int: str, np.int64: str, str: encode_basestring_ascii,
+    type(None): lambda v: "null",
+}
+
+
+def _float_lists(obj) -> str | None:
+    """The JSON text of a list or tuple, nested to any depth, whose leaves
+    are all finite Python floats, or None: one pass over the nesting builds
+    a %.17g template, and one % formats every leaf."""
+    template, leaves = ["["], []
+    stack = [iter(obj)]
+    sep = ""
+    while stack:
+        for v in stack[-1]:
+            template.append(sep)
+            kind = type(v)
+            if kind is float:
+                leaves.append(v)
+                template.append("%.17g")
+                sep = ", "
+            elif kind is list or kind is tuple:
+                template.append("[")
+                stack.append(iter(v))
+                sep = ""
+                break
+            else:
+                return None
+        else:
+            stack.pop()
+            template.append("]")
+            sep = ", "
+    text = "".join(template) % tuple(leaves)
+    # "n" marks nan or inf
+    return None if "n" in text else text
+
+
 def dumps_fixed(obj, indent: int = 0) -> str:
-    """JSON text with %.17g floats, for byte-reproducible outputs."""
+    """JSON text with %.17g floats, for byte-reproducible outputs: a dict
+    holds one item per line, a list sits on one line."""
+    render = _SCALAR_TEXT.get(type(obj))
+    if render is not None:
+        return render(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         pad = " " * indent
-        items = ",\n".join(f'{pad}  {json.dumps(str(k))}: {dumps_fixed(v, indent + 2)}'
-                           for k, v in obj.items())
+        items = ",\n".join([f"{pad}  {encode_basestring_ascii(str(k))}: "
+                            f"{dumps_fixed(v, indent + 2)}" for k, v in obj.items()])
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        # a flat list of finite Python floats is one join; "n" marks nan or inf
-        if all(type(v) is float for v in obj):
-            items = ", ".join(["%.17g" % v for v in obj])
-            if "n" not in items:
-                return "[" + items + "]"
-        return "[" + ", ".join([dumps_fixed(v, indent) for v in obj]) + "]"
-    if isinstance(obj, np.bool_):
-        obj = bool(obj)
-    elif isinstance(obj, np.integer):
-        obj = int(obj)
-    elif isinstance(obj, np.floating):
-        obj = float(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return "%.17g" % obj if math.isfinite(obj) else json.dumps(str(obj))
+        return _float_lists(obj) or "[" + ", ".join([dumps_fixed(v, indent) for v in obj]) + "]"
+    if isinstance(obj, np.generic):
+        return dumps_fixed(obj.item(), indent)
     return json.dumps(obj)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: argparse makes a help
-    formatter for every argument, which costs milliseconds per build."""
+    formatter for every argument, which costs milliseconds per build.  Its
+    `mode_parsers` maps each mode to that mode's own parser."""
     parser = argparse.ArgumentParser(
         prog="steerlab",
         description="Steady states of two dissipatively coupled qubits: "
@@ -156,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
             convert = float if k.kind in (NUMBER, RANGE) else int if k.kind == COUNT else None
             for flag in k.flag if k.kind == RANGE else (k.flag,):
                 sp.add_argument(flag, type=convert, choices=choices, default=k.default)
+    parser.mode_parsers = sub.choices
     return parser
 
 
@@ -279,7 +322,8 @@ def _build_objects(cfg: dict) -> tuple[SystemParams, ReservoirSpec, ReservoirSpe
 
 
 def _density_entries(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    """The entries of a complex matrix as [re, im] pairs of Python floats."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _x_matrix(x: np.ndarray) -> np.ndarray:
@@ -307,11 +351,19 @@ def csv_text(columns: dict[str, np.ndarray], nx: int) -> str:
 
 
 def _atomic_write(path: str, text: str) -> str:
+    """Write text to path by write-then-rename and return the sha256 of the
+    bytes written; on failure no temporary file is left behind."""
+    data = text.encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return hashlib.sha256(data).hexdigest()
 
 
 def _emit(cfg: dict, text: str, started: float, masked: int = 0,
@@ -498,7 +550,15 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    # a request that names its mode first is parsed by that mode's parser
+    # alone; the full parser would scan every option and pass them on to it
+    mode_parser = parser.mode_parsers.get(argv[0]) if argv else None
+    if mode_parser is None:
+        args = parser.parse_args(argv)
+    else:
+        args = mode_parser.parse_args(argv[1:], argparse.Namespace(mode=argv[0]))
     try:
         cfg = resolve_config(args)
         return _DISPATCH[args.mode](cfg)

@@ -53,15 +53,12 @@ class ReservoirSpec:
             raise ValueError(BOSE_MU_ERROR)
 
 
-def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
-                eps: np.ndarray) -> np.ndarray:
-    """Mean occupations of reservoir modes at energies eps, elementwise.
-
-    Bose: 1/(exp((eps-mu)/T) - 1), requires eps > 0 and rejects eps below
-    1e-9*T where the occupation diverges.  Fermi: 1/(exp((eps-mu)/T) + 1),
-    valid for any eps.  Both reject a temperature so small that 1/T or
-    (eps-mu)/T overflows, since the transport's 1/T would then be inf.
-    """
+def check_occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
+                      eps: np.ndarray) -> np.ndarray:
+    """(eps-mu)/T elementwise, after the input checks of occupations: reject
+    a temperature so small that 1/T or (eps-mu)/T overflows, since the
+    transport's 1/T would then be inf, then a Bose eps at or below 1e-9*T,
+    where the occupation diverges."""
     with np.errstate(over="ignore"):
         x = (eps - mu) / temperature
         overflow = ~(np.isfinite(x) & np.isfinite(1.0 / temperature))
@@ -76,6 +73,19 @@ def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
                 f"bosonic occupation diverges: eps={np.broadcast_to(eps, low.shape)[low][0]}"
                 f" <= {BOSE_EPS_FLOOR}*T"
             )
+    return x
+
+
+def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
+                eps: np.ndarray) -> np.ndarray:
+    """Mean occupations of reservoir modes at energies eps, elementwise.
+
+    Bose: 1/(exp((eps-mu)/T) - 1), requires eps > 0.  Fermi:
+    1/(exp((eps-mu)/T) + 1), valid for any eps.  The inputs pass
+    check_occupations first.
+    """
+    x = check_occupations(statistics, temperature, mu, eps)
+    if statistics is Statistics.BOSE:
         return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
     # logistic form keeps the Fermi tails accurate down to underflow
     e = np.exp(-np.minimum(np.abs(x), 745.0))
@@ -155,12 +165,24 @@ class Cells:
                      self.mu[index], self.statistics)
 
 
+def _cell_inputs(c: Cells) -> tuple:
+    """The occupations arguments of cells, over (..., 2, 2): [..., j, k] is
+    reservoir j at eps_plus (k=0) and eps_minus (k=1)."""
+    eps = np.empty(c.theta.shape + (2,))
+    eps[..., 1], eps[..., 0] = transition_energies(c.bar_eps, c.omega)
+    return c.statistics, c.temperature[..., None], c.mu[..., None], eps[..., None, :]
+
+
+def check_cells(c: Cells) -> None:
+    """Raise the error cell_occupations would raise for cells, without
+    computing the occupations."""
+    check_occupations(*_cell_inputs(c))
+
+
 def cell_occupations(c: Cells) -> np.ndarray:
     """Occupations (..., 2, 2) of cells: [..., j, k] is reservoir j's at
     eps_plus (k=0) and eps_minus (k=1); see occupations."""
-    eps = np.empty(c.theta.shape + (2,))
-    eps[..., 1], eps[..., 0] = transition_energies(c.bar_eps, c.omega)
-    return occupations(c.statistics, c.temperature[..., None], c.mu[..., None], eps[..., None, :])
+    return occupations(*_cell_inputs(c))
 
 
 def rate_set(c: Cells) -> np.ndarray:

@@ -336,3 +336,33 @@ def csv_text_oracle(columns: dict[str, np.ndarray]) -> str:
     """The former sweep CSV writer, one %-format of all 13 fields per row."""
     rows = zip(*(col.tolist() for col in columns.values()))
     return "".join([",".join(FIELDS) + "\n"] + [CSV_ROW % row for row in rows])
+
+
+def dumps_fixed_oracle(obj, indent: int = 0) -> str:
+    """The former cli.dumps_fixed, one call per value below a list of floats
+    and an isinstance chain per value."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = " " * indent
+        items = ",\n".join(f'{pad}  {json.dumps(str(k))}: {dumps_fixed_oracle(v, indent + 2)}'
+                           for k, v in obj.items())
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        # a flat list of finite Python floats is one join; "n" marks nan or inf
+        if all(type(v) is float for v in obj):
+            items = ", ".join(["%.17g" % v for v in obj])
+            if "n" not in items:
+                return "[" + items + "]"
+        return "[" + ", ".join([dumps_fixed_oracle(v, indent) for v in obj]) + "]"
+    if isinstance(obj, np.bool_):
+        obj = bool(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.floating):
+        obj = float(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
+        return "%.17g" % obj if math.isfinite(obj) else json.dumps(str(obj))
+    return json.dumps(obj)

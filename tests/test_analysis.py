@@ -67,6 +67,14 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="kappa must be > 0"):
             small_sweep(axis_y=Axis.KAPPA, y_range=(3.5, -0.5))
 
+    def test_occupations_checked_not_computed(self, monkeypatch):
+        # construction applies the occupation checks to the whole grid; the
+        # values are left to each block's rate_set
+        monkeypatch.setattr("steerlab.rates.occupations", None)
+        load_preset_config("fig8b")
+        with pytest.raises(ValueError, match="temperature too small: T=1e-320"):
+            small_sweep(axis_x=Axis.TA, x_range=(1e-320, 0.5))
+
     def test_point_application(self):
         cfg = small_sweep()
         system, ra, rb = cfg.point(0.3, 2.5)

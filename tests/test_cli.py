@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -16,12 +19,15 @@ import steerlab as sl
 import steerlab.analysis
 from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig, sweep2d
 from steerlab.cli import (
+    _MODE_FLAGS,
     COUNT,
     EXIT_INTERNAL,
     MATRIX,
+    MODES,
     NUMBER,
     RANGE,
     SECTIONS,
+    STRING,
     _build_objects,
     csv_text,
     _initial_state,
@@ -35,8 +41,8 @@ from steerlab.errors import ConfigurationError, DegenerateSteadyStateError, Inte
 from steerlab.model import Basis
 from steerlab.rates import Statistics
 
-from conftest import (assert_rows_equal_points, csv_text_oracle, eigen_populations,
-                      load_preset_config)
+from conftest import (assert_rows_equal_points, csv_text_oracle, dumps_fixed_oracle,
+                      eigen_populations, load_preset_config)
 
 PRESETS = [f"fig{n}" for n in
            ["2", "3a", "3b", "3c", "4", "5a", "5b", "5c",
@@ -427,6 +433,26 @@ class TestOutputs:
         assert "gamma_a" in capsys.readouterr().err
 
 
+    def test_failed_rename_leaves_no_tmp(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "table.json"
+        out.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(os, "replace", fail)
+        assert run(["thresholds-table", f"--out={out}"]) == 2
+        assert "rename refused" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
+        assert out.read_text() == "old\n"
+
+    def test_manifest_digest_is_of_the_bytes_written(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(["evolve", "--t-final=0.1", "--dt=0.01", f"--out={out}"]) == 0
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert manifest["outputs"] == {str(out): f"sha256:{digest}"}
+
+
 class TestNonFiniteSweep:
     def test_nan_range_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -731,31 +757,30 @@ class TestPresets:
         assert manifest["masked_cells"] == 0
 
 
-def dumps_fixed_oracle(obj, indent: int = 0) -> str:
-    """The former dumps_fixed, one call per value, kept as the oracle."""
-    if isinstance(obj, np.bool_):
-        obj = bool(obj)
-    elif isinstance(obj, np.integer):
-        obj = int(obj)
-    elif isinstance(obj, np.floating):
-        obj = float(obj)
-    pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps_fixed_oracle(v, indent + 2)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}" if obj else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = ", ".join(dumps_fixed_oracle(v, indent) for v in obj)
-        return "[" + items + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return json.dumps(str(obj))
-        return "%.17g" % obj
-    return json.dumps(obj)
+def preset_point_argv(name: str, seed: int) -> list[str]:
+    """steady at a seeded cell of a preset's grid, as flags."""
+    cfg = load_preset_config(name)
+    rng = np.random.default_rng(seed)
+    x = cfg.x_values()[rng.integers(cfg.nx)]
+    y = cfg.y_values()[rng.integers(cfg.ny)]
+    p, ra, rb = cfg.point(x, y)
+    values = {"eps-a": p.eps_a, "eps-b": p.eps_b, "kappa": p.kappa, "gamma": p.gamma,
+              "ta": ra.temperature, "tb": rb.temperature, "mua": ra.mu, "mub": rb.mu}
+    return ["steady", f"--stat={cfg.statistics.value}",
+            *(f"--{flag}={float(v)!r}" for flag, v in values.items())]
+
+
+# JSON documents of every value type dumps_fixed renders: Python and numpy
+# scalars, strings with non-ASCII text, and nested lists of floats alone
+FIXED_SCALARS = (st.floats() | st.floats().map(np.float64) | st.booleans().map(np.bool_)
+                 | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64) | st.integers()
+                 | st.booleans() | st.none() | st.text(max_size=6))
+FLOAT_LISTS = st.recursive(st.floats(), lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+FIXED_DOCS = st.recursive(
+    FIXED_SCALARS | FLOAT_LISTS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24)
 
 
 class TestFixedFormat:
@@ -766,18 +791,23 @@ class TestFixedFormat:
         assert json.loads(text.replace('"nan"', "0"))
 
     @pytest.mark.parametrize("argv", [
-        ["steady"],
+        *(preset_point_argv(name, seed) for seed, name in enumerate(PRESETS)),
         ["steady", "--stat=fermi", "--mua=1", "--mub=1.2", "--kappa=0.6", "--ta=0.15"],
         ["steady", "--kappa=2.2", "--ta=0.05", "--tb=0.7"],
         ["threshold", "--ta=0.05", "--tb=0.05", "--criterion=two-way",
          "--bracket-lo=2.003", "--bracket-hi=2.3"],
         ["threshold", "--criterion=two-way", "--bracket-lo=0.3", "--bracket-hi=0.9"],
+        ["threshold", "--ta=0.3", "--tb=0.7", "--criterion=entanglement",
+         "--bracket-lo=0.1", "--bracket-hi=4"],
         ["thresholds-table"],
+        ["evolve", "--t-final=2", "--dt=0.02"],
         ["sweep", "--axis-x=tbar", "--x-min=0.3", "--x-max=0.6", "--nx=3",
          "--axis-y=kappa", "--y-min=2.5", "--y-max=3", "--ny=3"],
+        ["sweep", "--preset=fig9b"],
     ])
     def test_documents_match_oracle(self, argv, tmp_path, monkeypatch, capsys):
-        # every document a command renders (report and manifest), rendered by both
+        # every document a command renders (report, summary and manifest),
+        # rendered by both
         documents = []
         render = dumps_fixed
 
@@ -787,7 +817,8 @@ class TestFixedFormat:
             return render(obj, indent)
         monkeypatch.setattr("steerlab.cli.dumps_fixed", spy)
         assert run([*argv, f"--out={tmp_path / 'out'}"]) == 0
-        # the report and its manifest; a sweep's CSV is not JSON
+        # the report and its manifest, the evolve summary and the trajectory's
+        # manifest; a sweep's CSV is not JSON
         assert len(documents) == (1 if argv[0] == "sweep" else 2)
         for doc in documents:
             assert render(doc) == dumps_fixed_oracle(doc)
@@ -796,20 +827,109 @@ class TestFixedFormat:
         {},
         [],
         {"empty": {}, "list": [], "nested": {"deeper": {"x": []}}},
-        [float("nan"), 1.0, float("inf"), -float("inf")],
+        [float("nan"), 1.0, float("inf"), -float("inf"), -0.0],
         [[1.0, float("nan")], [0.1, -0.0], [5e-324, 1.7976931348623157e308]],
+        [[[0.5, 0.0], [0.0, float("nan")]], [[-0.0, 0.0], [0.25, -1e-300]]],
+        [[[0.5, 0.0], [0.0, 0.0]], [[-0.0, 0.0], [float("-inf"), 0.0]]],
+        [[[1.0]], [], [[]], [[2.0, 3.0], []]],
         [np.float64(0.1), np.float32(0.1), np.int64(-3), np.bool_(True), np.bool_(False),
-         np.float64("nan")],
+         np.float64("nan"), np.float64("-inf"), np.float64(-0.0), np.int32(7)],
         {"b": True, "f": False, "n": None, "s": "text \"q\"", "i": 10 ** 20, "neg": -7},
+        {"k\u00e9y \u2192 \U0001d53c": "v\u00e4l\u00fce \u03c1", "\n\t": ["\x00"]},
         (1.0, 2.0, (3.0, [4.0, True])),
         [1.0, 2, 3.0],
         [True, 1.0],
+        [[1.0, 2.0], [3.0, np.float64(4.0)]],
         {"m": [[[0.25, -0.0], [1e-300, 3.0]], [[np.float64(2.0), 1.0]]],
          1: np.float64("-inf"), "x": np.array(0.5)[()]},
     ])
     def test_values_match_oracle(self, doc):
         assert dumps_fixed(doc) == dumps_fixed_oracle(doc)
         assert dumps_fixed(doc, 4) == dumps_fixed_oracle(doc, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=FIXED_DOCS, indent=st.sampled_from([0, 2, 5]))
+    def test_drawn_documents_match_oracle(self, doc, indent):
+        assert dumps_fixed(doc, indent) == dumps_fixed_oracle(doc, indent)
+
+
+def flag_values(kind) -> st.SearchStrategy:
+    """Flag texts for a config key's kind, valid ones and near misses."""
+    numbers = st.floats().map(repr) | st.integers().map(str)
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind) | st.just("nosuch")
+    if kind in (NUMBER, RANGE):
+        return numbers | st.just("x")
+    if kind == COUNT:
+        return st.integers(-3, 200).map(str) | st.just("2.0")
+    return st.text("abc./", min_size=1, max_size=4)
+
+
+@st.composite
+def mode_argv(draw):
+    """A mode and a set of its flags, as --flag=value or --flag value."""
+    mode = draw(st.sampled_from(MODES))
+    keys = [("--config", STRING), ("--preset", STRING)] + [
+        (flag, k.kind) for k in _MODE_FLAGS[mode]
+        for flag in (k.flag if k.kind == RANGE else (k.flag,))]
+    argv = [mode]
+    for flag, kind in draw(st.lists(st.sampled_from(keys), unique=True, max_size=8)):
+        value = draw(flag_values(kind))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+class TestParserDispatch:
+    @settings(max_examples=100, deadline=None)
+    @given(argv=mode_argv())
+    def test_mode_parser_matches_full_parser(self, argv):
+        # main's Namespace, taken at resolve_config, against the full parser's
+        seen = []
+
+        def capture(args):
+            seen.append(args)
+            raise ConfigurationError("stop")
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(io.StringIO()):
+            mp.setattr("steerlab.cli.resolve_config", capture)
+            try:
+                want = build_parser().parse_args(argv)
+            except SystemExit as exc:
+                with pytest.raises(SystemExit) as got:
+                    main(argv)
+                assert got.value.code == exc.code
+                return
+            assert main(argv) == 2
+        # reprs, so that a nan value compares equal to itself
+        assert repr(seen) == repr([want])
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 2), (["nosuch"], 2), (["-h"], 0), (["steady", "-h"], 0),
+        (["--preset=fig2", "steady"], 2),
+    ])
+    def test_exit_codes(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+
+    def test_unknown_flag_names_flag_and_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["steady", "--bogus=1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: steerlab steady ") and "--bogus" in err
+
+    def test_parser_built_once_per_main(self, monkeypatch, capsys):
+        calls = []
+        build = build_parser
+
+        def counting():
+            calls.append(1)
+            return build()
+        monkeypatch.setattr("steerlab.cli.build_parser", counting)
+        assert main(["thresholds-table"]) == 0
+        with pytest.raises(SystemExit):
+            main(["nosuch"])
+        assert len(calls) == 2
 
 
 # numeric values the fuzz test draws for every flag, including the invalid ones

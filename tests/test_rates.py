@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steerlab as sl
+import steerlab.rates as rates_module
 from steerlab.errors import ConfigurationError
 from steerlab.rates import Statistics
 
@@ -56,6 +57,30 @@ class TestOccupation:
             sl.ReservoirSpec(BOSE, -1.0)
         with pytest.raises(ValueError):
             sl.ReservoirSpec(BOSE, 1.0, mu=0.3)
+
+    @pytest.mark.parametrize("stat, temperature, eps, message", [
+        (BOSE, 1e-320, 1.0, "temperature too small: T=1e-320 makes"),
+        (FERMI, 1e-3, 1e306, "temperature too small: T=0.001 makes"),
+        (BOSE, 1.0, 1e-10, "bosonic occupation diverges: eps=1e-10 <= 1e-09"),
+        # both faults: the overflow is named first
+        (BOSE, 1e-320, -1.0, "temperature too small"),
+    ])
+    def test_checks_apart_from_values(self, stat, temperature, eps, message):
+        args = (stat, np.array([temperature]), np.array([0.0]), np.array([eps]))
+        for check in (rates_module.check_occupations, rates_module.occupations):
+            with pytest.raises(ValueError, match=message):
+                check(*args)
+
+    def test_check_cells_is_cell_occupations_without_values(self, monkeypatch):
+        cells = sl.Cells.build(1.0, 1.0, np.array([0.5, 3.0]), 0.01, np.array([0.5, 1e-320]),
+                               0.5, 0.0, 0.0, BOSE)
+        with pytest.raises(ValueError) as want:
+            rates_module.cell_occupations(cells)
+        with pytest.raises(ValueError) as got:
+            rates_module.check_cells(cells)
+        assert str(got.value) == str(want.value)
+        monkeypatch.setattr(rates_module, "occupations", None)
+        assert rates_module.check_cells(cells[:1]) is None
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.05, 5.0), st.floats(0.01, 10.0))
