@@ -125,7 +125,7 @@ def build_generator(cells: Cells) -> GeneratorArrays:
     for code in codes:
         at = setup == code
         parts[at] = np.einsum("nrk,rkij->nrij", rates[at], _TEMPLATES[code])
-    total = parts[..., 0, :, :] + parts[..., 1, :, :] + 0j
+    total = np.add(parts[..., 0, :, :], parts[..., 1, :, :], dtype=complex)
     total[..., 4, 4] += 2j * cells.omega
     total[..., 5, 5] -= 2j * cells.omega
     return GeneratorArrays(total, parts, energies, vectors, numbers, cells)

@@ -125,13 +125,21 @@ def eigensystem(bar_eps: np.ndarray, omega: np.ndarray, theta: np.ndarray,
     with |00> at -bar_eps and |11> at +bar_eps.  Weak-phase ordering is
     (|00>, psi-, psi+, |11>); strong-phase ordering (psi-, |00>, |11>, psi+).
     """
-    phase = strong.astype(int)
-    energy, vectors = _ENERGY[phase], _VECTORS[phase]
     half = 0.5 * theta
     c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
-    return (bar_eps[..., None] * energy[..., 0, :] + omega[..., None] * energy[..., 1, :],
-            vectors[..., 0, :, :] + c * vectors[..., 1, :, :] + s * vectors[..., 2, :, :],
-            EXCITATIONS[phase])
+    # the majority phase's templates cover every cell, and cells of the other
+    # phase are redone by mask, so a one-phase batch copies no template per cell
+    n_strong = np.count_nonzero(strong)
+    phase = int(2 * n_strong > strong.size)
+    energy, vectors = _ENERGY[phase], _VECTORS[phase]
+    energies = bar_eps[..., None] * energy[0] + omega[..., None] * energy[1]
+    columns = vectors[0] + c * vectors[1] + s * vectors[2]
+    if 0 < n_strong < strong.size:
+        at = strong != phase
+        energy, vectors = _ENERGY[1 - phase], _VECTORS[1 - phase]
+        energies[at] = bar_eps[at, None] * energy[0] + omega[at, None] * energy[1]
+        columns[at] = vectors[0] + c[at] * vectors[1] + s[at] * vectors[2]
+    return energies, columns, EXCITATIONS[strong.astype(int)]
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,14 @@ RESIDUAL_TOL = 1e-10
 NULL_TOL = 8 * np.finfo(float).eps
 # stability bound on the fixed RK4 step: dt <= DT_SAFETY / ||M||_inf
 DT_SAFETY = 0.1
-# rows and columns of the local-basis X entries rho11, rho22, rho33, rho44,
-# rho23 and rho14 (down), and of the six energy-basis entries of vector6
-# (across): the (6, 6) index grids of the map from vector6 to local_x
-_X_ROWS, _X_COLUMNS = np.array([[0, 1, 2, 3, 1, 0], [0, 1, 2, 3, 2, 3]])[..., None]
-_V6_ROWS, _V6_COLUMNS = np.array([[0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]])
+# flat positions in the 4x4 eigenvector columns V of the factors V[i, a] and
+# V[j, b] of the map from vector6 to local_x: row k is the X entry (i, j), in
+# the order rho11, rho22, rho33, rho44, rho23, rho14, and column l the entry
+# (a, b) of vector6
+_LEFT, _RIGHT = (4 * np.array([[0, 1, 2, 3, 1, 0], [0, 1, 2, 3, 2, 3]])[..., None]
+                 + np.array([[0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]])[:, None, :])
+# right-hand side e_0 of the bordered population solve, broadcast over the cells
+_E0 = np.eye(4, 1)
 
 
 class SteadyArrays(NamedTuple):
@@ -91,7 +94,7 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
     column = (2.0 * (1.0 / z).real)[:, None] * total[:, :4, 4].real
     bordered = total[:, :4, :4].real + column[:, :, None] * row[:, None, :]
     bordered[:, 0] = 1.0
-    bound = np.linalg.norm(bordered, axis=-1).prod(axis=-1)
+    bound = np.sqrt(np.einsum("nij,nij->ni", bordered, bordered)).prod(axis=-1)
     # an underflowed bound (gamma far below rounding) or a non-finite one
     i = _first(~((bound > 0.0) & (bound < math.inf)))
     if i is not None:
@@ -104,7 +107,7 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
         raise DegenerateSteadyStateError(
             f"null space ill-conditioned: |det| of the bordered population matrix is "
             f"{ratio[i]:.3g} of its Hadamard bound, at most {NULL_TOL:.3g}")
-    p = np.linalg.solve(bordered, np.broadcast_to(np.eye(4, 1), (len(total), 4, 1)))[..., 0]
+    p = np.linalg.solve(bordered, _E0)[..., 0]
     c = np.einsum("ni,ni->n", row, p) / z
     v = np.concatenate([p, c[:, None], c.conj()[:, None]], axis=1)
     residual = np.abs(total @ v[..., None]).max(axis=(-2, -1))
@@ -119,8 +122,13 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
             raise DegenerateSteadyStateError(
                 f"steady-state residual {residual[cells[i]]:.3g} exceeds "
                 f"{RESIDUAL_TOL} * max(1, max|M|) = {tol[i]:.3g}")
-    local_x = np.einsum("nka,nka,na->nk", vectors[:, _X_ROWS, _V6_ROWS],
-                        vectors[:, _X_COLUMNS, _V6_COLUMNS], v)
+    # the real map W; Im v is (0, 0, 0, 0, Im c, -Im c), and W[:, :4, 4] equals
+    # W[:, :4, 5], so only rho23 and rho14 have an imaginary part
+    flat = vectors.reshape(len(total), 16)
+    w = np.take(flat, _LEFT, axis=1) * np.take(flat, _RIGHT, axis=1)
+    local_x = np.zeros((len(total), 6), dtype=complex)
+    np.einsum("nka,na->nk", w, v.real, out=local_x.real)
+    local_x.imag[:, 4:] = (w[:, 4:, 4] - w[:, 4:, 5]) * c.imag[:, None]
     min_eig = min_eigenvalue_energy(v)
     return SteadyArrays(v, residual, local_x, min_eig, min_eig >= -POSITIVITY_TOL, ratio)
 

@@ -39,9 +39,9 @@ def transport_report(g: GeneratorArrays, st: SteadyArrays):
             f"state residual {np.max(st.residual):.3g} too large for a steady state"
         )
     # the parts are real, so Re(D_j v) = D_j Re(v)
-    d = (g.parts[..., :4, :] @ st.vector6.real[..., None, :, None])[..., 0]
-    je = (d * g.energies[..., None, :]).sum(axis=-1)
-    jn = (d * g.numbers[..., None, :]).sum(axis=-1)
+    d = np.einsum("...rij,...j->...ri", g.parts[..., :4, :], st.vector6.real)
+    je = np.einsum("...ri,...i->...r", d, g.energies)
+    jn = np.einsum("...ri,...i->...r", d, g.numbers)
     t, mu = g.cells.temperature, g.cells.mu
     sigma = (je[..., 1] * (1.0 / t[..., 0] - 1.0 / t[..., 1])
              + jn[..., 1] * (mu[..., 1] / t[..., 1] - mu[..., 0] / t[..., 0]))

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import steerlab as sl
 from steerlab.analysis import FIELDS, Axis, SweepConfig
@@ -178,6 +179,41 @@ def one_cell(p: sl.SystemParams, ra: sl.ReservoirSpec, rb: sl.ReservoirSpec):
     """Generator and steady state of one point, as the one-cell batch."""
     g = sl.build_generator(sl.Cells.of([(p, ra, rb)]))
     return g, sl.steady_state(g.total, g.vectors)
+
+
+@st.composite
+def batches(draw):
+    """Generators of up to 16 cells of one statistics: bosonic batches mix the
+    weak and the strong phase, fermionic ones are weak (the only phase the
+    fermionic setup supports)."""
+    stat = draw(st.sampled_from([Statistics.BOSE, Statistics.FERMI]))
+    n = draw(st.integers(1, 16))
+
+    def column(*ranges):
+        return np.array(draw(st.lists(st.one_of(*(st.floats(*r) for r in ranges)),
+                                      min_size=n, max_size=n)))
+    eps_b = column((0.3, 1.5))
+    eps_a = eps_b * column((1.0, 3.0))
+    ratio = column((0.1, 0.9), (1.1, 2.5)) if stat is Statistics.BOSE else column((0.1, 0.9))
+    mu_a, mu_b = ((column((-0.5, 2.0)), column((-0.5, 2.0))) if stat is Statistics.FERMI
+                  else (0.0, 0.0))
+    return sl.build_generator(sl.Cells.build(
+        eps_a, eps_b, ratio * 2.0 * np.sqrt(eps_a * eps_b), column((5e-3, 0.05)),
+        column((0.05, 2.0)), column((0.05, 2.0)), mu_a, mu_b, stat))
+
+
+def transport_oracle(g: sl.GeneratorArrays, ss: sl.SteadyArrays):
+    """Oracle of transport.transport_report, its former form: d_j = (D_j v)[:4]
+    by a stacked matmul, and J^E, J^N by multiply-and-sum; returns
+    (current_a, current_b, sigma)."""
+    d = (g.parts[..., :4, :] @ ss.vector6.real[..., None, :, None])[..., 0]
+    je = (d * g.energies[..., None, :]).sum(axis=-1)
+    jn = (d * g.numbers[..., None, :]).sum(axis=-1)
+    t, mu = g.cells.temperature, g.cells.mu
+    sigma = (je[..., 1] * (1.0 / t[..., 0] - 1.0 / t[..., 1])
+             + jn[..., 1] * (mu[..., 1] / t[..., 1] - mu[..., 0] / t[..., 0]))
+    current = je if g.cells.statistics is Statistics.BOSE else jn
+    return current[..., 0], current[..., 1], sigma
 
 
 # entry order of the Hermitian conjugate of a 6-entry vector

@@ -213,6 +213,25 @@ class TestBuildGenerator:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("kappa", [[1.5, 2.5, 3.0, 0.5, 4.0], [2.5, 1.5, 0.5, 3.0, 1.0]],
+                             ids=["weak-first", "strong-first"])
+    def test_mixed_phase_batch_matches_one_cell_batches(self, kappa):
+        # couplings on both sides of the crossing 2 sqrt(eps_a eps_b) = 2, with
+        # the first cell and the majority in opposite phases, so that one
+        # phase's templates cover the batch and the other's cells are redone
+        t_a, t_b = [0.4, 0.7, 1.1, 0.3, 2.0], [0.9, 0.2, 0.6, 1.5, 0.5]
+        g = sl.build_generator(sl.Cells.build(1.0, 1.0, np.array(kappa), 0.01,
+                                              np.array(t_a), np.array(t_b), 0.0, 0.0, BOSE))
+        assert 0 < np.count_nonzero(g.cells.strong) < len(kappa)
+        for i in range(len(kappa)):
+            one = sl.build_generator(sl.Cells.build(1.0, 1.0, np.array(kappa[i:i + 1]), 0.01,
+                                                    np.array(t_a[i:i + 1]),
+                                                    np.array(t_b[i:i + 1]), 0.0, 0.0, BOSE))
+            for name in ("energies", "vectors", "numbers", "total", "parts"):
+                # bit for bit, signs of zeros included
+                got, want = getattr(g, name)[i], getattr(one, name)[0]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_trace_preservation(self, p, stat, a, b, setup):
         g = generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))

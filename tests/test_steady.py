@@ -18,6 +18,7 @@ from steerlab.steady import NULL_TOL, max_stable_dt, min_eigenvalue_energy, stea
 from conftest import (
     X_PATTERN,
     Phase,
+    batches,
     dense_local,
     equilibrium_analytic,
     gibbs_local,
@@ -109,26 +110,6 @@ class TestSteadyState:
             g, ss = make(p, t, t, stat, mu, mu)
             oracle = gibbs_local(p, 1.0 / t, mu)
             assert np.max(np.abs(ss.local_x[0] - x_vector(oracle))) < 1e-10
-
-
-@st.composite
-def batches(draw):
-    """Generators of up to 16 cells of one statistics: bosonic batches mix the
-    weak and the strong phase, fermionic ones are weak (the only phase the
-    fermionic setup supports)."""
-    stat = draw(st.sampled_from([BOSE, FERMI]))
-    n = draw(st.integers(1, 16))
-
-    def column(*ranges):
-        return np.array(draw(st.lists(st.one_of(*(st.floats(*r) for r in ranges)),
-                                      min_size=n, max_size=n)))
-    eps_b = column((0.3, 1.5))
-    eps_a = eps_b * column((1.0, 3.0))
-    ratio = column((0.1, 0.9), (1.1, 2.5)) if stat is BOSE else column((0.1, 0.9))
-    mu_a, mu_b = (column((-0.5, 2.0)), column((-0.5, 2.0))) if stat is FERMI else (0.0, 0.0)
-    return sl.build_generator(sl.Cells.build(
-        eps_a, eps_b, ratio * 2.0 * np.sqrt(eps_a * eps_b), column((5e-3, 0.05)),
-        column((0.05, 2.0)), column((0.05, 2.0)), mu_a, mu_b, stat))
 
 
 class TestLocalX:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import steerlab as sl
 from steerlab.errors import ConfigurationError
 from steerlab.rates import Statistics
+from steerlab.steady import steady_state
 from steerlab.transport import transport_report
 
-from conftest import Phase, one_cell, random_system
+from conftest import Phase, batches, one_cell, random_system, transport_oracle
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -122,6 +123,32 @@ class TestEntropyProduction:
         _, _, tr = pipeline(p, 0.4, 0.6)
         assert tr.sigma > 0
         assert tr.sigma == pytest.approx(4.938016231508446e-04, rel=1e-9)
+
+
+class TestOracle:
+    """transport_report's einsum contractions against the former matmul and
+    multiply-and-sum (conftest.transport_oracle)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=batches())
+    def test_matches_matmul_oracle(self, g):
+        ss = steady_state(g.total, g.vectors)
+        got, want = transport_report(g, ss), transport_oracle(g, ss)
+        # the two differ only in summation order: each J is a sum over the
+        # terms E_i D_ij v_j (or N_i D_ij v_j), so both lie within a few eps of
+        # the sum of their magnitudes; 16 eps of it is the bound, fixed from the
+        # dtype (d_i itself may cancel to rounding, e.g. at T_A = T_B)
+        eps = np.finfo(float).eps
+        terms = np.abs(g.parts[..., :4, :]) * np.abs(ss.vector6.real)[..., None, None, :]
+        s_e = np.einsum("...rij,...i->...r", terms, np.abs(g.energies))
+        s_n = np.einsum("...rij,...i->...r", terms, g.numbers)
+        scale = s_e if g.cells.statistics is BOSE else s_n
+        for j in (0, 1):
+            assert np.all(np.abs(got[j] - want[j]) <= 16 * eps * scale[..., j])
+        t, mu = g.cells.temperature, g.cells.mu
+        sigma_scale = (np.abs(1.0 / t[..., 0] - 1.0 / t[..., 1]) * s_e[..., 1]
+                       + np.abs(mu[..., 1] / t[..., 1] - mu[..., 0] / t[..., 0]) * s_n[..., 1])
+        assert np.all(np.abs(got[2] - want[2]) <= 16 * eps * sigma_scale)
 
 
 class TestRectification:
