@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .correlations import XSTATE_FAULTS, classify
-from .generator import build_generator, setup_codes
+from .generator import build_generator
 from .model import SystemParams
-from .rates import (BOSE_MU_ERROR, Cells, ReservoirSpec, Statistics, check_cells,
-                    shared_statistics)
+from .rates import Cells, ReservoirSpec, Statistics, shared_statistics
 from .steady import steady_state
 from .transport import transport_report
 
@@ -53,11 +53,11 @@ _MU_AXES = {Axis.MUBAR, Axis.DELTA_MU, Axis.MUA, Axis.MUB}
 class SweepConfig:
     """A 2D grid over two axes with everything else held fixed.
 
-    t_a/t_b and mu_a/mu_b provide the non-swept reservoir values (a bosonic
-    setup rejects a nonzero mu, as ReservoirSpec does); DELTA_T / DELTA_MU
-    axes keep the configured mean fixed.
-    Construction composes and validates the whole grid once: `grid` holds its
-    Cells over (ny, nx) axes, `grid[iy]` is row iy, and `grid[iy, ix]` a block.
+    t_a/t_b and mu_a/mu_b provide the non-swept reservoir values; DELTA_T /
+    DELTA_MU axes keep the configured mean fixed.
+    Construction composes the whole grid once, and Cells.build checks it:
+    `grid` holds its Cells over (ny, nx) axes, `grid[iy]` is row iy, and
+    `grid[iy, ix]` a block.
     """
 
     axis_x: Axis
@@ -74,46 +74,29 @@ class SweepConfig:
     mu_b: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (*self.x_range, *self.y_range, self.t_a, self.t_b,
-                                       self.mu_a, self.mu_b))):
-            raise ValueError("sweep ranges and reservoir values must be finite")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid sizes must be >= 2")
         if self.axis_x is self.axis_y:
             raise ValueError("sweep axes must differ")
         if self.statistics is Statistics.BOSE:
-            if self.mu_a != 0.0 or self.mu_b != 0.0:
-                raise ValueError(BOSE_MU_ERROR)
             for ax in (self.axis_x, self.axis_y):
                 if ax in _MU_AXES:
                     raise ValueError(f"axis {ax} requires a fermionic setup")
-        # the whole (ny, nx) grid, validated by the checks every cell meets:
-        # those of cells(), then strong-coupling fermions and the Bose
-        # occupation floor
+        # a non-finite or overflowing axis composes to values that the gate
+        # rejects, with no numpy warning on the way
         try:
-            grid = self.cells(self.x_values(), self.y_values()[:, None])
+            with np.errstate(all="ignore"):
+                grid = self.cells(self.x_values(), self.y_values()[:, None])
         except MemoryError:
             raise ValueError(
                 f"a grid of {self.nx}x{self.ny} cells cannot be allocated") from None
-        setup_codes(grid.strong, grid.statistics)
-        check_cells(grid)
         object.__setattr__(self, "grid", grid)
 
     def cells(self, x, y) -> Cells:
-        """Cells at x and y, elementwise over their broadcast shape.
-
-        The first cell (in C order) whose kappa or temperatures point()
-        rejects raises point()'s error; model.derive_params rejects the phase
-        boundary.
-        """
-        x, y, *values = np.array(np.broadcast_arrays(x, y, *self._compose(x, y)), dtype=float)
-        kappa, t_a, t_b = values[:3]
-        ok = (kappa > 0) & (t_a > 0) & (t_b > 0) & np.isfinite(values).all(axis=0)
-        if not ok.all():
-            i = np.unravel_index(np.argmin(ok), ok.shape)
-            self.point(float(x[i]), float(y[i]))
+        """Cells at x and y, elementwise over their broadcast shape."""
+        kappa, t_a, t_b, mu_a, mu_b = self._compose(x, y)
         return Cells.build(self.system.eps_a, self.system.eps_b, kappa, self.system.gamma,
-                           *values[1:], self.statistics)
+                           t_a, t_b, mu_a, mu_b, self.statistics)
 
     def x_values(self) -> np.ndarray:
         return np.linspace(self.x_range[0], self.x_range[1], self.nx)
@@ -154,17 +137,8 @@ class SweepConfig:
                 mu_b = v
         return kappa, t_a, t_b, mu_a, mu_b
 
-    def point(self, x: float, y: float) -> tuple[SystemParams, ReservoirSpec, ReservoirSpec]:
-        kappa, t_a, t_b, mu_a, mu_b = self._compose(x, y)
-        system = self.system
-        if Axis.KAPPA in (self.axis_x, self.axis_y):
-            system = replace(system, kappa=kappa)
-        return (system, ReservoirSpec(self.statistics, t_a, mu_a),
-                ReservoirSpec(self.statistics, t_b, mu_b))
 
-
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """Full pipeline output at one grid point."""
 
     x: float
@@ -183,18 +157,17 @@ class GridCell:
 
 
 # GridCell fields, in the order of the CSV columns
-FIELDS = tuple(f.name for f in fields(GridCell))
+FIELDS = GridCell._fields
 
 
-@dataclass(frozen=True)
-class RegionMap:
+class RegionMap(NamedTuple):
     """Row-major grid of cells (y outer, x inner) as one (ny*nx,) array per
     GridCell field, which `cells` views as GridCells; diagnostics
     holds the worst steady-state solver values over the grid (see sweep2d)."""
 
     config: SweepConfig
     columns: dict[str, np.ndarray]
-    diagnostics: dict[str, float] = field(default_factory=dict)
+    diagnostics: dict[str, float]
 
     @property
     def cells(self) -> tuple[GridCell, ...]:
@@ -265,8 +238,7 @@ class Criterion(enum.Enum):
     BELL = "bell"
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Bisection result for a coupling-strength threshold."""
 
     criterion: Criterion
@@ -307,9 +279,6 @@ BISECT_DEPTH = 4
 # bar_eps, and the points of the pre-scan that locates the sign change
 THRESHOLD_REL_TOL = 1e-10
 PRESCAN_POINTS = 8
-# entanglement_boundary_fit: largest |T_A - T_B| of a fitted point, relative
-# to the mean temperature
-BOUNDARY_BAND = 0.25
 
 
 def _midpoints(lo: float, hi: float, tol: float, depth: int, x: float | None,
@@ -446,60 +415,3 @@ def analytic_thresholds(
         out["kappa_low_a_to_b"] = sym + sgn * 2.0 * delta_eps * t / sym
         out["kappa_low_b_to_a"] = sym - sgn * 2.0 * delta_eps * t / sym
     return out
-
-
-@dataclass(frozen=True)
-class BoundaryFit:
-    """Straight-line fit T_A + T_B = c of the entanglement boundary."""
-
-    found: bool
-    c_fitted: float | None
-    c_predicted: float
-    rel_deviation: float | None
-    n_points: int
-    spread: float | None
-
-
-def entanglement_boundary_fit(m: RegionMap) -> BoundaryFit:
-    """Fit the entanglement boundary on a TA x TB map near the diagonal.
-
-    Boundary points are margin_ent sign changes between adjacent cells,
-    refined by bisection in T_A to 1e-4 of the axis range; only points with
-    |T_A - T_B| below BOUNDARY_BAND times the mean enter the fit.  The
-    prediction is kappa / ln(1+sqrt(2)).
-    """
-    if not (m.config.axis_x is Axis.TA and m.config.axis_y is Axis.TB):
-        raise ValueError("boundary fit expects axis_x=TA, axis_y=TB")
-    c_pred = 2.0 * m.config.system.kappa / ENT_COEFF
-    xs = m.config.x_values()
-    cell_w = xs[1] - xs[0]
-    refine_tol = 1e-4 * (m.config.x_range[1] - m.config.x_range[0])
-    margins = m.columns["margin_ent"].reshape(m.config.ny, m.config.nx).tolist()
-    sums = []
-    for y, row in zip(m.config.y_values(), margins):
-        for ix in range(m.config.nx - 1):
-            a, b = row[ix], row[ix + 1]
-            if (a > 0) == (b > 0):
-                continue
-            frac = a / (a - b)
-            x_est = xs[ix] + frac * (xs[ix + 1] - xs[ix])
-            if abs(x_est - y) > BOUNDARY_BAND * 0.5 * (x_est + y) + cell_w:
-                continue
-            lo, hi, _, _ = _bisect(
-                lambda points: _margins(m.config.cells(np.array(points), y),
-                                        Criterion.ENTANGLEMENT),
-                float(xs[ix]), float(xs[ix + 1]), a, b, refine_tol)
-            x_cross = 0.5 * (lo + hi)
-            if abs(x_cross - y) <= BOUNDARY_BAND * 0.5 * (x_cross + y):
-                sums.append(x_cross + y)
-    if not sums:
-        return BoundaryFit(False, None, c_pred, None, 0, None)
-    c_fit = float(np.mean(sums))
-    return BoundaryFit(
-        found=True,
-        c_fitted=c_fit,
-        c_predicted=c_pred,
-        rel_deviation=abs(c_fit - c_pred) / c_pred,
-        n_points=len(sums),
-        spread=float(np.std(sums)),
-    )

@@ -37,7 +37,7 @@ from .analysis import (
 from .errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
 from .generator import build_generator, from_vector6
 from .model import STATE_POSITIONS, Basis, DensityMatrix4, SystemParams
-from .rates import Cells, ReservoirSpec, Statistics
+from .rates import Cells, ReservoirSpec, Statistics, check_inputs
 from .steady import evolve, steady_state
 
 EXIT_OK = 0
@@ -312,13 +312,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _build_objects(cfg: dict) -> tuple[SystemParams, ReservoirSpec, ReservoirSpec]:
-    s = cfg["system"]
-    system = SystemParams(
-        eps_a=s["eps_a"], eps_b=s["eps_b"], kappa=s["kappa"], gamma=s["gamma"],
-    )
-    r = cfg["reservoirs"]
+    """The request's point, unchecked: Cells.build checks the cells of it."""
+    s, r = cfg["system"], cfg["reservoirs"]
+    system = SystemParams(s["eps_a"], s["eps_b"], s["kappa"], s["gamma"])
     stat = Statistics(r["statistics"])
     return system, ReservoirSpec(stat, r["ta"], r["mua"]), ReservoirSpec(stat, r["tb"], r["mub"])
+
+
+def _checked_objects(cfg: dict) -> tuple[SystemParams, ReservoirSpec, ReservoirSpec]:
+    """The request's point for a command whose cells are not that point
+    (sweep, threshold, thresholds-table): it meets the input rules of
+    Cells.build (rates.check_inputs) even where no cell uses a value, such as
+    the fixed value of a swept parameter or threshold's kappa."""
+    system, ra, rb = _build_objects(cfg)
+    check_inputs(np.array([*system, ra.temperature, rb.temperature, ra.mu, rb.mu], dtype=float),
+                 ra.statistics)
+    return system, ra, rb
 
 
 def _density_entries(m: np.ndarray) -> list:
@@ -445,7 +454,7 @@ def cmd_steady(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     started = time.perf_counter()
-    system, ra, rb = _build_objects(cfg)
+    system, ra, rb = _checked_objects(cfg)
     sw = cfg["sweep"]
     sweep_cfg = SweepConfig(
         axis_x=Axis(sw["axis_x"]), x_range=tuple(sw["x_range"]), nx=sw["nx"],
@@ -467,7 +476,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_threshold(cfg: dict) -> int:
     started = time.perf_counter()
-    system, ra, rb = _build_objects(cfg)
+    system, ra, rb = _checked_objects(cfg)
     th = cfg["threshold"]
     criterion = Criterion(th["criterion"])
     result = threshold_kappa(system, ra, rb, criterion, tuple(th["bracket"]))
@@ -492,7 +501,7 @@ def cmd_threshold(cfg: dict) -> int:
 
 def cmd_thresholds_table(cfg: dict) -> int:
     started = time.perf_counter()
-    system, ra, rb = _build_objects(cfg)
+    system, ra, rb = _checked_objects(cfg)
     table = _analytic(system, ra, rb)
     if table is None:
         raise ConfigurationError(

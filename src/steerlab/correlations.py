@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,8 +80,7 @@ def xstate_fault(x) -> np.ndarray:
     return fault
 
 
-@dataclass(frozen=True)
-class XState:
+class XState(NamedTuple):
     """Entries of X-shaped two-qubit states in the local basis, as arrays over
     leading cell axes (or scalars).
 

@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .model import eigensystem
-from .rates import COEFFICIENTS, Cells, Statistics, rate_set
+from .rates import COEFFICIENTS, Cells, rate_set
 
 
 class Setup(enum.Enum):
@@ -38,7 +37,7 @@ class Setup(enum.Enum):
     STRONG_BOSE = "strong-bose"
 
 
-# setup codes index this tuple and the first axis of _TEMPLATES
+# Cells.setup codes index this tuple and the first axis of _TEMPLATES
 SETUPS = (Setup.WEAK_BOSE, Setup.WEAK_FERMI, Setup.STRONG_BOSE)
 
 
@@ -82,17 +81,6 @@ def _templates() -> np.ndarray:
 _TEMPLATES = _templates()
 
 
-def setup_codes(strong: np.ndarray, statistics: Statistics) -> np.ndarray:
-    """Index into SETUPS per cell; the strong-coupling fermionic setup is rejected."""
-    if statistics is Statistics.FERMI:
-        if np.count_nonzero(strong):
-            raise ConfigurationError(
-                "strong-coupling fermionic setup unsupported (tunnelling is weak)"
-            )
-        return np.ones(np.shape(strong), dtype=int)
-    return np.where(strong, 2, 0)
-
-
 class GeneratorArrays(NamedTuple):
     """N generators over the leading cell axis, with what later stages need.
 
@@ -109,21 +97,18 @@ class GeneratorArrays(NamedTuple):
 
 
 def build_generator(cells: Cells) -> GeneratorArrays:
-    """Build the evolution matrices of N cells for the setup of each cell.
-
-    The strong-coupling fermionic combination is not supported.
-    """
-    setup = setup_codes(cells.strong, cells.statistics)
+    """Build the evolution matrices of N cells for the setup of each cell
+    (Cells.setup; Cells.build rejects the strong-coupling fermionic one)."""
     energies, vectors, numbers = eigensystem(cells.bar_eps, cells.omega, cells.theta,
                                              cells.strong)
     rates = rate_set(cells)
     # one contraction per setup in the batch, with that setup's templates: one
     # setup's covers every cell, and each further setup redoes its own cells,
     # so a one-setup batch (every preset grid) pays for no mask
-    codes = set(setup.ravel().tolist())
+    codes = set(cells.setup.ravel().tolist())
     parts = np.einsum("...rk,rkij->...rij", rates, _TEMPLATES[codes.pop()])
     for code in codes:
-        at = setup == code
+        at = cells.setup == code
         parts[at] = np.einsum("nrk,rkij->nrij", rates[at], _TEMPLATES[code])
     total = np.add(parts[..., 0, :, :], parts[..., 1, :, :], dtype=complex)
     total[..., 4, 4] += 2j * cells.omega

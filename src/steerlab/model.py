@@ -10,9 +10,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-import math
-import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,38 +30,21 @@ class Basis(enum.Enum):
     ENERGY = "energy"
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(NamedTuple):
     """Bare model parameters, all in the same energy units.
 
     eps_a, eps_b : level splittings of qubits A and B (eps_a >= eps_b > 0)
     kappa        : XY exchange coupling between the qubits (> 0)
     gamma        : constant spectral-function value shared by both reservoirs
+
+    A record only: rates.Cells.build checks the values of the cells it
+    builds from it.
     """
 
     eps_a: float
     eps_b: float
     kappa: float
     gamma: float
-
-    def __post_init__(self):
-        for name in ("eps_a", "eps_b", "kappa", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.eps_a >= self.eps_b > 0):
-            raise ValueError(
-                f"require eps_a >= eps_b > 0, got eps_a={self.eps_a}, eps_b={self.eps_b}"
-            )
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.gamma > 0.1 * self.eps_b:
-            warnings.warn(
-                "gamma > 0.1*eps_b: weak system-reservoir coupling assumption "
-                "is questionable",
-                stacklevel=2,
-            )
 
 
 def derive_params(eps_a, eps_b, kappa):

@@ -167,7 +167,8 @@ def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float,
     m = g.total[0]
     n_steps = t_final / dt
     try:
-        n_steps = int(math.ceil(n_steps - 1e-12))
+        # at least one step, however short t_final is against dt
+        n_steps = max(1, int(math.ceil(n_steps - 1e-12)))
         times = np.empty(n_steps + 1)
         vectors = np.empty((n_steps + 1, 6), dtype=complex)
     except (OverflowError, MemoryError, ValueError):

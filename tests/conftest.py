@@ -12,16 +12,18 @@ import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import steerlab as sl
-from steerlab.analysis import FIELDS, Axis, SweepConfig
+from steerlab import analysis
+from steerlab.analysis import ENT_COEFF, FIELDS, Axis, Criterion, RegionMap, SweepConfig
 from steerlab.errors import ConfigurationError
 from steerlab.generator import from_vector6
-from steerlab.rates import COEFFICIENTS, Statistics, cell_occupations, occupations
+from steerlab.rates import COEFFICIENTS, Statistics, occupations
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
 
@@ -274,7 +276,7 @@ def equilibrium_analytic(p: sl.SystemParams, r: sl.ReservoirSpec) -> Equilibrium
     c = sl.Cells.of([(p, r, r)])
     _, vectors, _ = sl.eigensystem(c.bar_eps, c.omega, c.theta, c.strong)
     theta = c.theta.item()
-    np_, nq = cell_occupations(c)[0, 0].tolist()
+    np_, nq = c.occupations[0, 0].tolist()
     c2 = math.cos(theta / 2) ** 2
     s2 = math.sin(theta / 2) ** 2
     sin_th = math.sin(theta)
@@ -356,12 +358,82 @@ def assert_cells_equal(got: sl.Cells, want: sl.Cells) -> None:
             assert np.array_equal(a, b), f.name
 
 
+def grid_point(cfg: SweepConfig, x: float, y: float):
+    """(system, ra, rb) of the point at x and y of cfg's grid, composed as
+    its cells are."""
+    kappa, t_a, t_b, mu_a, mu_b = cfg._compose(x, y)
+    return (cfg.system._replace(kappa=kappa), sl.ReservoirSpec(cfg.statistics, t_a, mu_a),
+            sl.ReservoirSpec(cfg.statistics, t_b, mu_b))
+
+
 def assert_rows_equal_points(cfg: SweepConfig, rows) -> None:
     """Grid row iy of cfg, for each iy in rows, equals the Cells.of of its
     points in the dtype, shape and bits of every field."""
     xs, ys = cfg.x_values().tolist(), cfg.y_values().tolist()
     for iy in rows:
-        assert_cells_equal(cfg.grid[iy], sl.Cells.of([cfg.point(x, ys[iy]) for x in xs]))
+        assert_cells_equal(cfg.grid[iy], sl.Cells.of([grid_point(cfg, x, ys[iy]) for x in xs]))
+
+
+# entanglement_boundary_fit: largest |T_A - T_B| of a fitted point, relative
+# to the mean temperature
+BOUNDARY_BAND = 0.25
+
+
+class BoundaryFit(NamedTuple):
+    """Straight-line fit T_A + T_B = c of the entanglement boundary."""
+
+    found: bool
+    c_fitted: float | None
+    c_predicted: float
+    rel_deviation: float | None
+    n_points: int
+    spread: float | None
+
+
+def entanglement_boundary_fit(m: RegionMap) -> BoundaryFit:
+    """Fit the entanglement boundary on a TA x TB map near the diagonal (the
+    paper's T_A + T_B = 2 kappa / ENT_COEFF, checked by fig8a).
+
+    Boundary points are margin_ent sign changes between adjacent cells,
+    refined by analysis._bisect in T_A to 1e-4 of the axis range; only points
+    with |T_A - T_B| below BOUNDARY_BAND times the mean enter the fit.  The
+    prediction is kappa / ln(1+sqrt(2)).
+    """
+    if not (m.config.axis_x is Axis.TA and m.config.axis_y is Axis.TB):
+        raise ValueError("boundary fit expects axis_x=TA, axis_y=TB")
+    c_pred = 2.0 * m.config.system.kappa / ENT_COEFF
+    xs = m.config.x_values()
+    cell_w = xs[1] - xs[0]
+    refine_tol = 1e-4 * (m.config.x_range[1] - m.config.x_range[0])
+    margins = m.columns["margin_ent"].reshape(m.config.ny, m.config.nx).tolist()
+    sums = []
+    for y, row in zip(m.config.y_values(), margins):
+        for ix in range(m.config.nx - 1):
+            a, b = row[ix], row[ix + 1]
+            if (a > 0) == (b > 0):
+                continue
+            frac = a / (a - b)
+            x_est = xs[ix] + frac * (xs[ix + 1] - xs[ix])
+            if abs(x_est - y) > BOUNDARY_BAND * 0.5 * (x_est + y) + cell_w:
+                continue
+            lo, hi, _, _ = analysis._bisect(
+                lambda points: analysis._margins(m.config.cells(np.array(points), y),
+                                                 Criterion.ENTANGLEMENT),
+                float(xs[ix]), float(xs[ix + 1]), a, b, refine_tol)
+            x_cross = 0.5 * (lo + hi)
+            if abs(x_cross - y) <= BOUNDARY_BAND * 0.5 * (x_cross + y):
+                sums.append(x_cross + y)
+    if not sums:
+        return BoundaryFit(False, None, c_pred, None, 0, None)
+    c_fit = float(np.mean(sums))
+    return BoundaryFit(
+        found=True,
+        c_fitted=c_fit,
+        c_predicted=c_pred,
+        rel_deviation=abs(c_fit - c_pred) / c_pred,
+        n_points=len(sums),
+        spread=float(np.std(sums)),
+    )
 
 
 # one grid cell in the FIELDS columns: %.17g floats, 0/1 flags

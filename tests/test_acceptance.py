@@ -18,7 +18,6 @@ import steerlab as sl
 from steerlab.analysis import (
     Criterion,
     analytic_thresholds,
-    entanglement_boundary_fit,
     run_point,
     sweep2d,
 )
@@ -33,8 +32,10 @@ from steerlab.steady import max_stable_dt
 from conftest import (
     PRESET_NAMES,
     Phase,
+    entanglement_boundary_fit,
     equilibrium_analytic,
     gibbs_local,
+    grid_point,
     load_preset_config,
     one_cell,
     random_system,
@@ -508,7 +509,7 @@ def test_c11_dual_path_agreement(preset_maps):
         for cell in m.cells[::67]:
             if not cell.positivity_ok:
                 continue
-            system, ra, rb = cfg.point(cell.x, cell.y)
+            system, ra, rb = grid_point(cfg, cell.x, cell.y)
             _, rep, _ = steady_report(system, ra.temperature, rb.temperature, ra.statistics,
                                       ra.mu, rb.mu)
             assert rep.method is Method.BOTH, (name, cell.x, cell.y)

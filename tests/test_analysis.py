@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,12 +9,10 @@ from steerlab import analysis
 from steerlab.analysis import (
     FIELDS,
     Axis,
-    BoundaryFit,
     Criterion,
     SweepConfig,
     ThresholdResult,
     analytic_thresholds,
-    entanglement_boundary_fit,
     run_point,
     sweep2d,
     threshold_kappa,
@@ -28,6 +25,8 @@ from conftest import (
     PRESET_NAMES,
     assert_cells_equal,
     assert_rows_equal_points,
+    entanglement_boundary_fit,
+    grid_point,
     load_preset_config,
 )
 
@@ -61,29 +60,32 @@ class TestSweepConfig:
             small_sweep(mu_b=-0.3)
 
     def test_descending_range_reaching_nonpositive_rejected(self):
-        # the first such cell raises point()'s own error
+        # the first such cell raises the error of a point with its values
         with pytest.raises(ValueError, match="temperature must be > 0"):
             small_sweep(axis_x=Axis.TA, x_range=(0.5, -0.1))
         with pytest.raises(ValueError, match="kappa must be > 0"):
             small_sweep(axis_y=Axis.KAPPA, y_range=(3.5, -0.5))
 
-    def test_occupations_checked_not_computed(self, monkeypatch):
-        # construction applies the occupation checks to the whole grid; the
-        # values are left to each block's rate_set
-        monkeypatch.setattr("steerlab.rates.occupations", None)
-        load_preset_config("fig8b")
+    def test_gate_runs_once_per_sweep(self, monkeypatch):
+        # construction checks the whole grid and computes its occupations in
+        # Cells.build; the blocks of sweep2d check and compute neither again
+        cfg = load_preset_config("fig8b")
+        for name in ("check_inputs", "derive_params", "occupations"):
+            monkeypatch.setattr(f"steerlab.rates.{name}", None)
+        assert len(sweep2d(cfg).columns["x"]) == cfg.nx * cfg.ny
+        monkeypatch.undo()
         with pytest.raises(ValueError, match="temperature too small: T=1e-320"):
             small_sweep(axis_x=Axis.TA, x_range=(1e-320, 0.5))
 
     def test_point_application(self):
         cfg = small_sweep()
-        system, ra, rb = cfg.point(0.3, 2.5)
+        system, ra, rb = grid_point(cfg, 0.3, 2.5)
         assert system.kappa == 2.5
         assert ra.temperature == rb.temperature == 0.3
 
     def test_delta_axes_keep_mean(self):
         cfg = small_sweep(axis_x=Axis.DELTA_T, x_range=(-0.4, 0.4))
-        _, ra, rb = cfg.point(0.2, 3.0)
+        _, ra, rb = grid_point(cfg, 0.2, 3.0)
         assert ra.temperature == pytest.approx(0.4)
         assert rb.temperature == pytest.approx(0.6)
 
@@ -94,7 +96,7 @@ class TestSweepConfig:
             statistics=FERMI, t_a=0.15, t_b=0.15,
             system=sl.SystemParams(1.5, 0.5, 0.6, 0.01),
         )
-        _, ra, rb = cfg.point(0.8, 0.5)
+        _, ra, rb = grid_point(cfg, 0.8, 0.5)
         assert ra.mu == pytest.approx(0.55)
         assert rb.mu == pytest.approx(1.05)
 
@@ -113,8 +115,7 @@ class TestRowCells:
         kwargs = dict(axis_x=Axis.DELTA_T, x_range=(-0.4, 0.4), nx=5, axis_y=Axis.TBAR)
         valid = small_sweep(**kwargs, y_range=(0.3, 0.8))
         with pytest.raises(ValueError) as from_point:
-            for x in valid.x_values().tolist():
-                valid.point(x, 0.1)
+            Cells.of([grid_point(valid, x, 0.1) for x in valid.x_values().tolist()])
         with pytest.raises(ValueError) as from_config:
             small_sweep(**kwargs, y_range=(0.1, 0.8))
         assert str(from_config.value) == str(from_point.value)
@@ -126,7 +127,7 @@ class TestRowCells:
                           y_range=(0.8, 2.6))
         xs, y = [0.81, 1.3333333333333333, 2.599999], cfg.y_values()[2]
         assert_cells_equal(cfg.cells(np.array(xs), y),
-                           Cells.of([cfg.point(x, float(y)) for x in xs]))
+                           Cells.of([grid_point(cfg, x, float(y)) for x in xs]))
 
     def test_phase_boundary_rejected(self):
         # kappa = 2 sqrt(eps_a eps_b) fixed, over a temperature grid
@@ -150,7 +151,7 @@ class TestCellsBuild:
         system, ra, rb = sl.SystemParams(1.3, 0.7, 1.0, 0.01), *self.bose
         ks = np.linspace(0.2, 3.0, 15)
         assert_cells_equal(Cells.build(1.3, 0.7, ks, 0.01, 0.4, 0.6, 0.0, 0.0, BOSE),
-                           Cells.of([(replace(system, kappa=k), ra, rb) for k in ks.tolist()]))
+                           Cells.of([(system._replace(kappa=k), ra, rb) for k in ks.tolist()]))
 
     def test_grid(self):
         # an (ny, nx) grid from an x row and a y column, fermionic
@@ -227,7 +228,7 @@ class TestSweep2d:
                 for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
                     cell = SimpleNamespace(**{k: c[iy * cfg.nx + ix].item()
                                               for k, c in m.columns.items()})
-                    _, ss, c, (_, current_b, sigma) = run_point(*cfg.point(cell.x, cell.y))
+                    _, ss, c, (_, current_b, sigma) = run_point(*grid_point(cfg, cell.x, cell.y))
                     got = (c.entangled[0], c.steer_a_to_b[0], c.steer_b_to_a[0], c.bell[0],
                            ss.positive[0], c.margin_ent[0], c.margin_ab[0], c.margin_ba[0],
                            c.margin_bell[0], current_b[0], sigma[0])
@@ -329,9 +330,9 @@ def halving(f, lo, hi, f_lo, f_hi, tol):
 
 def halving_threshold(template, ra, rb, criterion, bracket, rel_tol=1e-10, prescan=8):
     """threshold_kappa with every margin the one-cell batch of
-    replace(template, kappa=k), halving one point at a time."""
+    template._replace(kappa=k), halving one point at a time."""
     def margins(ks):
-        return [analysis._margins(Cells.of([(replace(template, kappa=k), ra, rb)]),
+        return [analysis._margins(Cells.of([(template._replace(kappa=k), ra, rb)]),
                                   criterion)[0] for k in ks]
 
     ks = np.linspace(bracket[0], bracket[1], prescan).tolist()

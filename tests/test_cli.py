@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import steerlab as sl
 import steerlab.analysis
+import steerlab.generator
 from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig, sweep2d
 from steerlab.cli import (
     _MODE_FLAGS,
@@ -42,7 +43,7 @@ from steerlab.model import Basis
 from steerlab.rates import Statistics
 
 from conftest import (assert_rows_equal_points, csv_text_oracle, dumps_fixed_oracle,
-                      eigen_populations, load_preset_config)
+                      eigen_populations, grid_point, load_preset_config)
 
 PRESETS = [f"fig{n}" for n in
            ["2", "3a", "3b", "3c", "4", "5a", "5b", "5c",
@@ -176,6 +177,53 @@ class TestSteadyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "planted defect" in err
         assert err.count("\n") == 1
+
+
+# requests that the gate rejects, per command, and the error each names: a
+# subnormal temperature, strong-coupling fermions, a bosonic mu and kappa <= 0
+# (for threshold also as the bracket's low end); thresholds-table builds no
+# cells, so its point meets the input rules alone
+THRESHOLD_FLAGS = ["--criterion=two-way", "--bracket-lo=2.003", "--bracket-hi=2.3"]
+GATED_INPUTS = {
+    "subnormal-t": (["--ta=1e-320"], "temperature too small: T=1e-320"),
+    "strong-fermi": (["--stat=fermi", "--mua=1", "--mub=1"],
+                     "strong-coupling fermionic setup unsupported"),
+    "bose-mu": (["--mub=-0.3"], "bosonic reservoirs must have mu = 0"),
+    "kappa": (["--kappa=0"], "kappa must be > 0, got 0.0"),
+}
+GATED_REQUESTS = {
+    **{f"steady-{name}": (["steady", *flags], message)
+       for name, (flags, message) in GATED_INPUTS.items()},
+    **{f"evolve-{name}": (["evolve", "--t-final=1", "--dt=0.01", *flags], message)
+       for name, (flags, message) in GATED_INPUTS.items()},
+    **{f"threshold-{name}": (["threshold", *THRESHOLD_FLAGS, *flags], message)
+       for name, (flags, message) in GATED_INPUTS.items()},
+    "threshold-bracket": (["threshold", "--criterion=two-way", "--bracket-lo=0",
+                           "--bracket-hi=2.3"], "threshold bracket must satisfy 0 < lo < hi"),
+    "thresholds-table-bose-mu": (["thresholds-table", *GATED_INPUTS["bose-mu"][0]],
+                                 GATED_INPUTS["bose-mu"][1]),
+    "thresholds-table-kappa": (["thresholds-table", "--kappa=-1"], "kappa must be > 0, got -1.0"),
+}
+
+
+class TestGateBeforeComputation:
+    @pytest.mark.parametrize("name", GATED_REQUESTS)
+    def test_rejected_before_any_kernel(self, name, monkeypatch, tmp_path, capsys):
+        # the request exits 2 in one error line, and no eigensystem or rate
+        # set is computed for it
+        calls = []
+        for kernel in ("eigensystem", "rate_set"):
+            def counting(*args, kernel=kernel, original=getattr(steerlab.generator, kernel)):
+                calls.append(kernel)
+                return original(*args)
+            monkeypatch.setattr(f"steerlab.generator.{kernel}", counting)
+        argv, message = GATED_REQUESTS[name]
+        out = tmp_path / "out"
+        assert run([*argv, f"--out={out}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert calls == [] and not out.exists()
 
 
 class TestSweepCommand:
@@ -763,7 +811,7 @@ def preset_point_argv(name: str, seed: int) -> list[str]:
     rng = np.random.default_rng(seed)
     x = cfg.x_values()[rng.integers(cfg.nx)]
     y = cfg.y_values()[rng.integers(cfg.ny)]
-    p, ra, rb = cfg.point(x, y)
+    p, ra, rb = grid_point(cfg, x, y)
     values = {"eps-a": p.eps_a, "eps-b": p.eps_b, "kappa": p.kappa, "gamma": p.gamma,
               "ta": ra.temperature, "tb": rb.temperature, "mua": ra.mu, "mub": rb.mu}
     return ["steady", f"--stat={cfg.statistics.value}",

@@ -12,7 +12,6 @@ from steerlab.generator import (
     SETUPS,
     Setup,
     from_vector6,
-    setup_codes,
     to_vector6,
 )
 from steerlab.rates import Statistics, rate_set
@@ -153,7 +152,7 @@ class TestBuildGenerator:
     def test_matches_printed_form(self, p, stat, a, b, setup):
         ra, rb = sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b)
         g = generator(p, ra, rb)
-        assert SETUPS[setup_codes(g.cells.strong, stat)[0]] is setup
+        assert SETUPS[g.cells.setup[0]] is setup
         assert np.max(np.abs(g.total[0] - printed_matrix(p, ra, rb, setup))) < 1e-15
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
@@ -199,9 +198,9 @@ class TestBuildGenerator:
             strong = (setup is Setup.STRONG_BOSE if setup != "mixed-bose" else
                       rng.permutation(np.arange(math.prod(shape)) % 2).reshape(shape) == 1)
             kappa = np.where(strong, rng.uniform(2.5, 5.0, shape), rng.uniform(0.1, 1.5, shape))
-            cells = sl.Cells.build(1.0, rng.uniform(0.6, 1.4, shape), kappa, 0.01, t_a, t_b,
+            cells = sl.Cells.build(rng.uniform(1.0, 1.4, shape), 1.0, kappa, 0.01, t_a, t_b,
                                    0.0, 0.0, BOSE)
-        codes = setup_codes(cells.strong, cells.statistics)
+        codes = cells.setup
         if setup == "mixed-bose":
             assert np.array_equal(codes, np.where(strong, 2, 0))
             assert set(codes.ravel().tolist()) == {0, 2}

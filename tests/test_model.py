@@ -58,16 +58,18 @@ class TestDeriveParams:
             derive(sl.SystemParams(1, 1, 2.0 + 1e-8, 0.01))
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            sl.SystemParams(0.5, 1.0, 1.0, 0.01)   # eps_a < eps_b
-        with pytest.raises(ValueError):
-            sl.SystemParams(1.0, 1.0, -1.0, 0.01)
-        with pytest.raises(ValueError):
-            sl.SystemParams(1.0, 1.0, 1.0, 0.0)
+        # the record holds any value; the cells built from it are checked
+        r = sl.ReservoirSpec(sl.Statistics.BOSE, 0.5)
+        for p, message in ((sl.SystemParams(0.5, 1.0, 1.0, 0.01), "require eps_a >= eps_b"),
+                           (sl.SystemParams(1.0, 1.0, -1.0, 0.01), "kappa must be > 0"),
+                           (sl.SystemParams(1.0, 1.0, 1.0, 0.0), "gamma must be > 0")):
+            with pytest.raises(ValueError, match=message):
+                sl.Cells.of([(p, r, r)])
 
     def test_large_gamma_warns(self):
-        with pytest.warns(UserWarning):
-            sl.SystemParams(1.0, 1.0, 1.0, 0.5)
+        r = sl.ReservoirSpec(sl.Statistics.BOSE, 0.5)
+        with pytest.warns(UserWarning, match="gamma > 0.1"):
+            sl.Cells.of([(sl.SystemParams(1.0, 1.0, 1.0, 0.5), r, r)])
 
     def test_theta_decreases_with_detuning(self):
         kappa = 1.3

@@ -53,10 +53,12 @@ class TestOccupation:
         assert occupation(sl.ReservoirSpec(FERMI, 1e-3, mu=2.0), 1.0) == pytest.approx(1.0)
 
     def test_reservoir_validation(self):
-        with pytest.raises(ValueError):
-            sl.ReservoirSpec(BOSE, -1.0)
-        with pytest.raises(ValueError):
-            sl.ReservoirSpec(BOSE, 1.0, mu=0.3)
+        # the records hold any value; the cells built from them are checked
+        p, r = sl.SystemParams(1.0, 1.0, 1.0, 0.01), sl.ReservoirSpec(BOSE, 1.0)
+        with pytest.raises(ValueError, match="temperature must be > 0"):
+            sl.Cells.of([(p, sl.ReservoirSpec(BOSE, -1.0), r)])
+        with pytest.raises(ValueError, match="bosonic reservoirs must have mu = 0"):
+            sl.Cells.of([(p, sl.ReservoirSpec(BOSE, 1.0, mu=0.3), r)])
 
     @pytest.mark.parametrize("stat, temperature, eps, message", [
         (BOSE, 1e-320, 1.0, "temperature too small: T=1e-320 makes"),
@@ -66,21 +68,26 @@ class TestOccupation:
         (BOSE, 1e-320, -1.0, "temperature too small"),
     ])
     def test_checks_apart_from_values(self, stat, temperature, eps, message):
-        args = (stat, np.array([temperature]), np.array([0.0]), np.array([eps]))
-        for check in (rates_module.check_occupations, rates_module.occupations):
-            with pytest.raises(ValueError, match=message):
-                check(*args)
+        with pytest.raises(ValueError, match=message):
+            rates_module.occupations(stat, np.array([temperature]), np.array([0.0]),
+                                     np.array([eps]))
 
-    def test_check_cells_is_cell_occupations_without_values(self, monkeypatch):
-        cells = sl.Cells.build(1.0, 1.0, np.array([0.5, 3.0]), 0.01, np.array([0.5, 1e-320]),
-                               0.5, 0.0, 0.0, BOSE)
-        with pytest.raises(ValueError) as want:
-            rates_module.cell_occupations(cells)
-        with pytest.raises(ValueError) as got:
-            rates_module.check_cells(cells)
-        assert str(got.value) == str(want.value)
+    def test_build_stores_occupations(self, monkeypatch):
+        # Cells.build computes each cell's occupations at its transition
+        # energies once; rate_set reads them and computes none
+        ts = np.array([0.5, 0.7])
+        cells = sl.Cells.build(1.0, 1.0, np.array([0.5, 3.0]), 0.01, ts, 0.4, 0.0, 0.0, BOSE)
+        assert cells.occupations.shape == (2, 2, 2)
+        eps_minus, eps_plus = sl.transition_energies(cells.bar_eps, cells.omega)
+        for i, t_a in enumerate(ts.tolist()):
+            for j, t in enumerate((t_a, 0.4)):
+                r = sl.ReservoirSpec(BOSE, t)
+                assert cells.occupations[i, j].tolist() == [occupation(r, eps_plus[i]),
+                                                             occupation(r, eps_minus[i])]
+        want = rates_module.rate_set(cells)
         monkeypatch.setattr(rates_module, "occupations", None)
-        assert rates_module.check_cells(cells[:1]) is None
+        assert np.array_equal(rates_module.rate_set(cells), want)
+        assert np.array_equal(rates_module.rate_set(cells[1:]), want[1:])
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.05, 5.0), st.floats(0.01, 10.0))
@@ -88,6 +95,87 @@ class TestOccupation:
         assert occupation(sl.ReservoirSpec(BOSE, t), eps) > 0
         f = occupation(sl.ReservoirSpec(FERMI, t, mu=1.0), eps)
         assert 0.0 < f < 1.0
+
+
+# one field of a valid bosonic cell set to a bad value, and the gate's error
+GATE_BASE = dict(eps_a=1.0, eps_b=1.0, kappa=1.0, gamma=0.01, t_a=0.5, t_b=0.5, mu_a=0.0,
+                 mu_b=0.0)
+GATE_CASES = [
+    ("kappa", -1.0, BOSE, "kappa must be > 0, got -1.0"),
+    ("kappa", 0.0, BOSE, "kappa must be > 0, got 0.0"),
+    ("gamma", -0.01, BOSE, "gamma must be > 0, got -0.01"),
+    ("gamma", 0.0, FERMI, "gamma must be > 0, got 0.0"),
+    ("eps_b", 1.5, BOSE, "require eps_a >= eps_b > 0, got eps_a=1.0, eps_b=1.5"),
+    ("eps_b", 0.0, BOSE, "require eps_a >= eps_b > 0, got eps_a=1.0, eps_b=0.0"),
+    ("eps_b", -0.5, FERMI, "require eps_a >= eps_b > 0, got eps_a=1.0, eps_b=-0.5"),
+    ("t_a", -0.5, BOSE, "temperature must be > 0, got -0.5"),
+    ("t_b", 0.0, FERMI, "temperature must be > 0, got 0.0"),
+    ("eps_a", math.nan, BOSE, "eps_a must be finite, got nan"),
+    ("eps_b", math.inf, BOSE, "eps_b must be finite, got inf"),
+    ("kappa", math.inf, BOSE, "kappa must be finite, got inf"),
+    ("gamma", -math.inf, FERMI, "gamma must be finite, got -inf"),
+    ("t_a", math.nan, BOSE, "temperature and mu must be finite, got nan and 0.0"),
+    ("t_b", math.inf, BOSE, "temperature and mu must be finite, got inf and 0.0"),
+    ("mu_a", math.nan, FERMI, "temperature and mu must be finite, got 0.5 and nan"),
+    ("mu_b", -math.inf, FERMI, "temperature and mu must be finite, got 0.5 and -inf"),
+    ("mu_a", 0.3, BOSE, "bosonic reservoirs must have mu = 0"),
+    ("mu_b", -0.3, BOSE, "bosonic reservoirs must have mu = 0"),
+]
+
+
+def gate_point(values, stat):
+    """The records of one point with GATE_BASE's fields."""
+    return (sl.SystemParams(values["eps_a"], values["eps_b"], values["kappa"], values["gamma"]),
+            sl.ReservoirSpec(stat, values["t_a"], values["mu_a"]),
+            sl.ReservoirSpec(stat, values["t_b"], values["mu_b"]))
+
+
+class TestGate:
+    """Cells.build is the one check of every input: each bad field is
+    rejected there, with the same error from Cells.of, before any value is
+    derived."""
+
+    @pytest.mark.parametrize("field, bad, stat, message", GATE_CASES)
+    def test_bad_field_rejected(self, field, bad, stat, message, monkeypatch):
+        values = {**GATE_BASE, field: bad}
+        point = gate_point(values, stat)
+        # the bad value also at cells 1 and 2 of three, the second one doubled
+        # where that changes it: the first bad cell is named
+        column = {**GATE_BASE, field: np.array([GATE_BASE[field], bad, 2 * bad if bad else bad])}
+        monkeypatch.setattr(rates_module, "derive_params", None)
+        for build in (lambda: sl.Cells.build(*values.values(), stat),
+                      lambda: sl.Cells.of([point]),
+                      lambda: sl.Cells.build(*column.values(), stat)):
+            with pytest.raises(ValueError) as rejected:
+                build()
+            assert str(rejected.value) == message
+
+    @pytest.mark.parametrize("broken, message", [
+        # every rule of the system comes before those of the reservoirs
+        ({"kappa": -1.0, "t_a": -1.0}, "kappa must be > 0"),
+        ({"eps_a": math.nan, "kappa": -1.0}, "eps_a must be finite"),
+        ({"gamma": 0.0, "eps_b": 2.0}, "require eps_a >= eps_b > 0"),
+        # reservoir A before reservoir B
+        ({"t_b": math.nan, "t_a": -1.0}, "temperature must be > 0, got -1.0"),
+        # the input rules before the level crossing and the occupations
+        ({"kappa": 2.0, "mu_a": 0.5}, "bosonic reservoirs must have mu = 0"),
+        ({"kappa": 2.0, "t_a": 1e-320}, "kappa=2.0 within"),
+    ])
+    def test_rule_order(self, broken, message):
+        values = {**GATE_BASE, **broken}
+        with pytest.raises(ValueError, match=message):
+            sl.Cells.build(*values.values(), BOSE)
+
+    def test_rules_before_cells(self):
+        # a rule broken by a later cell comes before a later rule broken by
+        # an earlier one
+        with pytest.raises(ValueError, match="temperature must be > 0, got -1.0"):
+            sl.Cells.build(1.0, 1.0, np.array([1.0, 1.0]), 0.01, np.array([1e-320, -1.0]), 0.5,
+                           0.0, 0.0, BOSE)
+
+    def test_strong_fermi_rejected(self):
+        with pytest.raises(ConfigurationError, match="strong-coupling fermionic"):
+            sl.Cells.build(1.0, 1.0, np.array([1.0, 3.0]), 0.01, 0.5, 0.5, 1.0, 1.0, FERMI)
 
 
 class TestTransitionEnergies:

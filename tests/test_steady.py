@@ -368,6 +368,13 @@ class TestEvolve:
         assert times.tolist() == [0.0, 0.05, 0.1, 0.1 + (0.12 - 0.1)]
         assert not times.flags.writeable and not vectors.flags.writeable
 
+    @pytest.mark.parametrize("t_final", [1e-14, 1e-300, 0.05 * (1 - 1e-13), 0.12])
+    def test_last_time_is_t_final(self, t_final):
+        # a run shorter than 1e-12 steps takes one step, not none
+        g, ss = make(sl.SystemParams(1.0, 1.0, 1.0, 0.01), 0.5, 0.5)
+        times, vectors = sl.evolve(g, energy_state(ss), t_final=t_final, dt=0.05)
+        assert len(times) >= 2 and times[-1] == t_final and len(vectors) == len(times)
+
 
 class TestEquilibriumAnalytic:
     def test_zero_temperature_limits(self):
