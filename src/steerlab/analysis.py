@@ -188,7 +188,7 @@ def _pipeline(cells: Cells):
     positive state raises.
     """
     g = build_generator(cells)
-    st = steady_state(g.total, g.vectors)
+    st = steady_state(g)
     c = classify(st.local_x)
     bad = (c.fault >= 0) & st.positive
     if np.count_nonzero(bad):
@@ -266,7 +266,7 @@ def _margins(cells: Cells, criterion: Criterion) -> list[float]:
     """Criterion margins of cells as one batch, through the single-route
     classification; a state that fails classification raises."""
     g = build_generator(cells)
-    c = classify(steady_state(g.total, g.vectors).local_x, dual=False)
+    c = classify(steady_state(g).local_x, dual=False)
     fault = c.fault >= 0
     if np.count_nonzero(fault):
         raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(fault)]])

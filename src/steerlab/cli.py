@@ -37,7 +37,7 @@ from .analysis import (
 from .errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
 from .generator import build_generator, from_vector6
 from .model import STATE_POSITIONS, Basis, DensityMatrix4, SystemParams
-from .rates import Cells, ReservoirSpec, Statistics, check_inputs
+from .rates import Cells, ReservoirSpec, Statistics, check_inputs, scaled_energy
 from .steady import evolve, steady_state
 
 EXIT_OK = 0
@@ -502,6 +502,9 @@ def cmd_threshold(cfg: dict) -> int:
 def cmd_thresholds_table(cfg: dict) -> int:
     started = time.perf_counter()
     system, ra, rb = _checked_objects(cfg)
+    # the temperature rule of steady, at bar_eps: the closed forms hold bar_eps / T
+    scaled_energy(np.array([ra.temperature, rb.temperature]), np.array([ra.mu, rb.mu]),
+                  0.5 * (system.eps_a + system.eps_b))
     table = _analytic(system, ra, rb)
     if table is None:
         raise ConfigurationError(
@@ -533,7 +536,7 @@ def cmd_evolve(cfg: dict) -> int:
     ev = cfg["evolve"]
     rho0 = _initial_state(ev)
     times, vectors = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
-    st = steady_state(g.total, g.vectors)
+    st = steady_state(g)
     final_gap = float(np.max(np.abs(vectors[-1] - st.vector6[0])))
     rows = np.column_stack([times, vectors[:, :4].real, vectors[:, 4].real, vectors[:, 4].imag])
     text = "t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh\n" + "".join(

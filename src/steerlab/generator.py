@@ -1,4 +1,4 @@
-"""Assembly of the 6x6 evolution matrices acting on the nonzero state entries.
+"""Assembly of the evolution matrices acting on the nonzero state entries.
 
 In the energy basis the reduced state keeps only six entries, ordered
 
@@ -6,12 +6,14 @@ In the energy basis the reduced state keeps only six entries, ordered
 
 The generator splits additively into a coherent part (the +/- i*Omega entries,
 Omega = 2*omega) and one dissipative part per reservoir.  One rule builds every
-part: a population block shared by all setups, in which fermions flip the sign
-of the stimulated terms, plus the coherence pair's coupling column and row
-from a per-setup table.  Summed over the two reservoirs the parts reproduce
-the printed weak-bosonic, weak-fermionic and strong-bosonic matrices; the
-split itself assigns the spontaneous weights with the same angular factors as
-the stimulated rates (see rates.rate_set).
+part: a population block P shared by all setups, in which fermions flip the
+sign of the stimulated terms, the coherence pair's coupling column B and row C
+from a per-setup table, and the pair's diagonal d.  Summed over the two
+reservoirs the parts reproduce the printed weak-bosonic, weak-fermionic and
+strong-bosonic matrices [[P, B, B], [C, d + i*Omega, 0], [C, 0, d - i*Omega]];
+the split itself assigns the spontaneous weights with the same angular factors
+as the stimulated rates (see rates.rate_set).  Parts and sums are kept in the
+compact real layout [[P, B], [C, d]], and `dense` gives one cell's 6x6 matrix.
 
 Each part is linear in its reservoir's rate coefficients, so it is evaluated
 once, on unit coefficients, into constant templates; a generator is then the
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import eigensystem
+from .model import eigensystem, eigenvectors
 from .rates import COEFFICIENTS, Cells, rate_set
 
 
@@ -42,56 +44,44 @@ SETUPS = (Setup.WEAK_BOSE, Setup.WEAK_FERMI, Setup.STRONG_BOSE)
 
 
 def _part(setup, sign, p, q, s, t, wp, wm, u):
-    """One reservoir's dissipative part of setup's generator, linear in the
-    rate coefficients p, q, s, t, wp, wm and u (rates.COEFFICIENTS).
+    """One reservoir's dissipative part [[P, B], [C, d]] of setup's generator,
+    linear in the rate coefficients p, q, s, t, wp, wm and u (rates.COEFFICIENTS).
 
     sign is -1 for reservoir A and +1 for B in the weak-phase couplings; u is
     the strong phase's spontaneous coherence weight (gamma_j/2) sin(theta).
     """
     z = -1.0 if setup is Setup.WEAK_FERMI else 1.0
     g = wp + wm
-    m = np.zeros((6, 6))
+    m = np.zeros((5, 5))
     m[:4, :4] = [[-2 * (p + q), 2 * (wm + z * q), 2 * (wp + z * p), 0],
                  [2 * q, -2 * (wm + z * q + p), 0, 2 * (wp + z * p)],
                  [2 * p, 0, -2 * (wp + z * p + q), 2 * (wm + z * q)],
                  [0, 2 * p, 2 * q, -2 * (g + z * (p + q))]]
-    m[4, 4] = m[5, 5] = -(g + (1 + z) * (p + q))
-    # (column, row) of the coupling table; only the weak-phase ones carry sign
-    column, row = (1.0 if setup is Setup.STRONG_BOSE else sign) * np.array({
+    m[4, 4] = -(g + (1 + z) * (p + q))
+    # (column B, row C) of the coupling table; only the weak-phase ones carry sign
+    m[:4, 4], m[4, :4] = (1.0 if setup is Setup.STRONG_BOSE else sign) * np.array({
         Setup.WEAK_BOSE: ((s, -t, t, -s), (s, t, -t, -s)),
         Setup.WEAK_FERMI: ((-s, s, s, -s), (s, s, s, s)),
         Setup.STRONG_BOSE: ((-(s + 2 * u), t + u, -t + u, s), (-s, -t + u, t + u, s + 2 * u)),
     }[setup])
-    # rows 4 and 5 share one row, and columns 4 and 5 one column, off the
-    # diagonal: steady.steady_state relies on this shape
-    m[:4, 4] = m[:4, 5] = column
-    m[4, :4] = m[5, :4] = row
     return m
 
 
-def _templates() -> np.ndarray:
-    """(setup, reservoir, coefficient, 6, 6): each part on unit coefficients,
-    which follow rates.COEFFICIENTS."""
-    out = np.array([[[_part(setup, sign, *unit) for unit in np.eye(len(COEFFICIENTS)).tolist()]
-                     for sign in (-1.0, 1.0)] for setup in SETUPS])
-    out.setflags(write=False)
-    return out
-
-
-_TEMPLATES = _templates()
+# (setup, reservoir, coefficient, 5, 5): each part on unit rates.COEFFICIENTS
+_TEMPLATES = np.array([[[_part(setup, sign, *unit) for unit in np.eye(len(COEFFICIENTS)).tolist()]
+                        for sign in (-1.0, 1.0)] for setup in SETUPS])
+_TEMPLATES.setflags(write=False)
 
 
 class GeneratorArrays(NamedTuple):
-    """N generators over the leading cell axis, with what later stages need.
+    """N generators over the leading cell axis, with what later stages need:
+    parts (reservoir A, B) and their sum total in the compact layout, and
+    local_map, which carries vector6 to local_x (model.eigensystem)."""
 
-    total = coherent part + parts[:, 0] + parts[:, 1], where the coherent
-    part holds only the +/- i*Omega entries of the coherence pair.
-    """
-
-    total: np.ndarray      # (N, 6, 6)
-    parts: np.ndarray      # (N, 2, 6, 6): reservoir A, reservoir B
+    total: np.ndarray      # (N, 5, 5)
+    parts: np.ndarray      # (N, 2, 5, 5)
     energies: np.ndarray   # (N, 4)
-    vectors: np.ndarray    # (N, 4, 4) real eigenvector columns
+    local_map: np.ndarray  # (N, 6, 6) real
     numbers: np.ndarray    # (N, 4) excitation numbers
     cells: Cells
 
@@ -99,8 +89,8 @@ class GeneratorArrays(NamedTuple):
 def build_generator(cells: Cells) -> GeneratorArrays:
     """Build the evolution matrices of N cells for the setup of each cell
     (Cells.setup; Cells.build rejects the strong-coupling fermionic one)."""
-    energies, vectors, numbers = eigensystem(cells.bar_eps, cells.omega, cells.theta,
-                                             cells.strong)
+    energies, local_map, numbers = eigensystem(cells.bar_eps, cells.omega, cells.eigen_weights,
+                                               cells.strong)
     rates = rate_set(cells)
     # one contraction per setup in the batch, with that setup's templates: one
     # setup's covers every cell, and each further setup redoes its own cells,
@@ -110,10 +100,17 @@ def build_generator(cells: Cells) -> GeneratorArrays:
     for code in codes:
         at = cells.setup == code
         parts[at] = np.einsum("nrk,rkij->nrij", rates[at], _TEMPLATES[code])
-    total = np.add(parts[..., 0, :, :], parts[..., 1, :, :], dtype=complex)
-    total[..., 4, 4] += 2j * cells.omega
-    total[..., 5, 5] -= 2j * cells.omega
-    return GeneratorArrays(total, parts, energies, vectors, numbers, cells)
+    return GeneratorArrays(parts[..., 0, :, :] + parts[..., 1, :, :], parts, energies,
+                           local_map, numbers, cells)
+
+
+def dense(g: GeneratorArrays) -> tuple[np.ndarray, np.ndarray]:
+    """The complex 6x6 generator and real 4x4 eigenvector columns of one cell g."""
+    k, omega = g.total[0], g.cells.omega[0]
+    m = np.zeros((6, 6), dtype=complex)
+    m[:5, :5], m[:4, 5], m[5, :4] = k, k[:4, 4], k[4, :4]
+    m[4, 4], m[5, 5] = k[4, 4] + 2j * omega, k[4, 4] - 2j * omega
+    return m, eigenvectors(g.cells.eigen_weights[0], g.cells.strong[0])
 
 
 # flat (4x4) positions of the six entries

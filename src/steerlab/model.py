@@ -78,11 +78,14 @@ EXCITATIONS = np.array([[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 2.0, 1.0]])
 # positions of |00>, psi-, psi+ and |11> in the (g, e1, e2, e3) order of the
 # weak (row 0) and the strong (row 1) phase
 STATE_POSITIONS = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
+X_ENTRIES = ([0, 1, 2, 3, 1, 0], [0, 1, 2, 3, 2, 3])     # (row, column) of local_x
+VEC6_ENTRIES = ([0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1])  # and of vector6's entries
 
 
-def _eigen_templates() -> tuple[np.ndarray, np.ndarray]:
-    """Per phase, energies = bar_eps * E[0] + omega * E[1] and eigenvector
-    columns = V[0] + cos(theta/2) V[1] + sin(theta/2) V[2]; returns (E, V)."""
+def _eigen_templates() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per phase, energies = bar_eps E[0] + omega E[1], eigenvector columns V =
+    f @ T for eigen_weights f, and W[k, l] = V[i_k, a_l] V[j_k, b_l] = (f f^T).ravel()
+    @ L (X_ENTRIES, VEC6_ENTRIES); (E, T, L).  Each sum has one term: exact."""
     energy = np.array([[[-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 1.0, 0.0]],
                        [[0.0, -1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]])
     vectors = np.zeros((2, 3, 4, 4))
@@ -90,38 +93,49 @@ def _eigen_templates() -> tuple[np.ndarray, np.ndarray]:
         vectors[phase, 0, 0, g] = vectors[phase, 0, 3, e] = 1.0
         vectors[phase, 1, 1, m] = vectors[phase, 1, 2, p] = 1.0
         vectors[phase, 2, 2, m], vectors[phase, 2, 1, p] = -1.0, 1.0
-    return energy, vectors
+    (i, j), (a, b) = np.array(X_ENTRIES)[..., None], np.array(VEC6_ENTRIES)[:, None]
+    pairs = vectors[:, :, None, i, a] * vectors[:, None, :, j, b]
+    return energy, vectors, pairs.reshape(2, 9, 36)
 
 
-_ENERGY, _VECTORS = _eigen_templates()
+_ENERGY, _VECTORS, _LOCAL_MAP = _eigen_templates()
 
 
-def eigensystem(bar_eps: np.ndarray, omega: np.ndarray, theta: np.ndarray,
+def eigen_weights(theta: np.ndarray) -> np.ndarray:
+    """The eigenvector templates' weights (1, cos(theta/2), sin(theta/2)), (..., 3)."""
+    return np.stack([np.ones_like(theta), np.cos(0.5 * theta), np.sin(0.5 * theta)], axis=-1)
+
+
+def eigensystem(bar_eps: np.ndarray, omega: np.ndarray, weights: np.ndarray,
                 strong: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energies (..., 4), real eigenvector columns (..., 4, 4) and excitation
-    numbers (..., 4) over leading cell axes.
+    """Energies (..., 4), local maps (..., 6, 6) and excitation numbers
+    (..., 4) over leading cell axes, for eigen_weights(theta) weights.
 
     The entangled pair is
         psi_minus = cos(theta/2)|01> - sin(theta/2)|10>   (energy -omega)
         psi_plus  = sin(theta/2)|01> + cos(theta/2)|10>   (energy +omega)
     with |00> at -bar_eps and |11> at +bar_eps.  Weak-phase ordering is
     (|00>, psi-, psi+, |11>); strong-phase ordering (psi-, |00>, |11>, psi+).
+    The real local map takes vector6 v to local_x, sum_ab V[i,a] V[j,b] v_ab.
     """
-    half = 0.5 * theta
-    c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+    products = (weights[..., :, None] * weights[..., None, :]).reshape(strong.shape + (9,))
     # the majority phase's templates cover every cell, and cells of the other
     # phase are redone by mask, so a one-phase batch copies no template per cell
     n_strong = np.count_nonzero(strong)
     phase = int(2 * n_strong > strong.size)
-    energy, vectors = _ENERGY[phase], _VECTORS[phase]
+    energy = _ENERGY[phase]
     energies = bar_eps[..., None] * energy[0] + omega[..., None] * energy[1]
-    columns = vectors[0] + c * vectors[1] + s * vectors[2]
+    local_map = np.dot(products, _LOCAL_MAP[phase])
     if 0 < n_strong < strong.size:
-        at = strong != phase
-        energy, vectors = _ENERGY[1 - phase], _VECTORS[1 - phase]
+        at, energy = strong != phase, _ENERGY[1 - phase]
         energies[at] = bar_eps[at, None] * energy[0] + omega[at, None] * energy[1]
-        columns[at] = vectors[0] + c[at] * vectors[1] + s[at] * vectors[2]
-    return energies, columns, EXCITATIONS[strong.astype(int)]
+        local_map[at] = np.dot(products[at], _LOCAL_MAP[1 - phase])
+    return energies, local_map.reshape(strong.shape + (6, 6)), EXCITATIONS[strong.astype(int)]
+
+
+def eigenvectors(weights: np.ndarray, strong: np.ndarray) -> np.ndarray:
+    """Real eigenvector columns (..., 4, 4), in the order of eigensystem."""
+    return np.einsum("...t,...tij->...ij", weights, _VECTORS[np.asarray(strong, dtype=int)])
 
 
 @dataclass(frozen=True)

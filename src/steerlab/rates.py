@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import SystemParams, derive_params
+from .model import SystemParams, derive_params, eigen_weights
 
 # Bose occupation rejected below this multiple of T (divergence guard)
 BOSE_EPS_FLOOR = 1e-9
@@ -54,13 +54,7 @@ def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
     then be inf, then a Bose eps at or below BOSE_EPS_FLOOR*T, where the
     occupation diverges; each names its first entry in C order.
     """
-    with np.errstate(over="ignore"):
-        x = (eps - mu) / temperature
-        overflow = ~(np.isfinite(x) & np.isfinite(1.0 / temperature))
-    if np.count_nonzero(overflow):
-        raise ValueError(
-            f"temperature too small: T={np.broadcast_to(temperature, overflow.shape)[overflow][0]}"
-            " makes 1/T or (eps-mu)/T overflow")
+    x = scaled_energy(temperature, mu, eps)
     if statistics is Statistics.BOSE:
         low = eps <= BOSE_EPS_FLOOR * temperature
         if np.count_nonzero(low):
@@ -72,6 +66,18 @@ def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
     # logistic form keeps the Fermi tails accurate down to underflow
     e = np.exp(-np.minimum(np.abs(x), 745.0))
     return np.where(x >= 0, e, 1.0) / (1.0 + e)
+
+
+def scaled_energy(temperature: np.ndarray, mu: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """(eps - mu) / T, rejecting a T for which 1/T or (eps-mu)/T overflows."""
+    with np.errstate(over="ignore"):
+        x = (eps - mu) / temperature
+        overflow = ~(np.isfinite(x) & np.isfinite(1.0 / temperature))
+    if np.count_nonzero(overflow):
+        raise ValueError(
+            f"temperature too small: T={np.broadcast_to(temperature, overflow.shape)[overflow][0]}"
+            " makes 1/T or (eps-mu)/T overflow")
+    return x
 
 
 def transition_energies(bar_eps, omega):
@@ -142,8 +148,8 @@ def _setup_codes(strong: np.ndarray, statistics: Statistics) -> np.ndarray:
 class Cells:
     """Per-cell inputs of the array kernels, over leading cell axes.
 
-    The derived parameters of each cell's system (model.derive_params) come
-    with its setup code (an index into generator.SETUPS), its coupling
+    The derived parameters of each cell's system (model.derive_params and
+    eigen_weights) come with its setup code (an index into generator.SETUPS), its coupling
     constant gamma, its reservoirs' temperature and mu, the latter two as
     (..., 2) arrays: reservoir A, reservoir B, and their occupations (...,
     2, 2): [..., j, k] is reservoir j's at eps_plus (k=0) and eps_minus
@@ -158,6 +164,7 @@ class Cells:
     bar_eps: np.ndarray
     omega: np.ndarray
     theta: np.ndarray
+    eigen_weights: np.ndarray
     strong: np.ndarray
     setup: np.ndarray
     gamma: np.ndarray
@@ -206,15 +213,15 @@ class Cells:
         eps = np.empty(theta.shape + (2,))
         eps[..., 1], eps[..., 0] = transition_energies(bar_eps, omega)
         n = occupations(statistics, temperature[..., None], mu[..., None], eps[..., None, :])
-        return cls(bar_eps, omega, theta, strong, setup, columns[..., 3], temperature, mu, n,
-                   statistics)
+        return cls(bar_eps, omega, theta, eigen_weights(theta), strong, setup, columns[..., 3],
+                   temperature, mu, n, statistics)
 
     def __getitem__(self, index) -> Cells:
         """The cells at index of the leading cell axes, e.g. one row of a grid."""
         return Cells(self.bar_eps[index], self.omega[index], self.theta[index],
-                     self.strong[index], self.setup[index], self.gamma[index],
-                     self.temperature[index], self.mu[index], self.occupations[index],
-                     self.statistics)
+                     self.eigen_weights[index], self.strong[index], self.setup[index],
+                     self.gamma[index], self.temperature[index], self.mu[index],
+                     self.occupations[index], self.statistics)
 
 
 def rate_set(c: Cells) -> np.ndarray:
@@ -230,9 +237,7 @@ def rate_set(c: Cells) -> np.ndarray:
     sin(theta) is the spontaneous coherence weight of the strong phase.
     """
     n = c.occupations
-    half = 0.5 * c.theta
-    cos, sin = np.cos(half), np.sin(half)
-    cos2, sin2 = cos * cos, sin * sin
+    cos2, sin2 = c.eigen_weights[..., 1] ** 2, c.eigen_weights[..., 2] ** 2
     # spontaneous weights gamma * (angular factor) of (eps_plus, eps_minus);
     # reservoir A couples with (cos^2, sin^2), reservoir B with (sin^2, cos^2)
     spont = np.empty(c.theta.shape + (2, 2))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateSteadyStateError
-from .generator import GeneratorArrays, to_vector6
+from .generator import GeneratorArrays, dense, to_vector6
 from .model import Basis, DensityMatrix4, POSITIVITY_TOL, basis_change, lower_eigenvalue
 
 RESIDUAL_TOL = 1e-10
@@ -27,14 +27,12 @@ RESIDUAL_TOL = 1e-10
 NULL_TOL = 8 * np.finfo(float).eps
 # stability bound on the fixed RK4 step: dt <= DT_SAFETY / ||M||_inf
 DT_SAFETY = 0.1
-# flat positions in the 4x4 eigenvector columns V of the factors V[i, a] and
-# V[j, b] of the map from vector6 to local_x: row k is the X entry (i, j), in
-# the order rho11, rho22, rho33, rho44, rho23, rho14, and column l the entry
-# (a, b) of vector6
-_LEFT, _RIGHT = (4 * np.array([[0, 1, 2, 3, 1, 0], [0, 1, 2, 3, 2, 3]])[..., None]
-                 + np.array([[0, 1, 2, 3, 1, 2], [0, 1, 2, 3, 2, 1]])[:, None, :])
+# steps per batched matmul of evolve: the propagator's powers 1..RK4_CHUNK
+RK4_CHUNK = 256
 # right-hand side e_0 of the bordered population solve, broadcast over the cells
 _E0 = np.eye(4, 1)
+# (p, Re c) times this is (p, 2 Re c), on which [P, B] gives P p + 2 B Re(c)
+POPULATION_RATE = np.array([1.0, 1.0, 1.0, 1.0, 2.0])
 
 
 class SteadyArrays(NamedTuple):
@@ -67,32 +65,28 @@ def min_eigenvalue_energy(v: np.ndarray) -> np.ndarray:
     return np.minimum(np.minimum(p[..., 0], p[..., 3]), block)
 
 
-def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
-    """Solve M|rho> = 0 for N matrices (N,6,6) by one real 4x4 solve each.
+def steady_state(g: GeneratorArrays) -> SteadyArrays:
+    """Solve M|rho> = 0 for the N generators g by one real 4x4 solve each.
 
-    vectors (N,4,4), the real eigenvector columns V, carry each state to the
-    local basis: local_x entry (i, j) is the sum over the six entries v_ab of
-    vector6 of V[i,a] V[j,b] v_ab, one real linear map.  In every template the
-    coherence pair couples to the populations p through one real column B
-    (M[:4,4] = M[:4,5]) and one real row C (M[4,:4] = M[5,:4]), with diagonal
-    -z, -z*, z = G - iW.  So c = (C.p)/z, and p spans the null space of the real
-    A = P + 2 Re(1/z) B C^T.  Trace preservation makes row 0 of A redundant:
-    replaced by ones and solved for e_0 it gives p at unit sum, and v = (p, c, c*)
-    is Hermitian.  The null space must be one-dimensional: null_ratio, |det| of
-    the bordered matrix over its Hadamard bound (the product of its row norms,
-    so invariant under row scaling), must exceed NULL_TOL, and the bound must be
-    finite and nonzero, else DegenerateSteadyStateError is raised.  So it is for
-    a residual max|M v| above RESIDUAL_TOL * max(1, max|M|), which also catches
-    a generator outside the template shape; the reported residual is absolute.
-    Any other array shape raises ValueError before any arithmetic.
+    In g.total = [[P, B], [C, d]] the coherence pair couples to the populations
+    p through B and C, with diagonal -z, -z*, z = -(d + i*Omega).  So c =
+    (C.p)/z, and p spans the null space of the real A = P + 2 Re(1/z) B C^T.
+    Trace preservation makes row 0 of A redundant: replaced by ones and solved
+    for e_0 it gives p at unit sum, and v = (p, c, c*) is Hermitian.  The null
+    space must be one-dimensional: null_ratio, |det| of the bordered matrix
+    over its Hadamard bound (the product of its row norms), must exceed
+    NULL_TOL, and the bound must be finite and nonzero, else
+    DegenerateSteadyStateError is raised; so for a residual max|M v| (P p + 2 B
+    Re c, C.p - z c) above RESIDUAL_TOL * max(1, |z|, max|g.total|), reported
+    absolute.  Any other array shape raises ValueError before any arithmetic.
     """
-    if total.ndim != 3 or total.shape[1:] != (6, 6) or vectors.shape != (len(total), 4, 4):
-        raise ValueError(f"steady_state expects (N, 6, 6) generators and (N, 4, 4) vectors, "
-                         f"got {total.shape} and {vectors.shape}")
-    z, row = -total[:, 4, 4], total[:, 4, :4].real
+    total = g.total
+    if total.ndim != 3 or total.shape[1:] != (5, 5):
+        raise ValueError(f"steady_state expects (N, 5, 5) generators, got {total.shape}")
+    z, row = -2j * g.cells.omega - total[:, 4, 4], total[:, 4, :4]
     # 2 Re(1/z) B: the populations' feedback through the eliminated pair
-    column = (2.0 * (1.0 / z).real)[:, None] * total[:, :4, 4].real
-    bordered = total[:, :4, :4].real + column[:, :, None] * row[:, None, :]
+    column = (2.0 * (1.0 / z).real)[:, None] * total[:, :4, 4]
+    bordered = total[:, :4, :4] + column[:, :, None] * row[:, None, :]
     bordered[:, 0] = 1.0
     bound = np.sqrt(np.einsum("nij,nij->ni", bordered, bordered)).prod(axis=-1)
     # an underflowed bound (gamma far below rounding) or a non-finite one
@@ -108,15 +102,18 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
             f"null space ill-conditioned: |det| of the bordered population matrix is "
             f"{ratio[i]:.3g} of its Hadamard bound, at most {NULL_TOL:.3g}")
     p = np.linalg.solve(bordered, _E0)[..., 0]
-    c = np.einsum("ni,ni->n", row, p) / z
+    coupled = np.einsum("ni,ni->n", row, p)
+    c = coupled / z
     v = np.concatenate([p, c[:, None], c.conj()[:, None]], axis=1)
-    residual = np.abs(total @ v[..., None]).max(axis=(-2, -1))
+    rates = np.einsum("nij,nj->ni", total[:, :4], v.real[:, :5] * POPULATION_RATE)
+    residual = np.maximum(np.abs(rates).max(axis=1), np.abs(coupled - z * c))
     over = ~(residual <= RESIDUAL_TOL)
     if np.count_nonzero(over):
         # rounding in M v grows with the entries of M (hot Bose reservoirs);
         # the scale is computed only for cells over the absolute tolerance
         cells = np.flatnonzero(over)
-        tol = RESIDUAL_TOL * np.maximum(1.0, np.abs(total[cells]).max(axis=(-2, -1)))
+        tol = RESIDUAL_TOL * np.maximum(np.maximum(1.0, np.abs(z[cells])),
+                                        np.abs(total[cells]).max(axis=(-2, -1)))
         i = _first(~(residual[cells] <= tol))
         if i is not None:
             raise DegenerateSteadyStateError(
@@ -124,8 +121,7 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
                 f"{RESIDUAL_TOL} * max(1, max|M|) = {tol[i]:.3g}")
     # the real map W; Im v is (0, 0, 0, 0, Im c, -Im c), and W[:, :4, 4] equals
     # W[:, :4, 5], so only rho23 and rho14 have an imaginary part
-    flat = vectors.reshape(len(total), 16)
-    w = np.take(flat, _LEFT, axis=1) * np.take(flat, _RIGHT, axis=1)
+    w = g.local_map
     local_x = np.zeros((len(total), 6), dtype=complex)
     np.einsum("nka,na->nk", w, v.real, out=local_x.real)
     local_x.imag[:, 4:] = (w[:, 4:, 4] - w[:, 4:, 5]) * c.imag[:, None]
@@ -135,8 +131,7 @@ def steady_state(total: np.ndarray, vectors: np.ndarray) -> SteadyArrays:
 
 def max_stable_dt(g: GeneratorArrays) -> float:
     """The stability bound 0.1/||M||_inf of the one-cell generator g."""
-    norm_inf = float(np.max(np.abs(g.total[0]).sum(axis=1)))
-    return DT_SAFETY / norm_inf
+    return DT_SAFETY / float(np.max(np.abs(dense(g)[0]).sum(axis=1)))
 
 
 def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float,
@@ -145,18 +140,21 @@ def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float,
     one-cell generator g: the read-only times (n+1,) and 6-entry state
     vectors (n+1, 6) of the energy basis, starting at rho0.
 
-    The initial state must live in the 6-entry subspace; entries outside it
-    beyond 1e-12 are dropped with a warning.  Steps larger than the stability
-    bound 0.1/||M||_inf are rejected, and so is a trajectory too long to
-    allocate.
+    Every step but the last, which ends at t_final, is dt.  With M constant a
+    step is one matrix P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, and
+    RK4_CHUNK steps are one batched matmul of its powers.  The initial state
+    must live in the 6-entry subspace; entries outside it beyond 1e-12 are
+    dropped with a warning.  Steps above the stability bound 0.1/||M||_inf are
+    rejected, and so is a trajectory too long to allocate.
     """
     if not (0 < t_final < math.inf and 0 < dt < math.inf):
         raise ValueError("t_final and dt must be positive and finite")
     dt_max = max_stable_dt(g)
     if dt > dt_max:
         raise ValueError(f"dt={dt} unstable: maximum stable dt is {dt_max:.6g}")
+    m, columns = dense(g)
     if rho0.basis is not Basis.ENERGY:
-        rho0 = basis_change(rho0, Basis.ENERGY, g.vectors[0])
+        rho0 = basis_change(rho0, Basis.ENERGY, columns)
     v, leak = to_vector6(rho0.entries)
     if leak > 1e-12:
         warnings.warn(
@@ -164,28 +162,30 @@ def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float,
             "projecting onto the 6-entry subspace",
             stacklevel=2,
         )
-    m = g.total[0]
     n_steps = t_final / dt
     try:
         # at least one step, however short t_final is against dt
         n_steps = max(1, int(math.ceil(n_steps - 1e-12)))
-        times = np.empty(n_steps + 1)
+        times = np.zeros(n_steps + 1)
         vectors = np.empty((n_steps + 1, 6), dtype=complex)
     except (OverflowError, MemoryError, ValueError):
         raise ValueError(f"a trajectory of {n_steps:.6g} steps cannot be allocated") from None
-    times[0] = 0.0
+    times[1:n_steps] = np.add.accumulate(np.full(n_steps - 1, dt))
+    last = min(dt, t_final - times[n_steps - 1])
+    times[n_steps] = times[n_steps - 1] + last
     vectors[0] = v
-    t = 0.0
-    for i in range(n_steps):
-        step = min(dt, t_final - t)
-        k1 = m @ v
-        k2 = m @ (v + 0.5 * step * k1)
-        k3 = m @ (v + 0.5 * step * k2)
-        k4 = m @ (v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += step
-        times[i + 1] = t
-        vectors[i + 1] = v
+    def increment(h: float) -> np.ndarray:   # P - I, for the step h
+        a, one = h * m, np.eye(6)
+        return a @ (one + a @ (one / 2 + a @ (one / 6 + a / 24)))
+    # P^k - I, apart from I so that no step rounds I + (P - I): P^(k+j) - I =
+    # (P^k - I) + (P^j - I) + (P^k - I)(P^j - I)
+    powers = increment(dt)[None]
+    while len(powers) < min(RK4_CHUNK, n_steps - 1):
+        powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
+    for i in range(0, n_steps - 1, RK4_CHUNK):
+        chunk = vectors[i + 1:min(i + 1 + RK4_CHUNK, n_steps)]
+        chunk[:] = vectors[i] + powers[:len(chunk)] @ vectors[i]
+    vectors[-1] = vectors[-2] + increment(last) @ vectors[-2]
     times.setflags(write=False)
     vectors.setflags(write=False)
     return times, vectors

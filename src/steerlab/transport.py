@@ -14,7 +14,7 @@ from .errors import ConfigurationError
 from .generator import GeneratorArrays, build_generator
 from .model import SystemParams
 from .rates import Cells, ReservoirSpec, Statistics
-from .steady import SteadyArrays, steady_state
+from .steady import POPULATION_RATE, SteadyArrays, steady_state
 
 CURRENT_RESIDUAL_TOL = 1e-8
 
@@ -23,8 +23,8 @@ def transport_report(g: GeneratorArrays, st: SteadyArrays):
     """(current_a, current_b, sigma) of the steady states st of generators g,
     each an array over the cell axis.
 
-    Reservoir j moves the populations at the rate d_j = (D_j v)[:4], with
-    D_j = g.parts[:, j] its dissipative part, which carries the energy
+    Reservoir j moves the populations at the rate d_j = P_j p + 2 B_j Re(c) of
+    its part g.parts[:, j] and v = (p, c, c*), which carries the energy
     current J^E_j = d_j . E and the particle current J^N_j = d_j . N (E and N
     the energy-basis eigenvalues of H and of the excitation number).  The
     reported current is J^E (bosonic) or J^N (fermionic).  The entropy
@@ -38,8 +38,9 @@ def transport_report(g: GeneratorArrays, st: SteadyArrays):
         raise ValueError(
             f"state residual {np.max(st.residual):.3g} too large for a steady state"
         )
-    # the parts are real, so Re(D_j v) = D_j Re(v)
-    d = np.einsum("...rij,...j->...ri", g.parts[..., :4, :], st.vector6.real)
+    # over whole contiguous parts, and row 4 dropped: einsum is slower on a view
+    d = np.einsum("...rij,...j->...ri", g.parts,
+                  st.vector6.real[..., :5] * POPULATION_RATE)[..., :4]
     je = np.einsum("...ri,...i->...r", d, g.energies)
     jn = np.einsum("...ri,...i->...r", d, g.numbers)
     t, mu = g.cells.temperature, g.cells.mu
@@ -64,5 +65,5 @@ def rectification(p: SystemParams, base: ReservoirSpec, delta: float) -> float:
     hi = ReservoirSpec(Statistics.BOSE, base.temperature + 0.5 * delta)
     # forward: T_B > T_A; backward: T_A > T_B
     g = build_generator(Cells.of([(p, lo, hi), (p, hi, lo)]))
-    forward, backward = transport_report(g, steady_state(g.total, g.vectors))[1]
+    forward, backward = transport_report(g, steady_state(g))[1]
     return float(abs(forward) / abs(backward))

@@ -22,7 +22,8 @@ import steerlab as sl
 from steerlab import analysis
 from steerlab.analysis import ENT_COEFF, FIELDS, Axis, Criterion, RegionMap, SweepConfig
 from steerlab.errors import ConfigurationError
-from steerlab.generator import from_vector6
+from steerlab.generator import _TEMPLATES, from_vector6
+from steerlab.model import eigenvectors
 from steerlab.rates import COEFFICIENTS, Statistics, occupations
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
@@ -163,6 +164,63 @@ def dense_local(v: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return vectors @ from_vector6(v) @ vectors.conj().swapaxes(-1, -2)
 
 
+def columns(g: sl.GeneratorArrays) -> np.ndarray:
+    """The real eigenvector columns (N, 4, 4) of the cells of generators g."""
+    return eigenvectors(g.cells.eigen_weights, g.cells.strong)
+
+
+def cell(g: sl.GeneratorArrays, i: int) -> sl.GeneratorArrays:
+    """Row i of the generators g, as a one-cell batch."""
+    return g._replace(**{k: v[i:i + 1] for k, v in g._asdict().items()})
+
+
+def unpack(k: np.ndarray) -> np.ndarray:
+    """The real 6x6 matrices (..., 6, 6) on the six entries of compact
+    [[P, B], [C, d]] arrays (..., 5, 5): [[P, B, B], [C, d, 0], [C, 0, d]],
+    without the coherent part."""
+    m = np.zeros(k.shape[:-2] + (6, 6))
+    m[..., :5, :5] = k
+    m[..., :4, 5], m[..., 5, :4], m[..., 5, 5] = k[..., :4, 4], k[..., 4, :4], k[..., 4, 4]
+    return m
+
+
+def generator_oracle(cells: sl.Cells) -> tuple[np.ndarray, np.ndarray]:
+    """The former dense assembly, as the oracle of the compact layout: the
+    bath parts (..., 2, 6, 6) as the broadcast product-sum of the rate
+    coefficients and the 6x6 templates of each cell's setup, and the total
+    (..., 6, 6), their sum in complex arithmetic plus the +/- i*Omega
+    entries, Omega = 2 omega."""
+    templates = unpack(np.asarray(_TEMPLATES))[cells.setup]
+    parts = (sl.rate_set(cells)[..., None, None] * templates).sum(axis=-3)
+    total = np.add(parts[..., 0, :, :], parts[..., 1, :, :], dtype=complex)
+    total[..., 4, 4] += 2j * cells.omega
+    total[..., 5, 5] -= 2j * cells.omega
+    return parts, total
+
+
+def rk4_oracle(m: np.ndarray, v: np.ndarray, t_final: float,
+               dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The former evolve loop, as the oracle of its propagator: classic RK4
+    steps of dv/dt = M v of length min(dt, t_final - t) from v, until
+    t_final; returns the times (n+1,) and the states (n+1, 6)."""
+    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
+    times = np.zeros(n_steps + 1)
+    out = np.empty((n_steps + 1, 6), dtype=complex)
+    out[0] = v
+    t = 0.0
+    for i in range(n_steps):
+        step = min(dt, t_final - t)
+        k1 = m @ v
+        k2 = m @ (v + 0.5 * step * k1)
+        k3 = m @ (v + 0.5 * step * k2)
+        k4 = m @ (v + step * k3)
+        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += step
+        times[i + 1] = t
+        out[i + 1] = v
+    return times, out
+
+
 def random_system(rng: np.random.Generator, phase: Phase,
                   gamma_range=(1e-3, 0.05)) -> sl.SystemParams:
     """Random valid parameters safely inside the requested phase."""
@@ -180,7 +238,7 @@ def random_system(rng: np.random.Generator, phase: Phase,
 def one_cell(p: sl.SystemParams, ra: sl.ReservoirSpec, rb: sl.ReservoirSpec):
     """Generator and steady state of one point, as the one-cell batch."""
     g = sl.build_generator(sl.Cells.of([(p, ra, rb)]))
-    return g, sl.steady_state(g.total, g.vectors)
+    return g, sl.steady_state(g)
 
 
 @st.composite
@@ -206,9 +264,9 @@ def batches(draw):
 
 def transport_oracle(g: sl.GeneratorArrays, ss: sl.SteadyArrays):
     """Oracle of transport.transport_report, its former form: d_j = (D_j v)[:4]
-    by a stacked matmul, and J^E, J^N by multiply-and-sum; returns
-    (current_a, current_b, sigma)."""
-    d = (g.parts[..., :4, :] @ ss.vector6.real[..., None, :, None])[..., 0]
+    by a stacked matmul over the dense 6x6 parts D_j, and J^E, J^N by
+    multiply-and-sum; returns (current_a, current_b, sigma)."""
+    d = (unpack(g.parts)[..., :4, :] @ ss.vector6.real[..., None, :, None])[..., 0]
     je = (d * g.energies[..., None, :]).sum(axis=-1)
     jn = (d * g.numbers[..., None, :]).sum(axis=-1)
     t, mu = g.cells.temperature, g.cells.mu
@@ -274,7 +332,7 @@ def equilibrium_analytic(p: sl.SystemParams, r: sl.ReservoirSpec) -> Equilibrium
     populations are the grand-canonical products.
     """
     c = sl.Cells.of([(p, r, r)])
-    _, vectors, _ = sl.eigensystem(c.bar_eps, c.omega, c.theta, c.strong)
+    vectors = eigenvectors(c.eigen_weights, c.strong)
     theta = c.theta.item()
     np_, nq = c.occupations[0, 0].tolist()
     c2 = math.cos(theta / 2) ** 2

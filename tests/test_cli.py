@@ -115,7 +115,7 @@ class TestSteadyCommand:
         g = sl.build_generator(sl.Cells.of([(sl.SystemParams(*params, 0.01),
                                              sl.ReservoirSpec(statistics, *a),
                                              sl.ReservoirSpec(statistics, *b))]))
-        oracle = eigen_populations(local, g.vectors[0], g.cells.strong[0])
+        oracle = eigen_populations(local, steerlab.generator.dense(g)[1], g.cells.strong[0])
         got = rep["correlations"]["eigen_populations"]
         assert np.max(np.abs(np.subtract(got, oracle))) <= 1e-15
 
@@ -182,7 +182,7 @@ class TestSteadyCommand:
 # requests that the gate rejects, per command, and the error each names: a
 # subnormal temperature, strong-coupling fermions, a bosonic mu and kappa <= 0
 # (for threshold also as the bracket's low end); thresholds-table builds no
-# cells, so its point meets the input rules alone
+# cells, so its point meets the input rules and steady's temperature rule alone
 THRESHOLD_FLAGS = ["--criterion=two-way", "--bracket-lo=2.003", "--bracket-hi=2.3"]
 GATED_INPUTS = {
     "subnormal-t": (["--ta=1e-320"], "temperature too small: T=1e-320"),
@@ -203,6 +203,10 @@ GATED_REQUESTS = {
     "thresholds-table-bose-mu": (["thresholds-table", *GATED_INPUTS["bose-mu"][0]],
                                  GATED_INPUTS["bose-mu"][1]),
     "thresholds-table-kappa": (["thresholds-table", "--kappa=-1"], "kappa must be > 0, got -1.0"),
+    # the closed forms would read inf; steady's message for the same input
+    "thresholds-table-subnormal-t": (["thresholds-table", "--ta=1e-320", "--tb=1e-320"],
+                                     "temperature too small: T=1e-320 makes 1/T or (eps-mu)/T "
+                                     "overflow"),
 }
 
 

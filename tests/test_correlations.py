@@ -19,6 +19,7 @@ from steerlab.correlations import (
     xstate_fault,
 )
 from steerlab.errors import InternalConsistencyError
+from steerlab.generator import dense
 from steerlab.model import Basis
 from steerlab.rates import Statistics
 
@@ -121,7 +122,7 @@ class TestExtractXState:
             p = random_system(rng, phase)
             r = sl.ReservoirSpec(Statistics.BOSE, 0.5)
             g, ss = one_cell(p, r, sl.ReservoirSpec(Statistics.BOSE, 0.7))
-            x_vector(dense_local(ss.vector6, g.vectors))   # raises on a non-X entry
+            x_vector(dense_local(ss.vector6, dense(g)[1]))   # raises on a non-X entry
             assert xstate_fault(_x_entries(ss.local_x))[0] == -1
 
 
@@ -325,8 +326,8 @@ class TestClassify:
         r = sl.ReservoirSpec(Statistics.BOSE, 0.4)
         g, ss = one_cell(p, r, r)
         rep = row0(sl.classify(ss.local_x))
-        local = dense_local(ss.vector6[0], g.vectors[0])
-        p00, p11, pm, pp = eigen_populations(local, g.vectors[0], g.cells.strong[0])
+        local = dense_local(ss.vector6[0], dense(g)[1])
+        p00, p11, pm, pp = eigen_populations(local, dense(g)[1], g.cells.strong[0])
         _, f_b = factors(_x_entries(ss.local_x[0]))
         law = 0.25 * (p00 - p11) * (pm - pp) * math.cos(g.cells.theta[0])
         assert f_b == pytest.approx(law, abs=1e-10)
@@ -338,8 +339,8 @@ class TestClassify:
         p = sl.SystemParams(1.3, 0.7, 1.0, 0.01)
         g, ss = one_cell(p, sl.ReservoirSpec(Statistics.BOSE, 0.45),
                          sl.ReservoirSpec(Statistics.BOSE, 0.65))
-        local = dense_local(ss.vector6[0], g.vectors[0])
-        p00, p11, pm, pp = eigen_populations(local, g.vectors[0], g.cells.strong[0])
+        local = dense_local(ss.vector6[0], dense(g)[1])
+        p00, p11, pm, pp = eigen_populations(local, dense(g)[1], g.cells.strong[0])
         _, f_b = factors(_x_entries(ss.local_x[0]))
         theta = g.cells.theta[0]
         correction = 2 * math.sin(theta) * ss.vector6[0, 4].real

@@ -11,12 +11,26 @@ from steerlab.generator import (
     _TEMPLATES,
     SETUPS,
     Setup,
+    dense,
     from_vector6,
     to_vector6,
 )
 from steerlab.rates import Statistics, rate_set
+from steerlab.steady import steady_state
 
-from conftest import Phase, equilibrium_analytic, occupation, one_cell, random_system, rates
+from conftest import (
+    Phase,
+    batches,
+    cell,
+    columns,
+    equilibrium_analytic,
+    generator_oracle,
+    occupation,
+    one_cell,
+    random_system,
+    rates,
+    unpack,
+)
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -101,7 +115,7 @@ def redfield_dissipator_6x6(p: sl.SystemParams, r: sl.ReservoirSpec, which: str,
     6-entry representation, in the eigenbasis of the one-cell generator g.
     Independent route used to validate the printed matrices and the
     per-reservoir split."""
-    energies, vectors = g.energies[0], g.vectors[0]
+    energies, vectors = g.energies[0], dense(g)[1]
     s_local = np.kron(SX, I2) if which == "A" else np.kron(I2, SX)
     s = vectors.conj().T @ s_local @ vectors
     gam = p.gamma
@@ -153,13 +167,13 @@ class TestBuildGenerator:
         ra, rb = sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b)
         g = generator(p, ra, rb)
         assert SETUPS[g.cells.setup[0]] is setup
-        assert np.max(np.abs(g.total[0] - printed_matrix(p, ra, rb, setup))) < 1e-15
+        assert np.max(np.abs(dense(g)[0] - printed_matrix(p, ra, rb, setup))) < 1e-15
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_coherence_pair_shape(self, p, stat, a, b, setup):
-        # the shape steady_state eliminates the coherence pair by: one real row
+        # the shape of the compact layout, in the printed form: one real row
         # and one real column shared by the pair, and a diagonal -z, -z*
-        m = generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b)).total[0]
+        m = printed_matrix(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b), setup)
         assert np.array_equal(m[4, :4], m[5, :4]) and np.array_equal(m[:4, 4], m[:4, 5])
         assert not np.any(m[:4].imag) and not np.any(m[4:, :4].imag)
         assert m[4, 5] == m[5, 4] == 0 and m[5, 5] == np.conj(m[4, 4])
@@ -173,8 +187,9 @@ class TestBuildGenerator:
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_decomposition_sums_to_total(self, p, stat, a, b, setup):
         g = generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))
-        resum = coherent_part(g) + g.parts[0, 0] + g.parts[0, 1]
-        assert np.max(np.abs(resum - g.total[0])) < 1e-14
+        parts = unpack(g.parts[0])
+        resum = coherent_part(g) + parts[0] + parts[1]
+        assert np.max(np.abs(resum - dense(g)[0])) < 1e-14
 
     @pytest.mark.parametrize("setup,shape", [
         *[pytest.param(setup, shape, id=f"{setup}-shape{i}")
@@ -184,7 +199,7 @@ class TestBuildGenerator:
     ])
     def test_parts_match_product_sum(self, setup, shape):
         # the einsum assembly against the broadcast product-sum of the rate
-        # coefficients and the 6x6 templates: the same bits, signs of zeros
+        # coefficients and the compact templates: the same bits, signs of zeros
         # included, at N = 1 and on a 2-D batch, and on batches that
         # interleave weak-bose and strong-bose cells; temperatures from 2e-3
         # (occupations underflow to 0) up to 3
@@ -208,9 +223,33 @@ class TestBuildGenerator:
             assert np.all(codes == SETUPS.index(setup))
         want = (rate_set(cells)[..., None, None] * _TEMPLATES[codes]).sum(axis=-3)
         got = sl.build_generator(cells).parts
-        assert got.shape == shape + (2, 6, 6)
+        assert got.shape == shape + (2, 5, 5)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=batches())
+    def test_compact_layout_matches_dense_oracle(self, g):
+        # weak-bose, strong-bose and weak-fermi cells: the compact parts are the
+        # leading 5x5 blocks of the former dense product-sum, bit for bit and
+        # signs of zeros included; the dense parts repeat B, C and d in row and
+        # column 5 and hold 0 at (4, 5) and (5, 4), so the layout loses nothing;
+        # and entries that no template of a setup touches are +0
+        parts, total = generator_oracle(g.cells)
+        compact = parts[..., :5, :5]
+        assert np.array_equal(g.parts, compact)
+        assert np.array_equal(np.signbit(g.parts), np.signbit(compact))
+        assert np.array_equal(unpack(g.parts), parts)
+        assert np.all(parts[..., 4, 5] == 0) and np.all(parts[..., 5, 4] == 0)
+        untouched = np.broadcast_to(~np.any(_TEMPLATES, axis=2)[g.cells.setup], g.parts.shape)
+        assert np.count_nonzero(untouched) and np.all(g.parts[untouched] == 0)
+        assert not np.any(np.signbit(g.parts[untouched]))
+        assert np.array_equal(g.total, g.parts[:, 0] + g.parts[:, 1])
+        for i in range(len(g.total)):
+            # the dense one-cell matrix is the former complex total, bit for bit
+            m, vectors = dense(cell(g, i))
+            assert m.tobytes() == total[i].tobytes()
+            assert vectors.tobytes() == columns(g)[i].tobytes()
 
     @pytest.mark.parametrize("kappa", [[1.5, 2.5, 3.0, 0.5, 4.0], [2.5, 1.5, 0.5, 3.0, 1.0]],
                              ids=["weak-first", "strong-first"])
@@ -226,15 +265,22 @@ class TestBuildGenerator:
             one = sl.build_generator(sl.Cells.build(1.0, 1.0, np.array(kappa[i:i + 1]), 0.01,
                                                     np.array(t_a[i:i + 1]),
                                                     np.array(t_b[i:i + 1]), 0.0, 0.0, BOSE))
-            for name in ("energies", "vectors", "numbers", "total", "parts"):
+            for name in ("energies", "local_map", "numbers", "total", "parts"):
                 # bit for bit, signs of zeros included
                 got, want = getattr(g, name)[i], getattr(one, name)[0]
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            # and so are the steady state and the currents of the cell
+            st, st_one = steady_state(g), steady_state(one)
+            currents, currents_one = sl.transport_report(g, st), sl.transport_report(one, st_one)
+            for got, want in [(st.vector6[i], st_one.vector6[0]),
+                              (st.local_x[i], st_one.local_x[0]),
+                              *[(c[i], c_one[0]) for c, c_one in zip(currents, currents_one)]]:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_trace_preservation(self, p, stat, a, b, setup):
         g = generator(p, sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b))
-        col_sums = g.total[0, :4, :].sum(axis=0)
+        col_sums = dense(g)[0][:4, :].sum(axis=0)
         assert np.max(np.abs(col_sums)) < 1e-12
 
     def test_coherent_part_content(self):
@@ -246,21 +292,21 @@ class TestBuildGenerator:
         # Omega = 2 omega = hypot(eps_a - eps_b, kappa)
         expected[4, 4] = 1j * math.sqrt(2)
         expected[5, 5] = -1j * math.sqrt(2)
-        coherent = g.total[0] - g.parts[0, 0] - g.parts[0, 1]
+        coherent = dense(g)[0] - unpack(g.parts[0, 0]) - unpack(g.parts[0, 1])
         assert np.max(np.abs(coherent - expected)) < 1e-15
 
     def test_equilibrium_weak_block_decoupling(self):
         for stat in (BOSE, FERMI):
             p = sl.SystemParams(1.4, 0.6, 1.0, 0.01)
             r = sl.ReservoirSpec(stat, 0.5, 0.8 if stat is FERMI else 0.0)
-            g = generator(p, r, r)
-            assert np.max(np.abs(g.total[0, :4, 4:])) == 0.0
-            assert np.max(np.abs(g.total[0, 4:, :4])) == 0.0
+            m = dense(generator(p, r, r))[0]
+            assert np.max(np.abs(m[:4, 4:])) == 0.0
+            assert np.max(np.abs(m[4:, :4])) == 0.0
 
     def test_strong_bose_spontaneous_coupling_terms(self):
         p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.4)
-        m = generator(p, r, r).total[0]
+        m = dense(generator(p, r, r))[0]
         # theta = atan2(kappa, eps_a - eps_b)
         rs, sin_th = rates(p, r, r), math.sin(math.atan2(3.0, 1.6))
         assert m[0, 4] == pytest.approx(-rs.s_a - rs.s_b - 2 * 0.01 * sin_th, rel=1e-13)
@@ -282,8 +328,9 @@ class TestBuildGenerator:
         p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
         ra, rb = sl.ReservoirSpec(BOSE, 0.3), sl.ReservoirSpec(BOSE, 0.7)
         g = generator(p, ra, rb)
-        assert np.max(np.abs(redfield_dissipator_6x6(p, ra, "A", g) - g.parts[0, 0])) < 1e-14
-        assert np.max(np.abs(redfield_dissipator_6x6(p, rb, "B", g) - g.parts[0, 1])) < 1e-14
+        parts = unpack(g.parts[0])
+        assert np.max(np.abs(redfield_dissipator_6x6(p, ra, "A", g) - parts[0])) < 1e-14
+        assert np.max(np.abs(redfield_dissipator_6x6(p, rb, "B", g) - parts[1])) < 1e-14
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_population_blocks_match_textbook_redfield(self, p, stat, a, b, setup):
@@ -306,7 +353,7 @@ class TestBuildGenerator:
         mu = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
         ra = sl.ReservoirSpec(stat, rng.uniform(0.1, 2.0), mu)
         rb = sl.ReservoirSpec(stat, rng.uniform(0.1, 2.0), mu)
-        m = generator(p, ra, rb).total[0]
+        m = dense(generator(p, ra, rb))[0]
         eigvals = np.sort(np.abs(np.linalg.eigvals(m)))
         assert eigvals[0] < 1e-12 * max(1.0, np.abs(m).max())
         assert eigvals[1] > 100 * eigvals[0]
@@ -317,7 +364,7 @@ class TestApplyAndVectors:
         p = sl.SystemParams(1.3, 0.7, 1.0, 0.01)
         r = sl.ReservoirSpec(BOSE, 0.5)
         g, st = one_cell(p, r, r)
-        assert np.max(np.abs(g.total[0] @ st.vector6[0])) < 1e-12
+        assert np.max(np.abs(dense(g)[0] @ st.vector6[0])) < 1e-12
 
     @pytest.mark.parametrize("p,stat,t,mu", [
         (sl.SystemParams(1.5, 0.5, 1.0, 0.01), BOSE, 0.5, 0.0),
@@ -328,7 +375,7 @@ class TestApplyAndVectors:
         # the closed-form equilibrium state is annihilated independently of
         # the numerical solver
         r = sl.ReservoirSpec(stat, t, mu)
-        m = generator(p, r, r).total[0]
+        m = dense(generator(p, r, r))[0]
         ana = equilibrium_analytic(p, r)
         v, leak = to_vector6(ana.energy.entries)
         assert leak == 0.0
@@ -340,7 +387,7 @@ class TestApplyAndVectors:
         g = generator(p, r, r)
         c = 0.3 + 0.1j
         v = np.array([0, 0, 0, 0, c, np.conj(c)])
-        out = (g.total[0] - g.parts[0, 0] - g.parts[0, 1]) @ v
+        out = (dense(g)[0] - unpack(g.parts[0, 0]) - unpack(g.parts[0, 1])) @ v
         omega = 2 * g.cells.omega[0]
         assert out[4] == pytest.approx(1j * omega * c)
         assert out[5] == pytest.approx(-1j * omega * np.conj(c))
@@ -348,7 +395,7 @@ class TestApplyAndVectors:
     def test_population_sum_conserved(self, rng):
         p = random_system(rng, Phase.WEAK)
         r = sl.ReservoirSpec(BOSE, 0.5)
-        m = generator(p, r, r).total[0]
+        m = dense(generator(p, r, r))[0]
         pops = rng.dirichlet(np.ones(4))
         c = rng.normal() * 0.05 + 1j * rng.normal() * 0.05
         v = np.array([*pops, c, np.conj(c)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import steerlab as sl
 from steerlab.errors import PhaseBoundaryError
-from steerlab.model import Basis
+from steerlab.model import VEC6_ENTRIES, X_ENTRIES, Basis, eigen_weights, eigenvectors
 
 from conftest import Phase, hamiltonian_matrix, random_system
 
@@ -32,7 +32,15 @@ def derive(p: sl.SystemParams):
 def eigen(p: sl.SystemParams):
     """(energies, eigenvector columns, excitation numbers) of one system."""
     bar_eps, _, omega, theta, strong = derive(p)
-    return sl.eigensystem(bar_eps, omega, theta, strong)
+    energies, _, numbers = sl.eigensystem(bar_eps, omega, eigen_weights(theta), strong)
+    return energies, eigenvectors(eigen_weights(theta), strong), numbers
+
+
+def product_map(vectors: np.ndarray) -> np.ndarray:
+    """Oracle of the local map: V[i,a] V[j,b] for the X entries (i, j) and
+    the vector6 entries (a, b), by indexing the eigenvector columns V."""
+    (i, j), (a, b) = np.array(X_ENTRIES)[..., None], np.array(VEC6_ENTRIES)[:, None]
+    return vectors[..., i, a] * vectors[..., j, b]
 
 
 class TestDeriveParams:
@@ -157,10 +165,38 @@ class TestEigensystem:
         bar_eps, _, omega, theta, strong = sl.derive_params(1.0, rng.uniform(0.6, 1.0, (3, 4)),
                                                            kappa)
         assert np.count_nonzero(strong) == 6
-        _, vectors, _ = sl.eigensystem(bar_eps, omega, theta, strong)
+        vectors = eigenvectors(eigen_weights(theta), strong)
         assert vectors.dtype == np.float64 and vectors.shape == (3, 4, 4, 4)
         gram = np.swapaxes(vectors, -1, -2) @ vectors
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(system_strategy())
+    def test_local_map_is_eigenvector_product(self, p):
+        # each entry of the map is one monomial of cos and sin(theta/2), so the
+        # template sum has the bits of the product of the columns
+        bar_eps, _, omega, theta, strong = derive(p)
+        _, local_map, _ = sl.eigensystem(bar_eps, omega, eigen_weights(theta), strong)
+        want = product_map(eigenvectors(eigen_weights(theta), strong))
+        assert local_map.shape == (6, 6) and local_map.tobytes() == want.tobytes()
+
+    def test_local_map_batched(self):
+        # both phases in one (3, 4) batch, against the one-cell maps
+        rng = np.random.default_rng(22)
+        kappa = np.where(np.arange(12).reshape(3, 4) % 3 == 1, rng.uniform(2.5, 5.0, (3, 4)),
+                         rng.uniform(0.05, 1.5, (3, 4)))
+        bar_eps, _, omega, theta, strong = sl.derive_params(1.0, rng.uniform(0.6, 1.0, (3, 4)),
+                                                           kappa)
+        assert np.count_nonzero(strong) == 4
+        weights = eigen_weights(theta)
+        energies, local_map, _ = sl.eigensystem(bar_eps, omega, weights, strong)
+        assert local_map.shape == (3, 4, 6, 6)
+        assert local_map.tobytes() == product_map(eigenvectors(weights, strong)).tobytes()
+        for i in np.ndindex(3, 4):
+            one = sl.eigensystem(bar_eps[i][None], omega[i][None], weights[i][None],
+                                 strong[i][None])
+            assert energies[i].tobytes() == one[0][0].tobytes()
+            assert local_map[i].tobytes() == one[1][0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(system_strategy())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import steerlab as sl
 from steerlab.cli import EXIT_INTERNAL, main
 from steerlab.errors import ConfigurationError, DegenerateSteadyStateError
-from steerlab.generator import from_vector6
+from steerlab.generator import dense, from_vector6
 from steerlab.model import Basis
 from steerlab.rates import Statistics
 from steerlab.steady import NULL_TOL, max_stable_dt, min_eigenvalue_energy, steady_state
@@ -19,6 +19,7 @@ from conftest import (
     X_PATTERN,
     Phase,
     batches,
+    columns,
     dense_local,
     equilibrium_analytic,
     gibbs_local,
@@ -26,6 +27,7 @@ from conftest import (
     one_cell,
     random_system,
     rates,
+    rk4_oracle,
     x_vector,
 )
 
@@ -119,10 +121,10 @@ class TestLocalX:
     @settings(max_examples=60, deadline=None)
     @given(g=batches())
     def test_matches_dense_oracle(self, g):
-        s = steady_state(g.total, g.vectors)
-        dense = dense_local(s.vector6, g.vectors)
-        assert np.count_nonzero(dense[:, ~X_PATTERN]) == 0
-        assert np.max(np.abs(s.local_x - x_vector(dense))) <= 1e-15
+        s = steady_state(g)
+        local = dense_local(s.vector6, columns(g))
+        assert np.count_nonzero(local[:, ~X_PATTERN]) == 0
+        assert np.max(np.abs(s.local_x - x_vector(local))) <= 1e-15
 
     @pytest.mark.parametrize("params,stat,a,b", [
         ((1.0, 1.0, 3.0), BOSE, (0.4, 0.0), (0.6, 0.0)),
@@ -142,7 +144,7 @@ class TestLocalX:
         assert np.array_equal(energy, from_vector6(ss.vector6[0]))
         assert np.array_equal(local, local.conj().T)
         assert np.count_nonzero(local[~X_PATTERN]) == 0
-        assert np.max(np.abs(local - dense_local(ss.vector6[0], g.vectors[0]))) <= 1e-15
+        assert np.max(np.abs(local - dense_local(ss.vector6[0], dense(g)[1]))) <= 1e-15
 
 
 def eig_null_vector(total: np.ndarray) -> np.ndarray:
@@ -177,8 +179,8 @@ class TestBorderedSolve:
     @settings(max_examples=150, deadline=None)
     @given(g=generators())
     def test_matches_eig_selection(self, g):
-        s = steady_state(g.total, g.vectors)
-        assert np.max(np.abs(s.vector6[0] - eig_null_vector(g.total[0]))) <= 1e-13
+        s = steady_state(g)
+        assert np.max(np.abs(s.vector6[0] - eig_null_vector(dense(g)[0]))) <= 1e-13
         # |det| over the Hadamard bound: 3.6e-4 at its smallest over these ranges,
         # at the corner eps_a = eps_b = 0.3, kappa 1.1 times the crossing,
         # gamma = 0.05 and T = 2, where one transition is 20 times faster
@@ -187,7 +189,7 @@ class TestBorderedSolve:
     @settings(max_examples=150, deadline=None)
     @given(g=generators())
     def test_closed_form_min_eigenvalue(self, g):
-        s = steady_state(g.total, g.vectors)
+        s = steady_state(g)
         assert abs(s.min_eigenvalue[0] - np.linalg.eigvalsh(from_vector6(s.vector6))[0, 0]) <= 1e-14
 
     def test_closed_form_min_eigenvalue_of_non_positive_states(self, rng):
@@ -200,12 +202,12 @@ class TestBorderedSolve:
     def test_two_dimensional_null_space_rejected(self):
         g, _ = make(sl.SystemParams(1.2, 0.8, 1.0, 0.01), 0.4, 0.6)
         # two decoupled trace-preserving blocks: populations {g, e1} and {e2, e3}
-        m = np.zeros((6, 6), dtype=complex)
+        m = np.zeros((5, 5))
         m[:2, :2] = [[-1.0, 2.0], [1.0, -2.0]]
         m[2:4, 2:4] = [[-3.0, 1.0], [3.0, -1.0]]
-        m[4, 4] = m[5, 5] = -1.0
+        m[4, 4] = -1.0
         with pytest.raises(DegenerateSteadyStateError, match="null space"):
-            steady_state(m[None], g.vectors)
+            steady_state(g._replace(total=m[None]))
 
     @pytest.mark.parametrize("shape", [(2, 2), (20, 101)])
     def test_batch_of_other_shape_rejected(self, shape):
@@ -214,18 +216,18 @@ class TestBorderedSolve:
         g = sl.build_generator(sl.Cells.build(1.0, 1.0, kappa, 0.01, 0.5, 0.5, 0.0, 0.0, BOSE))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"got \({shape[0]}, {shape[1]}, 6, 6\)"):
-                steady_state(g.total, g.vectors)
+            with pytest.raises(ValueError, match=rf"got \({shape[0]}, {shape[1]}, 5, 5\)"):
+                steady_state(g)
 
     def test_singular_bordered_matrix_exits_internal(self, monkeypatch, capsys):
-        # a one-dimensional null space along the coherence, which carries no
-        # population: M[5,5] = 0 is not the conjugate of M[4,4], so the state
-        # built for the template shape, |g><g|, fails the residual rule
+        # a generator that is not trace preserving, P = -1 with the pair
+        # decoupled: the bordered solve gives |g><g|, which is no null vector,
+        # so the state fails the residual rule
         real = sl.build_generator
 
         def planted(*args):
             g = real(*args)
-            return g._replace(total=np.diag([-1, -1, -1, -1, -1, 0]).astype(complex)[None])
+            return g._replace(total=-np.eye(5)[None])
         monkeypatch.setattr("steerlab.analysis.build_generator", planted)
         assert main(["steady"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
@@ -283,15 +285,15 @@ class TestExtremeScales:
     def test_matches_exact_solve(self, flags, monkeypatch, capsys):
         solved = []
 
-        def recording(total, vectors):
-            solved.append((total, steady_state(total, vectors)))
+        def recording(g):
+            solved.append((g, steady_state(g)))
             return solved[-1][1]
         monkeypatch.setattr("steerlab.analysis.steady_state", recording)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["steady", *flags]) == 0
-        [(total, s)] = solved
-        assert np.max(np.abs(s.vector6[0] - exact_null_vector(total[0]))) <= 1e-15
+        [(g, s)] = solved
+        assert np.max(np.abs(s.vector6[0] - exact_null_vector(dense(g)[0]))) <= 1e-15
         assert s.null_ratio[0] > NULL_TOL
 
     def test_underflowed_generator_exits_internal(self, capsys):
@@ -322,7 +324,7 @@ class TestEvolve:
         _, vectors = sl.evolve(g, rho0, t_final=20 / 0.05, dt=0.02)
         final = sl.basis_change(
             sl.DensityMatrix4(entries=from_vector6(hermitize_vector6(vectors[-1])),
-                              basis=Basis.ENERGY), Basis.LOCAL, g.vectors[0])
+                              basis=Basis.ENERGY), Basis.LOCAL, dense(g)[1])
         assert np.max(np.abs(final.entries - gibbs_local(p, 2.0))) < 1e-8
         assert np.max(np.abs(vectors[:, :4].real.sum(axis=1) - 1.0)) < 1e-10
 
@@ -339,8 +341,8 @@ class TestEvolve:
         p = sl.SystemParams(1.3, 0.7, 1.0, 0.01)
         g, _ = make(p, 0.5, 0.5)
         omega = 2 * g.cells.omega[0]
-        coherent = np.diag([0, 0, 0, 0, 1j * omega, -1j * omega])
-        g0 = g._replace(total=coherent[None], parts=np.zeros_like(g.parts))
+        g0 = g._replace(total=np.zeros_like(g.total), parts=np.zeros_like(g.parts))
+        assert np.array_equal(dense(g0)[0], np.diag([0, 0, 0, 0, 1j * omega, -1j * omega]))
         v0 = np.array([0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.05j])
         rho0 = sl.DensityMatrix4(entries=from_vector6(v0), basis=Basis.ENERGY)
         times, vectors = sl.evolve(g0, rho0, t_final=5.0, dt=0.01)
@@ -367,6 +369,22 @@ class TestEvolve:
         assert times.shape == (4,) and vectors.shape == (4, 6) and vectors.dtype == complex
         assert times.tolist() == [0.0, 0.05, 0.1, 0.1 + (0.12 - 0.1)]
         assert not times.flags.writeable and not vectors.flags.writeable
+
+    @pytest.mark.parametrize("t_final", [0.12, 40.0, 100.01])
+    def test_matches_stepwise_oracle(self, t_final):
+        # the propagator against the former step-by-step loop: 3, 800 (four
+        # chunks) and 2,001 steps, the last one 0.01 long; the times are the
+        # same, and the states differ by the rounding of the loop, at most
+        # one eps per step
+        g, _ = make(sl.SystemParams(1.3, 0.7, 1.0, 0.02), 0.3, 0.9)
+        m = dense(g)[0]
+        v0 = np.array([0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.05j])
+        times, vectors = sl.evolve(g, sl.DensityMatrix4(entries=from_vector6(v0),
+                                                        basis=Basis.ENERGY),
+                                   t_final=t_final, dt=0.05)
+        want_times, want = rk4_oracle(m, v0, t_final, 0.05)
+        assert np.array_equal(times, want_times)
+        assert np.max(np.abs(vectors - want)) <= len(times) * np.finfo(float).eps
 
     @pytest.mark.parametrize("t_final", [1e-14, 1e-300, 0.05 * (1 - 1e-13), 0.12])
     def test_last_time_is_t_final(self, t_final):

@@ -11,7 +11,7 @@ from steerlab.rates import Statistics
 from steerlab.steady import steady_state
 from steerlab.transport import transport_report
 
-from conftest import Phase, batches, one_cell, random_system, transport_oracle
+from conftest import Phase, batches, one_cell, random_system, transport_oracle, unpack
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -132,14 +132,14 @@ class TestOracle:
     @settings(max_examples=60, deadline=None)
     @given(g=batches())
     def test_matches_matmul_oracle(self, g):
-        ss = steady_state(g.total, g.vectors)
+        ss = steady_state(g)
         got, want = transport_report(g, ss), transport_oracle(g, ss)
         # the two differ only in summation order: each J is a sum over the
         # terms E_i D_ij v_j (or N_i D_ij v_j), so both lie within a few eps of
         # the sum of their magnitudes; 16 eps of it is the bound, fixed from the
         # dtype (d_i itself may cancel to rounding, e.g. at T_A = T_B)
         eps = np.finfo(float).eps
-        terms = np.abs(g.parts[..., :4, :]) * np.abs(ss.vector6.real)[..., None, None, :]
+        terms = np.abs(unpack(g.parts)[..., :4, :]) * np.abs(ss.vector6.real)[..., None, None, :]
         s_e = np.einsum("...rij,...i->...r", terms, np.abs(g.energies))
         s_n = np.einsum("...rij,...i->...r", terms, g.numbers)
         scale = s_e if g.cells.statistics is BOSE else s_n
