@@ -57,7 +57,7 @@ class SweepConfig:
     DELTA_MU axes keep the configured mean fixed.
     Construction composes the whole grid once, and Cells.build checks it:
     `grid` holds its Cells over (ny, nx) axes, `grid[iy]` is row iy, and
-    `grid[iy, ix]` a block.
+    `grid[a:b].flat()` rows a to b-1 on one cell axis, a view (a sweep2d block).
     """
 
     axis_x: Axis
@@ -209,22 +209,24 @@ BLOCK_CELLS = 2048
 def sweep2d(config: SweepConfig) -> RegionMap:
     """Evaluate the grid in blocks of whole rows, one batch each; row-major in (y, x).
 
-    The map's diagnostics are the largest steady-state residual, the most
-    negative minimum eigenvalue and the smallest null-space ratio (see
+    A block is max(1, BLOCK_CELLS // nx) rows of config.grid on one cell
+    axis (Cells.flat), a view of the grid that copies no field.  The map's
+    diagnostics are the largest steady-state residual, the most negative
+    minimum eigenvalue and the smallest null-space ratio (see
     steady.steady_state) over all cells, masked ones included.
     """
-    iy, ix = np.divmod(np.arange(config.nx * config.ny), config.nx)
-    step = max(1, BLOCK_CELLS // config.nx) * config.nx
+    rows = max(1, BLOCK_CELLS // config.nx)
 
-    def block(b: int) -> tuple:
+    def block(iy: int) -> tuple:
         # a function, so that a block's arrays are freed before the next is built
-        _, st, c, transport = _pipeline(config.grid[iy[b:b + step], ix[b:b + step]])
+        _, st, c, transport = _pipeline(config.grid[iy:iy + rows].flat())
         return (c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab,
                 c.margin_ba, c.margin_bell, *transport[1:], st.positive, st.residual,
                 st.min_eigenvalue, st.null_ratio)
-    blocks = [block(b) for b in range(0, len(iy), step)]
+    blocks = [block(iy) for iy in range(0, config.ny, rows)]
     *columns, residual, eigenvalue, ratio = map(np.concatenate, zip(*blocks))
-    columns = dict(zip(FIELDS, (config.x_values()[ix], config.y_values()[iy], *columns)))
+    columns = dict(zip(FIELDS, (np.tile(config.x_values(), config.ny),
+                                np.repeat(config.y_values(), config.nx), *columns)))
     return RegionMap(config, columns, {"max_residual": float(residual.max()),
                                        "min_eigenvalue": float(eigenvalue.min()),
                                        "min_null_space_ratio": float(ratio.min())})

@@ -13,6 +13,7 @@ import collections
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -35,8 +36,8 @@ from .analysis import (
     threshold_kappa,
 )
 from .errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
-from .generator import build_generator, from_vector6
-from .model import STATE_POSITIONS, Basis, DensityMatrix4, SystemParams
+from .generator import build_generator
+from .model import STATE_POSITIONS, VEC6_ENTRIES, X_ENTRIES, Basis, DensityMatrix4, SystemParams
 from .rates import Cells, ReservoirSpec, Statistics, check_inputs, scaled_energy
 from .steady import evolve, steady_state
 
@@ -330,17 +331,36 @@ def _checked_objects(cfg: dict) -> tuple[SystemParams, ReservoirSpec, ReservoirS
     return system, ra, rb
 
 
-def _density_entries(m: np.ndarray) -> list:
-    """The entries of a complex matrix as [re, im] pairs of Python floats."""
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+def _state_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where _state_entries puts the values of v and x: the slots of its
+    (2, 4, 4, 2) buffer (the energy-basis state of v, then the local-basis
+    state of x), and for each slot its sign and the index of its value among
+    v's and then x's entries as re, im in sequence (x's from 12)."""
+    slot = np.arange(64).reshape(2, 4, 4, 2)
+    (vi, vj), (xi, xj) = VEC6_ENTRIES, X_ENTRIES
+    slots = (slot[0, vi, vj].ravel(),           # v's entries
+             slot[1, xi[:4], xj[:4], 0],        # x's populations, real
+             slot[1, xi[4:], xj[4:]].ravel(),   # rho23 and rho14
+             slot[1, xj[4:], xi[4:]].ravel())   # rho32 and rho41, their conjugates
+    return (np.concatenate(slots), np.r_[0:12, 12:20:2, 20:24, 20:24],
+            np.r_[np.ones(20), 1.0, -1.0, 1.0, -1.0])
 
 
-def _x_matrix(x: np.ndarray) -> np.ndarray:
-    """The local-basis 4x4 state of the X entries x (6,): rho11, rho22, rho33,
-    rho44, rho23 and rho14."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[[1, 0], [2, 3]] = x[4:]
-    return m + m.conj().T + np.diag(x[:4].real)
+_STATE_SLOTS, _STATE_SOURCES, _STATE_SIGNS = _state_layout()
+
+
+def _state_entries(v: np.ndarray, x: np.ndarray) -> list:
+    """The energy-basis state of the six entries v and the local-basis state
+    of the X entries x (rho11, rho22, rho33, rho44, rho23, rho14), both
+    contiguous complex (6,) rows, as two 4x4 lists of [re, im] pairs of
+    Python floats."""
+    m = np.zeros(64)
+    m[_STATE_SLOTS] = (np.concatenate((v.view(float), x.view(float)))[_STATE_SOURCES]
+                       * _STATE_SIGNS)
+    # a -0.0 of the local state reads 0.0, as when it was summed as
+    # rho + rho^H + diag(populations) in complex arithmetic
+    m[32:] += 0.0
+    return m.reshape(2, 4, 4, 2).tolist()
 
 
 def csv_text(columns: dict[str, np.ndarray], nx: int) -> str:
@@ -348,6 +368,8 @@ def csv_text(columns: dict[str, np.ndarray], nx: int) -> str:
 
     Only the six values go through %.17g per cell: each x and y value is
     formatted once, and the flags are read from FLAG_TEXT and POSITIVITY_TEXT.
+    One % formats every row, CSV_ROW repeated once per row over the rows'
+    fields in sequence.
     """
     xs = ["%.17g," % v for v in columns["x"][:nx].tolist()]
     ys = ["%.17g," % v for v in columns["y"][::nx].tolist()]
@@ -356,7 +378,8 @@ def csv_text(columns: dict[str, np.ndarray], nx: int) -> str:
     rows = zip(xs * len(ys), [y for y in ys for _ in xs], map(FLAG_TEXT.__getitem__, flags),
                *(columns[name].tolist() for name in FIELDS[6:12]),
                map(POSITIVITY_TEXT.__getitem__, columns["positivity_ok"].tolist()))
-    return "".join([",".join(FIELDS) + "\n"] + [CSV_ROW % row for row in rows])
+    return (",".join(FIELDS) + "\n"
+            + CSV_ROW * len(flags) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _atomic_write(path: str, text: str) -> str:
@@ -436,9 +459,10 @@ def cmd_steady(cfg: dict) -> int:
         "eigen_populations": st.vector6[0, eigen_order].real.tolist(),
     }
     bose = g.cells.statistics is Statistics.BOSE
+    energy_state, local_state = _state_entries(st.vector6[0], st.local_x[0])
     report = {
-        "state_energy_basis": _density_entries(from_vector6(st.vector6[0])),
-        "state_local_basis": _density_entries(_x_matrix(st.local_x[0])),
+        "state_energy_basis": energy_state,
+        "state_local_basis": local_state,
         "residual": st.residual[0],
         "min_eigenvalue": st.min_eigenvalue[0],
         "positivity_ok": positive,

@@ -103,7 +103,12 @@ _ENERGY, _VECTORS, _LOCAL_MAP = _eigen_templates()
 
 def eigen_weights(theta: np.ndarray) -> np.ndarray:
     """The eigenvector templates' weights (1, cos(theta/2), sin(theta/2)), (..., 3)."""
-    return np.stack([np.ones_like(theta), np.cos(0.5 * theta), np.sin(0.5 * theta)], axis=-1)
+    weights = np.empty(np.shape(theta) + (3,))
+    half = 0.5 * theta
+    weights[..., 0] = 1.0
+    np.cos(half, out=weights[..., 1])
+    np.sin(half, out=weights[..., 2])
+    return weights
 
 
 def eigensystem(bar_eps: np.ndarray, omega: np.ndarray, weights: np.ndarray,

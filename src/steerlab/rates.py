@@ -62,6 +62,9 @@ def occupations(statistics: Statistics, temperature: np.ndarray, mu: np.ndarray,
                 f"bosonic occupation diverges: eps={np.broadcast_to(eps, low.shape)[low][0]}"
                 f" <= {BOSE_EPS_FLOOR}*T"
             )
+        # exp(-x) is the occupation only where expm1(x) would overflow
+        if x.max(initial=0.0) <= 700.0:
+            return 1.0 / np.expm1(x)
         return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
     # logistic form keeps the Fermi tails accurate down to underflow
     e = np.exp(-np.minimum(np.abs(x), 745.0))
@@ -218,10 +221,22 @@ class Cells:
 
     def __getitem__(self, index) -> Cells:
         """The cells at index of the leading cell axes, e.g. one row of a grid."""
-        return Cells(self.bar_eps[index], self.omega[index], self.theta[index],
-                     self.eigen_weights[index], self.strong[index], self.setup[index],
-                     self.gamma[index], self.temperature[index], self.mu[index],
-                     self.occupations[index], self.statistics)
+        return self._each(lambda a: a[index])
+
+    def flat(self) -> Cells:
+        """The cells on one cell axis, in C order of the leading cell axes.
+
+        Of the rows grid[a:b] of a grid, every field is a view of the grid's
+        (reshape copies only a field whose cells are not evenly spaced).
+        """
+        lead = self.theta.ndim
+        return self._each(lambda a: a.reshape((-1,) + a.shape[lead:]))
+
+    def _each(self, f) -> Cells:
+        """Cells of f applied to every array field."""
+        return Cells(f(self.bar_eps), f(self.omega), f(self.theta), f(self.eigen_weights),
+                     f(self.strong), f(self.setup), f(self.gamma), f(self.temperature),
+                     f(self.mu), f(self.occupations), self.statistics)
 
 
 def rate_set(c: Cells) -> np.ndarray:

@@ -504,6 +504,38 @@ def csv_text_oracle(columns: dict[str, np.ndarray]) -> str:
     return "".join([",".join(FIELDS) + "\n"] + [CSV_ROW % row for row in rows])
 
 
+def state_entries_oracle(v: np.ndarray, x: np.ndarray) -> tuple[list, list]:
+    """The former point-report states: the energy-basis state of the six
+    entries v by from_vector6 and the local-basis state of the X entries x
+    summed as rho + rho^H + diag(populations) in complex arithmetic, each
+    split into [re, im] pairs by np.stack."""
+    local = np.zeros((4, 4), dtype=complex)
+    local[[1, 0], [2, 3]] = x[4:]
+    local = local + local.conj().T + np.diag(x[:4].real)
+    return tuple(np.stack([m.real, m.imag], axis=-1).tolist()
+                 for m in (from_vector6(v), local))
+
+
+def gather_block(cfg: SweepConfig, start: int, size: int) -> sl.Cells:
+    """The former sweep2d block: the cells start to start+size-1 of cfg's
+    grid in row-major order, gathered by their row and column indices (a
+    copy of every field)."""
+    iy, ix = np.divmod(np.arange(start, start + size), cfg.nx)
+    return cfg.grid[iy, ix]
+
+
+def bose_where_oracle(x: np.ndarray) -> np.ndarray:
+    """The former Bose occupations of scaled energies x: exp(-x) above 700
+    and 1/expm1(x) at or below it, chosen elementwise by np.where."""
+    return np.where(x > 700.0, np.exp(-x), 1.0 / np.expm1(np.minimum(x, 700.0)))
+
+
+def eigen_weights_oracle(theta: np.ndarray) -> np.ndarray:
+    """The former model.eigen_weights: 1, cos(theta/2) and sin(theta/2) joined
+    by np.stack, (..., 3)."""
+    return np.stack([np.ones_like(theta), np.cos(0.5 * theta), np.sin(0.5 * theta)], axis=-1)
+
+
 def dumps_fixed_oracle(obj, indent: int = 0) -> str:
     """The former cli.dumps_fixed, one call per value below a list of floats
     and an isinstance chain per value."""

@@ -26,6 +26,7 @@ from conftest import (
     assert_cells_equal,
     assert_rows_equal_points,
     entanglement_boundary_fit,
+    gather_block,
     grid_point,
     load_preset_config,
 )
@@ -241,6 +242,69 @@ class TestSweep2d:
         m = sweep2d(small_sweep())
         check_hierarchy(*(m.columns[k] for k in ("entangled", "steer_ab", "steer_ba", "bell")))
         assert m.masked_count() == 0
+
+
+def assert_same_bits(got, want, where=()) -> None:
+    """Two pipeline outputs (nested tuples of arrays, Cells and enums) agree
+    in the dtype, shape and bytes of every array."""
+    if isinstance(want, Cells):
+        assert_cells_equal(got, want)
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same_bits(a, b, where + (getattr(want, "_fields", range(len(want)))[i],))
+    elif isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+    else:
+        assert got is want, where
+
+
+class TestSweepBlocks:
+    """sweep2d's blocks are views of whole rows of config.grid, and give the
+    bits of the former blocks, gathered by row and column indices
+    (conftest.gather_block)."""
+
+    @pytest.mark.parametrize("cfg", [
+        # one phase: weak-bose throughout
+        small_sweep(axis_x=Axis.TA, x_range=(0.2, 0.9), axis_y=Axis.TB, y_range=(0.3, 1.1),
+                    system=sl.SystemParams(1.0, 1.0, 1.0, 0.01)),
+        # mixed: kappa crosses the level crossing at 2
+        small_sweep(axis_y=Axis.KAPPA, y_range=(1.05, 3.55), ny=6),
+        # nx > BLOCK_CELLS: one row per block
+        small_sweep(nx=2049, ny=2),
+        # 2048 // 300 = 6 rows per block, then a ragged block of 2 rows
+        small_sweep(axis_y=Axis.KAPPA, y_range=(1.05, 3.55), nx=300, ny=8),
+    ], ids=["one-phase", "mixed-phase", "one-row-blocks", "ragged"])
+    def test_views_match_gather(self, cfg, monkeypatch):
+        pipeline, blocks = analysis._pipeline, []
+
+        def recording(cells):
+            blocks.append(cells)
+            return pipeline(cells)
+        monkeypatch.setattr(analysis, "_pipeline", recording)
+        sweep2d(cfg)
+        rows = max(1, analysis.BLOCK_CELLS // cfg.nx)
+        assert [b.theta.shape for b in blocks] == [
+            (min(rows, cfg.ny - iy) * cfg.nx,) for iy in range(0, cfg.ny, rows)]
+        start = 0
+        for block in blocks:
+            for name in ("bar_eps", "omega", "theta", "eigen_weights", "strong", "setup",
+                         "gamma", "temperature", "mu", "occupations"):
+                assert np.shares_memory(getattr(block, name), getattr(cfg.grid, name)), name
+            size = len(block.theta)
+            assert_same_bits(pipeline(block), pipeline(gather_block(cfg, start, size)))
+            start += size
+        assert start == cfg.nx * cfg.ny
+        if cfg.ny == 6:
+            assert 0 < np.count_nonzero(cfg.grid.strong) < cfg.grid.strong.size
+
+    def test_flat_rows_are_views_in_c_order(self):
+        cfg = small_sweep()
+        flat = cfg.grid[1:4].flat()
+        assert flat.theta.shape == (21,) and flat.occupations.shape == (21, 2, 2)
+        assert_cells_equal(flat, gather_block(cfg, 7, 21))
+        assert np.shares_memory(flat.occupations, cfg.grid.occupations)
 
 
 class TestHierarchyCheck:

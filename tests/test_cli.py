@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import steerlab as sl
 import steerlab.analysis
 import steerlab.generator
-from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig, sweep2d
+from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig, run_point, sweep2d
 from steerlab.cli import (
     _MODE_FLAGS,
     COUNT,
@@ -30,6 +30,7 @@ from steerlab.cli import (
     SECTIONS,
     STRING,
     _build_objects,
+    _state_entries,
     csv_text,
     _initial_state,
     build_parser,
@@ -43,7 +44,7 @@ from steerlab.model import Basis
 from steerlab.rates import Statistics
 
 from conftest import (assert_rows_equal_points, csv_text_oracle, dumps_fixed_oracle,
-                      eigen_populations, grid_point, load_preset_config)
+                      eigen_populations, grid_point, load_preset_config, state_entries_oracle)
 
 PRESETS = [f"fig{n}" for n in
            ["2", "3a", "3b", "3c", "4", "5a", "5b", "5c",
@@ -369,6 +370,20 @@ class TestCsvText:
         assert run(["sweep", f"--preset={name}", f"--out={out}"]) == 0
         region = sweep2d(load_preset_config(name))
         assert out.read_bytes() == csv_text_oracle(region.columns).encode()
+
+    def test_one_row_blocks_and_masked_cells(self):
+        # nx > BLOCK_CELLS makes every sweep2d block one row; the cold
+        # corner of this grid violates positivity, and some of its cells
+        # fail classification, whence nan margins
+        cfg = SweepConfig(
+            axis_x=Axis.TA, x_range=(0.124, 0.5), nx=2049, axis_y=Axis.TB, y_range=(0.02, 0.5),
+            ny=2, system=sl.SystemParams(1.8, 0.2, 3.0, 0.01), statistics=Statistics.BOSE,
+            t_a=0.5, t_b=0.5)
+        region = sweep2d(cfg)
+        masked = ~region.columns["positivity_ok"]
+        assert 0 < np.count_nonzero(masked) < cfg.nx
+        assert np.isnan(region.columns["margin_ent"][masked]).any()
+        assert csv_text(region.columns, cfg.nx) == csv_text_oracle(region.columns)
 
     def test_masked_sweep(self, tmp_path, capsys):
         # the grid of TestSweepCommand.test_positivity_violating_cell_is_masked
@@ -820,6 +835,30 @@ def preset_point_argv(name: str, seed: int) -> list[str]:
               "ta": ra.temperature, "tb": rb.temperature, "mua": ra.mu, "mub": rb.mu}
     return ["steady", f"--stat={cfg.statistics.value}",
             *(f"--{flag}={float(v)!r}" for flag, v in values.items())]
+
+
+class TestStateReport:
+    """steady's two states against the former construction,
+    conftest.state_entries_oracle, in the text of every value, the sign of
+    every zero included."""
+
+    @pytest.mark.parametrize("argv", [["steady"]] + [preset_point_argv(name, 7)
+                                                     for name in PRESETS])
+    def test_report_text(self, argv, capsys):
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        _, ss, _, _ = run_point(*_build_objects(resolve_config(build_parser().parse_args(argv))))
+        energy, local = state_entries_oracle(ss.vector6[0], ss.local_x[0])
+        assert f'"state_energy_basis": {dumps_fixed(energy)},' in text
+        assert f'"state_local_basis": {dumps_fixed(local)},' in text
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 0.25, math.nan, -math.inf])
+                    | st.floats(), min_size=24, max_size=24))
+    def test_any_entries(self, values):
+        # x's populations carry imaginary parts here, which neither reads
+        v, x = np.array(values).view(complex).reshape(2, 6)
+        assert repr(_state_entries(v, x)) == repr(list(state_entries_oracle(v, x)))
 
 
 # JSON documents of every value type dumps_fixed renders: Python and numpy

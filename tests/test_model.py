@@ -9,7 +9,7 @@ import steerlab as sl
 from steerlab.errors import PhaseBoundaryError
 from steerlab.model import VEC6_ENTRIES, X_ENTRIES, Basis, eigen_weights, eigenvectors
 
-from conftest import Phase, hamiltonian_matrix, random_system
+from conftest import Phase, eigen_weights_oracle, hamiltonian_matrix, random_system
 
 
 def system_strategy():
@@ -259,3 +259,24 @@ class TestBasisChange:
             np.linalg.norm(rho.entries), abs=1e-13)
         assert np.allclose(np.sort(np.linalg.eigvalsh(there.entries)),
                            np.sort(np.linalg.eigvalsh(rho.entries)), atol=1e-13)
+
+
+class TestEigenWeights:
+    """eigen_weights writes into one (..., 3) buffer the bits that the
+    former np.stack form joined (conftest.eigen_weights_oracle)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+           st.sampled_from([(-1,), (-1, 1), (1, -1, 1)]))
+    def test_matches_stack_form(self, values, shape):
+        theta = np.array(values).reshape(shape)
+        got, want = eigen_weights(theta), eigen_weights_oracle(theta)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_and_strided(self):
+        for theta in (np.float64(1.25), np.array(0.5), np.linspace(0, math.pi, 20)[::3],
+                      np.linspace(0, math.pi, 24).reshape(4, 6).T):
+            want = eigen_weights_oracle(theta)
+            assert eigen_weights(theta).tobytes() == want.tobytes()
+            assert eigen_weights(theta).shape == want.shape

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import steerlab as sl
@@ -10,7 +10,7 @@ import steerlab.rates as rates_module
 from steerlab.errors import ConfigurationError
 from steerlab.rates import Statistics
 
-from conftest import occupation, rates
+from conftest import bose_where_oracle, occupation, rates
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
@@ -95,6 +95,61 @@ class TestOccupation:
         assert occupation(sl.ReservoirSpec(BOSE, t), eps) > 0
         f = occupation(sl.ReservoirSpec(FERMI, t, mu=1.0), eps)
         assert 0.0 < f < 1.0
+
+
+# scaled energies (eps - mu) / T near the 700 at which the Bose occupation
+# turns to exp(-x), and ratios eps / T just above the Bose floor
+NEAR_700 = st.floats(699.0, 701.0)
+NEAR_FLOOR = st.floats(1.0 + 2.0 ** -40, 1.01).map(lambda f: f * rates_module.BOSE_EPS_FLOOR)
+
+
+class TestOccupationPaths:
+    """Bose occupations take 1/expm1(x) alone unless a scaled energy x
+    exceeds 700; either way they are the bits of the former np.where form
+    (conftest.bose_where_oracle).  The rejections name the same first cell."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(NEAR_700, NEAR_FLOOR, st.floats(1e-3, 50.0)),
+                              st.floats(1e-3, 1e3)), min_size=1, max_size=12))
+    @example([(700.0, 1.0)])
+    @example([(700.0, 1.0), (float(np.nextafter(700.0, 701.0)), 1.0)])
+    @example([(float(np.nextafter(700.0, 0.0)), 3.0), (1e-9 * (1 + 2.0 ** -40), 0.5)])
+    def test_bose_matches_where_form(self, cells):
+        ratio, t = np.array(cells).T
+        eps = ratio * t
+        assume((eps > rates_module.BOSE_EPS_FLOOR * t).all())
+        x = rates_module.scaled_energy(t, 0.0, eps)
+        got = rates_module.occupations(BOSE, t, np.zeros_like(t), eps)
+        assert got.tobytes() == bose_where_oracle(x).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-800.0, 800.0), st.floats(1e-3, 1e3),
+                              st.floats(-2.0, 2.0)), min_size=1, max_size=12))
+    def test_fermi_logistic_form(self, cells):
+        ratio, t, mu = np.array(cells).T
+        eps = mu + ratio * t
+        x = rates_module.scaled_energy(t, mu, eps)
+        e = np.exp(-np.minimum(np.abs(x), 745.0))
+        want = np.where(x >= 0, e, 1.0) / (1.0 + e)
+        assert rates_module.occupations(FERMI, t, mu, eps).tobytes() == want.tobytes()
+
+    def test_empty_batch(self):
+        assert rates_module.occupations(BOSE, np.ones(0), np.zeros(0), np.ones(0)).shape == (0,)
+
+    @pytest.mark.parametrize("stat, temperature, eps, message", [
+        (BOSE, [[1.0, 5e-324], [1e-320, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+         "temperature too small: T=5e-324 makes 1/T or (eps-mu)/T overflow"),
+        (FERMI, [[1.0, 1.0], [2e-310, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+         "temperature too small: T=2e-310 makes 1/T or (eps-mu)/T overflow"),
+        (BOSE, [[1.0, 1.0], [1.0, 1.0]], [[800.0, 1e-10], [1e-12, 1.0]],
+         "bosonic occupation diverges: eps=1e-10 <= 1e-09*T"),
+        (BOSE, [[1.0, 1.0], [1.0, 1.0]], [[0.5, 701.0], [-1.0, 0.0]],
+         "bosonic occupation diverges: eps=-1.0 <= 1e-09*T"),
+    ])
+    def test_rejections_name_first_cell(self, stat, temperature, eps, message):
+        with pytest.raises(ValueError) as exc:
+            rates_module.occupations(stat, np.array(temperature), np.zeros((2, 2)), np.array(eps))
+        assert str(exc.value) == message
 
 
 # one field of a valid bosonic cell set to a bad value, and the gate's error
