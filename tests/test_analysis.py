@@ -299,13 +299,6 @@ class TestSweepBlocks:
         if cfg.ny == 6:
             assert 0 < np.count_nonzero(cfg.grid.strong) < cfg.grid.strong.size
 
-    def test_flat_rows_are_views_in_c_order(self):
-        cfg = small_sweep()
-        flat = cfg.grid[1:4].flat()
-        assert flat.theta.shape == (21,) and flat.occupations.shape == (21, 2, 2)
-        assert_cells_equal(flat, gather_block(cfg, 7, 21))
-        assert np.shares_memory(flat.occupations, cfg.grid.occupations)
-
 
 class TestHierarchyCheck:
     """check_hierarchy, the one hierarchy rule, on flag columns: classify runs
