@@ -56,8 +56,8 @@ class SweepConfig:
     t_a/t_b and mu_a/mu_b provide the non-swept reservoir values; DELTA_T /
     DELTA_MU axes keep the configured mean fixed.
     Construction composes the whole grid once, and Cells.build checks it:
-    `grid` holds its Cells over (ny, nx) axes, `grid[iy]` is row iy, and
-    `grid[a:b].flat()` rows a to b-1 on one cell axis, a view (a sweep2d block).
+    `grid` holds its Cells on one row-major cell axis (y outer, x inner), so
+    rows a to b-1 are the slice `grid[a * nx:b * nx]`, a view (a sweep2d block).
     """
 
     axis_x: Axis
@@ -86,7 +86,7 @@ class SweepConfig:
         # rejects, with no numpy warning on the way
         try:
             with np.errstate(all="ignore"):
-                grid = self.cells(self.x_values(), self.y_values()[:, None])
+                grid = self.cells(*self.points())
         except MemoryError:
             raise ValueError(
                 f"a grid of {self.nx}x{self.ny} cells cannot be allocated") from None
@@ -97,6 +97,10 @@ class SweepConfig:
         kappa, t_a, t_b, mu_a, mu_b = self._compose(x, y)
         return Cells.build(self.system.eps_a, self.system.eps_b, kappa, self.system.gamma,
                            t_a, t_b, mu_a, mu_b, self.statistics)
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of every grid cell, row-major (y outer, x inner)."""
+        return np.tile(self.x_values(), self.ny), np.repeat(self.y_values(), self.nx)
 
     def x_values(self) -> np.ndarray:
         return np.linspace(self.x_range[0], self.x_range[1], self.nx)
@@ -209,24 +213,24 @@ BLOCK_CELLS = 2048
 def sweep2d(config: SweepConfig) -> RegionMap:
     """Evaluate the grid in blocks of whole rows, one batch each; row-major in (y, x).
 
-    A block is max(1, BLOCK_CELLS // nx) rows of config.grid on one cell
-    axis (Cells.flat), a view of the grid that copies no field.  The map's
-    diagnostics are the largest steady-state residual, the most negative
-    minimum eigenvalue and the smallest null-space ratio (see
-    steady.steady_state) over all cells, masked ones included.
+    A block is max(1, BLOCK_CELLS // nx) rows of config.grid, a slice of its
+    cell axis that copies no field.  The map's diagnostics are the largest
+    steady-state residual, the most negative minimum eigenvalue and the
+    smallest null-space ratio (see steady.steady_state) over all cells,
+    masked ones included.
     """
-    rows = max(1, BLOCK_CELLS // config.nx)
+    nx = config.nx
+    rows = max(1, BLOCK_CELLS // nx)
 
     def block(iy: int) -> tuple:
         # a function, so that a block's arrays are freed before the next is built
-        _, st, c, transport = _pipeline(config.grid[iy:iy + rows].flat())
+        _, st, c, transport = _pipeline(config.grid[iy * nx:(iy + rows) * nx])
         return (c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab,
                 c.margin_ba, c.margin_bell, *transport[1:], st.positive, st.residual,
                 st.min_eigenvalue, st.null_ratio)
     blocks = [block(iy) for iy in range(0, config.ny, rows)]
     *columns, residual, eigenvalue, ratio = map(np.concatenate, zip(*blocks))
-    columns = dict(zip(FIELDS, (np.tile(config.x_values(), config.ny),
-                                np.repeat(config.y_values(), config.nx), *columns)))
+    columns = dict(zip(FIELDS, (*config.points(), *columns)))
     return RegionMap(config, columns, {"max_residual": float(residual.max()),
                                        "min_eigenvalue": float(eigenvalue.min()),
                                        "min_null_space_ratio": float(ratio.min())})

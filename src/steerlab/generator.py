@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import eigensystem, eigenvectors
+from .model import EXCITATIONS, VEC6_ENTRIES, eigensystem, eigenvectors
 from .rates import COEFFICIENTS, Cells, rate_set
 
 
@@ -86,20 +86,27 @@ class GeneratorArrays(NamedTuple):
     cells: Cells
 
 
+def _one_setup(code: int, cells: Cells, rates: np.ndarray) -> tuple:
+    """(parts, energies, local_map, numbers) of cells, all of setup code."""
+    phase = int(SETUPS[code] is Setup.STRONG_BOSE)
+    energies, local_map = eigensystem(cells.bar_eps, cells.omega, cells.eigen_weights, phase)
+    numbers = np.empty_like(energies)
+    numbers[...] = EXCITATIONS[phase]
+    return np.einsum("...rk,rkij->...rij", rates, _TEMPLATES[code]), energies, local_map, numbers
+
+
 def build_generator(cells: Cells) -> GeneratorArrays:
     """Build the evolution matrices of N cells for the setup of each cell
     (Cells.setup; Cells.build rejects the strong-coupling fermionic one)."""
-    energies, local_map, numbers = eigensystem(cells.bar_eps, cells.omega, cells.eigen_weights,
-                                               cells.strong)
     rates = rate_set(cells)
-    # one contraction per setup in the batch, with that setup's templates: one
-    # setup's covers every cell, and each further setup redoes its own cells,
-    # so a one-setup batch (every preset grid) pays for no mask
-    codes = set(cells.setup.ravel().tolist())
-    parts = np.einsum("...rk,rkij->...rij", rates, _TEMPLATES[codes.pop()])
-    for code in codes:
+    # one pass per setup in the batch: the first covers every cell (an empty
+    # batch takes weak-bose's) and each further setup redoes its own cells,
+    # so a one-setup batch (every preset grid block, every point) masks nothing
+    first, *rest = set(cells.setup.ravel().tolist()) or {0}
+    parts, energies, local_map, numbers = _one_setup(first, cells, rates)
+    for code in rest:
         at = cells.setup == code
-        parts[at] = np.einsum("nrk,rkij->nrij", rates[at], _TEMPLATES[code])
+        parts[at], energies[at], local_map[at], numbers[at] = _one_setup(code, cells[at], rates[at])
     return GeneratorArrays(parts[..., 0, :, :] + parts[..., 1, :, :], parts, energies,
                            local_map, numbers, cells)
 
@@ -114,7 +121,7 @@ def dense(g: GeneratorArrays) -> tuple[np.ndarray, np.ndarray]:
 
 
 # flat (4x4) positions of the six entries
-_VEC6_FLAT = [0, 5, 10, 15, 6, 9]
+_VEC6_FLAT = np.ravel_multi_index(VEC6_ENTRIES, (4, 4))
 
 
 def to_vector6(rho_energy: np.ndarray) -> tuple[np.ndarray, float]:
@@ -125,11 +132,3 @@ def to_vector6(rho_energy: np.ndarray) -> tuple[np.ndarray, float]:
     """
     m = np.asarray(rho_energy, dtype=complex).reshape(16)
     return m[_VEC6_FLAT], float(np.max(np.abs(np.delete(m, _VEC6_FLAT))))
-
-
-def from_vector6(v: np.ndarray) -> np.ndarray:
-    """Embed 6-entry vectors (..., 6) into energy-basis 4x4 matrices (..., 4, 4)."""
-    v = np.asarray(v, dtype=complex)
-    m = np.zeros(v.shape[:-1] + (16,), dtype=complex)
-    m[..., _VEC6_FLAT] = v
-    return m.reshape(v.shape[:-1] + (4, 4))

@@ -112,9 +112,10 @@ def eigen_weights(theta: np.ndarray) -> np.ndarray:
 
 
 def eigensystem(bar_eps: np.ndarray, omega: np.ndarray, weights: np.ndarray,
-                strong: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Energies (..., 4), local maps (..., 6, 6) and excitation numbers
-    (..., 4) over leading cell axes, for eigen_weights(theta) weights.
+                phase: int) -> tuple[np.ndarray, np.ndarray]:
+    """Energies (..., 4) and local maps (..., 6, 6) over leading cell axes, for
+    eigen_weights(theta) weights, of the weak (phase 0) or strong (phase 1)
+    ordering; the caller picks each cell's phase (generator.build_generator).
 
     The entangled pair is
         psi_minus = cos(theta/2)|01> - sin(theta/2)|10>   (energy -omega)
@@ -123,19 +124,11 @@ def eigensystem(bar_eps: np.ndarray, omega: np.ndarray, weights: np.ndarray,
     (|00>, psi-, psi+, |11>); strong-phase ordering (psi-, |00>, |11>, psi+).
     The real local map takes vector6 v to local_x, sum_ab V[i,a] V[j,b] v_ab.
     """
-    products = (weights[..., :, None] * weights[..., None, :]).reshape(strong.shape + (9,))
-    # the majority phase's templates cover every cell, and cells of the other
-    # phase are redone by mask, so a one-phase batch copies no template per cell
-    n_strong = np.count_nonzero(strong)
-    phase = int(2 * n_strong > strong.size)
+    cells = weights.shape[:-1]
+    products = (weights[..., :, None] * weights[..., None, :]).reshape(cells + (9,))
     energy = _ENERGY[phase]
-    energies = bar_eps[..., None] * energy[0] + omega[..., None] * energy[1]
-    local_map = np.dot(products, _LOCAL_MAP[phase])
-    if 0 < n_strong < strong.size:
-        at, energy = strong != phase, _ENERGY[1 - phase]
-        energies[at] = bar_eps[at, None] * energy[0] + omega[at, None] * energy[1]
-        local_map[at] = np.dot(products[at], _LOCAL_MAP[1 - phase])
-    return energies, local_map.reshape(strong.shape + (6, 6)), EXCITATIONS[strong.astype(int)]
+    return (bar_eps[..., None] * energy[0] + omega[..., None] * energy[1],
+            np.dot(products, _LOCAL_MAP[phase]).reshape(cells + (6, 6)))
 
 
 def eigenvectors(weights: np.ndarray, strong: np.ndarray) -> np.ndarray:

@@ -157,8 +157,8 @@ class Cells:
     (..., 2) arrays: reservoir A, reservoir B, and their occupations (...,
     2, 2): [..., j, k] is reservoir j's at eps_plus (k=0) and eps_minus
     (k=1).  All cells share one statistics.  `build` takes parameters that
-    broadcast together (a sweep builds its (ny, nx) grid from its axis
-    vectors, and indexing it gives a row; a threshold batch is a kappa
+    broadcast together (a sweep builds its grid on one row-major cell axis,
+    and slicing it gives a block of rows; a threshold batch is a kappa
     vector) and `of` stacks N points along one axis; a single point is
     `Cells.of([(p, ra, rb)])`, and its callers read row 0 of every stage.
     Cells compare and hash by identity.
@@ -220,23 +220,11 @@ class Cells:
                    temperature, mu, n, statistics)
 
     def __getitem__(self, index) -> Cells:
-        """The cells at index of the leading cell axes, e.g. one row of a grid."""
-        return self._each(lambda a: a[index])
-
-    def flat(self) -> Cells:
-        """The cells on one cell axis, in C order of the leading cell axes.
-
-        Of the rows grid[a:b] of a grid, every field is a view of the grid's
-        (reshape copies only a field whose cells are not evenly spaced).
-        """
-        lead = self.theta.ndim
-        return self._each(lambda a: a.reshape((-1,) + a.shape[lead:]))
-
-    def _each(self, f) -> Cells:
-        """Cells of f applied to every array field."""
-        return Cells(f(self.bar_eps), f(self.omega), f(self.theta), f(self.eigen_weights),
-                     f(self.strong), f(self.setup), f(self.gamma), f(self.temperature),
-                     f(self.mu), f(self.occupations), self.statistics)
+        """The cells at index of the leading cell axes, e.g. a block of a grid."""
+        return Cells(self.bar_eps[index], self.omega[index], self.theta[index],
+                     self.eigen_weights[index], self.strong[index], self.setup[index],
+                     self.gamma[index], self.temperature[index], self.mu[index],
+                     self.occupations[index], self.statistics)
 
 
 def rate_set(c: Cells) -> np.ndarray:

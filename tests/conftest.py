@@ -22,8 +22,8 @@ import steerlab as sl
 from steerlab import analysis
 from steerlab.analysis import ENT_COEFF, FIELDS, Axis, Criterion, RegionMap, SweepConfig
 from steerlab.errors import ConfigurationError
-from steerlab.generator import _TEMPLATES, from_vector6
-from steerlab.model import eigenvectors
+from steerlab.generator import _TEMPLATES
+from steerlab.model import VEC6_ENTRIES, eigenvectors
 from steerlab.rates import COEFFICIENTS, Statistics, occupations
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
@@ -155,6 +155,14 @@ def x_vector(m: np.ndarray) -> np.ndarray:
     if non_x > 1e-10:
         raise ValueError(f"classify takes X states only; a non-X entry reads {non_x:.3g}")
     return m[..., X_ROWS, X_COLUMNS]
+
+
+def from_vector6(v: np.ndarray) -> np.ndarray:
+    """Embed 6-entry vectors (..., 6) into energy-basis 4x4 matrices (..., 4, 4)."""
+    v = np.asarray(v, dtype=complex)
+    m = np.zeros(v.shape[:-1] + (4, 4), dtype=complex)
+    m[..., VEC6_ENTRIES[0], VEC6_ENTRIES[1]] = v
+    return m
 
 
 def dense_local(v: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -424,12 +432,18 @@ def grid_point(cfg: SweepConfig, x: float, y: float):
             sl.ReservoirSpec(cfg.statistics, t_b, mu_b))
 
 
+def grid_row(cfg: SweepConfig, iy: int) -> sl.Cells:
+    """Row iy of cfg's grid, a slice of its row-major cell axis."""
+    return cfg.grid[iy * cfg.nx:(iy + 1) * cfg.nx]
+
+
 def assert_rows_equal_points(cfg: SweepConfig, rows) -> None:
     """Grid row iy of cfg, for each iy in rows, equals the Cells.of of its
     points in the dtype, shape and bits of every field."""
     xs, ys = cfg.x_values().tolist(), cfg.y_values().tolist()
     for iy in rows:
-        assert_cells_equal(cfg.grid[iy], sl.Cells.of([grid_point(cfg, x, ys[iy]) for x in xs]))
+        assert_cells_equal(grid_row(cfg, iy),
+                           sl.Cells.of([grid_point(cfg, x, ys[iy]) for x in xs]))
 
 
 # entanglement_boundary_fit: largest |T_A - T_B| of a fitted point, relative
@@ -517,11 +531,10 @@ def state_entries_oracle(v: np.ndarray, x: np.ndarray) -> tuple[list, list]:
 
 
 def gather_block(cfg: SweepConfig, start: int, size: int) -> sl.Cells:
-    """The former sweep2d block: the cells start to start+size-1 of cfg's
-    grid in row-major order, gathered by their row and column indices (a
-    copy of every field)."""
-    iy, ix = np.divmod(np.arange(start, start + size), cfg.nx)
-    return cfg.grid[iy, ix]
+    """The cells start to start+size-1 of cfg's grid in row-major order,
+    gathered by their indices: a copy of every field, as the former sweep2d
+    blocks were."""
+    return cfg.grid[np.arange(start, start + size)]
 
 
 def bose_where_oracle(x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from steerlab.analysis import (
 from steerlab.analysis import threshold_kappa as bisect_kappa
 from steerlab.correlations import Method, check_hierarchy
 from steerlab.errors import InternalConsistencyError
-from steerlab.generator import from_vector6
 from steerlab.model import Basis
 from steerlab.rates import Statistics
 from steerlab.steady import max_stable_dt
@@ -34,6 +33,7 @@ from conftest import (
     Phase,
     entanglement_boundary_fit,
     equilibrium_analytic,
+    from_vector6,
     gibbs_local,
     grid_point,
     load_preset_config,

@@ -28,6 +28,7 @@ from conftest import (
     entanglement_boundary_fit,
     gather_block,
     grid_point,
+    grid_row,
     load_preset_config,
 )
 
@@ -107,7 +108,7 @@ class TestRowCells:
     def test_rows_equal_stacked_points(self, name):
         # the grid is built from the axis vectors; the points one at a time
         cfg = load_preset_config(name)
-        assert cfg.grid.theta.shape == (cfg.ny, cfg.nx)
+        assert cfg.grid.theta.shape == (cfg.ny * cfg.nx,)
         assert_rows_equal_points(cfg, (0, cfg.ny // 2, cfg.ny - 1))
 
     def test_rejections_match_point(self):
@@ -169,6 +170,14 @@ class TestCellsBuild:
         assert_cells_equal(Cells.build(1.0, 1.0, np.array([3.0]), 0.01, 0.4, 0.6, 0.0, 0.0, BOSE),
                            Cells.of([(system, ra, rb)]))
 
+    def test_empty_batch(self):
+        # no cell: every stage of the pipeline returns empty arrays
+        g, st, c, transport = analysis._pipeline(
+            Cells.build(1.0, 1.0, np.array([]), 0.01, 0.4, 0.6, 0.0, 0.0, BOSE))
+        assert g.total.shape == (0, 5, 5) and g.numbers.shape == (0, 4)
+        assert st.vector6.shape == (0, 6) and c.entangled.shape == (0,)
+        assert [t.shape for t in transport] == [(0,)] * 3
+
 
 class TestSweep2d:
     def test_grid_complete_and_row_major(self):
@@ -212,7 +221,7 @@ class TestSweep2d:
                 assert batches == sizes, (block, cfg.statistics)
                 worst = []
                 for iy in range(cfg.ny):
-                    _, ss, c, (_, current_b, sigma) = pipeline(cfg.grid[iy])
+                    _, ss, c, (_, current_b, sigma) = pipeline(grid_row(cfg, iy))
                     worst.append((ss.residual.max(), ss.min_eigenvalue.min(),
                                   ss.null_ratio.min()))
                     row = (cfg.x_values(), np.full(cfg.nx, cfg.y_values()[iy]), c.entangled,

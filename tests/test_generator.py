@@ -12,9 +12,10 @@ from steerlab.generator import (
     SETUPS,
     Setup,
     dense,
-    from_vector6,
     to_vector6,
 )
+from steerlab.analysis import BLOCK_CELLS
+from steerlab.model import EXCITATIONS, eigensystem
 from steerlab.rates import Statistics, rate_set
 from steerlab.steady import steady_state
 
@@ -24,7 +25,9 @@ from conftest import (
     cell,
     columns,
     equilibrium_analytic,
+    from_vector6,
     generator_oracle,
+    load_preset_config,
     occupation,
     one_cell,
     random_system,
@@ -255,8 +258,8 @@ class TestBuildGenerator:
                              ids=["weak-first", "strong-first"])
     def test_mixed_phase_batch_matches_one_cell_batches(self, kappa):
         # couplings on both sides of the crossing 2 sqrt(eps_a eps_b) = 2, with
-        # the first cell and the majority in opposite phases, so that one
-        # phase's templates cover the batch and the other's cells are redone
+        # the first cell and the majority in opposite phases: one setup's
+        # pass covers the batch and the other's redoes its own cells
         t_a, t_b = [0.4, 0.7, 1.1, 0.3, 2.0], [0.9, 0.2, 0.6, 1.5, 0.5]
         g = sl.build_generator(sl.Cells.build(1.0, 1.0, np.array(kappa), 0.01,
                                               np.array(t_a), np.array(t_b), 0.0, 0.0, BOSE))
@@ -276,6 +279,30 @@ class TestBuildGenerator:
                               (st.local_x[i], st_one.local_x[0]),
                               *[(c[i], c_one[0]) for c, c_one in zip(currents, currents_one)]]:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_pass_per_setup(self, monkeypatch):
+        # each setup code present in a batch is evaluated once, with its
+        # phase's eigensystem: a sweep block and a point are one setup, a
+        # kappa batch across the crossing two
+        calls = []
+
+        def spy(bar_eps, omega, weights, phase):
+            calls.append((phase, bar_eps.shape))
+            return eigensystem(bar_eps, omega, weights, phase)
+        monkeypatch.setattr("steerlab.generator.eigensystem", spy)
+        cfg = load_preset_config("fig8b")  # strong-bose
+        block = cfg.grid[:BLOCK_CELLS // cfg.nx * cfg.nx]
+        point = sl.Cells.of([(sl.SystemParams(1.0, 1.0, 1.0, 0.01),
+                              sl.ReservoirSpec(BOSE, 0.5), sl.ReservoirSpec(BOSE, 0.7))])
+        kappa = sl.Cells.build(1.0, 1.0, np.array([1.5, 2.5, 3.0, 0.5, 4.0]), 0.01, 0.5, 0.7,
+                               0.0, 0.0, BOSE)
+        for cells, phases in [(block, [1]), (point, [0]), (kappa, [0, 1])]:
+            calls.clear()
+            g = sl.build_generator(cells)
+            # one call per setup, the first over the whole batch
+            assert sorted(p for p, _ in calls) == phases and calls[0][1] == cells.theta.shape
+            # the excitation numbers of each cell's phase
+            assert g.numbers.tobytes() == EXCITATIONS[cells.strong.astype(int)].tobytes()
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_trace_preservation(self, p, stat, a, b, setup):

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import steerlab as sl
 from steerlab.errors import PhaseBoundaryError
-from steerlab.model import VEC6_ENTRIES, X_ENTRIES, Basis, eigen_weights, eigenvectors
+from steerlab.model import (
+    EXCITATIONS,
+    VEC6_ENTRIES,
+    X_ENTRIES,
+    Basis,
+    eigen_weights,
+    eigenvectors,
+)
 
 from conftest import Phase, eigen_weights_oracle, hamiltonian_matrix, random_system
 
@@ -30,10 +37,11 @@ def derive(p: sl.SystemParams):
 
 
 def eigen(p: sl.SystemParams):
-    """(energies, eigenvector columns, excitation numbers) of one system."""
+    """(energies, eigenvector columns, excitation numbers) of one system, in
+    the ordering of its phase."""
     bar_eps, _, omega, theta, strong = derive(p)
-    energies, _, numbers = sl.eigensystem(bar_eps, omega, eigen_weights(theta), strong)
-    return energies, eigenvectors(eigen_weights(theta), strong), numbers
+    energies, _ = sl.eigensystem(bar_eps, omega, eigen_weights(theta), int(strong))
+    return energies, eigenvectors(eigen_weights(theta), strong), EXCITATIONS[int(strong)]
 
 
 def product_map(vectors: np.ndarray) -> np.ndarray:
@@ -136,10 +144,13 @@ class TestEigensystem:
         assert abs(vectors[1, 0]) > 0.7 and abs(vectors[0, 0]) < 1e-14
 
     def test_number_eigenvalues(self):
-        _, _, weak = eigen(sl.SystemParams(1.3, 0.7, 1.0, 0.01))
-        assert np.allclose(weak, [0, 1, 1, 2], atol=1e-14)
-        _, _, strong = eigen(sl.SystemParams(1.3, 0.7, 3.0, 0.01))
-        assert np.allclose(strong, [1, 0, 2, 1], atol=1e-14)
+        # the number operator n_A + n_B is diagonal on the columns, with the
+        # excitation numbers on its diagonal
+        for kappa, want in ((1.0, [0, 1, 1, 2]), (3.0, [1, 0, 2, 1])):
+            _, vectors, numbers = eigen(sl.SystemParams(1.3, 0.7, kappa, 0.01))
+            assert np.array_equal(numbers, want)
+            n = vectors.T @ np.diag([0.0, 1.0, 1.0, 2.0]) @ vectors
+            assert np.max(np.abs(n - np.diag(numbers))) <= 1e-14
 
     @settings(max_examples=60, deadline=None)
     @given(system_strategy())
@@ -176,12 +187,13 @@ class TestEigensystem:
         # each entry of the map is one monomial of cos and sin(theta/2), so the
         # template sum has the bits of the product of the columns
         bar_eps, _, omega, theta, strong = derive(p)
-        _, local_map, _ = sl.eigensystem(bar_eps, omega, eigen_weights(theta), strong)
+        _, local_map = sl.eigensystem(bar_eps, omega, eigen_weights(theta), int(strong))
         want = product_map(eigenvectors(eigen_weights(theta), strong))
         assert local_map.shape == (6, 6) and local_map.tobytes() == want.tobytes()
 
     def test_local_map_batched(self):
-        # both phases in one (3, 4) batch, against the one-cell maps
+        # each phase's templates over a (3, 4) batch with cells of both
+        # phases, against the eigenvector products and the one-cell maps
         rng = np.random.default_rng(22)
         kappa = np.where(np.arange(12).reshape(3, 4) % 3 == 1, rng.uniform(2.5, 5.0, (3, 4)),
                          rng.uniform(0.05, 1.5, (3, 4)))
@@ -189,14 +201,15 @@ class TestEigensystem:
                                                            kappa)
         assert np.count_nonzero(strong) == 4
         weights = eigen_weights(theta)
-        energies, local_map, _ = sl.eigensystem(bar_eps, omega, weights, strong)
-        assert local_map.shape == (3, 4, 6, 6)
-        assert local_map.tobytes() == product_map(eigenvectors(weights, strong)).tobytes()
-        for i in np.ndindex(3, 4):
-            one = sl.eigensystem(bar_eps[i][None], omega[i][None], weights[i][None],
-                                 strong[i][None])
-            assert energies[i].tobytes() == one[0][0].tobytes()
-            assert local_map[i].tobytes() == one[1][0].tobytes()
+        for phase in (0, 1):
+            energies, local_map = sl.eigensystem(bar_eps, omega, weights, phase)
+            assert local_map.shape == (3, 4, 6, 6)
+            want = product_map(eigenvectors(weights, np.full((3, 4), phase)))
+            assert local_map.tobytes() == want.tobytes()
+            for i in np.ndindex(3, 4):
+                one = sl.eigensystem(bar_eps[i][None], omega[i][None], weights[i][None], phase)
+                assert energies[i].tobytes() == one[0][0].tobytes()
+                assert local_map[i].tobytes() == one[1][0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(system_strategy())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import steerlab as sl
 from steerlab.cli import EXIT_INTERNAL, main
 from steerlab.errors import ConfigurationError, DegenerateSteadyStateError
-from steerlab.generator import dense, from_vector6
+from steerlab.generator import dense
 from steerlab.model import Basis
 from steerlab.rates import Statistics
 from steerlab.steady import NULL_TOL, max_stable_dt, min_eigenvalue_energy, steady_state
@@ -22,6 +22,7 @@ from conftest import (
     columns,
     dense_local,
     equilibrium_analytic,
+    from_vector6,
     gibbs_local,
     hermitize_vector6,
     one_cell,
