@@ -37,4 +37,4 @@ from .transport import (
     transport_report,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -3,8 +3,9 @@
 Configs are JSON (checked against CONFIG_KEYS before any computation); grids and
 trajectories are CSV.  Every file output is written via write-then-rename and
 accompanied by a manifest carrying the resolved config echo, version, timing,
-masked-cell count and output checksums.  Floats are rendered with %.17g so
-identical configs give byte-identical outputs.
+masked-cell count and output checksums.  JSON text is json.dumps on one line,
+floats as repr, and nan, inf and -inf as the strings "nan", "inf" and "-inf";
+CSV floats are %.17g.  Identical configs give byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import os
 import sys
 import time
 from importlib import resources
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -111,72 +111,22 @@ POSITIVITY_TEXT = ("0\n", "1\n")
 TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
-def _float_text(v) -> str:
-    return "%.17g" % v if math.isfinite(v) else '"%s"' % v
+def dumps_fixed(obj) -> str:
+    """The JSON text of every report, summary and manifest, one format per
+    version: json.dumps on one line, floats as repr.  JSON has no nan or inf,
+    and _finite makes strings of the values that may be either; a nan or inf
+    that leaks in anyway, or a value json cannot render (a numpy bool or
+    integer), is a defect raised as InternalConsistencyError, and no invalid
+    JSON is written."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise InternalConsistencyError(f"no JSON text for a value: {exc}") from None
 
 
-def _bool_text(v) -> str:
-    return "true" if v else "false"
-
-
-# the JSON text of each scalar type; numpy scalars of other types render as
-# the Python values they stand for
-_SCALAR_TEXT = {
-    float: _float_text, np.float64: _float_text, bool: _bool_text, np.bool_: _bool_text,
-    int: str, np.int64: str, str: encode_basestring_ascii,
-    type(None): lambda v: "null",
-}
-
-
-def _float_lists(obj) -> str | None:
-    """The JSON text of a list or tuple, nested to any depth, whose leaves
-    are all finite Python floats, or None: one pass over the nesting builds
-    a %.17g template, and one % formats every leaf."""
-    template, leaves = ["["], []
-    stack = [iter(obj)]
-    sep = ""
-    while stack:
-        for v in stack[-1]:
-            template.append(sep)
-            kind = type(v)
-            if kind is float:
-                leaves.append(v)
-                template.append("%.17g")
-                sep = ", "
-            elif kind is list or kind is tuple:
-                template.append("[")
-                stack.append(iter(v))
-                sep = ""
-                break
-            else:
-                return None
-        else:
-            stack.pop()
-            template.append("]")
-            sep = ", "
-    text = "".join(template) % tuple(leaves)
-    # "n" marks nan or inf
-    return None if "n" in text else text
-
-
-def dumps_fixed(obj, indent: int = 0) -> str:
-    """JSON text with %.17g floats, for byte-reproducible outputs: a dict
-    holds one item per line, a list sits on one line."""
-    render = _SCALAR_TEXT.get(type(obj))
-    if render is not None:
-        return render(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = " " * indent
-        items = ",\n".join([f"{pad}  {encode_basestring_ascii(str(k))}: "
-                            f"{dumps_fixed(v, indent + 2)}" for k, v in obj.items()])
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        return _float_lists(obj) or "[" + ", ".join([dumps_fixed(v, indent) for v in obj]) + "]"
-    if isinstance(obj, np.generic):
-        return dumps_fixed(obj.item(), indent)
-    return json.dumps(obj)
+def _finite(v: float) -> float | str:
+    """v, or "nan", "inf" or "-inf" in its place."""
+    return v if math.isfinite(v) else str(v)
 
 
 @functools.cache
@@ -449,12 +399,12 @@ def cmd_steady(cfg: dict) -> int:
     g, st, c, (current_a, current_b, sigma) = run_point(*_build_objects(cfg))
     positive = bool(st.positive[0])
     # positions of |00>, |11>, psi-, psi+ among the energy-basis populations
-    eigen_order = STATE_POSITIONS[int(g.cells.strong[0])][[0, 3, 1, 2]]
+    eigen_order = STATE_POSITIONS[int(g.cells.setup[0] == 2)][[0, 3, 1, 2]]
     correlations = None if c.fault[0] >= 0 else {
-        "entangled": c.entangled[0], "margin_ent": c.margin_ent[0],
-        "steer_a_to_b": c.steer_a_to_b[0], "margin_ab": c.margin_ab[0],
-        "steer_b_to_a": c.steer_b_to_a[0], "margin_ba": c.margin_ba[0],
-        "bell": c.bell[0], "margin_bell": c.margin_bell[0],
+        "entangled": c.entangled[0].item(), "margin_ent": c.margin_ent[0].item(),
+        "steer_a_to_b": c.steer_a_to_b[0].item(), "margin_ab": c.margin_ab[0].item(),
+        "steer_b_to_a": c.steer_b_to_a[0].item(), "margin_ba": c.margin_ba[0].item(),
+        "bell": c.bell[0].item(), "margin_bell": _finite(c.margin_bell[0].item()),
         "method": c.method.value,
         "eigen_populations": st.vector6[0, eigen_order].real.tolist(),
     }
@@ -463,12 +413,13 @@ def cmd_steady(cfg: dict) -> int:
     report = {
         "state_energy_basis": energy_state,
         "state_local_basis": local_state,
-        "residual": st.residual[0],
-        "min_eigenvalue": st.min_eigenvalue[0],
+        "residual": st.residual[0].item(),
+        "min_eigenvalue": st.min_eigenvalue[0].item(),
         "positivity_ok": positive,
         "correlations": correlations,
         "transport": {
-            "current_a": current_a[0], "current_b": current_b[0], "sigma": sigma[0],
+            "current_a": current_a[0].item(), "current_b": current_b[0].item(),
+            "sigma": sigma[0].item(),
             "observable": "energy" if bose else "particle-number",
         },
     }
@@ -505,18 +456,19 @@ def cmd_threshold(cfg: dict) -> int:
     criterion = Criterion(th["criterion"])
     result = threshold_kappa(system, ra, rb, criterion, tuple(th["bracket"]))
     analytic = _analytic(system, ra, rb)
+    margin = result.margin_at_root
     report = {
         "criterion": criterion.value,
         "found": result.found,
         "kappa_threshold": result.kappa_threshold,
         "bracket": list(result.bracket),
         "iterations": result.iterations,
-        "margin_at_root": result.margin_at_root,
-        "analytic": analytic,
+        "margin_at_root": None if margin is None else _finite(margin),
+        "analytic": None if analytic is None else {k: _finite(v) for k, v in analytic.items()},
     }
     if result.found and analytic is not None:
         report["relative_deviation"] = {
-            key: (result.kappa_threshold - val) / val if val != 0 else float("nan")
+            key: _finite((result.kappa_threshold - val) / val if val != 0 else math.nan)
             for key, val in analytic.items()
         }
     _emit(cfg, dumps_fixed(report) + "\n", started)
@@ -534,7 +486,7 @@ def cmd_thresholds_table(cfg: dict) -> int:
         raise ConfigurationError(
             f"closed-form thresholds need equal temperatures, got T_A={ra.temperature}, "
             f"T_B={rb.temperature}")
-    _emit(cfg, dumps_fixed(table) + "\n", started)
+    _emit(cfg, dumps_fixed({k: _finite(v) for k, v in table.items()}) + "\n", started)
     return EXIT_OK
 
 

@@ -117,7 +117,7 @@ def dense(g: GeneratorArrays) -> tuple[np.ndarray, np.ndarray]:
     m = np.zeros((6, 6), dtype=complex)
     m[:5, :5], m[:4, 5], m[5, :4] = k, k[:4, 4], k[4, :4]
     m[4, 4], m[5, 5] = k[4, 4] + 2j * omega, k[4, 4] - 2j * omega
-    return m, eigenvectors(g.cells.eigen_weights[0], g.cells.strong[0])
+    return m, eigenvectors(g.cells.eigen_weights[0], g.cells.setup[0] == 2)
 
 
 # flat (4x4) positions of the six entries

@@ -152,23 +152,23 @@ class Cells:
     """Per-cell inputs of the array kernels, over leading cell axes.
 
     The derived parameters of each cell's system (model.derive_params and
-    eigen_weights) come with its setup code (an index into generator.SETUPS), its coupling
-    constant gamma, its reservoirs' temperature and mu, the latter two as
-    (..., 2) arrays: reservoir A, reservoir B, and their occupations (...,
-    2, 2): [..., j, k] is reservoir j's at eps_plus (k=0) and eps_minus
-    (k=1).  All cells share one statistics.  `build` takes parameters that
-    broadcast together (a sweep builds its grid on one row-major cell axis,
-    and slicing it gives a block of rows; a threshold batch is a kappa
-    vector) and `of` stacks N points along one axis; a single point is
-    `Cells.of([(p, ra, rb)])`, and its callers read row 0 of every stage.
-    Cells compare and hash by identity.
+    eigen_weights) come with its setup code (an index into generator.SETUPS;
+    code 2, strong-bose, is the strong phase), its coupling constant gamma,
+    its reservoirs' temperature and mu, the latter two as (..., 2) arrays:
+    reservoir A, reservoir B, and their occupations (..., 2, 2): [..., j, k]
+    is reservoir j's at eps_plus (k=0) and eps_minus (k=1).  All cells share
+    one statistics.  `build` takes parameters that broadcast together (a
+    sweep builds its grid on one row-major cell axis, and slicing it gives a
+    block of rows; a threshold batch is a kappa vector) and `of` stacks N
+    points along one axis; a single point is `Cells.of([(p, ra, rb)])`, and
+    its callers read row 0 of every stage.  Cells compare and hash by
+    identity.
     """
 
     bar_eps: np.ndarray
     omega: np.ndarray
     theta: np.ndarray
     eigen_weights: np.ndarray
-    strong: np.ndarray
     setup: np.ndarray
     gamma: np.ndarray
     temperature: np.ndarray
@@ -216,15 +216,15 @@ class Cells:
         eps = np.empty(theta.shape + (2,))
         eps[..., 1], eps[..., 0] = transition_energies(bar_eps, omega)
         n = occupations(statistics, temperature[..., None], mu[..., None], eps[..., None, :])
-        return cls(bar_eps, omega, theta, eigen_weights(theta), strong, setup, columns[..., 3],
+        return cls(bar_eps, omega, theta, eigen_weights(theta), setup, columns[..., 3],
                    temperature, mu, n, statistics)
 
     def __getitem__(self, index) -> Cells:
         """The cells at index of the leading cell axes, e.g. a block of a grid."""
         return Cells(self.bar_eps[index], self.omega[index], self.theta[index],
-                     self.eigen_weights[index], self.strong[index], self.setup[index],
-                     self.gamma[index], self.temperature[index], self.mu[index],
-                     self.occupations[index], self.statistics)
+                     self.eigen_weights[index], self.setup[index], self.gamma[index],
+                     self.temperature[index], self.mu[index], self.occupations[index],
+                     self.statistics)
 
 
 def rate_set(c: Cells) -> np.ndarray:

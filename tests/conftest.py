@@ -174,7 +174,7 @@ def dense_local(v: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def columns(g: sl.GeneratorArrays) -> np.ndarray:
     """The real eigenvector columns (N, 4, 4) of the cells of generators g."""
-    return eigenvectors(g.cells.eigen_weights, g.cells.strong)
+    return eigenvectors(g.cells.eigen_weights, g.cells.setup == 2)
 
 
 def cell(g: sl.GeneratorArrays, i: int) -> sl.GeneratorArrays:
@@ -340,7 +340,7 @@ def equilibrium_analytic(p: sl.SystemParams, r: sl.ReservoirSpec) -> Equilibrium
     populations are the grand-canonical products.
     """
     c = sl.Cells.of([(p, r, r)])
-    vectors = eigenvectors(c.eigen_weights, c.strong)
+    vectors = eigenvectors(c.eigen_weights, c.setup == 2)
     theta = c.theta.item()
     np_, nq = c.occupations[0, 0].tolist()
     c2 = math.cos(theta / 2) ** 2
@@ -350,7 +350,7 @@ def equilibrium_analytic(p: sl.SystemParams, r: sl.ReservoirSpec) -> Equilibrium
         norm = (1 + 2 * np_) * (1 + 2 * nq)
         diag = np.array([(1 + np_) * (1 + nq), (1 + np_) * nq, (1 + nq) * np_, np_ * nq])
         diag /= norm
-        if not c.strong[0]:
+        if c.setup[0] != 2:
             local_diag = [
                 diag[0],
                 (s2 * np_ + c2 * nq + np_ * nq) / norm,
@@ -367,7 +367,7 @@ def equilibrium_analytic(p: sl.SystemParams, r: sl.ReservoirSpec) -> Equilibrium
             ]
             rho23 = -sin_th * (1 + np_ + nq) / (2 * norm)
     else:
-        if c.strong[0]:
+        if c.setup[0] == 2:
             raise ConfigurationError("fermionic setup supports the weak phase only")
         diag = np.array([(1 - np_) * (1 - nq), (1 - np_) * nq, (1 - nq) * np_, np_ * nq])
         local_diag = [
@@ -547,33 +547,3 @@ def eigen_weights_oracle(theta: np.ndarray) -> np.ndarray:
     """The former model.eigen_weights: 1, cos(theta/2) and sin(theta/2) joined
     by np.stack, (..., 3)."""
     return np.stack([np.ones_like(theta), np.cos(0.5 * theta), np.sin(0.5 * theta)], axis=-1)
-
-
-def dumps_fixed_oracle(obj, indent: int = 0) -> str:
-    """The former cli.dumps_fixed, one call per value below a list of floats
-    and an isinstance chain per value."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = " " * indent
-        items = ",\n".join(f'{pad}  {json.dumps(str(k))}: {dumps_fixed_oracle(v, indent + 2)}'
-                           for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        # a flat list of finite Python floats is one join; "n" marks nan or inf
-        if all(type(v) is float for v in obj):
-            items = ", ".join(["%.17g" % v for v in obj])
-            if "n" not in items:
-                return "[" + items + "]"
-        return "[" + ", ".join([dumps_fixed_oracle(v, indent) for v in obj]) + "]"
-    if isinstance(obj, np.bool_):
-        obj = bool(obj)
-    elif isinstance(obj, np.integer):
-        obj = int(obj)
-    elif isinstance(obj, np.floating):
-        obj = float(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return "%.17g" % obj if math.isfinite(obj) else json.dumps(str(obj))
-    return json.dumps(obj)

@@ -298,15 +298,15 @@ class TestSweepBlocks:
             (min(rows, cfg.ny - iy) * cfg.nx,) for iy in range(0, cfg.ny, rows)]
         start = 0
         for block in blocks:
-            for name in ("bar_eps", "omega", "theta", "eigen_weights", "strong", "setup",
-                         "gamma", "temperature", "mu", "occupations"):
+            for name in ("bar_eps", "omega", "theta", "eigen_weights", "setup", "gamma",
+                         "temperature", "mu", "occupations"):
                 assert np.shares_memory(getattr(block, name), getattr(cfg.grid, name)), name
             size = len(block.theta)
             assert_same_bits(pipeline(block), pipeline(gather_block(cfg, start, size)))
             start += size
         assert start == cfg.nx * cfg.ny
         if cfg.ny == 6:
-            assert 0 < np.count_nonzero(cfg.grid.strong) < cfg.grid.strong.size
+            assert 0 < np.count_nonzero(cfg.grid.setup == 2) < cfg.grid.setup.size
 
 
 class TestHierarchyCheck:

@@ -43,7 +43,7 @@ from steerlab.errors import ConfigurationError, DegenerateSteadyStateError, Inte
 from steerlab.model import Basis
 from steerlab.rates import Statistics
 
-from conftest import (assert_rows_equal_points, csv_text_oracle, dumps_fixed_oracle,
+from conftest import (assert_rows_equal_points, csv_text_oracle,
                       eigen_populations, grid_point, load_preset_config, state_entries_oracle)
 
 PRESETS = [f"fig{n}" for n in
@@ -116,7 +116,7 @@ class TestSteadyCommand:
         g = sl.build_generator(sl.Cells.of([(sl.SystemParams(*params, 0.01),
                                              sl.ReservoirSpec(statistics, *a),
                                              sl.ReservoirSpec(statistics, *b))]))
-        oracle = eigen_populations(local, steerlab.generator.dense(g)[1], g.cells.strong[0])
+        oracle = eigen_populations(local, steerlab.generator.dense(g)[1], g.cells.setup[0] == 2)
         got = rep["correlations"]["eigen_populations"]
         assert np.max(np.abs(np.subtract(got, oracle))) <= 1e-15
 
@@ -861,8 +861,8 @@ class TestStateReport:
         assert repr(_state_entries(v, x)) == repr(list(state_entries_oracle(v, x)))
 
 
-# JSON documents of every value type dumps_fixed renders: Python and numpy
-# scalars, strings with non-ASCII text, and nested lists of floats alone
+# JSON documents of every kind of value: Python and numpy scalars, strings
+# with non-ASCII text, nan and inf, and nested lists of floats alone
 FIXED_SCALARS = (st.floats() | st.floats().map(np.float64) | st.booleans().map(np.bool_)
                  | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64) | st.integers()
                  | st.booleans() | st.none() | st.text(max_size=6))
@@ -874,12 +874,54 @@ FIXED_DOCS = st.recursive(
     max_leaves=24)
 
 
+class NoJSONText(Exception):
+    """A value that JSON has no text for."""
+
+
+def parsed(doc):
+    """doc as its JSON text parses back: tuples as lists, keys as strings and
+    float64 scalars as floats; NoJSONText if it holds nan, inf or another
+    numpy scalar."""
+    if isinstance(doc, dict):
+        return {str(k): parsed(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [parsed(v) for v in doc]
+    if isinstance(doc, float) and math.isfinite(doc):
+        return float(doc)
+    if doc is None or type(doc) in (bool, int, str):
+        return doc
+    raise NoJSONText
+
+
+def assert_round_trip(doc):
+    """dumps_fixed(doc) is one line that parses to doc's values, each float
+    bit for bit, the sign of zero included; a doc that JSON has no text for
+    raises InternalConsistencyError."""
+    try:
+        want = parsed(doc)
+    except NoJSONText:
+        with pytest.raises(InternalConsistencyError):
+            dumps_fixed(doc)
+        return
+    text = dumps_fixed(doc)
+    assert "\n" not in text and repr(json.loads(text)) == repr(want)
+
+
+def no_constants(name):
+    raise AssertionError(f"{name} in JSON text")
+
+
+def same_bits(got, value) -> bool:
+    """Whether a parsed report value is the float value, bit for bit, or its
+    string where it is nan or inf."""
+    value = float(value)
+    return repr(got) == repr(value if math.isfinite(value) else str(value))
+
+
 class TestFixedFormat:
     def test_dumps_fixed_floats(self):
-        text = dumps_fixed({"a": 1.0 / 3.0, "b": [True, None, "s"], "c": float("nan")})
-        assert "0.33333333333333331" in text
-        assert '"nan"' in text
-        assert json.loads(text.replace('"nan"', "0"))
+        text = dumps_fixed({"a": 1.0 / 3.0, "b": [True, None, "s"], "c": -0.0, "d": 1.0})
+        assert text == '{"a": 0.3333333333333333, "b": [true, null, "s"], "c": -0.0, "d": 1.0}'
 
     @pytest.mark.parametrize("argv", [
         *(preset_point_argv(name, seed) for seed, name in enumerate(PRESETS)),
@@ -896,23 +938,39 @@ class TestFixedFormat:
          "--axis-y=kappa", "--y-min=2.5", "--y-max=3", "--ny=3"],
         ["sweep", "--preset=fig9b"],
     ])
-    def test_documents_match_oracle(self, argv, tmp_path, monkeypatch, capsys):
-        # every document a command renders (report, summary and manifest),
-        # rendered by both
-        documents = []
-        render = dumps_fixed
-
-        def spy(obj, indent=0):
-            if indent == 0:
-                documents.append(obj)
-            return render(obj, indent)
-        monkeypatch.setattr("steerlab.cli.dumps_fixed", spy)
-        assert run([*argv, f"--out={tmp_path / 'out'}"]) == 0
-        # the report and its manifest, the evolve summary and the trajectory's
-        # manifest; a sweep's CSV is not JSON
-        assert len(documents) == (1 if argv[0] == "sweep" else 2)
-        for doc in documents:
-            assert render(doc) == dumps_fixed_oracle(doc)
+    def test_documents_match_oracle(self, argv, tmp_path, capsys):
+        # every document a command writes (report, evolve summary and
+        # manifest) is the writer's text of the values it parses to, with no
+        # NaN or Infinity; a sweep's output and evolve's trajectory are CSV
+        out = tmp_path / "out"
+        assert run([*argv, f"--out={out}"]) == 0
+        texts = [(tmp_path / "out.manifest.json").read_text()]
+        if argv[0] == "evolve":
+            texts.append(capsys.readouterr().out)
+        elif argv[0] != "sweep":
+            texts.append(out.read_text())
+        for text in texts:
+            assert text == dumps_fixed(json.loads(text, parse_constant=no_constants)) + "\n"
+        if argv[0] != "steady":
+            return
+        # the report's floats are run_point's
+        report = json.loads(texts[1])
+        _, ss, c, transport = run_point(*_build_objects(resolve_config(
+            build_parser().parse_args(argv))))
+        energy, local = state_entries_oracle(ss.vector6[0], ss.local_x[0])
+        pairs = [(report["residual"], ss.residual[0]),
+                 (report["min_eigenvalue"], ss.min_eigenvalue[0]),
+                 *zip(np.ravel(report["state_energy_basis"]).tolist(), np.ravel(energy)),
+                 *zip(np.ravel(report["state_local_basis"]).tolist(), np.ravel(local)),
+                 *((report["transport"][k], v[0])
+                   for k, v in zip(("current_a", "current_b", "sigma"), transport))]
+        corr = report["correlations"]
+        pairs += [(corr[k], getattr(c, k)[0])
+                  for k in ("margin_ent", "margin_ab", "margin_ba", "margin_bell")]
+        assert [(got, value) for got, value in pairs if not same_bits(got, value)] == []
+        # the populations are the energy-basis ones, in another order
+        assert (sorted(map(repr, corr["eigen_populations"]))
+                == sorted(map(repr, ss.vector6[0, :4].real.tolist())))
 
     @pytest.mark.parametrize("doc", [
         {},
@@ -935,13 +993,32 @@ class TestFixedFormat:
          1: np.float64("-inf"), "x": np.array(0.5)[()]},
     ])
     def test_values_match_oracle(self, doc):
-        assert dumps_fixed(doc) == dumps_fixed_oracle(doc)
-        assert dumps_fixed(doc, 4) == dumps_fixed_oracle(doc, 4)
+        assert_round_trip(doc)
 
     @settings(max_examples=150, deadline=None)
-    @given(doc=FIXED_DOCS, indent=st.sampled_from([0, 2, 5]))
-    def test_drawn_documents_match_oracle(self, doc, indent):
-        assert dumps_fixed(doc, indent) == dumps_fixed_oracle(doc, indent)
+    @given(doc=FIXED_DOCS)
+    def test_drawn_documents_match_oracle(self, doc):
+        assert_round_trip(doc)
+
+    def test_non_finite_values_are_strings(self, capsys):
+        # T = 1e308 overflows the high-temperature closed form
+        assert run(["thresholds-table", "--ta=1e308", "--tb=1e308"]) == 0
+        text = capsys.readouterr().out
+        assert '"kappa_high_two_way": "inf"' in text
+        assert json.loads(text, parse_constant=no_constants)["kappa_high_two_way"] == "inf"
+
+    def test_leaked_nan_is_internal(self, monkeypatch, capsys):
+        # a nan that reaches the writer exits 4 and writes no JSON
+        def leaky(v, x):
+            energy, local = state_entries(v, x)
+            energy[0][0][0] = math.nan
+            return energy, local
+        state_entries = _state_entries
+        monkeypatch.setattr("steerlab.cli._state_entries", leaky)
+        assert run(["steady"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: ") and captured.err.count("\n") == 1
 
 
 def flag_values(kind) -> st.SearchStrategy:

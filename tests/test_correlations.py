@@ -327,7 +327,7 @@ class TestClassify:
         g, ss = one_cell(p, r, r)
         rep = row0(sl.classify(ss.local_x))
         local = dense_local(ss.vector6[0], dense(g)[1])
-        p00, p11, pm, pp = eigen_populations(local, dense(g)[1], g.cells.strong[0])
+        p00, p11, pm, pp = eigen_populations(local, dense(g)[1], g.cells.setup[0] == 2)
         _, f_b = factors(_x_entries(ss.local_x[0]))
         law = 0.25 * (p00 - p11) * (pm - pp) * math.cos(g.cells.theta[0])
         assert f_b == pytest.approx(law, abs=1e-10)
@@ -340,7 +340,7 @@ class TestClassify:
         g, ss = one_cell(p, sl.ReservoirSpec(Statistics.BOSE, 0.45),
                          sl.ReservoirSpec(Statistics.BOSE, 0.65))
         local = dense_local(ss.vector6[0], dense(g)[1])
-        p00, p11, pm, pp = eigen_populations(local, dense(g)[1], g.cells.strong[0])
+        p00, p11, pm, pp = eigen_populations(local, dense(g)[1], g.cells.setup[0] == 2)
         _, f_b = factors(_x_entries(ss.local_x[0]))
         theta = g.cells.theta[0]
         correction = 2 * math.sin(theta) * ss.vector6[0, 4].real

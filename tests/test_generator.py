@@ -263,7 +263,7 @@ class TestBuildGenerator:
         t_a, t_b = [0.4, 0.7, 1.1, 0.3, 2.0], [0.9, 0.2, 0.6, 1.5, 0.5]
         g = sl.build_generator(sl.Cells.build(1.0, 1.0, np.array(kappa), 0.01,
                                               np.array(t_a), np.array(t_b), 0.0, 0.0, BOSE))
-        assert 0 < np.count_nonzero(g.cells.strong) < len(kappa)
+        assert 0 < np.count_nonzero(g.cells.setup == 2) < len(kappa)
         for i in range(len(kappa)):
             one = sl.build_generator(sl.Cells.build(1.0, 1.0, np.array(kappa[i:i + 1]), 0.01,
                                                     np.array(t_a[i:i + 1]),
@@ -302,7 +302,7 @@ class TestBuildGenerator:
             # one call per setup, the first over the whole batch
             assert sorted(p for p, _ in calls) == phases and calls[0][1] == cells.theta.shape
             # the excitation numbers of each cell's phase
-            assert g.numbers.tobytes() == EXCITATIONS[cells.strong.astype(int)].tobytes()
+            assert g.numbers.tobytes() == EXCITATIONS[(cells.setup == 2).astype(int)].tobytes()
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
     def test_trace_preservation(self, p, stat, a, b, setup):
