@@ -101,14 +101,12 @@ _MODE_FLAGS = {mode: [k for k in CONFIG_KEYS
                for mode in MODES}
 
 # one grid cell in the FIELDS columns: the x and y text, the four verdict
-# flags' text, the six %.17g values and the positivity flag's text
-CSV_ROW = "%s%s%s%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
+# flags' text, the text of the six values and the positivity flag's text
+CSV_ROW = b"%s%s%s%s,%s,%s,%s,%s,%s,%s"
 # the text of the four verdict flags, "1,0,1,0," and so on, at 8 entangled +
 # 4 steer_ab + 2 steer_ba + bell; of positivity_ok, at positivity_ok
-FLAG_TEXT = tuple("%d,%d,%d,%d," % (k >> 3, k >> 2 & 1, k >> 1 & 1, k & 1) for k in range(16))
-POSITIVITY_TEXT = ("0\n", "1\n")
-# one trajectory step: t, the four populations, the e1-e2 coherence's re and im
-TRAJECTORY_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+FLAG_TEXT = tuple(b"%d,%d,%d,%d," % (k >> 3, k >> 2 & 1, k >> 1 & 1, k & 1) for k in range(16))
+POSITIVITY_TEXT = (b"0\n", b"1\n")
 
 
 def dumps_fixed(obj) -> str:
@@ -316,20 +314,21 @@ def _state_entries(v: np.ndarray, x: np.ndarray) -> list:
 def csv_text(columns: dict[str, np.ndarray], nx: int) -> str:
     """The sweep CSV of a row-major grid's FIELDS columns, nx cells per row.
 
-    Only the six values go through %.17g per cell: each x and y value is
-    formatted once, and the flags are read from FLAG_TEXT and POSITIVITY_TEXT.
-    One % formats every row, CSV_ROW repeated once per row over the rows'
-    fields in sequence.
+    g17_text renders the six values of every cell and each x and y value
+    once, and the flags are read from FLAG_TEXT and POSITIVITY_TEXT.  One %
+    lays out every row, CSV_ROW repeated once per row over the rows' fields
+    in sequence.
     """
-    xs = ["%.17g," % v for v in columns["x"][:nx].tolist()]
-    ys = ["%.17g," % v for v in columns["y"][::nx].tolist()]
+    from .g17 import g17_text  # loaded by the first CSV, never by a report
+    xs = [x + b"," for x in g17_text(columns["x"][:nx])]
+    ys = [y + b"," for y in g17_text(columns["y"][::nx])]
     flags = (8 * columns["entangled"] + 4 * columns["steer_ab"] + 2 * columns["steer_ba"]
              + columns["bell"]).tolist()
     rows = zip(xs * len(ys), [y for y in ys for _ in xs], map(FLAG_TEXT.__getitem__, flags),
-               *(columns[name].tolist() for name in FIELDS[6:12]),
+               *(g17_text(columns[name]) for name in FIELDS[6:12]),
                map(POSITIVITY_TEXT.__getitem__, columns["positivity_ok"].tolist()))
-    return (",".join(FIELDS) + "\n"
-            + CSV_ROW * len(flags) % tuple(itertools.chain.from_iterable(rows)))
+    text = (",".join(FIELDS) + "\n").encode() + CSV_ROW * len(flags)
+    return (text % tuple(itertools.chain.from_iterable(rows))).decode()
 
 
 def _atomic_write(path: str, text: str) -> str:
@@ -515,9 +514,10 @@ def cmd_evolve(cfg: dict) -> int:
     st = steady_state(g)
     final_gap = float(np.max(np.abs(vectors[-1] - st.vector6[0])))
     rows = np.column_stack([times, vectors[:, :4].real, vectors[:, 4].real, vectors[:, 4].imag])
-    text = "t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh\n" + "".join(
-        [TRAJECTORY_ROW % tuple(row) for row in rows.tolist()])
-    _emit(cfg, text, started, default_out="trajectory.csv")
+    from .g17 import g17_text
+    text = (b"t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh\n"
+            + b"%s,%s,%s,%s,%s,%s,%s\n" * len(rows)) % tuple(g17_text(rows.ravel()))
+    _emit(cfg, text.decode(), started, default_out="trajectory.csv")
     summary = {
         "steps": len(times) - 1,
         "trace_drift": float(np.max(np.abs(vectors[:, :4].real.sum(axis=1) - 1.0))),

@@ -22,6 +22,7 @@ from steerlab.analysis import (
     sweep2d,
 )
 from steerlab.analysis import threshold_kappa as bisect_kappa
+from steerlab.cli import csv_text
 from steerlab.correlations import Method, check_hierarchy
 from steerlab.errors import InternalConsistencyError
 from steerlab.model import Basis
@@ -31,6 +32,7 @@ from steerlab.steady import max_stable_dt
 from conftest import (
     PRESET_NAMES,
     Phase,
+    csv_text_oracle,
     entanglement_boundary_fit,
     equilibrium_analytic,
     from_vector6,
@@ -536,6 +538,13 @@ def test_preset_fingerprint(preset_maps, name):
                         c.current_b, c.sigma) for c in cells])
     np.testing.assert_array_equal(flags, ref[f"grid.{name}.flags"])
     np.testing.assert_allclose(values, ref[f"grid.{name}.values"], rtol=0, atol=1e-12)
+
+
+def test_preset_csv_text(preset_maps):
+    # every preset's CSV is byte for byte the former per-row writer's text
+    for name in PRESET_NAMES:
+        region = preset_maps[name]
+        assert csv_text(region.columns, region.config.nx) == csv_text_oracle(region.columns), name
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from decimal import Decimal
 from importlib import resources
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import steerlab as sl
 import steerlab.analysis
+import steerlab.g17
 import steerlab.generator
 from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig, run_point, sweep2d
 from steerlab.cli import (
@@ -40,6 +42,7 @@ from steerlab.cli import (
     resolve_config,
 )
 from steerlab.errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
+from steerlab.g17 import g17_text
 from steerlab.model import Basis
 from steerlab.rates import Statistics
 
@@ -398,6 +401,40 @@ class TestCsvText:
             t_a=0.5, t_b=0.5))
         assert region.masked_count() == 1
         assert out.read_bytes() == csv_text_oracle(region.columns).encode()
+
+
+def test_g17_text_matches_per_value_format(monkeypatch):
+    # g17_text against '%.17g' per value over several chunks of a corpus that
+    # spans every branch: notation, sign, carry, exponent guess and fallback
+    exact = []
+    fallback = steerlab.g17._exact
+    monkeypatch.setattr(steerlab.g17, "_exact", lambda v: exact.append(v) or fallback(v))
+    rng = np.random.default_rng(27)
+    patterns = np.frombuffer(rng.bytes(8 * 8000), np.float64)
+    magnitudes = 10.0 ** rng.uniform(-300, 300, 8000) * rng.choice([-1.0, 1.0], 8000)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    dyadic = rng.integers(1, 2 ** 53, 4000) * 2.0 ** -rng.integers(1, 60, 4000)
+    tie, out_of_range = 1234567890123456.75, 1e300
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-280, -1e-280, 1e280,
+               -1e280, 1e17, 99999999999999999.0, 1e16, 1e-4, 1e-5, tie, out_of_range]
+    corpus = np.concatenate([
+        patterns, magnitudes, powers, -powers, np.nextafter(powers, math.inf),
+        np.nextafter(powers, -math.inf), rng.integers(0, 10 ** 17, 4000).astype(float),
+        np.arange(-1000.0, 1000.0), dyadic, special])
+    assert len(corpus) > 4 * steerlab.g17.CHUNK
+    assert g17_text(corpus) == [b"%.17g" % v for v in corpus.tolist()]
+    # the tie and the out-of-range value went to the fallback, and of the
+    # finite values within the range only those whose digits after the 17th
+    # lie within 1e-6 of a tie, or exact powers of ten, which sit on the
+    # boundary of the exponent guess
+    assert tie in exact and out_of_range in exact
+
+    def uncertified(v):
+        scaled = Decimal(abs(v)).scaleb(16 - Decimal(abs(v)).adjusted())
+        return scaled == 10 ** 16 or abs(scaled - int(scaled) - Decimal("0.5")) < Decimal("1e-6")
+
+    assert all(uncertified(v) for v in exact if 1e-280 <= abs(v) <= 1e280)
+    assert len(exact) < len(corpus) // 10
 
 
 class TestNoWorkerOptions:
