@@ -2,10 +2,7 @@
 entanglement / steering / Bell-nonlocality phase diagrams."""
 
 from .model import (
-    Basis,
-    DensityMatrix4,
     SystemParams,
-    basis_change,
     derive_params,
     eigensystem,
 )

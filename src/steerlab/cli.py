@@ -36,10 +36,10 @@ from .analysis import (
     threshold_kappa,
 )
 from .errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
-from .generator import build_generator
-from .model import STATE_POSITIONS, VEC6_ENTRIES, X_ENTRIES, Basis, DensityMatrix4, SystemParams
+from .generator import build_generator, dense
+from .model import STATE_POSITIONS, VEC6_ENTRIES, X_ENTRIES, SystemParams
 from .rates import Cells, ReservoirSpec, Statistics, check_inputs, scaled_energy
-from .steady import evolve, steady_state
+from .steady import check_evolution, evolve, steady_state
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,7 +87,7 @@ CONFIG_KEYS = (
         "ground-local"),
     Key("evolve", "t_final", NUMBER, True, "--t-final"),
     Key("evolve", "dt", NUMBER, True, "--dt"),
-    Key("evolve", "basis", tuple(b.value for b in Basis), False, "--initial-basis", "local"),
+    Key("evolve", "basis", ("local", "energy"), False, "--initial-basis", "local"),
     Key("evolve", "matrix", MATRIX, False, "--initial-matrix"),
 )
 # the keys of each section, "" (the top level) first
@@ -489,27 +489,34 @@ def cmd_thresholds_table(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _initial_state(cfg_ev: dict) -> DensityMatrix4:
+def _initial_state(cfg_ev: dict) -> tuple[np.ndarray, str]:
+    """The initial state's (4, 4) matrix, unchecked, and its basis."""
     kind = cfg_ev["initial"]
     if kind == "ground-local":
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
-        return DensityMatrix4(entries=m, basis=Basis.LOCAL)
+        return m, "local"
     if kind == "maximally-mixed":
-        return DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
+        return np.eye(4, dtype=complex) / 4, "local"
     raw = cfg_ev.get("matrix")
     if raw is None:
         raise ConfigurationError("custom initial state requires a 'matrix' entry")
     m = np.array([[complex(v[0], v[1]) if isinstance(v, list) else complex(v)
                    for v in row] for row in raw])
-    return DensityMatrix4(entries=m, basis=Basis(cfg_ev.get("basis", "local")))
+    return m, cfg_ev.get("basis", "local")
 
 
 def cmd_evolve(cfg: dict) -> int:
     started = time.perf_counter()
-    g = build_generator(Cells.of([_build_objects(cfg)]))
     ev = cfg["evolve"]
-    rho0 = _initial_state(ev)
+    rho0, basis = _initial_state(ev)
+    rho0 = check_evolution(rho0, ev["t_final"], ev["dt"])
+    g = build_generator(Cells.of([_build_objects(cfg)]))
+    if basis == "local":
+        # rho_energy = V^T rho_local V for the real eigenvector columns V
+        v = dense(g)[1]
+        rho0 = v.T @ rho0 @ v
+        rho0 = 0.5 * (rho0 + rho0.conj().T)
     times, vectors = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
     st = steady_state(g)
     final_gap = float(np.max(np.abs(vectors[-1] - st.vector6[0])))

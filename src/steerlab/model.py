@@ -1,4 +1,4 @@
-"""Two-qubit XY model: Hamiltonian, eigensystem, phases, basis changes.
+"""Two-qubit XY model: Hamiltonian, eigensystem and phases.
 
 Conventions used throughout the package:
 
@@ -9,25 +9,16 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PhaseBoundaryError
 
-# tolerance for Hermiticity / unit trace of density matrices
-HERM_TOL = 1e-12
 # eigenvalues above -POSITIVITY_TOL count as positive semidefinite
 POSITIVITY_TOL = 1e-9
 # relative exclusion window around the level crossing kappa = 2 sqrt(eps_a eps_b)
 BOUNDARY_REL_TOL = 1e-6
-
-
-class Basis(enum.Enum):
-    LOCAL = "local"
-    ENERGY = "energy"
 
 
 class SystemParams(NamedTuple):
@@ -136,47 +127,8 @@ def eigenvectors(weights: np.ndarray, strong: np.ndarray) -> np.ndarray:
     return np.einsum("...t,...tij->...ij", weights, _VECTORS[np.asarray(strong, dtype=int)])
 
 
-@dataclass(frozen=True)
-class DensityMatrix4:
-    """4x4 density matrix with an explicit basis tag.
-
-    Finite entries, Hermiticity and unit trace are enforced at construction;
-    positivity is queried separately because Bloch-Redfield states may
-    (slightly) violate it and that must be reported, not rejected.
-    """
-
-    entries: np.ndarray
-    basis: Basis
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got {m.shape}")
-        # nan fails every tolerance comparison below, so it is rejected here
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise ValueError("density matrix not Hermitian within 1e-12")
-        trace = m.trace()
-        if abs(trace.real - 1.0) > HERM_TOL or abs(trace.imag) > HERM_TOL:
-            raise ValueError("density matrix trace must be 1 within 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-
 def lower_eigenvalue(a, b, c_abs):
     """(a+b)/2 - hypot((a-b)/2, |c|), the lower eigenvalue of the Hermitian
     blocks [[a, c], [c*, b]], elementwise."""
     return 0.5 * (a + b) - np.hypot(0.5 * (a - b), c_abs)
 
-
-def basis_change(rho: DensityMatrix4, target: Basis, vectors: np.ndarray) -> DensityMatrix4:
-    """Orthogonal conjugation between the local and energy bases, Hermitized.
-
-    With V the real (4, 4) eigenvector columns, rho_local = V rho_energy V^T.
-    """
-    if rho.basis is target:
-        return rho
-    v = vectors if target is Basis.LOCAL else vectors.T
-    m = v @ rho.entries @ v.T
-    return DensityMatrix4(entries=0.5 * (m + m.conj().T), basis=target)

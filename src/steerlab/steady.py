@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError
 from .generator import GeneratorArrays, dense, to_vector6
-from .model import Basis, DensityMatrix4, POSITIVITY_TOL, basis_change, lower_eigenvalue
+from .model import POSITIVITY_TOL, lower_eigenvalue
 
 RESIDUAL_TOL = 1e-10
 # floor of the null-space certificate: |det| over the Hadamard bound of the
@@ -134,28 +134,46 @@ def max_stable_dt(g: GeneratorArrays) -> float:
     return DT_SAFETY / float(np.max(np.abs(dense(g)[0]).sum(axis=1)))
 
 
-def evolve(g: GeneratorArrays, rho0: DensityMatrix4, t_final: float,
+def check_evolution(rho0, t_final: float, dt: float) -> np.ndarray:
+    """rho0 as a complex array, once it meets evolve's input rules, in this
+    order: 4x4, finite, Hermitian and of unit trace within 1e-12 (positivity
+    is not required), then t_final and dt positive and finite."""
+    m = np.asarray(rho0, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"density matrix must be 4x4, got {m.shape}")
+    # nan fails every tolerance comparison below, so it is rejected here
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix entries must be finite")
+    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        raise ValueError("density matrix not Hermitian within 1e-12")
+    trace = m.trace()
+    if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
+        raise ValueError("density matrix trace must be 1 within 1e-12")
+    if not (0 < t_final < math.inf and 0 < dt < math.inf):
+        raise ValueError("t_final and dt must be positive and finite")
+    return m
+
+
+def evolve(g: GeneratorArrays, rho0: np.ndarray, t_final: float,
            dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Classic fixed-step 4th-order integration of dv/dt = M v, for the
     one-cell generator g: the read-only times (n+1,) and 6-entry state
-    vectors (n+1, 6) of the energy basis, starting at rho0.
+    vectors (n+1, 6) of the energy basis, starting at rho0 (4, 4) in it.
 
     Every step but the last, which ends at t_final, is dt.  With M constant a
     step is one matrix P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, and
     RK4_CHUNK steps are one batched matmul of its powers.  The initial state
     must live in the 6-entry subspace; entries outside it beyond 1e-12 are
-    dropped with a warning.  Steps above the stability bound 0.1/||M||_inf are
-    rejected, and so is a trajectory too long to allocate.
+    dropped with a warning.  Inputs that fail check_evolution, steps above the
+    stability bound 0.1/||M||_inf and a trajectory too long to allocate are
+    rejected.
     """
-    if not (0 < t_final < math.inf and 0 < dt < math.inf):
-        raise ValueError("t_final and dt must be positive and finite")
+    rho0 = check_evolution(rho0, t_final, dt)
     dt_max = max_stable_dt(g)
     if dt > dt_max:
         raise ValueError(f"dt={dt} unstable: maximum stable dt is {dt_max:.6g}")
-    m, columns = dense(g)
-    if rho0.basis is not Basis.ENERGY:
-        rho0 = basis_change(rho0, Basis.ENERGY, columns)
-    v, leak = to_vector6(rho0.entries)
+    m = dense(g)[0]
+    v, leak = to_vector6(rho0)
     if leak > 1e-12:
         warnings.warn(
             f"initial state has non-representable coherences (max {leak:.3g}); "

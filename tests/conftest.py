@@ -85,20 +85,11 @@ def gibbs_local(p: sl.SystemParams, beta: float, mu: float = 0.0) -> np.ndarray:
     return rho / rho.trace().real
 
 
-def gibbs_state(p: sl.SystemParams, temperature: float, mu: float = 0.0) -> sl.DensityMatrix4:
-    return sl.DensityMatrix4(entries=gibbs_local(p, 1.0 / temperature, mu),
-                             basis=sl.Basis.LOCAL)
-
-
 def werner_matrix(w: float) -> np.ndarray:
     """w |psi-><psi-| + (1-w)/4 * identity in the local basis."""
     psi = np.zeros(4, dtype=complex)
     psi[1], psi[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     return w * np.outer(psi, psi.conj()) + (1 - w) * np.eye(4) / 4
-
-
-def werner_state(w: float) -> sl.DensityMatrix4:
-    return sl.DensityMatrix4(entries=werner_matrix(w), basis=sl.Basis.LOCAL)
 
 
 # weight of rho in the partially depolarizing map, and of the reduced state
@@ -327,8 +318,8 @@ def eigen_populations(local: np.ndarray, vectors: np.ndarray, strong: bool) -> n
 class EquilibriumState:
     """Closed-form equilibrium steady state in both bases (the c02 oracle)."""
 
-    energy: sl.DensityMatrix4
-    local: sl.DensityMatrix4
+    energy: np.ndarray
+    local: np.ndarray
 
 
 def equilibrium_analytic(p: sl.SystemParams, r: sl.ReservoirSpec) -> EquilibriumState:
@@ -377,14 +368,14 @@ def equilibrium_analytic(p: sl.SystemParams, r: sl.ReservoirSpec) -> Equilibrium
             diag[3],
         ]
         rho23 = sin_th * (np_ - nq) / 2
-    energy = sl.DensityMatrix4(entries=np.diag(diag.astype(complex)), basis=sl.Basis.ENERGY)
-    m_local = np.diag(np.array(local_diag, dtype=complex))
-    m_local[1, 2] = rho23
-    m_local[2, 1] = np.conj(rho23)
-    local = sl.DensityMatrix4(entries=m_local, basis=sl.Basis.LOCAL)
-    # cross-route sanity: the two closed forms must be basis changes of each other
-    back = sl.basis_change(energy, sl.Basis.LOCAL, vectors[0]).entries
-    mismatch = np.max(np.abs(back - local.entries))
+    energy = np.diag(diag.astype(complex))
+    local = np.diag(np.array(local_diag, dtype=complex))
+    local[1, 2] = rho23
+    local[2, 1] = np.conj(rho23)
+    # cross-route sanity: the two closed forms must be basis changes of each
+    # other, rho_local = V rho_energy V^T
+    back = vectors[0] @ energy @ vectors[0].T
+    mismatch = np.max(np.abs(back - local))
     if mismatch > 1e-12:
         raise AssertionError(f"analytic equilibrium bases disagree by {mismatch:.3g}")
     return EquilibriumState(energy=energy, local=local)

@@ -25,7 +25,7 @@ from steerlab.analysis import threshold_kappa as bisect_kappa
 from steerlab.cli import csv_text
 from steerlab.correlations import Method, check_hierarchy
 from steerlab.errors import InternalConsistencyError
-from steerlab.model import Basis
+from steerlab.generator import dense
 from steerlab.rates import Statistics
 from steerlab.steady import max_stable_dt
 
@@ -43,7 +43,7 @@ from conftest import (
     random_system,
     record_criterion,
     row0,
-    werner_state,
+    werner_matrix,
     x_vector,
 )
 
@@ -70,7 +70,7 @@ def steady_report(p, ta, tb, stat=BOSE, mua=0.0, mub=0.0):
 
 def classify(rho, dual=True):
     """Row 0 of the classification of rho as the one-cell batch."""
-    return row0(sl.classify(x_vector(rho.entries[None]), dual=dual))
+    return row0(sl.classify(x_vector(rho[None]), dual=dual))
 
 
 # --------------------------------------------------------------------------
@@ -115,9 +115,9 @@ def _werner_pipeline_threshold(margin_of, lo=0.02, hi=0.98):
 def test_c01_werner_thresholds():
     analytic = {"ent": 1 / 3, "steer": 1 / SQ3, "bell": 1 / SQ2}
     pipeline = {
-        "ent": _werner_pipeline_threshold(lambda w: classify(werner_state(w)).margin_ent),
-        "steer": _werner_pipeline_threshold(lambda w: classify(werner_state(w)).margin_ab),
-        "bell": _werner_pipeline_threshold(lambda w: classify(werner_state(w)).margin_bell),
+        "ent": _werner_pipeline_threshold(lambda w: classify(werner_matrix(w)).margin_ent),
+        "steer": _werner_pipeline_threshold(lambda w: classify(werner_matrix(w)).margin_ab),
+        "bell": _werner_pipeline_threshold(lambda w: classify(werner_matrix(w)).margin_bell),
     }
     brute = _werner_brute_force_thresholds()
     ok = all(abs(pipeline[k] - analytic[k]) < 1e-6 for k in analytic) and \
@@ -150,8 +150,8 @@ def test_c02_equilibrium_oracles():
             # x_vector raises on a non-X entry of the oracles above 1e-10
             worst = max(
                 worst,
-                float(np.max(np.abs(ss.local_x[0] - x_vector(ana.local.entries)))),
-                float(np.max(np.abs(from_vector6(ss.vector6[0]) - ana.energy.entries))),
+                float(np.max(np.abs(ss.local_x[0] - x_vector(ana.local)))),
+                float(np.max(np.abs(from_vector6(ss.vector6[0]) - ana.energy))),
                 float(np.max(np.abs(ss.local_x[0] - x_vector(oracle)))),
             )
     ok = worst < 1e-10
@@ -343,6 +343,41 @@ def test_c07_hierarchy_on_preset_grids(preset_maps):
     assert ok, details
 
 
+# the strata of the hierarchy Bell => two-way steerable => entangled, from
+# the four verdict flags; they partition a grid exactly when it is nested
+STRATA = {
+    "not_entangled": lambda ent, ab, ba, bell: ~ent,
+    "entangled_not_steerable": lambda ent, ab, ba, bell: ent & ~ab & ~ba,
+    "a_to_b_only": lambda ent, ab, ba, bell: ab & ~ba,
+    "b_to_a_only": lambda ent, ab, ba, bell: ba & ~ab,
+    "two_way_not_bell": lambda ent, ab, ba, bell: ab & ba & ~bell,
+    "bell": lambda ent, ab, ba, bell: bell,
+}
+
+
+def test_hierarchy_strata_report(preset_maps):
+    # each preset's cells per stratum, written to reports/hierarchy_strata.json
+    # from the preset grids already swept; the strata partition every grid,
+    # each stratum is populated on some preset (every level is strict), and
+    # one-way steering occurs in both directions
+    counts = {}
+    for name in PRESET_NAMES:
+        m = preset_maps[name]
+        flags = [m.columns[k] for k in ("entangled", "steer_ab", "steer_ba", "bell")]
+        counts[name] = {k: int(np.count_nonzero(rule(*flags))) for k, rule in STRATA.items()}
+        counts[name]["masked"] = m.masked_count()
+    os.makedirs("reports", exist_ok=True)
+    with open("reports/hierarchy_strata.json", "w") as fh:
+        json.dump({"cells_per_preset": 10201, "strata": list(STRATA),
+                   "note": "masked cells carry no verdict and count as not_entangled",
+                   "presets": counts}, fh, indent=2)
+    for name, row in counts.items():
+        assert sum(row[k] for k in STRATA) == 10201, (name, row)
+    assert all(any(row[k] for row in counts.values()) for k in STRATA)
+    assert any(row["a_to_b_only"] for row in counts.values())
+    assert any(row["b_to_a_only"] for row in counts.values())
+
+
 # --------------------------------------------------------------------------
 # 8. Qualitative trend tables
 # --------------------------------------------------------------------------
@@ -422,11 +457,9 @@ def test_c09_dynamics_convergence():
     ground = np.zeros((4, 4), dtype=complex)
     ground[0, 0] = 1.0
     with_coh = from_vector6(np.array([0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.05j]))
-    initial_states = [
-        sl.DensityMatrix4(entries=ground, basis=Basis.LOCAL),
-        sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL),
-        sl.DensityMatrix4(entries=with_coh, basis=Basis.ENERGY),
-    ]
+    # the first two in the local basis, taken to the energy basis as V^T rho V
+    v = dense(g)[1]
+    initial_states = [v.T @ ground @ v, v.T @ (np.eye(4, dtype=complex) / 4) @ v, with_coh]
     gaps, drifts = [], []
     for rho0 in initial_states:
         _, vectors = sl.evolve(g, rho0, t_final=20 / p.gamma, dt=dt)

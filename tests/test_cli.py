@@ -34,7 +34,6 @@ from steerlab.cli import (
     _build_objects,
     _state_entries,
     csv_text,
-    _initial_state,
     build_parser,
     check_config,
     dumps_fixed,
@@ -43,7 +42,6 @@ from steerlab.cli import (
 )
 from steerlab.errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
 from steerlab.g17 import g17_text
-from steerlab.model import Basis
 from steerlab.rates import Statistics
 
 from conftest import (assert_rows_equal_points, csv_text_oracle,
@@ -211,7 +209,27 @@ GATED_REQUESTS = {
     "thresholds-table-subnormal-t": (["thresholds-table", "--ta=1e-320", "--tb=1e-320"],
                                      "temperature too small: T=1e-320 makes 1/T or (eps-mu)/T "
                                      "overflow"),
+    **{f"evolve-{name}": (["evolve", "--t-final=1", "--dt=0.01", flag],
+                          "t_final and dt must be positive and finite")
+       for name, flag in [("t-final-zero", "--t-final=0"), ("dt-zero", "--dt=0"),
+                          ("dt-inf", "--dt=inf"), ("t-final-nan", "--t-final=nan")]},
+    "evolve-custom-no-matrix": (["evolve", "--t-final=1", "--dt=0.01", "--initial=custom"],
+                                "custom initial state requires a 'matrix' entry"),
 }
+# custom initial states that evolve rejects, each written to the JSON file
+# of --initial-matrix, and the error each names
+MIXED = [[0.25 if i == j else 0.0 for j in range(4)] for i in range(4)]
+GATED_MATRICES = {
+    "non-hermitian": ([[0.25, 0.1, 0, 0], *MIXED[1:]], "density matrix not Hermitian within 1e-12"),
+    "trace-2": ([[0.5 if i == j else 0.0 for j in range(4)] for i in range(4)],
+                "density matrix trace must be 1 within 1e-12"),
+    "nan": ([[math.nan, 0, 0, 0], *MIXED[1:]], "density matrix entries must be finite"),
+    "complex-nan": ([*MIXED[:3], [0, 0, 0, [0.25, math.nan]]],
+                    "density matrix entries must be finite"),
+}
+GATED_REQUESTS.update({f"evolve-matrix-{name}": (["evolve", "--t-final=1", "--dt=0.01",
+                                                  "--initial=custom"], message, matrix)
+                       for name, (matrix, message) in GATED_MATRICES.items()})
 
 
 class TestGateBeforeComputation:
@@ -225,7 +243,11 @@ class TestGateBeforeComputation:
                 calls.append(kernel)
                 return original(*args)
             monkeypatch.setattr(f"steerlab.generator.{kernel}", counting)
-        argv, message = GATED_REQUESTS[name]
+        argv, message, *matrix = GATED_REQUESTS[name]
+        if matrix:
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps({"matrix": matrix[0]}))
+            argv = [*argv, f"--initial-matrix={path}"]
         out = tmp_path / "out"
         assert run([*argv, f"--out={out}"]) == 2
         captured = capsys.readouterr()
@@ -726,14 +748,18 @@ class TestEvolveCommand:
         ["--stat=fermi", "--eps-a=1.5", "--eps-b=0.5", "--kappa=0.6", "--gamma=0.02",
          "--ta=0.15", "--tb=0.3", "--mua=1", "--mub=0.8", "--t-final=2.01", "--dt=0.03"],
     ], ids=["weak-bose", "strong-bose", "weak-fermi"])
-    def test_csv_matches_per_value_writer(self, flags, tmp_path, capsys):
-        # t_final is not a multiple of dt, so the last step is a shortened one
+    def test_csv_matches_per_value_writer(self, flags, tmp_path, capsys, monkeypatch):
+        # t_final is not a multiple of dt, so the last step is a shortened one;
+        # the CSV is the per-value text of the trajectory that evolve returned
         out = tmp_path / "t.csv"
+        returned = []
+
+        def spy(*args, **kwargs):
+            returned.append(sl.evolve(*args, **kwargs))
+            return returned[-1]
+        monkeypatch.setattr("steerlab.cli.evolve", spy)
         assert run(["evolve", *flags, f"--out={out}"]) == 0
-        cfg = resolve_config(build_parser().parse_args(["evolve", *flags]))
-        g = sl.build_generator(sl.Cells.of([_build_objects(cfg)]))
-        times, vectors = sl.evolve(g, _initial_state(cfg["evolve"]),
-                                   cfg["evolve"]["t_final"], cfg["evolve"]["dt"])
+        [(times, vectors)] = returned
         assert out.read_bytes() == trajectory_csv_oracle(times, vectors).encode()
 
     def test_unstable_dt_rejected_with_suggestion(self, tmp_path, capsys):
@@ -1277,7 +1303,7 @@ def assert_well_typed(cfg: dict) -> None:
                                                            "matrix"}
         assert ev["initial"] in ("ground-local", "maximally-mixed", "custom")
         assert is_number(ev["t_final"]) and is_number(ev["dt"])
-        assert ev.get("basis", "local") in [b.value for b in Basis]
+        assert ev.get("basis", "local") in ("local", "energy")
         matrix = ev.get("matrix", [[0] * 4] * 4)
         assert isinstance(matrix, list) and len(matrix) == 4
         for row in matrix:

@@ -20,7 +20,6 @@ from steerlab.correlations import (
 )
 from steerlab.errors import InternalConsistencyError
 from steerlab.generator import dense
-from steerlab.model import Basis
 from steerlab.rates import Statistics
 
 from conftest import (
@@ -33,7 +32,7 @@ from conftest import (
     ppt_margins,
     random_system,
     row0,
-    werner_state,
+    werner_matrix,
     x_vector,
 )
 
@@ -42,12 +41,12 @@ SQ3 = math.sqrt(3)
 
 def xstate(rho):
     """The X entries of one local-basis state."""
-    return _x_entries(x_vector(rho.entries))
+    return _x_entries(x_vector(rho))
 
 
 def classify(rho, dual=True):
     """Row 0 of the classification of rho as the one-cell batch."""
-    return row0(sl.classify(x_vector(rho.entries[None]), dual=dual))
+    return row0(sl.classify(x_vector(rho[None]), dual=dual))
 
 
 def factors(x):
@@ -60,7 +59,7 @@ def factors(x):
 
 def steering_map(rho, direction):
     """The partially depolarized state whose entanglement witnesses steering."""
-    return depolarized(rho.entries)[1 if direction is Direction.A_TO_B else 2]
+    return depolarized(rho)[1 if direction is Direction.A_TO_B else 2]
 
 
 def ppt(m):
@@ -99,7 +98,7 @@ def xstate_strategy(with_rho14=False):
         pops = np.array(pops) / sum(pops)
         coh = coh_frac * math.sqrt(pops[1] * pops[2]) * np.exp(1j * phase)
         outer = outer_frac * math.sqrt(pops[0] * pops[3]) * np.exp(1j * outer_phase)
-        return sl.DensityMatrix4(entries=x_matrix(pops, coh, outer), basis=Basis.LOCAL)
+        return x_matrix(pops, coh, outer)
     return st.builds(
         build,
         st.tuples(*[st.floats(0.01, 1.0) for _ in range(4)]),
@@ -112,7 +111,7 @@ def xstate_strategy(with_rho14=False):
 
 class TestExtractXState:
     def test_identity_over_four(self):
-        rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
+        rho = np.eye(4, dtype=complex) / 4
         x = xstate(rho)
         assert x.rho11 == x.rho22 == x.rho33 == x.rho44 == 0.25
         assert x.rho23 == 0 and x.rho14 == 0
@@ -130,8 +129,7 @@ class TestSteeringMap:
     def test_pure_product_state(self):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
-        rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
-        out = steering_map(rho, Direction.A_TO_B)
+        out = steering_map(m, Direction.A_TO_B)
         c = (3 - SQ3) / 3
         expected = np.diag([1 / SQ3 + c / 2, 0, c / 2, 0])
         assert np.allclose(out, expected, atol=1e-14)
@@ -139,14 +137,14 @@ class TestSteeringMap:
         assert not flag
 
     def test_identity_fixed_point(self):
-        rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
+        rho = np.eye(4, dtype=complex) / 4
         out = steering_map(rho, Direction.B_TO_A)
         assert np.allclose(out, np.eye(4) / 4, atol=1e-15)
 
     def test_werner_rescaling(self):
         w = 0.8
-        out = steering_map(werner_state(w), Direction.A_TO_B)
-        assert np.allclose(out, werner_state(w / SQ3).entries, atol=1e-14)
+        out = steering_map(werner_matrix(w), Direction.A_TO_B)
+        assert np.allclose(out, werner_matrix(w / SQ3), atol=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(xstate_strategy(), st.sampled_from(list(Direction)))
@@ -159,7 +157,7 @@ class TestSteeringMap:
     @given(xstate_strategy(), st.sampled_from(list(Direction)))
     def test_double_application_weakens_margins(self, rho, direction):
         once = steering_map(rho, direction)
-        twice = steering_map(sl.DensityMatrix4(entries=once, basis=Basis.LOCAL), direction)
+        twice = steering_map(once, direction)
         _, m1 = ppt(once)
         _, m2 = ppt(twice)
         assert m2 <= m1 + 1e-12
@@ -167,17 +165,17 @@ class TestSteeringMap:
 
 class TestPPT:
     def test_bell_state(self):
-        flag, margin = ppt(werner_state(1.0).entries)
+        flag, margin = ppt(werner_matrix(1.0))
         assert flag and margin == pytest.approx(0.5, abs=1e-12)
 
     def test_product_states_not_entangled(self, rng):
         probs = rng.dirichlet(np.ones(4))
-        rho = sl.DensityMatrix4(entries=np.diag(probs.astype(complex)), basis=Basis.LOCAL)
-        flag, _ = ppt(rho.entries)
+        rho = np.diag(probs.astype(complex))
+        flag, _ = ppt(rho)
         assert not flag
 
     def test_werner_boundary(self):
-        _, margin = ppt(werner_state(1 / 3).entries)
+        _, margin = ppt(werner_matrix(1 / 3))
         assert margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -188,7 +186,7 @@ class TestBlockTest:
     @given(xstate_strategy(with_rho14=True))
     def test_matches_oracle(self, rho):
         got = _ppt_margins(xstate(rho))
-        assert np.max(np.abs(got - ppt_margins(rho.entries))) < 1e-13
+        assert np.max(np.abs(got - ppt_margins(rho))) < 1e-13
 
     def test_matches_oracle_over_a_batch(self, rng):
         pops = rng.dirichlet(np.ones(4), size=64)
@@ -203,7 +201,7 @@ class TestBlockTest:
     def test_phi_plus_falls_back_to_block_test(self):
         # |Phi+> = (|00> + |11>)/sqrt(2): all coherence in rho14
         m = x_matrix([0.5, 0, 0, 0.5], rho14=0.5)
-        rep = classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+        rep = classify(m)
         assert rep.method is Method.GENERAL_PPT
         assert rep.entangled and rep.steer_a_to_b and rep.steer_b_to_a
         assert rep.margin_ent == pytest.approx(0.5, abs=1e-15)
@@ -216,7 +214,7 @@ class TestBlockTest:
         # takes X entries only, so x_vector, which builds them, rejects it
         h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
         u = np.kron(h, np.eye(2))
-        m = u @ werner_state(1.0).entries @ u.conj().T
+        m = u @ werner_matrix(1.0) @ u.conj().T
         assert ppt_margins(m)[0] == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ValueError, match="X states only"):
             x_vector(m)
@@ -224,7 +222,7 @@ class TestBlockTest:
 
 class TestClosedForms:
     def test_bell_state_factors_and_margins(self):
-        x = xstate(werner_state(1.0))
+        x = xstate(werner_matrix(1.0))
         f_a, f_b = factors(x)
         assert f_a == pytest.approx((2 - SQ3) / 8, abs=1e-14)
         assert f_b == pytest.approx(0.0, abs=1e-15)
@@ -236,7 +234,7 @@ class TestClosedForms:
     def test_symmetric_populations_give_symmetric_verdicts(self):
         m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
         m[1, 2] = m[2, 1] = 0.2
-        x = xstate(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+        x = xstate(m)
         (_, m_ab), (_, m_ba) = closed_steering(x)
         assert m_ab == pytest.approx(m_ba, abs=1e-15)
 
@@ -244,47 +242,46 @@ class TestClosedForms:
         m = np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex)
         m[1, 2] = m[2, 1] = 0.1
         m[0, 3] = m[3, 0] = 0.05
-        rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
         # rho14 not negligible: classify leaves the closed forms for the general route
-        assert not _rho14_inert(xstate(rho))
-        assert classify(rho).method is Method.GENERAL_PPT
+        assert not _rho14_inert(xstate(m))
+        assert classify(m).method is Method.GENERAL_PPT
 
     def test_werner_steering_threshold(self):
         w_threshold = 1 / SQ3
         for w, expect in ((w_threshold - 1e-6, False), (w_threshold + 1e-6, True)):
-            x = xstate(werner_state(w))
+            x = xstate(werner_matrix(w))
             (ab, _), (ba, _) = closed_steering(x)
             assert ab == expect and ba == expect
 
     def test_werner_bell_threshold(self):
         for w, expect in ((1 / math.sqrt(2) - 1e-6, False), (1 / math.sqrt(2) + 1e-6, True)):
-            x = xstate(werner_state(w))
+            x = xstate(werner_matrix(w))
             flag, _ = closed_bell(x)
             assert flag == expect
 
     def test_bell_state_is_nonlocal(self):
-        x = xstate(werner_state(1.0))
+        x = xstate(werner_matrix(1.0))
         flag, margin = closed_bell(x)
         # both branches fire; the second one (populations fully inside the
         # coherent block) carries the larger slack 1/4
         assert flag and margin == pytest.approx(0.25, abs=1e-14)
 
     def test_identity_not_nonlocal(self):
-        rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
+        rho = np.eye(4, dtype=complex) / 4
         flag, _ = closed_bell(xstate(rho))
         assert not flag
 
 
 class TestGeneralSteering:
     def test_werner_thresholds(self):
-        assert general_steering(werner_state(0.6), Direction.A_TO_B)[0]
-        assert general_steering(werner_state(0.6), Direction.B_TO_A)[0]
-        assert not general_steering(werner_state(0.5), Direction.A_TO_B)[0]
-        assert ppt(werner_state(0.5).entries)[0]   # entangled yet unsteerable
+        assert general_steering(werner_matrix(0.6), Direction.A_TO_B)[0]
+        assert general_steering(werner_matrix(0.6), Direction.B_TO_A)[0]
+        assert not general_steering(werner_matrix(0.5), Direction.A_TO_B)[0]
+        assert ppt(werner_matrix(0.5))[0]   # entangled yet unsteerable
 
     def test_separable_diagonal_not_steerable(self, rng):
         probs = rng.dirichlet(np.ones(4))
-        rho = sl.DensityMatrix4(entries=np.diag(probs.astype(complex)), basis=Basis.LOCAL)
+        rho = np.diag(probs.astype(complex))
         assert not general_steering(rho, Direction.A_TO_B)[0]
         assert not general_steering(rho, Direction.B_TO_A)[0]
 
@@ -308,14 +305,14 @@ class TestClassify:
         (0.75, True, True, True),
     ])
     def test_werner_ladder(self, w, ent, steer, bell):
-        rep = classify(werner_state(w))
+        rep = classify(werner_matrix(w))
         assert rep.entangled == ent
         assert rep.steer_a_to_b == steer and rep.steer_b_to_a == steer
         assert rep.bell == bell
         assert rep.method is Method.BOTH
 
     def test_margin_signs_match_flags(self):
-        rep = classify(werner_state(0.65))
+        rep = classify(werner_matrix(0.65))
         assert (rep.margin_ent > 0) == rep.entangled
         assert (rep.margin_ab > 0) == rep.steer_a_to_b
         assert (rep.margin_bell > 0) == rep.bell
@@ -377,7 +374,7 @@ class TestClassify:
                 for i, j, k, l in np.ndindex(2, 2, 2, 2):
                     pt[2 * i + j, 2 * k + l] = s[2 * i + l, 2 * k + j]
                 expected.append(-np.linalg.eigvalsh(pt)[0])
-            rep = classify(sl.DensityMatrix4(entries=m, basis=Basis.LOCAL))
+            rep = classify(m)
             assert rep.method is Method.GENERAL_PPT
             got = (rep.margin_ent, rep.margin_ab, rep.margin_ba)
             assert np.max(np.abs(np.subtract(got, expected))) < 1e-14
@@ -387,16 +384,15 @@ class TestClassify:
         m = np.diag([0.1, 0.4, 0.4, 0.1]).astype(complex)
         m[1, 2] = m[2, 1] = 0.35
         m[0, 3] = m[3, 0] = 0.0035
-        rho = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
-        (ab, m_ab), (ba, m_ba) = closed_steering(xstate(rho))
-        rep = classify(rho)
+        (ab, m_ab), (ba, m_ba) = closed_steering(xstate(m))
+        rep = classify(m)
         assert rep.method is Method.BOTH
         assert ab and ba
         assert (rep.steer_a_to_b, rep.margin_ab) == (ab, m_ab)
         assert (rep.steer_b_to_a, rep.margin_ba) == (ba, m_ba)
 
     def test_dual_disabled_keeps_closed_form(self):
-        rep = classify(werner_state(0.9), dual=False)
+        rep = classify(werner_matrix(0.9), dual=False)
         assert rep.method is Method.X_CLOSED_FORM
         assert rep.bell
 
@@ -409,7 +405,7 @@ class TestClassify:
     def test_dual_disabled_masks_a_faulty_cell(self, code, m):
         # the faulty cell is the only one the closed form leaves out, and no
         # cell runs the block test alone
-        good = werner_state(0.9).entries
+        good = werner_matrix(0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = sl.classify(x_vector(np.array([good, m])), dual=False)

@@ -122,15 +122,21 @@ def redfield_dissipator_6x6(p: sl.SystemParams, r: sl.ReservoirSpec, which: str,
     s_local = np.kron(SX, I2) if which == "A" else np.kron(I2, SX)
     s = vectors.conj().T @ s_local @ vectors
     gam = p.gamma
+    # eigenoperators A(w) by Bohr frequency w: transitions whose frequencies
+    # agree to 12 decimals share one A(w), whose rates are taken at the exact
+    # frequency of its first transition (a rate at the rounded one is off by
+    # up to 5e-13 / w relative, 2.5e-11 at w = 0.02)
     freqs: dict[float, np.ndarray] = {}
+    exact: dict[float, float] = {}
     for i in range(4):
         for j in range(4):
             if i == j or abs(s[i, j]) < 1e-14:
                 continue
-            w = round(float(energies[j] - energies[i]), 12)
+            w = float(energies[j] - energies[i])
+            key = exact.setdefault(round(w, 12), w)
             a = np.zeros((4, 4), dtype=complex)
             a[i, j] = s[i, j]
-            freqs[w] = freqs.get(w, 0) + a
+            freqs[key] = freqs.get(key, 0) + a
 
     def half_rate(w):
         n = occupation(r, abs(w))
@@ -156,6 +162,34 @@ def redfield_dissipator_6x6(p: sl.SystemParams, r: sl.ReservoirSpec, which: str,
         cols.append([out[a, b] for (a, b) in idx])
     return np.array(cols).T
 
+
+@st.composite
+def drawn_cell(draw):
+    """(setup, p, ra, rb) of one cell of a drawn setup: eps_a log-uniform
+    over [0.2, 5] with eps_b/eps_a in [0.3, 1], kappa between 0.1 and 0.9 or
+    1.1 and 2.5 times the crossing coupling 2 sqrt(eps_a eps_b), gamma/eps_b
+    log-uniform over [1e-4, 0.05], each T/bar_eps log-uniform over [0.05, 20],
+    and fermionic mu/bar_eps in [-1, 3]."""
+    def log_uniform(lo, hi):
+        return math.exp(draw(st.floats(math.log(lo), math.log(hi))))
+    setup = draw(st.sampled_from(SETUPS))
+    eps_a = log_uniform(0.2, 5.0)
+    eps_b = eps_a * draw(st.floats(0.3, 1.0))
+    bar_eps = 0.5 * (eps_a + eps_b)
+    ratio = draw(st.floats(1.1, 2.5) if setup is Setup.STRONG_BOSE else st.floats(0.1, 0.9))
+    p = sl.SystemParams(eps_a, eps_b, 2 * math.sqrt(eps_a * eps_b) * ratio,
+                        eps_b * log_uniform(1e-4, 0.05))
+    stat = FERMI if setup is Setup.WEAK_FERMI else BOSE
+    ra, rb = (sl.ReservoirSpec(stat, bar_eps * log_uniform(0.05, 20.0),
+                               bar_eps * draw(st.floats(-1.0, 3.0)) if stat is FERMI else 0.0)
+              for _ in "ab")
+    return setup, p, ra, rb
+
+
+# worst |textbook - part| / max|part| over 6,900 drawn cells (drawn_cell,
+# seeded scan): 4.3e-16; weak phases on the population block, strong-Bose on
+# the whole part
+REDFIELD_TOL = 5e-15
 
 CASES = [
     (sl.SystemParams(1.5, 0.5, 1.0, 0.01), BOSE, (0.5, 0.0), (0.3, 0.0), Setup.WEAK_BOSE),
@@ -370,6 +404,20 @@ class TestBuildGenerator:
         assert np.max(np.abs(da[:4, :4] - g.parts[0, 0, :4, :4])) < 1e-13
         assert np.max(np.abs(db[:4, :4] - g.parts[0, 1, :4, :4])) < 1e-13
 
+    @settings(max_examples=60, deadline=None)
+    @given(drawn_cell())
+    def test_drawn_parts_match_textbook_redfield(self, cell):
+        # both bath parts against the independent construction: the
+        # population block in every setup, the whole part in the strong phase
+        setup, p, ra, rb = cell
+        g = generator(p, ra, rb)
+        assert SETUPS[g.cells.setup[0]] is setup
+        for part, r, which in zip(unpack(g.parts[0]), (ra, rb), "AB"):
+            deviation = redfield_dissipator_6x6(p, r, which, g) - part
+            if setup is not Setup.STRONG_BOSE:
+                deviation = deviation[:4, :4]
+            assert np.abs(deviation).max() <= REDFIELD_TOL * np.abs(part).max()
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_null_space_unique(self, seed):
@@ -404,7 +452,7 @@ class TestApplyAndVectors:
         r = sl.ReservoirSpec(stat, t, mu)
         m = dense(generator(p, r, r))[0]
         ana = equilibrium_analytic(p, r)
-        v, leak = to_vector6(ana.energy.entries)
+        v, leak = to_vector6(ana.energy)
         assert leak == 0.0
         assert np.max(np.abs(m @ v)) < 1e-12
 

@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steerlab as sl
+from steerlab.cli import build_parser, cmd_evolve, resolve_config
 from steerlab.errors import PhaseBoundaryError
+from steerlab.generator import dense
 from steerlab.model import (
     EXCITATIONS,
     VEC6_ENTRIES,
     X_ENTRIES,
-    Basis,
     eigen_weights,
     eigenvectors,
 )
+from steerlab.steady import check_evolution
 
 from conftest import Phase, eigen_weights_oracle, hamiltonian_matrix, random_system
 
@@ -221,40 +223,63 @@ class TestEigensystem:
 
 
 class TestDensityMatrix:
+    """evolve's state rules, held by steady.check_evolution."""
+
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.1
-        with pytest.raises(ValueError):
-            sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
+        with pytest.raises(ValueError, match="not Hermitian within 1e-12"):
+            check_evolution(m, 1.0, 0.01)
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            sl.DensityMatrix4(entries=np.eye(4, dtype=complex), basis=Basis.LOCAL)
+        with pytest.raises(ValueError, match="trace must be 1 within 1e-12"):
+            check_evolution(np.eye(4, dtype=complex), 1.0, 0.01)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.25, np.nan)])
     def test_rejects_non_finite(self, bad):
         m = np.eye(4, dtype=complex) / 4
         m[3, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
+            check_evolution(m, 1.0, 0.01)
+
+
+class _Captured(Exception):
+    pass
+
+
+def evolve_start(p: sl.SystemParams, initial: str, matrix=None, basis="local"):
+    """The energy-basis initial state and the generator that `steerlab
+    evolve` hands to steady.evolve, at p with both baths at T = 0.5, for an
+    --initial kind (a custom matrix in the given basis)."""
+    argv = ["evolve", *(f"--{flag}={float(value)!r}" for flag, value in
+                        zip(("eps-a", "eps-b", "kappa", "gamma"), p)),
+            f"--initial={initial}", "--t-final=1", "--dt=0.01"]
+    cfg = resolve_config(build_parser().parse_args(argv))
+    if matrix is not None:
+        cfg["evolve"].update(basis=basis, matrix=[[[z.real, z.imag] for z in row]
+                                                  for row in matrix.tolist()])
+
+    def capture(g, rho0, t_final, dt):
+        raise _Captured(g, rho0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("steerlab.cli.evolve", capture)
+        with pytest.raises(_Captured) as caught:
+            cmd_evolve(cfg)
+    g, rho0 = caught.value.args
+    return rho0, g
 
 
 class TestBasisChange:
+    """The local-to-energy rotation of `steerlab evolve`'s initial state."""
+
     def test_maximally_mixed_invariant(self, rng):
-        p = random_system(rng, Phase.WEAK)
-        _, vectors, _ = eigen(p)
-        rho = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
-        out = sl.basis_change(rho, Basis.ENERGY, vectors)
-        assert np.allclose(out.entries, np.eye(4) / 4, atol=1e-14)
+        rho, _ = evolve_start(random_system(rng, Phase.WEAK), "maximally-mixed")
+        assert np.allclose(rho, np.eye(4) / 4, atol=1e-14)
 
     def test_ground_state_weak_phase(self):
-        p = sl.SystemParams(1.2, 0.8, 1.0, 0.01)
-        _, vectors, _ = eigen(p)
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = 1.0
-        rho_g = sl.DensityMatrix4(entries=m, basis=Basis.ENERGY)
-        local = sl.basis_change(rho_g, Basis.LOCAL, vectors)
-        assert local.entries[0, 0].real == pytest.approx(1.0, abs=1e-14)
+        # the weak phase's ground state g is |00>
+        rho, _ = evolve_start(sl.SystemParams(1.2, 0.8, 1.0, 0.01), "ground-local")
+        assert rho[0, 0].real == pytest.approx(1.0, abs=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(system_strategy(), st.integers(0, 2**32 - 1))
@@ -263,15 +288,20 @@ class TestBasisChange:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= rho.trace().real
-        rho = sl.DensityMatrix4(entries=rho, basis=Basis.LOCAL)
-        _, vectors, _ = eigen(p)
-        there = sl.basis_change(rho, Basis.ENERGY, vectors)
-        back = sl.basis_change(there, Basis.LOCAL, vectors)
-        assert np.max(np.abs(back.entries - rho.entries)) < 1e-13
-        assert np.linalg.norm(there.entries) == pytest.approx(
-            np.linalg.norm(rho.entries), abs=1e-13)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(there.entries)),
-                           np.sort(np.linalg.eigvalsh(rho.entries)), atol=1e-13)
+        there, g = evolve_start(p, "custom", rho, "local")
+        vectors = dense(g)[1]
+        assert np.array_equal(vectors, eigen(p)[1])
+        back = vectors @ there @ vectors.T
+        assert np.max(np.abs(back - rho)) < 1e-13
+        assert np.linalg.norm(there) == pytest.approx(np.linalg.norm(rho), abs=1e-13)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(there)),
+                           np.sort(np.linalg.eigvalsh(rho)), atol=1e-13)
+
+    def test_energy_basis_state_is_not_rotated(self, rng):
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        rho[1, 2], rho[2, 1] = 0.05 + 0.02j, 0.05 - 0.02j
+        there, _ = evolve_start(random_system(rng, Phase.STRONG), "custom", rho, "energy")
+        assert np.array_equal(there, rho)
 
 
 class TestEigenWeights:

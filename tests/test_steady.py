@@ -11,7 +11,6 @@ import steerlab as sl
 from steerlab.cli import EXIT_INTERNAL, main
 from steerlab.errors import ConfigurationError, DegenerateSteadyStateError
 from steerlab.generator import dense
-from steerlab.model import Basis
 from steerlab.rates import Statistics
 from steerlab.steady import NULL_TOL, max_stable_dt, min_eigenvalue_energy, steady_state
 
@@ -41,9 +40,9 @@ def make(p, ta, tb, stat=BOSE, mua=0.0, mub=0.0):
     return one_cell(p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))
 
 
-def energy_state(ss) -> sl.DensityMatrix4:
+def energy_state(ss) -> np.ndarray:
     """The energy-basis state of a one-cell steady state."""
-    return sl.DensityMatrix4(entries=from_vector6(ss.vector6[0]), basis=Basis.ENERGY)
+    return from_vector6(ss.vector6[0])
 
 
 class TestSteadyState:
@@ -51,8 +50,8 @@ class TestSteadyState:
         p = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
         g, ss = make(p, 0.5, 0.5)
         ana = equilibrium_analytic(p, sl.ReservoirSpec(BOSE, 0.5))
-        assert np.max(np.abs(ss.local_x[0] - x_vector(ana.local.entries))) < 1e-10
-        assert np.max(np.abs(from_vector6(ss.vector6[0]) - ana.energy.entries)) < 1e-10
+        assert np.max(np.abs(ss.local_x[0] - x_vector(ana.local))) < 1e-10
+        assert np.max(np.abs(from_vector6(ss.vector6[0]) - ana.energy)) < 1e-10
         assert ss.residual[0] < 1e-10 and ss.positive[0]
 
     def test_symmetric_equilibrium_population_symmetry(self):
@@ -321,21 +320,30 @@ class TestEvolve:
         g, ss = make(p, 0.5, 0.5)
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = 1.0
-        rho0 = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
-        _, vectors = sl.evolve(g, rho0, t_final=20 / 0.05, dt=0.02)
-        final = sl.basis_change(
-            sl.DensityMatrix4(entries=from_vector6(hermitize_vector6(vectors[-1])),
-                              basis=Basis.ENERGY), Basis.LOCAL, dense(g)[1])
-        assert np.max(np.abs(final.entries - gibbs_local(p, 2.0))) < 1e-8
+        v = dense(g)[1]
+        # |00><00| of the local basis, in the energy basis V^T rho V
+        _, vectors = sl.evolve(g, v.T @ m @ v, t_final=20 / 0.05, dt=0.02)
+        final = dense_local(hermitize_vector6(vectors[-1]), v)
+        assert np.max(np.abs(final - gibbs_local(p, 2.0))) < 1e-8
         assert np.max(np.abs(vectors[:, :4].real.sum(axis=1) - 1.0)) < 1e-10
 
     def test_unstable_dt_rejected(self):
         p = sl.SystemParams(1.0, 1.0, 3.0, 0.01)
         g, _ = make(p, 0.4, 0.6)
         with pytest.raises(ValueError, match="unstable"):
-            sl.evolve(g, sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4,
-                                           basis=Basis.LOCAL),
-                      t_final=1.0, dt=10.0)
+            sl.evolve(g, np.eye(4, dtype=complex) / 4, t_final=1.0, dt=10.0)
+
+    @pytest.mark.parametrize("rho0,t_final,dt,message", [
+        (np.eye(4) / 2, 1.0, 0.01, "trace must be 1"),
+        (np.eye(3) / 3, 1.0, 0.01, "must be 4x4"),
+        (np.eye(4) / 4, math.nan, 0.01, "positive and finite"),
+        (np.eye(4) / 4, 1.0, math.inf, "positive and finite"),
+    ])
+    def test_rejects_bad_inputs(self, rho0, t_final, dt, message):
+        # the library call holds the command's input rules
+        g, _ = make(sl.SystemParams(1.0, 1.0, 3.0, 0.01), 0.4, 0.6)
+        with pytest.raises(ValueError, match=message):
+            sl.evolve(g, rho0, t_final=t_final, dt=dt)
 
     def test_coherent_only_unitary_limit(self):
         # zeroed dissipators: coherence rotates at Omega with constant modulus
@@ -345,8 +353,7 @@ class TestEvolve:
         g0 = g._replace(total=np.zeros_like(g.total), parts=np.zeros_like(g.parts))
         assert np.array_equal(dense(g0)[0], np.diag([0, 0, 0, 0, 1j * omega, -1j * omega]))
         v0 = np.array([0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.05j])
-        rho0 = sl.DensityMatrix4(entries=from_vector6(v0), basis=Basis.ENERGY)
-        times, vectors = sl.evolve(g0, rho0, t_final=5.0, dt=0.01)
+        times, vectors = sl.evolve(g0, from_vector6(v0), t_final=5.0, dt=0.01)
         mags = np.abs(vectors[:, 4])
         assert np.max(np.abs(mags - abs(v0[4]))) < 1e-9
         expected = v0[4] * np.exp(1j * omega * times[-1])
@@ -358,9 +365,9 @@ class TestEvolve:
         g, _ = make(p, 0.5, 0.5)
         m = np.zeros((4, 4), dtype=complex)
         m[1, 1] = 1.0
-        rho0 = sl.DensityMatrix4(entries=m, basis=Basis.LOCAL)
+        v = dense(g)[1]
         with pytest.warns(UserWarning, match="projecting"):
-            sl.evolve(g, rho0, t_final=1.0, dt=0.01)
+            sl.evolve(g, v.T @ m @ v, t_final=1.0, dt=0.01)
 
     def test_array_result_schema(self):
         # t_final not a multiple of dt: the last step is shortened to land on it
@@ -380,9 +387,7 @@ class TestEvolve:
         g, _ = make(sl.SystemParams(1.3, 0.7, 1.0, 0.02), 0.3, 0.9)
         m = dense(g)[0]
         v0 = np.array([0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.05j])
-        times, vectors = sl.evolve(g, sl.DensityMatrix4(entries=from_vector6(v0),
-                                                        basis=Basis.ENERGY),
-                                   t_final=t_final, dt=0.05)
+        times, vectors = sl.evolve(g, from_vector6(v0), t_final=t_final, dt=0.05)
         want_times, want = rk4_oracle(m, v0, t_final, 0.05)
         assert np.array_equal(times, want_times)
         assert np.max(np.abs(vectors - want)) <= len(times) * np.finfo(float).eps
@@ -399,12 +404,12 @@ class TestEquilibriumAnalytic:
     def test_zero_temperature_limits(self):
         p_weak = sl.SystemParams(1.5, 0.5, 1.0, 0.01)
         ana = equilibrium_analytic(p_weak, sl.ReservoirSpec(BOSE, 0.01))
-        assert ana.local.entries[0, 0].real == pytest.approx(1.0, abs=1e-10)
+        assert ana.local[0, 0].real == pytest.approx(1.0, abs=1e-10)
 
         p_strong = sl.SystemParams(1.5, 0.5, 3.0, 0.01)
         theta = math.atan2(p_strong.kappa, p_strong.eps_a - p_strong.eps_b)
         ana = equilibrium_analytic(p_strong, sl.ReservoirSpec(BOSE, 0.02))
-        m = ana.local.entries
+        m = ana.local
         assert m[1, 2].real == pytest.approx(-math.sin(theta) / 2, abs=1e-9)
         assert m[1, 1].real == pytest.approx(math.cos(theta / 2) ** 2, abs=1e-9)
         assert m[2, 2].real == pytest.approx(math.sin(theta / 2) ** 2, abs=1e-9)
@@ -415,7 +420,7 @@ class TestEquilibriumAnalytic:
             p = random_system(rng, phase)
             t = rng.uniform(0.2, 1.5)
             ana = equilibrium_analytic(p, sl.ReservoirSpec(stat, t, mu))
-            assert np.max(np.abs(ana.local.entries - gibbs_local(p, 1 / t, mu))) < 1e-10
+            assert np.max(np.abs(ana.local - gibbs_local(p, 1 / t, mu))) < 1e-10
 
     def test_strong_fermi_rejected(self):
         p = sl.SystemParams(1, 1, 3, 0.01)
@@ -426,7 +431,7 @@ class TestEquilibriumAnalytic:
 def test_long_time_evolution_matches_null_space(rng):
     p = random_system(rng, Phase.WEAK, gamma_range=(5e-3, 0.02))
     g, ss = make(p, 0.45, 0.65)
-    rho0 = sl.DensityMatrix4(entries=np.eye(4, dtype=complex) / 4, basis=Basis.LOCAL)
     dt = 0.9 * max_stable_dt(g)
-    _, vectors = sl.evolve(g, rho0, t_final=20 / p.gamma, dt=dt)
+    # I/4 is the same matrix in every basis
+    _, vectors = sl.evolve(g, np.eye(4, dtype=complex) / 4, t_final=20 / p.gamma, dt=dt)
     assert np.max(np.abs(vectors[-1] - ss.vector6[0])) < 1e-8
