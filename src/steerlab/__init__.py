@@ -26,7 +26,6 @@ from .steady import (
 from .correlations import (
     Classification,
     Method,
-    XState,
     classify,
 )
 from .transport import (

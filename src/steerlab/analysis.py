@@ -167,7 +167,8 @@ FIELDS = GridCell._fields
 class RegionMap(NamedTuple):
     """Row-major grid of cells (y outer, x inner) as one (ny*nx,) array per
     GridCell field, which `cells` views as GridCells; diagnostics
-    holds the worst steady-state solver values over the grid (see sweep2d)."""
+    holds the worst steady-state solver values over the grid and the number
+    of cross-checked cells (see sweep2d)."""
 
     config: SweepConfig
     columns: dict[str, np.ndarray]
@@ -217,7 +218,8 @@ def sweep2d(config: SweepConfig) -> RegionMap:
     cell axis that copies no field.  The map's diagnostics are the largest
     steady-state residual, the most negative minimum eigenvalue and the
     smallest null-space ratio (see steady.steady_state) over all cells,
-    masked ones included.
+    masked ones included, and the number of cells whose verdicts both
+    classification routes gave alike (Classification.checked).
     """
     nx = config.nx
     rows = max(1, BLOCK_CELLS // nx)
@@ -227,13 +229,14 @@ def sweep2d(config: SweepConfig) -> RegionMap:
         _, st, c, transport = _pipeline(config.grid[iy * nx:(iy + rows) * nx])
         return (c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab,
                 c.margin_ba, c.margin_bell, *transport[1:], st.positive, st.residual,
-                st.min_eigenvalue, st.null_ratio)
+                st.min_eigenvalue, st.null_ratio, c.checked)
     blocks = [block(iy) for iy in range(0, config.ny, rows)]
-    *columns, residual, eigenvalue, ratio = map(np.concatenate, zip(*blocks))
+    *columns, residual, eigenvalue, ratio, checked = map(np.concatenate, zip(*blocks))
     columns = dict(zip(FIELDS, (*config.points(), *columns)))
     return RegionMap(config, columns, {"max_residual": float(residual.max()),
                                        "min_eigenvalue": float(eigenvalue.min()),
-                                       "min_null_space_ratio": float(ratio.min())})
+                                       "min_null_space_ratio": float(ratio.min()),
+                                       "cross_checked_cells": int(np.count_nonzero(checked))})
 
 
 class Criterion(enum.Enum):

@@ -17,8 +17,11 @@ For an X state with rho14 = 0 the two routes are algebraically identical
 (the closed-form threshold equals 3*rho'11*rho'44 of the mapped state), so
 any disagreement is a defect and raises, never a warning.
 
-`classify` classifies N states at once over a leading cell axis; a single
-point is the one-cell batch.
+`classify` classifies N states at once.  Each quantity is one contiguous
+row of a stack over the N cells: the X entries as (6, N) rows, the four
+validity tests as (4, N), the closed-form margins as (4, N) and the block
+test's margins as (3, N), so each route is a few array expressions over its
+stack; a single point is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -43,7 +46,14 @@ _DEPOL = 1.0 / math.sqrt(3.0)
 _MAP_DIAGONALS = np.hstack([np.eye(4)] + [
     _DEPOL * np.eye(4) + 0.5 * (3.0 - math.sqrt(3.0)) / 3.0 * np.kron(*pair)
     for pair in ((np.ones((2, 2)), np.eye(2)), (np.eye(2), np.ones((2, 2))))])
-_COHERENCE_SCALE = np.array([1.0, _DEPOL, _DEPOL])
+# the 12 mapped diagonal entries, each diagonal reordered (d11, d22, d44, d33)
+# so that its halves are the diagonals of the two blocks
+_BLOCK_ORDER = [k + j for k in (0, 4, 8) for j in (0, 1, 3, 2)]
+# (map, |rho23| or |rho14|, cell) scale of the coherences
+_COHERENCE_SCALE = np.array([1.0, _DEPOL, _DEPOL])[:, None, None]
+# rows of the flags (entangled, A->B, B->A, Bell): A->B and B->A each imply
+# entangled, and Bell implies each of them
+_STRONGER, _WEAKER = np.array([1, 2, 3, 3]), np.array([0, 0, 1, 2])
 
 
 class Method(enum.Enum):
@@ -61,82 +71,62 @@ XSTATE_FAULTS = (
 )
 
 
-def xstate_fault(x) -> np.ndarray:
-    """Index into XSTATE_FAULTS of the first violated condition, or -1, per cell.
-
-    x carries the X entries rho11..rho14 as scalars or arrays over cells.
-    """
-    r23, r14 = abs(x.rho23), abs(x.rho14)
-    failed = (
-        (x.rho11 < -1e-9) | (x.rho22 < -1e-9) | (x.rho33 < -1e-9) | (x.rho44 < -1e-9),
-        abs(x.rho11 + x.rho22 + x.rho33 + x.rho44 - 1.0) > 1e-12,
-        r23 * r23 > x.rho22 * x.rho33 + 1e-9,
-        r14 * r14 > x.rho11 * x.rho44 + 1e-9,
-    )
-    fault = np.full(np.shape(failed[0]), -1)
-    if np.count_nonzero(failed[0] | failed[1] | failed[2] | failed[3]):
-        for code in reversed(range(len(failed))):
-            fault = np.where(failed[code], code, fault)
-    return fault
+def _x_rows(x: np.ndarray) -> np.ndarray:
+    """The (6, N) real rows rho11, rho22, rho33, rho44, |rho23|, |rho14| of the
+    X entries x (N, 6); the moduli are hypot(Re, Im)."""
+    real, imag = x.real.T, x.imag.T
+    rows = np.empty((6, len(x)))
+    rows[:4] = real[:4]
+    np.hypot(real[4:], imag[4:], out=rows[4:])
+    return rows
 
 
-class XState(NamedTuple):
-    """Entries of X-shaped two-qubit states in the local basis, as arrays over
-    leading cell axes (or scalars).
-
-    The closed forms use rho23 and rho14 only through abs(), so _x_entries
-    stores the moduli there, as hypot(Re, Im).
-    """
-
-    rho11: float
-    rho22: float
-    rho33: float
-    rho44: float
-    rho23: float
-    rho14: float
+def xstate_faults(rows: np.ndarray) -> np.ndarray:
+    """The XSTATE_FAULTS tests of the X rows (6, N) as (4, N) booleans, true
+    where a cell violates the condition; a cell's fault code is its first
+    true row."""
+    r11, r22, r33, r44, r23, r14 = rows
+    return np.array((
+        np.fmin.reduce(rows[:4]) < -1e-9,
+        abs(r11 + r22 + r33 + r44 - 1.0) > 1e-12,
+        r23 * r23 > r22 * r33 + 1e-9,
+        r14 * r14 > r11 * r44 + 1e-9,
+    ))
 
 
-def _x_entries(x: np.ndarray) -> XState:
-    # [()] turns the entries of a single (6,) vector into numpy scalars
-    pops, rho23, rho14 = x[..., :4].real, x[..., 4], x[..., 5]
-    return XState(pops[..., 0][()], pops[..., 1][()], pops[..., 2][()], pops[..., 3][()],
-                  np.hypot(rho23.real, rho23.imag)[()], np.hypot(rho14.real, rho14.imag)[()])
-
-
-def _ppt_margins(x: XState) -> np.ndarray:
+def _ppt_margins(rows: np.ndarray) -> np.ndarray:
     """-(smallest partial-transpose eigenvalue) of rho, its A->B map and its
-    B->A map, as (..., 3), elementwise over cells.
+    B->A map, as (3, N), from the X rows (6, N).
 
     Each map is again an X state, and the partial transpose of an X state
     splits into the blocks [[rho11, rho23], [rho23*, rho44]] and
     [[rho22, rho14], [rho14*, rho33]] (Peres 1996).
     """
-    pops = np.stack([x.rho11, x.rho22, x.rho33, x.rho44], axis=-1)
-    d = (pops @ _MAP_DIAGONALS).reshape(pops.shape[:-1] + (3, 4))
-    r23 = np.multiply.outer(abs(x.rho23), _COHERENCE_SCALE)
-    r14 = np.multiply.outer(abs(x.rho14), _COHERENCE_SCALE)
-    return -np.minimum(lower_eigenvalue(d[..., 0], d[..., 3], r23),
-                       lower_eigenvalue(d[..., 1], d[..., 2], r14))
+    # (N, 4) @ (4, 12), the layout whose product bits the sweeps record
+    d = (np.ascontiguousarray(rows[:4].T) @ _MAP_DIAGONALS).T[_BLOCK_ORDER]
+    d = d.reshape(3, 2, 2, rows.shape[1])
+    low = lower_eigenvalue(d[:, 0], d[:, 1], _COHERENCE_SCALE * rows[4:])
+    return -np.minimum(low[:, 0], low[:, 1])
 
 
-def _rho14_inert(x: XState):
+def _rho14_inert(rows: np.ndarray) -> np.ndarray:
     """True when dropping rho14 from the closed forms cannot flip a verdict.
 
     rho14 enters only (a) the second partial-transpose block, direct and
     mapped, active only when |rho14|^2 approaches rho22*rho33, and (b) the
     CHSH correlation entries at relative order |rho14|/|rho23|.  Both are
     bounded far below any margin this model's steady states realize once
-    rho14 is small in the senses below (it is O(gamma) at most).  Elementwise
-    over cells.
+    rho14 is small in the senses below (it is O(gamma) at most).  (N,), from
+    the X rows (6, N).
     """
-    r14 = abs(x.rho14)
-    branch = r14 * r14 <= 1e-3 * x.rho22 * x.rho33 + 1e-18
-    small = r14 <= np.maximum(0.01 * abs(x.rho23), 5e-3)
-    return branch & small
+    _, r22, r33, _, r23, r14 = rows
+    branch = r14 * r14 <= 1e-3 * r22 * r33 + 1e-18
+    return branch & (r14 <= np.maximum(0.01 * r23, 5e-3))
 
 
-def _closed_margins(x: XState):
-    """Closed-form (entanglement, A->B, B->A, CHSH) margins, elementwise over cells.
+def _closed_margins(rows: np.ndarray) -> np.ndarray:
+    """Closed-form (entanglement, A->B, B->A, CHSH) margins (4, N) of the X
+    rows (6, N).
 
     Steering margins are |rho23|^2 - (f_a +/- f_b), where f_b =
     (1/4)(rho11 - rho44)(rho22 - rho33) sets the asymmetry.  CHSH combines two
@@ -144,37 +134,36 @@ def _closed_margins(x: XState):
     |rho23|^2 > 1/4 - (1/4)(2(rho22+rho33)-1)^2; its margin is the larger
     branch slack.
     """
-    r23 = abs(x.rho23)
+    r11, r22, r33, r44, r23, _ = rows
     coh2 = r23 * r23
+    inner = r22 + r33
     # population functionals of the steering inequalities
     f_a = (
-        (2 + math.sqrt(3)) / 2 * x.rho11 * x.rho44
-        + (2 - math.sqrt(3)) / 2 * x.rho22 * x.rho33
-        + 0.25 * (x.rho11 + x.rho44) * (x.rho22 + x.rho33)
+        (2 + math.sqrt(3)) / 2 * r11 * r44
+        + (2 - math.sqrt(3)) / 2 * r22 * r33
+        + 0.25 * (r11 + r44) * inner
     )
-    f_b = 0.25 * (x.rho11 - x.rho44) * (x.rho22 - x.rho33)
-    u = 2.0 * (x.rho22 + x.rho33) - 1.0
+    f_b = 0.25 * (r11 - r44) * (r22 - r33)
+    u = 2.0 * inner - 1.0
     bell = np.maximum(coh2 - 0.125, coh2 - (0.25 - 0.25 * u * u))
-    return coh2 - x.rho11 * x.rho44, coh2 - (f_a + f_b), coh2 - (f_a - f_b), bell
+    return np.array((coh2 - r11 * r44, coh2 - (f_a + f_b), coh2 - (f_a - f_b), bell))
 
 
-def check_hierarchy(entangled, steer_a_to_b, steer_b_to_a, bell) -> None:
-    """Bell => two-way steerable => entangled, elementwise over booleans or
-    boolean arrays; a violation raises."""
-    if np.count_nonzero(bell > (steer_a_to_b & steer_b_to_a)):
+def check_hierarchy(flags) -> None:
+    """Bell => two-way steerable => entangled over stacked flags (4, ...),
+    rows entangled, A->B, B->A and Bell, elementwise; a violation raises."""
+    flags = np.asarray(flags)
+    broken = flags[_STRONGER] > flags[_WEAKER]
+    if np.count_nonzero(broken):
         raise InternalConsistencyError(
-            "hierarchy violated: Bell nonlocal but not two-way steerable"
-        )
-    if np.count_nonzero((steer_a_to_b | steer_b_to_a) > entangled):
-        raise InternalConsistencyError(
-            "hierarchy violated: steerable but not entangled"
+            "hierarchy violated: Bell nonlocal but not two-way steerable" if np.count_nonzero(broken[2:])
+            else "hierarchy violated: steerable but not entangled"
         )
 
 
 class Classification(NamedTuple):
-    """Verdicts and margins of the X states passed to classify, over their
-    leading cell axes (all but the last axis of the (..., 6) input), and the
-    route.
+    """Verdicts and margins of the N X states passed to classify, over their
+    cell axis, and the route.
 
     Margins are left-minus-right values of the respective inequalities
     (probability-squared units on the closed-form route, eigenvalue units on
@@ -183,6 +172,9 @@ class Classification(NamedTuple):
     False, margins nan).  method is the route of the batch: GENERAL_PPT if
     any cell with a verdict needed the block test alone (a large rho14),
     else the closed form (X_CLOSED_FORM, or BOTH when cross-checked).
+    checked is true where both routes classified the cell: the closed-form
+    cells of a dual=True call, which raises unless the routes agree there
+    (see _cross_check).
     """
 
     entangled: np.ndarray
@@ -195,10 +187,11 @@ class Classification(NamedTuple):
     margin_bell: np.ndarray
     method: Method
     fault: np.ndarray
+    checked: np.ndarray
 
 
 def classify(x: np.ndarray, dual: bool = True) -> Classification:
-    """Classify local-basis X states given by their X entries (..., 6):
+    """Classify local-basis X states given by their X entries (N, 6):
     rho11, rho22, rho33, rho44, rho23 and rho14 (SteadyArrays.local_x).
 
     Where rho14 is inert the closed forms supply the margins; with dual=True
@@ -206,46 +199,53 @@ def classify(x: np.ndarray, dual: bool = True) -> Classification:
     raises.  Other X states fall back to the block test alone (bell False,
     margin nan).
     """
-    x = _x_entries(x)
-    fault = xstate_fault(x)
-    closed = (fault < 0) & _rho14_inert(x)
+    rows = _x_rows(x)
+    failed = xstate_faults(rows)
+    bad = np.logical_or.reduce(failed)
+    fault = np.full(len(bad), -1)
+    n_bad = np.count_nonzero(bad)
+    closed = _rho14_inert(rows)
+    if n_bad:
+        fault[bad] = failed[:, bad].argmax(axis=0)
+        closed &= ~bad
+    n_closed = np.count_nonzero(closed)
+    margins = _closed_margins(rows)
+    flags = margins > MARGIN_TOL
     # the block test alone where the closed form does not apply; a faulty
     # state gets no verdict
-    run = (fault < 0) & ~closed
-    margins = list(_closed_margins(x))
-    flags = [c > MARGIN_TOL for c in margins]
-    general = _ppt_margins(x) if dual or np.count_nonzero(~closed) else None
-    if np.count_nonzero(~closed):
-        for k in range(3):
-            g = np.where(run, general[..., k], np.nan)
-            flags[k] = np.where(closed, flags[k], g > PPT_TOL)
-            margins[k] = np.where(closed, margins[k], g)
-        flags[3] = closed & flags[3]
-        margins[3] = np.where(closed, margins[3], np.nan)
+    general = _ppt_margins(rows) if dual or n_closed < len(closed) else None
+    if n_closed < len(closed):
+        route2 = np.where(bad, np.nan, general)
+        margins[:3] = np.where(closed, margins[:3], route2)
+        flags[:3] = np.where(closed, flags[:3], route2 > PPT_TOL)
+        margins[3, ~closed] = np.nan
+        flags[3] &= closed
     if dual:
         _cross_check(closed, margins, general)
-    check_hierarchy(*flags)
-    if np.count_nonzero(run):
+    check_hierarchy(flags)
+    if n_bad + n_closed < len(closed):
         method = Method.GENERAL_PPT
     else:
         method = Method.BOTH if dual else Method.X_CLOSED_FORM
     return Classification(flags[0], margins[0], flags[1], margins[1], flags[2], margins[2],
-                          flags[3], margins[3], method, fault)
+                          flags[3], margins[3], method, fault,
+                          closed if dual else np.zeros(len(closed), dtype=bool))
 
 
-def _cross_check(closed: np.ndarray, closed_margins, general: np.ndarray) -> None:
+def _cross_check(closed: np.ndarray, margins: np.ndarray, general: np.ndarray) -> None:
     """Raise where, on a closed-form cell, the two routes disagree on a verdict
     that neither places within 1e-9 of its threshold."""
-    for k, name in enumerate(("entanglement", "steering A->B", "steering B->A")):
-        c, g = closed_margins[k], general[..., k][()]
+    disagree = closed & ((margins[:3] > MARGIN_TOL) != (general > PPT_TOL))
+    if np.count_nonzero(disagree):
         # the entanglement margins are on different scales; only the
         # closed-form one is tested against the 1e-9 band
-        sure = abs(c) > 1e-9 if k == 0 else (abs(c) > 1e-9) & (abs(g) > 1e-9)
-        bad = closed & ((c > MARGIN_TOL) != (g > PPT_TOL)) & sure
-        if np.count_nonzero(bad):
-            i = np.argmax(np.reshape(bad, -1))
-            c, g = np.reshape(c, -1)[i], np.reshape(g, -1)[i]
+        k, i = np.nonzero(disagree)
+        c, g = margins[k, i], general[k, i]
+        sure = (abs(c) > 1e-9) & ((k == 0) | (abs(g) > 1e-9))
+        if np.count_nonzero(sure):
+            j = sure.argmax()
             raise InternalConsistencyError(
-                f"{name}: closed form says {bool(c > MARGIN_TOL)} (margin {c:.3g}), "
-                f"general route says {bool(g > PPT_TOL)}"
+                f"{('entanglement', 'steering A->B', 'steering B->A')[k[j]]}: closed form "
+                f"says {bool(c[j] > MARGIN_TOL)} (margin {c[j]:.3g}), "
+                f"general route says {bool(g[j] > PPT_TOL)}"
             )

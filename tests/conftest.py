@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 import steerlab as sl
 from steerlab import analysis
 from steerlab.analysis import ENT_COEFF, FIELDS, Axis, Criterion, RegionMap, SweepConfig
-from steerlab.errors import ConfigurationError
+from steerlab.correlations import MARGIN_TOL, PPT_TOL, Method
+from steerlab.errors import ConfigurationError, InternalConsistencyError
 from steerlab.generator import _TEMPLATES
-from steerlab.model import VEC6_ENTRIES, eigenvectors
+from steerlab.model import VEC6_ENTRIES, eigenvectors, lower_eigenvalue
 from steerlab.rates import COEFFICIENTS, Statistics, occupations
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
@@ -538,3 +539,166 @@ def eigen_weights_oracle(theta: np.ndarray) -> np.ndarray:
     """The former model.eigen_weights: 1, cos(theta/2) and sin(theta/2) joined
     by np.stack, (..., 3)."""
     return np.stack([np.ones_like(theta), np.cos(0.5 * theta), np.sin(0.5 * theta)], axis=-1)
+
+
+# --------------------------------------------------------------------------
+# classify_oracle: the former classify, which took each X entry as its own
+# (N,) array (an XState) and classified column by column.  Its helpers are
+# those of that version with an _oracle prefix; their bodies are unchanged.
+# --------------------------------------------------------------------------
+
+_ORACLE_DEPOL = 1.0 / math.sqrt(3.0)
+_ORACLE_MAP_DIAGONALS = np.hstack([np.eye(4)] + [
+    _ORACLE_DEPOL * np.eye(4) + 0.5 * (3.0 - math.sqrt(3.0)) / 3.0 * np.kron(*pair)
+    for pair in ((np.ones((2, 2)), np.eye(2)), (np.eye(2), np.ones((2, 2))))])
+_ORACLE_COHERENCE_SCALE = np.array([1.0, _ORACLE_DEPOL, _ORACLE_DEPOL])
+
+
+class OracleXState(NamedTuple):
+    rho11: float
+    rho22: float
+    rho33: float
+    rho44: float
+    rho23: float
+    rho14: float
+
+
+class OracleClassification(NamedTuple):
+    """The former Classification: the fields of today's, without checked."""
+
+    entangled: np.ndarray
+    margin_ent: np.ndarray
+    steer_a_to_b: np.ndarray
+    margin_ab: np.ndarray
+    steer_b_to_a: np.ndarray
+    margin_ba: np.ndarray
+    bell: np.ndarray
+    margin_bell: np.ndarray
+    method: Method
+    fault: np.ndarray
+
+
+def _oracle_xstate_fault(x) -> np.ndarray:
+    r23, r14 = abs(x.rho23), abs(x.rho14)
+    failed = (
+        (x.rho11 < -1e-9) | (x.rho22 < -1e-9) | (x.rho33 < -1e-9) | (x.rho44 < -1e-9),
+        abs(x.rho11 + x.rho22 + x.rho33 + x.rho44 - 1.0) > 1e-12,
+        r23 * r23 > x.rho22 * x.rho33 + 1e-9,
+        r14 * r14 > x.rho11 * x.rho44 + 1e-9,
+    )
+    fault = np.full(np.shape(failed[0]), -1)
+    if np.count_nonzero(failed[0] | failed[1] | failed[2] | failed[3]):
+        for code in reversed(range(len(failed))):
+            fault = np.where(failed[code], code, fault)
+    return fault
+
+
+def _oracle_x_entries(x: np.ndarray) -> OracleXState:
+    # [()] turns the entries of a single (6,) vector into numpy scalars
+    pops, rho23, rho14 = x[..., :4].real, x[..., 4], x[..., 5]
+    return OracleXState(pops[..., 0][()], pops[..., 1][()], pops[..., 2][()], pops[..., 3][()],
+                        np.hypot(rho23.real, rho23.imag)[()], np.hypot(rho14.real, rho14.imag)[()])
+
+
+def _oracle_ppt_margins(x: OracleXState) -> np.ndarray:
+    pops = np.stack([x.rho11, x.rho22, x.rho33, x.rho44], axis=-1)
+    d = (pops @ _ORACLE_MAP_DIAGONALS).reshape(pops.shape[:-1] + (3, 4))
+    r23 = np.multiply.outer(abs(x.rho23), _ORACLE_COHERENCE_SCALE)
+    r14 = np.multiply.outer(abs(x.rho14), _ORACLE_COHERENCE_SCALE)
+    return -np.minimum(lower_eigenvalue(d[..., 0], d[..., 3], r23),
+                       lower_eigenvalue(d[..., 1], d[..., 2], r14))
+
+
+def _oracle_rho14_inert(x: OracleXState):
+    r14 = abs(x.rho14)
+    branch = r14 * r14 <= 1e-3 * x.rho22 * x.rho33 + 1e-18
+    small = r14 <= np.maximum(0.01 * abs(x.rho23), 5e-3)
+    return branch & small
+
+
+def _oracle_closed_margins(x: OracleXState):
+    r23 = abs(x.rho23)
+    coh2 = r23 * r23
+    # population functionals of the steering inequalities
+    f_a = (
+        (2 + math.sqrt(3)) / 2 * x.rho11 * x.rho44
+        + (2 - math.sqrt(3)) / 2 * x.rho22 * x.rho33
+        + 0.25 * (x.rho11 + x.rho44) * (x.rho22 + x.rho33)
+    )
+    f_b = 0.25 * (x.rho11 - x.rho44) * (x.rho22 - x.rho33)
+    u = 2.0 * (x.rho22 + x.rho33) - 1.0
+    bell = np.maximum(coh2 - 0.125, coh2 - (0.25 - 0.25 * u * u))
+    return coh2 - x.rho11 * x.rho44, coh2 - (f_a + f_b), coh2 - (f_a - f_b), bell
+
+
+def _oracle_check_hierarchy(entangled, steer_a_to_b, steer_b_to_a, bell) -> None:
+    if np.count_nonzero(bell > (steer_a_to_b & steer_b_to_a)):
+        raise InternalConsistencyError(
+            "hierarchy violated: Bell nonlocal but not two-way steerable"
+        )
+    if np.count_nonzero((steer_a_to_b | steer_b_to_a) > entangled):
+        raise InternalConsistencyError(
+            "hierarchy violated: steerable but not entangled"
+        )
+
+
+def classify_oracle(x: np.ndarray, dual: bool = True) -> OracleClassification:
+    """The former correlations.classify of the X entries (..., 6)."""
+    x = _oracle_x_entries(x)
+    fault = _oracle_xstate_fault(x)
+    closed = (fault < 0) & _oracle_rho14_inert(x)
+    # the block test alone where the closed form does not apply; a faulty
+    # state gets no verdict
+    run = (fault < 0) & ~closed
+    margins = list(_oracle_closed_margins(x))
+    flags = [c > MARGIN_TOL for c in margins]
+    general = _oracle_ppt_margins(x) if dual or np.count_nonzero(~closed) else None
+    if np.count_nonzero(~closed):
+        for k in range(3):
+            g = np.where(run, general[..., k], np.nan)
+            flags[k] = np.where(closed, flags[k], g > PPT_TOL)
+            margins[k] = np.where(closed, margins[k], g)
+        flags[3] = closed & flags[3]
+        margins[3] = np.where(closed, margins[3], np.nan)
+    if dual:
+        _oracle_cross_check(closed, margins, general)
+    _oracle_check_hierarchy(*flags)
+    if np.count_nonzero(run):
+        method = Method.GENERAL_PPT
+    else:
+        method = Method.BOTH if dual else Method.X_CLOSED_FORM
+    return OracleClassification(flags[0], margins[0], flags[1], margins[1], flags[2], margins[2],
+                                flags[3], margins[3], method, fault)
+
+
+def _oracle_cross_check(closed: np.ndarray, closed_margins, general: np.ndarray) -> None:
+    for k, name in enumerate(("entanglement", "steering A->B", "steering B->A")):
+        c, g = closed_margins[k], general[..., k][()]
+        # the entanglement margins are on different scales; only the
+        # closed-form one is tested against the 1e-9 band
+        sure = abs(c) > 1e-9 if k == 0 else (abs(c) > 1e-9) & (abs(g) > 1e-9)
+        bad = closed & ((c > MARGIN_TOL) != (g > PPT_TOL)) & sure
+        if np.count_nonzero(bad):
+            i = np.argmax(np.reshape(bad, -1))
+            c, g = np.reshape(c, -1)[i], np.reshape(g, -1)[i]
+            raise InternalConsistencyError(
+                f"{name}: closed form says {bool(c > MARGIN_TOL)} (margin {c:.3g}), "
+                f"general route says {bool(g > PPT_TOL)}"
+            )
+
+
+def assert_same_classification(got, want) -> None:
+    """got (a Classification) and want (an OracleClassification) agree bit
+    for bit in all ten fields of want: the same method, and arrays of the
+    same dtype and shape with nan at the same places and the same bytes
+    elsewhere."""
+    assert got.method is want.method
+    for name in OracleClassification._fields:
+        if name == "method":
+            continue
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        nan = np.isnan(b) if b.dtype.kind == "f" else np.zeros(b.shape, dtype=bool)
+        if b.dtype.kind == "f":
+            assert np.array_equal(np.isnan(a), nan), name
+        assert a[~nan].tobytes() == b[~nan].tobytes(), name

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import steerlab as sl
+from steerlab import analysis
 from steerlab.analysis import (
     Criterion,
     analytic_thresholds,
@@ -32,6 +33,8 @@ from steerlab.steady import max_stable_dt
 from conftest import (
     PRESET_NAMES,
     Phase,
+    assert_same_classification,
+    classify_oracle,
     csv_text_oracle,
     entanglement_boundary_fit,
     equilibrium_analytic,
@@ -52,12 +55,33 @@ FERMI = Statistics.FERMI
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 
+# (preset, cells) of every sweep block that preset_maps classified; each
+# block's classification matched classify_oracle's bit for bit, else the
+# fixture raised
+ORACLE_BLOCKS: list[tuple[str, int]] = []
+
+
 @pytest.fixture(scope="module")
 def preset_maps():
     """All preset grids, evaluated once; classification runs dual-path in
-    every cell and raises on any closed-form/general disagreement."""
-    return {name: sweep2d(load_preset_config(name))
-            for name in PRESET_NAMES}
+    every cell and raises on any closed-form/general disagreement.  Every
+    block's classification is also checked against classify_oracle (the
+    former classify) and recorded in ORACLE_BLOCKS."""
+    classify = analysis.classify
+    name = None
+
+    def checked(x, dual=True):
+        got = classify(x, dual)
+        assert_same_classification(got, classify_oracle(x, dual))
+        ORACLE_BLOCKS.append((name, len(x)))
+        return got
+
+    maps = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "classify", checked)
+        for name in PRESET_NAMES:
+            maps[name] = sweep2d(load_preset_config(name))
+    return maps
 
 
 def steady_report(p, ta, tb, stat=BOSE, mua=0.0, mub=0.0):
@@ -329,9 +353,9 @@ def test_c07_hierarchy_on_preset_grids(preset_maps):
     ok = True
     for name in ("fig8a", "fig8b", "fig9a", "fig9b"):
         m = preset_maps[name]
-        flags = (m.columns[k] for k in ("entangled", "steer_ab", "steer_ba", "bell"))
+        flags = [m.columns[k] for k in ("entangled", "steer_ab", "steer_ba", "bell")]
         try:
-            check_hierarchy(*flags)
+            check_hierarchy(flags)
             violation = "no violation"
         except InternalConsistencyError as exc:
             violation = str(exc)
@@ -536,27 +560,41 @@ def test_c10_coherence_behavior():
 def test_c11_dual_path_agreement(preset_maps):
     # every cell of every preset already ran classify(dual=True), which raises
     # on any closed-form/general disagreement; verify on a subsample that the
-    # closed form was actually eligible everywhere (method BOTH)
+    # closed form was actually eligible everywhere (method BOTH).  The
+    # subsample is one batch per preset: a batch's method is BOTH if and only
+    # if every cell's is, and a batch row has the bits of the one-cell batch
+    # (test_analysis.py::TestSweep2d::test_point_matches_row)
     checked = 0
     for name in PRESET_NAMES:
         m = preset_maps[name]
-        cfg = m.config
-        for cell in m.cells[::67]:
-            if not cell.positivity_ok:
-                continue
-            system, ra, rb = grid_point(cfg, cell.x, cell.y)
-            _, rep, _ = steady_report(system, ra.temperature, rb.temperature, ra.statistics,
-                                      ra.mu, rb.mu)
-            assert rep.method is Method.BOTH, (name, cell.x, cell.y)
-            assert rep.entangled == cell.entangled
-            assert rep.steer_a_to_b == cell.steer_ab
-            assert rep.steer_b_to_a == cell.steer_ba
-            checked += 1
-    total = sum(len(m.cells) for m in preset_maps.values())
+        cfg, col = m.config, m.columns
+        rows = np.arange(0, cfg.nx * cfg.ny, 67)
+        rows = rows[col["positivity_ok"][rows]]
+        cells = sl.Cells.of([grid_point(cfg, x, y) for x, y in
+                             zip(col["x"][rows].tolist(), col["y"][rows].tolist())])
+        _, _, rep, _ = analysis._pipeline(cells)
+        assert rep.method is Method.BOTH, name
+        for field, column in (("entangled", "entangled"), ("steer_a_to_b", "steer_ab"),
+                              ("steer_b_to_a", "steer_ba")):
+            assert np.array_equal(getattr(rep, field), col[column][rows]), (name, field)
+        checked += len(rows)
+    total = sum(cfg.nx * cfg.ny for cfg in (m.config for m in preset_maps.values()))
     record_criterion(11, "closed-form and general steering verdicts agree on "
                          "every preset cell",
                      True, f"{total} cells swept dual-path, {checked} re-checked "
                            "with method=BOTH")
+
+
+def test_preset_classification_matches_oracle(preset_maps):
+    # the fixture compared each block with classify_oracle as it swept
+    assert [n for n, _ in ORACLE_BLOCKS[::6]] == PRESET_NAMES
+    assert len(ORACLE_BLOCKS) == 6 * len(PRESET_NAMES)
+    assert sum(cells for _, cells in ORACLE_BLOCKS) == 10201 * len(PRESET_NAMES)
+
+
+def test_every_preset_cell_is_cross_checked(preset_maps):
+    for name in PRESET_NAMES:
+        assert preset_maps[name].diagnostics["cross_checked_cells"] == 10201, name
 
 
 @pytest.mark.parametrize("name", ["fig8b", "fig3c", "fig9b"])

@@ -223,7 +223,7 @@ class TestSweep2d:
                 for iy in range(cfg.ny):
                     _, ss, c, (_, current_b, sigma) = pipeline(grid_row(cfg, iy))
                     worst.append((ss.residual.max(), ss.min_eigenvalue.min(),
-                                  ss.null_ratio.min()))
+                                  ss.null_ratio.min(), np.count_nonzero(c.checked)))
                     row = (cfg.x_values(), np.full(cfg.nx, cfg.y_values()[iy]), c.entangled,
                            c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab,
                            c.margin_ba, c.margin_bell, current_b, sigma, ss.positive)
@@ -231,10 +231,11 @@ class TestSweep2d:
                         got = m.columns[name][iy * cfg.nx:(iy + 1) * cfg.nx]
                         assert got.dtype == want.dtype, name
                         assert np.array_equal(got, want, equal_nan=True), (block, name, iy)
-                residual, eigenvalue, ratio = zip(*worst)
+                residual, eigenvalue, ratio, checked = zip(*worst)
                 assert m.diagnostics == {"max_residual": max(residual),
                                          "min_eigenvalue": min(eigenvalue),
-                                         "min_null_space_ratio": min(ratio)}
+                                         "min_null_space_ratio": min(ratio),
+                                         "cross_checked_cells": sum(checked)}
                 for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
                     cell = SimpleNamespace(**{k: c[iy * cfg.nx + ix].item()
                                               for k, c in m.columns.items()})
@@ -249,7 +250,7 @@ class TestSweep2d:
 
     def test_hierarchy_on_real_grid(self):
         m = sweep2d(small_sweep())
-        check_hierarchy(*(m.columns[k] for k in ("entangled", "steer_ab", "steer_ba", "bell")))
+        check_hierarchy([m.columns[k] for k in ("entangled", "steer_ab", "steer_ba", "bell")])
         assert m.masked_count() == 0
 
 
@@ -319,16 +320,16 @@ class TestHierarchyCheck:
                    "steer_ba": np.full(4, True), "bell": np.full(4, False)}
         for name, value in planted.items():
             columns[name][2] = value
-        return columns.values()
+        return list(columns.values())
 
     def test_planted_violation_found(self):
-        check_hierarchy(*self._flags())
+        check_hierarchy(self._flags())
         with pytest.raises(InternalConsistencyError, match="Bell nonlocal but not two-way"):
-            check_hierarchy(*self._flags(bell=True, steer_ab=False))
+            check_hierarchy(self._flags(bell=True, steer_ab=False))
 
     def test_steerable_unentangled_found(self):
         with pytest.raises(InternalConsistencyError, match="steerable but not entangled"):
-            check_hierarchy(*self._flags(entangled=False, steer_ab=True, steer_ba=False))
+            check_hierarchy(self._flags(entangled=False, steer_ab=True, steer_ba=False))
 
 
 class TestThresholdKappa:

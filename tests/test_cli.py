@@ -279,7 +279,10 @@ class TestSweepCommand:
         # solver diagnostics of the sweep follow the outputs
         assert list(manifest)[-2:] == ["outputs", "diagnostics"]
         diag = manifest["diagnostics"]
-        assert list(diag) == ["max_residual", "min_eigenvalue", "min_null_space_ratio"]
+        assert list(diag) == ["max_residual", "min_eigenvalue", "min_null_space_ratio",
+                              "cross_checked_cells"]
+        # both classification routes ran and agreed on all four cells
+        assert diag["cross_checked_cells"] == 4
         assert 0 <= diag["max_residual"] <= 1e-10
         assert diag["min_eigenvalue"] >= -1e-9
         # |det| over the Hadamard bound: 0.223 here, at least 0.0117 on every preset

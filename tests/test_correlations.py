@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steerlab as sl
+from steerlab import correlations
+from steerlab.cli import main
 from steerlab.correlations import (
     MARGIN_TOL,
     PPT_TOL,
@@ -14,9 +16,9 @@ from steerlab.correlations import (
     _closed_margins,
     _ppt_margins,
     _rho14_inert,
-    _x_entries,
+    _x_rows,
     check_hierarchy,
-    xstate_fault,
+    xstate_faults,
 )
 from steerlab.errors import InternalConsistencyError
 from steerlab.generator import dense
@@ -25,6 +27,8 @@ from steerlab.rates import Statistics
 from conftest import (
     Direction,
     Phase,
+    assert_same_classification,
+    classify_oracle,
     dense_local,
     depolarized,
     eigen_populations,
@@ -40,8 +44,8 @@ SQ3 = math.sqrt(3)
 
 
 def xstate(rho):
-    """The X entries of one local-basis state."""
-    return _x_entries(x_vector(rho))
+    """The X rows (6, 1) of one local-basis state."""
+    return _x_rows(x_vector(rho)[None])
 
 
 def classify(rho, dual=True):
@@ -49,11 +53,11 @@ def classify(rho, dual=True):
     return row0(sl.classify(x_vector(rho[None]), dual=dual))
 
 
-def factors(x):
-    """(f_a, f_b) of the steering inequalities, read back from the closed-form
-    margins |rho23|^2 - (f_a +/- f_b)."""
-    _, m_ab, m_ba, _ = _closed_margins(x)
-    coh2 = x.rho23 * x.rho23
+def factors(rows):
+    """(f_a, f_b) of the steering inequalities of the one-cell X rows (6, 1),
+    read back from the closed-form margins |rho23|^2 - (f_a +/- f_b)."""
+    _, m_ab, m_ba, _ = _closed_margins(rows)[:, 0]
+    coh2 = rows[4, 0] * rows[4, 0]
     return coh2 - 0.5 * (m_ab + m_ba), 0.5 * (m_ba - m_ab)
 
 
@@ -72,14 +76,15 @@ def general_steering(rho, direction):
     return ppt(steering_map(rho, direction))
 
 
-def closed_steering(x):
-    """((A->B flag, margin), (B->A flag, margin)) from the closed forms."""
-    _, m_ab, m_ba, _ = _closed_margins(x)
+def closed_steering(rows):
+    """((A->B flag, margin), (B->A flag, margin)) from the closed forms, of
+    the one-cell X rows (6, 1)."""
+    _, m_ab, m_ba, _ = _closed_margins(rows)[:, 0]
     return (m_ab > MARGIN_TOL, m_ab), (m_ba > MARGIN_TOL, m_ba)
 
 
-def closed_bell(x):
-    margin = _closed_margins(x)[3]
+def closed_bell(rows):
+    margin = _closed_margins(rows)[3, 0]
     return margin > MARGIN_TOL, margin
 
 
@@ -112,9 +117,14 @@ def xstate_strategy(with_rho14=False):
 class TestExtractXState:
     def test_identity_over_four(self):
         rho = np.eye(4, dtype=complex) / 4
-        x = xstate(rho)
-        assert x.rho11 == x.rho22 == x.rho33 == x.rho44 == 0.25
-        assert x.rho23 == 0 and x.rho14 == 0
+        rows = xstate(rho)
+        assert rows.shape == (6, 1) and rows.flags.c_contiguous
+        assert rows[:4, 0].tolist() == [0.25] * 4
+        assert rows[4:, 0].tolist() == [0.0, 0.0]
+
+    def test_rows_are_populations_and_moduli(self):
+        x = np.array([[0.4, 0.3, 0.2, 0.1, 0.3 - 0.4j, -0.05j]])
+        assert _x_rows(x)[:, 0].tolist() == [0.4, 0.3, 0.2, 0.1, 0.5, 0.05]
 
     def test_steady_states_are_x(self, rng):
         for phase in (Phase.WEAK, Phase.STRONG):
@@ -122,7 +132,7 @@ class TestExtractXState:
             r = sl.ReservoirSpec(Statistics.BOSE, 0.5)
             g, ss = one_cell(p, r, sl.ReservoirSpec(Statistics.BOSE, 0.7))
             x_vector(dense_local(ss.vector6, dense(g)[1]))   # raises on a non-X entry
-            assert xstate_fault(_x_entries(ss.local_x))[0] == -1
+            assert not xstate_faults(_x_rows(ss.local_x)).any()
 
 
 class TestSteeringMap:
@@ -185,7 +195,7 @@ class TestBlockTest:
     @settings(max_examples=100, deadline=None)
     @given(xstate_strategy(with_rho14=True))
     def test_matches_oracle(self, rho):
-        got = _ppt_margins(xstate(rho))
+        got = _ppt_margins(xstate(rho))[:, 0]
         assert np.max(np.abs(got - ppt_margins(rho))) < 1e-13
 
     def test_matches_oracle_over_a_batch(self, rng):
@@ -194,9 +204,9 @@ class TestBlockTest:
         rho23 = rng.random(64) * np.sqrt(pops[:, 1] * pops[:, 2]) * phases[0]
         rho14 = rng.random(64) * np.sqrt(pops[:, 0] * pops[:, 3]) * phases[1]
         m = np.array([x_matrix(*args) for args in zip(pops, rho23, rho14)])
-        got = _ppt_margins(_x_entries(x_vector(m)))
-        assert got.shape == (64, 3)
-        assert np.max(np.abs(got - ppt_margins(m))) < 1e-13
+        got = _ppt_margins(_x_rows(x_vector(m)))
+        assert got.shape == (3, 64)
+        assert np.max(np.abs(got - ppt_margins(m).T)) < 1e-13
 
     def test_phi_plus_falls_back_to_block_test(self):
         # |Phi+> = (|00> + |11>)/sqrt(2): all coherence in rho14
@@ -243,7 +253,7 @@ class TestClosedForms:
         m[1, 2] = m[2, 1] = 0.1
         m[0, 3] = m[3, 0] = 0.05
         # rho14 not negligible: classify leaves the closed forms for the general route
-        assert not _rho14_inert(xstate(m))
+        assert not _rho14_inert(xstate(m))[0]
         assert classify(m).method is Method.GENERAL_PPT
 
     def test_werner_steering_threshold(self):
@@ -325,7 +335,7 @@ class TestClassify:
         rep = row0(sl.classify(ss.local_x))
         local = dense_local(ss.vector6[0], dense(g)[1])
         p00, p11, pm, pp = eigen_populations(local, dense(g)[1], g.cells.setup[0] == 2)
-        _, f_b = factors(_x_entries(ss.local_x[0]))
+        _, f_b = factors(_x_rows(ss.local_x[:1]))
         law = 0.25 * (p00 - p11) * (pm - pp) * math.cos(g.cells.theta[0])
         assert f_b == pytest.approx(law, abs=1e-10)
         assert f_b > 0   # eps_a > eps_b favors steering B -> A
@@ -338,7 +348,7 @@ class TestClassify:
                          sl.ReservoirSpec(Statistics.BOSE, 0.65))
         local = dense_local(ss.vector6[0], dense(g)[1])
         p00, p11, pm, pp = eigen_populations(local, dense(g)[1], g.cells.setup[0] == 2)
-        _, f_b = factors(_x_entries(ss.local_x[0]))
+        _, f_b = factors(_x_rows(ss.local_x[:1]))
         theta = g.cells.theta[0]
         correction = 2 * math.sin(theta) * ss.vector6[0, 4].real
         law = 0.25 * (p00 - p11) * ((pm - pp) * math.cos(theta) + correction)
@@ -421,10 +431,10 @@ class TestClassify:
     def test_hierarchy_assert_fires_on_inconsistent_report(self):
         # steerable A->B but not entangled; Bell without two-way steering
         with pytest.raises(InternalConsistencyError, match="steerable but not entangled"):
-            check_hierarchy(False, True, False, False)
+            check_hierarchy([False, True, False, False])
         with pytest.raises(InternalConsistencyError, match="Bell nonlocal"):
-            check_hierarchy(np.array([True, True]), np.array([True, True]),
-                            np.array([True, False]), np.array([False, True]))
+            check_hierarchy([np.array([True, True]), np.array([True, True]),
+                             np.array([True, False]), np.array([False, True])])
 
     def test_model_states_hierarchy(self, rng):
         # full pipeline states across both phases keep the strict hierarchy
@@ -443,3 +453,215 @@ class TestClassify:
                 assert rep.steer_a_to_b and rep.steer_b_to_a
             if rep.steer_a_to_b or rep.steer_b_to_a:
                 assert rep.entangled
+
+
+# --------------------------------------------------------------------------
+# The cross-check: a planted route-2 disagreement raises, through the CLI too
+# --------------------------------------------------------------------------
+
+VERDICTS = ("entanglement", "steering A->B", "steering B->A")
+
+
+def flip_route2(monkeypatch, k: int, cell: int) -> None:
+    """Replace route 2 (correlations._ppt_margins) by one that flips verdict
+    k (entanglement, A->B, B->A) of the given cell of each batch that has
+    it, to a margin of 0.5 against it, far outside the 1e-9 band."""
+    route2 = correlations._ppt_margins
+
+    def flipped(rows):
+        g = route2(rows)
+        if cell < g.shape[1]:
+            g[k, cell] = -0.5 if g[k, cell] > PPT_TOL else 0.5
+        return g
+    monkeypatch.setattr(correlations, "_ppt_margins", flipped)
+
+
+def band_batch(k: int) -> np.ndarray:
+    """Three closed-form cells: cell 0 with verdict k's closed margin within
+    1e-9 of its threshold (the Werner state at that threshold), cells 1 and
+    2 steerable both ways with every margin far from it."""
+    w0 = 1 / 3 if k == 0 else 1 / SQ3
+    return x_vector(np.array([werner_matrix(w) for w in (w0, 0.65, 0.9)]))
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize("k", range(3))
+    def test_planted_disagreement_raises(self, k, monkeypatch):
+        x = band_batch(k)
+        want = sl.classify(x)
+        assert want.method is Method.BOTH and want.checked.tolist() == [True] * 3
+        assert abs(want[2 * k + 1][0]) < 1e-9
+        flag, margin = want[2 * k][1], want[2 * k + 1][1]
+        flip_route2(monkeypatch, k, 1)
+        with pytest.raises(InternalConsistencyError) as err:
+            sl.classify(x)
+        assert str(err.value) == (f"{VERDICTS[k]}: closed form says {flag} "
+                                  f"(margin {margin:.3g}), general route says {not flag}")
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_disagreement_inside_the_band_is_kept(self, k, monkeypatch):
+        # cell 0's closed margin is within 1e-9 of its threshold, so a flipped
+        # route-2 verdict there is no defect: the closed-form verdicts stand
+        x = band_batch(k)
+        want = sl.classify(x)
+        flip_route2(monkeypatch, k, 0)
+        got = sl.classify(x)
+        for a, b in zip(got, want):
+            assert a is b if isinstance(b, Method) else a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_steady_exits_internal(self, k, monkeypatch, capsys):
+        flip_route2(monkeypatch, k, 0)
+        assert main(["steady"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: internal: {VERDICTS[k]}: closed form says ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_sweep_exits_internal_and_writes_nothing(self, k, tmp_path, monkeypatch, capsys):
+        flip_route2(monkeypatch, k, 1)
+        out = tmp_path / "grid.csv"
+        code = main(["sweep", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
+                     "--gamma", "0.01", "--ta", "0.5", "--tb", "0.5",
+                     "--axis-x", "tbar", "--x-min", "0.3", "--x-max", "0.6", "--nx", "2",
+                     "--axis-y", "kappa", "--y-min", "2.5", "--y-max", "3.0", "--ny", "2",
+                     "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: internal: {VERDICTS[k]}: closed form says ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCheckedCells:
+    def test_all_but_the_block_test_and_faulty_cells(self):
+        # one cell that only the block test classifies (|Phi+>), one faulty
+        # cell and three that both routes classify
+        cells = [werner_matrix(0.3), x_matrix([0.5, 0, 0, 0.5], rho14=0.5), werner_matrix(0.65),
+                 x_matrix([0.25] * 4, rho23=0.3), werner_matrix(0.9)]
+        x = x_vector(np.array(cells))
+        rep = sl.classify(x)
+        assert rep.method is Method.GENERAL_PPT and rep.fault.tolist() == [-1, -1, -1, 2, -1]
+        assert rep.checked.tolist() == [True, False, True, False, True]
+        assert np.count_nonzero(rep.checked) == len(cells) - 2
+        assert not sl.classify(x, dual=False).checked.any()
+
+
+# --------------------------------------------------------------------------
+# classify against classify_oracle, the former classify, bit for bit
+# --------------------------------------------------------------------------
+
+# kinds of drawn X states: valid with rho14 = 0, valid with an inert rho14,
+# valid with a large rho14 (block test alone), each XSTATE_FAULTS violation,
+# a closed-form margin (entanglement, A->B, B->A, Bell) within 1e-12 of
+# MARGIN_TOL, and a block-test entanglement margin within 1e-12 of PPT_TOL on
+# a block-test cell and on a closed-form cell
+KINDS = ("valid", "inert-rho14", "large-rho14", "fault-0", "fault-1", "fault-2", "fault-3",
+         "margin-ent", "margin-ab", "margin-ba", "margin-bell", "ppt-open", "ppt-closed")
+
+
+def draw_x(rng: np.random.Generator, kinds: np.ndarray) -> np.ndarray:
+    """X entries (N, 6) of one drawn state per entry of kinds (indices into
+    KINDS)."""
+    n = len(kinds)
+    # Dirichlet(2, 2, 2, 2) populations: valid X states whose CHSH verdict
+    # outruns the steering criteria (a hierarchy error) are about 5 in 10^6
+    pops = rng.dirichlet(np.full(4, 2.0), size=n)
+    r23 = rng.random(n) * np.sqrt(pops[:, 1] * pops[:, 2])
+    r14 = np.zeros(n)
+    kind = np.asarray(KINDS)[kinds]
+    near = rng.uniform(-1e-12, 1e-12, n)
+    # states with rho11, rho44 in [0.06, 0.09] and rho22 ~ rho33: rho22 rho33
+    # > 0.16 and the CHSH threshold min(1/8, (1 - u^2)/4) > 0.1 both lie
+    # above the steering thresholds (< 0.08), so |rho23| can reach each
+    # threshold below in a valid state that keeps the hierarchy
+    on = np.char.startswith(kind, "margin-") | (kind == "ppt-closed")
+    outer = rng.uniform(0.06, 0.09, (2, on.sum()))
+    split = rng.uniform(0.45, 0.55, on.sum()) * (1 - outer.sum(axis=0))
+    pops[on] = np.stack([outer[0], split, 1 - outer.sum(axis=0) - split, outer[1]], axis=1)
+    p11, p22, p33, p44 = pops.T
+    u = 2.0 * (p22 + p33) - 1.0
+    # MARGIN_TOL + near on one closed-form margin |rho23|^2 - t, with t set
+    # by the populations: rho11 rho44, f_a +/- f_b or the CHSH threshold
+    f_a = ((2 + SQ3) / 2 * p11 * p44 + (2 - SQ3) / 2 * p22 * p33
+           + 0.25 * (p11 + p44) * (p22 + p33))
+    f_b = 0.25 * (p11 - p44) * (p22 - p33)
+    for name, t in (("margin-ent", p11 * p44), ("margin-ab", f_a + f_b),
+                    ("margin-ba", f_a - f_b), ("margin-bell", np.minimum(0.125, 0.25 - 0.25 * u * u))):
+        on = kind == name
+        r23[on] = np.sqrt(t[on] + MARGIN_TOL + near[on])
+    # the block [[rho11, rho23], [rho23*, rho44]] with lower eigenvalue
+    # -(PPT_TOL + near): hypot((rho11 - rho44)/2, |rho23|) = (rho11 + rho44)/2 + PPT_TOL + near
+    on = kind == "ppt-closed"
+    half_sum, half_diff = 0.5 * (p11 + p44), 0.5 * (p11 - p44)
+    r23[on] = np.sqrt((half_sum[on] + PPT_TOL + near[on]) ** 2 - half_diff[on] ** 2)
+    # and the block [[rho22, rho14], [rho14*, rho33]] likewise, with rho11
+    # rho44 large enough for that rho14
+    on = kind == "ppt-open"
+    pops[on] = np.array([0.35, 0.15, 0.15, 0.35]) + rng.uniform(-0.02, 0.02, (on.sum(), 1)) * [1, -1, -1, 1]
+    p11, p22, p33, p44 = pops.T
+    r14[on] = np.sqrt((0.5 * (p22[on] + p33[on]) + PPT_TOL + near[on]) ** 2
+                      - (0.5 * (p22[on] - p33[on])) ** 2)
+    r23[on] = rng.random(on.sum()) * np.sqrt(p22[on] * p33[on])
+    on = kind == "inert-rho14"
+    r14[on] = 1e-3 * rng.random(on.sum()) * np.minimum(r23[on], np.sqrt(p11[on] * p44[on]))
+    on = kind == "large-rho14"
+    r14[on] = rng.uniform(0.3, 1.0, on.sum()) * np.sqrt(p11[on] * p44[on])
+    on = kind == "fault-2"
+    r23[on] = 1.01 * np.sqrt(p22[on] * p33[on]) + 1e-4
+    on = kind == "fault-3"
+    r14[on] = 1.01 * np.sqrt(p11[on] * p44[on]) + 1e-4
+    x = np.empty((n, 6), dtype=complex)
+    x[:, :4] = pops
+    x[:, 4] = r23 * np.exp(2j * np.pi * rng.random(n))
+    x[:, 5] = r14 * np.exp(2j * np.pi * rng.random(n))
+    # a population below -1e-9 with the sum kept, and a sum 1e-9 off 1
+    on = kind == "fault-0"
+    x[on, 0] += 1e-6
+    x[on, 2] -= x[on, 2].real + 1e-6
+    x[kind == "fault-1", 0] += 1e-9
+    return x
+
+
+def assert_classify_matches_oracle(x: np.ndarray) -> None:
+    for dual in (True, False):
+        try:
+            want = classify_oracle(x, dual)
+        except InternalConsistencyError as exc:
+            with pytest.raises(InternalConsistencyError) as err:
+                sl.classify(x, dual)
+            assert str(err.value) == str(exc)
+            continue
+        assert_same_classification(sl.classify(x, dual), want)
+
+
+class TestOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 8, 48, 2020]),
+           kinds=st.sets(st.sampled_from(range(len(KINDS))), min_size=1))
+    @example(seed=0, size=0, kinds={0})
+    def test_drawn_batches_match_oracle(self, seed, size, kinds):
+        rng = np.random.default_rng(seed)
+        drawn = rng.choice(sorted(kinds), size)
+        x = draw_x(rng, drawn)
+        assert_classify_matches_oracle(x)
+
+    def test_every_kind_is_drawn_as_meant(self):
+        # the states of each kind take the path they are drawn for
+        rng = np.random.default_rng(1)
+        for k, kind in enumerate(KINDS):
+            rep = sl.classify(draw_x(rng, np.full(200, k)), dual=False)
+            if kind.startswith("fault-"):
+                assert (rep.fault == int(kind[-1])).all(), kind
+                continue
+            assert (rep.fault < 0).all(), kind
+            open_ = kind in ("large-rho14", "ppt-open")
+            assert rep.method is (Method.GENERAL_PPT if open_ else Method.X_CLOSED_FORM), kind
+            margin = {"margin-ent": rep.margin_ent, "margin-ab": rep.margin_ab,
+                      "margin-ba": rep.margin_ba, "margin-bell": rep.margin_bell,
+                      "ppt-open": rep.margin_ent}.get(kind)
+            if margin is not None:
+                tol = PPT_TOL if kind == "ppt-open" else MARGIN_TOL
+                assert np.abs(margin - tol).max() < 1.1e-12, kind
+                assert 0 < np.count_nonzero(margin > tol) < 200, kind
