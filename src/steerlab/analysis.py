@@ -218,8 +218,8 @@ def sweep2d(config: SweepConfig) -> RegionMap:
     cell axis that copies no field.  The map's diagnostics are the largest
     steady-state residual, the most negative minimum eigenvalue and the
     smallest null-space ratio (see steady.steady_state) over all cells,
-    masked ones included, and the number of cells whose verdicts both
-    classification routes gave alike (Classification.checked).
+    masked ones included, and the number of cells that both classification
+    routes classified (Classification.checked).
     """
     nx = config.nx
     rows = max(1, BLOCK_CELLS // nx)

@@ -17,11 +17,9 @@ For an X state with rho14 = 0 the two routes are algebraically identical
 (the closed-form threshold equals 3*rho'11*rho'44 of the mapped state), so
 any disagreement is a defect and raises, never a warning.
 
-`classify` classifies N states at once.  Each quantity is one contiguous
-row of a stack over the N cells: the X entries as (6, N) rows, the four
-validity tests as (4, N), the closed-form margins as (4, N) and the block
-test's margins as (3, N), so each route is a few array expressions over its
-stack; a single point is the one-cell batch.
+`classify` classifies N states at once, each quantity one row of a stack
+over the cells: X entries (6, N), validity tests and closed-form margins
+(4, N), block-test margins (3, N).  A single point is the one-cell batch.
 """
 from __future__ import annotations
 
@@ -46,13 +44,11 @@ _DEPOL = 1.0 / math.sqrt(3.0)
 _MAP_DIAGONALS = np.hstack([np.eye(4)] + [
     _DEPOL * np.eye(4) + 0.5 * (3.0 - math.sqrt(3.0)) / 3.0 * np.kron(*pair)
     for pair in ((np.ones((2, 2)), np.eye(2)), (np.eye(2), np.ones((2, 2))))])
-# the 12 mapped diagonal entries, each diagonal reordered (d11, d22, d44, d33)
-# so that its halves are the diagonals of the two blocks
+# each mapped diagonal as (d11, d22 | d44, d33): the two blocks' diagonals
 _BLOCK_ORDER = [k + j for k in (0, 4, 8) for j in (0, 1, 3, 2)]
 # (map, |rho23| or |rho14|, cell) scale of the coherences
 _COHERENCE_SCALE = np.array([1.0, _DEPOL, _DEPOL])[:, None, None]
-# rows of the flags (entangled, A->B, B->A, Bell): A->B and B->A each imply
-# entangled, and Bell implies each of them
+# flag rows (entangled, A->B, B->A, Bell): each of _STRONGER implies _WEAKER
 _STRONGER, _WEAKER = np.array([1, 2, 3, 3]), np.array([0, 0, 1, 2])
 
 
@@ -154,11 +150,11 @@ def check_hierarchy(flags) -> None:
     rows entangled, A->B, B->A and Bell, elementwise; a violation raises."""
     flags = np.asarray(flags)
     broken = flags[_STRONGER] > flags[_WEAKER]
-    if np.count_nonzero(broken):
+    if np.count_nonzero(broken[2:]):
         raise InternalConsistencyError(
-            "hierarchy violated: Bell nonlocal but not two-way steerable" if np.count_nonzero(broken[2:])
-            else "hierarchy violated: steerable but not entangled"
-        )
+            "hierarchy violated: Bell nonlocal but not two-way steerable")
+    if np.count_nonzero(broken):
+        raise InternalConsistencyError("hierarchy violated: steerable but not entangled")
 
 
 class Classification(NamedTuple):

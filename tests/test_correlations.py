@@ -27,6 +27,8 @@ from steerlab.rates import Statistics
 from conftest import (
     Direction,
     Phase,
+    _oracle_ppt_margins,
+    _oracle_x_entries,
     assert_same_classification,
     classify_oracle,
     dense_local,
@@ -555,10 +557,12 @@ class TestCheckedCells:
 # kinds of drawn X states: valid with rho14 = 0, valid with an inert rho14,
 # valid with a large rho14 (block test alone), each XSTATE_FAULTS violation,
 # a closed-form margin (entanglement, A->B, B->A, Bell) within 1e-12 of
-# MARGIN_TOL, and a block-test entanglement margin within 1e-12 of PPT_TOL on
-# a block-test cell and on a closed-form cell
+# MARGIN_TOL, a block-test entanglement margin within 1e-12 of PPT_TOL on a
+# block-test cell and on a closed-form cell, and a population sum within
+# 1e-15 of the 1e-12 tolerance of XSTATE_FAULTS[1]
 KINDS = ("valid", "inert-rho14", "large-rho14", "fault-0", "fault-1", "fault-2", "fault-3",
-         "margin-ent", "margin-ab", "margin-ba", "margin-bell", "ppt-open", "ppt-closed")
+         "margin-ent", "margin-ab", "margin-ba", "margin-bell", "ppt-open", "ppt-closed",
+         "sum-edge")
 
 
 def draw_x(rng: np.random.Generator, kinds: np.ndarray) -> np.ndarray:
@@ -621,6 +625,8 @@ def draw_x(rng: np.random.Generator, kinds: np.ndarray) -> np.ndarray:
     x[on, 0] += 1e-6
     x[on, 2] -= x[on, 2].real + 1e-6
     x[kind == "fault-1", 0] += 1e-9
+    on = kind == "sum-edge"
+    x[on, 0] += 1e-12 * rng.uniform(1 - 1e-3, 1 + 1e-3, on.sum())
     return x
 
 
@@ -637,6 +643,15 @@ def assert_classify_matches_oracle(x: np.ndarray) -> None:
 
 
 class TestOracle:
+    def test_block_test_matches_oracle_bits(self):
+        # route 2's margins reach the output only on block-test cells; compare
+        # them on every cell, over the batch sizes whose products differ
+        rng = np.random.default_rng(2)
+        for size in [*range(1, 65), 101, 2020] * 3:
+            x = draw_x(rng, rng.choice([0, 1, 2], size))
+            want = _oracle_ppt_margins(_oracle_x_entries(x))
+            assert _ppt_margins(_x_rows(x)).tobytes() == want.T.tobytes(), size
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 8, 48, 2020]),
            kinds=st.sets(st.sampled_from(range(len(KINDS))), min_size=1))
@@ -654,6 +669,9 @@ class TestOracle:
             rep = sl.classify(draw_x(rng, np.full(200, k)), dual=False)
             if kind.startswith("fault-"):
                 assert (rep.fault == int(kind[-1])).all(), kind
+                continue
+            if kind == "sum-edge":
+                assert 0 < np.count_nonzero(rep.fault == 1) < 200, kind
                 continue
             assert (rep.fault < 0).all(), kind
             open_ = kind in ("large-rho14", "ppt-open")
