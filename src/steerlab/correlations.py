@@ -82,6 +82,7 @@ def xstate_faults(rows: np.ndarray) -> np.ndarray:
     where a cell violates the condition; a cell's fault code is its first
     true row."""
     r11, r22, r33, r44, r23, r14 = rows
+    # fmin skips nan, so a nan population fails no test, as each test alone
     return np.array((
         np.fmin.reduce(rows[:4]) < -1e-9,
         abs(r11 + r22 + r33 + r44 - 1.0) > 1e-12,
@@ -98,7 +99,7 @@ def _ppt_margins(rows: np.ndarray) -> np.ndarray:
     splits into the blocks [[rho11, rho23], [rho23*, rho44]] and
     [[rho22, rho14], [rho14*, rho33]] (Peres 1996).
     """
-    # (N, 4) @ (4, 12), the layout whose product bits the sweeps record
+    # the (N, 4) @ (4, 12) product: other layouts may round entries differently
     d = (np.ascontiguousarray(rows[:4].T) @ _MAP_DIAGONALS).T[_BLOCK_ORDER]
     d = d.reshape(3, 2, 2, rows.shape[1])
     low = lower_eigenvalue(d[:, 0], d[:, 1], _COHERENCE_SCALE * rows[4:])
