@@ -166,9 +166,8 @@ FIELDS = GridCell._fields
 
 class RegionMap(NamedTuple):
     """Row-major grid of cells (y outer, x inner) as one (ny*nx,) array per
-    GridCell field, which `cells` views as GridCells; diagnostics
-    holds the worst steady-state solver values over the grid and the number
-    of cross-checked cells (see sweep2d)."""
+    GridCell field, which `cells` views as GridCells; diagnostics holds the
+    worst solver values and the cross-checked cell count (see sweep2d)."""
 
     config: SweepConfig
     columns: dict[str, np.ndarray]

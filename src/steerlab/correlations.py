@@ -45,7 +45,7 @@ _MAP_DIAGONALS = np.hstack([np.eye(4)] + [
     _DEPOL * np.eye(4) + 0.5 * (3.0 - math.sqrt(3.0)) / 3.0 * np.kron(*pair)
     for pair in ((np.ones((2, 2)), np.eye(2)), (np.eye(2), np.ones((2, 2))))])
 # each mapped diagonal as (d11, d22 | d44, d33): the two blocks' diagonals
-_BLOCK_ORDER = [k + j for k in (0, 4, 8) for j in (0, 1, 3, 2)]
+_BLOCK_ORDER = np.array([k + j for k in (0, 4, 8) for j in (0, 1, 3, 2)])
 # (map, |rho23| or |rho14|, cell) scale of the coherences
 _COHERENCE_SCALE = np.array([1.0, _DEPOL, _DEPOL])[:, None, None]
 # flag rows (entangled, A->B, B->A, Bell): each of _STRONGER implies _WEAKER
@@ -81,14 +81,13 @@ def xstate_faults(rows: np.ndarray) -> np.ndarray:
     """The XSTATE_FAULTS tests of the X rows (6, N) as (4, N) booleans, true
     where a cell violates the condition; a cell's fault code is its first
     true row."""
-    r11, r22, r33, r44, r23, r14 = rows
+    r11, r22, r33, r44 = rows[:4]
+    # (|rho14|^2 > rho11 rho44 + 1e-9, |rho23|^2 > rho22 rho33 + 1e-9)
+    moduli = rows[:3:-1]
+    blocks = moduli * moduli > rows[:2] * rows[3:1:-1] + 1e-9
     # fmin skips nan, so a nan population fails no test, as each test alone
-    return np.array((
-        np.fmin.reduce(rows[:4]) < -1e-9,
-        abs(r11 + r22 + r33 + r44 - 1.0) > 1e-12,
-        r23 * r23 > r22 * r33 + 1e-9,
-        r14 * r14 > r11 * r44 + 1e-9,
-    ))
+    return np.array((np.fmin.reduce(rows[:4]) < -1e-9,
+                     abs(r11 + r22 + r33 + r44 - 1.0) > 1e-12, blocks[1], blocks[0]))
 
 
 def _ppt_margins(rows: np.ndarray) -> np.ndarray:
@@ -142,8 +141,10 @@ def _closed_margins(rows: np.ndarray) -> np.ndarray:
     )
     f_b = 0.25 * (r11 - r44) * (r22 - r33)
     u = 2.0 * inner - 1.0
-    bell = np.maximum(coh2 - 0.125, coh2 - (0.25 - 0.25 * u * u))
-    return np.array((coh2 - r11 * r44, coh2 - (f_a + f_b), coh2 - (f_a - f_b), bell))
+    # the CHSH threshold min(1/8, t): rounding is monotone, so coh2 minus it
+    # is max(coh2 - 1/8, coh2 - t) bit for bit
+    chsh = np.minimum(0.125, 0.25 - 0.25 * u * u)
+    return coh2 - np.array((r11 * r44, f_a + f_b, f_a - f_b, chsh))
 
 
 def check_hierarchy(flags) -> None:
@@ -218,7 +219,7 @@ def classify(x: np.ndarray, dual: bool = True) -> Classification:
         margins[3, ~closed] = np.nan
         flags[3] &= closed
     if dual:
-        _cross_check(closed, margins, general)
+        _cross_check(closed, flags, margins, general)
     check_hierarchy(flags)
     if n_bad + n_closed < len(closed):
         method = Method.GENERAL_PPT
@@ -229,10 +230,10 @@ def classify(x: np.ndarray, dual: bool = True) -> Classification:
                           closed if dual else np.zeros(len(closed), dtype=bool))
 
 
-def _cross_check(closed: np.ndarray, margins: np.ndarray, general: np.ndarray) -> None:
+def _cross_check(closed, flags, margins, general: np.ndarray) -> None:
     """Raise where, on a closed-form cell, the two routes disagree on a verdict
     that neither places within 1e-9 of its threshold."""
-    disagree = closed & ((margins[:3] > MARGIN_TOL) != (general > PPT_TOL))
+    disagree = closed & (flags[:3] != (general > PPT_TOL))
     if np.count_nonzero(disagree):
         # the entanglement margins are on different scales; only the
         # closed-form one is tested against the 1e-9 band

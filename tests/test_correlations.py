@@ -591,8 +591,9 @@ def draw_x(rng: np.random.Generator, kinds: np.ndarray) -> np.ndarray:
     f_a = ((2 + SQ3) / 2 * p11 * p44 + (2 - SQ3) / 2 * p22 * p33
            + 0.25 * (p11 + p44) * (p22 + p33))
     f_b = 0.25 * (p11 - p44) * (p22 - p33)
+    chsh = np.minimum(0.125, 0.25 - 0.25 * u * u)
     for name, t in (("margin-ent", p11 * p44), ("margin-ab", f_a + f_b),
-                    ("margin-ba", f_a - f_b), ("margin-bell", np.minimum(0.125, 0.25 - 0.25 * u * u))):
+                    ("margin-ba", f_a - f_b), ("margin-bell", chsh)):
         on = kind == name
         r23[on] = np.sqrt(t[on] + MARGIN_TOL + near[on])
     # the block [[rho11, rho23], [rho23*, rho44]] with lower eigenvalue
@@ -603,7 +604,7 @@ def draw_x(rng: np.random.Generator, kinds: np.ndarray) -> np.ndarray:
     # and the block [[rho22, rho14], [rho14*, rho33]] likewise, with rho11
     # rho44 large enough for that rho14
     on = kind == "ppt-open"
-    pops[on] = np.array([0.35, 0.15, 0.15, 0.35]) + rng.uniform(-0.02, 0.02, (on.sum(), 1)) * [1, -1, -1, 1]
+    pops[on] = [0.35, 0.15, 0.15, 0.35] + rng.uniform(-0.02, 0.02, (on.sum(), 1)) * [1, -1, -1, 1]
     p11, p22, p33, p44 = pops.T
     r14[on] = np.sqrt((0.5 * (p22[on] + p33[on]) + PPT_TOL + near[on]) ** 2
                       - (0.5 * (p22[on] - p33[on])) ** 2)
