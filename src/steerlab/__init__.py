@@ -28,9 +28,7 @@ from .correlations import (
     Method,
     classify,
 )
-from .transport import (
-    rectification,
-    transport_report,
-)
+from .transport import transport_report
+from .analysis import rectification
 
 __version__ = "0.2.0"

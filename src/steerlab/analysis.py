@@ -1,10 +1,11 @@
-"""Phase-diagram sweeps, threshold root-finding, and closed-form thresholds.
+"""The one pipeline, phase-diagram sweeps, threshold bisection, closed forms.
 
-Every cell runs the same pipeline (generator -> steady state ->
-classification -> transport) through array kernels over a leading cell axis.
-A sweep evaluates its grid in blocks of whole rows, about BLOCK_CELLS cells
-per batch, and a threshold search a tree and a predicted path of bisection
-midpoints at a time; a single point (`steerlab steady`) is the one-cell batch.
+`pipeline` chains the stages of every cell (generator -> steady state ->
+classification -> transport) through array kernels over a leading cell
+axis.  A sweep runs it in blocks of whole rows, about BLOCK_CELLS cells per
+batch; a point (`steerlab steady`, `evolve`) is the one-cell batch.  A
+threshold search evaluates a tree and a predicted path of bisection
+midpoints at a time, through the single-route `_margins`.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlations import XSTATE_FAULTS, classify
+from .errors import ConfigurationError, InternalConsistencyError, PositivityError
 from .generator import build_generator
 from .model import SystemParams
 from .rates import Cells, ReservoirSpec, Statistics, shared_statistics
@@ -182,28 +184,52 @@ class RegionMap(NamedTuple):
         return int(np.count_nonzero(~self.columns["positivity_ok"]))
 
 
-def _pipeline(cells: Cells):
+def _raise_fault(cells: Cells, st, c, bad: np.ndarray) -> None:
+    """Raise for the first classification fault of bad, named by its coupling:
+    PositivityError if its state is not positive, else a defect."""
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        where = f"at kappa {2.0 * cells.omega[i] * math.sin(cells.theta[i]):.9g}"
+        if not st.positive[i]:
+            raise PositivityError(f"steady state {where} not positive "
+                                  f"(min eigenvalue {st.min_eigenvalue[i]:.3g})")
+        raise InternalConsistencyError(f"classification fault on a positive state {where}: "
+                                       f"{XSTATE_FAULTS[c.fault[i]]}")
+
+
+def pipeline(cells: Cells):
     """Generator, steady state, dual-route classification and transport of
     cells as one batch: (generator, steady state, classification,
-    (current_a, current_b, sigma)).
+    (current_a, current_b, sigma)).  A single point is the one-cell batch
+    Cells.of([(system, ra, rb)]), and its callers read row 0 of each result.
 
     A state that violates positivity may fail classification; its cell is
     then masked (flags False, margins nan).  A classification fault on a
-    positive state raises.
+    positive state is a defect: it raises InternalConsistencyError.
     """
     g = build_generator(cells)
     st = steady_state(g)
     c = classify(st.local_x)
-    bad = (c.fault >= 0) & st.positive
-    if np.count_nonzero(bad):
-        raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(bad)]])
+    _raise_fault(cells, st, c, (c.fault >= 0) & st.positive)
     return g, st, c, transport_report(g, st)
 
 
-def run_point(system: SystemParams, ra: ReservoirSpec, rb: ReservoirSpec):
-    """The pipeline of _pipeline at one point, as the one-cell batch
-    Cells.of([(system, ra, rb)]); callers read row 0 of each result."""
-    return _pipeline(Cells.of([(system, ra, rb)]))
+def rectification(p: SystemParams, base: ReservoirSpec, delta: float) -> float:
+    """Heat-current asymmetry |I(+dT)| / |I(-dT)| under mirrored temperature bias.
+
+    A ratio above 1 means the flow driven by the hotter B reservoir exceeds
+    the mirrored flow, i.e. conduction from reservoir A toward B is the
+    blocked direction.
+    """
+    if base.statistics is not Statistics.BOSE:
+        raise ConfigurationError("rectification is defined for the bosonic setup")
+    if delta <= 0 or delta >= 2 * base.temperature:
+        raise ValueError("need 0 < delta < 2*T so both temperatures stay positive")
+    lo = ReservoirSpec(Statistics.BOSE, base.temperature - 0.5 * delta)
+    hi = ReservoirSpec(Statistics.BOSE, base.temperature + 0.5 * delta)
+    # forward: T_B > T_A; backward: T_A > T_B
+    forward, backward = pipeline(Cells.of([(p, lo, hi), (p, hi, lo)]))[3][1]
+    return float(abs(forward) / abs(backward))
 
 
 # cells per sweep batch, in whole rows; larger batches raise peak RSS (README.md)
@@ -225,7 +251,7 @@ def sweep2d(config: SweepConfig) -> RegionMap:
 
     def block(iy: int) -> tuple:
         # a function, so that a block's arrays are freed before the next is built
-        _, st, c, transport = _pipeline(config.grid[iy * nx:(iy + rows) * nx])
+        _, st, c, transport = pipeline(config.grid[iy * nx:(iy + rows) * nx])
         return (c.entangled, c.steer_a_to_b, c.steer_b_to_a, c.bell, c.margin_ent, c.margin_ab,
                 c.margin_ba, c.margin_bell, *transport[1:], st.positive, st.residual,
                 st.min_eigenvalue, st.null_ratio, c.checked)
@@ -272,12 +298,11 @@ def _criterion_margin(rep, criterion: Criterion):
 
 def _margins(cells: Cells, criterion: Criterion) -> list[float]:
     """Criterion margins of cells as one batch, through the single-route
-    classification; a state that fails classification raises."""
+    classification; any classification fault raises (_raise_fault)."""
     g = build_generator(cells)
-    c = classify(steady_state(g).local_x, dual=False)
-    fault = c.fault >= 0
-    if np.count_nonzero(fault):
-        raise ValueError(XSTATE_FAULTS[c.fault[np.argmax(fault)]])
+    st = steady_state(g)
+    c = classify(st.local_x, dual=False)
+    _raise_fault(cells, st, c, c.fault >= 0)
     return _criterion_margin(c, criterion).tolist()
 
 

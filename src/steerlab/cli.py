@@ -6,6 +6,8 @@ accompanied by a manifest carrying the resolved config echo, version, timing,
 masked-cell count and output checksums.  JSON text is json.dumps on one line,
 floats as repr, and nan, inf and -inf as the strings "nan", "inf" and "-inf";
 CSV floats are %.17g.  Identical configs give byte-identical outputs.
+`steady`, `sweep` and `evolve` run analysis.pipeline.  Exit codes: 0 success,
+2 configuration error, 3 positivity violation, 4 internal error (README).
 """
 from __future__ import annotations
 
@@ -31,15 +33,16 @@ from .analysis import (
     Criterion,
     SweepConfig,
     analytic_thresholds,
-    run_point,
+    pipeline,
     sweep2d,
     threshold_kappa,
 )
-from .errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
-from .generator import build_generator, dense
-from .model import STATE_POSITIONS, VEC6_ENTRIES, X_ENTRIES, SystemParams
+from .errors import (ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError,
+                     PositivityError)
+from .generator import dense
+from .model import STATE_POSITIONS, SystemParams
 from .rates import Cells, ReservoirSpec, Statistics, check_inputs, scaled_energy
-from .steady import check_evolution, evolve, steady_state
+from .steady import check_evolution, evolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -279,36 +282,22 @@ def _checked_objects(cfg: dict) -> tuple[SystemParams, ReservoirSpec, ReservoirS
     return system, ra, rb
 
 
-def _state_layout() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where _state_entries puts the values of v and x: the slots of its
-    (2, 4, 4, 2) buffer (the energy-basis state of v, then the local-basis
-    state of x), and for each slot its sign and the index of its value among
-    v's and then x's entries as re, im in sequence (x's from 12)."""
-    slot = np.arange(64).reshape(2, 4, 4, 2)
-    (vi, vj), (xi, xj) = VEC6_ENTRIES, X_ENTRIES
-    slots = (slot[0, vi, vj].ravel(),           # v's entries
-             slot[1, xi[:4], xj[:4], 0],        # x's populations, real
-             slot[1, xi[4:], xj[4:]].ravel(),   # rho23 and rho14
-             slot[1, xj[4:], xi[4:]].ravel())   # rho32 and rho41, their conjugates
-    return (np.concatenate(slots), np.r_[0:12, 12:20:2, 20:24, 20:24],
-            np.r_[np.ones(20), 1.0, -1.0, 1.0, -1.0])
-
-
-_STATE_SLOTS, _STATE_SOURCES, _STATE_SIGNS = _state_layout()
-
-
 def _state_entries(v: np.ndarray, x: np.ndarray) -> list:
-    """The energy-basis state of the six entries v and the local-basis state
-    of the X entries x (rho11, rho22, rho33, rho44, rho23, rho14), both
-    contiguous complex (6,) rows, as two 4x4 lists of [re, im] pairs of
-    Python floats."""
-    m = np.zeros(64)
-    m[_STATE_SLOTS] = (np.concatenate((v.view(float), x.view(float)))[_STATE_SOURCES]
-                       * _STATE_SIGNS)
-    # a -0.0 of the local state reads 0.0, as when it was summed as
-    # rho + rho^H + diag(populations) in complex arithmetic
-    m[32:] += 0.0
-    return m.reshape(2, 4, 4, 2).tolist()
+    """The energy-basis state of the six entries v (model.VEC6_ENTRIES) and
+    the local-basis state of the X entries x (rho11, rho22, rho33, rho44,
+    rho23, rho14), both complex (6,) rows, as two 4x4 lists of [re, im]
+    pairs of Python floats.  A -0.0 of the local state reads 0.0, as when it
+    was summed as rho + rho^H + diag(populations) in complex arithmetic."""
+    (g, e1, e2, e3, c, cc), (p1, p2, p3, p4, r23, r14) = v.tolist(), x.tolist()
+    re23, im23, re14, im14 = r23.real + 0.0, r23.imag + 0.0, r14.real + 0.0, r14.imag + 0.0
+    return [[[[g.real, g.imag], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+             [[0.0, 0.0], [e1.real, e1.imag], [c.real, c.imag], [0.0, 0.0]],
+             [[0.0, 0.0], [cc.real, cc.imag], [e2.real, e2.imag], [0.0, 0.0]],
+             [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [e3.real, e3.imag]]],
+            [[[p1.real + 0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [re14, im14]],
+             [[0.0, 0.0], [p2.real + 0.0, 0.0], [re23, im23], [0.0, 0.0]],
+             [[0.0, 0.0], [re23, 0.0 - im23], [p3.real + 0.0, 0.0], [0.0, 0.0]],
+             [[re14, 0.0 - im14], [0.0, 0.0], [0.0, 0.0], [p4.real + 0.0, 0.0]]]]
 
 
 def csv_text(columns: dict[str, np.ndarray], nx: int) -> str:
@@ -395,7 +384,7 @@ def _analytic(system: SystemParams, ra: ReservoirSpec,
 
 def cmd_steady(cfg: dict) -> int:
     started = time.perf_counter()
-    g, st, c, (current_a, current_b, sigma) = run_point(*_build_objects(cfg))
+    g, st, c, (current_a, current_b, sigma) = pipeline(Cells.of([_build_objects(cfg)]))
     positive = bool(st.positive[0])
     # positions of |00>, |11>, psi-, psi+ among the energy-basis populations
     eigen_order = STATE_POSITIONS[int(g.cells.setup[0] == 2)][[0, 3, 1, 2]]
@@ -511,14 +500,13 @@ def cmd_evolve(cfg: dict) -> int:
     ev = cfg["evolve"]
     rho0, basis = _initial_state(ev)
     rho0 = check_evolution(rho0, ev["t_final"], ev["dt"])
-    g = build_generator(Cells.of([_build_objects(cfg)]))
+    g, st, _, _ = pipeline(Cells.of([_build_objects(cfg)]))
     if basis == "local":
         # rho_energy = V^T rho_local V for the real eigenvector columns V
         v = dense(g)[1]
         rho0 = v.T @ rho0 @ v
         rho0 = 0.5 * (rho0 + rho0.conj().T)
     times, vectors = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
-    st = steady_state(g)
     final_gap = float(np.max(np.abs(vectors[-1] - st.vector6[0])))
     rows = np.column_stack([times, vectors[:, :4].real, vectors[:, 4].real, vectors[:, 4].imag])
     from .g17 import g17_text
@@ -557,6 +545,9 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _DISPATCH[args.mode](cfg)
+    except PositivityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_POSITIVITY
     # defects of the computation, not of the input
     except (DegenerateSteadyStateError, InternalConsistencyError) as exc:
         print(f"error: internal: {exc}", file=sys.stderr)

@@ -10,6 +10,10 @@ class PhaseBoundaryError(ConfigurationError):
     kappa = 2*sqrt(eps_a*eps_b), where the lower transition energy vanishes."""
 
 
+class PositivityError(RuntimeError):
+    """A steady state that a result needs (a threshold margin) is not positive."""
+
+
 class DegenerateSteadyStateError(RuntimeError):
     """Null space of the evolution matrix is not numerically one-dimensional."""
 

@@ -19,7 +19,7 @@ from steerlab import analysis
 from steerlab.analysis import (
     Criterion,
     analytic_thresholds,
-    run_point,
+    pipeline,
     sweep2d,
 )
 from steerlab.analysis import threshold_kappa as bisect_kappa
@@ -87,8 +87,8 @@ def preset_maps():
 def steady_report(p, ta, tb, stat=BOSE, mua=0.0, mub=0.0):
     """Row 0 of the steady state and the classification of one point, and
     its (current_a, current_b, sigma)."""
-    _, ss, rep, (current_a, current_b, sigma) = run_point(
-        p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))
+    _, ss, rep, (current_a, current_b, sigma) = pipeline(sl.Cells.of(
+        [(p, sl.ReservoirSpec(stat, ta, mua), sl.ReservoirSpec(stat, tb, mub))]))
     return row0(ss), row0(rep), (current_a[0], current_b[0], sigma[0])
 
 
@@ -572,7 +572,7 @@ def test_c11_dual_path_agreement(preset_maps):
         rows = rows[col["positivity_ok"][rows]]
         cells = sl.Cells.of([grid_point(cfg, x, y) for x, y in
                              zip(col["x"][rows].tolist(), col["y"][rows].tolist())])
-        _, _, rep, _ = analysis._pipeline(cells)
+        _, _, rep, _ = analysis.pipeline(cells)
         assert rep.method is Method.BOTH, name
         for field, column in (("entangled", "entangled"), ("steer_a_to_b", "steer_ab"),
                               ("steer_b_to_a", "steer_ba")):

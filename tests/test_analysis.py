@@ -13,7 +13,6 @@ from steerlab.analysis import (
     SweepConfig,
     ThresholdResult,
     analytic_thresholds,
-    run_point,
     sweep2d,
     threshold_kappa,
 )
@@ -102,6 +101,16 @@ class TestSweepConfig:
         assert ra.mu == pytest.approx(0.55)
         assert rb.mu == pytest.approx(1.05)
 
+    def test_mu_axes_set_each_reservoir(self):
+        # MUA and MUB replace mu_a and mu_b: x is the grid's mu_A, y its mu_B
+        cfg = small_sweep(axis_x=Axis.MUA, x_range=(0.2, 1.4), nx=2,
+                          axis_y=Axis.MUB, y_range=(-0.5, 0.9), ny=2, statistics=FERMI,
+                          t_a=0.15, t_b=0.3, mu_a=7.0, mu_b=-7.0,
+                          system=sl.SystemParams(1.5, 0.5, 0.6, 0.01))
+        x, y = cfg.points()
+        assert x.tolist() == [0.2, 1.4, 0.2, 1.4] and y.tolist() == [-0.5, -0.5, 0.9, 0.9]
+        assert np.array_equal(cfg.grid.mu, np.stack([x, y], axis=-1))
+
 
 class TestRowCells:
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -172,7 +181,7 @@ class TestCellsBuild:
 
     def test_empty_batch(self):
         # no cell: every stage of the pipeline returns empty arrays
-        g, st, c, transport = analysis._pipeline(
+        g, st, c, transport = analysis.pipeline(
             Cells.build(1.0, 1.0, np.array([]), 0.01, 0.4, 0.6, 0.0, 0.0, BOSE))
         assert g.total.shape == (0, 5, 5) and g.numbers.shape == (0, 4)
         assert st.vector6.shape == (0, 6) and c.entangled.shape == (0,)
@@ -194,7 +203,7 @@ class TestSweep2d:
 
     def test_point_matches_row(self, monkeypatch):
         # a block of rows is one batch of the array kernels, a row is another
-        # and run_point a batch of one; all give the same bits on strong-bose,
+        # and a point a batch of one; all give the same bits on strong-bose,
         # weak-bose and weak-fermi grids, whatever the block size: one block,
         # a ragged last block (8: rows 0-1, then row 2) and a row wider than a
         # block (3: one row per block)
@@ -206,12 +215,12 @@ class TestSweep2d:
                         axis_y=Axis.DELTA_MU, y_range=(-1.0, 1.0), statistics=FERMI,
                         t_a=0.15, t_b=0.15, system=sl.SystemParams(1.5, 0.5, 0.6, 0.01)),
         ]
-        pipeline, batches = analysis._pipeline, []
+        pipeline, batches = analysis.pipeline, []
 
         def counting(cells):
             batches.append(cells.theta.shape)
             return pipeline(cells)
-        monkeypatch.setattr(analysis, "_pipeline", counting)
+        monkeypatch.setattr(analysis, "pipeline", counting)
         for block, sizes in ((analysis.BLOCK_CELLS, [(12,)]), (8, [(8,), (4,)]),
                              (3, [(4,), (4,), (4,)])):
             monkeypatch.setattr(analysis, "BLOCK_CELLS", block)
@@ -239,7 +248,8 @@ class TestSweep2d:
                 for ix, iy in ((0, 0), (3, 0), (1, 1), (2, 2), (3, 2)):
                     cell = SimpleNamespace(**{k: c[iy * cfg.nx + ix].item()
                                               for k, c in m.columns.items()})
-                    _, ss, c, (_, current_b, sigma) = run_point(*grid_point(cfg, cell.x, cell.y))
+                    _, ss, c, (_, current_b, sigma) = pipeline(
+                        Cells.of([grid_point(cfg, cell.x, cell.y)]))
                     got = (c.entangled[0], c.steer_a_to_b[0], c.steer_b_to_a[0], c.bell[0],
                            ss.positive[0], c.margin_ent[0], c.margin_ab[0], c.margin_ba[0],
                            c.margin_bell[0], current_b[0], sigma[0])
@@ -287,12 +297,12 @@ class TestSweepBlocks:
         small_sweep(axis_y=Axis.KAPPA, y_range=(1.05, 3.55), nx=300, ny=8),
     ], ids=["one-phase", "mixed-phase", "one-row-blocks", "ragged"])
     def test_views_match_gather(self, cfg, monkeypatch):
-        pipeline, blocks = analysis._pipeline, []
+        pipeline, blocks = analysis.pipeline, []
 
         def recording(cells):
             blocks.append(cells)
             return pipeline(cells)
-        monkeypatch.setattr(analysis, "_pipeline", recording)
+        monkeypatch.setattr(analysis, "pipeline", recording)
         sweep2d(cfg)
         rows = max(1, analysis.BLOCK_CELLS // cfg.nx)
         assert [b.theta.shape for b in blocks] == [

@@ -20,11 +20,12 @@ import steerlab as sl
 import steerlab.analysis
 import steerlab.g17
 import steerlab.generator
-from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig, run_point, sweep2d
+from steerlab.analysis import FIELDS, Axis, Criterion, SweepConfig, pipeline, sweep2d
 from steerlab.cli import (
     _MODE_FLAGS,
     COUNT,
     EXIT_INTERNAL,
+    EXIT_POSITIVITY,
     MATRIX,
     MODES,
     NUMBER,
@@ -180,6 +181,29 @@ class TestSteadyCommand:
         assert err.startswith("error:") and "planted defect" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["steady"],
+        ["sweep", "--axis-x=tbar", "--x-min=0.3", "--x-max=0.6", "--nx=2",
+         "--axis-y=kappa", "--y-min=2.5", "--y-max=3", "--ny=2"],
+        ["threshold", "--criterion=two-way", "--bracket-lo=2.003", "--bracket-hi=2.3"],
+    ], ids=["steady", "sweep", "threshold"])
+    def test_fault_on_positive_state_is_internal(self, argv, monkeypatch, tmp_path, capsys):
+        # a classification fault on a positive state is a defect of the
+        # program, never a masked cell or an input error
+        classify = steerlab.analysis.classify
+
+        def faulty(x, dual=True):
+            c = classify(x, dual)
+            return c._replace(fault=np.zeros_like(c.fault))
+        monkeypatch.setattr("steerlab.analysis.classify", faulty)
+        assert run([*argv, f"--out={tmp_path / 'out'}"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: internal: classification fault on a positive "
+                                       "state at kappa ")
+        assert captured.err.endswith(": negative population beyond tolerance\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 # requests that the gate rejects, per command, and the error each names: a
 # subnormal temperature, strong-coupling fermions, a bosonic mu and kappa <= 0
@@ -300,6 +324,18 @@ class TestSweepCommand:
         sigma = np.array([float(ln.split(",")[FIELDS.index("sigma")])
                           for ln in lines[1:]])
         assert np.all(np.isfinite(sigma)) and np.all(sigma >= -1e-12)
+
+    def test_mu_axes(self, tmp_path, capsys):
+        out = tmp_path / "mu.csv"
+        code = run(["sweep", "--stat=fermi", "--eps-a=1.5", "--eps-b=0.5", "--kappa=0.6",
+                    "--ta=0.15", "--tb=0.3", "--axis-x=mua", "--x-min=0.2", "--x-max=1.4",
+                    "--nx=2", "--axis-y=mub", "--y-min=-0.5", "--y-max=0.9", "--ny=2",
+                    f"--out={out}"])
+        assert code == 0
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["0.20000000000000001", "-0.5"], ["1.3999999999999999", "-0.5"],
+                        ["0.20000000000000001", "0.90000000000000002"],
+                        ["1.3999999999999999", "0.90000000000000002"]]
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--stat", "bose", "--eps-a", "1", "--eps-b", "1",
@@ -509,6 +545,14 @@ class TestConfigFile:
                                f"{json.loads(nx)!r}\n"
         assert not (tmp_path / "g.csv").exists()
 
+    def test_config_and_preset_are_exclusive(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{}")
+        assert run(["sweep", "--config", str(cfg), "--preset", "fig2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --config and --preset are mutually exclusive\n"
+
     def test_no_schema_library_imported(self, tmp_path):
         # a flag-only request and a config-file request, in a fresh interpreter
         cfg = tmp_path / "c.json"
@@ -700,6 +744,27 @@ class TestThresholdCommand:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("error: threshold bracket must satisfy 0 < lo < hi < inf")
         assert solves == []
+
+    def test_non_positive_states_in_bracket_exit_positivity(self, capsys):
+        # the bisection walks to the level crossing at kappa = 1.2, where the
+        # weak-phase steady states are not positive
+        code = run(["threshold", "--eps-a=1.8", "--eps-b=0.2", "--ta=0.1", "--tb=0.3",
+                    "--criterion=b->a", "--bracket-lo=0.5", "--bracket-hi=8"])
+        assert code == EXIT_POSITIVITY == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: steady state at kappa 1.1")
+        assert " not positive (min eigenvalue -" in captured.err
+
+    def test_non_monotone_margin_rejected(self, monkeypatch, capsys):
+        # margins that change sign twice on the pre-scan: +, +, +, -, -, -, +, +
+        monkeypatch.setattr("steerlab.analysis._margins", lambda cells, criterion: [
+            (-1.0) ** (i // 3) for i in range(len(cells.theta))])
+        assert run(["threshold", *THRESHOLD_FLAGS]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: margin not monotone on bracket (2.003, 2.3): "
+                                "2 sign changes\n")
 
 
 class TestThresholdsTable:
@@ -913,7 +978,8 @@ class TestStateReport:
     def test_report_text(self, argv, capsys):
         assert run(argv) == 0
         text = capsys.readouterr().out
-        _, ss, _, _ = run_point(*_build_objects(resolve_config(build_parser().parse_args(argv))))
+        cfg = resolve_config(build_parser().parse_args(argv))
+        _, ss, _, _ = pipeline(sl.Cells.of([_build_objects(cfg)]))
         energy, local = state_entries_oracle(ss.vector6[0], ss.local_x[0])
         assert f'"state_energy_basis": {dumps_fixed(energy)},' in text
         assert f'"state_local_basis": {dumps_fixed(local)},' in text
@@ -925,6 +991,13 @@ class TestStateReport:
         # x's populations carry imaginary parts here, which neither reads
         v, x = np.array(values).view(complex).reshape(2, 6)
         assert repr(_state_entries(v, x)) == repr(list(state_entries_oracle(v, x)))
+
+
+def test_state_entries_of_negative_zeros():
+    # each -0.0 of the local state reads 0.0, as in the former complex sum,
+    # and the energy-basis state keeps the signs of v
+    v = x = np.full(6, complex(-0.0, -0.0))
+    assert repr(_state_entries(v, x)) == repr(list(state_entries_oracle(v, x)))
 
 
 # JSON documents of every kind of value: Python and numpy scalars, strings
@@ -1019,10 +1092,10 @@ class TestFixedFormat:
             assert text == dumps_fixed(json.loads(text, parse_constant=no_constants)) + "\n"
         if argv[0] != "steady":
             return
-        # the report's floats are run_point's
+        # the report's floats are the pipeline's
         report = json.loads(texts[1])
-        _, ss, c, transport = run_point(*_build_objects(resolve_config(
-            build_parser().parse_args(argv))))
+        _, ss, c, transport = pipeline(sl.Cells.of([_build_objects(resolve_config(
+            build_parser().parse_args(argv)))]))
         energy, local = state_entries_oracle(ss.vector6[0], ss.local_x[0])
         pairs = [(report["residual"], ss.residual[0]),
                  (report["min_eigenvalue"], ss.min_eigenvalue[0]),

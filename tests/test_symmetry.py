@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import steerlab as sl
-from steerlab.analysis import _pipeline
+from steerlab.analysis import pipeline
 from steerlab.generator import SETUPS, Setup
 from steerlab.rates import Statistics
 
@@ -99,8 +99,8 @@ def exchange_batches(draw):
 @given(exchange_batches())
 def test_bath_exchange_of_identical_qubits(args):
     eps_a, eps_b, kappa, gamma, t_a, t_b, mu_a, mu_b, stat = args
-    one = _pipeline(sl.Cells.build(*args))
-    other = _pipeline(sl.Cells.build(eps_a, eps_b, kappa, gamma, t_b, t_a, mu_b, mu_a, stat))
+    one = pipeline(sl.Cells.build(*args))
+    other = pipeline(sl.Cells.build(eps_a, eps_b, kappa, gamma, t_b, t_a, mu_b, mu_a, stat))
     assert_mirrored(one, other, swap_currents=True)
 
 
@@ -127,7 +127,7 @@ def test_fermionic_particle_hole_reflection(args):
     # temperature only (with T_A != T_B the margins differ by up to 0.18)
     system, t, bar_eps, mubar, delta_mu = args
 
-    def pipeline(mu):
-        return _pipeline(sl.Cells.build(*system, t, t, mu + 0.5 * delta_mu,
-                                        mu - 0.5 * delta_mu, Statistics.FERMI))
-    assert_mirrored(pipeline(mubar), pipeline(2 * bar_eps - mubar), swap_currents=False)
+    def at(mu):
+        return pipeline(sl.Cells.build(*system, t, t, mu + 0.5 * delta_mu,
+                                       mu - 0.5 * delta_mu, Statistics.FERMI))
+    assert_mirrored(at(mubar), at(2 * bar_eps - mubar), swap_currents=False)
