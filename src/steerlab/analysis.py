@@ -236,15 +236,22 @@ def rectification(p: SystemParams, base: ReservoirSpec, delta: float) -> float:
 BLOCK_CELLS = 2048
 
 
+def diagnostics(residual: np.ndarray, min_eigenvalue: np.ndarray, null_ratio: np.ndarray,
+                checked: np.ndarray) -> dict:
+    """A manifest's diagnostics of N cells, masked ones included: the largest
+    steady-state residual, the most negative minimum eigenvalue, the smallest
+    null-space ratio (see steady.steady_state) and the cross-checked cells."""
+    return {"max_residual": float(residual.max()), "min_eigenvalue": float(min_eigenvalue.min()),
+            "min_null_space_ratio": float(null_ratio.min()),
+            "cross_checked_cells": int(np.count_nonzero(checked))}
+
+
 def sweep2d(config: SweepConfig) -> RegionMap:
     """Evaluate the grid in blocks of whole rows, one batch each; row-major in (y, x).
 
     A block is max(1, BLOCK_CELLS // nx) rows of config.grid, a slice of its
-    cell axis that copies no field.  The map's diagnostics are the largest
-    steady-state residual, the most negative minimum eigenvalue and the
-    smallest null-space ratio (see steady.steady_state) over all cells,
-    masked ones included, and the number of cells that both classification
-    routes classified (Classification.checked).
+    cell axis that copies no field.  The map's diagnostics are those of all
+    its cells.
     """
     nx = config.nx
     rows = max(1, BLOCK_CELLS // nx)
@@ -258,10 +265,7 @@ def sweep2d(config: SweepConfig) -> RegionMap:
     blocks = [block(iy) for iy in range(0, config.ny, rows)]
     *columns, residual, eigenvalue, ratio, checked = map(np.concatenate, zip(*blocks))
     columns = dict(zip(FIELDS, (*config.points(), *columns)))
-    return RegionMap(config, columns, {"max_residual": float(residual.max()),
-                                       "min_eigenvalue": float(eigenvalue.min()),
-                                       "min_null_space_ratio": float(ratio.min()),
-                                       "cross_checked_cells": int(np.count_nonzero(checked))})
+    return RegionMap(config, columns, diagnostics(residual, eigenvalue, ratio, checked))
 
 
 class Criterion(enum.Enum):

@@ -33,6 +33,7 @@ from .analysis import (
     Criterion,
     SweepConfig,
     analytic_thresholds,
+    diagnostics,
     pipeline,
     sweep2d,
     threshold_kappa,
@@ -500,7 +501,7 @@ def cmd_evolve(cfg: dict) -> int:
     ev = cfg["evolve"]
     rho0, basis = _initial_state(ev)
     rho0 = check_evolution(rho0, ev["t_final"], ev["dt"])
-    g, st, _, _ = pipeline(Cells.of([_build_objects(cfg)]))
+    g, st, c, _ = pipeline(Cells.of([_build_objects(cfg)]))
     if basis == "local":
         # rho_energy = V^T rho_local V for the real eigenvector columns V
         v = dense(g)[1]
@@ -512,7 +513,8 @@ def cmd_evolve(cfg: dict) -> int:
     from .g17 import g17_text
     text = (b"t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh\n"
             + b"%s,%s,%s,%s,%s,%s,%s\n" * len(rows)) % tuple(g17_text(rows.ravel()))
-    _emit(cfg, text.decode(), started, default_out="trajectory.csv")
+    _emit(cfg, text.decode(), started, default_out="trajectory.csv",
+          diagnostics=diagnostics(st.residual, st.min_eigenvalue, st.null_ratio, c.checked))
     summary = {
         "steps": len(times) - 1,
         "trace_drift": float(np.max(np.abs(vectors[:, :4].real.sum(axis=1) - 1.0))),

@@ -19,4 +19,4 @@ class DegenerateSteadyStateError(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """Two independent computation routes disagreed; never masked."""
+    """Two independent routes disagreed, or a result's accuracy is not assured."""

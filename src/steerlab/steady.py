@@ -1,4 +1,4 @@
-"""Steady-state solve and time evolution.
+"""Steady-state solve and exact time evolution.
 
 The steady state is the null vector of the 6x6 evolution matrix, normalized to
 unit population sum.  Eliminating the coherence pair leaves one real 4x4 solve
@@ -7,7 +7,8 @@ energy-basis entries map onto the six X entries of the local basis, so the
 state stays a 6-entry vector in both bases.  Positivity of the resulting
 density matrix is reported, never silently repaired.  `steady_state` solves N
 generators at once over a leading cell axis; a single point is the one-cell
-batch.
+batch.  With M constant, `evolve` gives the exact solution of dv/dt = M v from
+one eigendecomposition of the 6x6 M.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError
+from .errors import DegenerateSteadyStateError, InternalConsistencyError
 from .generator import GeneratorArrays, dense, to_vector6
 from .model import POSITIVITY_TOL, lower_eigenvalue
 
@@ -25,10 +26,9 @@ RESIDUAL_TOL = 1e-10
 # floor of the null-space certificate: |det| over the Hadamard bound of the
 # bordered population matrix (see steady_state)
 NULL_TOL = 8 * np.finfo(float).eps
-# stability bound on the fixed RK4 step: dt <= DT_SAFETY / ||M||_inf
-DT_SAFETY = 0.1
-# steps per batched matmul of evolve: the propagator's powers 1..RK4_CHUNK
-RK4_CHUNK = 256
+# largest condition number of evolve's eigenvectors: the change of basis then
+# rounds by at most about COND_MAX eps = 2.2e-10 (drawn cells, README.md)
+COND_MAX = 1e6
 # right-hand side e_0 of the bordered population solve, broadcast over the cells
 _E0 = np.eye(4, 1)
 # (p, Re c) times this is (p, 2 Re c), on which [P, B] gives P p + 2 B Re(c)
@@ -129,11 +129,6 @@ def steady_state(g: GeneratorArrays) -> SteadyArrays:
     return SteadyArrays(v, residual, local_x, min_eig, min_eig >= -POSITIVITY_TOL, ratio)
 
 
-def max_stable_dt(g: GeneratorArrays) -> float:
-    """The stability bound 0.1/||M||_inf of the one-cell generator g."""
-    return DT_SAFETY / float(np.max(np.abs(dense(g)[0]).sum(axis=1)))
-
-
 def check_evolution(rho0, t_final: float, dt: float) -> np.ndarray:
     """rho0 as a complex array, once it meets evolve's input rules, in this
     order: 4x4, finite, Hermitian and of unit trace within 1e-12 (positivity
@@ -156,23 +151,17 @@ def check_evolution(rho0, t_final: float, dt: float) -> np.ndarray:
 
 def evolve(g: GeneratorArrays, rho0: np.ndarray, t_final: float,
            dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classic fixed-step 4th-order integration of dv/dt = M v, for the
-    one-cell generator g: the read-only times (n+1,) and 6-entry state
-    vectors (n+1, 6) of the energy basis, starting at rho0 (4, 4) in it.
+    """The exact solution V exp(wt) V^-1 v0 of dv/dt = M v, for the one-cell
+    generator g with M = V diag(w) V^-1: the read-only times (n+1,) and 6-entry
+    state vectors (n+1, 6) of the energy basis, from rho0 (4, 4) in it.
 
-    Every step but the last, which ends at t_final, is dt.  With M constant a
-    step is one matrix P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, and
-    RK4_CHUNK steps are one batched matmul of its powers.  The initial state
-    must live in the 6-entry subspace; entries outside it beyond 1e-12 are
-    dropped with a warning.  Inputs that fail check_evolution, steps above the
-    stability bound 0.1/||M||_inf and a trajectory too long to allocate are
-    rejected.
+    Every step but the last, which ends at t_final, is dt, which only spaces
+    the output.  Entries of rho0 outside the 6-entry subspace beyond 1e-12 are
+    dropped with a warning.  Inputs that fail check_evolution and a trajectory
+    too long to allocate raise ValueError, eigenvectors with a condition
+    number above COND_MAX InternalConsistencyError.
     """
     rho0 = check_evolution(rho0, t_final, dt)
-    dt_max = max_stable_dt(g)
-    if dt > dt_max:
-        raise ValueError(f"dt={dt} unstable: maximum stable dt is {dt_max:.6g}")
-    m = dense(g)[0]
     v, leak = to_vector6(rho0)
     if leak > 1e-12:
         warnings.warn(
@@ -185,25 +174,24 @@ def evolve(g: GeneratorArrays, rho0: np.ndarray, t_final: float,
         # at least one step, however short t_final is against dt
         n_steps = max(1, int(math.ceil(n_steps - 1e-12)))
         times = np.zeros(n_steps + 1)
-        vectors = np.empty((n_steps + 1, 6), dtype=complex)
+        modes = np.empty((n_steps + 1, 6), dtype=complex)
     except (OverflowError, MemoryError, ValueError):
         raise ValueError(f"a trajectory of {n_steps:.6g} steps cannot be allocated") from None
+    w, basis = np.linalg.eig(dense(g)[0])
+    cond = np.linalg.cond(basis)
+    if not cond <= COND_MAX:
+        raise InternalConsistencyError(f"eigenvectors of the evolution matrix nearly dependent: "
+                                       f"condition number {cond:.3g}, at most {COND_MAX:.3g}")
     times[1:n_steps] = np.add.accumulate(np.full(n_steps - 1, dt))
     last = min(dt, t_final - times[n_steps - 1])
     times[n_steps] = times[n_steps - 1] + last
+    # row k < n: the modes V^-1 v0 times exp(w dt)^k
+    modes[0] = np.linalg.solve(basis, v)
+    modes[1:n_steps] = np.exp(w * dt)
+    np.cumprod(modes[:n_steps], axis=0, out=modes[:n_steps])
+    modes[n_steps] = np.exp(w * times[n_steps]) * modes[0]
+    vectors = modes @ basis.T
     vectors[0] = v
-    def increment(h: float) -> np.ndarray:   # P - I, for the step h
-        a, one = h * m, np.eye(6)
-        return a @ (one + a @ (one / 2 + a @ (one / 6 + a / 24)))
-    # P^k - I, apart from I so that no step rounds I + (P - I): P^(k+j) - I =
-    # (P^k - I) + (P^j - I) + (P^k - I)(P^j - I)
-    powers = increment(dt)[None]
-    while len(powers) < min(RK4_CHUNK, n_steps - 1):
-        powers = np.concatenate([powers, powers + powers[-1] + powers @ powers[-1]])
-    for i in range(0, n_steps - 1, RK4_CHUNK):
-        chunk = vectors[i + 1:min(i + 1 + RK4_CHUNK, n_steps)]
-        chunk[:] = vectors[i] + powers[:len(chunk)] @ vectors[i]
-    vectors[-1] = vectors[-2] + increment(last) @ vectors[-2]
     times.setflags(write=False)
     vectors.setflags(write=False)
     return times, vectors

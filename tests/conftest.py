@@ -23,7 +23,7 @@ from steerlab import analysis
 from steerlab.analysis import ENT_COEFF, FIELDS, Axis, Criterion, RegionMap, SweepConfig
 from steerlab.correlations import MARGIN_TOL, PPT_TOL, Method
 from steerlab.errors import ConfigurationError, InternalConsistencyError
-from steerlab.generator import _TEMPLATES
+from steerlab.generator import _TEMPLATES, dense
 from steerlab.model import VEC6_ENTRIES, eigenvectors, lower_eigenvalue
 from steerlab.rates import COEFFICIENTS, Statistics, occupations
 
@@ -198,27 +198,14 @@ def generator_oracle(cells: sl.Cells) -> tuple[np.ndarray, np.ndarray]:
     return parts, total
 
 
-def rk4_oracle(m: np.ndarray, v: np.ndarray, t_final: float,
-               dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The former evolve loop, as the oracle of its propagator: classic RK4
-    steps of dv/dt = M v of length min(dt, t_final - t) from v, until
-    t_final; returns the times (n+1,) and the states (n+1, 6)."""
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
-    times = np.zeros(n_steps + 1)
-    out = np.empty((n_steps + 1, 6), dtype=complex)
-    out[0] = v
-    t = 0.0
-    for i in range(n_steps):
-        step = min(dt, t_final - t)
-        k1 = m @ v
-        k2 = m @ (v + 0.5 * step * k1)
-        k3 = m @ (v + 0.5 * step * k2)
-        k4 = m @ (v + step * k3)
-        v = v + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += step
-        times[i + 1] = t
-        out[i + 1] = v
-    return times, out
+# stability bound on a fixed RK4 step, dt <= DT_SAFETY / ||M||_inf: it sets
+# the output spacing of the long evolve runs
+DT_SAFETY = 0.1
+
+
+def max_stable_dt(g: sl.GeneratorArrays) -> float:
+    """The stability bound 0.1/||M||_inf of the one-cell generator g."""
+    return DT_SAFETY / float(np.max(np.abs(dense(g)[0]).sum(axis=1)))
 
 
 def random_system(rng: np.random.Generator, phase: Phase,

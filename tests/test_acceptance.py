@@ -8,7 +8,6 @@ fails honestly rather than being inverted to pass.
 """
 import json
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from steerlab.correlations import Method, check_hierarchy
 from steerlab.errors import InternalConsistencyError
 from steerlab.generator import dense
 from steerlab.rates import Statistics
-from steerlab.steady import max_stable_dt
 
 from conftest import (
     PRESET_NAMES,
@@ -42,6 +40,7 @@ from conftest import (
     gibbs_local,
     grid_point,
     load_preset_config,
+    max_stable_dt,
     one_cell,
     random_system,
     record_criterion,
@@ -52,6 +51,8 @@ from conftest import (
 
 BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
+# the recorded reports, at the repository root whatever the working directory
+REPORTS = Path(__file__).resolve().parents[1] / "reports"
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 
@@ -344,6 +345,36 @@ def test_c06_rectification_direction_as_specified():
     )
 
 
+def test_rectification_map_report():
+    # |I(+dT)|/|I(-dT)| against mean T at the c06 parameters, written to
+    # reports/rectification_map.json with the mean T where it crosses 1; the
+    # crossing is why c06's direction clause fails at T = 0.5
+    p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
+
+    def ratio(t: float) -> float:
+        return sl.rectification(p, sl.ReservoirSpec(BOSE, t), 0.4)
+    temps = np.linspace(0.5, 3.0, 26)
+    ratios = np.array([ratio(t) for t in temps.tolist()])
+    changes = np.flatnonzero(np.diff(np.sign(ratios - 1.0)))
+    assert len(changes) == 1, ratios
+    i = changes[0]
+    lo, hi = temps[i], temps[i + 1]
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (ratio(mid) > 1.0) == (ratios[i] > 1.0) else (lo, mid)
+    flip = 0.5 * (lo + hi)
+    REPORTS.mkdir(exist_ok=True)
+    with open(REPORTS / "rectification_map.json", "w") as fh:
+        json.dump({"eps_a": 1.8, "eps_b": 0.2, "kappa": 3.0, "gamma": 0.01, "delta_t": 0.4,
+                   "mean_temperatures": temps.tolist(), "ratios": ratios.tolist(),
+                   "flip_mean_temperature": flip, "flip_tolerance": 1e-6,
+                   "note": "ratio |I(+dT)|/|I(-dT)|, dT = T_B - T_A; below the flip "
+                           "B->A conduction is the blocked direction, above it A->B"},
+                  fh, indent=2)
+    assert abs(ratios[0] - 0.8168) <= 1e-4
+    assert 1.0 < flip < 2.0
+
+
 # --------------------------------------------------------------------------
 # 7. Hierarchy nesting on the preset grids
 # --------------------------------------------------------------------------
@@ -390,8 +421,8 @@ def test_hierarchy_strata_report(preset_maps):
         flags = [m.columns[k] for k in ("entangled", "steer_ab", "steer_ba", "bell")]
         counts[name] = {k: int(np.count_nonzero(rule(*flags))) for k, rule in STRATA.items()}
         counts[name]["masked"] = m.masked_count()
-    os.makedirs("reports", exist_ok=True)
-    with open("reports/hierarchy_strata.json", "w") as fh:
+    REPORTS.mkdir(exist_ok=True)
+    with open(REPORTS / "hierarchy_strata.json", "w") as fh:
         json.dump({"cells_per_preset": 10201, "strata": list(STRATA),
                    "note": "masked cells carry no verdict and count as not_entangled",
                    "presets": counts}, fh, indent=2)
@@ -537,8 +568,8 @@ def test_c10_coherence_behavior():
             ss, _, _ = steady_report(p_g, *reservoirs)
             values.append(abs(ss.vector6[4]))
         fits[label] = float(np.polyfit(np.log(gammas), np.log(values), 1)[0])
-    os.makedirs("reports", exist_ok=True)
-    with open("reports/coherence_scaling.json", "w") as fh:
+    REPORTS.mkdir(exist_ok=True)
+    with open(REPORTS / "coherence_scaling.json", "w") as fh:
         json.dump({"gammas": list(gammas), "fitted_exponents": fits,
                    "note": "exponent ~ 1: leading-order linear scaling; "
                            "the exact order is an open question"}, fh, indent=2)

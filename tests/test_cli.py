@@ -830,13 +830,34 @@ class TestEvolveCommand:
         [(times, vectors)] = returned
         assert out.read_bytes() == trajectory_csv_oracle(times, vectors).encode()
 
-    def test_unstable_dt_rejected_with_suggestion(self, tmp_path, capsys):
+    def test_large_dt_finishes(self, tmp_path, capsys):
+        # dt only spaces the output: 5.0 is 150 times the former RK4 bound
+        out = tmp_path / "t.csv"
         code = run(["evolve", "--stat", "bose", "--kappa", "3",
                     "--ta", "0.5", "--tb", "0.5",
                     "--initial", "maximally-mixed", "--t-final", "10", "--dt", "5.0",
-                    "--out", str(tmp_path / "t.csv")])
-        assert code == 2
-        assert "maximum stable dt" in capsys.readouterr().err
+                    "--out", str(out)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["steps"] == 2
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "5", "10"]
+
+    def test_manifest_diagnostics_of_the_cell(self, tmp_path, capsys):
+        # the block a sweep manifest ends with, for the one cell evolved
+        out = tmp_path / "t.csv"
+        assert run(["evolve", "--stat=bose", "--eps-a=1.8", "--eps-b=0.2", "--kappa=3",
+                    "--gamma=0.01", "--ta=0.4", "--tb=0.6", "--t-final=1", "--dt=0.1",
+                    f"--out={out}"]) == 0
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert list(manifest)[-2:] == ["outputs", "diagnostics"]
+        _, st, c, _ = pipeline(sl.Cells.of([(sl.SystemParams(1.8, 0.2, 3.0, 0.01),
+                                             sl.ReservoirSpec(Statistics.BOSE, 0.4),
+                                             sl.ReservoirSpec(Statistics.BOSE, 0.6))]))
+        assert manifest["diagnostics"] == {"max_residual": st.residual[0].item(),
+                                           "min_eigenvalue": st.min_eigenvalue[0].item(),
+                                           "min_null_space_ratio": st.null_ratio[0].item(),
+                                           "cross_checked_cells": 1}
+        assert c.checked.tolist() == [True]
 
     def test_custom_matrix(self, tmp_path, capsys):
         mat = {"matrix": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steerlab as sl
+from steerlab.analysis import pipeline
 from steerlab.cli import EXIT_INTERNAL, main
-from steerlab.errors import ConfigurationError, DegenerateSteadyStateError
+from steerlab.errors import (ConfigurationError, DegenerateSteadyStateError,
+                             InternalConsistencyError)
 from steerlab.generator import dense
 from steerlab.rates import Statistics
-from steerlab.steady import NULL_TOL, max_stable_dt, min_eigenvalue_energy, steady_state
+from steerlab.steady import COND_MAX, NULL_TOL, min_eigenvalue_energy, steady_state
 
 from conftest import (
     X_PATTERN,
@@ -24,10 +26,10 @@ from conftest import (
     from_vector6,
     gibbs_local,
     hermitize_vector6,
+    max_stable_dt,
     one_cell,
     random_system,
     rates,
-    rk4_oracle,
     x_vector,
 )
 
@@ -277,6 +279,17 @@ def exact_null_vector(total: np.ndarray) -> np.ndarray:
         return np.array([complex(x) for x in v])
 
 
+def exact_trajectory(m: np.ndarray, v0: np.ndarray, times) -> np.ndarray:
+    """expm(M t) v0 of one 6x6 generator at each of the times, in 30-digit
+    arithmetic from the same float64 M, v0 and t."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in m])
+        x0 = mpmath.matrix([mpmath.mpc(complex(x)) for x in v0])
+        return np.array([[complex(x) for x in mpmath.expm(a * mpmath.mpf(float(t))) * x0]
+                         for t in times])
+
+
 class TestExtremeScales:
     # entries of M far from 1: rates near gamma = 1e-100, a coherence
     # frequency near 2 kappa = 2e300
@@ -327,11 +340,37 @@ class TestEvolve:
         assert np.max(np.abs(final - gibbs_local(p, 2.0))) < 1e-8
         assert np.max(np.abs(vectors[:, :4].real.sum(axis=1) - 1.0)) < 1e-10
 
-    def test_unstable_dt_rejected(self):
+    def test_large_dt_matches_exact_solution(self):
+        # dt only spaces the output: a step 300 times the former RK4 bound
+        # 0.1/||M||_inf is one exact step, shortened to t_final
         p = sl.SystemParams(1.0, 1.0, 3.0, 0.01)
         g, _ = make(p, 0.4, 0.6)
-        with pytest.raises(ValueError, match="unstable"):
-            sl.evolve(g, np.eye(4, dtype=complex) / 4, t_final=1.0, dt=10.0)
+        v0 = np.array([0.25, 0.25, 0.25, 0.25, 0, 0], dtype=complex)
+        times, vectors = sl.evolve(g, np.eye(4, dtype=complex) / 4, t_final=1.0, dt=10.0)
+        assert times.tolist() == [0.0, 1.0]
+        assert np.max(np.abs(vectors - exact_trajectory(dense(g)[0], v0, times))) <= 1e-14
+
+    def test_near_jordan_generator_rejected(self, monkeypatch, capsys):
+        # a planted 2x2 block [[-1, 1], [1e-14, -1]] among the populations:
+        # eigenvalues -1 +/- 1e-7 with eigenvectors (1, +/-1e-7), condition
+        # number about 2e7; the library raises before building the trajectory
+        # and the command exits 4 with one line
+        g, _ = make(sl.SystemParams(1.0, 1.0, 3.0, 0.01), 0.4, 0.6)
+        total = np.zeros_like(g.total)
+        total[0, :2, :2] = [[-1.0, 1.0], [1e-14, -1.0]]
+        planted = g._replace(total=total)
+        assert np.linalg.cond(np.linalg.eig(dense(planted)[0])[1]) > 10 * COND_MAX
+        with pytest.raises(InternalConsistencyError, match="condition number"):
+            sl.evolve(planted, np.eye(4, dtype=complex) / 4, t_final=1.0, dt=0.1)
+        def planting(cells):
+            g, *rest = pipeline(cells)
+            return (g._replace(total=total), *rest)
+        monkeypatch.setattr("steerlab.cli.pipeline", planting)
+        assert main(["evolve", "--t-final=1", "--dt=0.1"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal: eigenvectors of the evolution matrix")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("rho0,t_final,dt,message", [
         (np.eye(4) / 2, 1.0, 0.01, "trace must be 1"),
@@ -380,17 +419,17 @@ class TestEvolve:
 
     @pytest.mark.parametrize("t_final", [0.12, 40.0, 100.01])
     def test_matches_stepwise_oracle(self, t_final):
-        # the propagator against the former step-by-step loop: 3, 800 (four
-        # chunks) and 2,001 steps, the last one 0.01 long; the times are the
-        # same, and the states differ by the rounding of the loop, at most
-        # one eps per step
+        # every step of the trajectory against the 30-digit expm(M t) v0 at the
+        # step's own time: 3, 800 and 2,001 steps, the last one 0.02, 0.05 and
+        # 0.01 long; sampled at the first, middle and last two steps
         g, _ = make(sl.SystemParams(1.3, 0.7, 1.0, 0.02), 0.3, 0.9)
-        m = dense(g)[0]
         v0 = np.array([0.4, 0.3, 0.2, 0.1, 0.1 + 0.05j, 0.1 - 0.05j])
         times, vectors = sl.evolve(g, from_vector6(v0), t_final=t_final, dt=0.05)
-        want_times, want = rk4_oracle(m, v0, t_final, 0.05)
-        assert np.array_equal(times, want_times)
-        assert np.max(np.abs(vectors - want)) <= len(times) * np.finfo(float).eps
+        steps = {0.12: 3, 40.0: 800, 100.01: 2001}[t_final]
+        assert len(times) == steps + 1
+        rows = [0, 1, steps // 2, steps - 1, steps]
+        want = exact_trajectory(dense(g)[0], v0, times[rows])
+        assert np.max(np.abs(vectors[rows] - want)) <= 1e-14
 
     @pytest.mark.parametrize("t_final", [1e-14, 1e-300, 0.05 * (1 - 1e-13), 0.12])
     def test_last_time_is_t_final(self, t_final):
