@@ -19,4 +19,4 @@ class DegenerateSteadyStateError(RuntimeError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """Two independent routes disagreed, or a result's accuracy is not assured."""
+    """Two independent routes disagreed, or a result's accuracy is not assured; never masked."""

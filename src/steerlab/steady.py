@@ -26,9 +26,11 @@ RESIDUAL_TOL = 1e-10
 # floor of the null-space certificate: |det| over the Hadamard bound of the
 # bordered population matrix (see steady_state)
 NULL_TOL = 8 * np.finfo(float).eps
-# largest condition number of evolve's eigenvectors: the change of basis then
-# rounds by at most about COND_MAX eps = 2.2e-10 (drawn cells, README.md)
-COND_MAX = 1e6
+# evolve's range (README.md): eigenvectors of condition number at most COND_MAX,
+# whose change of basis rounds by about COND_MAX eps = 2.2e-10, and no mode that
+# grows by more than GROWTH_MAX over the run, as rounding moves the zero
+# eigenvalue of a dissipative M by about eps max|M|
+COND_MAX, GROWTH_MAX = 1e6, 1e-8
 # right-hand side e_0 of the bordered population solve, broadcast over the cells
 _E0 = np.eye(4, 1)
 # (p, Re c) times this is (p, 2 Re c), on which [P, B] gives P p + 2 B Re(c)
@@ -158,8 +160,8 @@ def evolve(g: GeneratorArrays, rho0: np.ndarray, t_final: float,
     Every step but the last, which ends at t_final, is dt, which only spaces
     the output.  Entries of rho0 outside the 6-entry subspace beyond 1e-12 are
     dropped with a warning.  Inputs that fail check_evolution and a trajectory
-    too long to allocate raise ValueError, eigenvectors with a condition
-    number above COND_MAX InternalConsistencyError.
+    too long to allocate raise ValueError, a generator out of the range of
+    COND_MAX and GROWTH_MAX InternalConsistencyError.
     """
     rho0 = check_evolution(rho0, t_final, dt)
     v, leak = to_vector6(rho0)
@@ -174,24 +176,25 @@ def evolve(g: GeneratorArrays, rho0: np.ndarray, t_final: float,
         # at least one step, however short t_final is against dt
         n_steps = max(1, int(math.ceil(n_steps - 1e-12)))
         times = np.zeros(n_steps + 1)
-        modes = np.empty((n_steps + 1, 6), dtype=complex)
+        powers = np.empty((n_steps, 6), dtype=complex)
+        vectors = np.empty((n_steps + 1, 6), dtype=complex)
     except (OverflowError, MemoryError, ValueError):
         raise ValueError(f"a trajectory of {n_steps:.6g} steps cannot be allocated") from None
     w, basis = np.linalg.eig(dense(g)[0])
-    cond = np.linalg.cond(basis)
-    if not cond <= COND_MAX:
-        raise InternalConsistencyError(f"eigenvectors of the evolution matrix nearly dependent: "
-                                       f"condition number {cond:.3g}, at most {COND_MAX:.3g}")
+    cond, growth = np.linalg.cond(basis), w.real.max() * t_final
+    if not (cond <= COND_MAX and growth <= GROWTH_MAX):
+        raise InternalConsistencyError(
+            f"evolution matrix out of the propagator's range: eigenvector condition number "
+            f"{cond:.3g} (limit {COND_MAX:.3g}), mode growth {growth:.3g} (limit {GROWTH_MAX:.3g})")
     times[1:n_steps] = np.add.accumulate(np.full(n_steps - 1, dt))
     last = min(dt, t_final - times[n_steps - 1])
     times[n_steps] = times[n_steps - 1] + last
-    # row k < n: the modes V^-1 v0 times exp(w dt)^k
-    modes[0] = np.linalg.solve(basis, v)
-    modes[1:n_steps] = np.exp(w * dt)
-    np.cumprod(modes[:n_steps], axis=0, out=modes[:n_steps])
-    modes[n_steps] = np.exp(w * times[n_steps]) * modes[0]
-    vectors = modes @ basis.T
+    # row k of powers is exp(w dt)^(k+1), one cumprod down the rows, and the
+    # last is exp(w t_n); the modes V^-1 v0 scale the columns of V^T
+    np.cumprod(np.broadcast_to(np.exp(w * dt), (n_steps - 1, 6)), axis=0, out=powers[:-1])
+    powers[-1] = np.exp(w * times[-1])
     vectors[0] = v
+    np.matmul(powers, np.linalg.solve(basis, v)[:, None] * basis.T, out=vectors[1:])
     times.setflags(write=False)
     vectors.setflags(write=False)
     return times, vectors

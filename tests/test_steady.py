@@ -341,8 +341,8 @@ class TestEvolve:
         assert np.max(np.abs(vectors[:, :4].real.sum(axis=1) - 1.0)) < 1e-10
 
     def test_large_dt_matches_exact_solution(self):
-        # dt only spaces the output: a step 300 times the former RK4 bound
-        # 0.1/||M||_inf is one exact step, shortened to t_final
+        # dt only spaces the output: dt = 10, 300 times 0.1/||M||_inf here, is
+        # one exact step, shortened to t_final
         p = sl.SystemParams(1.0, 1.0, 3.0, 0.01)
         g, _ = make(p, 0.4, 0.6)
         v0 = np.array([0.25, 0.25, 0.25, 0.25, 0, 0], dtype=complex)
@@ -369,7 +369,8 @@ class TestEvolve:
         assert main(["evolve", "--t-final=1", "--dt=0.1"]) == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: internal: eigenvectors of the evolution matrix")
+        assert captured.err.startswith("error: internal: evolution matrix out of the "
+                                       "propagator's range: eigenvector condition number")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("rho0,t_final,dt,message", [
