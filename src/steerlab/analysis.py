@@ -10,6 +10,7 @@ midpoints at a time, through the single-route `_margins`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,7 +49,15 @@ class Axis(enum.Enum):
     MUB = "mub"
 
 
-_MU_AXES = {Axis.MUBAR, Axis.DELTA_MU, Axis.MUA, Axis.MUB}
+# the Cells.build parameters each axis sets, and whether it is a difference
+# axis: a level axis writes its value to them, a difference axis moves its
+# pair about the pair's mean
+AXIS_PARAMS = {
+    Axis.KAPPA: (("kappa",), False), Axis.TBAR: (("t_a", "t_b"), False),
+    Axis.MUBAR: (("mu_a", "mu_b"), False), Axis.DELTA_T: (("t_a", "t_b"), True),
+    Axis.DELTA_MU: (("mu_a", "mu_b"), True), Axis.TA: (("t_a",), False),
+    Axis.TB: (("t_b",), False), Axis.MUA: (("mu_a",), False), Axis.MUB: (("mu_b",), False),
+}
 
 
 @dataclass(frozen=True)
@@ -80,10 +89,9 @@ class SweepConfig:
             raise ValueError("grid sizes must be >= 2")
         if self.axis_x is self.axis_y:
             raise ValueError("sweep axes must differ")
-        if self.statistics is Statistics.BOSE:
-            for ax in (self.axis_x, self.axis_y):
-                if ax in _MU_AXES:
-                    raise ValueError(f"axis {ax} requires a fermionic setup")
+        for ax in (self.axis_x, self.axis_y):
+            if self.statistics is Statistics.BOSE and {"mu_a", "mu_b"} & set(AXIS_PARAMS[ax][0]):
+                raise ValueError(f"axis {ax} requires a fermionic setup")
         # a non-finite or overflowing axis composes to values that the gate
         # rejects, with no numpy warning on the way
         try:
@@ -96,9 +104,7 @@ class SweepConfig:
 
     def cells(self, x, y) -> Cells:
         """Cells at x and y, elementwise over their broadcast shape."""
-        kappa, t_a, t_b, mu_a, mu_b = self._compose(x, y)
-        return Cells.build(self.system.eps_a, self.system.eps_b, kappa, self.system.gamma,
-                           t_a, t_b, mu_a, mu_b, self.statistics)
+        return Cells.build(**self._compose(x, y), statistics=self.statistics)
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         """x and y of every grid cell, row-major (y outer, x inner)."""
@@ -110,38 +116,24 @@ class SweepConfig:
     def y_values(self) -> np.ndarray:
         return np.linspace(self.y_range[0], self.y_range[1], self.ny)
 
-    def _compose(self, x, y):
-        """(kappa, t_a, t_b, mu_a, mu_b) at x and y, elementwise over arrays.
+    def _compose(self, x, y) -> dict:
+        """The Cells.build parameters at x and y, by name, elementwise over arrays.
 
-        Level-setting axes apply first and difference axes second, so that
-        e.g. a MUBAR x DELTA_MU grid composes as mean and difference.
+        Level axes apply first and difference axes second (AXIS_PARAMS), so
+        that e.g. a MUBAR x DELTA_MU grid composes as mean and difference.
         """
-        kappa = self.system.kappa
-        t_a, t_b, mu_a, mu_b = self.t_a, self.t_b, self.mu_a, self.mu_b
-        pairs = sorted([(self.axis_x, x), (self.axis_y, y)],
-                       key=lambda p: p[0] in (Axis.DELTA_T, Axis.DELTA_MU))
-        for axis, v in pairs:
-            if axis is Axis.KAPPA:
-                kappa = v
-            elif axis is Axis.TBAR:
-                t_a = t_b = v
-            elif axis is Axis.DELTA_T:
-                mean = 0.5 * (t_a + t_b)
-                t_a, t_b = mean - 0.5 * v, mean + 0.5 * v
-            elif axis is Axis.TA:
-                t_a = v
-            elif axis is Axis.TB:
-                t_b = v
-            elif axis is Axis.MUBAR:
-                mu_a = mu_b = v
-            elif axis is Axis.DELTA_MU:
-                mean = 0.5 * (mu_a + mu_b)
-                mu_a, mu_b = mean - 0.5 * v, mean + 0.5 * v
-            elif axis is Axis.MUA:
-                mu_a = v
+        p = {**self.system._asdict(), "t_a": self.t_a, "t_b": self.t_b,
+             "mu_a": self.mu_a, "mu_b": self.mu_b}
+        for axis, v in sorted([(self.axis_x, x), (self.axis_y, y)],
+                              key=lambda pair: AXIS_PARAMS[pair[0]][1]):
+            names, difference = AXIS_PARAMS[axis]
+            if difference:
+                a, b = names
+                mean = 0.5 * (p[a] + p[b])
+                p[a], p[b] = mean - 0.5 * v, mean + 0.5 * v
             else:
-                mu_b = v
-        return kappa, t_a, t_b, mu_a, mu_b
+                p.update(dict.fromkeys(names, v))
+        return p
 
 
 class GridCell(NamedTuple):
@@ -287,17 +279,14 @@ class ThresholdResult(NamedTuple):
     margin_at_root: float | None
 
 
-def _criterion_margin(rep, criterion: Criterion):
-    """The margin of a criterion from a classification."""
-    if criterion is Criterion.A_TO_B:
-        return rep.margin_ab
-    if criterion is Criterion.B_TO_A:
-        return rep.margin_ba
-    if criterion is Criterion.TWO_WAY:
-        return np.minimum(rep.margin_ab, rep.margin_ba)
-    if criterion is Criterion.ENTANGLEMENT:
-        return rep.margin_ent
-    return rep.margin_bell
+# the Classification margin fields of each criterion; a criterion of two
+# fields is their elementwise minimum, and _margins returns a one-field
+# criterion's array as it is (functools.reduce), with no pass over it
+CRITERION_FIELDS = {
+    Criterion.A_TO_B: ("margin_ab",), Criterion.B_TO_A: ("margin_ba",),
+    Criterion.TWO_WAY: ("margin_ab", "margin_ba"), Criterion.ENTANGLEMENT: ("margin_ent",),
+    Criterion.BELL: ("margin_bell",),
+}
 
 
 def _margins(cells: Cells, criterion: Criterion) -> list[float]:
@@ -307,7 +296,8 @@ def _margins(cells: Cells, criterion: Criterion) -> list[float]:
     st = steady_state(g)
     c = classify(st.local_x, dual=False)
     _raise_fault(cells, st, c, c.fault >= 0)
-    return _criterion_margin(c, criterion).tolist()
+    margins = functools.reduce(np.minimum, [getattr(c, f) for f in CRITERION_FIELDS[criterion]])
+    return margins.tolist()
 
 
 # levels of the dyadic midpoint tree that one bisection batch evaluates
@@ -427,28 +417,21 @@ def analytic_thresholds(
     """Closed-form threshold couplings for the given regime.
 
     Low-/high-temperature and resonant/off-resonant variants are all
-    evaluated; the caller picks the ones matching its regime.
+    evaluated; the caller picks the ones matching its regime.  Only
+    kappa_high_two_way (bose) and the resonant keys (fermi) differ by
+    statistics; bosonic reservoirs have mu_bar = 0, else ValueError.
     """
+    if statistics is Statistics.BOSE and mu_bar != 0:
+        raise ValueError("bosonic reservoirs must have mu = 0")
     t = temperature
-    out: dict[str, float] = {
-        "kappa_ent": ENT_COEFF * t,
-        "delta_eps_one_way": DETUNING_ONE_WAY * bar_eps,
-    }
-    if statistics is Statistics.BOSE:
-        sym = 2.0 * bar_eps + LN43 * t
-        out["kappa_low_two_way"] = sym
-        out["kappa_high_two_way"] = KAPPA_HIGH_SLOPE * t + KAPPA_HIGH_CURV * bar_eps * bar_eps / t
-        out["kappa_bell_low"] = 2.0 * bar_eps + BELL_SLOPE * t
-        out["kappa_low_a_to_b"] = sym + 2.0 * delta_eps * t / sym
-        out["kappa_low_b_to_a"] = sym - 2.0 * delta_eps * t / sym
-    else:
-        gap = abs(bar_eps - mu_bar)
-        sym = 2.0 * gap + LN43 * t
-        sgn = math.copysign(1.0, bar_eps - mu_bar) if bar_eps != mu_bar else 0.0
-        out["kappa_low_two_way"] = sym
-        out["kappa_resonant_two_way"] = FERMI_RESONANT_COEFF * t
-        out["kappa_bell_resonant"] = BELL_RESONANT_COEFF * t
-        out["kappa_bell_low"] = 2.0 * gap + BELL_SLOPE * t
-        out["kappa_low_a_to_b"] = sym + sgn * 2.0 * delta_eps * t / sym
-        out["kappa_low_b_to_a"] = sym - sgn * 2.0 * delta_eps * t / sym
-    return out
+    gap = abs(bar_eps - mu_bar)
+    sym = 2.0 * gap + LN43 * t
+    sgn = math.copysign(1.0, bar_eps - mu_bar) if bar_eps != mu_bar else 0.0
+    split = sgn * 2.0 * delta_eps * t / sym
+    own = ({"kappa_high_two_way": KAPPA_HIGH_SLOPE * t + KAPPA_HIGH_CURV * bar_eps * bar_eps / t}
+           if statistics is Statistics.BOSE else
+           {"kappa_resonant_two_way": FERMI_RESONANT_COEFF * t,
+            "kappa_bell_resonant": BELL_RESONANT_COEFF * t})
+    return {"kappa_ent": ENT_COEFF * t, "delta_eps_one_way": DETUNING_ONE_WAY * bar_eps,
+            "kappa_low_two_way": sym, **own, "kappa_bell_low": 2.0 * gap + BELL_SLOPE * t,
+            "kappa_low_a_to_b": sym + split, "kappa_low_b_to_a": sym - split}

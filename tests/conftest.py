@@ -6,9 +6,11 @@ dual route.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import math
+import warnings
 from dataclasses import dataclass, fields
 from importlib import resources
 from types import SimpleNamespace
@@ -222,6 +224,16 @@ def random_system(rng: np.random.Generator, phase: Phase,
     return sl.SystemParams(eps_a=eps_a, eps_b=eps_b, kappa=kappa, gamma=gamma)
 
 
+@contextlib.contextmanager
+def gamma_warning_ignored():
+    """Ignore the gamma > 0.1*eps_b UserWarning of Cells.build, which drawn
+    systems (gamma up to 0.05, eps_b down to 0.3) raise on purpose; every
+    other warning keeps its filter."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"gamma > 0\.1\*eps_b", UserWarning)
+        yield
+
+
 def one_cell(p: sl.SystemParams, ra: sl.ReservoirSpec, rb: sl.ReservoirSpec):
     """Generator and steady state of one point, as the one-cell batch."""
     g = sl.build_generator(sl.Cells.of([(p, ra, rb)]))
@@ -244,9 +256,11 @@ def batches(draw):
     ratio = column((0.1, 0.9), (1.1, 2.5)) if stat is Statistics.BOSE else column((0.1, 0.9))
     mu_a, mu_b = ((column((-0.5, 2.0)), column((-0.5, 2.0))) if stat is Statistics.FERMI
                   else (0.0, 0.0))
-    return sl.build_generator(sl.Cells.build(
-        eps_a, eps_b, ratio * 2.0 * np.sqrt(eps_a * eps_b), column((5e-3, 0.05)),
-        column((0.05, 2.0)), column((0.05, 2.0)), mu_a, mu_b, stat))
+    with gamma_warning_ignored():
+        cells = sl.Cells.build(eps_a, eps_b, ratio * 2.0 * np.sqrt(eps_a * eps_b),
+                               column((5e-3, 0.05)), column((0.05, 2.0)), column((0.05, 2.0)),
+                               mu_a, mu_b, stat)
+    return sl.build_generator(cells)
 
 
 def transport_oracle(g: sl.GeneratorArrays, ss: sl.SteadyArrays):
@@ -403,10 +417,42 @@ def assert_cells_equal(got: sl.Cells, want: sl.Cells) -> None:
             assert np.array_equal(a, b), f.name
 
 
+def compose_oracle(cfg: SweepConfig, x, y):
+    """(kappa, t_a, t_b, mu_a, mu_b) at x and y of cfg's grid, elementwise over
+    arrays: one branch per axis, level axes first and difference axes second,
+    independent of analysis.AXIS_PARAMS."""
+    kappa = cfg.system.kappa
+    t_a, t_b, mu_a, mu_b = cfg.t_a, cfg.t_b, cfg.mu_a, cfg.mu_b
+    pairs = sorted([(cfg.axis_x, x), (cfg.axis_y, y)],
+                   key=lambda p: p[0] in (Axis.DELTA_T, Axis.DELTA_MU))
+    for axis, v in pairs:
+        if axis is Axis.KAPPA:
+            kappa = v
+        elif axis is Axis.TBAR:
+            t_a = t_b = v
+        elif axis is Axis.DELTA_T:
+            mean = 0.5 * (t_a + t_b)
+            t_a, t_b = mean - 0.5 * v, mean + 0.5 * v
+        elif axis is Axis.TA:
+            t_a = v
+        elif axis is Axis.TB:
+            t_b = v
+        elif axis is Axis.MUBAR:
+            mu_a = mu_b = v
+        elif axis is Axis.DELTA_MU:
+            mean = 0.5 * (mu_a + mu_b)
+            mu_a, mu_b = mean - 0.5 * v, mean + 0.5 * v
+        elif axis is Axis.MUA:
+            mu_a = v
+        else:
+            mu_b = v
+    return kappa, t_a, t_b, mu_a, mu_b
+
+
 def grid_point(cfg: SweepConfig, x: float, y: float):
-    """(system, ra, rb) of the point at x and y of cfg's grid, composed as
-    its cells are."""
-    kappa, t_a, t_b, mu_a, mu_b = cfg._compose(x, y)
+    """(system, ra, rb) of the point at x and y of cfg's grid, composed by
+    compose_oracle."""
+    kappa, t_a, t_b, mu_a, mu_b = compose_oracle(cfg, x, y)
     return (cfg.system._replace(kappa=kappa), sl.ReservoirSpec(cfg.statistics, t_a, mu_a),
             sl.ReservoirSpec(cfg.statistics, t_b, mu_b))
 

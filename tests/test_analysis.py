@@ -24,6 +24,7 @@ from conftest import (
     PRESET_NAMES,
     assert_cells_equal,
     assert_rows_equal_points,
+    compose_oracle,
     entanglement_boundary_fit,
     gather_block,
     grid_point,
@@ -110,6 +111,47 @@ class TestSweepConfig:
         x, y = cfg.points()
         assert x.tolist() == [0.2, 1.4, 0.2, 1.4] and y.tolist() == [-0.5, -0.5, 0.9, 0.9]
         assert np.array_equal(cfg.grid.mu, np.stack([x, y], axis=-1))
+
+
+def same_bits(got, want) -> bool:
+    """got and want have one shape and the same float64 bits everywhere."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def drawn_values(rng, shape):
+    """Values of shape over many scales and both signs."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+
+class TestAxisTable:
+    """SweepConfig._compose reads analysis.AXIS_PARAMS; compose_oracle, one
+    branch per axis, is its oracle."""
+
+    @pytest.mark.parametrize("axis_x,axis_y", [(a, b) for a in Axis for b in Axis if a is not b],
+                             ids=lambda a: a.value)
+    def test_composes_as_oracle(self, axis_x, axis_y):
+        # no gate runs: the composition alone, on drawn values of any sign
+        rng = np.random.default_rng(sum(map(ord, axis_x.value + axis_y.value)))
+        cfg = SimpleNamespace(axis_x=axis_x, axis_y=axis_y, t_a=0.15, t_b=0.3, mu_a=0.7,
+                              mu_b=-0.2, system=sl.SystemParams(1.5, 0.5, 0.6, 0.01))
+        for x, y in [(drawn_values(rng, 16), drawn_values(rng, 16)),
+                     (drawn_values(rng, 5), drawn_values(rng, (3, 1))),
+                     (float(drawn_values(rng, ())), drawn_values(rng, 4))]:
+            got = SweepConfig._compose(cfg, x, y)
+            assert list(got) == ["eps_a", "eps_b", "kappa", "gamma", "t_a", "t_b", "mu_a", "mu_b"]
+            assert (got["eps_a"], got["eps_b"], got["gamma"]) == (1.5, 0.5, 0.01)
+            want = compose_oracle(cfg, x, y)
+            for name, value in zip(("kappa", "t_a", "t_b", "mu_a", "mu_b"), want):
+                assert same_bits(got[name], value), name
+
+    @pytest.mark.parametrize("axis", [Axis.MUBAR, Axis.DELTA_MU, Axis.MUA, Axis.MUB],
+                             ids=lambda a: a.value)
+    def test_bosonic_mu_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="requires a fermionic setup"):
+            small_sweep(axis_x=axis, x_range=(0.0, 0.5))
+        with pytest.raises(ValueError, match="requires a fermionic setup"):
+            small_sweep(axis_y=axis, y_range=(0.0, 0.5))
 
 
 class TestRowCells:
@@ -580,6 +622,63 @@ class TestAnalyticThresholds:
                                     statistics=FERMI, mu_bar=1.5)
         assert below["kappa_low_b_to_a"] < below["kappa_low_a_to_b"]
         assert above["kappa_low_a_to_b"] < above["kappa_low_b_to_a"]
+
+
+# the keys of each statistics' closed forms, in the order of the JSON reports
+BOSE_KEYS = ["kappa_ent", "delta_eps_one_way", "kappa_low_two_way", "kappa_high_two_way",
+             "kappa_bell_low", "kappa_low_a_to_b", "kappa_low_b_to_a"]
+FERMI_KEYS = ["kappa_ent", "delta_eps_one_way", "kappa_low_two_way", "kappa_resonant_two_way",
+              "kappa_bell_resonant", "kappa_bell_low", "kappa_low_a_to_b", "kappa_low_b_to_a"]
+
+
+class TestClosedFormSet:
+    """Both statistics share one set of closed forms on the gap |bar_eps - mu_bar|."""
+
+    def test_key_order(self):
+        assert list(analytic_thresholds(1.0, 0.3, 0.1)) == BOSE_KEYS
+        for mu_bar in (0.0, 0.4, 1.0, 1.7):
+            assert list(analytic_thresholds(1.0, 0.3, 0.1, FERMI, mu_bar)) == FERMI_KEYS
+
+    def test_statistics_share_keys_at_zero_mu(self, rng):
+        shared = [k for k in BOSE_KEYS if k in FERMI_KEYS]
+        assert shared == [k for k in BOSE_KEYS if k != "kappa_high_two_way"]
+        for bar_eps, t, delta_eps in zip(10.0 ** rng.uniform(-2, 2, 200),
+                                         10.0 ** rng.uniform(-3, 3, 200),
+                                         rng.uniform(-1.0, 1.0, 200)):
+            args = (float(bar_eps), float(t), float(delta_eps))
+            bos, fer = analytic_thresholds(*args), analytic_thresholds(*args, FERMI, 0.0)
+            assert all(same_bits(bos[k], fer[k]) for k in shared)
+            # the bosonic formulas as written before the shared set
+            b, t, d = args
+            sym = 2.0 * b + analysis.LN43 * t
+            assert [bos[k] for k in BOSE_KEYS[2:]] == [
+                sym, analysis.KAPPA_HIGH_SLOPE * t + analysis.KAPPA_HIGH_CURV * b * b / t,
+                2.0 * b + analysis.BELL_SLOPE * t, sym + 2.0 * d * t / sym, sym - 2.0 * d * t / sym]
+
+    @pytest.mark.parametrize("mu_bar", [0.3, -1e-300, math.nan])
+    def test_bosonic_mu_rejected(self, mu_bar):
+        with pytest.raises(ValueError, match="bosonic reservoirs must have mu = 0"):
+            analytic_thresholds(1.0, 0.3, statistics=BOSE, mu_bar=mu_bar)
+
+
+class TestCriterionTable:
+    # a detuned fermionic batch whose mu alternates across the resonance, so
+    # that each of margin_ab and margin_ba is the smaller one in some cells
+    mu = np.tile([0.5, 1.5], 4)
+    cells = Cells.build(1.05, 0.95, np.repeat(np.linspace(0.9, 1.3, 4), 2), 0.01, 0.05, 0.05,
+                        mu, mu, FERMI)
+    fields = {Criterion.A_TO_B: "margin_ab", Criterion.B_TO_A: "margin_ba",
+              Criterion.ENTANGLEMENT: "margin_ent", Criterion.BELL: "margin_bell"}
+
+    @pytest.mark.parametrize("criterion", list(Criterion), ids=lambda c: c.value)
+    def test_margins_are_the_named_field(self, criterion):
+        c = analysis.pipeline(self.cells)[2]
+        if criterion is Criterion.TWO_WAY:
+            assert (c.margin_ab < c.margin_ba).any() and (c.margin_ba < c.margin_ab).any()
+            want = np.minimum(c.margin_ab, c.margin_ba)
+        else:
+            want = getattr(c, self.fields[criterion])
+        assert analysis._margins(self.cells, criterion) == want.tolist()
 
 
 class TestBoundaryFit:

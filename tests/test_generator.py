@@ -26,6 +26,7 @@ from conftest import (
     columns,
     equilibrium_analytic,
     from_vector6,
+    gamma_warning_ignored,
     generator_oracle,
     load_preset_config,
     occupation,
@@ -428,7 +429,8 @@ class TestBuildGenerator:
         mu = rng.uniform(-0.5, 2.0) if stat is FERMI else 0.0
         ra = sl.ReservoirSpec(stat, rng.uniform(0.1, 2.0), mu)
         rb = sl.ReservoirSpec(stat, rng.uniform(0.1, 2.0), mu)
-        m = dense(generator(p, ra, rb))[0]
+        with gamma_warning_ignored():
+            m = dense(generator(p, ra, rb))[0]
         eigvals = np.sort(np.abs(np.linalg.eigvals(m)))
         assert eigvals[0] < 1e-12 * max(1.0, np.abs(m).max())
         assert eigvals[1] > 100 * eigvals[0]
