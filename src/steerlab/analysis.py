@@ -136,41 +136,24 @@ class SweepConfig:
         return p
 
 
-class GridCell(NamedTuple):
-    """Full pipeline output at one grid point."""
-
-    x: float
-    y: float
-    entangled: bool
-    steer_ab: bool
-    steer_ba: bool
-    bell: bool
-    margin_ent: float
-    margin_ab: float
-    margin_ba: float
-    margin_bell: float
-    current_b: float
-    sigma: float
-    positivity_ok: bool
-
-
-# GridCell fields, in the order of the CSV columns
-FIELDS = GridCell._fields
+# the CSV columns of a sweep, in order
+FIELDS = ("x", "y", "entangled", "steer_ab", "steer_ba", "bell", "margin_ent", "margin_ab",
+          "margin_ba", "margin_bell", "current_b", "sigma", "positivity_ok")
 
 
 class RegionMap(NamedTuple):
     """Row-major grid of cells (y outer, x inner) as one (ny*nx,) array per
-    GridCell field, which `cells` views as GridCells; diagnostics holds the
-    worst solver values and the cross-checked cell count (see sweep2d)."""
+    FIELDS column; diagnostics holds the worst solver values and the
+    cross-checked cell count (see sweep2d)."""
 
     config: SweepConfig
     columns: dict[str, np.ndarray]
     diagnostics: dict[str, float]
 
     @property
-    def cells(self) -> tuple[GridCell, ...]:
-        """Every cell in row-major order, one GridCell each."""
-        return tuple(GridCell(*row) for row in zip(*(c.tolist() for c in self.columns.values())))
+    def cells(self) -> tuple[tuple, ...]:
+        """Every cell in row-major order, one row tuple in FIELDS order each."""
+        return tuple(zip(*(c.tolist() for c in self.columns.values())))
 
     def masked_count(self) -> int:
         return int(np.count_nonzero(~self.columns["positivity_ok"]))

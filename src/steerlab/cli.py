@@ -42,7 +42,7 @@ from .errors import (ConfigurationError, DegenerateSteadyStateError, InternalCon
                      PositivityError)
 from .generator import dense
 from .model import STATE_POSITIONS, SystemParams
-from .rates import Cells, ReservoirSpec, Statistics, check_inputs, scaled_energy
+from .rates import STRONG_BOSE, Cells, ReservoirSpec, Statistics, check_inputs, scaled_energy
 from .steady import check_evolution, evolve
 
 EXIT_OK = 0
@@ -388,7 +388,7 @@ def cmd_steady(cfg: dict) -> int:
     g, st, c, (current_a, current_b, sigma) = pipeline(Cells.of([_build_objects(cfg)]))
     positive = bool(st.positive[0])
     # positions of |00>, |11>, psi-, psi+ among the energy-basis populations
-    eigen_order = STATE_POSITIONS[int(g.cells.setup[0] == 2)][[0, 3, 1, 2]]
+    eigen_order = STATE_POSITIONS[int(g.cells.setup[0] == STRONG_BOSE)][[0, 3, 1, 2]]
     correlations = None if c.fault[0] >= 0 else {
         "entangled": c.entangled[0].item(), "margin_ent": c.margin_ent[0].item(),
         "steer_a_to_b": c.steer_a_to_b[0].item(), "margin_ab": c.margin_ab[0].item(),

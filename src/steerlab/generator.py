@@ -24,23 +24,12 @@ one-cell batch.
 """
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import EXCITATIONS, VEC6_ENTRIES, eigensystem, eigenvectors
-from .rates import COEFFICIENTS, Cells, rate_set
-
-
-class Setup(enum.Enum):
-    WEAK_BOSE = "weak-bose"
-    WEAK_FERMI = "weak-fermi"
-    STRONG_BOSE = "strong-bose"
-
-
-# Cells.setup codes index this tuple and the first axis of _TEMPLATES
-SETUPS = (Setup.WEAK_BOSE, Setup.WEAK_FERMI, Setup.STRONG_BOSE)
+from .rates import COEFFICIENTS, STRONG_BOSE, WEAK_BOSE, WEAK_FERMI, Cells, rate_set
 
 
 def _part(setup, sign, p, q, s, t, wp, wm, u):
@@ -50,7 +39,7 @@ def _part(setup, sign, p, q, s, t, wp, wm, u):
     sign is -1 for reservoir A and +1 for B in the weak-phase couplings; u is
     the strong phase's spontaneous coherence weight (gamma_j/2) sin(theta).
     """
-    z = -1.0 if setup is Setup.WEAK_FERMI else 1.0
+    z = -1.0 if setup == WEAK_FERMI else 1.0
     g = wp + wm
     m = np.zeros((5, 5))
     m[:4, :4] = [[-2 * (p + q), 2 * (wm + z * q), 2 * (wp + z * p), 0],
@@ -59,17 +48,17 @@ def _part(setup, sign, p, q, s, t, wp, wm, u):
                  [0, 2 * p, 2 * q, -2 * (g + z * (p + q))]]
     m[4, 4] = -(g + (1 + z) * (p + q))
     # (column B, row C) of the coupling table; only the weak-phase ones carry sign
-    m[:4, 4], m[4, :4] = (1.0 if setup is Setup.STRONG_BOSE else sign) * np.array({
-        Setup.WEAK_BOSE: ((s, -t, t, -s), (s, t, -t, -s)),
-        Setup.WEAK_FERMI: ((-s, s, s, -s), (s, s, s, s)),
-        Setup.STRONG_BOSE: ((-(s + 2 * u), t + u, -t + u, s), (-s, -t + u, t + u, s + 2 * u)),
+    m[:4, 4], m[4, :4] = (1.0 if setup == STRONG_BOSE else sign) * np.array({
+        WEAK_BOSE: ((s, -t, t, -s), (s, t, -t, -s)),
+        WEAK_FERMI: ((-s, s, s, -s), (s, s, s, s)),
+        STRONG_BOSE: ((-(s + 2 * u), t + u, -t + u, s), (-s, -t + u, t + u, s + 2 * u)),
     }[setup])
     return m
 
 
 # (setup, reservoir, coefficient, 5, 5): each part on unit rates.COEFFICIENTS
 _TEMPLATES = np.array([[[_part(setup, sign, *unit) for unit in np.eye(len(COEFFICIENTS)).tolist()]
-                        for sign in (-1.0, 1.0)] for setup in SETUPS])
+                        for sign in (-1.0, 1.0)] for setup in (WEAK_BOSE, WEAK_FERMI, STRONG_BOSE)])
 _TEMPLATES.setflags(write=False)
 
 
@@ -88,7 +77,7 @@ class GeneratorArrays(NamedTuple):
 
 def _one_setup(code: int, cells: Cells, rates: np.ndarray) -> tuple:
     """(parts, energies, local_map, numbers) of cells, all of setup code."""
-    phase = int(SETUPS[code] is Setup.STRONG_BOSE)
+    phase = int(code == STRONG_BOSE)
     energies, local_map = eigensystem(cells.bar_eps, cells.omega, cells.eigen_weights, phase)
     numbers = np.empty_like(energies)
     numbers[...] = EXCITATIONS[phase]
@@ -102,7 +91,7 @@ def build_generator(cells: Cells) -> GeneratorArrays:
     # one pass per setup in the batch: the first covers every cell (an empty
     # batch takes weak-bose's) and each further setup redoes its own cells,
     # so a one-setup batch (every preset grid block, every point) masks nothing
-    first, *rest = set(cells.setup.ravel().tolist()) or {0}
+    first, *rest = set(cells.setup.ravel().tolist()) or {WEAK_BOSE}
     parts, energies, local_map, numbers = _one_setup(first, cells, rates)
     for code in rest:
         at = cells.setup == code
@@ -117,7 +106,7 @@ def dense(g: GeneratorArrays) -> tuple[np.ndarray, np.ndarray]:
     m = np.zeros((6, 6), dtype=complex)
     m[:5, :5], m[:4, 5], m[5, :4] = k, k[:4, 4], k[4, :4]
     m[4, 4], m[5, 5] = k[4, 4] + 2j * omega, k[4, 4] - 2j * omega
-    return m, eigenvectors(g.cells.eigen_weights[0], g.cells.setup[0] == 2)
+    return m, eigenvectors(g.cells.eigen_weights[0], g.cells.setup[0] == STRONG_BOSE)
 
 
 # flat (4x4) positions of the six entries

@@ -135,16 +135,19 @@ def check_inputs(columns: np.ndarray, statistics: Statistics) -> None:
             raise ValueError(message.format(*cell.tolist()))
 
 
+WEAK_BOSE, WEAK_FERMI, STRONG_BOSE = range(3)  # Cells.setup codes, in generator._TEMPLATES order
+
+
 def _setup_codes(strong: np.ndarray, statistics: Statistics) -> np.ndarray:
-    """Index into generator.SETUPS (weak-bose, weak-fermi, strong-bose) per
-    cell; the strong-coupling fermionic setup is rejected."""
+    """The setup code of each cell (WEAK_BOSE, WEAK_FERMI or STRONG_BOSE);
+    the strong-coupling fermionic setup is rejected."""
     if statistics is Statistics.FERMI:
         if np.count_nonzero(strong):
             raise ConfigurationError(
                 "strong-coupling fermionic setup unsupported (tunnelling is weak)"
             )
-        return np.ones(np.shape(strong), dtype=int)
-    return np.where(strong, 2, 0)
+        return np.full(np.shape(strong), WEAK_FERMI)
+    return np.where(strong, STRONG_BOSE, WEAK_BOSE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +155,8 @@ class Cells:
     """Per-cell inputs of the array kernels, over leading cell axes.
 
     The derived parameters of each cell's system (model.derive_params and
-    eigen_weights) come with its setup code (an index into generator.SETUPS;
-    code 2, strong-bose, is the strong phase), its coupling constant gamma,
+    eigen_weights) come with its setup code (WEAK_BOSE, WEAK_FERMI or
+    STRONG_BOSE, the strong phase), its coupling constant gamma,
     its reservoirs' temperature and mu, the latter two as (..., 2) arrays:
     reservoir A, reservoir B, and their occupations (..., 2, 2): [..., j, k]
     is reservoir j's at eps_plus (k=0) and eps_minus (k=1).  All cells share

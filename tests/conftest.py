@@ -25,9 +25,10 @@ from steerlab import analysis
 from steerlab.analysis import ENT_COEFF, FIELDS, Axis, Criterion, RegionMap, SweepConfig
 from steerlab.correlations import MARGIN_TOL, PPT_TOL, Method
 from steerlab.errors import ConfigurationError, InternalConsistencyError
-from steerlab.generator import _TEMPLATES, dense
+from steerlab.generator import _TEMPLATES, GeneratorArrays, dense
 from steerlab.model import VEC6_ENTRIES, eigenvectors, lower_eigenvalue
-from steerlab.rates import COEFFICIENTS, Statistics, occupations
+from steerlab.rates import COEFFICIENTS, Statistics, occupations, rate_set
+from steerlab.steady import SteadyArrays
 
 _acceptance_log: list[tuple[int, str, bool, str]] = []
 
@@ -166,12 +167,12 @@ def dense_local(v: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return vectors @ from_vector6(v) @ vectors.conj().swapaxes(-1, -2)
 
 
-def columns(g: sl.GeneratorArrays) -> np.ndarray:
+def columns(g: GeneratorArrays) -> np.ndarray:
     """The real eigenvector columns (N, 4, 4) of the cells of generators g."""
     return eigenvectors(g.cells.eigen_weights, g.cells.setup == 2)
 
 
-def cell(g: sl.GeneratorArrays, i: int) -> sl.GeneratorArrays:
+def cell(g: GeneratorArrays, i: int) -> GeneratorArrays:
     """Row i of the generators g, as a one-cell batch."""
     return g._replace(**{k: v[i:i + 1] for k, v in g._asdict().items()})
 
@@ -193,7 +194,7 @@ def generator_oracle(cells: sl.Cells) -> tuple[np.ndarray, np.ndarray]:
     (..., 6, 6), their sum in complex arithmetic plus the +/- i*Omega
     entries, Omega = 2 omega."""
     templates = unpack(np.asarray(_TEMPLATES))[cells.setup]
-    parts = (sl.rate_set(cells)[..., None, None] * templates).sum(axis=-3)
+    parts = (rate_set(cells)[..., None, None] * templates).sum(axis=-3)
     total = np.add(parts[..., 0, :, :], parts[..., 1, :, :], dtype=complex)
     total[..., 4, 4] += 2j * cells.omega
     total[..., 5, 5] -= 2j * cells.omega
@@ -205,7 +206,7 @@ def generator_oracle(cells: sl.Cells) -> tuple[np.ndarray, np.ndarray]:
 DT_SAFETY = 0.1
 
 
-def max_stable_dt(g: sl.GeneratorArrays) -> float:
+def max_stable_dt(g: GeneratorArrays) -> float:
     """The stability bound 0.1/||M||_inf of the one-cell generator g."""
     return DT_SAFETY / float(np.max(np.abs(dense(g)[0]).sum(axis=1)))
 
@@ -263,7 +264,7 @@ def batches(draw):
     return sl.build_generator(cells)
 
 
-def transport_oracle(g: sl.GeneratorArrays, ss: sl.SteadyArrays):
+def transport_oracle(g: GeneratorArrays, ss: SteadyArrays):
     """Oracle of transport.transport_report, its former form: d_j = (D_j v)[:4]
     by a stacked matmul over the dense 6x6 parts D_j, and J^E, J^N by
     multiply-and-sum; returns (current_a, current_b, sigma)."""
@@ -289,7 +290,7 @@ def hermitize_vector6(v: np.ndarray) -> np.ndarray:
 def rates(p, ra, rb) -> SimpleNamespace:
     """The rate coefficients of one point by name, with suffix _a or _b for
     the reservoir, plus the totals p and q."""
-    rs = sl.rate_set(sl.Cells.of([(p, ra, rb)]))[0]
+    rs = rate_set(sl.Cells.of([(p, ra, rb)]))[0]
     out = {f"{name}_{j}": rs[k, i] for k, j in enumerate("ab")
            for i, name in enumerate(COEFFICIENTS)}
     return SimpleNamespace(**out, p=out["p_a"] + out["p_b"], q=out["q_a"] + out["q_b"])

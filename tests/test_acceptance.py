@@ -400,7 +400,7 @@ def test_c06_transport_continuity_and_entropy():
     _, _, transport_eq = steady_report(p_eq, 0.5, 0.5)
     eq_ok = max(map(abs, transport_eq)) < 1e-12
 
-    ratio = sl.rectification(p_eq, sl.ReservoirSpec(BOSE, 0.5), 0.4)
+    ratio = analysis.rectification(p_eq, sl.ReservoirSpec(BOSE, 0.5), 0.4)
     ratio_ok = abs(ratio - 1.0) > 1e-3
 
     ok = worst_cont < 1e-12 and worst_sigma > -1e-12 and eq_ok and ratio_ok
@@ -422,7 +422,7 @@ def test_c06_rectification_direction_as_specified():
     fails honestly rather than being inverted to pass.
     """
     p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
-    ratio = sl.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 0.4)
+    ratio = analysis.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 0.4)
     record_criterion(6, "rectification direction clause: A->B blocked (ratio > 1)",
                      ratio > 1.0,
                      f"measured ratio {ratio:.4f}: B->A flow is the blocked one "
@@ -442,7 +442,7 @@ def test_rectification_map_report():
     p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
 
     def ratio(t: float) -> float:
-        return sl.rectification(p, sl.ReservoirSpec(BOSE, t), 0.4)
+        return analysis.rectification(p, sl.ReservoirSpec(BOSE, t), 0.4)
     temps = np.linspace(0.5, 3.0, 26)
     ratios = np.array([ratio(t) for t in temps.tolist()])
     changes = np.flatnonzero(np.diff(np.sign(ratios - 1.0)))
@@ -523,6 +523,43 @@ def test_hierarchy_strata_report(preset_maps):
     assert any(row["b_to_a_only"] for row in counts.values())
 
 
+def test_steering_vs_entropy_report(preset_maps):
+    # the abstract's claim that entropy production can enhance one-way
+    # steering, on the delta_t x kappa presets: per kappa row, where the B->A
+    # margin peaks, its gain over the column nearest dT = 0, sigma there and
+    # the change of the A->B margin, in reports/steering_vs_entropy.json; on
+    # the detuned presets some row turns B->A steering on away from
+    # equilibrium at sigma > 0, and on the symmetric fig6a no row gains
+    report = {}
+    for name in ("fig6a", "fig6b", "fig6c"):
+        m = preset_maps[name]
+        shape = (m.config.ny, m.config.nx)
+        ab, ba, sigma = (m.columns[k].reshape(shape) for k in ("margin_ab", "margin_ba", "sigma"))
+        steer = m.columns["steer_ba"].reshape(shape)
+        xs, rows = m.config.x_values(), np.arange(shape[0])
+        zero, peak = int(np.argmin(np.abs(xs))), np.argmax(ba, axis=1)
+        # rows where B->A steering is off at dT ~ 0 and on at some dT that costs sigma > 0
+        on_at_cost = steer & (sigma > 0)
+        turns_on = ~steer[:, zero] & on_at_cost.any(axis=1)
+        report[name] = {
+            "dt_zero_column": xs[zero].item(),
+            "rows_peaking_off_equilibrium": int(np.count_nonzero(peak != zero)),
+            "rows_turning_on": int(np.count_nonzero(turns_on)),
+            "min_sigma_turning_on": (np.where(on_at_cost, sigma, np.inf)[turns_on].min().item()
+                                     if turns_on.any() else None),
+            "rows": {"kappa": m.config.y_values().tolist(), "dt_peak": xs[peak].tolist(),
+                     "gain_ba": (ba[rows, peak] - ba[:, zero]).tolist(),
+                     "sigma_peak": sigma[rows, peak].tolist(),
+                     "change_ab": (ab[rows, peak] - ab[:, zero]).tolist()},
+        }
+    assert not any(np.isnan(report[n]["rows"]["gain_ba"]).any() for n in report)
+    REPORTS.mkdir(exist_ok=True)
+    with open(REPORTS / "steering_vs_entropy.json", "w") as fh:
+        json.dump({"axes": "x = delta_t = T_B - T_A, y = kappa", "presets": report}, fh, indent=2)
+    assert report["fig6b"]["rows_turning_on"] > 0 and report["fig6c"]["rows_turning_on"] > 0
+    assert max(report["fig6a"]["rows"]["gain_ba"]) <= 1e-12
+
+
 # --------------------------------------------------------------------------
 # 8. Qualitative trend tables
 # --------------------------------------------------------------------------
@@ -550,8 +587,9 @@ def test_c08_trend_tables(preset_maps):
     # deep in the steerable zone stay on at both grid edges)
     m6b = preset_maps["fig6b"]
     xs6b = m6b.config.x_values()
-    pos_cells = sum(1 for c in m6b.cells if c.steer_ba and c.x > 0)
-    neg_cells = sum(1 for c in m6b.cells if c.steer_ba and c.x < 0)
+    ba6b, x6b = m6b.columns["steer_ba"], m6b.columns["x"]
+    pos_cells = int(np.count_nonzero(ba6b & (x6b > 0)))
+    neg_cells = int(np.count_nonzero(ba6b & (x6b < 0)))
     asym_ok = pos_cells > neg_cells
     bounded_rows = strict_rows = 0
     steer_ba = m6b.columns["steer_ba"].reshape(m6b.config.ny, -1)
@@ -567,21 +605,19 @@ def test_c08_trend_tables(preset_maps):
                    f"{strict_rows}/{bounded_rows} bounded rows lean to dT>0")
 
     # fermionic near-equilibrium one-way direction flips across the resonance
-    m9b = preset_maps["fig9b"]
-    near = [c for c in m9b.cells if abs(c.y) <= 0.35 and (c.steer_ab != c.steer_ba)]
-    flip_ok = bool(near)
-    for c in near:
-        if c.x < 1.0 - 0.02:
-            flip_ok &= c.steer_ba and not c.steer_ab
-        elif c.x > 1.0 + 0.02:
-            flip_ok &= c.steer_ab and not c.steer_ba
-    details.append(f"fig9b near-equilibrium one-way cells: {len(near)}, flip law {flip_ok}")
+    c9b = preset_maps["fig9b"].columns
+    x9b, y9b = c9b["x"], c9b["y"]
+    only_ab, only_ba = c9b["steer_ab"] & ~c9b["steer_ba"], c9b["steer_ba"] & ~c9b["steer_ab"]
+    near = (np.abs(y9b) <= 0.35) & (only_ab | only_ba)
+    flip_ok = bool(near.any() and only_ba[near & (x9b < 1.0 - 0.02)].all()
+                   and only_ab[near & (x9b > 1.0 + 0.02)].all())
+    details.append(f"fig9b near-equilibrium one-way cells: {np.count_nonzero(near)}, "
+                   f"flip law {flip_ok}")
 
     # far-from-equilibrium reversal: A->B one-way below the resonance
-    reversal = [c for c in m9b.cells
-                if c.x < 1.0 and c.y <= -1.0 and c.steer_ab and not c.steer_ba]
-    rev_ok = bool(reversal)
-    details.append(f"fig9b reversal cells: {len(reversal)}")
+    reversal = int(np.count_nonzero((x9b < 1.0) & (y9b <= -1.0) & only_ab))
+    rev_ok = reversal > 0
+    details.append(f"fig9b reversal cells: {reversal}")
 
     ok = sym_ok and asym_ok and flip_ok and rev_ok
     record_criterion(8, "trend tables: equilibrium-maximal symmetric interval, "
@@ -723,11 +759,11 @@ def test_preset_fingerprint(preset_maps, name):
     # flags equal and margins, current_b and sigma within 1e-12 of the grids
     # recorded for the benchmark gate
     ref = np.load(Path(__file__).resolve().parents[1] / "bench" / "reference.npz")
-    cells = preset_maps[name].cells
-    flags = np.array([(c.entangled, c.steer_ab, c.steer_ba, c.bell, c.positivity_ok)
-                      for c in cells], dtype=np.uint8)
-    values = np.array([(c.margin_ent, c.margin_ab, c.margin_ba, c.margin_bell,
-                        c.current_b, c.sigma) for c in cells])
+    columns = preset_maps[name].columns
+    flags = np.stack([columns[f] for f in ("entangled", "steer_ab", "steer_ba", "bell",
+                                           "positivity_ok")], axis=1).astype(np.uint8)
+    values = np.stack([columns[f] for f in ("margin_ent", "margin_ab", "margin_ba",
+                                            "margin_bell", "current_b", "sigma")], axis=1)
     np.testing.assert_array_equal(flags, ref[f"grid.{name}.flags"])
     np.testing.assert_allclose(values, ref[f"grid.{name}.values"], rtol=0, atol=1e-12)
 

@@ -234,12 +234,14 @@ class TestSweep2d:
     def test_grid_complete_and_row_major(self):
         cfg = small_sweep(nx=4, ny=3)
         m = sweep2d(cfg)
-        assert len(m.cells) == 12
+        assert len(m.cells) == 12   # the cell count that bench/spans.py reads
         xs = cfg.x_values()
         ys = cfg.y_values()
-        assert m.cells[0].x == xs[0] and m.cells[0].y == ys[0]
-        assert m.cells[3].x == xs[3] and m.cells[3].y == ys[0]
-        assert m.cells[4].x == xs[0] and m.cells[4].y == ys[1]
+        x, y = m.columns["x"], m.columns["y"]
+        assert x.shape == y.shape == (12,)
+        assert x[0] == xs[0] and y[0] == ys[0]
+        assert x[3] == xs[3] and y[3] == ys[0]
+        assert x[4] == xs[0] and y[4] == ys[1]
         # cell (ix, iy) = (2, 1) is row-major entry 1 * 4 + 2
         assert m.columns["x"][6] == xs[2] and m.columns["y"][6] == ys[1]
 

@@ -9,14 +9,13 @@ import steerlab as sl
 from steerlab.errors import ConfigurationError
 from steerlab.generator import (
     _TEMPLATES,
-    SETUPS,
-    Setup,
+    GeneratorArrays,
     dense,
     to_vector6,
 )
 from steerlab.analysis import BLOCK_CELLS
-from steerlab.model import EXCITATIONS, eigensystem
-from steerlab.rates import Statistics, rate_set
+from steerlab.model import EXCITATIONS, derive_params, eigensystem
+from steerlab.rates import STRONG_BOSE, WEAK_BOSE, WEAK_FERMI, Statistics, rate_set
 from steerlab.steady import steady_state
 
 from conftest import (
@@ -40,6 +39,10 @@ BOSE = Statistics.BOSE
 FERMI = Statistics.FERMI
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+SETUPS = (WEAK_BOSE, WEAK_FERMI, STRONG_BOSE)
+# the test id of each setup code, as these tests were named when an enum
+# spelled the codes
+SETUP_IDS = ("Setup.WEAK_BOSE", "Setup.WEAK_FERMI", "Setup.STRONG_BOSE")
 
 
 def generator(p, ra, rb):
@@ -53,18 +56,18 @@ def coherent_part(g) -> np.ndarray:
     return np.diag([0, 0, 0, 0, 1j * omega, -1j * omega])
 
 
-def printed_matrix(params, ra, rb, setup: Setup) -> np.ndarray:
+def printed_matrix(params, ra, rb, setup: int) -> np.ndarray:
     """The evolution matrix transcribed directly from its printed form,
     independent of the per-reservoir assembly in the package."""
     rs = rates(params, ra, rb)
     gam = params.gamma
     p, q = rs.p, rs.q
     sa, sb, ta, tb = rs.s_a, rs.s_b, rs.t_a, rs.t_b
-    _, _, half_omega, theta, _ = sl.derive_params(
+    _, _, half_omega, theta, _ = derive_params(
         *np.array([params.eps_a, params.eps_b, params.kappa]))
     omega = 2 * half_omega
     m = np.zeros((6, 6), dtype=complex)
-    if setup is Setup.WEAK_BOSE:
+    if setup == WEAK_BOSE:
         m[:4, :4] = [
             [-2 * (p + q), 2 * (gam + q), 2 * (gam + p), 0],
             [2 * q, -2 * (gam + p + q), 0, 2 * (gam + p)],
@@ -77,7 +80,7 @@ def printed_matrix(params, ra, rb, setup: Setup) -> np.ndarray:
             m[row, 0], m[row, 1], m[row, 2], m[row, 3] = sb - sa, tb - ta, ta - tb, sa - sb
         m[4, 4] = 1j * omega - 2 * (gam + p + q)
         m[5, 5] = -1j * omega - 2 * (gam + p + q)
-    elif setup is Setup.WEAK_FERMI:
+    elif setup == WEAK_FERMI:
         m[:4, :4] = [
             [-2 * (p + q), 2 * (gam - q), 2 * (gam - p), 0],
             [2 * q, -2 * (gam + p - q), 0, 2 * (gam - p)],
@@ -114,7 +117,7 @@ def printed_matrix(params, ra, rb, setup: Setup) -> np.ndarray:
 
 
 def redfield_dissipator_6x6(p: sl.SystemParams, r: sl.ReservoirSpec, which: str,
-                            g: sl.GeneratorArrays) -> np.ndarray:
+                            g: GeneratorArrays) -> np.ndarray:
     """Textbook non-secular dissipator for one reservoir, projected onto the
     6-entry representation, in the eigenbasis of the one-cell generator g.
     Independent route used to validate the printed matrices and the
@@ -177,10 +180,10 @@ def drawn_cell(draw):
     eps_a = log_uniform(0.2, 5.0)
     eps_b = eps_a * draw(st.floats(0.3, 1.0))
     bar_eps = 0.5 * (eps_a + eps_b)
-    ratio = draw(st.floats(1.1, 2.5) if setup is Setup.STRONG_BOSE else st.floats(0.1, 0.9))
+    ratio = draw(st.floats(1.1, 2.5) if setup == STRONG_BOSE else st.floats(0.1, 0.9))
     p = sl.SystemParams(eps_a, eps_b, 2 * math.sqrt(eps_a * eps_b) * ratio,
                         eps_b * log_uniform(1e-4, 0.05))
-    stat = FERMI if setup is Setup.WEAK_FERMI else BOSE
+    stat = FERMI if setup == WEAK_FERMI else BOSE
     ra, rb = (sl.ReservoirSpec(stat, bar_eps * log_uniform(0.05, 20.0),
                                bar_eps * draw(st.floats(-1.0, 3.0)) if stat is FERMI else 0.0)
               for _ in "ab")
@@ -192,11 +195,12 @@ def drawn_cell(draw):
 # the whole part
 REDFIELD_TOL = 5e-15
 
-CASES = [
-    (sl.SystemParams(1.5, 0.5, 1.0, 0.01), BOSE, (0.5, 0.0), (0.3, 0.0), Setup.WEAK_BOSE),
-    (sl.SystemParams(1.8, 0.2, 3.0, 0.01), BOSE, (0.7, 0.0), (0.3, 0.0), Setup.STRONG_BOSE),
-    (sl.SystemParams(1.2, 0.8, 0.6, 0.01), FERMI, (0.15, 0.6), (0.15, 1.4), Setup.WEAK_FERMI),
-]
+CASES = [pytest.param(*case, id=f"p{i}-{case[1]}-a{i}-b{i}-{SETUP_IDS[case[4]]}")
+         for i, case in enumerate([
+             (sl.SystemParams(1.5, 0.5, 1.0, 0.01), BOSE, (0.5, 0.0), (0.3, 0.0), WEAK_BOSE),
+             (sl.SystemParams(1.8, 0.2, 3.0, 0.01), BOSE, (0.7, 0.0), (0.3, 0.0), STRONG_BOSE),
+             (sl.SystemParams(1.2, 0.8, 0.6, 0.01), FERMI, (0.15, 0.6), (0.15, 1.4), WEAK_FERMI),
+         ])]
 
 
 class TestBuildGenerator:
@@ -204,7 +208,7 @@ class TestBuildGenerator:
     def test_matches_printed_form(self, p, stat, a, b, setup):
         ra, rb = sl.ReservoirSpec(stat, *a), sl.ReservoirSpec(stat, *b)
         g = generator(p, ra, rb)
-        assert SETUPS[g.cells.setup[0]] is setup
+        assert g.cells.setup[0] == setup
         assert np.max(np.abs(dense(g)[0] - printed_matrix(p, ra, rb, setup))) < 1e-15
 
     @pytest.mark.parametrize("p,stat,a,b,setup", CASES)
@@ -230,7 +234,7 @@ class TestBuildGenerator:
         assert np.max(np.abs(resum - dense(g)[0])) < 1e-14
 
     @pytest.mark.parametrize("setup,shape", [
-        *[pytest.param(setup, shape, id=f"{setup}-shape{i}")
+        *[pytest.param(setup, shape, id=f"{SETUP_IDS[setup]}-shape{i}")
           for setup in SETUPS for i, shape in enumerate([(1,), (3, 4)])],
         pytest.param("mixed-bose", (12,), id="mixed-bose-shape0"),
         pytest.param("mixed-bose", (3, 4), id="mixed-bose-shape1"),
@@ -243,22 +247,22 @@ class TestBuildGenerator:
         # (occupations underflow to 0) up to 3
         rng = np.random.default_rng(14)
         t_a, t_b = np.exp(rng.uniform(math.log(2e-3), math.log(3.0), (2,) + shape))
-        if setup is Setup.WEAK_FERMI:
+        if setup == WEAK_FERMI:
             mu_a, mu_b = rng.uniform(-1.0, 3.0, (2,) + shape)
             cells = sl.Cells.build(1.5, 0.5, rng.uniform(0.1, 1.4, shape), 0.01, t_a, t_b,
                                    mu_a, mu_b, FERMI)
         else:
-            strong = (setup is Setup.STRONG_BOSE if setup != "mixed-bose" else
+            strong = (setup == STRONG_BOSE if setup != "mixed-bose" else
                       rng.permutation(np.arange(math.prod(shape)) % 2).reshape(shape) == 1)
             kappa = np.where(strong, rng.uniform(2.5, 5.0, shape), rng.uniform(0.1, 1.5, shape))
             cells = sl.Cells.build(rng.uniform(1.0, 1.4, shape), 1.0, kappa, 0.01, t_a, t_b,
                                    0.0, 0.0, BOSE)
         codes = cells.setup
         if setup == "mixed-bose":
-            assert np.array_equal(codes, np.where(strong, 2, 0))
-            assert set(codes.ravel().tolist()) == {0, 2}
+            assert np.array_equal(codes, np.where(strong, STRONG_BOSE, WEAK_BOSE))
+            assert set(codes.ravel().tolist()) == {WEAK_BOSE, STRONG_BOSE}
         else:
-            assert np.all(codes == SETUPS.index(setup))
+            assert np.all(codes == setup)
         want = (rate_set(cells)[..., None, None] * _TEMPLATES[codes]).sum(axis=-3)
         got = sl.build_generator(cells).parts
         assert got.shape == shape + (2, 5, 5)
@@ -412,10 +416,10 @@ class TestBuildGenerator:
         # population block in every setup, the whole part in the strong phase
         setup, p, ra, rb = cell
         g = generator(p, ra, rb)
-        assert SETUPS[g.cells.setup[0]] is setup
+        assert g.cells.setup[0] == setup
         for part, r, which in zip(unpack(g.parts[0]), (ra, rb), "AB"):
             deviation = redfield_dissipator_6x6(p, r, which, g) - part
-            if setup is not Setup.STRONG_BOSE:
+            if setup != STRONG_BOSE:
                 deviation = deviation[:4, :4]
             assert np.abs(deviation).max() <= REDFIELD_TOL * np.abs(part).max()
 

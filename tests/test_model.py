@@ -13,7 +13,9 @@ from steerlab.model import (
     EXCITATIONS,
     VEC6_ENTRIES,
     X_ENTRIES,
+    derive_params,
     eigen_weights,
+    eigensystem,
     eigenvectors,
 )
 from steerlab.steady import check_evolution
@@ -35,14 +37,14 @@ def system_strategy():
 
 def derive(p: sl.SystemParams):
     """(bar_eps, delta_eps, omega, theta, strong) of one system."""
-    return sl.derive_params(*np.array([p.eps_a, p.eps_b, p.kappa]))
+    return derive_params(*np.array([p.eps_a, p.eps_b, p.kappa]))
 
 
 def eigen(p: sl.SystemParams):
     """(energies, eigenvector columns, excitation numbers) of one system, in
     the ordering of its phase."""
     bar_eps, _, omega, theta, strong = derive(p)
-    energies, _ = sl.eigensystem(bar_eps, omega, eigen_weights(theta), int(strong))
+    energies, _ = eigensystem(bar_eps, omega, eigen_weights(theta), int(strong))
     return energies, eigenvectors(eigen_weights(theta), strong), EXCITATIONS[int(strong)]
 
 
@@ -175,7 +177,7 @@ class TestEigensystem:
         rng = np.random.default_rng(18)
         kappa = np.where(np.arange(12).reshape(3, 4) % 2 == 1, rng.uniform(2.5, 5.0, (3, 4)),
                          rng.uniform(0.05, 1.5, (3, 4)))
-        bar_eps, _, omega, theta, strong = sl.derive_params(1.0, rng.uniform(0.6, 1.0, (3, 4)),
+        bar_eps, _, omega, theta, strong = derive_params(1.0, rng.uniform(0.6, 1.0, (3, 4)),
                                                            kappa)
         assert np.count_nonzero(strong) == 6
         vectors = eigenvectors(eigen_weights(theta), strong)
@@ -189,7 +191,7 @@ class TestEigensystem:
         # each entry of the map is one monomial of cos and sin(theta/2), so the
         # template sum has the bits of the product of the columns
         bar_eps, _, omega, theta, strong = derive(p)
-        _, local_map = sl.eigensystem(bar_eps, omega, eigen_weights(theta), int(strong))
+        _, local_map = eigensystem(bar_eps, omega, eigen_weights(theta), int(strong))
         want = product_map(eigenvectors(eigen_weights(theta), strong))
         assert local_map.shape == (6, 6) and local_map.tobytes() == want.tobytes()
 
@@ -199,17 +201,17 @@ class TestEigensystem:
         rng = np.random.default_rng(22)
         kappa = np.where(np.arange(12).reshape(3, 4) % 3 == 1, rng.uniform(2.5, 5.0, (3, 4)),
                          rng.uniform(0.05, 1.5, (3, 4)))
-        bar_eps, _, omega, theta, strong = sl.derive_params(1.0, rng.uniform(0.6, 1.0, (3, 4)),
+        bar_eps, _, omega, theta, strong = derive_params(1.0, rng.uniform(0.6, 1.0, (3, 4)),
                                                            kappa)
         assert np.count_nonzero(strong) == 4
         weights = eigen_weights(theta)
         for phase in (0, 1):
-            energies, local_map = sl.eigensystem(bar_eps, omega, weights, phase)
+            energies, local_map = eigensystem(bar_eps, omega, weights, phase)
             assert local_map.shape == (3, 4, 6, 6)
             want = product_map(eigenvectors(weights, np.full((3, 4), phase)))
             assert local_map.tobytes() == want.tobytes()
             for i in np.ndindex(3, 4):
-                one = sl.eigensystem(bar_eps[i][None], omega[i][None], weights[i][None], phase)
+                one = eigensystem(bar_eps[i][None], omega[i][None], weights[i][None], phase)
                 assert energies[i].tobytes() == one[0][0].tobytes()
                 assert local_map[i].tobytes() == one[1][0].tobytes()
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import steerlab as sl
 import steerlab.rates as rates_module
 from steerlab.errors import ConfigurationError
-from steerlab.rates import Statistics
+from steerlab.model import derive_params
+from steerlab.rates import Statistics, transition_energies
 
 from conftest import bose_where_oracle, occupation, rates
 
@@ -18,8 +19,8 @@ FERMI = Statistics.FERMI
 
 def transitions(p):
     """(eps_minus, eps_plus) of one system."""
-    bar_eps, _, omega, _, _ = sl.derive_params(*np.array([p.eps_a, p.eps_b, p.kappa]))
-    return sl.transition_energies(bar_eps, omega)
+    bar_eps, _, omega, _, _ = derive_params(*np.array([p.eps_a, p.eps_b, p.kappa]))
+    return transition_energies(bar_eps, omega)
 
 
 class TestOccupation:
@@ -78,7 +79,7 @@ class TestOccupation:
         ts = np.array([0.5, 0.7])
         cells = sl.Cells.build(1.0, 1.0, np.array([0.5, 3.0]), 0.01, ts, 0.4, 0.0, 0.0, BOSE)
         assert cells.occupations.shape == (2, 2, 2)
-        eps_minus, eps_plus = sl.transition_energies(cells.bar_eps, cells.omega)
+        eps_minus, eps_plus = transition_energies(cells.bar_eps, cells.omega)
         for i, t_a in enumerate(ts.tolist()):
             for j, t in enumerate((t_a, 0.4)):
                 r = sl.ReservoirSpec(BOSE, t)

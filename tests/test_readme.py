@@ -1,18 +1,48 @@
-"""The README's library example runs as written, so that removing an API
-cannot leave the documentation stale."""
+"""The README's library example runs as written, and the package exports
+exactly the names it uses, so that removing an API cannot leave the
+documentation stale."""
 import contextlib
+import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import steerlab as sl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_example_runs():
+def library_code() -> str:
     text = README.read_text(encoding="utf-8")
     library = text[text.index("\n## Library\n"):]
-    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
+def test_library_example_runs():
+    code = library_code()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md (Library)", "exec"), {})
     assert len(out.getvalue().splitlines()) == code.count("print(")
+
+
+def test_exports_are_the_library_names():
+    # the package's public names, its submodules aside, are the sl. names
+    # that the example uses, plus __version__
+    public = {name for name, value in vars(sl).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(re.findall(r"\bsl\.(\w+)", library_code()))
+    assert isinstance(sl.__version__, str)
+
+
+def test_import_leaves_analysis_and_cli_unloaded():
+    # in a fresh interpreter, `import steerlab` loads the pipeline modules only
+    code = ("import sys, steerlab; "
+            "print('steerlab.analysis' in sys.modules, 'steerlab.cli' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sl.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "False False\n", done.stderr

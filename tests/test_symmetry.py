@@ -25,8 +25,8 @@ from hypothesis.extra.numpy import arrays
 
 import steerlab as sl
 from steerlab.analysis import pipeline
-from steerlab.generator import SETUPS, Setup
-from steerlab.rates import Statistics
+from steerlab.generator import GeneratorArrays
+from steerlab.rates import STRONG_BOSE, WEAK_BOSE, WEAK_FERMI, Statistics
 
 CELLS = 64
 # no shrinking: a failing batch is reported as drawn, since shrinking 64-cell
@@ -44,7 +44,7 @@ def column(draw, lo, hi, log=False):
     return np.exp(values) if log else values
 
 
-def scales(g: sl.GeneratorArrays) -> tuple[np.ndarray, np.ndarray]:
+def scales(g: GeneratorArrays) -> tuple[np.ndarray, np.ndarray]:
     """Per cell, the size of the terms that the currents and sigma sum: the
     largest entry of either bath part times the largest energy (energy
     currents) or excitation number (particle currents), and for sigma these
@@ -84,11 +84,11 @@ def exchange_batches(draw):
     kappa/(2 eps) in [0.1, 0.9] (weak) or [1.1, 2.5] (strong), gamma/eps
     log-uniform over [1e-4, 0.05], T_j/eps log-uniform over [0.05, 20] and
     fermionic mu_j/eps in [-1, 3]: the arguments of Cells.build."""
-    setup = draw(st.sampled_from(SETUPS))
+    setup = draw(st.sampled_from((WEAK_BOSE, WEAK_FERMI, STRONG_BOSE)))
     eps = column(draw, 0.2, 5.0, log=True)
-    ratio = column(draw, *((1.1, 2.5) if setup is Setup.STRONG_BOSE else (0.1, 0.9)))
+    ratio = column(draw, *((1.1, 2.5) if setup == STRONG_BOSE else (0.1, 0.9)))
     t_a, t_b = (eps * column(draw, 0.05, 20.0, log=True) for _ in "ab")
-    stat = Statistics.FERMI if setup is Setup.WEAK_FERMI else Statistics.BOSE
+    stat = Statistics.FERMI if setup == WEAK_FERMI else Statistics.BOSE
     mu_a, mu_b = ((eps * column(draw, -1.0, 3.0) for _ in "ab") if stat is Statistics.FERMI
                   else (0.0, 0.0))
     return (eps, eps, 2 * eps * ratio, eps * column(draw, 1e-4, 0.05, log=True),

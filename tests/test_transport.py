@@ -175,27 +175,27 @@ class TestOracle:
 class TestRectification:
     def test_symmetric_ratio_is_one(self):
         p = sl.SystemParams(1.0, 1.0, 3.0, 0.01)
-        ratio = sl.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 0.4)
+        ratio = analysis.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 0.4)
         assert ratio == pytest.approx(1.0, abs=1e-10)
 
     def test_detuned_ratio_differs_from_one(self):
         p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
-        ratio = sl.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 0.4)
+        ratio = analysis.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 0.4)
         assert abs(ratio - 1.0) > 0.05
 
     def test_ratio_against_direct_currents(self):
         p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
         _, _, fwd = pipeline(p, 0.3, 0.7)
         _, _, bwd = pipeline(p, 0.7, 0.3)
-        ratio = sl.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 0.4)
+        ratio = analysis.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 0.4)
         assert ratio == pytest.approx(abs(fwd.current_b) / abs(bwd.current_b), rel=1e-12)
 
     def test_fermionic_rejected(self):
         p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
         with pytest.raises(ConfigurationError):
-            sl.rectification(p, sl.ReservoirSpec(FERMI, 0.5, 1.0), 0.4)
+            analysis.rectification(p, sl.ReservoirSpec(FERMI, 0.5, 1.0), 0.4)
 
     def test_bias_bounds(self):
         p = sl.SystemParams(1.8, 0.2, 3.0, 0.01)
         with pytest.raises(ValueError):
-            sl.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 1.5)
+            analysis.rectification(p, sl.ReservoirSpec(BOSE, 0.5), 1.5)
