@@ -1,11 +1,11 @@
 """Command-line front end: single-point reports, sweeps, thresholds, dynamics.
 
 Configs are JSON (checked against CONFIG_KEYS before any computation); grids and
-trajectories are CSV.  Every file output is written via write-then-rename and
-accompanied by a manifest carrying the resolved config echo, version, timing,
-masked-cell count and output checksums.  JSON text is json.dumps on one line,
-floats as repr, and nan, inf and -inf as the strings "nan", "inf" and "-inf";
-CSV floats are %.17g.  Identical configs give byte-identical outputs.
+trajectories are CSV.  Every file output is written via write-then-rename, with
+a manifest of the resolved config, version, timing, masked-cell count and output
+checksums.  JSON text is json.dumps on one line, floats as repr, and nan, inf
+and -inf as the strings "nan", "inf" and "-inf"; a CSV is the bytes of
+g17.csv_bytes, floats as %.17g.  Identical configs give byte-identical outputs.
 `steady`, `sweep` and `evolve` run analysis.pipeline.  Exit codes: 0 success,
 2 configuration error, 3 positivity violation, 4 internal error (README).
 """
@@ -16,7 +16,6 @@ import collections
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -103,15 +102,6 @@ _TOP_KEYS = {*SECTIONS[""], *SECTIONS} - {""}
 _MODE_FLAGS = {mode: [k for k in CONFIG_KEYS
                       if k.flag and (k.section == mode or k.section not in MODES)]
                for mode in MODES}
-
-# one grid cell in the FIELDS columns: the x and y text, the four verdict
-# flags' text, the text of the six values and the positivity flag's text
-CSV_ROW = b"%s%s%s%s,%s,%s,%s,%s,%s,%s"
-# the text of the four verdict flags, "1,0,1,0," and so on, at 8 entangled +
-# 4 steer_ab + 2 steer_ba + bell; of positivity_ok, at positivity_ok
-FLAG_TEXT = tuple(b"%d,%d,%d,%d," % (k >> 3, k >> 2 & 1, k >> 1 & 1, k & 1) for k in range(16))
-POSITIVITY_TEXT = (b"0\n", b"1\n")
-
 
 def dumps_fixed(obj) -> str:
     """The JSON text of every report, summary and manifest, one format per
@@ -301,30 +291,22 @@ def _state_entries(v: np.ndarray, x: np.ndarray) -> list:
              [[re14, 0.0 - im14], [0.0, 0.0], [0.0, 0.0], [p4.real + 0.0, 0.0]]]]
 
 
-def csv_text(columns: dict[str, np.ndarray], nx: int) -> str:
-    """The sweep CSV of a row-major grid's FIELDS columns, nx cells per row.
-
-    g17_text renders the six values of every cell and each x and y value
-    once, and the flags are read from FLAG_TEXT and POSITIVITY_TEXT.  One %
-    lays out every row, CSV_ROW repeated once per row over the rows' fields
-    in sequence.
-    """
-    from .g17 import g17_text  # loaded by the first CSV, never by a report
-    xs = [x + b"," for x in g17_text(columns["x"][:nx])]
-    ys = [y + b"," for y in g17_text(columns["y"][::nx])]
-    flags = (8 * columns["entangled"] + 4 * columns["steer_ab"] + 2 * columns["steer_ba"]
-             + columns["bell"]).tolist()
-    rows = zip(xs * len(ys), [y for y in ys for _ in xs], map(FLAG_TEXT.__getitem__, flags),
-               *(g17_text(columns[name]) for name in FIELDS[6:12]),
-               map(POSITIVITY_TEXT.__getitem__, columns["positivity_ok"].tolist()))
-    text = (",".join(FIELDS) + "\n").encode() + CSV_ROW * len(flags)
-    return (text % tuple(itertools.chain.from_iterable(rows))).decode()
+def csv_text(columns: dict[str, np.ndarray], nx: int) -> bytes:
+    """The sweep CSV of a row-major grid's FIELDS columns, nx cells per row:
+    g17.csv_bytes over the (ny, nx) grid, with the text of each x and y
+    value rendered once and broadcast over it."""
+    from .g17 import csv_bytes  # loaded by the first CSV, never by a report
+    cells = [np.stack([columns[name] for name in names], -1).reshape(-1, nx, len(names))
+             for names in (FIELDS[2:6], FIELDS[6:12], FIELDS[12:])]
+    return csv_bytes(",".join(FIELDS),
+                     [columns["x"][:nx, None], columns["y"][::nx, None, None], *cells])
 
 
-def _atomic_write(path: str, text: str) -> str:
-    """Write text to path by write-then-rename and return the sha256 of the
-    bytes written; on failure no temporary file is left behind."""
-    data = text.encode("utf-8")
+def _atomic_write(path: str, data: bytes | str) -> str:
+    """Write data, a str as UTF-8, to path by write-then-rename and return the
+    sha256 of the bytes written; on failure no temporary file is left behind."""
+    if isinstance(data, str):
+        data = data.encode()
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -337,7 +319,7 @@ def _atomic_write(path: str, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _emit(cfg: dict, text: str, started: float, masked: int = 0,
+def _emit(cfg: dict, text: bytes | str, started: float, masked: int = 0,
           default_out: str | None = None, diagnostics: dict | None = None,
           stages: dict | None = None) -> str | None:
     """Write text to the configured output and its manifest, or print it.
@@ -510,10 +492,9 @@ def cmd_evolve(cfg: dict) -> int:
     times, vectors = evolve(g, rho0, t_final=ev["t_final"], dt=ev["dt"])
     final_gap = float(np.max(np.abs(vectors[-1] - st.vector6[0])))
     rows = np.column_stack([times, vectors[:, :4].real, vectors[:, 4].real, vectors[:, 4].imag])
-    from .g17 import g17_text
-    text = (b"t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh\n"
-            + b"%s,%s,%s,%s,%s,%s,%s\n" * len(rows)) % tuple(g17_text(rows.ravel()))
-    _emit(cfg, text.decode(), started, default_out="trajectory.csv",
+    from .g17 import csv_bytes
+    text = csv_bytes("t,rho_gg,rho_e1e1,rho_e2e2,rho_e3e3,re_coh,im_coh", [rows])
+    _emit(cfg, text, started, default_out="trajectory.csv",
           diagnostics=diagnostics(st.residual, st.min_eigenvalue, st.null_ratio, c.checked))
     summary = {
         "steps": len(times) - 1,

@@ -1,22 +1,23 @@
-"""The exact '%.17g' text of float64 values by array arithmetic: the one float
-formatter of the CSV outputs, with no float conversion per value.
+"""The exact '%.17g' text of float64 values by array arithmetic, and the one
+CSV writer, which lays that text out with no Python object per value.
 
 The decimal exponent e comes from log10, the value times 10^(16-e) is a
 double-double (Dekker's product with a table of correctly rounded powers of
 ten), its 17 digits are rounded and cut into 4-digit groups read from a
-table, and one gather through a table of text layouts gives each value's
-bytes.  A value the arithmetic cannot certify is formatted by '%.17g' % v
-itself.  cli imports this module on its first CSV, so a run that writes
-none never builds the tables.
+table, and one gather through a table of text layouts gives each value's 24
+NUL-padded bytes.  A value the arithmetic cannot certify is formatted by
+'%.17g' % v itself.  csv_bytes places every column's text in one byte matrix
+and drops the NULs.  cli imports this module on its first CSV, so a run that
+writes none never builds the tables.
 """
 from __future__ import annotations
 
 import numpy as np
 
-# values per pass of g17_text: its temporaries grow with it, the largest a
+# values per pass of g17_rows: its temporaries grow with it, the largest a
 # gather index of 24 entries per value
 CHUNK = 4096
-# The magnitudes g17_text formats itself: 1e-280 <= |v| <= 1e280 keeps every
+# The magnitudes g17_rows formats itself: 1e-280 <= |v| <= 1e280 keeps every
 # product and split of _scaled clear of overflow and subnormals.
 _MIN, _MAX = 1e-280, 1e280
 # the tables cover the decimal exponents -_E.._E, those of that range and the
@@ -27,7 +28,7 @@ _MIDDLE = int.from_bytes(b"0.0-\0\0\0\0", "little")
 
 
 def _tables() -> tuple[np.ndarray, ...]:
-    """The tables of g17_text:
+    """The tables of g17_rows:
 
     - pow10: for each exponent e, 10^(16-e) as the correctly rounded pair
       hi + lo, and the Dekker split of hi (rows hi, hi's high and low part, lo);
@@ -106,8 +107,8 @@ def _exact(v: float) -> bytes:
     return b"%.17g" % v
 
 
-def _chunk(v: np.ndarray) -> list[bytes]:
-    """g17_text of at most CHUNK values."""
+def _chunk(v: np.ndarray, rows: np.ndarray) -> None:
+    """The g17_rows of at most CHUNK values, written into rows."""
     a = np.abs(v)
     zero = a == 0
     ok = (a >= _MIN) & (a <= _MAX)
@@ -156,21 +157,38 @@ def _chunk(v: np.ndarray) -> list[bytes]:
     words[:, 3] = _EXPO[e + _E]
     index = np.take(_TEMPLATES, key, axis=0)
     index += np.arange(0, 32 * n, 32, dtype=np.int32)[:, None]
-    text = np.take(source.ravel(), index).view("S24").ravel().tolist()
+    np.take(source.ravel(), index, out=rows, mode="clip")  # in range: no checked copy
     exact = np.flatnonzero(~ok & ~zero)
     for i, value in zip(exact.tolist(), v[exact].tolist()):
-        text[i] = _exact(value)
-    return text
+        rows[i] = np.frombuffer(_exact(value).ljust(24, b"\0"), np.uint8)
 
 
-def g17_text(values: np.ndarray) -> list[bytes]:
-    """The '%.17g' text of each float64 value, as ASCII bytes.  _exact
-    formats alone the values whose text the arithmetic does not certify:
-    nan, inf, 0 < |v| < 1e-280, |v| > 1e280, a value within 1e-6 of a
-    rounding tie, and one that both guesses of its exponent put outside the
-    range, as an exact power of ten above 1e16 can be.  Works through CHUNK
+def g17_rows(values: np.ndarray) -> np.ndarray:
+    """The '%.17g' text of each float64 value as 24 bytes, NUL-padded
+    (-2.2250738585072014e-308 fills them), in shape values.shape + (24,).
+    _exact formats nan, inf, 0 < |v| < 1e-280, |v| > 1e280, a value within
+    1e-6 of a rounding tie, and one whose exponent both guesses put outside
+    the range, as an exact power of ten above 1e16 can.  Works through CHUNK
     values at a time."""
-    text = []
-    for start in range(0, len(values), CHUNK):
-        text += _chunk(values[start:start + CHUNK])
-    return text
+    flat = np.ravel(values)
+    rows = np.empty((len(flat), 24), np.uint8)
+    for start in range(0, len(flat), CHUNK):
+        _chunk(flat[start:start + CHUNK], rows[start:start + CHUNK])
+    return rows.reshape(*np.shape(values), 24)
+
+
+def csv_bytes(header: str, columns: list[np.ndarray]) -> bytes:
+    """A CSV: the header line, then one line per cell of the grid that the
+    columns broadcast over.  Each entry of columns holds k consecutive
+    columns, an array (..., k) of floats, written as g17_rows, or of bools,
+    written 0 or 1.  One byte matrix holds every line, each column's text
+    followed by a "," or, at the line's end, a newline; the NULs are dropped."""
+    texts = [g17_rows(c) if c.dtype == np.float64 else (c.astype(np.uint8) + 48)[..., None]
+             for c in columns]
+    grid = np.broadcast_shapes(*(t.shape[:-2] for t in texts))
+    spans = [t.shape[-2] * (t.shape[-1] + 1) for t in texts]
+    matrix = np.full((*grid, sum(spans)), ord(","), np.uint8)
+    for t, stop, span in zip(texts, np.cumsum(spans), spans):
+        matrix[..., stop - span:stop].reshape(*grid, t.shape[-2], -1)[..., :-1] = t
+    matrix[..., -1] = ord("\n")
+    return (header + "\n").encode() + matrix.tobytes().translate(None, b"\0")

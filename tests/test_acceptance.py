@@ -772,7 +772,8 @@ def test_preset_csv_text(preset_maps):
     # every preset's CSV is byte for byte the former per-row writer's text
     for name in PRESET_NAMES:
         region = preset_maps[name]
-        assert csv_text(region.columns, region.config.nx) == csv_text_oracle(region.columns), name
+        assert (csv_text(region.columns, region.config.nx)
+                == csv_text_oracle(region.columns).encode()), name
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from steerlab.cli import (
     resolve_config,
 )
 from steerlab.errors import ConfigurationError, DegenerateSteadyStateError, InternalConsistencyError
-from steerlab.g17 import g17_text
+from steerlab.g17 import g17_rows
 from steerlab.rates import Statistics
 
 from conftest import (assert_rows_equal_points, csv_text_oracle,
@@ -405,7 +405,8 @@ def synthetic_columns(nx: int, ny: int) -> dict[str, np.ndarray]:
     code = rng.permutation(np.arange(n) % 32)
     values = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-300, 300, (6, n))
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310,
-               2.2250738585072014e-308, 1 / 3, 1e16, 123456789.0]
+               2.2250738585072014e-308, -2.2250738585072014e-308, -4.9406564584124654e-324,
+               1 / 3, 1e16, 123456789.0]
     for row in values:
         row[rng.choice(n, len(special), replace=False)] = special
     values[:4, code == 0] = math.nan   # masked: no verdicts, no margins
@@ -426,7 +427,7 @@ class TestCsvText:
         codes = sum(columns[name].astype(int) << bit for bit, name in
                     enumerate(["positivity_ok", "bell", "steer_ba", "steer_ab", "entangled"]))
         assert sorted(set(codes.tolist())) == list(range(32))
-        assert csv_text(columns, nx) == csv_text_oracle(columns)
+        assert csv_text(columns, nx) == csv_text_oracle(columns).encode()
 
     @pytest.mark.parametrize("name", ["fig8b", "fig3c", "fig9b"])
     def test_presets(self, name, tmp_path, capsys):
@@ -447,7 +448,7 @@ class TestCsvText:
         masked = ~region.columns["positivity_ok"]
         assert 0 < np.count_nonzero(masked) < cfg.nx
         assert np.isnan(region.columns["margin_ent"][masked]).any()
-        assert csv_text(region.columns, cfg.nx) == csv_text_oracle(region.columns)
+        assert csv_text(region.columns, cfg.nx) == csv_text_oracle(region.columns).encode()
 
     def test_masked_sweep(self, tmp_path, capsys):
         # the grid of TestSweepCommand.test_positivity_violating_cell_is_masked
@@ -465,8 +466,9 @@ class TestCsvText:
 
 
 def test_g17_text_matches_per_value_format(monkeypatch):
-    # g17_text against '%.17g' per value over several chunks of a corpus that
-    # spans every branch: notation, sign, carry, exponent guess and fallback
+    # g17_rows against '%.17g' per value over several chunks of a corpus that
+    # spans every branch: notation, sign, carry, exponent guess and fallback,
+    # and the texts of the full 24 bytes
     exact = []
     fallback = steerlab.g17._exact
     monkeypatch.setattr(steerlab.g17, "_exact", lambda v: exact.append(v) or fallback(v))
@@ -477,13 +479,19 @@ def test_g17_text_matches_per_value_format(monkeypatch):
     dyadic = rng.integers(1, 2 ** 53, 4000) * 2.0 ** -rng.integers(1, 60, 4000)
     tie, out_of_range = 1234567890123456.75, 1e300
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-280, -1e-280, 1e280,
-               -1e280, 1e17, 99999999999999999.0, 1e16, 1e-4, 1e-5, tie, out_of_range]
+               -1e280, 1e17, 99999999999999999.0, 1e16, 1e-4, 1e-5, tie, out_of_range,
+               -2.2250738585072014e-308, -4.9406564584124654e-324]
     corpus = np.concatenate([
         patterns, magnitudes, powers, -powers, np.nextafter(powers, math.inf),
         np.nextafter(powers, -math.inf), rng.integers(0, 10 ** 17, 4000).astype(float),
         np.arange(-1000.0, 1000.0), dyadic, special])
     assert len(corpus) > 4 * steerlab.g17.CHUNK
-    assert g17_text(corpus) == [b"%.17g" % v for v in corpus.tolist()]
+    rows = g17_rows(corpus)
+    assert rows.shape == (len(corpus), 24) and rows.dtype == np.uint8
+    # each row is the text up to its first NUL, and only NULs follow
+    for row, v in zip(map(bytes, rows), corpus.tolist()):
+        text, _, rest = row.partition(b"\0")
+        assert text == b"%.17g" % v and rest == bytes(len(rest)), (v, row)
     # the tie and the out-of-range value went to the fallback, and of the
     # finite values within the range only those whose digits after the 17th
     # lie within 1e-6 of a tie, or exact powers of ten, which sit on the

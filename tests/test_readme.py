@@ -46,3 +46,23 @@ def test_import_leaves_analysis_and_cli_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0 and done.stdout == "False False\n", done.stderr
+
+
+def test_cli_loads_g17_on_its_first_csv(tmp_path):
+    # in a fresh interpreter, `import steerlab.cli` and a steady report leave
+    # the CSV writer's tables unbuilt; the first sweep loads them
+    out = tmp_path / "s.csv"
+    code = ("import contextlib, io, sys, steerlab.cli as cli\n"
+            "loaded = ['steerlab.g17' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['steady']) == 0\n"
+            "    loaded.append('steerlab.g17' in sys.modules)\n"
+            "    assert cli.main(['sweep', '--axis-x=ta', '--x-min=0.4', '--x-max=0.6', '--nx=2',\n"
+            "                     '--axis-y=tb', '--y-min=0.4', '--y-max=0.6', '--ny=2',\n"
+            f"                     '--out={out}']) == 0\n"
+            "print(*loaded, 'steerlab.g17' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sl.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "False False True\n", done.stderr
+    assert out.read_text().count("\n") == 5
